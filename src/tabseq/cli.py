@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gs3, tableau
-from .formula import Not, ParseError, parse
+from .formula import DepthError, Not, ParseError, parse
 from .tableau import Exhausted, FormatError, render_tableau
 from .translate import TranslateError, translate
 
@@ -139,6 +139,10 @@ def _run_prove(config: RunConfig) -> int:
             return _prove_one(config, path)
         except (ParseError, InputError) as e:
             return EXIT_BAD_INPUT, f"{path}: error: {e}"
+        except DepthError as e:
+            return EXIT_BAD_INPUT, f"{path}: error: cannot write the proof: {e}"
+        except RecursionError:
+            return EXIT_BAD_INPUT, f"{path}: error: proof nested too deeply to build"
 
     if config.jobs > 1 and len(config.inputs) > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -218,6 +222,9 @@ def main(argv: list[str] | None = None) -> None:
         status = EXIT_BAD_INPUT
     except (ValueError, TranslateError) as e:
         print(f"error: {e}", file=sys.stderr)
+        status = EXIT_BAD_INPUT
+    except RecursionError:
+        print("error: proof nested too deeply to build", file=sys.stderr)
         status = EXIT_BAD_INPUT
     sys.exit(status)
 

@@ -10,6 +10,9 @@ a generated symbol.
 
 Bound-variable names are made unique per formula at parse time, after which
 plain structural equality is the formula equality used everywhere else.
+
+Term and formula nodes are immutable and cache their hash, so sequents that
+share formula objects can be counted and compared without re-walking them.
 """
 
 from __future__ import annotations
@@ -17,10 +20,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 SKOLEM_NAME = re.compile(r"sko[0-9]+\Z")
 META_NAME = re.compile(r"X[0-9]+\Z")
+
+# Deepest formula or term that ``parse`` accepts and the proof writers emit,
+# counting formula and term nodes along a path.  The prover, translator,
+# checker and printer all recurse on formulas.  The costliest shapes, nested
+# terms and quantifier prefixes, take about 4 interpreter frames per level
+# in ``gs3.check``: a 200-deep one needs about 820 of CPython 3.11's default
+# 1,000 frames and leaves about 180 to the caller.
+MAX_DEPTH = 200
+
+V = TypeVar("V")
 
 
 class ParseError(ValueError):
@@ -32,9 +45,42 @@ class ParseError(ValueError):
         self.column = column
 
 
+class DepthError(ValueError):
+    """A formula or term nested deeper than ``MAX_DEPTH`` levels."""
+
+
 # ------------------------------------------------------------------ terms
 
 
+def _cached_hash(cls):
+    """Cache a frozen dataclass's generated hash on first use.
+
+    The cached value is the generated one, so equal nodes still hash alike;
+    without the cache every hash of a node re-walks the whole subtree.  It
+    is dropped from the pickled and copied state, because string hashes
+    differ between processes.
+    """
+    generated = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = generated(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_cached_hash
 @dataclass(frozen=True)
 class Var:
     """A bound-variable occurrence; never free in a well-formed formula."""
@@ -45,6 +91,7 @@ class Var:
         return self.name
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Meta:
     """A free variable introduced by a gamma rule, awaiting instantiation."""
@@ -55,6 +102,7 @@ class Meta:
         return self.name
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class App:
     """Function application; constants are zero-argument applications."""
@@ -80,6 +128,7 @@ def const(name: str) -> App:
 # --------------------------------------------------------------- formulas
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Atom:
     predicate: str
@@ -89,6 +138,7 @@ class Atom:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
@@ -97,6 +147,7 @@ class Not:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class And:
     left: "Formula"
@@ -106,6 +157,7 @@ class And:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Or:
     left: "Formula"
@@ -115,6 +167,7 @@ class Or:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Implies:
     left: "Formula"
@@ -124,6 +177,7 @@ class Implies:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Forall:
     var: str
@@ -133,6 +187,7 @@ class Forall:
         return print_formula(self)
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Exists:
     var: str
@@ -279,6 +334,36 @@ def formula_terms(f: Formula) -> Iterator[Term]:
         yield from formula_terms(f.body)
     else:
         raise TypeError(f"not a formula: {f!r}")
+
+
+def nesting_depth(x: Formula | Term) -> int:
+    """Formula and term nodes on the longest root-to-leaf path, counted
+    without recursion."""
+    deepest = 0
+    stack = [(x, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > deepest:
+            deepest = depth
+        if isinstance(node, (Atom, App)):
+            stack.extend((a, depth + 1) for a in node.args)
+        elif isinstance(node, (Not, Forall, Exists)):
+            stack.append((node.body, depth + 1))
+        elif isinstance(node, (And, Or, Implies)):
+            stack.append((node.left, depth + 1))
+            stack.append((node.right, depth + 1))
+    return deepest
+
+
+def check_depth(x: Formula | Term) -> Formula | Term:
+    """``x`` itself, or DepthError if it nests deeper than ``MAX_DEPTH``.
+
+    The proof writers pass every formula and term through this, so a file
+    they write never holds one that the readers would refuse.
+    """
+    if nesting_depth(x) > MAX_DEPTH:
+        raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
+    return x
 
 
 def term_metas(t: Term) -> tuple[Meta, ...]:
@@ -508,8 +593,7 @@ _TOKEN_SPEC = [
 _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -535,6 +619,11 @@ def _tokenize(text: str) -> list[_Token]:
         pos = m.end()
     tokens.append(_Token("END", "", line, pos - line_start + 1))
     return tokens
+
+
+# Binary connectives by token: (precedence, constructor); ``=>`` binds
+# loosest and nests to the right, ``&`` and ``|`` chain to the left.
+_BINARY = {"IMPLIES": (1, Implies), "OR": (2, Or), "AND": (3, And)}
 
 
 class _Parser:
@@ -603,26 +692,20 @@ class _Parser:
         self.taken.add(unique)
         return unique
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "IMPLIES":
+    def parse_formula(self, min_precedence: int = 1) -> Formula:
+        """Precedence climbing over the binary connectives: one call per
+        right-nested ``=>`` or parenthesis level, a loop for ``&`` and ``|``
+        chains."""
+        left = self.parse_unary()
+        while True:
+            op = _BINARY.get(self.peek().kind)
+            if op is None or op[0] < min_precedence:
+                return left
             self.next()
-            return Implies(left, self.parse_formula())
-        return left
-
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek().kind == "OR":
-            self.next()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek().kind == "AND":
-            self.next()
-            f = And(f, self.parse_unary())
-        return f
+            precedence, ctor = op
+            right_assoc = ctor is Implies
+            right = self.parse_formula(precedence if right_assoc else precedence + 1)
+            left = ctor(left, right)
 
     def parse_unary(self) -> Formula:
         tok = self.peek()
@@ -676,25 +759,34 @@ class _Parser:
         return App(name.value, ())
 
 
+def _parse_whole(text: str, allow_generated: bool, start: Callable[[_Parser], V]) -> V:
+    parser = _Parser(_tokenize(text), allow_generated)
+    try:
+        result = start(parser)
+    except RecursionError:
+        tok = parser.peek()
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.column) from None
+    end = parser.peek()
+    if end.kind != "END":
+        raise ParseError(f"unexpected trailing input {end.value!r}", end.line, end.column)
+    # Every node has a token of its own, so only inputs with more tokens
+    # than the bound can nest deeper than it.
+    if len(parser.tokens) > MAX_DEPTH and nesting_depth(result) > MAX_DEPTH:
+        first = parser.tokens[0]
+        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", first.line, first.column)
+    return result
+
+
 def parse(text: str, *, allow_generated: bool = False) -> Formula:
     """Parse a formula; bound variables are renamed apart.
 
     ``allow_generated`` admits the reserved ``skoN``/``XN`` identifier
     families (Skolem symbols and metavariables) and is used only when
-    reading tool-produced proof files.
+    reading tool-produced proof files.  Input nested deeper than
+    ``MAX_DEPTH`` is a ParseError.
     """
-    parser = _Parser(_tokenize(text), allow_generated)
-    f = parser.parse_formula()
-    end = parser.peek()
-    if end.kind != "END":
-        raise ParseError(f"unexpected trailing input {end.value!r}", end.line, end.column)
-    return f
+    return _parse_whole(text, allow_generated, _Parser.parse_formula)
 
 
 def parse_term(text: str, *, allow_generated: bool = False) -> Term:
-    parser = _Parser(_tokenize(text), allow_generated)
-    t = parser.parse_term()
-    end = parser.peek()
-    if end.kind != "END":
-        raise ParseError(f"unexpected trailing input {end.value!r}", end.line, end.column)
-    return t
+    return _parse_whole(text, allow_generated, _Parser.parse_term)

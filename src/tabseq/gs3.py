@@ -11,10 +11,11 @@ module deliberately depends on nothing but the formula syntax.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .formula import (
     And,
@@ -26,6 +27,7 @@ from .formula import (
     Not,
     Or,
     Term,
+    check_depth,
     formula_symbols,
     has_metas,
     is_ground_term,
@@ -39,6 +41,7 @@ from .formula import (
 
 Path = tuple[int, ...]
 Sequent = tuple[Formula, ...]
+T = TypeVar("T")
 
 ALPHA_RULES = ("not_not", "not_implies", "and", "not_or")
 BETA_RULES = ("implies", "not_and", "or")
@@ -249,18 +252,22 @@ def check(proof: GsProof) -> CheckResult:
     constant absent from its conclusion sequent.  The first violation in
     preorder is reported.
     """
+    ground: set[Formula] = set()  # sequent formulas already found free of metavariables
     for path, node in iter_nodes(proof):
-        result = _check_node(path, node)
+        result = _check_node(path, node, ground)
         if result is not None:
             return result
     return CheckResult(True)
 
 
-def _check_node(path: Path, node: GsProof) -> CheckResult | None:
+def _check_node(path: Path, node: GsProof, ground: set[Formula]) -> CheckResult | None:
     for f in node.sequent:
+        if f in ground:
+            continue
         if has_metas(f):
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"metavariable in sequent formula {print_formula(f)}")
+        ground.add(f)
     if node.rule is None:
         if node.children:
             return CheckResult(False, path, SCHEMA_MISMATCH, "rule-less node has children")
@@ -386,37 +393,47 @@ def build_step(
 # --------------------------------------------------------------- serialize
 
 
-def _node_to_record(node: GsProof) -> dict:
-    counts = Counter(print_formula(f) for f in node.sequent)
+def _node_to_record(node: GsProof, formula: Callable[[Formula], str],
+                    term: Callable[[Term], str]) -> dict:
+    counts = Counter(formula(f) for f in node.sequent)
     record: dict = {
         "sequent": [[text, n] for text, n in sorted(counts.items())],
         "rule": None,
-        "children": [_node_to_record(c) for c in node.children],
+        "children": [_node_to_record(c, formula, term) for c in node.children],
     }
     if node.rule is not None:
         rule: dict = {"name": node.rule.name,
-                      "principal": print_formula(node.principal)}
+                      "principal": formula(node.principal)}
         if node.rule.witness is not None:
-            rule["witness"] = print_term(node.rule.witness)
+            rule["witness"] = term(node.rule.witness)
         record["rule"] = rule
     return record
 
 
 def proof_to_json(proof: GsProof) -> str:
-    """Canonical serialization: sorted keys and sequent entries, compact."""
-    return json.dumps(_node_to_record(proof), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical serialization: sorted keys and sequent entries, compact.
+
+    Each distinct formula or term is printed once per call.  One nested
+    deeper than ``MAX_DEPTH`` is a DepthError, since the reader would
+    refuse the file.
+    """
+    formula = functools.cache(lambda f: print_formula(check_depth(f)))
+    term = functools.cache(lambda t: print_term(check_depth(t)))
+    record = _node_to_record(proof, formula, term)
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_formula_field(text, what: str) -> Formula:
-    if not isinstance(text, str):
+def _parse_field(read: Callable[[str], T], raw, what: str) -> T:
+    if not isinstance(raw, str):
         raise FormatError(f"{what} must be a string")
     try:
-        return parse(text, allow_generated=True)
+        return read(raw)
     except ValueError as e:
         raise FormatError(f"bad {what}: {e}") from None
 
 
-def _node_from_record(record) -> GsProof:
+def _node_from_record(record, formula: Callable[[str], Formula],
+                      term: Callable[[str], Term]) -> GsProof:
     if not isinstance(record, dict):
         raise FormatError("proof node must be an object")
     seq_raw = record.get("sequent")
@@ -426,34 +443,42 @@ def _node_from_record(record) -> GsProof:
     for item in seq_raw:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[1], int) or item[1] < 1:
             raise FormatError("sequent entries must be [formula, count] pairs")
-        formulas.extend([_parse_formula_field(item[0], "sequent formula")] * item[1])
+        formulas.extend([_parse_field(formula, item[0], "sequent formula")] * item[1])
     rule_raw = record.get("rule")
     rule = None
     principal = None
     if rule_raw is not None:
         if not isinstance(rule_raw, dict) or "name" not in rule_raw:
             raise FormatError("rule must be an object with a name")
+        if not isinstance(rule_raw["name"], str):
+            raise FormatError("rule name must be a string")
         witness = None
         if "witness" in rule_raw:
-            try:
-                witness = parse_term(rule_raw["witness"], allow_generated=True)
-            except ValueError as e:
-                raise FormatError(f"bad witness: {e}") from None
-        rule = GsRule(str(rule_raw["name"]), witness)
-        principal = _parse_formula_field(rule_raw.get("principal"), "principal")
+            witness = _parse_field(term, rule_raw["witness"], "witness")
+        rule = GsRule(rule_raw["name"], witness)
+        principal = _parse_field(formula, rule_raw.get("principal"), "principal")
     children_raw = record.get("children", [])
     if not isinstance(children_raw, list):
         raise FormatError("children must be a list")
-    children = tuple(_node_from_record(c) for c in children_raw)
+    children = tuple(_node_from_record(c, formula, term) for c in children_raw)
     return GsProof(tuple(formulas), rule, principal, children)
 
 
 def proof_from_json(text: str) -> GsProof:
+    """Read a proof written by ``proof_to_json``.
+
+    Each distinct formula or term text is parsed once per call, so equal
+    texts read back as one shared object.  Nesting too deep to walk is a
+    FormatError.
+    """
+    formula = functools.cache(lambda s: parse(s, allow_generated=True))
+    term = functools.cache(lambda s: parse_term(s, allow_generated=True))
     try:
-        record = json.loads(text)
+        return _node_from_record(json.loads(text), formula, term)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e}") from None
-    return _node_from_record(record)
+    except RecursionError:
+        raise FormatError("proof nested too deeply") from None
 
 
 # ------------------------------------------------------------------ render

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .formula import And, Formula, parse
+from .formula import And, Formula, parse, print_formula
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -51,7 +51,9 @@ def growth_goal(k: int) -> Formula:
 
     Each conjunct costs the tableau a constant number of rules, while every
     translated existential step clones the sequent proof built so far, so
-    the proof-size ratio grows with k.
+    the proof-size ratio grows with k.  The conjunction is right-nested and
+    re-parsed whole, which renames the conjuncts' binders apart as every
+    parsed formula's are.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -61,7 +63,7 @@ def growth_goal(k: int) -> Formula:
     goal = conjuncts[-1]
     for f in reversed(conjuncts[:-1]):
         goal = And(f, goal)
-    return goal
+    return parse(print_formula(goal))
 
 
 _PROP = ("P", "Q", "R", "S")

@@ -9,9 +9,10 @@ a one-child rule whose child is the closed leaf.  Paths address nodes as
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .formula import (
     App,
@@ -23,9 +24,9 @@ from .formula import (
     Term,
     alpha_parts,
     beta_parts,
+    check_depth,
     classify,
     formula_symbols,
-    formula_terms,
     free_metas,
     parse,
     parse_term,
@@ -36,6 +37,7 @@ from .formula import (
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
 
 Path = tuple[int, ...]
+T = TypeVar("T")
 
 CLOSURE = "closure"
 
@@ -377,15 +379,17 @@ def prove(
         # only reachable with deferred closure checking
         return Exhausted("closure constraints are globally unsatisfiable", steps)
 
-    metas: list[Meta] = []
-    for _, n in iter_nodes(root):
-        for f in n.formulas:
-            for t in formula_terms(f):
-                if isinstance(t, Meta) and t not in metas:
-                    metas.append(t)
+    # Children extend their parent's formula tuple, so the nodes share
+    # formula objects: walk each distinct one once, in first-occurrence order.
+    metas: dict[Meta, None] = {}
     symbols: set[str] = set()
+    seen: set[int] = set()
     for _, n in iter_nodes(root):
         for f in n.formulas:
+            if id(f) in seen:
+                continue
+            seen.add(id(f))
+            metas.update(dict.fromkeys(free_metas(f)))
             symbols |= formula_symbols(f)
     ground = groundify(sigma, metas, symbols)
     return ClosedTableau(root, store, ground)
@@ -482,121 +486,145 @@ def term_has_meta(t: Term) -> bool:
 # --------------------------------------------------------------- serialize
 
 
-def _rule_to_record(rule: RuleInstance) -> dict:
+def _rule_to_record(rule: RuleInstance, formula: Callable[[Formula], str],
+                    term: Callable[[Term], str]) -> dict:
     record: dict = {
         "class": rule.kind,
-        "principal": print_formula(rule.principal) if rule.principal is not None else None,
-        "introduced": [[print_formula(f) for f in child] for child in rule.introduced],
+        "principal": formula(rule.principal) if rule.principal is not None else None,
+        "introduced": [[formula(f) for f in child] for child in rule.introduced],
     }
     if rule.meta is not None:
         record["meta"] = rule.meta.name
     if rule.skolem is not None:
-        record["skolem"] = print_term(rule.skolem)
+        record["skolem"] = term(rule.skolem)
     if rule.closure_pair is not None:
-        record["closure_pair"] = [print_formula(rule.closure_pair[0]),
-                                  print_formula(rule.closure_pair[1])]
+        record["closure_pair"] = [formula(rule.closure_pair[0]), formula(rule.closure_pair[1])]
     return record
 
 
-def _node_to_record(node: TableauNode) -> dict:
+def _node_to_record(node: TableauNode, formula: Callable[[Formula], str],
+                    term: Callable[[Term], str]) -> dict:
     return {
-        "formulas": [print_formula(f) for f in node.formulas],
-        "rule": _rule_to_record(node.rule) if node.rule is not None else None,
-        "children": [_node_to_record(c) for c in node.children],
+        "formulas": [formula(f) for f in node.formulas],
+        "rule": _rule_to_record(node.rule, formula, term) if node.rule is not None else None,
+        "children": [_node_to_record(c, formula, term) for c in node.children],
         "closed": node.closed,
     }
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
-    """Canonical serialization: sorted keys, no insignificant whitespace."""
+    """Canonical serialization: sorted keys, no insignificant whitespace.
+
+    Each distinct formula or term is printed once per call.  One nested
+    deeper than ``MAX_DEPTH`` is a DepthError, since the reader would
+    refuse the file.
+    """
+    formula = functools.cache(lambda f: print_formula(check_depth(f)))
+    term = functools.cache(lambda t: print_term(check_depth(t)))
     record = {
-        "root": _node_to_record(ct.root),
+        "root": _node_to_record(ct.root, formula, term),
         "store": [
-            [_side_str(c.lhs), _side_str(c.rhs)] for c in ct.store.constraints
+            [_side_str(c.lhs, formula, term), _side_str(c.rhs, formula, term)]
+            for c in ct.store.constraints
         ],
         "unifier": sorted(
-            f"{name} := {print_term(t)}" for name, t in ct.unifier.items()
+            f"{name} := {term(t)}" for name, t in ct.unifier.items()
         ),
     }
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _side_str(side) -> str:
+def _side_str(side, formula: Callable[[Formula], str] = print_formula,
+              term: Callable[[Term], str] = print_term) -> str:
     if isinstance(side, (Atom, Not)):
-        return print_formula(side)
-    return print_term(side)
+        return formula(side)
+    return term(side)
 
 
-def _parse_formula_field(text, what: str) -> Formula:
-    if not isinstance(text, str):
+def _parse_field(read: Callable[[str], T], raw, what: str) -> T:
+    if not isinstance(raw, str):
         raise FormatError(f"{what} must be a string")
     try:
-        return parse(text, allow_generated=True)
+        return read(raw)
     except ValueError as e:
         raise FormatError(f"bad {what}: {e}") from None
 
 
-def _rule_from_record(record) -> RuleInstance:
+def _rule_from_record(record, formula: Callable[[str], Formula],
+                      term: Callable[[str], Term]) -> RuleInstance:
     if not isinstance(record, dict):
         raise FormatError("rule must be an object")
     kind = record.get("class")
     if kind not in ("alpha", "beta", "gamma", "delta", CLOSURE):
         raise FormatError(f"unknown rule class {kind!r}")
     principal = record.get("principal")
-    principal_f = _parse_formula_field(principal, "principal") if principal is not None else None
+    principal_f = _parse_field(formula, principal, "principal") if principal is not None else None
     introduced = record.get("introduced")
-    if not isinstance(introduced, list):
-        raise FormatError("introduced must be a list")
+    if not isinstance(introduced, list) or not all(isinstance(c, list) for c in introduced):
+        raise FormatError("introduced must be a list of lists")
     intro = tuple(
-        tuple(_parse_formula_field(f, "introduced formula") for f in child)
+        tuple(_parse_field(formula, f, "introduced formula") for f in child)
         for child in introduced
     )
     meta = None
     if "meta" in record:
-        t = parse_term(record["meta"], allow_generated=True)
-        if not isinstance(t, Meta):
+        meta = _parse_field(term, record["meta"], "meta field")
+        if not isinstance(meta, Meta):
             raise FormatError("meta field is not a metavariable")
-        meta = t
     skolem = None
     if "skolem" in record:
-        t = parse_term(record["skolem"], allow_generated=True)
-        if not isinstance(t, App) or not t.is_skolem:
+        skolem = _parse_field(term, record["skolem"], "skolem field")
+        if not isinstance(skolem, App) or not skolem.is_skolem:
             raise FormatError("skolem field is not a Skolem term")
-        skolem = t
     pair = None
     if "closure_pair" in record:
         raw = record["closure_pair"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise FormatError("closure_pair must be a two-element list")
-        pair = (_parse_formula_field(raw[0], "closure pair"),
-                _parse_formula_field(raw[1], "closure pair"))
+        pair = (_parse_field(formula, raw[0], "closure pair"),
+                _parse_field(formula, raw[1], "closure pair"))
     return RuleInstance(kind, principal_f, intro, meta=meta, skolem=skolem, closure_pair=pair)
 
 
-def _node_from_record(record) -> TableauNode:
+def _node_from_record(record, formula: Callable[[str], Formula],
+                      term: Callable[[str], Term]) -> TableauNode:
     if not isinstance(record, dict):
         raise FormatError("node must be an object")
     formulas = record.get("formulas")
     if not isinstance(formulas, list):
         raise FormatError("formulas must be a list")
-    fs = tuple(_parse_formula_field(f, "formula") for f in formulas)
+    fs = tuple(_parse_field(formula, f, "formula") for f in formulas)
     rule = record.get("rule")
-    rule_i = _rule_from_record(rule) if rule is not None else None
+    rule_i = _rule_from_record(rule, formula, term) if rule is not None else None
     children = record.get("children", [])
     if not isinstance(children, list):
         raise FormatError("children must be a list")
-    kids = tuple(_node_from_record(c) for c in children)
+    kids = tuple(_node_from_record(c, formula, term) for c in children)
     return TableauNode(fs, rule_i, kids, bool(record.get("closed", False)))
 
 
 def tableau_from_json(text: str) -> ClosedTableau:
+    """Read a tableau written by ``tableau_to_json``.
+
+    Each distinct formula or term text is parsed once per call, so equal
+    texts read back as one shared object.  Nesting too deep to walk is a
+    FormatError.
+    """
+    formula = functools.cache(lambda s: parse(s, allow_generated=True))
+    term = functools.cache(lambda s: parse_term(s, allow_generated=True))
     try:
-        record = json.loads(text)
+        return _tableau_from_record(json.loads(text), formula, term)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError("tableau nested too deeply") from None
+
+
+def _tableau_from_record(record, formula: Callable[[str], Formula],
+                         term: Callable[[str], Term]) -> ClosedTableau:
     if not isinstance(record, dict):
         raise FormatError("top level must be an object")
-    root = _node_from_record(record.get("root"))
+    root = _node_from_record(record.get("root"), formula, term)
     store_raw = record.get("store")
     if not isinstance(store_raw, list):
         raise FormatError("store must be a list")
@@ -604,10 +632,8 @@ def tableau_from_json(text: str) -> ClosedTableau:
     for item in store_raw:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError("store entries must be two-element lists")
-        constraints.append(Constraint(
-            _parse_formula_field(item[0], "constraint"),
-            _parse_formula_field(item[1], "constraint"),
-        ))
+        constraints.append(Constraint(_parse_field(formula, item[0], "constraint"),
+                                      _parse_field(formula, item[1], "constraint")))
     unifier_raw = record.get("unifier")
     if not isinstance(unifier_raw, list):
         raise FormatError("unifier must be a list")
@@ -616,10 +642,10 @@ def tableau_from_json(text: str) -> ClosedTableau:
         if not isinstance(entry, str) or " := " not in entry:
             raise FormatError(f"bad unifier entry {entry!r}")
         name, _, rhs = entry.partition(" := ")
-        t = parse_term(name, allow_generated=True)
+        t = _parse_field(term, name, "unifier entry")
         if not isinstance(t, Meta):
             raise FormatError(f"unifier binds non-metavariable {name!r}")
-        bindings[t.name] = parse_term(rhs, allow_generated=True)
+        bindings[t.name] = _parse_field(term, rhs, "unifier entry")
     unifier = Substitution(bindings, ground=True)
     return ClosedTableau(root, ConstraintStore(tuple(constraints)), unifier)
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tabseq
 from tabseq import gs3
 from tabseq.cli import main
+from tabseq.formula import MAX_DEPTH, nesting_depth, parse
 from tabseq.gs3 import proof_from_json
 from tabseq.tableau import tableau_from_json
 
@@ -153,3 +159,195 @@ class TestPipeline:
         out = tmp_path / "again.gs3"
         run_cli(["translate", str(tmp_path / "drinker.tab"), "--out", str(out)])
         assert out.read_bytes() == direct
+
+
+def first_rule_with(record, key):
+    """The first rule object in a proof record (preorder) that has ``key``."""
+    stack = [record["root"] if "root" in record else record]
+    while stack:
+        node = stack.pop()
+        rule = node.get("rule")
+        if rule is not None and key in rule:
+            return rule
+        stack.extend(reversed(node["children"]))
+    raise AssertionError(f"no rule with {key}")
+
+
+def set_in_rule(key, value):
+    def mutate(record):
+        first_rule_with(record, key)[key] = value
+    return mutate
+
+
+def set_top(key, value):
+    def mutate(record):
+        record[key] = value
+    return mutate
+
+
+def set_sequent_formula(record):
+    record["sequent"][0][0] = 7
+
+
+def set_formula(record):
+    record["root"]["formulas"][0] = 7
+
+
+class TestMalformedFields:
+    """Mistyped fields are malformed files: exit status 2, a message, and no
+    traceback, never the Rejected/Exhausted status 1."""
+
+    def mutated(self, tmp_path, drinker_file, suffix, mutate):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "both"]) == 0
+        path = tmp_path / f"drinker{suffix}"
+        record = json.loads(path.read_text(encoding="utf-8"))
+        mutate(record)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("mutate", [
+        set_in_rule("witness", 7),
+        set_in_rule("witness", ["c1"]),
+        set_in_rule("witness", "f("),
+        set_in_rule("name", 3),
+        set_in_rule("name", None),
+        set_in_rule("principal", 5),
+        set_sequent_formula,
+    ])
+    def test_check_exits_two(self, tmp_path, drinker_file, capsys, mutate):
+        path = self.mutated(tmp_path, drinker_file, ".gs3", mutate)
+        capsys.readouterr()
+        assert run_cli(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed sequent proof" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mutate", [
+        set_in_rule("meta", 7),
+        set_in_rule("meta", "X1("),
+        set_in_rule("skolem", 7),
+        set_in_rule("skolem", {"sko": 1}),
+        set_in_rule("class", 4),
+        set_in_rule("introduced", [5]),
+        set_in_rule("closure_pair", [1, 2]),
+        set_top("store", [[1, 2]]),
+        set_top("store", [7]),
+        set_top("unifier", [7]),
+        set_top("unifier", ["X1 := f("]),
+        set_top("unifier", ["X1( := a"]),
+        set_formula,
+    ])
+    def test_translate_exits_two(self, tmp_path, drinker_file, capsys, mutate):
+        path = self.mutated(tmp_path, drinker_file, ".tab", mutate)
+        capsys.readouterr()
+        assert run_cli(["translate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed tableau proof" in err and "Traceback" not in err
+
+
+class TestDeepInputs:
+    def test_deep_json_array_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.gs3"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert run_cli(["check", str(path)]) == 2
+        assert "malformed sequent proof" in capsys.readouterr().err
+        path = path.with_suffix(".tab")
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert run_cli(["translate", str(path)]) == 2
+        assert "malformed tableau proof" in capsys.readouterr().err
+
+    def test_deep_proof_tree_exits_two(self, tmp_path, capsys):
+        inner = '{"sequent": [["P", 1]], "rule": {"name": "weaken", "principal": "P"}, "children": ['
+        leaf = '{"sequent": [["P", 1]], "rule": null, "children": []}'
+        path = tmp_path / "tall.gs3"
+        path.write_text(inner * 3000 + leaf + "]}" * 3000, encoding="utf-8")
+        assert run_cli(["check", str(path)]) == 2
+        assert "malformed sequent proof" in capsys.readouterr().err
+
+    def test_deep_formula_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "chain.p"
+        path.write_text(" => ".join(["P"] * 1200) + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(path), "--negate"]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
+
+def chain_goal(links, step):
+    """A goal whose proof instantiates each link once, with a witness nested
+    ``step`` levels deeper than the last: the proof files hold terms about
+    ``links * step`` deep while the goal stays shallow."""
+    deeper = "f(" * step + "x" + ")" * step
+    chain = " & ".join(f"(forall x. P{i}(x) => P{i + 1}({deeper}))" for i in range(links))
+    return f"({chain}) => P0(a) => exists z. P{links}(z)"
+
+
+def deepest_in_proof(path):
+    proof = proof_from_json(path.read_text(encoding="utf-8"))
+    return max(nesting_depth(f) for _, node in gs3.iter_nodes(proof) for f in node.sequent)
+
+
+class TestDepthBoundEndToEnd:
+    """Every proof file the tool writes reads back, translates and checks."""
+
+    def prove_translate_check(self, tmp_path, goal):
+        path = tmp_path / "goal.p"
+        path.write_text(goal + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(path), "--negate"]) == 0
+        gs3_path = tmp_path / "goal.gs3"
+        assert run_cli(["translate", str(tmp_path / "goal.tab"), "--out", str(gs3_path)]) == 0
+        assert run_cli(["check", str(gs3_path)]) == 0
+        return gs3_path
+
+    def test_instances_deeper_than_the_goal(self, tmp_path, capsys):
+        goal = chain_goal(4, 46)
+        assert nesting_depth(parse(goal)) < 60
+        gs3_path = self.prove_translate_check(tmp_path, goal)
+        assert deepest_in_proof(gs3_path) > 180
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_goal_at_the_bound(self, tmp_path):
+        # Nested terms are the costliest shape for the recursive walks.  The
+        # goal sits one level below the bound, so that the negated goal in
+        # the proof files sits at it.
+        deep = "f(" * (MAX_DEPTH - 4) + "a" + ")" * (MAX_DEPTH - 4)
+        goal = f"P({deep}) => P({deep})"
+        assert nesting_depth(parse(goal)) == MAX_DEPTH - 1
+        assert deepest_in_proof(self.prove_translate_check(tmp_path, goal)) == MAX_DEPTH
+
+    def test_instances_deeper_than_the_bound_are_not_written(self, tmp_path, capsys):
+        path = tmp_path / "goal.p"
+        path.write_text(chain_goal(4, 50) + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(path), "--negate"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write the proof" in err and "nested deeper" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "goal.gs3").exists()
+
+    def test_ground_instances_too_deep_to_build_exit_two(self, tmp_path, drinker_file, capsys):
+        # The unifier binds x to a 190-deep term that sits under 190 more
+        # levels: the goal and the tableau are within the bound, the ground
+        # instances of the sequent proof are twice as deep.
+        f_a = "f(" * 190 + "a" + ")" * 190
+        g = "g(" * 190
+        end = ")" * 190
+        path = tmp_path / "goal.p"
+        path.write_text(f"(forall x. D(x) => P({g}x{end})) => D({f_a}) => exists y. P({g}y{end})\n",
+                        encoding="utf-8")
+        assert nesting_depth(parse(path.read_text(encoding="utf-8"))) <= MAX_DEPTH
+        assert run_cli(["prove", str(path), str(drinker_file), "--negate"]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+        assert not (tmp_path / "goal.gs3").exists()
+        assert (tmp_path / "drinker.gs3").exists()
+        tab = tmp_path / "goal.tab"
+        assert run_cli(["translate", str(tab)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_python_m_tabseq_checks_a_proof(tmp_path, drinker_file):
+    assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "gs3"]) == 0
+    src = str(Path(tabseq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "tabseq", "check", str(tmp_path / "drinker.gs3")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "Accepted"

@@ -1,0 +1,105 @@
+"""Proof files: byte-exact output, faithful read-back, and sharing of
+equal formulas between the nodes of a proof read back from a file."""
+
+import hashlib
+
+import pytest
+
+from tabseq import gs3, tableau
+from tabseq.formula import Not, parse
+from tabseq.gs3 import check, proof_from_json, proof_to_json
+from tabseq.problems import HAND_GOALS, corpus, generated_goals, growth_goal
+from tabseq.tableau import ClosedTableau, prove, tableau_from_json, tableau_to_json
+from tabseq.translate import translate
+
+# sha256 of the concatenated .tab texts and of the concatenated .gs3 texts
+# of each group, in goal order, as the seed implementation wrote them.
+GOLDEN = {
+    "hand": ("c97dce0a6ac500dbe93fda700482fb60fd97f9854d1a9fb1a6d2c26831c964de",
+             "4dc7dd2354915cc6d8d84657588bef93b53d918ba34943ee69acd922dc708452"),
+    "growth": ("8b535fe3bd9e436b42ef75e9e12eb7431379fff2d2ce811e175cff117bfe1dca",
+               "e0f8e384ee667c40d60aaf1c6d84826e9c1a66044bc05a353d4b37857a8837c2"),
+    "generated": ("0a35c81298104cd10134aecbc33e3ebed8d1edfea17b5f95d58b7bfe098df3e8",
+                  "e684a3419ba62a7b49bfb162339848b5b97cb22d9242f5c5ada1de4d0c6d902c"),
+}
+
+
+def golden_goals(group):
+    if group == "hand":
+        return [parse(text) for _, text in HAND_GOALS]
+    if group == "growth":
+        return [growth_goal(k) for k in (1, 2, 3)]
+    return [goal for _, goal in generated_goals(50, 0)]
+
+
+def proved(goal) -> ClosedTableau:
+    ct = prove([Not(goal)])
+    assert isinstance(ct, ClosedTableau)
+    return ct
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_proof_files_are_byte_identical_to_the_seed(group):
+    tab, seq = hashlib.sha256(), hashlib.sha256()
+    for goal in golden_goals(group):
+        ct = proved(goal)
+        tab.update(tableau_to_json(ct).encode())
+        seq.update(proof_to_json(translate(ct)).encode())
+    assert (tab.hexdigest(), seq.hexdigest()) == GOLDEN[group]
+
+
+def test_corpus_tableaux_read_back_translate_and_check():
+    for name, goal in corpus():
+        ct = proved(goal)
+        tab_text = tableau_to_json(ct)
+        back = tableau_from_json(tab_text)
+        assert tableau_to_json(back) == tab_text, name
+        proof = translate(back)
+        assert check(proof).accepted, name
+        gs3_text = proof_to_json(proof)
+        assert gs3_text == proof_to_json(translate(ct)), name
+        assert proof_to_json(proof_from_json(gs3_text)) == gs3_text, name
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_growth_proof_parses_each_distinct_formula_once(monkeypatch):
+    text = proof_to_json(translate(proved(growth_goal(3))))
+    calls = counting(monkeypatch, gs3, "parse")
+    proof = proof_from_json(text)
+    assert len(calls) == len(set(calls)) <= 17
+    by_text: dict[str, object] = {}
+    for _, node in gs3.iter_nodes(proof):
+        formulas = node.sequent + ((node.principal,) if node.principal is not None else ())
+        for f in formulas:
+            assert by_text.setdefault(gs3.print_formula(f), f) is f
+
+
+def test_tableau_parses_each_distinct_formula_once(monkeypatch):
+    text = tableau_to_json(proved(growth_goal(3)))
+    calls = counting(monkeypatch, tableau, "parse")
+    ct = tableau_from_json(text)
+    assert len(calls) == len(set(calls))
+    by_text: dict[str, object] = {}
+    for _, node in tableau.iter_nodes(ct.root):
+        for f in node.formulas:
+            assert by_text.setdefault(tableau.print_formula(f), f) is f
+
+
+def test_writers_print_each_distinct_formula_once(monkeypatch):
+    ct = proved(growth_goal(3))
+    proof = translate(ct)
+    for module, write, value in ((gs3, proof_to_json, proof), (tableau, tableau_to_json, ct)):
+        calls = counting(monkeypatch, module, "print_formula")
+        write(value)
+        assert calls and len(calls) == len(set(calls)), module.__name__

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -14,17 +17,21 @@ from tabseq.formula import (
     Meta,
     Not,
     Or,
+    MAX_DEPTH,
+    DepthError,
     ParseError,
     QuantBody,
     RuleClass,
     Var,
     alpha_equal,
     apply_subst,
+    check_depth,
     classify,
     const,
     decompose,
     free_metas,
     has_metas,
+    nesting_depth,
     outermost_skolem_terms,
     parse,
     parse_term,
@@ -121,6 +128,86 @@ class TestParse:
         assert parse_term("f(a, g(b, c))") == App(
             "f", (const("a"), App("g", (const("b"), const("c"))))
         )
+
+    def test_binary_precedence_and_associativity(self):
+        p, q, r, s = (Atom(n, ()) for n in "PQRS")
+        assert parse("P & Q | R & S") == Or(And(p, q), And(r, s))
+        assert parse("P | Q & R => S") == Implies(Or(p, And(q, r)), s)
+        assert parse("P | Q | R") == Or(Or(p, q), r)
+        assert parse("P => Q | R => S") == Implies(p, Implies(Or(q, r), s))
+        assert parse("P & forall x. Q | R") == And(p, Forall("x", Or(q, r)))
+
+
+class TestDepthBound:
+    def test_goal_at_the_bound_parses(self):
+        f = parse(" => ".join(["P"] * MAX_DEPTH))
+        assert nesting_depth(f) == MAX_DEPTH
+
+    def test_wide_120_parses(self):
+        conj = " & ".join(f"P{i}" for i in range(120))
+        assert nesting_depth(parse(f"({conj}) => ({conj})")) == 121
+
+    def test_proof_files_share_the_bound(self):
+        text = "~" * MAX_DEPTH + "P"
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text, allow_generated=True)
+        assert nesting_depth(parse(text[1:], allow_generated=True)) == MAX_DEPTH
+
+    @pytest.mark.parametrize("text", [
+        " => ".join(["P"] * 1200),
+        " & ".join(["P"] * 5000),
+        "~" * 5000 + "P",
+        "(" * 5000 + "P" + ")" * 5000,
+        "P(" + "f(" * 3000 + "a" + ")" * 3001,
+        "forall x. " * 3000 + "P(x)",
+    ])
+    def test_deeper_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text)
+
+    def test_deep_term_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_term("f(" * 3000 + "a" + ")" * 3000)
+
+    def test_check_depth(self):
+        at_bound = parse_term("f(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1))
+        assert check_depth(at_bound) is at_bound
+        with pytest.raises(DepthError, match="nested deeper"):
+            check_depth(Atom("P", (at_bound,)))
+
+
+def field_hash(node):
+    """The hash the frozen dataclass generates: the hash of its field tuple."""
+    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node)))
+
+
+class TestCachedHash:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_generated_hash(self, seed):
+        f = random_formula(random.Random(seed), depth=4)
+        again = random_formula(random.Random(seed), depth=4)
+        assert f == again and f is not again
+        assert hash(f) == field_hash(f) == hash(again)
+        assert hash(f) == hash(f)
+
+    def test_terms_cache_their_hash(self):
+        t = App("f", (Var("x"), Meta("X1"), const("a")))
+        assert hash(t) == field_hash(t) == hash(App("f", (Var("x"), Meta("X1"), const("a"))))
+        assert hash(Var("x")) == hash(("x",))
+
+    def test_nodes_stay_frozen(self):
+        f = parse("P(a) & Q")
+        hash(f)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.left = f.right
+
+    def test_cache_is_not_copied_or_pickled(self):
+        f = parse("forall x. (P(x) => Q(f(x)))")
+        hash(f)
+        for other in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+            assert other == f
+            assert "_hash" not in vars(other)
+            assert hash(other) == hash(f)
 
 
 class TestPrint:
