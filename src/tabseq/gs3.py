@@ -77,9 +77,13 @@ class GsRule:
     witness: Term | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class GsProof:
-    """A sequent-proof node; leaves without a rule are open."""
+    """A sequent-proof node; leaves without a rule are open.
+
+    Not frozen: ``build_step`` grows a proof by setting the rule, principal
+    and children of an open leaf, once.  Nothing hashes a proof node.
+    """
 
     sequent: Sequent
     rule: GsRule | None = None
@@ -253,14 +257,22 @@ def check(proof: GsProof) -> CheckResult:
     preorder is reported.
     """
     ground: set[Formula] = set()  # sequent formulas already found free of metavariables
-    for path, node in iter_nodes(proof):
-        result = _check_node(path, node, ground)
-        if result is not None:
+    # Preorder walk; each premise's multiset, counted while checking its
+    # parent, is the child's conclusion.
+    stack: list[tuple[Path, GsProof, Counter]] = [((), proof, Counter(proof.sequent))]
+    while stack:
+        path, node, conclusion = stack.pop()
+        result = _check_node(path, node, conclusion, ground)
+        if isinstance(result, CheckResult):
             return result
+        for bit in reversed(range(len(result))):
+            stack.append((path + (bit,), node.children[bit], result[bit]))
     return CheckResult(True)
 
 
-def _check_node(path: Path, node: GsProof, ground: set[Formula]) -> CheckResult | None:
+def _check_node(path: Path, node: GsProof, conclusion: Counter,
+                ground: set[Formula]) -> CheckResult | list[Counter]:
+    """The rejection at this node, or the multisets of its premises."""
     for f in node.sequent:
         if f in ground:
             continue
@@ -277,7 +289,6 @@ def _check_node(path: Path, node: GsProof, ground: set[Formula]) -> CheckResult 
         return CheckResult(False, path, SCHEMA_MISMATCH, f"unknown rule {rule.name!r}")
     if principal is None:
         return CheckResult(False, path, SCHEMA_MISMATCH, "rule without principal")
-    conclusion = Counter(node.sequent)
     if conclusion[principal] < 1:
         return CheckResult(False, path, SCHEMA_MISMATCH,
                            f"principal {print_formula(principal)} not in sequent")
@@ -288,17 +299,18 @@ def _check_node(path: Path, node: GsProof, ground: set[Formula]) -> CheckResult 
         if conclusion[Not(principal)] < 1:
             return CheckResult(False, path, BAD_AXIOM,
                                f"no complement for {print_formula(principal)}")
-        return None
+        return []
 
     if rule.name == "weaken":
         if len(node.children) != 1:
             return CheckResult(False, path, SCHEMA_MISMATCH, "weakening needs one premise")
         expected = conclusion.copy()
         expected[principal] -= 1
-        if Counter(node.children[0].sequent) != +expected:
+        premise = Counter(node.children[0].sequent)
+        if premise != expected:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                "premise is not conclusion minus the dropped occurrence")
-        return None
+        return [premise]
 
     additions = premise_additions(rule, principal)
     if additions is None:
@@ -320,12 +332,16 @@ def _check_node(path: Path, node: GsProof, ground: set[Formula]) -> CheckResult 
                 return CheckResult(False, path, FRESHNESS,
                                    f"witness {w.symbol} occurs in the conclusion sequent")
 
+    premises: list[Counter] = []
     for bit, extra in enumerate(additions):
-        expected = conclusion + Counter(extra)
-        if Counter(node.children[bit].sequent) != expected:
+        expected = conclusion.copy()
+        expected.update(extra)
+        premise = Counter(node.children[bit].sequent)
+        if premise != expected:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"premise {bit} is not conclusion plus introduced formulas")
-    return None
+        premises.append(premise)
+    return premises
 
 
 # ------------------------------------------------------------- build steps
@@ -339,6 +355,10 @@ def build_step(
 ) -> GsProof:
     """Extend an open leaf by one inference, validating the schema eagerly.
 
+    The leaf is extended in place: it gets its rule, principal and fresh
+    premise leaves, and the root ``proof`` is returned.  A refused step
+    raises StepError and changes nothing.
+
     During tableau translation the existential witnesses are still Skolem
     terms; those are accepted here with the corresponding relaxed freshness
     reading (the witness term must not occur outermost in the conclusion),
@@ -348,46 +368,43 @@ def build_step(
     node = node_at(proof, leaf)
     if not node.is_open:
         raise StepError(SCHEMA_MISMATCH, f"node {format_path(leaf)} is not an open leaf")
-    conclusion = Counter(node.sequent)
-    if conclusion[principal] < 1:
+    if principal not in node.sequent:
         raise StepError(SCHEMA_MISMATCH,
                         f"principal {print_formula(principal)} not in sequent")
 
     if rule.name == "axiom":
-        if conclusion[Not(principal)] < 1:
+        if Not(principal) not in node.sequent:
             raise StepError(BAD_AXIOM, f"no complement for {print_formula(principal)}")
-        closed = GsProof(node.sequent, rule, principal, ())
-        return replace_at(proof, leaf, closed)
-
-    if rule.name == "weaken":
+        children: tuple[GsProof, ...] = ()
+    elif rule.name == "weaken":
         remaining = list(node.sequent)
         remaining.remove(principal)
-        child = GsProof(tuple(remaining))
-        return replace_at(proof, leaf, GsProof(node.sequent, rule, principal, (child,)))
-
-    additions = premise_additions(rule, principal)
-    if additions is None:
-        raise StepError(SCHEMA_MISMATCH,
-                        f"{rule.name} does not apply to {print_formula(principal)}")
-    group = _group(rule.name)
-    if group in ("delta", "gamma"):
-        w = rule.witness
-        if w is None or not is_ground_term(w):
-            raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
-        if group == "delta":
-            if isinstance(w, App) and w.is_skolem:
-                if any(w == t for f in node.sequent for t in outermost_skolem_terms(f)):
-                    raise StepError(FRESHNESS,
-                                    f"witness {print_term(w)} occurs in the conclusion")
-            elif isinstance(w, App) and not w.args:
-                if w.symbol in sequent_symbols(node.sequent):
-                    raise StepError(FRESHNESS,
-                                    f"witness {w.symbol} occurs in the conclusion")
-            else:
-                raise StepError(SCHEMA_MISMATCH,
-                                "existential witness must be a constant or Skolem term")
-    children = tuple(GsProof(node.sequent + extra) for extra in additions)
-    return replace_at(proof, leaf, GsProof(node.sequent, rule, principal, children))
+        children = (GsProof(tuple(remaining)),)
+    else:
+        additions = premise_additions(rule, principal)
+        if additions is None:
+            raise StepError(SCHEMA_MISMATCH,
+                            f"{rule.name} does not apply to {print_formula(principal)}")
+        group = _group(rule.name)
+        if group in ("delta", "gamma"):
+            w = rule.witness
+            if w is None or not is_ground_term(w):
+                raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
+            if group == "delta":
+                if isinstance(w, App) and w.is_skolem:
+                    if any(w == t for f in node.sequent for t in outermost_skolem_terms(f)):
+                        raise StepError(FRESHNESS,
+                                        f"witness {print_term(w)} occurs in the conclusion")
+                elif isinstance(w, App) and not w.args:
+                    if w.symbol in sequent_symbols(node.sequent):
+                        raise StepError(FRESHNESS,
+                                        f"witness {w.symbol} occurs in the conclusion")
+                else:
+                    raise StepError(SCHEMA_MISMATCH,
+                                    "existential witness must be a constant or Skolem term")
+        children = tuple(GsProof(node.sequent + extra) for extra in additions)
+    node.rule, node.principal, node.children = rule, principal, children
+    return proof
 
 
 # --------------------------------------------------------------- serialize

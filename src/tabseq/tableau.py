@@ -77,8 +77,11 @@ class RuleInstance:
     closure_pair: tuple[Formula, Formula] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class TableauNode:
+    """A tableau node; ``expand`` and ``close`` set the rule and children of
+    an open leaf in place, once.  Nothing hashes a tableau node."""
+
     formulas: tuple[Formula, ...]
     rule: RuleInstance | None = None
     children: tuple["TableauNode", ...] = ()
@@ -193,7 +196,8 @@ def rule_kinds(root: TableauNode) -> list[str]:
 def expand(root: TableauNode, leaf: Path, principal: Formula, names: NameSupply) -> TableauNode:
     """Apply the alpha/beta/gamma/delta rule for ``principal`` at an open leaf.
 
-    Children receive the leaf's multiset plus the introduced formulas; the
+    The leaf is extended in place and ``root`` is returned.  Children
+    receive the leaf's multiset plus the introduced formulas; the
     constraint store is untouched by expansions.
     """
     node = node_at(root, leaf)
@@ -225,8 +229,9 @@ def expand(root: TableauNode, leaf: Path, principal: Formula, names: NameSupply)
         intro = ((qb.instantiate(sko),),)
         rule = RuleInstance(RuleClass.DELTA.value, principal, intro, skolem=sko)
 
-    children = tuple(TableauNode(node.formulas + extra) for extra in intro)
-    return replace_at(root, leaf, TableauNode(node.formulas, rule, children))
+    node.rule = rule
+    node.children = tuple(TableauNode(node.formulas + extra) for extra in intro)
+    return root
 
 
 def close(
@@ -240,10 +245,11 @@ def close(
 ) -> tuple[TableauNode, ConstraintStore] | None:
     """Close an open leaf on the complementary pair (pos, neg).
 
-    Adds the constraint ``pos = neg'`` (neg being ``~neg'``) and marks the
-    leaf closed, or returns None (refused) when the candidate constraint is
-    inconsistent.  With ``eager`` unset, only the pair itself is checked and
-    global satisfiability is deferred to the final solve.
+    Adds the constraint ``pos = neg'`` (neg being ``~neg'``) and closes the
+    leaf in place, returning ``root`` and the extended store, or returns
+    None (refused, nothing changed) when the candidate constraint is
+    inconsistent.  With ``eager`` unset, only the pair itself is checked
+    and global satisfiability is deferred to the final solve.
     """
     node = node_at(root, leaf)
     if node.closed or node.rule is not None:
@@ -259,9 +265,9 @@ def close(
     base = store if eager else ConstraintStore()
     if not consistent(base, [c]):
         return None
-    rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
-    child = TableauNode(node.formulas, closed=True)
-    return replace_at(root, leaf, TableauNode(node.formulas, rule, (child,))), store.add(c)
+    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
+    node.children = (TableauNode(node.formulas, closed=True),)
+    return root, store.add(c)
 
 
 # ------------------------------------------------------------------ search
@@ -328,13 +334,12 @@ def prove(
     root = TableauNode(gamma)
     store = ConstraintStore()
     steps = 0
+    # The open leaves, leftmost on top: expanding the leftmost leaf puts
+    # its children, which precede every other open leaf, in its place.
+    pending: list[tuple[Path, TableauNode]] = [((), root)]
 
-    while True:
-        pending = open_leaves(root)
-        if not pending:
-            break
-        leaf = min(pending)
-        node = node_at(root, leaf)
+    while pending:
+        leaf, node = pending.pop()
 
         closed = None
         for pos, neg in _closure_candidates(node.formulas):
@@ -373,6 +378,8 @@ def prove(
 
         root = expand(root, leaf, principal, names)
         steps += 1
+        for bit in reversed(range(len(node.children))):
+            pending.append((leaf + (bit,), node.children[bit]))
 
     sigma = solve(store)
     if sigma is None:
@@ -382,15 +389,23 @@ def prove(
     # Children extend their parent's formula tuple, so the nodes share
     # formula objects: walk each distinct one once, in first-occurrence order.
     metas: dict[Meta, None] = {}
+    gamma_metas: list[Meta] = []
     symbols: set[str] = set()
     seen: set[int] = set()
     for _, n in iter_nodes(root):
+        if n.rule is not None and n.rule.meta is not None:
+            gamma_metas.append(n.rule.meta)
         for f in n.formulas:
             if id(f) in seen:
                 continue
             seen.add(id(f))
             metas.update(dict.fromkeys(free_metas(f)))
             symbols |= formula_symbols(f)
+    # A gamma step on a variable its body never uses leaves a metavariable
+    # in no formula, yet the sequent rule still needs it as a ground
+    # witness.  Such metavariables go last, so the others keep their
+    # constants.
+    metas.update(dict.fromkeys(gamma_metas))
     ground = groundify(sigma, metas, symbols)
     return ClosedTableau(root, store, ground)
 

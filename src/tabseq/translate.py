@@ -265,8 +265,9 @@ def delta_graft(
     and regrow the initial part on top of it.
 
     ``part`` marks the rules of theta to regrow (None regrows all of them,
-    which is the "initial part of itself" use).  Returns the new tree, the
-    two halves of the bilink (a map into the regrown part's fringe and a
+    which is the "initial part of itself" use).  Theta is consumed: its
+    open leaves are extended in place and the returned tree is theta's
+    root, so callers rebind it.  Returns that tree, the two halves of the bilink (a map into the regrown part's fringe and a
     map into theta's remaining open leaves), and the set of leaves that
     carry the Skolem formula as an extra side occurrence.  No leaf maps
     into ``B``; leaves mapped over a prefix of ``B`` either hold that extra
@@ -288,10 +289,11 @@ def delta_graft(
     stats.measures.append((measure, len(part.marks)))
     leaves_before = len(theta_open)
 
-    # Base graft: clone theta; at each B leaf weaken down to the root
-    # sequent plus the principal, apply the existential rule (legal there:
-    # the root formulas contain no Skolem symbols), then weaken the
-    # principal away again if it was an extra copy.
+    # Base graft: at each B leaf weaken down to the root sequent plus the
+    # principal, apply the existential rule (legal there: the root formulas
+    # contain no Skolem symbols), then weaken the principal away again if
+    # it was an extra copy.  Only open leaves grow, so theta's marked rules
+    # stay readable as the template that is regrown below.
     pi1 = theta
     mu_theta: dict[Path, Path] = {p: p for p in theta_open if p not in B}
     mu_part: dict[Path, Path] = {}
@@ -306,19 +308,17 @@ def delta_graft(
         drops = Counter(leaf.sequent) - target
         if Counter(leaf.sequent) - drops != target:
             raise TranslateError("graft leaf does not contain the root sequent")
-        chain = GsProof(leaf.sequent)
-        local: Path = ()
+        s = b
         for f in sorted(drops.elements(), key=print_formula):
-            chain = build_step(chain, local, GsRule("weaken"), f)
-            local += (0,)
-        chain = build_step(chain, local, delta_rule, principal)
-        local += (0,)
+            pi1 = build_step(pi1, s, GsRule("weaken"), f)
+            s += (0,)
+        pi1 = build_step(pi1, s, delta_rule, principal)
+        s += (0,)
         if extra_principal:
-            chain = build_step(chain, local, GsRule("weaken"), principal)
-            local += (0,)
-        pi1 = gs3.replace_at(pi1, b, chain)
-        mu_part[b + local] = ()
-        held.add(b + local)
+            pi1 = build_step(pi1, s, GsRule("weaken"), principal)
+            s += (0,)
+        mu_part[s] = ()
+        held.add(s)
 
     # Regrow the marked rules root-first (lexicographic order of paths is a
     # topological order), adapting around the grafted branches.  ``held``
@@ -498,8 +498,10 @@ def parallel_extend(
 ) -> tuple[GsProof, LinkMapping, InitialPart]:
     """Replay the tableau rule at ``leaf`` on every linked sequent leaf.
 
-    Returns the extended proof, the updated total link and the extended
-    initial part; the containment invariant (instances of the linked
+    The proof is consumed (its open leaves are extended in place), so
+    callers rebind it to the returned root.  Returns the extended proof,
+    the updated total link and the extended initial part; the containment
+    invariant (instances of the linked
     branch's formulas inside each leaf sequent) is re-checked afterwards.
     """
     if stats is None:

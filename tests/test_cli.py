@@ -152,6 +152,29 @@ class TestCheck:
         assert "malformed" in capsys.readouterr().err
 
 
+UNUSED_PREFIX = " ".join(f"forall x{i}." for i in range(1, 49))
+
+
+class TestUnusedQuantifiedVariables:
+    """A universal whose variable the body never uses still gets a ground
+    witness, so the goal goes through prove, translate and check."""
+
+    @pytest.mark.parametrize("goal", [
+        "(forall x. forall y. P(x)) => P(a)",
+        f"({UNUSED_PREFIX} P(x1)) => P(a)",
+    ], ids=["two-quantifiers", "48-quantifiers"])
+    def test_prove_negate_and_check(self, tmp_path, capsys, goal):
+        path = tmp_path / "unused.p"
+        path.write_text(goal + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(path), "--negate"]) == 0
+        capsys.readouterr()
+        assert run_cli(["check", str(tmp_path / "unused.gs3")]) == 0
+        assert capsys.readouterr().out.strip() == "Accepted"
+        out = tmp_path / "again.gs3"
+        assert run_cli(["translate", str(tmp_path / "unused.tab"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "unused.gs3").read_bytes()
+
+
 class TestPipeline:
     def test_prove_translate_check_agree(self, tmp_path, drinker_file):
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "both"])

@@ -244,6 +244,22 @@ class TestBuildStep:
         with pytest.raises(StepError):
             build_step(p, (), GsRule("weaken"), parse("P"))
 
+    def test_extends_the_leaf_in_place(self):
+        f = parse("A => B")
+        root = GsProof((GOAL, f))
+        root = build_step(root, (), GsRule("weaken"), GOAL)
+        leaf = node_at(root, (0,))
+        assert build_step(root, (0,), GsRule("implies"), f) is root
+        assert node_at(root, (0,)) is leaf
+        assert leaf.rule == GsRule("implies") and leaf.principal == f
+        assert [c.sequent for c in leaf.children] == [(f, parse("~A")), (f, parse("B"))]
+
+    def test_refused_step_changes_nothing(self):
+        root = GsProof((parse("P"), parse("Q")))
+        with pytest.raises(StepError):
+            build_step(root, (), GsRule("axiom"), parse("P"))
+        assert root.is_open
+
 
 EXTRA_POOL = (
     "Q",

@@ -80,6 +80,15 @@ class TestExpand:
         with pytest.raises(TableauError, match="not a leaf"):
             expand(tree, (), f, NameSupply())
 
+    def test_extends_the_leaf_in_place(self):
+        f = parse("A | B")
+        root = TableauNode((parse("P & Q"), f))
+        root = expand(root, (), root.formulas[0], NameSupply())
+        leaf = node_at(root, (0,))
+        assert expand(root, (0,), f, NameSupply()) is root
+        assert node_at(root, (0,)) is leaf
+        assert leaf.rule.principal == f and len(leaf.children) == 2
+
     def test_name_supply_avoids_input_symbols(self):
         names = NameSupply(avoid={"sko1", "X1"})
         assert names.fresh_meta() == Meta("X2")
@@ -116,6 +125,21 @@ class TestClose:
         neg = Not(Atom("P", (const("b"),)))
         close(TableauNode((pos, neg)), store, (), pos, neg)
         assert len(store) == 0
+
+    def test_refusal_leaves_the_leaf_open(self):
+        pos = Atom("P", (const("a"),))
+        neg = Not(Atom("P", (const("b"),)))
+        root = TableauNode((pos, neg))
+        assert close(root, ConstraintStore(), (), pos, neg) is None
+        assert root.is_open_leaf and root.rule is None
+        assert open_leaves(root) == [()]
+
+    def test_closes_the_leaf_in_place(self):
+        pos, neg = Atom("P", ()), Not(Atom("P", ()))
+        root = TableauNode((pos, neg))
+        tree, _ = close(root, ConstraintStore(), (), pos, neg)
+        assert tree is root and root.rule.kind == "closure"
+        assert open_leaves(root) == []
 
 
 class TestProve:
@@ -247,6 +271,35 @@ class TestSerialization:
         ct = prove([parse(DRINKER_NEG)])
         text = render_tableau(ct)
         assert "gamma" in text and "closure" in text and "X1 := sko1" in text
+
+
+class TestInPlaceGrowth:
+    @pytest.mark.parametrize("text", [
+        DRINKER_NEG,
+        "~((P | Q) => (Q | P))",
+        "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))",
+    ])
+    def test_no_node_object_appears_twice(self, text):
+        from tabseq.tableau import iter_nodes
+
+        ct = prove([parse(text)])
+        ids = [id(n) for _, n in iter_nodes(ct.root)]
+        assert len(ids) == len(set(ids))
+
+    def test_open_leaves_are_taken_leftmost_first(self):
+        # min(open_leaves(root)) order: each branch's gamma step takes the
+        # next metavariable, so X1..X4 follow the branches left to right
+        from tabseq.tableau import iter_nodes
+
+        gamma = [parse(t) for t in (
+            "(forall x. P(x)) | (forall y. Q(y))",
+            "(forall z. R(z)) | (forall w. S(w))",
+            "~P(a)", "~Q(a)", "~R(a)", "~S(a)",
+        )]
+        ct = prove(gamma)
+        metas = [n.rule.meta.name for _, n in iter_nodes(ct.root)
+                 if n.rule is not None and n.rule.meta is not None]
+        assert metas == ["X1", "X2", "X3", "X4"]
 
 
 class TestNonDestructivity:

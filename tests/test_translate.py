@@ -282,6 +282,61 @@ class TestDeltaGraft:
         assert any(after > before for before, after in stats.graft_leaf_growth)
 
 
+def grown_before_skolem_replacement(ct: ClosedTableau) -> GsProof:
+    """The proof ``translate`` builds, before its final rebuild."""
+    proof = GsProof(tuple(ct.unifier.apply(f) for f in ct.root.formulas))
+    link = LinkMapping({(): ()}, "tableau")
+    part = InitialPart(frozenset())
+    while pending := open_fringe(ct.root, part):
+        proof, link, part = parallel_extend(proof, link, ct, part, min(pending))
+    return proof
+
+
+def node_ids(proof: GsProof) -> list[int]:
+    return [id(n) for _, n in gs3.iter_nodes(proof)]
+
+
+class TestInPlaceGrowth:
+    @pytest.mark.parametrize("text", [DRINKER_NEG, NESTED_NEG, "~((P | Q) => (Q | P))"])
+    def test_no_node_object_appears_twice(self, text):
+        ct = prove([parse(text)])
+        for proof in (grown_before_skolem_replacement(ct), translate(ct)):
+            ids = node_ids(proof)
+            assert len(ids) == len(set(ids))
+
+    def test_growth_proof_shares_no_node(self):
+        from tabseq.problems import growth_goal
+
+        ct = prove([Not(growth_goal(3))])
+        proof = grown_before_skolem_replacement(ct)
+        assert gs3.inference_count(proof) == 751
+        ids = node_ids(proof)
+        assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize("text", [DRINKER_NEG, NESTED_NEG])
+    def test_translating_twice_gives_the_same_file_and_keeps_the_tableau(self, text):
+        ct = prove([parse(text)])
+        tab = tableau_to_json(ct)
+        first = gs3.proof_to_json(translate(ct))
+        second = gs3.proof_to_json(translate(ct))
+        assert first == second
+        assert tableau_to_json(ct) == tab
+
+    def test_delta_graft_returns_the_tree_it_was_given(self):
+        root = (parse("P & Q"), parse("exists x. D(x)"))
+        theta = gs3.build_step(GsProof(root), (), GsRule("and"), root[0])
+        leaf = gs3.node_at(theta, (0,))
+        pi1, *_ = delta_graft(
+            theta,
+            InitialPart(frozenset()),
+            frozenset({(0,)}),
+            App("sko1", ()),
+            parse("D(sko1)", allow_generated=True),
+            root[1],
+        )
+        assert pi1 is theta and gs3.node_at(pi1, (0,)) is leaf
+
+
 class TestInvariants:
     def test_link_audit_runs_every_step(self):
         ct = drinker_tableau()
