@@ -267,13 +267,13 @@ def delta_graft(
     ``part`` marks the rules of theta to regrow (None regrows all of them,
     which is the "initial part of itself" use).  Theta is consumed: its
     open leaves are extended in place and the returned tree is theta's
-    root, so callers rebind it.  Returns that tree, the two halves of the bilink (a map into the regrown part's fringe and a
-    map into theta's remaining open leaves), and the set of leaves that
-    carry the Skolem formula as an extra side occurrence.  No leaf maps
-    into ``B``; leaves mapped over a prefix of ``B`` either hold that extra
-    occurrence or sit below a reused equal existential step whose target
-    already accounts for it; all other leaves agree with their target
-    exactly.
+    root, so callers rebind it.  Returns that tree, the two halves of the
+    bilink (a map into the regrown part's fringe and a map into theta's
+    remaining open leaves), and the set of leaves that carry the Skolem
+    formula as an extra side occurrence.  No leaf maps into ``B``; leaves
+    mapped over a prefix of ``B`` either hold that extra occurrence or sit
+    below a reused equal existential step whose target already accounts
+    for it; all other leaves agree with their target exactly.
     """
     if stats is None:
         stats = TranslateStats()
@@ -501,8 +501,8 @@ def parallel_extend(
     The proof is consumed (its open leaves are extended in place), so
     callers rebind it to the returned root.  Returns the extended proof,
     the updated total link and the extended initial part; the containment
-    invariant (instances of the linked
-    branch's formulas inside each leaf sequent) is re-checked afterwards.
+    invariant (instances of the linked branch's formulas inside each leaf
+    sequent) is re-checked afterwards.
     """
     if stats is None:
         stats = TranslateStats()
