@@ -122,6 +122,9 @@ def node_at(root: GsProof, path: Path) -> GsProof:
 
 
 def replace_at(root: GsProof, path: Path, new: GsProof) -> GsProof:
+    """A copy of the tree with ``new`` at ``path``, sharing every subtree
+    off that path.  Trees grow in place; this serves callers that need an
+    altered copy, such as tests that tamper with one node."""
     if not path:
         return new
     spine = [root]

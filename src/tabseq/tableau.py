@@ -154,6 +154,9 @@ def node_at(root: TableauNode, path: Path) -> TableauNode:
 
 
 def replace_at(root: TableauNode, path: Path, new: TableauNode) -> TableauNode:
+    """A copy of the tree with ``new`` at ``path``, sharing every subtree
+    off that path.  Trees grow in place; this serves callers that need an
+    altered copy, such as tests that tamper with one node."""
     if not path:
         return new
     spine = [root]

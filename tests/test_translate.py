@@ -6,6 +6,7 @@ import pytest
 from tabseq import gs3
 from tabseq.formula import App, Not, const, parse, print_formula
 from tabseq.gs3 import GsProof, GsRule
+from tabseq.problems import growth_goal
 from tabseq.tableau import ClosedTableau, node_at, prove, rule_count, tableau_from_json, tableau_to_json
 from tabseq.translate import (
     InitialPart,
@@ -292,26 +293,18 @@ def grown_before_skolem_replacement(ct: ClosedTableau) -> GsProof:
     return proof
 
 
-def node_ids(proof: GsProof) -> list[int]:
-    return [id(n) for _, n in gs3.iter_nodes(proof)]
-
-
 class TestInPlaceGrowth:
-    @pytest.mark.parametrize("text", [DRINKER_NEG, NESTED_NEG, "~((P | Q) => (Q | P))"])
-    def test_no_node_object_appears_twice(self, text):
-        ct = prove([parse(text)])
+    @pytest.mark.parametrize("goal", [
+        parse(DRINKER_NEG),
+        parse(NESTED_NEG),
+        parse("~((P | Q) => (Q | P))"),
+        Not(growth_goal(3)),
+    ], ids=["drinker", "nested", "or-commutes", "growth-3"])
+    def test_no_node_object_appears_twice(self, goal):
+        ct = prove([goal])
         for proof in (grown_before_skolem_replacement(ct), translate(ct)):
-            ids = node_ids(proof)
+            ids = [id(n) for _, n in gs3.iter_nodes(proof)]
             assert len(ids) == len(set(ids))
-
-    def test_growth_proof_shares_no_node(self):
-        from tabseq.problems import growth_goal
-
-        ct = prove([Not(growth_goal(3))])
-        proof = grown_before_skolem_replacement(ct)
-        assert gs3.inference_count(proof) == 751
-        ids = node_ids(proof)
-        assert len(ids) == len(set(ids))
 
     @pytest.mark.parametrize("text", [DRINKER_NEG, NESTED_NEG])
     def test_translating_twice_gives_the_same_file_and_keeps_the_tableau(self, text):
