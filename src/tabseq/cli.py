@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,10 @@ class RunConfig:
             raise ValueError("jobs must be at least 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="tabseq",
         description="Refute formulas with free-variable tableaux and compile "
@@ -100,6 +104,11 @@ class InputError(Exception):
     """Input-level failure: reported on stderr with exit status 2."""
 
 
+def _refused_write(e: DepthError) -> str:
+    """The message for a proof the writers refuse, for prove and translate."""
+    return f"cannot write the proof: nested too deeply: {e}"
+
+
 def _prove_one(config: RunConfig, path: Path) -> tuple[int, str]:
     text = _read(path)
     goal = parse(text)
@@ -140,7 +149,7 @@ def _run_prove(config: RunConfig) -> int:
         except (ParseError, InputError) as e:
             return EXIT_BAD_INPUT, f"{path}: error: {e}"
         except DepthError as e:
-            return EXIT_BAD_INPUT, f"{path}: error: cannot write the proof: {e}"
+            return EXIT_BAD_INPUT, f"{path}: error: {_refused_write(e)}"
         except RecursionError:
             return EXIT_BAD_INPUT, f"{path}: error: proof nested too deeply to build"
 
@@ -161,15 +170,19 @@ def _run_prove(config: RunConfig) -> int:
 def _run_translate(config: RunConfig) -> int:
     path = config.inputs[0]
     try:
-        ct = tableau.tableau_from_json(_read(path))
-        tableau.audit_closed_tableau(ct)
+        # ``translate`` audits the tableau before it builds anything.
+        proof = translate(tableau.tableau_from_json(_read(path)))
     except (FormatError, tableau.AuditError) as e:
         print(f"{path}: malformed tableau proof: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    proof = translate(ct)
+    try:
+        text = gs3.proof_to_json(proof)
+    except DepthError as e:
+        print(f"{path}: error: {_refused_write(e)}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     out_path = config.out if config.out is not None else path.with_suffix(".gs3")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(gs3.proof_to_json(proof), encoding="utf-8")
+    out_path.write_text(text, encoding="utf-8")
     print(f"wrote {out_path}")
     if config.pretty:
         print(gs3.render_proof(proof).rstrip("\n"))

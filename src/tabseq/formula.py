@@ -399,29 +399,26 @@ def formula_symbols(f: Formula) -> set[str]:
     return out
 
 
-def outermost_skolem_terms(f: Formula) -> set[App]:
-    """Maximal Skolem-rooted subterms of f (occurrences inside a larger
-    Skolem term are not reported separately)."""
+def outermost_skolem_terms(x: Formula | Term) -> set[App]:
+    """Maximal Skolem-rooted subterms of a formula or term (occurrences
+    inside a larger Skolem term are not reported separately), found
+    without recursion."""
     out: set[App] = set()
-
-    def walk(t: Term) -> None:
-        if isinstance(t, App):
-            if t.is_skolem:
-                out.add(t)
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            if node.is_skolem:
+                out.add(node)
             else:
-                for a in t.args:
-                    walk(a)
-
-    if isinstance(f, Atom):
-        for a in f.args:
-            walk(a)
-    elif isinstance(f, Not):
-        out |= outermost_skolem_terms(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        out |= outermost_skolem_terms(f.left)
-        out |= outermost_skolem_terms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        out |= outermost_skolem_terms(f.body)
+                stack.extend(node.args)
+        elif isinstance(node, Atom):
+            stack.extend(node.args)
+        elif isinstance(node, (Not, Forall, Exists)):
+            stack.append(node.body)
+        elif isinstance(node, (And, Or, Implies)):
+            stack.append(node.left)
+            stack.append(node.right)
     return out
 
 

@@ -355,6 +355,9 @@ def build_step(
     leaf: Path,
     rule: GsRule,
     principal: Formula,
+    *,
+    node: GsProof | None = None,
+    additions: tuple[tuple[Formula, ...], ...] | None = None,
 ) -> GsProof:
     """Extend an open leaf by one inference, validating the schema eagerly.
 
@@ -362,13 +365,19 @@ def build_step(
     premise leaves, and the root ``proof`` is returned.  A refused step
     raises StepError and changes nothing.
 
+    A builder that already holds the node at ``leaf`` passes it as
+    ``node``, which saves the walk from the root, and one that has computed
+    ``premise_additions(rule, principal)`` passes the result as
+    ``additions``; both are trusted to be exactly that.
+
     During tableau translation the existential witnesses are still Skolem
     terms; those are accepted here with the corresponding relaxed freshness
     reading (the witness term must not occur outermost in the conclusion),
     which coincides with the checker's constant freshness after the final
     Skolem-to-constant replacement.
     """
-    node = node_at(proof, leaf)
+    if node is None:
+        node = node_at(proof, leaf)
     if not node.is_open:
         raise StepError(SCHEMA_MISMATCH, f"node {format_path(leaf)} is not an open leaf")
     if principal not in node.sequent:
@@ -384,7 +393,8 @@ def build_step(
         remaining.remove(principal)
         children = (GsProof(tuple(remaining)),)
     else:
-        additions = premise_additions(rule, principal)
+        if additions is None:
+            additions = premise_additions(rule, principal)
         if additions is None:
             raise StepError(SCHEMA_MISMATCH,
                             f"{rule.name} does not apply to {print_formula(principal)}")

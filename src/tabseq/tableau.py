@@ -33,6 +33,7 @@ from .formula import (
     print_formula,
     print_term,
     quant_parts,
+    term_metas,
 )
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
 
@@ -477,7 +478,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     if not ct.unifier.ground:
         raise AuditError("unifier is not flagged ground")
     for name, t in ct.unifier.items():
-        if term_has_meta(t):
+        if term_metas(t):
             raise AuditError(f"unifier range for {name} contains a metavariable")
     if solve(ct.store) is None:
         raise AuditError("final store is unsatisfiable")
@@ -491,14 +492,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             pos, neg = n.rule.closure_pair
             if ct.unifier.apply(pos) != ct.unifier.apply(neg.body):
                 raise AuditError(f"unifier does not equate closure pair at {format_path(path)}")
-
-
-def term_has_meta(t: Term) -> bool:
-    if isinstance(t, Meta):
-        return True
-    if isinstance(t, App):
-        return any(term_has_meta(a) for a in t.args)
-    return False
 
 
 # --------------------------------------------------------------- serialize

@@ -16,7 +16,7 @@ fresh constants, which yields a strictly rule-conforming proof.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -32,25 +32,25 @@ from .formula import (
     Not,
     Or,
     Term,
-    formula_symbols,
+    formula_terms,
     is_subterm,
     outermost_skolem_terms,
     print_formula,
     print_term,
 )
-from .gs3 import GsProof, GsRule, build_step
+from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
 from .tableau import (
     CLOSURE,
     ClosedTableau,
     Path,
+    TableauError,
     TableauNode,
     audit_closed_tableau,
     format_path,
     node_at,
 )
 from .tableau import iter_nodes as iter_tableau_nodes
-
-DELTA_RULES = ("exists", "not_forall")
+from .unify import Substitution
 
 
 class TranslateError(AssertionError):
@@ -91,14 +91,24 @@ def open_fringe(root: TableauNode, part: InitialPart) -> list[Path]:
     return [p for p in initial_fringe(root, part) if node_at(root, p).rule is not None]
 
 
+def _on_fringe(marks: frozenset[Path], path: Path) -> bool:
+    """Whether ``path`` is unmarked with every proper prefix marked: the
+    fringe of a prefix-closed part, tested without walking the tree."""
+    return path not in marks and all(path[:i] in marks for i in range(len(path)))
+
+
 def extend_initial(part: InitialPart, root: TableauNode, leaf: Path) -> InitialPart:
     """Mark the rule applied at an open fringe leaf; the result is again an
     initial part of the same tree."""
     if leaf in part.marks:
         raise TranslateError(f"{format_path(leaf)} already marked")
-    if leaf not in initial_fringe(root, part):
+    try:
+        node = node_at(root, leaf)
+    except TableauError:
+        node = None
+    if node is None or not _on_fringe(part.marks, leaf):
         raise TranslateError(f"{format_path(leaf)} is not a fringe leaf")
-    if node_at(root, leaf).rule is None:
+    if node.rule is None:
         raise TranslateError(f"{format_path(leaf)} is closed in the full tableau")
     return part.extended(leaf)
 
@@ -152,21 +162,6 @@ def term_size(t: Term) -> int:
     return 1
 
 
-def _outermost_skolems_of_term(t: Term) -> set[App]:
-    out: set[App] = set()
-
-    def walk(u: Term) -> None:
-        if isinstance(u, App):
-            if u.is_skolem:
-                out.add(u)
-            else:
-                for a in u.args:
-                    walk(a)
-
-    walk(t)
-    return out
-
-
 def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     """Well-founded order on the instantiated Skolem terms of a tableau.
 
@@ -188,7 +183,7 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
         assert isinstance(term, App)
         deps = outermost_skolem_terms(sigma.apply(rule.introduced[0][0]))
         for arg in term.args:
-            deps |= _outermost_skolems_of_term(arg)
+            deps |= outermost_skolem_terms(arg)
         deps.discard(term)
         edges.setdefault(term, set()).update(deps)
 
@@ -239,12 +234,59 @@ def _gs_rule_name(principal: Formula) -> str:
     raise TranslateError(f"no sequent rule for {print_formula(principal)}")
 
 
-def _is_prefix(p: Path, q: Path) -> bool:
-    return q[: len(p)] == p
+def _prefixes(paths: frozenset[Path]) -> set[Path]:
+    """Every prefix of every path, each path included."""
+    return {p[:i] for p in paths for i in range(len(p) + 1)}
 
 
-def _prefix_of_any(p: Path, paths: frozenset[Path]) -> bool:
-    return any(_is_prefix(p, q) for q in paths)
+class _Builder:
+    """What the steps of one translation share.
+
+    Each distinct formula is one object: the sigma-instance of a tableau
+    formula and the premise additions of a (rule, principal) pair are
+    computed once and interned, so equal formulas in different sequents
+    are the same object.  ``leaves`` holds the open leaves of the proof
+    being grown, by path, so that no step walks from the root.
+    """
+
+    def __init__(self, sigma: Substitution | None, proof: GsProof | None = None) -> None:
+        self.sigma = sigma
+        self.leaves: dict[Path, GsProof] = (
+            {} if proof is None else {p: n for p, n in gs3.iter_nodes(proof) if n.is_open})
+        self._formulas: dict[Formula, Formula] = {}
+        self._instances: dict[Formula, Formula] = {}
+        self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
+
+    def formula(self, f: Formula) -> Formula:
+        return self._formulas.setdefault(f, f)
+
+    def instance(self, f: Formula) -> Formula:
+        out = self._instances.get(f)
+        if out is None:
+            out = self._instances[f] = self.formula(self.sigma.apply(f))
+        return out
+
+    def additions(self, rule: GsRule, principal: Formula) -> tuple | None:
+        key = (rule, principal)
+        if key not in self._additions:
+            extras = gs3.premise_additions(rule, principal)
+            if extras is not None:
+                extras = tuple(tuple(self.formula(f) for f in extra) for extra in extras)
+            self._additions[key] = extras
+        return self._additions[key]
+
+    def step(self, proof: GsProof, leaf: Path, rule: GsRule, principal: Formula) -> None:
+        """``build_step`` at an open leaf, then track its premises."""
+        node = self.leaves.get(leaf)
+        if node is None:
+            raise TranslateError(f"{format_path(leaf)} is not an open leaf")
+        additions = None
+        if rule.name not in ("axiom", "weaken"):
+            additions = self.additions(rule, principal)
+        build_step(proof, leaf, rule, principal, node=node, additions=additions)
+        del self.leaves[leaf]
+        for bit, child in enumerate(node.children):
+            self.leaves[leaf + (bit,)] = child
 
 
 # ------------------------------------------------------------- delta graft
@@ -260,6 +302,8 @@ def delta_graft(
     stats: TranslateStats | None = None,
     audit: bool = True,
     ranks: Mapping[App, int] | None = None,
+    *,
+    builder: _Builder | None = None,
 ) -> tuple[GsProof, dict[Path, Path], dict[Path, Path], set[Path]]:
     """Graft ``principal``'s existential step over the leaves ``B`` of theta
     and regrow the initial part on top of it.
@@ -274,33 +318,53 @@ def delta_graft(
     mapped over a prefix of ``B`` either hold that extra occurrence or sit
     below a reused equal existential step whose target already accounts
     for it; all other leaves agree with their target exactly.
+
+    ``builder`` is the translation's shared state, whose ``leaves`` must be
+    theta's open leaves; a call without one indexes them first.
     """
     if stats is None:
         stats = TranslateStats()
-    theta_open = gs3.open_leaves(theta)
+    if builder is None:
+        builder = _Builder(None, theta)
+    # One walk over theta: its rules are the template that is regrown, and
+    # its nodes are the link targets.
+    theta_nodes = dict(gs3.iter_nodes(theta))
+    theta_open = [p for p, n in theta_nodes.items() if n.is_open]
     if not B <= set(theta_open):
         raise TranslateError("graft leaves must be open leaves of the target tree")
-    if part is None:
-        part = InitialPart(frozenset(p for p, n in gs3.iter_nodes(theta) if n.rule is not None))
+    template = [(p, n) for p, n in theta_nodes.items()
+                if n.rule is not None and (part is None or p in part.marks)]
+    over_B = _prefixes(B)
     root_gamma = Counter(theta.sequent)
 
     stats.grafts += 1
     measure = ranks[delta_term] if ranks is not None else term_size(delta_term)
-    stats.measures.append((measure, len(part.marks)))
+    stats.measures.append((measure, len(template)))
     leaves_before = len(theta_open)
+
+    # ``mu_part`` maps each regrown leaf to its template node; ``waiting``
+    # indexes it by template node, so each marked rule finds its leaves
+    # without a scan.
+    pi1 = theta
+    mu_theta: dict[Path, Path] = {p: p for p in theta_open if p not in B}
+    mu_part: dict[Path, Path] = {}
+    waiting: defaultdict[Path, list[Path]] = defaultdict(list)
+    held: set[Path] = set()
+
+    def link(s: Path, q: Path) -> None:
+        mu_part[s] = q
+        waiting[q].append(s)
 
     # Base graft: at each B leaf weaken down to the root sequent plus the
     # principal, apply the existential rule (legal there: the root formulas
     # contain no Skolem symbols), then weaken the principal away again if
     # it was an extra copy.  Only open leaves grow, so theta's marked rules
     # stay readable as the template that is regrown below.
-    pi1 = theta
-    mu_theta: dict[Path, Path] = {p: p for p in theta_open if p not in B}
-    mu_part: dict[Path, Path] = {}
-    held: set[Path] = set()
+    principal = builder.formula(principal)
+    delta_formula = builder.formula(delta_formula)
     delta_rule = GsRule(_gs_rule_name(principal), delta_term)
     for b in sorted(B):
-        leaf = gs3.node_at(pi1, b)
+        leaf = theta_nodes[b]
         target = root_gamma.copy()
         extra_principal = target[principal] == 0
         if extra_principal:
@@ -310,31 +374,31 @@ def delta_graft(
             raise TranslateError("graft leaf does not contain the root sequent")
         s = b
         for f in sorted(drops.elements(), key=print_formula):
-            pi1 = build_step(pi1, s, GsRule("weaken"), f)
+            builder.step(pi1, s, GsRule("weaken"), f)
             s += (0,)
-        pi1 = build_step(pi1, s, delta_rule, principal)
+        builder.step(pi1, s, delta_rule, principal)
         s += (0,)
         if extra_principal:
-            pi1 = build_step(pi1, s, GsRule("weaken"), principal)
+            builder.step(pi1, s, GsRule("weaken"), principal)
             s += (0,)
-        mu_part[s] = ()
+        link(s, ())
         held.add(s)
 
-    # Regrow the marked rules root-first (lexicographic order of paths is a
-    # topological order), adapting around the grafted branches.  ``held``
-    # leaves carry one occurrence of the Skolem formula beyond their
-    # target; a reused equal existential step absorbs that occurrence into
-    # the target content, and a later weakening of the Skolem formula is
-    # then skipped on such leaves, which releases the occurrence again.
-    for b in sorted(part.marks):
-        node_th = gs3.node_at(theta, b)
+    # Regrow the marked rules root-first (theta's preorder is the
+    # lexicographic order of paths, a topological order), adapting around
+    # the grafted branches.  ``held`` leaves carry one occurrence of the
+    # Skolem formula beyond their target; a reused equal existential step
+    # absorbs that occurrence into the target content, and a later
+    # weakening of the Skolem formula is then skipped on such leaves, which
+    # releases the occurrence again.
+    for b, node_th in template:
         rule, rule_principal = node_th.rule, node_th.principal
-        S = sorted(s for s, q in mu_part.items() if q == b)
-        prefix = _prefix_of_any(b, B)
+        S = sorted(waiting.pop(b, ()))
+        prefix = b in over_B
 
         if rule.name == "axiom":
             for s in S:
-                pi1 = build_step(pi1, s, rule, rule_principal)
+                builder.step(pi1, s, rule, rule_principal)
                 del mu_part[s]
                 held.discard(s)
             continue
@@ -343,14 +407,14 @@ def delta_graft(
             for s in S:
                 del mu_part[s]
                 if s in held:
-                    pi1 = build_step(pi1, s, rule, rule_principal)
-                    mu_part[s + (0,)] = b + (0,)
+                    builder.step(pi1, s, rule, rule_principal)
+                    link(s + (0,), b + (0,))
                     held.discard(s)
                     held.add(s + (0,))
                 else:
                     # Absorbed leaf: the target loses its Skolem-formula
                     # occurrence here, ours becomes the side copy again.
-                    mu_part[s] = b + (0,)
+                    link(s, b + (0,))
                     held.add(s)
             continue
 
@@ -367,7 +431,7 @@ def delta_graft(
                             "reused existential step on a leaf without the side formula"
                         )
                     held.discard(s)
-                    mu_part[s] = b + (0,)
+                    link(s, b + (0,))
                 continue
             if is_subterm(eps, delta_term) or eps in outermost_skolem_terms(delta_formula):
                 # The witness is stale over the grafted region (it sits
@@ -375,17 +439,19 @@ def delta_graft(
                 # formula these leaves carry); recursively graft it over
                 # these leaves, with the current tree as its own target.
                 stats.graft_case_v += 1
-                e_formula = gs3.premise_additions(rule, rule_principal)[0][0]
+                e_formula = builder.additions(rule, rule_principal)[0][0]
                 B_b = frozenset(S)
                 if ranks is not None and not (ranks[eps] < ranks[delta_term]):
                     raise TranslateError("graft recursion measure did not decrease")
                 pi2, mu1, mu2, held2 = delta_graft(
-                    pi1, None, B_b, eps, e_formula, rule_principal, stats, audit, ranks
+                    pi1, None, B_b, eps, e_formula, rule_principal, stats, audit, ranks,
+                    builder=builder,
                 )
-                new_part: dict[Path, Path] = {}
+                old_part = mu_part
                 new_theta: dict[Path, Path] = {}
                 new_held: set[Path] = set()
-                for s2 in gs3.open_leaves(pi2):
+                mu_part, waiting = {}, defaultdict(list)
+                for s2 in builder.leaves:  # pi2's open leaves
                     if s2 in mu1:
                         q = mu1[s2]
                     elif s2 in mu2:
@@ -397,18 +463,17 @@ def delta_graft(
                             raise TranslateError(
                                 "recursive graft lost the inner Skolem side formula"
                             )
-                        new_part[s2] = b + (0,)
-                        if q in held:
-                            new_held.add(s2)
-                    elif q in mu_part:
-                        new_part[s2] = mu_part[q]
-                        if q in held:
-                            new_held.add(s2)
+                        link(s2, b + (0,))
+                    elif q in old_part:
+                        link(s2, old_part[q])
                     elif q in mu_theta:
                         new_theta[s2] = mu_theta[q]
+                        continue
                     else:
                         raise TranslateError("grafted leaf maps outside both links")
-                pi1, mu_part, mu_theta, held = pi2, new_part, new_theta, new_held
+                    if q in held:
+                        new_held.add(s2)
+                pi1, mu_theta, held = pi2, new_theta, new_held
                 continue
             # Incomparable witness, or one containing the grafted term: it
             # is still fresh over the side formula, copy the rule.
@@ -417,7 +482,7 @@ def delta_graft(
         for s in S:
             was_held = s in held
             held.discard(s)
-            pi1 = build_step(pi1, s, rule, rule_principal)
+            builder.step(pi1, s, rule, rule_principal)
             del mu_part[s]
             for bit in range(len(node_th.children)):
                 child_s = s + (bit,)
@@ -426,58 +491,67 @@ def delta_graft(
                 if (
                     rule.name in gs3.BETA_RULES
                     and prefix
-                    and not _prefix_of_any(child_b, B)
+                    and child_b not in over_B
                     and was_held
                 ):
                     # This side leaves the grafted region; drop the held
                     # Skolem side formula.
-                    pi1 = build_step(pi1, child_s, GsRule("weaken"), delta_formula)
+                    builder.step(pi1, child_s, GsRule("weaken"), delta_formula)
                     child_s += (0,)
                     child_held = False
-                mu_part[child_s] = child_b
+                link(child_s, child_b)
                 if child_held:
                     held.add(child_s)
 
     if audit:
-        _audit_graft(pi1, theta, B, delta_formula, mu_part, mu_theta, held, stats)
-    stats.graft_leaf_growth.append((leaves_before, len(gs3.open_leaves(pi1))))
+        _audit_graft(pi1, theta_nodes, B, over_B, delta_formula, mu_part, mu_theta, held, stats)
+    stats.graft_leaf_growth.append((leaves_before, len(builder.leaves)))
     return pi1, mu_part, mu_theta, held
 
 
 def _audit_graft(
     pi1: GsProof,
-    theta: GsProof,
+    theta_nodes: Mapping[Path, GsProof],
     B: frozenset[Path],
+    over_B: set[Path],
     delta_formula: Formula,
     mu_part: dict[Path, Path],
     mu_theta: dict[Path, Path],
     held: set[Path],
     stats: TranslateStats,
 ) -> None:
-    leaves = gs3.open_leaves(pi1)
-    Bilink(LinkMapping(mu_part, "proof-tree"), LinkMapping(mu_theta, "proof-tree")).validate(leaves)
+    leaves = {p: n for p, n in gs3.iter_nodes(pi1) if n.is_open}
+    Bilink(LinkMapping(mu_part, "proof-tree"), LinkMapping(mu_theta, "proof-tree")).validate(
+        list(leaves))
     stats.bilink_audits += 1
+
+    def target(q: Path) -> Counter:
+        node = theta_nodes.get(q)
+        if node is None:
+            raise TranslateError("a leaf is linked outside the target tree")
+        return Counter(node.sequent)
+
     for s, q in mu_theta.items():
         if q in B:
             raise TranslateError("a leaf is linked into the grafted region")
         if s in held:
             raise TranslateError("a cloned leaf claims to hold the side formula")
-        if Counter(gs3.node_at(pi1, s).sequent) != Counter(gs3.node_at(theta, q).sequent):
+        if Counter(leaves[s].sequent) != target(q):
             raise TranslateError("a cloned leaf does not match its target")
     for s, q in mu_part.items():
-        here = Counter(gs3.node_at(pi1, s).sequent)
-        target = Counter(gs3.node_at(theta, q).sequent)
+        here = Counter(leaves[s].sequent)
+        there = target(q)
         if s in held:
-            if not _prefix_of_any(q, B):
+            if q not in over_B:
                 raise TranslateError("a held leaf is not linked over the grafted region")
-            if here != target + Counter([delta_formula]):
+            if here != there + Counter([delta_formula]):
                 raise TranslateError(
                     "a held leaf does not carry exactly the Skolem side formula"
                 )
         else:
-            if here != target:
+            if here != there:
                 raise TranslateError("a regrown leaf does not match its target")
-            if q in B and target[delta_formula] < 1:
+            if q in B and there[delta_formula] < 1:
                 raise TranslateError(
                     "a grafted leaf lost its Skolem formula occurrence"
                 )
@@ -495,6 +569,8 @@ def parallel_extend(
     stats: TranslateStats | None = None,
     audit: bool = True,
     ranks: Mapping[App, int] | None = None,
+    *,
+    builder: _Builder | None = None,
 ) -> tuple[GsProof, LinkMapping, InitialPart]:
     """Replay the tableau rule at ``leaf`` on every linked sequent leaf.
 
@@ -502,10 +578,14 @@ def parallel_extend(
     callers rebind it to the returned root.  Returns the extended proof,
     the updated total link and the extended initial part; the containment
     invariant (instances of the linked branch's formulas inside each leaf
-    sequent) is re-checked afterwards.
+    sequent) is re-checked afterwards.  ``builder`` is the translation's
+    shared state, whose ``leaves`` must be the proof's open leaves; a call
+    without one indexes them first.
     """
     if stats is None:
         stats = TranslateStats()
+    if builder is None:
+        builder = _Builder(ct.unifier, proof)
     sigma = ct.unifier
     node = node_at(ct.root, leaf)
     rule = node.rule
@@ -518,24 +598,25 @@ def parallel_extend(
 
     if rule.kind == CLOSURE:
         pos, _neg = rule.closure_pair
-        principal = sigma.apply(pos)
+        principal = builder.instance(pos)
         for s in S:
-            proof = build_step(proof, s, GsRule("axiom"), principal)
+            builder.step(proof, s, GsRule("axiom"), principal)
             del mapping[s]
 
     elif rule.kind == "delta":
         if S:
             delta_sigma = sigma.apply_term(rule.skolem)
-            d_delta = sigma.apply(rule.introduced[0][0])
-            principal = sigma.apply(rule.principal)
+            d_delta = builder.instance(rule.introduced[0][0])
+            principal = builder.instance(rule.principal)
             B = frozenset(S)
             if ranks is None:
                 ranks = skolem_ranks(ct)
             pi1, mu_part, mu_theta, _held = delta_graft(
-                proof, None, B, delta_sigma, d_delta, principal, stats, audit, ranks
+                proof, None, B, delta_sigma, d_delta, principal, stats, audit, ranks,
+                builder=builder,
             )
             new_mapping: dict[Path, Path] = {}
-            for s2 in gs3.open_leaves(pi1):
+            for s2 in builder.leaves:  # pi1's open leaves
                 q = mu_part.get(s2)
                 if q is None:
                     q = mu_theta[s2]
@@ -543,12 +624,12 @@ def parallel_extend(
             proof, mapping = pi1, new_mapping
 
     else:
-        principal = sigma.apply(rule.principal)
+        principal = builder.instance(rule.principal)
         name = _gs_rule_name(principal)
         witness = sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
         gs_rule = GsRule(name, witness)
         for s in S:
-            proof = build_step(proof, s, gs_rule, principal)
+            builder.step(proof, s, gs_rule, principal)
             del mapping[s]
             for bit in range(len(node.children)):
                 mapping[s + (bit,)] = leaf + (bit,)
@@ -556,7 +637,7 @@ def parallel_extend(
     new_part = extend_initial(part, ct.root, leaf)
     new_link = LinkMapping(mapping, "tableau")
     if audit:
-        _audit_link(proof, new_link, ct, new_part, stats)
+        _audit_link(proof, new_link, ct, new_part, stats, builder)
     return proof, new_link, new_part
 
 
@@ -566,19 +647,23 @@ def _audit_link(
     ct: ClosedTableau,
     part: InitialPart,
     stats: TranslateStats,
+    builder: _Builder,
 ) -> None:
     """Totality over open leaves plus the containment invariant."""
-    sigma = ct.unifier
-    open_set = set(gs3.open_leaves(proof))
-    if set(link.mapping) != open_set:
+    leaves = {p: n for p, n in gs3.iter_nodes(proof) if n.is_open}
+    if link.mapping.keys() != leaves.keys():
         raise TranslateError("link is not total on the open sequent leaves")
-    fringe = set(initial_fringe(ct.root, part))
+    instances: dict[Path, Counter] = {}
     for s, q in link.mapping.items():
-        if q not in fringe:
-            raise TranslateError("link target is not a fringe leaf")
-        instances = Counter(sigma.apply(f) for f in node_at(ct.root, q).formulas)
-        sequent = Counter(gs3.node_at(proof, s).sequent)
-        if instances - sequent:
+        if q not in instances:
+            try:
+                target = node_at(ct.root, q)
+            except TableauError:
+                target = None
+            if target is None or not _on_fringe(part.marks, q):
+                raise TranslateError("link target is not a fringe leaf")
+            instances[q] = Counter(builder.instance(f) for f in target.formulas)
+        if instances[q] - Counter(leaves[s].sequent):
             raise TranslateError(
                 f"containment invariant broken at sequent leaf {format_path(s)}"
             )
@@ -588,59 +673,56 @@ def _audit_link(
 # -------------------------------------------------- skolem term replacement
 
 
-def _collect_skolems(proof: GsProof) -> dict[str, tuple[Term, ...]]:
-    vectors: dict[str, tuple[Term, ...]] = {}
-    seen: set[int] = set()  # formulas are shared wholesale between sequents
-
-    def term(t: Term) -> None:
-        if isinstance(t, App):
-            if t.is_skolem:
-                if t.symbol in vectors and vectors[t.symbol] != t.args:
-                    raise TranslateError(
-                        f"skolem symbol {t.symbol} used with two argument vectors"
-                    )
-                vectors[t.symbol] = t.args
-            for a in t.args:
-                term(a)
-
-    def formula(f: Formula) -> None:
-        if id(f) in seen:
-            return
-        seen.add(id(f))
-        if isinstance(f, Atom):
-            for a in f.args:
-                term(a)
-        elif isinstance(f, Not):
-            formula(f.body)
-        elif isinstance(f, (And, Or, Implies)):
-            formula(f.left)
-            formula(f.right)
-        elif isinstance(f, (Forall, Exists)):
-            formula(f.body)
-
-    for _, n in gs3.iter_nodes(proof):
-        for f in n.sequent:
-            formula(f)
-        if n.principal is not None:
-            formula(n.principal)
-        if n.rule is not None and n.rule.witness is not None:
-            term(n.rule.witness)
-    return vectors
-
-
 def replace_skolem_terms(proof: GsProof) -> GsProof:
     """Replace each (now globally fresh) Skolem term by a distinct fresh
-    constant, turning relaxed existential witnesses into strict ones."""
-    vectors = _collect_skolems(proof)
-    taken: set[str] = set()
-    symbol_seen: set[int] = set()
-    for _, n in gs3.iter_nodes(proof):
-        for f in n.sequent:
-            if id(f) not in symbol_seen:
-                symbol_seen.add(id(f))
-                taken |= formula_symbols(f)
+    constant, turning relaxed existential witnesses into strict ones.
 
-    names: dict[str, str] = {}
+    One iterative walk collects the nodes and the distinct formulas; each
+    distinct formula is scanned for symbols and rewritten once, formulas
+    without Skolem terms are kept, and the nodes are updated in place.
+    The proof is returned.
+    """
+    nodes: list[GsProof] = []
+    distinct: set[Formula] = set()  # a rule's principal is in its sequent
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        distinct.update(node.sequent)
+        stack.extend(node.children)
+
+    vectors: dict[str, tuple[Term, ...]] = {}
+    taken: set[str] = set()
+
+    def scan(t: Term) -> bool:
+        """Record t's Skolem argument vector, if it is a Skolem term."""
+        if not (isinstance(t, App) and t.is_skolem):
+            return False
+        if vectors.setdefault(t.symbol, t.args) != t.args:
+            raise TranslateError(f"skolem symbol {t.symbol} used with two argument vectors")
+        return True
+
+    with_skolems: list[Formula] = []
+    for f in distinct:
+        found = False
+        for t in formula_terms(f):
+            if isinstance(t, App):
+                taken.add(t.symbol)
+                found = scan(t) or found
+        if found:
+            with_skolems.append(f)
+    witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
+    for w in witnesses:
+        terms = [w]
+        while terms:
+            t = terms.pop()
+            scan(t)
+            if isinstance(t, App):
+                terms.extend(t.args)
+    if not vectors:
+        return proof
+
+    constants: dict[str, App] = {}
     counter = 0
     for symbol in sorted(vectors, key=lambda s: int(s[3:])):
         while True:
@@ -648,22 +730,18 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
             candidate = f"c{counter}"
             if candidate not in taken:
                 taken.add(candidate)
-                names[symbol] = candidate
+                constants[symbol] = App(candidate, ())
                 break
-
-    # Sequents share formula objects wholesale, so rewrite each distinct
-    # object once.
-    formula_cache: dict[int, Formula] = {}
 
     def term(t: Term) -> Term:
         if isinstance(t, App):
-            if t.is_skolem:
-                return App(names[t.symbol], ())
+            if t.symbol in constants:
+                return constants[t.symbol]
             if t.args:
                 return App(t.symbol, tuple(term(a) for a in t.args))
         return t
 
-    def rewrite(f: Formula) -> Formula:
+    def formula(f: Formula) -> Formula:
         if isinstance(f, Atom):
             return Atom(f.predicate, tuple(term(a) for a in f.args))
         if isinstance(f, Not):
@@ -678,26 +756,18 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
             return Forall(f.var, formula(f.body))
         return Exists(f.var, formula(f.body))
 
-    def formula(f: Formula) -> Formula:
-        out = formula_cache.get(id(f))
-        if out is None:
-            out = rewrite(f)
-            formula_cache[id(f)] = out
-        return out
-
-    def node(n: GsProof) -> GsProof:
-        rule = n.rule
-        if rule is not None and rule.witness is not None:
-            rule = GsRule(rule.name, term(rule.witness))
-        principal = formula(n.principal) if n.principal is not None else None
-        return GsProof(
-            tuple(formula(f) for f in n.sequent),
-            rule,
-            principal,
-            tuple(node(c) for c in n.children),
-        )
-
-    return node(proof)
+    rewritten = {f: f for f in distinct}
+    for f in with_skolems:
+        rewritten[f] = formula(f)
+    new = rewritten.__getitem__
+    for node in nodes:
+        node.sequent = tuple(map(new, node.sequent))
+        rule = node.rule
+        if rule is not None:
+            node.principal = new(node.principal)
+            if rule.witness is not None:
+                node.rule = GsRule(rule.name, term(rule.witness))
+    return proof
 
 
 # --------------------------------------------------------------- top level
@@ -710,19 +780,19 @@ def translate_detailed(
     if audit:
         audit_closed_tableau(ct)
     stats = TranslateStats()
-    sigma = ct.unifier
     ranks = skolem_ranks(ct)
-    root = tuple(sigma.apply(f) for f in ct.root.formulas)
-    proof = GsProof(root)
+    builder = _Builder(ct.unifier)
+    proof = GsProof(tuple(builder.instance(f) for f in ct.root.formulas))
+    builder.leaves[()] = proof
     link = LinkMapping({(): ()}, "tableau")
     part = InitialPart(frozenset())
 
-    while True:
-        pending = open_fringe(ct.root, part)
-        if not pending:
-            break
-        leaf = min(pending)
-        proof, link, part = parallel_extend(proof, link, ct, part, leaf, stats, audit, ranks)
+    # The tableau's preorder is the order in which ``min(open_fringe(...))``
+    # reaches its rules, so the fringe need not be recomputed per step.
+    for leaf, node in iter_tableau_nodes(ct.root):
+        if node.rule is not None:
+            proof, link, part = parallel_extend(
+                proof, link, ct, part, leaf, stats, audit, ranks, builder=builder)
 
     if link.mapping:
         raise TranslateError("open sequent leaves remain after the last tableau rule")

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import tabseq
 from tabseq import gs3
-from tabseq.cli import main
+from tabseq.cli import build_parser, main
 from tabseq.formula import MAX_DEPTH, nesting_depth, parse
 from tabseq.gs3 import proof_from_json
 from tabseq.tableau import tableau_from_json
@@ -127,6 +128,24 @@ class TestTranslate:
         record["unifier"] = []
         tab.write_text(json.dumps(record), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
+
+    def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):
+        run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
+        tab = tmp_path / "drinker.tab"
+        translate_module = importlib.import_module("tabseq.translate")
+        audit = translate_module.audit_closed_tableau
+        calls = []
+        monkeypatch.setattr(translate_module, "audit_closed_tableau",
+                            lambda ct: (calls.append(ct), audit(ct)))
+        assert run_cli(["translate", str(tab)]) == 0
+        assert len(calls) == 1
+        record = json.loads(tab.read_text(encoding="utf-8"))
+        record["unifier"] = []
+        tab.write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["translate", str(tab)]) == 2
+        assert len(calls) == 2
+        assert "malformed tableau proof" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -363,6 +382,20 @@ class TestDepthBoundEndToEnd:
         tab = tmp_path / "goal.tab"
         assert run_cli(["translate", str(tab)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "a.p"],
+    ["prove", "a.p", "b.p", "--negate", "--gamma-limit", "3", "--emit", "gs3", "--jobs", "2"],
+    ["prove", "a.p", "--no-eager-close", "--out", "dir", "--pretty"],
+    ["translate", "a.tab"],
+    ["translate", "a.tab", "--out", "a.gs3", "--pretty"],
+    ["check", "a.gs3"],
+])
+def test_shared_parser_parses_like_a_fresh_one(argv):
+    assert build_parser() is build_parser()
+    build_parser().parse_args(["prove", "x.p", "--negate", "--depth-limit", "5"])
+    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
 
 
 def test_python_m_tabseq_checks_a_proof(tmp_path, drinker_file):

@@ -1,5 +1,6 @@
 """Proof files: byte-exact output, faithful read-back, and sharing of
-equal formulas between the nodes of a proof read back from a file."""
+equal formulas between the nodes of a proof read back from a file or
+built by ``translate``."""
 
 import hashlib
 
@@ -83,6 +84,31 @@ def test_growth_proof_parses_each_distinct_formula_once(monkeypatch):
         formulas = node.sequent + ((node.principal,) if node.principal is not None else ())
         for f in formulas:
             assert by_text.setdefault(gs3.print_formula(f), f) is f
+
+
+def test_translated_growth_proof_shares_each_distinct_formula():
+    proof = translate(proved(growth_goal(3)))
+    by_text: dict[str, object] = {}
+    objects = set()
+    for _, node in gs3.iter_nodes(proof):
+        formulas = node.sequent + ((node.principal,) if node.principal is not None else ())
+        for f in formulas:
+            assert by_text.setdefault(gs3.print_formula(f), f) is f
+            objects.add(id(f))
+    assert len(objects) == len(by_text) == 17
+
+
+def test_translate_computes_premise_additions_once_per_rule_and_principal(monkeypatch):
+    # Without the audit: the final checker run recomputes every schema on
+    # its own, as a checker should.
+    ct = proved(growth_goal(3))
+    calls = counting(monkeypatch, gs3, "premise_additions")
+    proof = translate(ct, audit=False)
+    pairs = {(n.rule, n.principal) for _, n in gs3.iter_nodes(proof)
+             if n.rule is not None and n.rule.name not in ("axiom", "weaken")}
+    # Every pair needs its additions once, and the Skolem replacement maps
+    # pairs one to one, so equal counts mean no pair was computed twice.
+    assert len(calls) == len(pairs) == 11
 
 
 def test_tableau_parses_each_distinct_formula_once(monkeypatch):

@@ -19,6 +19,7 @@ from tabseq.gs3 import (
     inference_count,
     node_at,
     open_leaves,
+    premise_additions,
     proof_from_json,
     proof_to_json,
     render_proof,
@@ -259,6 +260,27 @@ class TestBuildStep:
         with pytest.raises(StepError):
             build_step(root, (), GsRule("axiom"), parse("P"))
         assert root.is_open
+
+    def test_given_node_and_additions_build_the_same_step(self):
+        f = parse("A => B")
+        root = build_step(GsProof((GOAL, f)), (), GsRule("weaken"), GOAL)
+        leaf = node_at(root, (0,))
+        additions = premise_additions(GsRule("implies"), f)
+        assert build_step(root, (0,), GsRule("implies"), f, node=leaf, additions=additions) is root
+        assert [c.sequent for c in leaf.children] == [(f, parse("~A")), (f, parse("B"))]
+        assert [c.sequent[-1] for c in leaf.children] == [a for (a,) in additions]
+
+    def test_given_node_is_still_validated(self):
+        leaf = GsProof((parse("P"), parse("Q")))
+        with pytest.raises(StepError):
+            build_step(GsProof(()), (5,), GsRule("axiom"), parse("P"), node=leaf)
+        seq = (parse("exists x. P(x)"), parse("Q(c)"))
+        leaf = GsProof(seq)
+        with pytest.raises(StepError) as err:
+            build_step(leaf, (), GsRule("exists", C), seq[0], node=leaf,
+                       additions=premise_additions(GsRule("exists", C), seq[0]))
+        assert err.value.reason == FRESHNESS
+        assert leaf.is_open
 
 
 EXTRA_POOL = (

@@ -17,6 +17,7 @@ from tabseq.translate import (
     initial_fringe,
     open_fringe,
     parallel_extend,
+    replace_skolem_terms,
     skolem_ranks,
     translate,
     translate_detailed,
@@ -135,6 +136,14 @@ class TestInitialPart:
         full = InitialPart(frozenset({(), (0,), (0, 0), (0, 0, 0)}))
         with pytest.raises(TranslateError, match="closed"):
             extend_initial(full, ct.root, (0, 0, 0, 0))
+
+    def test_fringe_needs_every_ancestor_marked_and_the_node_to_exist(self):
+        ct = drinker_tableau()
+        not_prefix_closed = InitialPart(frozenset({(0,)}))
+        with pytest.raises(TranslateError, match="not a fringe leaf"):
+            extend_initial(not_prefix_closed, ct.root, (0, 0))
+        with pytest.raises(TranslateError, match="not a fringe leaf"):
+            extend_initial(InitialPart(frozenset({()})), ct.root, (5,))
 
     def test_random_extension_orders_preserve_prefix_closure(self):
         ct = prove([parse("~((P | Q) => (Q | P))")])
@@ -328,6 +337,30 @@ class TestInPlaceGrowth:
             root[1],
         )
         assert pi1 is theta and gs3.node_at(pi1, (0,)) is leaf
+
+
+class TestSkolemReplacement:
+    def test_rewrites_in_place_and_keeps_formulas_without_skolem_terms(self):
+        goal = parse("exists x. D(x)")
+        proof = gs3.build_step(GsProof((goal,)), (), GsRule("exists", App("sko1", ())), goal)
+        leaf = proof.children[0]
+        assert replace_skolem_terms(proof) is proof
+        assert proof.children[0] is leaf
+        assert proof.sequent[0] is goal and proof.principal is goal
+        assert proof.rule.witness == const("c1")
+        assert leaf.sequent == (goal, parse("D(c1)"))
+
+    def test_equal_formulas_share_one_replacement(self):
+        a = parse("D(sko1)", allow_generated=True)
+        b = parse("D(sko1)", allow_generated=True)
+        assert a is not b
+        proof = replace_skolem_terms(GsProof((a, b)))
+        assert proof.sequent[0] is proof.sequent[1]
+
+    def test_two_argument_vectors_are_refused(self):
+        proof = GsProof((parse("P(sko1(a), sko1(b))", allow_generated=True),))
+        with pytest.raises(TranslateError, match="two argument vectors"):
+            replace_skolem_terms(proof)
 
 
 class TestInvariants:
