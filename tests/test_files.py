@@ -86,16 +86,25 @@ def test_growth_proof_parses_each_distinct_formula_once(monkeypatch):
             assert by_text.setdefault(gs3.print_formula(f), f) is f
 
 
-def test_translated_growth_proof_shares_each_distinct_formula():
-    proof = translate(proved(growth_goal(3)))
+def one_object_per_formula(proof) -> int:
+    """The number of distinct formulas in the sequents and principals,
+    asserting that each is one object."""
     by_text: dict[str, object] = {}
-    objects = set()
     for _, node in gs3.iter_nodes(proof):
         formulas = node.sequent + ((node.principal,) if node.principal is not None else ())
         for f in formulas:
             assert by_text.setdefault(gs3.print_formula(f), f) is f
-            objects.add(id(f))
-    assert len(objects) == len(by_text) == 17
+    return len(by_text)
+
+
+def test_translated_growth_proof_shares_each_distinct_formula():
+    assert one_object_per_formula(translate(proved(growth_goal(3)))) == 17
+
+
+def test_translated_hand_goals_share_each_distinct_formula():
+    # Here premise formulas also equal instances of tableau formulas.
+    for goal in golden_goals("hand"):
+        one_object_per_formula(translate(proved(goal)))
 
 
 def test_translate_computes_premise_additions_once_per_rule_and_principal(monkeypatch):
