@@ -291,23 +291,6 @@ def quant_parts(f: Formula) -> QuantBody:
     raise ValueError(f"not a quantified formula: {f}")
 
 
-def decompose(f: Formula):
-    """Successor formulas of a non-literal formula.
-
-    Alpha: one tuple of child formulas.  Beta: two singleton tuples, one per
-    branch.  Gamma/delta: a QuantBody carrying variable, body and polarity.
-    """
-    c = classify(f)
-    if c is RuleClass.ALPHA:
-        return (alpha_parts(f),)
-    if c is RuleClass.BETA:
-        left, right = beta_parts(f)
-        return ((left,), (right,))
-    if c in (RuleClass.GAMMA, RuleClass.DELTA):
-        return quant_parts(f)
-    raise ValueError(f"cannot decompose a literal: {f}")
-
-
 # ------------------------------------------------------------- traversals
 
 
@@ -499,44 +482,6 @@ def subst_var(f: Formula, var: str, t: Term) -> Formula:
         ctor = Forall if isinstance(f, Forall) else Exists
         return ctor(f.var, subst_var(f.body, var, t))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to a renaming of bound variables."""
-
-    def terms(s: Term, t: Term, env: dict[str, str]) -> bool:
-        if isinstance(s, Var) and isinstance(t, Var):
-            return env.get(s.name, s.name) == t.name
-        if isinstance(s, Meta) and isinstance(t, Meta):
-            return s.name == t.name
-        if isinstance(s, App) and isinstance(t, App):
-            return (
-                s.symbol == t.symbol
-                and len(s.args) == len(t.args)
-                and all(terms(a, b, env) for a, b in zip(s.args, t.args))
-            )
-        return False
-
-    def walk(a: Formula, b: Formula, env: dict[str, str]) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            return (
-                a.predicate == b.predicate
-                and len(a.args) == len(b.args)
-                and all(terms(s, t, env) for s, t in zip(a.args, b.args))
-            )
-        if isinstance(a, Not):
-            return walk(a.body, b.body, env)
-        if isinstance(a, (And, Or, Implies)):
-            return walk(a.left, b.left, env) and walk(a.right, b.right, env)
-        if isinstance(a, (Forall, Exists)):
-            inner = dict(env)
-            inner[a.var] = b.var
-            return walk(a.body, b.body, inner)
-        return False
-
-    return walk(f, g, {})
 
 
 # ----------------------------------------------------------------- print

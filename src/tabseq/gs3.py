@@ -258,23 +258,46 @@ def check(proof: GsProof) -> CheckResult:
     complementary pair, and every existential-group witness must be a
     constant absent from its conclusion sequent.  The first violation in
     preorder is reported.
+
+    Each distinct local inference is checked once per call.  The local
+    check reads nothing but its key, the node's sequent, rule, principal
+    and premise sequents, and the conclusion multiset it is given always
+    equals the count of the node's sequent.  A key is remembered only once
+    it has been accepted, so a node with a remembered key would be
+    accepted again, and skipping it cannot change the first rejection.
     """
     ground: set[Formula] = set()  # sequent formulas already found free of metavariables
+    accepted: dict[tuple, list[dict[Formula, int]]] = {}  # key -> premise multisets
     # Preorder walk; each premise's multiset, counted while checking its
     # parent, is the child's conclusion.
-    stack: list[tuple[Path, GsProof, Counter]] = [((), proof, Counter(proof.sequent))]
+    stack: list[tuple[Path, GsProof, dict[Formula, int]]] = [
+        ((), proof, _multiset(proof.sequent))]
     while stack:
         path, node, conclusion = stack.pop()
-        result = _check_node(path, node, conclusion, ground)
-        if isinstance(result, CheckResult):
-            return result
-        for bit in reversed(range(len(result))):
-            stack.append((path + (bit,), node.children[bit], result[bit]))
+        children = node.children
+        key = (node.sequent, node.rule, node.principal, tuple([c.sequent for c in children]))
+        premises = accepted.get(key)
+        if premises is None:
+            result = _check_node(path, node, conclusion, ground)
+            if isinstance(result, CheckResult):
+                return result
+            premises = accepted[key] = result
+        for bit in reversed(range(len(premises))):
+            stack.append((path + (bit,), children[bit], premises[bit]))
     return CheckResult(True)
 
 
-def _check_node(path: Path, node: GsProof, conclusion: Counter,
-                ground: set[Formula]) -> CheckResult | list[Counter]:
+def _multiset(formulas) -> dict[Formula, int]:
+    """Occurrence counts as a plain dict, which compares in C, unlike
+    ``Counter.__eq__``; a formula that does not occur has no entry."""
+    out: dict[Formula, int] = {}
+    for f in formulas:
+        out[f] = out.get(f, 0) + 1
+    return out
+
+
+def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int],
+                ground: set[Formula]) -> CheckResult | list[dict[Formula, int]]:
     """The rejection at this node, or the multisets of its premises."""
     for f in node.sequent:
         if f in ground:
@@ -292,14 +315,14 @@ def _check_node(path: Path, node: GsProof, conclusion: Counter,
         return CheckResult(False, path, SCHEMA_MISMATCH, f"unknown rule {rule.name!r}")
     if principal is None:
         return CheckResult(False, path, SCHEMA_MISMATCH, "rule without principal")
-    if conclusion[principal] < 1:
+    if principal not in conclusion:
         return CheckResult(False, path, SCHEMA_MISMATCH,
                            f"principal {print_formula(principal)} not in sequent")
 
     if rule.name == "axiom":
         if node.children:
             return CheckResult(False, path, SCHEMA_MISMATCH, "axiom with premises")
-        if conclusion[Not(principal)] < 1:
+        if Not(principal) not in conclusion:
             return CheckResult(False, path, BAD_AXIOM,
                                f"no complement for {print_formula(principal)}")
         return []
@@ -307,9 +330,12 @@ def _check_node(path: Path, node: GsProof, conclusion: Counter,
     if rule.name == "weaken":
         if len(node.children) != 1:
             return CheckResult(False, path, SCHEMA_MISMATCH, "weakening needs one premise")
-        expected = conclusion.copy()
-        expected[principal] -= 1
-        premise = Counter(node.children[0].sequent)
+        expected = dict(conclusion)
+        if expected[principal] == 1:
+            del expected[principal]
+        else:
+            expected[principal] -= 1
+        premise = _multiset(node.children[0].sequent)
         if premise != expected:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                "premise is not conclusion minus the dropped occurrence")
@@ -335,11 +361,12 @@ def _check_node(path: Path, node: GsProof, conclusion: Counter,
                 return CheckResult(False, path, FRESHNESS,
                                    f"witness {w.symbol} occurs in the conclusion sequent")
 
-    premises: list[Counter] = []
+    premises: list[dict[Formula, int]] = []
     for bit, extra in enumerate(additions):
-        expected = conclusion.copy()
-        expected.update(extra)
-        premise = Counter(node.children[bit].sequent)
+        expected = dict(conclusion)
+        for f in extra:
+            expected[f] = expected.get(f, 0) + 1
+        premise = _multiset(node.children[bit].sequent)
         if premise != expected:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"premise {bit} is not conclusion plus introduced formulas")
@@ -358,6 +385,7 @@ def build_step(
     *,
     node: GsProof | None = None,
     additions: tuple[tuple[Formula, ...], ...] | None = None,
+    outermost_skolems: Callable[[Formula], set[App]] | None = None,
 ) -> GsProof:
     """Extend an open leaf by one inference, validating the schema eagerly.
 
@@ -368,7 +396,9 @@ def build_step(
     A builder that already holds the node at ``leaf`` passes it as
     ``node``, which saves the walk from the root, and one that has computed
     ``premise_additions(rule, principal)`` passes the result as
-    ``additions``; both are trusted to be exactly that.
+    ``additions``; one that remembers ``outermost_skolem_terms`` of each
+    formula passes that lookup as ``outermost_skolems``.  All three are
+    trusted to be exactly what they stand for.
 
     During tableau translation the existential witnesses are still Skolem
     terms; those are accepted here with the corresponding relaxed freshness
@@ -405,7 +435,9 @@ def build_step(
                 raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
             if group == "delta":
                 if isinstance(w, App) and w.is_skolem:
-                    if any(w == t for f in node.sequent for t in outermost_skolem_terms(f)):
+                    if outermost_skolems is None:
+                        outermost_skolems = outermost_skolem_terms
+                    if any(w in outermost_skolems(f) for f in node.sequent):
                         raise StepError(FRESHNESS,
                                         f"witness {print_term(w)} occurs in the conclusion")
                 elif isinstance(w, App) and not w.args:
@@ -423,13 +455,12 @@ def build_step(
 # --------------------------------------------------------------- serialize
 
 
-def _node_to_record(node: GsProof, formula: Callable[[Formula], str],
-                    term: Callable[[Term], str]) -> dict:
-    counts = Counter(formula(f) for f in node.sequent)
+def _node_to_record(node: GsProof, sequent: Callable[[Sequent], list],
+                    formula: Callable[[Formula], str], term: Callable[[Term], str]) -> dict:
     record: dict = {
-        "sequent": [[text, n] for text, n in sorted(counts.items())],
+        "sequent": sequent(node.sequent),
         "rule": None,
-        "children": [_node_to_record(c, formula, term) for c in node.children],
+        "children": [_node_to_record(c, sequent, formula, term) for c in node.children],
     }
     if node.rule is not None:
         rule: dict = {"name": node.rule.name,
@@ -443,13 +474,20 @@ def _node_to_record(node: GsProof, formula: Callable[[Formula], str],
 def proof_to_json(proof: GsProof) -> str:
     """Canonical serialization: sorted keys and sequent entries, compact.
 
-    Each distinct formula or term is printed once per call.  One nested
-    deeper than ``MAX_DEPTH`` is a DepthError, since the reader would
-    refuse the file.
+    Each distinct formula or term is printed once per call, and each
+    distinct sequent's entry list is built once per call.  A formula
+    nested deeper than ``MAX_DEPTH`` is a DepthError, since the reader
+    would refuse the file.
     """
     formula = functools.cache(lambda f: print_formula(check_depth(f)))
     term = functools.cache(lambda t: print_term(check_depth(t)))
-    record = _node_to_record(proof, formula, term)
+
+    @functools.cache
+    def sequent(seq: Sequent) -> list:
+        counts = Counter(map(formula, seq))
+        return [[text, n] for text, n in sorted(counts.items())]
+
+    record = _node_to_record(proof, sequent, formula, term)
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -462,18 +500,20 @@ def _parse_field(read: Callable[[str], T], raw, what: str) -> T:
         raise FormatError(f"bad {what}: {e}") from None
 
 
-def _node_from_record(record, formula: Callable[[str], Formula],
+def _node_from_record(record, sequent: Callable[[tuple], Sequent],
+                      formula: Callable[[str], Formula],
                       term: Callable[[str], Term]) -> GsProof:
     if not isinstance(record, dict):
         raise FormatError("proof node must be an object")
     seq_raw = record.get("sequent")
     if not isinstance(seq_raw, list):
         raise FormatError("sequent must be a list")
-    formulas: list[Formula] = []
     for item in seq_raw:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[1], int) or item[1] < 1:
             raise FormatError("sequent entries must be [formula, count] pairs")
-        formulas.extend([_parse_field(formula, item[0], "sequent formula")] * item[1])
+        if not isinstance(item[0], str):
+            raise FormatError("sequent formula must be a string")
+    formulas = sequent(tuple(map(tuple, seq_raw)))
     rule_raw = record.get("rule")
     rule = None
     principal = None
@@ -490,21 +530,33 @@ def _node_from_record(record, formula: Callable[[str], Formula],
     children_raw = record.get("children", [])
     if not isinstance(children_raw, list):
         raise FormatError("children must be a list")
-    children = tuple(_node_from_record(c, formula, term) for c in children_raw)
-    return GsProof(tuple(formulas), rule, principal, children)
+    children = tuple(_node_from_record(c, sequent, formula, term) for c in children_raw)
+    return GsProof(formulas, rule, principal, children)
 
 
 def proof_from_json(text: str) -> GsProof:
     """Read a proof written by ``proof_to_json``.
 
     Each distinct formula or term text is parsed once per call, so equal
-    texts read back as one shared object.  Nesting too deep to walk is a
-    FormatError.
+    texts read back as one shared object, and each distinct validated
+    sequent entry list becomes its formula tuple once per call.  Nesting
+    too deep to walk is a FormatError.
     """
     formula = functools.cache(lambda s: parse(s, allow_generated=True))
     term = functools.cache(lambda s: parse_term(s, allow_generated=True))
+
+    @functools.cache
+    def sequent(entries: tuple[tuple[str, int], ...]) -> Sequent:
+        formulas: list[Formula] = []
+        try:
+            for text, n in entries:
+                formulas += [formula(text)] * n
+        except ValueError as e:
+            raise FormatError(f"bad sequent formula: {e}") from None
+        return tuple(formulas)
+
     try:
-        return _node_from_record(json.loads(text), formula, term)
+        return _node_from_record(json.loads(text), sequent, formula, term)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e}") from None
     except RecursionError:

@@ -42,10 +42,6 @@ HAND_GOALS: list[tuple[str, str]] = [
 ]
 
 
-def drinker_goal() -> Formula:
-    return parse(DRINKER)
-
-
 def growth_goal(k: int) -> Formula:
     """Conjunction of k independently named drinker instances.
 

@@ -245,8 +245,10 @@ class _Builder:
     Each distinct formula is one object: the sigma-instance of a tableau
     formula and the premise additions of a (rule, principal) pair are
     computed once and interned, so equal formulas in different sequents
-    are the same object.  ``leaves`` holds the open leaves of the proof
-    being grown, by path, so that no step walks from the root.
+    are the same object.  The outermost Skolem terms of each formula, which
+    the existential freshness tests read, are also computed once.
+    ``leaves`` holds the open leaves of the proof being grown, by path, so
+    that no step walks from the root.
     """
 
     def __init__(self, sigma: Substitution | None, proof: GsProof | None = None) -> None:
@@ -256,6 +258,7 @@ class _Builder:
         self._formulas: dict[Formula, Formula] = {}
         self._instances: dict[Formula, Formula] = {}
         self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
+        self._skolems: dict[Formula, set[App]] = {}
 
     def formula(self, f: Formula) -> Formula:
         return self._formulas.setdefault(f, f)
@@ -275,6 +278,12 @@ class _Builder:
             self._additions[key] = extras
         return self._additions[key]
 
+    def skolems(self, f: Formula) -> set[App]:
+        out = self._skolems.get(f)
+        if out is None:
+            out = self._skolems[f] = outermost_skolem_terms(f)
+        return out
+
     def step(self, proof: GsProof, leaf: Path, rule: GsRule, principal: Formula) -> None:
         """``build_step`` at an open leaf, then track its premises."""
         node = self.leaves.get(leaf)
@@ -283,7 +292,8 @@ class _Builder:
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
-        build_step(proof, leaf, rule, principal, node=node, additions=additions)
+        build_step(proof, leaf, rule, principal, node=node, additions=additions,
+                   outermost_skolems=self.skolems)
         del self.leaves[leaf]
         for bit, child in enumerate(node.children):
             self.leaves[leaf + (bit,)] = child
@@ -433,7 +443,7 @@ def delta_graft(
                     held.discard(s)
                     link(s, b + (0,))
                 continue
-            if is_subterm(eps, delta_term) or eps in outermost_skolem_terms(delta_formula):
+            if is_subterm(eps, delta_term) or eps in builder.skolems(delta_formula):
                 # The witness is stale over the grafted region (it sits
                 # inside the term being grafted, or occurs in the Skolem
                 # formula these leaves carry); recursively graft it over

@@ -3,6 +3,7 @@ equal formulas between the nodes of a proof read back from a file or
 built by ``translate``."""
 
 import hashlib
+import sys
 
 import pytest
 
@@ -118,6 +119,49 @@ def test_translate_computes_premise_additions_once_per_rule_and_principal(monkey
     # Every pair needs its additions once, and the Skolem replacement maps
     # pairs one to one, so equal counts mean no pair was computed twice.
     assert len(calls) == len(pairs) == 11
+
+
+def test_check_computes_premise_additions_once_per_distinct_inference(monkeypatch):
+    proof = translate(proved(growth_goal(3)))
+    inferences = {(n.sequent, n.rule, n.principal, tuple(c.sequent for c in n.children))
+                  for _, n in gs3.iter_nodes(proof)
+                  if n.rule is not None and n.rule.name not in ("axiom", "weaken")}
+    calls = counting(monkeypatch, gs3, "premise_additions")
+    assert check(proof).accepted
+    # 751 inferences, 377 of which need their schema's additions.
+    assert len(calls) == len(inferences) == 39
+
+
+def test_translate_finds_outermost_skolem_terms_once_per_formula(monkeypatch):
+    translate_module = sys.modules["tabseq.translate"]
+    ct = proved(growth_goal(3))
+    calls = counting(monkeypatch, translate_module, "outermost_skolem_terms")
+    in_gs3 = counting(monkeypatch, gs3, "outermost_skolem_terms")
+    translate_module.skolem_ranks(ct)
+    ranked = list(calls)
+    calls.clear()
+    translate(ct, audit=False)
+    # ``translate`` ranks the Skolem terms first; every later call is for
+    # a formula whose terms no earlier call of the builder found.
+    assert calls[:len(ranked)] == ranked
+    rest = calls[len(ranked):]
+    assert in_gs3 == [] and len(rest) == len(set(rest)) == 6
+
+
+def test_read_back_proofs_get_the_same_verdicts():
+    # Read-back sequents are sorted by formula text, so the checker sees
+    # the same inferences in a second order of formulas.
+    stray = parse("Stray")
+    for name, goal in corpus():
+        proof = translate(proved(goal))
+        back = proof_from_json(proof_to_json(proof))
+        assert check(back) == check(proof) == gs3.CheckResult(True), name
+        path, node = list(gs3.iter_nodes(proof))[-1]
+        tampered = gs3.replace_at(proof, path, gs3.GsProof(
+            node.sequent + (stray,), node.rule, node.principal, node.children))
+        result = check(tampered)
+        assert not result.accepted, name
+        assert check(proof_from_json(proof_to_json(tampered))) == result, name
 
 
 def test_tableau_parses_each_distinct_formula_once(monkeypatch):

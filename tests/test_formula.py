@@ -23,12 +23,12 @@ from tabseq.formula import (
     QuantBody,
     RuleClass,
     Var,
-    alpha_equal,
     apply_subst,
     check_depth,
     classify,
     const,
-    decompose,
+    alpha_parts,
+    beta_parts,
     free_metas,
     has_metas,
     nesting_depth,
@@ -37,6 +37,7 @@ from tabseq.formula import (
     parse_term,
     print_formula,
     print_term,
+    quant_parts,
     subst_var,
 )
 
@@ -267,44 +268,49 @@ class TestClassify:
 
 
 class TestDecompose:
+    """A non-literal formula's successors: alpha and beta parts, or the
+    bound variable, body and polarity of a quantifier."""
+
     def test_alpha_negated_implication(self):
         f = Not(Implies(Atom("D", (Meta("X"),)), Forall("y", Atom("D", (Var("y"),)))))
-        assert decompose(f) == (
-            (Atom("D", (Meta("X"),)), Not(Forall("y", Atom("D", (Var("y"),))))),
-        )
+        assert alpha_parts(f) == (Atom("D", (Meta("X"),)), Not(Forall("y", Atom("D", (Var("y"),)))))
 
     def test_beta_disjunction(self):
-        assert decompose(parse("P | Q")) == ((Atom("P", ()),), (Atom("Q", ()),))
+        assert beta_parts(parse("P | Q")) == (Atom("P", ()), Atom("Q", ()))
 
     def test_alpha_double_negation(self):
-        assert decompose(parse("~~P")) == ((Atom("P", ()),),)
+        assert alpha_parts(parse("~~P")) == (Atom("P", ()),)
 
     def test_gamma_returns_body_and_polarity(self):
-        qb = decompose(parse("~(exists x. P(x))"))
+        qb = quant_parts(parse("~(exists x. P(x))"))
         assert qb == QuantBody("x", Atom("P", (Var("x"),)), True)
         assert qb.instantiate(const("a")) == Not(Atom("P", (const("a"),)))
 
     def test_delta_positive_polarity(self):
-        qb = decompose(parse("exists x. P(x)"))
+        qb = quant_parts(parse("exists x. P(x)"))
         assert qb.negated is False
         assert qb.instantiate(Meta("X1")) == Atom("P", (Meta("X1"),))
 
     def test_literal_rejected(self):
-        with pytest.raises(ValueError):
-            decompose(parse("P(a)"))
+        for parts in (alpha_parts, beta_parts, quant_parts):
+            with pytest.raises(ValueError):
+                parts(parse("P(a)"))
 
     @given(st.integers(0, 2**32 - 1))
     def test_alpha_beta_parts_are_subformulas(self, seed):
         f = random_formula(random.Random(seed))
         cls = classify(f)
-        if cls not in (RuleClass.ALPHA, RuleClass.BETA):
+        if cls is RuleClass.ALPHA:
+            parts = alpha_parts(f)
+        elif cls is RuleClass.BETA:
+            parts = beta_parts(f)
+        else:
             return
         direct = f.body if isinstance(f, Not) else f
         subformulas = {direct.left, direct.right} if not isinstance(direct, Not) else {direct.body}
-        for child in decompose(f):
-            for g in child:
-                stripped = g.body if isinstance(g, Not) and g.body in subformulas else g
-                assert stripped in subformulas
+        for g in parts:
+            stripped = g.body if isinstance(g, Not) and g.body in subformulas else g
+            assert stripped in subformulas
 
 
 class TestFreeMetas:
@@ -350,8 +356,16 @@ class TestMisc:
         assert subst_var(f, "x", const("a")) == f
 
     def test_alpha_equal(self):
-        assert alpha_equal(parse("forall x. P(x)"), parse("forall y. P(y)"))
-        assert not alpha_equal(parse("forall x. P(x)"), parse("forall y. Q(y)"))
+        # Formulas equal up to the names of their bound variables have the
+        # same ground instances, which is all the prover reads of a binder.
+        def instance(text):
+            outer = quant_parts(parse(text)).instantiate(const("a"))
+            return quant_parts(outer).instantiate(const("b"))
+
+        same = instance("forall x. exists y. R(x, y)")
+        assert instance("forall u. exists v. R(u, v)") == same == parse("R(a, b)")
+        assert instance("forall u. exists v. R(v, u)") != same
+        assert instance("forall u. exists v. S(u, v)") != same
 
     def test_outermost_skolem_terms(self):
         inner = App("sko1", ())

@@ -17,15 +17,20 @@ from tabseq.gs3 import (
     build_step,
     check,
     inference_count,
+    iter_nodes,
     node_at,
     open_leaves,
     premise_additions,
     proof_from_json,
     proof_to_json,
     render_proof,
+    replace_at,
     rule_names,
     spine_rule_names,
 )
+from tabseq.problems import growth_goal
+from tabseq.tableau import prove
+from tabseq.translate import translate
 
 GOAL = parse("~(exists x. (D(x) => forall y. D(y)))")
 NOT_IMP = parse("~(D(c) => forall y. D(y))")
@@ -195,6 +200,96 @@ class TestLocality:
         from tabseq.gs3 import replace_at
 
         assert not check(replace_at(p, (0, 0, 0, 0), bad)).accepted
+
+
+def _local_key(node: GsProof):
+    """What ``check`` reads at one node: the sequent, rule, principal and
+    premise sequents."""
+    return (node.sequent, node.rule, node.principal, tuple(c.sequent for c in node.children))
+
+
+def _last_repeated_inferences(proof: GsProof) -> list:
+    """Paths of the last preorder occurrence of each local inference with
+    premises, other than a weakening, that occurs more than once."""
+    seen: dict = {}
+    for path, node in iter_nodes(proof):
+        key = _local_key(node)
+        count, _ = seen.get(key, (0, None))
+        seen[key] = (count + 1, path)
+    return [path for key, (count, path) in seen.items()
+            if count > 1 and key[1] is not None and key[1].name not in ("axiom", "weaken")]
+
+
+def _growth_proof(k: int) -> GsProof:
+    return translate(prove([Not(growth_goal(k))]))
+
+
+class TestRepeatedInferences:
+    """``check`` checks each distinct local inference once; a fault at the
+    last occurrence of a repeated one must still be found, at its path."""
+
+    @staticmethod
+    def assert_rejected_as_alone(proof: GsProof, path, bad: GsProof) -> None:
+        alone = check(bad)
+        assert not alone.accepted and alone.path == ()
+        result = check(replace_at(proof, path, bad))
+        assert (result.accepted, result.path, result.reason, result.detail) == (
+            False, path, alone.reason, alone.detail)
+
+    def test_growth_proof_repeats_inferences(self):
+        proof = _growth_proof(3)
+        assert check(proof).accepted
+        assert len(_last_repeated_inferences(proof)) >= 10
+
+    def test_dropped_premise_formula_at_last_occurrence(self):
+        proof = _growth_proof(3)
+        for path in _last_repeated_inferences(proof):
+            node = node_at(proof, path)
+            child = node.children[0]
+            short = GsProof(child.sequent[:-1], child.rule, child.principal, child.children)
+            bad = GsProof(node.sequent, node.rule, node.principal, (short,) + node.children[1:])
+            self.assert_rejected_as_alone(proof, path, bad)
+
+    def test_rule_swapped_for_weaken_at_last_occurrence(self):
+        proof = _growth_proof(3)
+        for path in _last_repeated_inferences(proof):
+            node = node_at(proof, path)
+            bad = GsProof(node.sequent, GsRule("weaken"), node.principal, node.children)
+            self.assert_rejected_as_alone(proof, path, bad)
+
+    def test_opened_leaf_below_last_occurrence(self):
+        proof = _growth_proof(3)
+        for path in _last_repeated_inferences(proof):
+            below, leaf = next((p, n) for p, n in iter_nodes(node_at(proof, path))
+                               if not n.children)
+            result = check(replace_at(proof, path + below, GsProof(leaf.sequent)))
+            assert (result.accepted, result.path, result.reason, result.detail) == (
+                False, path + below, OPEN_LEAF, "open leaf")
+
+
+class TestWeakening:
+    """Weakening drops one occurrence; dropping the last one leaves the
+    formula out of the premise multiset altogether."""
+
+    @staticmethod
+    def weakening(sequent, dropped, premise) -> GsProof:
+        axiom = GsProof(premise, GsRule("axiom"), parse("P"), ())
+        return GsProof(sequent, GsRule("weaken"), dropped, (axiom,))
+
+    def test_dropping_one_of_two_occurrences_is_accepted(self):
+        p, not_p = parse("P"), parse("~P")
+        assert check(self.weakening((p, p, not_p), p, (p, not_p))).accepted
+
+    def test_dropping_the_only_occurrence_is_accepted(self):
+        p, not_p, q = parse("P"), parse("~P"), parse("Q")
+        assert check(self.weakening((q, p, not_p), q, (p, not_p))).accepted
+
+    @pytest.mark.parametrize("sequent", ["Q, P, ~P", "P, P, ~P"])
+    def test_premise_keeping_the_dropped_formula_is_rejected(self, sequent):
+        seq = tuple(parse(t) for t in sequent.split(", "))
+        result = check(self.weakening(seq, seq[0], seq))
+        assert (result.accepted, result.path, result.reason, result.detail) == (
+            False, (), SCHEMA_MISMATCH, "premise is not conclusion minus the dropped occurrence")
 
 
 class TestBuildStep:
