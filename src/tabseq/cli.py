@@ -16,8 +16,9 @@ from pathlib import Path
 
 from . import gs3, tableau
 from .formula import DepthError, Not, ParseError, parse
-from .tableau import Exhausted, FormatError, render_tableau
+from .tableau import Exhausted, render_tableau
 from .translate import TranslateError, translate
+from .tree import FormatError
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -193,7 +194,7 @@ def _run_check(config: RunConfig) -> int:
     path = config.inputs[0]
     try:
         proof = gs3.proof_from_json(_read(path))
-    except gs3.FormatError as e:
+    except FormatError as e:
         print(f"{path}: malformed sequent proof: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     result = gs3.check(proof)

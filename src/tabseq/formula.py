@@ -369,10 +369,6 @@ def free_metas(f: Formula) -> tuple[Meta, ...]:
     return tuple(out)
 
 
-def term_symbols(t: Term) -> set[str]:
-    return {sub.symbol for sub in _term_iter(t) if isinstance(sub, App)}
-
-
 def formula_symbols(f: Formula) -> set[str]:
     """Function symbols (including constants) occurring anywhere in f."""
     out: set[str] = set()

@@ -6,7 +6,8 @@ implicit (every rule keeps its principal formula in the premises) and
 weakening is explicit, dropping exactly one occurrence.  The existential
 rules consume a witness constant that must be fresh for the conclusion
 sequent; that locality is the whole trust story of the checker, so this
-module deliberately depends on nothing but the formula syntax.
+module deliberately depends on nothing but the formula syntax and the
+shared tree helpers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable
 
 from .formula import (
     And,
@@ -39,9 +40,10 @@ from .formula import (
     subst_var,
 )
 
-Path = tuple[int, ...]
+# ``replace_at`` is not used here; callers reach it as ``gs3.replace_at``.
+from .tree import FormatError, Path, format_path, iter_nodes, node_at, parse_field, replace_at
+
 Sequent = tuple[Formula, ...]
-T = TypeVar("T")
 
 ALPHA_RULES = ("not_not", "not_implies", "and", "not_or")
 BETA_RULES = ("implies", "not_and", "or")
@@ -55,20 +57,12 @@ BAD_AXIOM = "bad-axiom"
 OPEN_LEAF = "open-leaf"
 
 
-def format_path(path: Path) -> str:
-    return "".join(str(b) for b in path) or "(root)"
-
-
 class StepError(ValueError):
     """A construction step violated its rule schema."""
 
     def __init__(self, reason: str, message: str):
         super().__init__(f"{reason}: {message}")
         self.reason = reason
-
-
-class FormatError(ValueError):
-    """A serialized sequent proof is malformed."""
 
 
 @dataclass(frozen=True)
@@ -112,39 +106,6 @@ class CheckResult:
 
 
 # ------------------------------------------------------------- tree helpers
-
-
-def node_at(root: GsProof, path: Path) -> GsProof:
-    node = root
-    for bit in path:
-        node = node.children[bit]
-    return node
-
-
-def replace_at(root: GsProof, path: Path, new: GsProof) -> GsProof:
-    """A copy of the tree with ``new`` at ``path``, sharing every subtree
-    off that path.  Trees grow in place; this serves callers that need an
-    altered copy, such as tests that tamper with one node."""
-    if not path:
-        return new
-    spine = [root]
-    for bit in path[:-1]:
-        spine.append(spine[-1].children[bit])
-    node = new
-    for parent, bit in zip(reversed(spine), reversed(path)):
-        children = list(parent.children)
-        children[bit] = node
-        node = GsProof(parent.sequent, parent.rule, parent.principal, tuple(children))
-    return node
-
-
-def iter_nodes(root: GsProof) -> Iterator[tuple[Path, GsProof]]:
-    stack: list[tuple[Path, GsProof]] = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for bit in reversed(range(len(node.children))):
-            stack.append((path + (bit,), node.children[bit]))
 
 
 def open_leaves(root: GsProof) -> list[Path]:
@@ -491,15 +452,6 @@ def proof_to_json(proof: GsProof) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_field(read: Callable[[str], T], raw, what: str) -> T:
-    if not isinstance(raw, str):
-        raise FormatError(f"{what} must be a string")
-    try:
-        return read(raw)
-    except ValueError as e:
-        raise FormatError(f"bad {what}: {e}") from None
-
-
 def _node_from_record(record, sequent: Callable[[tuple], Sequent],
                       formula: Callable[[str], Formula],
                       term: Callable[[str], Term]) -> GsProof:
@@ -524,9 +476,9 @@ def _node_from_record(record, sequent: Callable[[tuple], Sequent],
             raise FormatError("rule name must be a string")
         witness = None
         if "witness" in rule_raw:
-            witness = _parse_field(term, rule_raw["witness"], "witness")
+            witness = parse_field(term, rule_raw["witness"], "witness")
         rule = GsRule(rule_raw["name"], witness)
-        principal = _parse_field(formula, rule_raw.get("principal"), "principal")
+        principal = parse_field(formula, rule_raw.get("principal"), "principal")
     children_raw = record.get("children", [])
     if not isinstance(children_raw, list):
         raise FormatError("children must be a list")

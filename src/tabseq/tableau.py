@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 from .formula import (
     App,
@@ -35,10 +36,9 @@ from .formula import (
     quant_parts,
     term_metas,
 )
+# ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
+from .tree import FormatError, Path, format_path, iter_nodes, node_at, parse_field, replace_at
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
-
-Path = tuple[int, ...]
-T = TypeVar("T")
 
 CLOSURE = "closure"
 
@@ -49,14 +49,6 @@ class TableauError(ValueError):
 
 class AuditError(AssertionError):
     """A structural invariant of a tableau failed."""
-
-
-class FormatError(ValueError):
-    """A serialized proof file is malformed."""
-
-
-def format_path(path: Path) -> str:
-    return "".join(str(b) for b in path) or "(root)"
 
 
 @dataclass(frozen=True)
@@ -142,43 +134,6 @@ class NameSupply:
 
 
 # ------------------------------------------------------------- tree helpers
-
-
-def node_at(root: TableauNode, path: Path) -> TableauNode:
-    node = root
-    for bit in path:
-        try:
-            node = node.children[bit]
-        except IndexError:
-            raise TableauError(f"no node at path {format_path(path)}") from None
-    return node
-
-
-def replace_at(root: TableauNode, path: Path, new: TableauNode) -> TableauNode:
-    """A copy of the tree with ``new`` at ``path``, sharing every subtree
-    off that path.  Trees grow in place; this serves callers that need an
-    altered copy, such as tests that tamper with one node."""
-    if not path:
-        return new
-    spine = [root]
-    for bit in path[:-1]:
-        spine.append(spine[-1].children[bit])
-    node = new
-    for parent, bit in zip(reversed(spine), reversed(path)):
-        children = list(parent.children)
-        children[bit] = node
-        node = TableauNode(parent.formulas, parent.rule, tuple(children), parent.closed)
-    return node
-
-
-def iter_nodes(root: TableauNode) -> Iterator[tuple[Path, TableauNode]]:
-    """Preorder traversal, left child before right."""
-    stack: list[tuple[Path, TableauNode]] = [((), root)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for bit in reversed(range(len(node.children))):
-            stack.append((path + (bit,), node.children[bit]))
 
 
 def open_leaves(root: TableauNode) -> list[Path]:
@@ -426,15 +381,26 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     Skolem symbols unused before their introduction, and the unifier
     ground, solving the store, and equating every closure pair.
     """
-    from collections import Counter
-
-    def walk(node: TableauNode, path: Path) -> None:
+    # Preorder, as a recursive walk would go: a child's multiset is checked
+    # when the child is visited, before its own rule.  ``spine`` holds the
+    # ancestors of the visited node.
+    spine: list[TableauNode] = []
+    for path, node in iter_nodes(ct.root):
+        del spine[len(path):]
+        if spine:
+            parent = spine[-1]
+            extra = parent.rule.introduced[path[-1]]
+            if Counter(node.formulas) != Counter(parent.formulas) + Counter(extra):
+                raise AuditError(
+                    f"child multiset is not parent plus introduced at {format_path(path[:-1])}"
+                )
+        spine.append(node)
         if node.rule is None:
             if node.children:
                 raise AuditError(f"rule-less node {format_path(path)} has children")
             if not node.closed:
                 raise AuditError(f"open leaf at {format_path(path)}")
-            return
+            continue
         if node.closed:
             raise AuditError(f"closed node {format_path(path)} carries a rule")
         rule = node.rule
@@ -455,14 +421,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"delta without skolem at {format_path(path)}")
             if rule.kind == RuleClass.GAMMA.value and rule.meta is None:
                 raise AuditError(f"gamma without metavariable at {format_path(path)}")
-        for bit, (child, extra) in enumerate(zip(node.children, rule.introduced)):
-            if Counter(child.formulas) != Counter(node.formulas) + Counter(extra):
-                raise AuditError(
-                    f"child multiset is not parent plus introduced at {format_path(path)}"
-                )
-            walk(child, path + (bit,))
-
-    walk(ct.root, ())
 
     introduced: set[str] = set()
     for path, n in iter_nodes(ct.root):
@@ -552,15 +510,6 @@ def _side_str(side, formula: Callable[[Formula], str] = print_formula,
     return term(side)
 
 
-def _parse_field(read: Callable[[str], T], raw, what: str) -> T:
-    if not isinstance(raw, str):
-        raise FormatError(f"{what} must be a string")
-    try:
-        return read(raw)
-    except ValueError as e:
-        raise FormatError(f"bad {what}: {e}") from None
-
-
 def _rule_from_record(record, formula: Callable[[str], Formula],
                       term: Callable[[str], Term]) -> RuleInstance:
     if not isinstance(record, dict):
@@ -569,22 +518,22 @@ def _rule_from_record(record, formula: Callable[[str], Formula],
     if kind not in ("alpha", "beta", "gamma", "delta", CLOSURE):
         raise FormatError(f"unknown rule class {kind!r}")
     principal = record.get("principal")
-    principal_f = _parse_field(formula, principal, "principal") if principal is not None else None
+    principal_f = parse_field(formula, principal, "principal") if principal is not None else None
     introduced = record.get("introduced")
     if not isinstance(introduced, list) or not all(isinstance(c, list) for c in introduced):
         raise FormatError("introduced must be a list of lists")
     intro = tuple(
-        tuple(_parse_field(formula, f, "introduced formula") for f in child)
+        tuple(parse_field(formula, f, "introduced formula") for f in child)
         for child in introduced
     )
     meta = None
     if "meta" in record:
-        meta = _parse_field(term, record["meta"], "meta field")
+        meta = parse_field(term, record["meta"], "meta field")
         if not isinstance(meta, Meta):
             raise FormatError("meta field is not a metavariable")
     skolem = None
     if "skolem" in record:
-        skolem = _parse_field(term, record["skolem"], "skolem field")
+        skolem = parse_field(term, record["skolem"], "skolem field")
         if not isinstance(skolem, App) or not skolem.is_skolem:
             raise FormatError("skolem field is not a Skolem term")
     pair = None
@@ -592,8 +541,8 @@ def _rule_from_record(record, formula: Callable[[str], Formula],
         raw = record["closure_pair"]
         if not isinstance(raw, list) or len(raw) != 2:
             raise FormatError("closure_pair must be a two-element list")
-        pair = (_parse_field(formula, raw[0], "closure pair"),
-                _parse_field(formula, raw[1], "closure pair"))
+        pair = (parse_field(formula, raw[0], "closure pair"),
+                parse_field(formula, raw[1], "closure pair"))
     return RuleInstance(kind, principal_f, intro, meta=meta, skolem=skolem, closure_pair=pair)
 
 
@@ -604,7 +553,7 @@ def _node_from_record(record, formula: Callable[[str], Formula],
     formulas = record.get("formulas")
     if not isinstance(formulas, list):
         raise FormatError("formulas must be a list")
-    fs = tuple(_parse_field(formula, f, "formula") for f in formulas)
+    fs = tuple(parse_field(formula, f, "formula") for f in formulas)
     rule = record.get("rule")
     rule_i = _rule_from_record(rule, formula, term) if rule is not None else None
     children = record.get("children", [])
@@ -643,8 +592,8 @@ def _tableau_from_record(record, formula: Callable[[str], Formula],
     for item in store_raw:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError("store entries must be two-element lists")
-        constraints.append(Constraint(_parse_field(formula, item[0], "constraint"),
-                                      _parse_field(formula, item[1], "constraint")))
+        constraints.append(Constraint(parse_field(formula, item[0], "constraint"),
+                                      parse_field(formula, item[1], "constraint")))
     unifier_raw = record.get("unifier")
     if not isinstance(unifier_raw, list):
         raise FormatError("unifier must be a list")
@@ -653,10 +602,10 @@ def _tableau_from_record(record, formula: Callable[[str], Formula],
         if not isinstance(entry, str) or " := " not in entry:
             raise FormatError(f"bad unifier entry {entry!r}")
         name, _, rhs = entry.partition(" := ")
-        t = _parse_field(term, name, "unifier entry")
+        t = parse_field(term, name, "unifier entry")
         if not isinstance(t, Meta):
             raise FormatError(f"unifier binds non-metavariable {name!r}")
-        bindings[t.name] = _parse_field(term, rhs, "unifier entry")
+        bindings[t.name] = parse_field(term, rhs, "unifier entry")
     unifier = Substitution(bindings, ground=True)
     return ClosedTableau(root, ConstraintStore(tuple(constraints)), unifier)
 

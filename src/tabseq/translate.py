@@ -39,17 +39,8 @@ from .formula import (
     print_term,
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
-from .tableau import (
-    CLOSURE,
-    ClosedTableau,
-    Path,
-    TableauError,
-    TableauNode,
-    audit_closed_tableau,
-    format_path,
-    node_at,
-)
-from .tableau import iter_nodes as iter_tableau_nodes
+from .tableau import CLOSURE, ClosedTableau, audit_closed_tableau
+from .tree import Path, PathError, format_path, iter_nodes, node_at
 from .unify import Substitution
 
 
@@ -58,88 +49,11 @@ class TranslateError(AssertionError):
     valid closed tableau."""
 
 
-@dataclass(frozen=True)
-class InitialPart:
-    """Prefix of a proof tree, as the set of nodes whose rule is replayed.
-
-    Prefix-closed; the fringe (unmarked nodes with a marked parent, or the
-    root) consists of open leaves over internal target nodes and closed
-    leaves over closed target leaves.
-    """
-
-    marks: frozenset[Path] = frozenset()
-
-    def extended(self, leaf: Path) -> "InitialPart":
-        return InitialPart(self.marks | {leaf})
-
-
-def initial_fringe(root: TableauNode, part: InitialPart) -> list[Path]:
-    fringe: list[Path] = []
-
-    def walk(node: TableauNode, path: Path) -> None:
-        if path not in part.marks:
-            fringe.append(path)
-            return
-        for bit, child in enumerate(node.children):
-            walk(child, path + (bit,))
-
-    walk(root, ())
-    return fringe
-
-
-def open_fringe(root: TableauNode, part: InitialPart) -> list[Path]:
-    return [p for p in initial_fringe(root, part) if node_at(root, p).rule is not None]
-
-
-def _on_fringe(marks: frozenset[Path], path: Path) -> bool:
+def _on_fringe(marks: set[Path], path: Path) -> bool:
     """Whether ``path`` is unmarked with every proper prefix marked: the
-    fringe of a prefix-closed part, tested without walking the tree."""
+    fringe of the prefix-closed set of replayed rules, tested without
+    walking the tree."""
     return path not in marks and all(path[:i] in marks for i in range(len(path)))
-
-
-def extend_initial(part: InitialPart, root: TableauNode, leaf: Path) -> InitialPart:
-    """Mark the rule applied at an open fringe leaf; the result is again an
-    initial part of the same tree."""
-    if leaf in part.marks:
-        raise TranslateError(f"{format_path(leaf)} already marked")
-    try:
-        node = node_at(root, leaf)
-    except TableauError:
-        node = None
-    if node is None or not _on_fringe(part.marks, leaf):
-        raise TranslateError(f"{format_path(leaf)} is not a fringe leaf")
-    if node.rule is None:
-        raise TranslateError(f"{format_path(leaf)} is closed in the full tableau")
-    return part.extended(leaf)
-
-
-@dataclass(frozen=True)
-class LinkMapping:
-    """Partial map from open sequent leaves to open target leaves.
-
-    ``target_kind`` distinguishes links into a tableau (instances taken
-    under the unifier) from links into another sequent proof (no unifier).
-    """
-
-    mapping: Mapping[Path, Path]
-    target_kind: str = "tableau"
-
-    def preimage(self, target: Path) -> list[Path]:
-        return sorted(s for s, q in self.mapping.items() if q == target)
-
-
-@dataclass(frozen=True)
-class Bilink:
-    mu0: LinkMapping
-    mu1: LinkMapping
-
-    def validate(self, leaves: list[Path]) -> None:
-        dom0 = set(self.mu0.mapping)
-        dom1 = set(self.mu1.mapping)
-        if dom0 & dom1:
-            raise TranslateError("bilink domains overlap")
-        if dom0 | dom1 != set(leaves):
-            raise TranslateError("bilink domains do not cover the open leaves")
 
 
 @dataclass
@@ -156,12 +70,6 @@ class TranslateStats:
     measures: list[tuple[int, int]] = field(default_factory=list)
 
 
-def term_size(t: Term) -> int:
-    if isinstance(t, App):
-        return 1 + sum(term_size(a) for a in t.args)
-    return 1
-
-
 def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     """Well-founded order on the instantiated Skolem terms of a tableau.
 
@@ -175,7 +83,7 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     """
     sigma = ct.unifier
     edges: dict[App, set[App]] = {}
-    for _, n in iter_tableau_nodes(ct.root):
+    for _, n in iter_nodes(ct.root):
         rule = n.rule
         if rule is None or rule.skolem is None:
             continue
@@ -248,13 +156,12 @@ class _Builder:
     are the same object.  The outermost Skolem terms of each formula, which
     the existential freshness tests read, are also computed once.
     ``leaves`` holds the open leaves of the proof being grown, by path, so
-    that no step walks from the root.
+    that no step walks from the root; the caller enters the root.
     """
 
-    def __init__(self, sigma: Substitution | None, proof: GsProof | None = None) -> None:
+    def __init__(self, sigma: Substitution) -> None:
         self.sigma = sigma
-        self.leaves: dict[Path, GsProof] = (
-            {} if proof is None else {p: n for p, n in gs3.iter_nodes(proof) if n.is_open})
+        self.leaves: dict[Path, GsProof] = {}
         self._formulas: dict[Formula, Formula] = {}
         self._instances: dict[Formula, Formula] = {}
         self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
@@ -304,58 +211,48 @@ class _Builder:
 
 def delta_graft(
     theta: GsProof,
-    part: InitialPart | None,
     B: frozenset[Path],
     delta_term: Term,
     delta_formula: Formula,
     principal: Formula,
-    stats: TranslateStats | None = None,
-    audit: bool = True,
-    ranks: Mapping[App, int] | None = None,
-    *,
-    builder: _Builder | None = None,
-) -> tuple[GsProof, dict[Path, Path], dict[Path, Path], set[Path]]:
+    stats: TranslateStats,
+    audit: bool,
+    ranks: Mapping[App, int],
+    builder: _Builder,
+) -> tuple[dict[Path, Path], dict[Path, Path], set[Path]]:
     """Graft ``principal``'s existential step over the leaves ``B`` of theta
-    and regrow the initial part on top of it.
+    and regrow every rule of theta on top of it.
 
-    ``part`` marks the rules of theta to regrow (None regrows all of them,
-    which is the "initial part of itself" use).  Theta is consumed: its
-    open leaves are extended in place and the returned tree is theta's
-    root, so callers rebind it.  Returns that tree, the two halves of the
-    bilink (a map into the regrown part's fringe and a map into theta's
-    remaining open leaves), and the set of leaves that carry the Skolem
-    formula as an extra side occurrence.  No leaf maps into ``B``; leaves
-    mapped over a prefix of ``B`` either hold that extra occurrence or sit
-    below a reused equal existential step whose target already accounts
-    for it; all other leaves agree with their target exactly.
+    Theta's open leaves are extended in place, so theta becomes the grown
+    tree.  Returns the two halves of the bilink (a map into the regrown
+    rules' fringe and a map into theta's remaining open leaves), and the
+    set of leaves that carry the Skolem formula as an extra side
+    occurrence.  The second map sends no leaf into ``B``.  Leaves mapped
+    over a prefix of ``B``, ``B`` included, either hold that extra
+    occurrence or sit below a reused equal existential step whose target
+    already accounts for it; all other leaves agree with their target
+    exactly.
 
     ``builder`` is the translation's shared state, whose ``leaves`` must be
-    theta's open leaves; a call without one indexes them first.
+    theta's open leaves.
     """
-    if stats is None:
-        stats = TranslateStats()
-    if builder is None:
-        builder = _Builder(None, theta)
     # One walk over theta: its rules are the template that is regrown, and
     # its nodes are the link targets.
     theta_nodes = dict(gs3.iter_nodes(theta))
     theta_open = [p for p, n in theta_nodes.items() if n.is_open]
     if not B <= set(theta_open):
         raise TranslateError("graft leaves must be open leaves of the target tree")
-    template = [(p, n) for p, n in theta_nodes.items()
-                if n.rule is not None and (part is None or p in part.marks)]
+    template = [(p, n) for p, n in theta_nodes.items() if n.rule is not None]
     over_B = _prefixes(B)
     root_gamma = Counter(theta.sequent)
 
     stats.grafts += 1
-    measure = ranks[delta_term] if ranks is not None else term_size(delta_term)
-    stats.measures.append((measure, len(template)))
+    stats.measures.append((ranks[delta_term], len(template)))
     leaves_before = len(theta_open)
 
     # ``mu_part`` maps each regrown leaf to its template node; ``waiting``
-    # indexes it by template node, so each marked rule finds its leaves
+    # indexes it by template node, so each template rule finds its leaves
     # without a scan.
-    pi1 = theta
     mu_theta: dict[Path, Path] = {p: p for p in theta_open if p not in B}
     mu_part: dict[Path, Path] = {}
     waiting: defaultdict[Path, list[Path]] = defaultdict(list)
@@ -368,8 +265,8 @@ def delta_graft(
     # Base graft: at each B leaf weaken down to the root sequent plus the
     # principal, apply the existential rule (legal there: the root formulas
     # contain no Skolem symbols), then weaken the principal away again if
-    # it was an extra copy.  Only open leaves grow, so theta's marked rules
-    # stay readable as the template that is regrown below.
+    # it was an extra copy.  Only open leaves grow, so theta's rules stay
+    # readable as the template that is regrown below.
     principal = builder.formula(principal)
     delta_formula = builder.formula(delta_formula)
     delta_rule = GsRule(_gs_rule_name(principal), delta_term)
@@ -384,17 +281,17 @@ def delta_graft(
             raise TranslateError("graft leaf does not contain the root sequent")
         s = b
         for f in sorted(drops.elements(), key=print_formula):
-            builder.step(pi1, s, GsRule("weaken"), f)
+            builder.step(theta, s, GsRule("weaken"), f)
             s += (0,)
-        builder.step(pi1, s, delta_rule, principal)
+        builder.step(theta, s, delta_rule, principal)
         s += (0,)
         if extra_principal:
-            builder.step(pi1, s, GsRule("weaken"), principal)
+            builder.step(theta, s, GsRule("weaken"), principal)
             s += (0,)
         link(s, ())
         held.add(s)
 
-    # Regrow the marked rules root-first (theta's preorder is the
+    # Regrow theta's rules root-first (theta's preorder is the
     # lexicographic order of paths, a topological order), adapting around
     # the grafted branches.  ``held`` leaves carry one occurrence of the
     # Skolem formula beyond their target; a reused equal existential step
@@ -408,7 +305,7 @@ def delta_graft(
 
         if rule.name == "axiom":
             for s in S:
-                builder.step(pi1, s, rule, rule_principal)
+                builder.step(theta, s, rule, rule_principal)
                 del mu_part[s]
                 held.discard(s)
             continue
@@ -417,7 +314,7 @@ def delta_graft(
             for s in S:
                 del mu_part[s]
                 if s in held:
-                    builder.step(pi1, s, rule, rule_principal)
+                    builder.step(theta, s, rule, rule_principal)
                     link(s + (0,), b + (0,))
                     held.discard(s)
                     held.add(s + (0,))
@@ -451,17 +348,15 @@ def delta_graft(
                 stats.graft_case_v += 1
                 e_formula = builder.additions(rule, rule_principal)[0][0]
                 B_b = frozenset(S)
-                if ranks is not None and not (ranks[eps] < ranks[delta_term]):
+                if not ranks[eps] < ranks[delta_term]:
                     raise TranslateError("graft recursion measure did not decrease")
-                pi2, mu1, mu2, held2 = delta_graft(
-                    pi1, None, B_b, eps, e_formula, rule_principal, stats, audit, ranks,
-                    builder=builder,
-                )
+                mu1, mu2, held2 = delta_graft(
+                    theta, B_b, eps, e_formula, rule_principal, stats, audit, ranks, builder)
                 old_part = mu_part
                 new_theta: dict[Path, Path] = {}
                 new_held: set[Path] = set()
                 mu_part, waiting = {}, defaultdict(list)
-                for s2 in builder.leaves:  # pi2's open leaves
+                for s2 in builder.leaves:  # the regrown tree's open leaves
                     if s2 in mu1:
                         q = mu1[s2]
                     elif s2 in mu2:
@@ -483,7 +378,7 @@ def delta_graft(
                         raise TranslateError("grafted leaf maps outside both links")
                     if q in held:
                         new_held.add(s2)
-                pi1, mu_theta, held = pi2, new_theta, new_held
+                mu_theta, held = new_theta, new_held
                 continue
             # Incomparable witness, or one containing the grafted term: it
             # is still fresh over the side formula, copy the rule.
@@ -492,7 +387,7 @@ def delta_graft(
         for s in S:
             was_held = s in held
             held.discard(s)
-            builder.step(pi1, s, rule, rule_principal)
+            builder.step(theta, s, rule, rule_principal)
             del mu_part[s]
             for bit in range(len(node_th.children)):
                 child_s = s + (bit,)
@@ -506,7 +401,7 @@ def delta_graft(
                 ):
                     # This side leaves the grafted region; drop the held
                     # Skolem side formula.
-                    builder.step(pi1, child_s, GsRule("weaken"), delta_formula)
+                    builder.step(theta, child_s, GsRule("weaken"), delta_formula)
                     child_s += (0,)
                     child_held = False
                 link(child_s, child_b)
@@ -514,13 +409,13 @@ def delta_graft(
                     held.add(child_s)
 
     if audit:
-        _audit_graft(pi1, theta_nodes, B, over_B, delta_formula, mu_part, mu_theta, held, stats)
+        _audit_graft(theta, theta_nodes, B, over_B, delta_formula, mu_part, mu_theta, held, stats)
     stats.graft_leaf_growth.append((leaves_before, len(builder.leaves)))
-    return pi1, mu_part, mu_theta, held
+    return mu_part, mu_theta, held
 
 
 def _audit_graft(
-    pi1: GsProof,
+    proof: GsProof,
     theta_nodes: Mapping[Path, GsProof],
     B: frozenset[Path],
     over_B: set[Path],
@@ -530,9 +425,13 @@ def _audit_graft(
     held: set[Path],
     stats: TranslateStats,
 ) -> None:
-    leaves = {p: n for p, n in gs3.iter_nodes(pi1) if n.is_open}
-    Bilink(LinkMapping(mu_part, "proof-tree"), LinkMapping(mu_theta, "proof-tree")).validate(
-        list(leaves))
+    """``proof`` is the grown tree; ``theta_nodes`` indexes, by path, the
+    nodes it had before the graft, whose sequents are the link targets."""
+    leaves = {p: n for p, n in gs3.iter_nodes(proof) if n.is_open}
+    if mu_part.keys() & mu_theta.keys():
+        raise TranslateError("bilink domains overlap")
+    if mu_part.keys() | mu_theta.keys() != leaves.keys():
+        raise TranslateError("bilink domains do not cover the open leaves")
     stats.bilink_audits += 1
 
     def target(q: Path) -> Counter:
@@ -572,37 +471,36 @@ def _audit_graft(
 
 def parallel_extend(
     proof: GsProof,
-    link: LinkMapping,
+    link: dict[Path, Path],
+    marks: set[Path],
     ct: ClosedTableau,
-    part: InitialPart,
     leaf: Path,
-    stats: TranslateStats | None = None,
-    audit: bool = True,
-    ranks: Mapping[App, int] | None = None,
-    *,
-    builder: _Builder | None = None,
-) -> tuple[GsProof, LinkMapping, InitialPart]:
+    stats: TranslateStats,
+    audit: bool,
+    ranks: Mapping[App, int],
+    builder: _Builder,
+) -> None:
     """Replay the tableau rule at ``leaf`` on every linked sequent leaf.
 
-    The proof is consumed (its open leaves are extended in place), so
-    callers rebind it to the returned root.  Returns the extended proof,
-    the updated total link and the extended initial part; the containment
-    invariant (instances of the linked branch's formulas inside each leaf
-    sequent) is re-checked afterwards.  ``builder`` is the translation's
-    shared state, whose ``leaves`` must be the proof's open leaves; a call
-    without one indexes them first.
+    ``link`` maps each open leaf of the proof to its tableau node, and
+    ``marks`` holds the tableau nodes whose rules are replayed, a
+    prefix-closed set with ``leaf`` on its fringe; both are updated in
+    place, and the proof's open leaves are extended in place.  The
+    containment invariant (instances of the linked branch's formulas
+    inside each leaf sequent) is re-checked afterwards.  ``builder`` is
+    the translation's shared state, whose ``leaves`` must be the proof's
+    open leaves.
     """
-    if stats is None:
-        stats = TranslateStats()
-    if builder is None:
-        builder = _Builder(ct.unifier, proof)
+    if leaf in marks:
+        raise TranslateError(f"{format_path(leaf)} already marked")
+    if not _on_fringe(marks, leaf):
+        raise TranslateError(f"{format_path(leaf)} is not a fringe leaf")
     sigma = ct.unifier
     node = node_at(ct.root, leaf)
     rule = node.rule
     if rule is None:
         raise TranslateError(f"tableau node {format_path(leaf)} has no rule to replay")
-    mapping = dict(link.mapping)
-    S = link.preimage(leaf)
+    S = sorted(s for s, q in link.items() if q == leaf)
     stats.steps += 1
     stats.by_kind[rule.kind] += 1
 
@@ -611,7 +509,7 @@ def parallel_extend(
         principal = builder.instance(pos)
         for s in S:
             builder.step(proof, s, GsRule("axiom"), principal)
-            del mapping[s]
+            del link[s]
 
     elif rule.kind == "delta":
         if S:
@@ -619,19 +517,16 @@ def parallel_extend(
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
             B = frozenset(S)
-            if ranks is None:
-                ranks = skolem_ranks(ct)
-            pi1, mu_part, mu_theta, _held = delta_graft(
-                proof, None, B, delta_sigma, d_delta, principal, stats, audit, ranks,
-                builder=builder,
-            )
-            new_mapping: dict[Path, Path] = {}
-            for s2 in builder.leaves:  # pi1's open leaves
+            mu_part, mu_theta, _held = delta_graft(
+                proof, B, delta_sigma, d_delta, principal, stats, audit, ranks, builder)
+            grown: dict[Path, Path] = {}
+            for s2 in builder.leaves:  # the grown proof's open leaves
                 q = mu_part.get(s2)
                 if q is None:
                     q = mu_theta[s2]
-                new_mapping[s2] = leaf + (0,) if q in B else mapping[q]
-            proof, mapping = pi1, new_mapping
+                grown[s2] = leaf + (0,) if q in B else link[q]
+            link.clear()
+            link.update(grown)
 
     else:
         principal = builder.instance(rule.principal)
@@ -640,37 +535,35 @@ def parallel_extend(
         gs_rule = GsRule(name, witness)
         for s in S:
             builder.step(proof, s, gs_rule, principal)
-            del mapping[s]
+            del link[s]
             for bit in range(len(node.children)):
-                mapping[s + (bit,)] = leaf + (bit,)
+                link[s + (bit,)] = leaf + (bit,)
 
-    new_part = extend_initial(part, ct.root, leaf)
-    new_link = LinkMapping(mapping, "tableau")
+    marks.add(leaf)
     if audit:
-        _audit_link(proof, new_link, ct, new_part, stats, builder)
-    return proof, new_link, new_part
+        _audit_link(proof, link, marks, ct, stats, builder)
 
 
 def _audit_link(
     proof: GsProof,
-    link: LinkMapping,
+    link: dict[Path, Path],
+    marks: set[Path],
     ct: ClosedTableau,
-    part: InitialPart,
     stats: TranslateStats,
     builder: _Builder,
 ) -> None:
     """Totality over open leaves plus the containment invariant."""
     leaves = {p: n for p, n in gs3.iter_nodes(proof) if n.is_open}
-    if link.mapping.keys() != leaves.keys():
+    if link.keys() != leaves.keys():
         raise TranslateError("link is not total on the open sequent leaves")
     instances: dict[Path, Counter] = {}
-    for s, q in link.mapping.items():
+    for s, q in link.items():
         if q not in instances:
             try:
                 target = node_at(ct.root, q)
-            except TableauError:
+            except PathError:
                 target = None
-            if target is None or not _on_fringe(part.marks, q):
+            if target is None or not _on_fringe(marks, q):
                 raise TranslateError("link target is not a fringe leaf")
             instances[q] = Counter(builder.instance(f) for f in target.formulas)
         if instances[q] - Counter(leaves[s].sequent):
@@ -794,17 +687,16 @@ def translate_detailed(
     builder = _Builder(ct.unifier)
     proof = GsProof(tuple(builder.instance(f) for f in ct.root.formulas))
     builder.leaves[()] = proof
-    link = LinkMapping({(): ()}, "tableau")
-    part = InitialPart(frozenset())
+    link: dict[Path, Path] = {(): ()}
+    marks: set[Path] = set()
 
-    # The tableau's preorder is the order in which ``min(open_fringe(...))``
-    # reaches its rules, so the fringe need not be recomputed per step.
-    for leaf, node in iter_tableau_nodes(ct.root):
+    # Replay in the tableau's preorder: each rule's node is then on the
+    # fringe of the rules replayed before it, the least such path.
+    for leaf, node in iter_nodes(ct.root):
         if node.rule is not None:
-            proof, link, part = parallel_extend(
-                proof, link, ct, part, leaf, stats, audit, ranks, builder=builder)
+            parallel_extend(proof, link, marks, ct, leaf, stats, audit, ranks, builder)
 
-    if link.mapping:
+    if link:
         raise TranslateError("open sequent leaves remain after the last tableau rule")
     proof = replace_skolem_terms(proof)
     if audit:

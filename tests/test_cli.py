@@ -171,6 +171,28 @@ class TestCheck:
         assert "malformed" in capsys.readouterr().err
 
 
+class TestSwappedFiles:
+    """Each reader refuses the other tree's file as malformed, through the
+    one shared FormatError."""
+
+    def test_translate_of_a_sequent_proof_exits_two(self, tmp_path, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "gs3"]) == 0
+        capsys.readouterr()
+        assert run_cli(["translate", str(tmp_path / "drinker.gs3"),
+                        "--out", str(tmp_path / "out.gs3")]) == 2
+        err = capsys.readouterr().err
+        assert "malformed tableau proof" in err and "Traceback" not in err
+        assert not (tmp_path / "out.gs3").exists()
+
+    def test_check_of_a_tableau_exits_two(self, tmp_path, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"]) == 0
+        capsys.readouterr()
+        assert run_cli(["check", str(tmp_path / "drinker.tab")]) == 2
+        captured = capsys.readouterr()
+        assert "malformed sequent proof" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 UNUSED_PREFIX = " ".join(f"forall x{i}." for i in range(1, 49))
 
 

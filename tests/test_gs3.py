@@ -28,9 +28,11 @@ from tabseq.gs3 import (
     rule_names,
     spine_rule_names,
 )
+from tabseq import gs3, tableau
 from tabseq.problems import growth_goal
 from tabseq.tableau import prove
 from tabseq.translate import translate
+from tabseq.tree import PathError
 
 GOAL = parse("~(exists x. (D(x) => forall y. D(y)))")
 NOT_IMP = parse("~(D(c) => forall y. D(y))")
@@ -472,15 +474,84 @@ class TestSerialization:
         assert "|-" in text and "not_forall" in text
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tabseq"
+TREE_HELPERS = {"format_path", "node_at", "iter_nodes", "replace_at", "FormatError", "parse_field"}
+
+
+def package_imports(path: pathlib.Path) -> set[str]:
+    """The ``tabseq`` modules a source file imports; ``tabseq`` itself
+    stands for the package's ``__init__``."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = node.module.split(".") if node.module else []
+            if node.level == 0:
+                if parts[0] != "tabseq":
+                    continue
+                parts = parts[1:]
+            if parts:
+                out.add(parts[0])
+            else:  # from . import name
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "tabseq":
+                    out.add(parts[1] if len(parts) > 1 else "tabseq")
+    return out
+
+
 class TestCheckerIndependence:
     def test_module_imports_only_the_formula_layer(self):
-        source = pathlib.Path("src/tabseq/gs3.py").read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        banned = {"tableau", "translate", "cli", "problems", "unify"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                assert node.module.split(".")[0] not in banned, node.module
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = set(alias.name.split("."))
-                    assert not (parts & {"tabseq." + b for b in banned} | parts & banned), alias.name
+        # The formula syntax and the tree helpers, which import nothing
+        # from the package: never the prover or the translator.
+        imports = package_imports(SRC / "gs3.py")
+        assert "formula" in imports
+        assert imports <= {"formula", "tree"}, imports
+
+    def test_tree_module_imports_nothing_from_the_package(self):
+        assert package_imports(SRC / "tree.py") == set()
+
+    def test_allowlist_sees_every_import_form(self, tmp_path):
+        path = tmp_path / "sample.py"
+        path.write_text("import json\nimport tabseq.unify\nfrom tabseq import cli\n"
+                        "from . import tableau\nfrom .translate import translate\n"
+                        "from tabseq.problems import corpus\n", encoding="utf-8")
+        assert package_imports(path) == {"unify", "cli", "tableau", "translate", "problems"}
+
+    def test_tree_helpers_are_defined_only_in_the_tree_module(self):
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "tree.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = []
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                for name in names:
+                    assert name.lstrip("_") not in TREE_HELPERS, f"{path.name} defines {name}"
+
+
+class TestSharedTreeHelpers:
+    def test_both_trees_raise_one_format_error(self):
+        assert gs3.FormatError is tableau.FormatError is FormatError
+        with pytest.raises(FormatError):
+            tableau.tableau_from_json(proof_to_json(grown_drinker_proof()))
+
+    def test_a_missing_path_is_one_error_on_both_trees(self):
+        ct = prove([GOAL])
+        for root in (ct.root, grown_drinker_proof()):
+            with pytest.raises(PathError, match="no node at path 0001"):
+                node_at(root, (0, 0, 0, 1))
+
+    def test_replace_at_copies_either_tree_along_the_path(self):
+        ct = prove([GOAL])
+        leaf_path = next(p for p, n in tableau.iter_nodes(ct.root) if n.closed)
+        new = tableau.TableauNode(ct.root.formulas, closed=True)
+        copy = tableau.replace_at(ct.root, leaf_path, new)
+        assert copy is not ct.root and type(copy) is tableau.TableauNode
+        assert node_at(copy, leaf_path) is new
+        assert [(p, n.rule, n.closed) for p, n in tableau.iter_nodes(copy)
+                if p != leaf_path] == [
+            (p, n.rule, n.closed) for p, n in tableau.iter_nodes(ct.root) if p != leaf_path]

@@ -1,16 +1,22 @@
+import sys
+
 import pytest
 
 from tabseq.formula import App, Atom, Meta, Not, Var, const, parse, print_formula
 from tabseq.tableau import (
+    CLOSURE,
+    AuditError,
     ClosedTableau,
     Exhausted,
     FormatError,
     NameSupply,
+    RuleInstance,
     TableauError,
     TableauNode,
     audit_closed_tableau,
     close,
     expand,
+    iter_nodes,
     node_at,
     open_leaves,
     prove,
@@ -20,7 +26,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.unify import ConstraintStore
+from tabseq.unify import ConstraintStore, Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -317,3 +323,56 @@ class TestNonDestructivity:
     def test_skolem_symbols_fresh_at_introduction(self):
         ct = prove([parse("~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))")])
         audit_closed_tableau(ct)
+
+
+def double_negation_chain(depth: int) -> ClosedTableau:
+    """A closed tableau of ``~~P, ~P`` that applies the alpha rule to
+    ``~~P`` on each of ``depth`` nodes in a row, then closes on P, ~P."""
+    nn, p, np = parse("~~P"), parse("P"), parse("~P")
+    alpha = RuleInstance("alpha", nn, ((p,),))
+    formulas = (nn, np)
+    root = node = TableauNode(formulas)
+    for _ in range(depth):
+        formulas += (p,)
+        child = TableauNode(formulas)
+        node.rule, node.children = alpha, (child,)
+        node = child
+    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(p, np))
+    node.children = (TableauNode(formulas, closed=True),)
+    return ClosedTableau(root, ConstraintStore(), Substitution({}, ground=True))
+
+
+class TestAudit:
+    def test_a_tableau_deeper_than_the_recursion_limit_is_audited(self):
+        ct = double_negation_chain(1100)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            audit_closed_tableau(ct)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_a_broken_deep_chain_is_reported_where_it_breaks(self):
+        ct = double_negation_chain(1100)
+        path = (0,) * 1050
+        node_at(ct.root, path).formulas += (parse("Q"),)
+        with pytest.raises(AuditError, match=f"not parent plus introduced at {'0' * 1049}$"):
+            audit_closed_tableau(ct)
+
+    def test_first_violation_is_the_first_in_preorder(self):
+        # A fault deep in the left branch comes before a bad multiset of
+        # the right child, although the right child hangs off a node
+        # visited earlier.
+        ct = prove([parse("~((P | Q) => (Q | P))")])
+        assert isinstance(ct, ClosedTableau)
+        beta = next(p for p, n in iter_nodes(ct.root) if n.rule is not None and n.rule.kind == "beta")
+        closure = next(p for p, n in iter_nodes(node_at(ct.root, beta + (0,)))
+                       if n.rule is not None and n.rule.kind == CLOSURE)
+        closure = beta + (0,) + closure
+        node_at(ct.root, closure + (0,)).closed = False
+        node_at(ct.root, beta + (1,)).formulas += (parse("R"),)
+        with pytest.raises(AuditError, match="closure child not closed"):
+            audit_closed_tableau(ct)
+        node_at(ct.root, closure + (0,)).closed = True
+        with pytest.raises(AuditError, match="child multiset is not parent plus introduced"):
+            audit_closed_tableau(ct)

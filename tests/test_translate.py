@@ -1,27 +1,34 @@
-import random
+import sys
 from collections import Counter
 
 import pytest
 
 from tabseq import gs3
-from tabseq.formula import App, Not, const, parse, print_formula
+from tabseq.formula import App, Not, const, parse
 from tabseq.gs3 import GsProof, GsRule
 from tabseq.problems import growth_goal
-from tabseq.tableau import ClosedTableau, node_at, prove, rule_count, tableau_from_json, tableau_to_json
+from tabseq.tableau import (
+    ClosedTableau,
+    iter_nodes,
+    node_at,
+    prove,
+    rule_count,
+    tableau_from_json,
+    tableau_to_json,
+)
 from tabseq.translate import (
-    InitialPart,
-    LinkMapping,
     TranslateError,
+    TranslateStats,
+    _Builder,
     delta_graft,
-    extend_initial,
-    initial_fringe,
-    open_fringe,
     parallel_extend,
     replace_skolem_terms,
     skolem_ranks,
     translate,
     translate_detailed,
 )
+from tabseq.tree import PathError
+from tabseq.unify import Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 NESTED_NEG = "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))"
@@ -111,79 +118,79 @@ def node_at_rule(proof: GsProof, name: str) -> GsProof:
     raise AssertionError(f"no {name} node")
 
 
+class Replay:
+    """The state ``translate_detailed`` threads through ``parallel_extend``,
+    for replaying a tableau's rules one call at a time."""
+
+    def __init__(self, ct: ClosedTableau):
+        self.ct = ct
+        self.builder = _Builder(ct.unifier)
+        self.proof = GsProof(tuple(self.builder.instance(f) for f in ct.root.formulas))
+        self.builder.leaves[()] = self.proof
+        self.link = {(): ()}
+        self.marks = set()
+        self.stats = TranslateStats()
+        self.ranks = skolem_ranks(ct)
+
+    def extend(self, leaf):
+        parallel_extend(self.proof, self.link, self.marks, self.ct, leaf, self.stats, True,
+                        self.ranks, self.builder)
+
+    def preimage(self, target):
+        return sorted(s for s, q in self.link.items() if q == target)
+
+
 class TestInitialPart:
+    """The replayed rules form a prefix-closed set, the initial part, and
+    each replay takes a rule on its fringe."""
+
     def test_first_extension_marks_the_root_rule(self):
-        ct = drinker_tableau()
-        part = extend_initial(InitialPart(), ct.root, ())
-        assert part.marks == {()}
-        assert node_at(ct.root, ()).rule.kind == "gamma"
+        replay = Replay(drinker_tableau())
+        replay.extend(())
+        assert replay.marks == {()}
+        assert node_at(replay.ct.root, ()).rule.kind == "gamma"
+        assert set(replay.link.values()) == {(0,)}
 
     def test_final_extension_consumes_the_closure(self):
-        ct = drinker_tableau()
-        part = InitialPart()
+        replay = Replay(drinker_tableau())
         for leaf in [(), (0,), (0, 0), (0, 0, 0)]:
-            part = extend_initial(part, ct.root, leaf)
-        assert open_fringe(ct.root, part) == []
-        assert initial_fringe(ct.root, part) == [(0, 0, 0, 0)]
+            replay.extend(leaf)
+        assert replay.marks == {(), (0,), (0, 0), (0, 0, 0)}
+        assert replay.link == {}
+        with pytest.raises(TranslateError, match="no rule to replay"):
+            replay.extend((0, 0, 0, 0))
 
     def test_errors(self):
-        ct = drinker_tableau()
-        part = extend_initial(InitialPart(), ct.root, ())
+        replay = Replay(drinker_tableau())
+        replay.extend(())
+        before = (gs3.proof_to_json(replay.proof), dict(replay.link), set(replay.marks))
         with pytest.raises(TranslateError, match="already marked"):
-            extend_initial(part, ct.root, ())
+            replay.extend(())
         with pytest.raises(TranslateError, match="not a fringe leaf"):
-            extend_initial(part, ct.root, (0, 0))
-        full = InitialPart(frozenset({(), (0,), (0, 0), (0, 0, 0)}))
-        with pytest.raises(TranslateError, match="closed"):
-            extend_initial(full, ct.root, (0, 0, 0, 0))
+            replay.extend((0, 0))
+        # A refused replay changes nothing.
+        assert (gs3.proof_to_json(replay.proof), replay.link, replay.marks) == before
 
     def test_fringe_needs_every_ancestor_marked_and_the_node_to_exist(self):
-        ct = drinker_tableau()
-        not_prefix_closed = InitialPart(frozenset({(0,)}))
+        replay = Replay(drinker_tableau())
+        replay.marks.add((0,))  # not prefix-closed: the root rule is unmarked
         with pytest.raises(TranslateError, match="not a fringe leaf"):
-            extend_initial(not_prefix_closed, ct.root, (0, 0))
-        with pytest.raises(TranslateError, match="not a fringe leaf"):
-            extend_initial(InitialPart(frozenset({()})), ct.root, (5,))
-
-    def test_random_extension_orders_preserve_prefix_closure(self):
-        ct = prove([parse("~((P | Q) => (Q | P))")])
-        for seed in range(25):
-            rng = random.Random(seed)
-            part = InitialPart()
-            while True:
-                pending = open_fringe(ct.root, part)
-                if not pending:
-                    break
-                part = extend_initial(part, ct.root, rng.choice(pending))
-                for mark in part.marks:
-                    for i in range(len(mark)):
-                        assert mark[:i] in part.marks
+            replay.extend((0, 0))
+        replay = Replay(drinker_tableau())
+        replay.extend(())
+        with pytest.raises(PathError, match="no node at path 5"):
+            replay.extend((5,))
 
 
 class TestParallelExtend:
-    def translate_steps(self, gamma, record=None):
-        ct = prove(gamma)
-        assert isinstance(ct, ClosedTableau)
-        proof = GsProof(tuple(ct.unifier.apply(f) for f in ct.root.formulas))
-        link = LinkMapping({(): ()}, "tableau")
-        part = InitialPart(frozenset())
-        while True:
-            pending = open_fringe(ct.root, part)
-            if not pending:
-                return ct, proof
-            leaf = min(pending)
-            if record is not None:
-                record.append((leaf, node_at(ct.root, leaf).rule.kind, len(link.preimage(leaf))))
-            proof, link, part = parallel_extend(proof, link, ct, part, leaf)
-
     def test_drinker_first_three_steps_build_the_expected_leaf(self):
-        ct = drinker_tableau()
-        proof = GsProof(tuple(ct.unifier.apply(f) for f in ct.root.formulas))
-        link = LinkMapping({(): ()}, "tableau")
-        part = InitialPart(frozenset())
+        replay = Replay(drinker_tableau())
+        link = replay.link
         for leaf in [(), (0,)]:
-            proof, link, part = parallel_extend(proof, link, ct, part, leaf)
-        [(open_leaf, target)] = list(link.mapping.items())
+            replay.extend(leaf)
+        # The link is updated in place.
+        assert replay.link is link
+        [(open_leaf, target)] = list(link.items())
         assert target == (0, 0)
         sko = const("sko1")
         expected = [
@@ -192,81 +199,74 @@ class TestParallelExtend:
             parse("D(sko1)", allow_generated=True),
             parse("~(forall y. D(y))"),
         ]
-        assert list(gs3.node_at(proof, open_leaf).sequent) == expected
-        assert gs3.rule_names(proof) == ["not_exists", "not_implies"]
-        assert proof.rule.witness == sko
+        assert list(gs3.node_at(replay.proof, open_leaf).sequent) == expected
+        assert gs3.rule_names(replay.proof) == ["not_exists", "not_implies"]
+        assert replay.proof.rule.witness == sko
 
     def test_closure_on_a_single_leaf_empties_the_link(self):
-        ct = prove([parse("~(P => P)")])
-        proof = GsProof((parse("~(P => P)"),))
-        link = LinkMapping({(): ()}, "tableau")
-        part = InitialPart(frozenset())
-        proof, link, part = parallel_extend(proof, link, ct, part, ())
-        proof, link, part = parallel_extend(proof, link, ct, part, (0,))
-        assert link.mapping == {}
-        assert gs3.check(proof).accepted
+        replay = Replay(prove([parse("~(P => P)")]))
+        replay.extend(())
+        replay.extend((0,))
+        assert replay.link == {}
+        assert gs3.check(replay.proof).accepted
 
     def test_beta_replay_on_two_linked_leaves_makes_four(self):
-        gamma = [parse(DRINKER_NEG), parse("P | (C | E)")]
-        ct = prove(gamma)
+        ct = prove([parse(DRINKER_NEG), parse("P | (C | E)")])
         assert isinstance(ct, ClosedTableau)
-        proof = GsProof(tuple(ct.unifier.apply(f) for f in ct.root.formulas))
-        link = LinkMapping({(): ()}, "tableau")
-        part = InitialPart(frozenset())
+        replay = Replay(ct)
         fanout_seen = False
-        while True:
-            pending = open_fringe(ct.root, part)
-            if not pending:
-                break
-            leaf = min(pending)
-            fanned = link.preimage(leaf)
-            proof, link, part = parallel_extend(proof, link, ct, part, leaf)
-            if node_at(ct.root, leaf).rule.kind == "beta" and len(fanned) == 2:
+        for leaf, node in iter_nodes(ct.root):
+            if node.rule is None:
+                continue
+            fanned = replay.preimage(leaf)
+            replay.extend(leaf)
+            if node.rule.kind == "beta" and len(fanned) == 2:
                 fanout_seen = True
                 new_leaves = [
-                    s for s, q in link.mapping.items() if q in (leaf + (0,), leaf + (1,))
+                    s for s, q in replay.link.items() if q in (leaf + (0,), leaf + (1,))
                 ]
                 assert len(new_leaves) == 4
         assert fanout_seen
-        assert gs3.check(proof).accepted
+        assert replay.link == {}
+        assert gs3.check(replay.proof).accepted
+
+
+def graft(theta: GsProof, B, sko: App, delta_formula, principal):
+    """``delta_graft`` over the leaves ``B`` of a tree that no graft has
+    touched yet, with the state a translation would pass."""
+    builder = _Builder(Substitution({}, ground=True))
+    builder.leaves.update((p, n) for p, n in gs3.iter_nodes(theta) if n.is_open)
+    return delta_graft(theta, frozenset(B), sko, delta_formula, principal, TranslateStats(), True,
+                       {sko: 1}, builder)
 
 
 class TestDeltaGraft:
     def test_base_case_extends_by_weaken_delta_weaken_only(self):
-        root = (parse("P & Q"), parse("exists x. D(x)"))
+        principal = parse("exists x. D(x)")
+        root = (parse("P & (exists x. D(x))"),)
         theta = GsProof(root)
-        theta = gs3.build_step(theta, (), GsRule("and"), root[0])
+        gs3.build_step(theta, (), GsRule("and"), root[0])
         sko = App("sko1", ())
-        pi1, mu_part, mu_theta, held = delta_graft(
-            theta,
-            InitialPart(frozenset()),
-            frozenset({(0,)}),
-            sko,
-            parse("D(sko1)", allow_generated=True),
-            root[1],
-        )
-        new_rules = gs3.rule_names(pi1)[1:]
-        assert new_rules == ["weaken", "weaken", "exists"]
+        d_sko = parse("D(sko1)", allow_generated=True)
+        mu_part, mu_theta, held = graft(theta, {(0,)}, sko, d_sko, principal)
+        # The base graft weakens the B leaf down to the root sequent plus
+        # the principal, applies the existential rule and drops the extra
+        # principal; then theta's one rule is regrown on top.
+        assert gs3.rule_names(theta) == ["and", "weaken", "exists", "weaken", "and"]
         [(leaf, target)] = list(mu_part.items())
-        assert target == ()
+        assert target == (0,)
         assert mu_theta == {}
         assert held == {leaf}
-        expected = Counter(root) + Counter([parse("D(sko1)", allow_generated=True)])
-        assert Counter(gs3.node_at(pi1, leaf).sequent) == expected
+        expected = Counter(theta.children[0].sequent) + Counter([d_sko])
+        assert Counter(gs3.node_at(theta, leaf).sequent) == expected
 
     def test_base_case_with_single_leaf_b(self):
         theta = GsProof((parse("~(forall y. D(y))"),))
         sko = App("sko1", ())
-        pi1, mu_part, _, _ = delta_graft(
-            theta,
-            InitialPart(frozenset()),
-            frozenset({()}),
-            sko,
-            parse("~D(sko1)", allow_generated=True),
-            parse("~(forall y. D(y))"),
-        )
+        mu_part, _, _ = graft(
+            theta, {()}, sko, parse("~D(sko1)", allow_generated=True), parse("~(forall y. D(y))"))
         # the principal is a root formula, so no weakenings are needed
-        assert gs3.rule_names(pi1) == ["not_forall"]
+        assert gs3.rule_names(theta) == ["not_forall"]
         assert list(mu_part.values()) == [()]
 
     def test_nested_dependency_triggers_one_recursive_graft(self):
@@ -292,13 +292,11 @@ class TestDeltaGraft:
         assert any(after > before for before, after in stats.graft_leaf_growth)
 
 
-def grown_before_skolem_replacement(ct: ClosedTableau) -> GsProof:
-    """The proof ``translate`` builds, before its final rebuild."""
-    proof = GsProof(tuple(ct.unifier.apply(f) for f in ct.root.formulas))
-    link = LinkMapping({(): ()}, "tableau")
-    part = InitialPart(frozenset())
-    while pending := open_fringe(ct.root, part):
-        proof, link, part = parallel_extend(proof, link, ct, part, min(pending))
+def grown_before_skolem_replacement(ct: ClosedTableau, monkeypatch) -> GsProof:
+    """The proof ``translate`` grows, before its Skolem terms are replaced."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["tabseq.translate"], "replace_skolem_terms", lambda proof: proof)
+        proof, _ = translate_detailed(ct, audit=False)
     return proof
 
 
@@ -309,9 +307,9 @@ class TestInPlaceGrowth:
         parse("~((P | Q) => (Q | P))"),
         Not(growth_goal(3)),
     ], ids=["drinker", "nested", "or-commutes", "growth-3"])
-    def test_no_node_object_appears_twice(self, goal):
+    def test_no_node_object_appears_twice(self, goal, monkeypatch):
         ct = prove([goal])
-        for proof in (grown_before_skolem_replacement(ct), translate(ct)):
+        for proof in (grown_before_skolem_replacement(ct, monkeypatch), translate(ct)):
             ids = [id(n) for _, n in gs3.iter_nodes(proof)]
             assert len(ids) == len(set(ids))
 
@@ -324,19 +322,13 @@ class TestInPlaceGrowth:
         assert first == second
         assert tableau_to_json(ct) == tab
 
-    def test_delta_graft_returns_the_tree_it_was_given(self):
+    def test_delta_graft_grows_the_tree_it_was_given(self):
         root = (parse("P & Q"), parse("exists x. D(x)"))
         theta = gs3.build_step(GsProof(root), (), GsRule("and"), root[0])
         leaf = gs3.node_at(theta, (0,))
-        pi1, *_ = delta_graft(
-            theta,
-            InitialPart(frozenset()),
-            frozenset({(0,)}),
-            App("sko1", ()),
-            parse("D(sko1)", allow_generated=True),
-            root[1],
-        )
-        assert pi1 is theta and gs3.node_at(pi1, (0,)) is leaf
+        graft(theta, {(0,)}, App("sko1", ()), parse("D(sko1)", allow_generated=True), root[1])
+        assert gs3.node_at(theta, (0,)) is leaf
+        assert leaf.rule == GsRule("weaken") and not leaf.is_open
 
 
 class TestSkolemReplacement:
