@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
+from .tree import FormatError
+
 SKOLEM_NAME = re.compile(r"sko[0-9]+\Z")
 META_NAME = re.compile(r"X[0-9]+\Z")
 
@@ -728,3 +730,201 @@ def parse(text: str, *, allow_generated: bool = False) -> Formula:
 
 def parse_term(text: str, *, allow_generated: bool = False) -> Term:
     return _parse_whole(text, allow_generated, _Parser.parse_term)
+
+
+# ----------------------------------------------------------- file tables
+#
+# A version-2 proof file holds each distinct formula and term once, as one
+# entry of its table.  An entry is a JSON list whose first item is a tag,
+# and it refers to earlier entries by their index:
+#
+#   ["v", name]                 bound variable
+#   ["m", name]                 metavariable
+#   ["f", symbol, t1, ...]      application (a constant has no arguments)
+#   ["P", predicate, t1, ...]   atom
+#   ["~", i]  ["&", i, j]  ["|", i, j]  ["=>", i, j]
+#   ["forall", var, i]  ["exists", var, i]
+
+_TAGS = {Var: "v", Meta: "m", App: "f", Atom: "P", Not: "~", And: "&", Or: "|",
+         Implies: "=>", Forall: "forall", Exists: "exists"}
+_RANKS = {cls: rank for rank, cls in enumerate(_TAGS)}
+# Per tag: the class, whether its entry is a formula and carries a name,
+# whether its parts are formulas, and how many there are (None: any).
+_SPECS = {tag: (cls, cls in (Atom, Not, And, Or, Implies, Forall, Exists),
+                cls in (Var, Meta, App, Atom, Forall, Exists), cls not in (App, Atom),
+                {Var: 0, Meta: 0, App: None, Atom: None, Not: 1, Forall: 1, Exists: 1}.get(cls, 2))
+          for cls, tag in _TAGS.items()}
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NO_NAMES = frozenset()
+
+
+def _parts(x: Formula | Term) -> tuple:
+    """The subformulas and subterms an entry for ``x`` refers to, in order."""
+    cls = type(x)
+    if cls is Atom or cls is App:
+        return x.args
+    if cls is Not or cls is Forall or cls is Exists:
+        return (x.body,)
+    if cls is And or cls is Or or cls is Implies:
+        return (x.left, x.right)
+    if cls is Var or cls is Meta:
+        return ()
+    raise TypeError(f"not a formula or term: {x!r}")
+
+
+def _name(x: Formula | Term) -> str | None:
+    """The name an entry for ``x`` carries; None for a connective."""
+    cls = type(x)
+    if cls is Var or cls is Meta:
+        return x.name
+    if cls is App:
+        return x.symbol
+    if cls is Atom:
+        return x.predicate
+    if cls is Forall or cls is Exists:
+        return x.var
+    return None
+
+
+def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
+    """The table of a version-2 proof file that holds ``items``, with the
+    function that gives the entry of each item or part of one.
+
+    Equal formulas and terms share one entry.  The entries are sorted by
+    height, then by tag, name and the entries of their parts, so a part
+    comes before every entry that refers to it, and the table depends only
+    on the set of formulas and terms, not on their order or objects.  No
+    formula is hashed or compared: objects are found by identity and
+    entries by their contents.  DepthError if an item nests deeper than
+    ``MAX_DEPTH``.
+    """
+    distinct = {id(item): item for item in items}  # keeps every node alive
+    classes: dict[tuple, int] = {}  # (type, name, part classes) -> class
+    of: dict[int, int] = {}  # id(node) -> class
+    members: list[tuple[Formula | Term, list[int]]] = []  # per class: a node, its parts
+    levels: list[list[int]] = []  # classes by height, from 1
+    heights: list[int] = []
+    for item in distinct.values():
+        stack = [item]  # children first, without recursion
+        while stack:
+            node = stack[-1]
+            if id(node) in of:
+                stack.pop()
+                continue
+            missing = [p for p in _parts(node) if id(p) not in of]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            stack.pop()
+            parts = [of[id(p)] for p in _parts(node)]
+            key = (type(node), _name(node), *parts)
+            c = classes.get(key)
+            if c is None:
+                height = 1 + max((heights[p] for p in parts), default=0)
+                if height > MAX_DEPTH:
+                    raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
+                c = classes[key] = len(members)
+                members.append((node, parts))
+                heights.append(height)
+                if height > len(levels):
+                    levels.append([])
+                levels[height - 1].append(c)
+            of[id(node)] = c
+
+    index = [0] * len(members)  # class -> entry
+    entries: list[tuple] = []
+
+    def content(c: int) -> tuple:
+        node, parts = members[c]
+        return (_RANKS[type(node)], _name(node) or "", *[index[p] for p in parts])
+
+    for level in levels:
+        for c in sorted(level, key=content):
+            node, parts = members[c]
+            name = _name(node)
+            index[c] = len(entries)
+            parts = [index[p] for p in parts]
+            entries.append((_TAGS[type(node)], *parts) if name is None
+                           else (_TAGS[type(node)], name, *parts))
+    return entries, lambda x: index[of[id(x)]]
+
+
+class Table:
+    """The decoded table of a version-2 proof file, read in one flat loop.
+
+    Every entry must be well formed: a known tag, a name the grammar
+    accepts (with the generated ``skoN``/``XN`` families), the right number
+    of references, each to an earlier entry of the right sort (formula or
+    term), and no more than ``MAX_DEPTH`` levels of nesting.  Equal
+    references give one shared object.  ``formula`` and ``term`` hand out
+    entries that may stand alone: closed, with no bound variable free.
+    """
+
+    def __init__(self, raw) -> None:
+        if type(raw) is not list:
+            raise FormatError("table must be a list")
+        # Per entry: (object, is a formula, depth, free bound variables).
+        entries: list[tuple[Formula | Term, bool, int, frozenset]] = []
+        for pos, entry in enumerate(raw):
+            if type(entry) is not list or not entry or type(entry[0]) is not str:
+                raise FormatError(f"table entry {pos} must be a list that starts with a tag")
+            spec = _SPECS.get(entry[0])
+            if spec is None:
+                raise FormatError(f"table entry {pos} has the unknown tag {entry[0]!r}")
+            cls, formula, named, part_formula, count = spec
+            name = entry[1] if named and len(entry) > 1 else None
+            if named and not (type(name) is str and (META_NAME.match(name) if cls is Meta else
+                                                     _IDENT.match(name) and name not in
+                                                     ("forall", "exists"))):
+                raise FormatError(f"table entry {pos} has no valid name for {entry[0]!r}")
+            refs = entry[2:] if named else entry[1:]
+            if count is not None and len(refs) != count:
+                raise FormatError(f"table entry {pos} has the wrong length for {entry[0]!r}")
+            parts = []
+            for ref in refs:
+                if type(ref) is not int or not 0 <= ref < pos:
+                    raise FormatError(f"table entry {pos} refers to {ref!r}, "
+                                      "not to an earlier entry")
+                parts.append(entries[ref])
+                if parts[-1][1] is not part_formula:
+                    raise FormatError(f"table entry {pos} needs "
+                                      f"{'a formula' if part_formula else 'a term'} "
+                                      f"where entry {ref} is not one")
+            objs = [part[0] for part in parts]
+            free = _NO_NAMES
+            for part in parts:
+                if part[3]:
+                    free = free | part[3]
+            if cls is Var:
+                obj, free = Var(name), frozenset((name,))
+            elif cls is Meta:
+                obj = Meta(name)
+            elif cls is App or cls is Atom:
+                obj = cls(name, tuple(objs))
+            elif named:
+                obj, free = cls(name, objs[0]), free - {name}
+            else:
+                obj = cls(*objs)
+            depth = 1 + max((part[2] for part in parts), default=0)
+            if depth > MAX_DEPTH:
+                raise FormatError(f"table entry {pos} is nested deeper than {MAX_DEPTH} levels")
+            entries.append((obj, formula, depth, free))
+        self._entries = entries
+
+    def _closed(self, raw, formula: bool, what: str) -> Formula | Term:
+        if type(raw) is not int or not 0 <= raw < len(self._entries):
+            raise FormatError(f"{what} {raw!r} is not the index of a table entry")
+        obj, is_formula, _, free = self._entries[raw]
+        if is_formula is not formula:
+            raise FormatError(f"{what} must be {'a formula' if formula else 'a term'}")
+        if free:
+            raise FormatError(f"{what} has the free bound variable {min(free)}")
+        return obj
+
+    def formula(self, raw, what: str) -> Formula:
+        """The closed formula at index ``raw``, or a FormatError naming ``what``."""
+        return self._closed(raw, True, what)
+
+    def term(self, raw, what: str) -> Term:
+        """The closed term at index ``raw``, or a FormatError naming ``what``."""
+        return self._closed(raw, False, what)

@@ -27,8 +27,9 @@ from .formula import (
     Implies,
     Not,
     Or,
+    Table,
     Term,
-    check_depth,
+    encode_table,
     formula_symbols,
     has_metas,
     is_ground_term,
@@ -41,7 +42,18 @@ from .formula import (
 )
 
 # ``replace_at`` is not used here; callers reach it as ``gs3.replace_at``.
-from .tree import FormatError, Path, format_path, iter_nodes, node_at, parse_field, replace_at
+from .tree import (
+    FormatError,
+    Path,
+    entry_index,
+    file_version,
+    format_path,
+    iter_nodes,
+    load_json,
+    node_at,
+    parse_field,
+    replace_at,
+)
 
 Sequent = tuple[Formula, ...]
 
@@ -226,15 +238,24 @@ def check(proof: GsProof) -> CheckResult:
     equals the count of the node's sequent.  A key is remembered only once
     it has been accepted, so a node with a remembered key would be
     accepted again, and skipping it cannot change the first rejection.
+
+    A node object met again, as in a proof read back from a file, whose
+    equal subproofs are one object, is skipped with its whole subproof: the
+    walk finished that subproof, and accepted it, when it first met the
+    object, since an object cannot lie below itself.
     """
     ground: set[Formula] = set()  # sequent formulas already found free of metavariables
     accepted: dict[tuple, list[dict[Formula, int]]] = {}  # key -> premise multisets
+    met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset, counted while checking its
     # parent, is the child's conclusion.
     stack: list[tuple[Path, GsProof, dict[Formula, int]]] = [
         ((), proof, _multiset(proof.sequent))]
     while stack:
         path, node, conclusion = stack.pop()
+        if id(node) in met:
+            continue
+        met.add(id(node))
         children = node.children
         key = (node.sequent, node.rule, node.principal, tuple([c.sequent for c in children]))
         premises = accepted.get(key)
@@ -414,41 +435,99 @@ def build_step(
 
 
 # --------------------------------------------------------------- serialize
+#
+# A version-2 file is one flat JSON object with ``version`` 2 and:
+# - ``table``: the distinct formulas and terms (see ``formula.encode_table``);
+# - ``sequents``: each [base, [[table entry, count], ...]], the pairs sorted
+#   by entry.  The sequent is the earlier sequent ``base`` (or, for null,
+#   the empty one) with the count of each listed formula set to the given
+#   one; 0 removes it.  A premise differs from its conclusion by a formula
+#   or two, so each sequent is written as a change to its first parent's;
+# - ``nodes``: each [sequent, rule name, principal, witness, [children]],
+#   every child before its parent, and equal subproofs one entry;
+# - ``root``: the index of the root node.
+# A file without ``version`` is version 1: one nested node record per
+# proof node, with formulas as text.
 
-
-def _node_to_record(node: GsProof, sequent: Callable[[Sequent], list],
-                    formula: Callable[[Formula], str], term: Callable[[Term], str]) -> dict:
-    record: dict = {
-        "sequent": sequent(node.sequent),
-        "rule": None,
-        "children": [_node_to_record(c, sequent, formula, term) for c in node.children],
-    }
-    if node.rule is not None:
-        rule: dict = {"name": node.rule.name,
-                      "principal": formula(node.principal)}
-        if node.rule.witness is not None:
-            rule["witness"] = term(node.rule.witness)
-        record["rule"] = rule
-    return record
+MAX_OCCURRENCES = 10_000_000  # formula occurrences over a file's sequents
 
 
 def proof_to_json(proof: GsProof) -> str:
-    """Canonical serialization: sorted keys and sequent entries, compact.
+    """Canonical version-2 serialization, compact with sorted keys.
 
-    Each distinct formula or term is printed once per call, and each
-    distinct sequent's entry list is built once per call.  A formula
-    nested deeper than ``MAX_DEPTH`` is a DepthError, since the reader
-    would refuse the file.
+    One walk, children first, numbers each distinct (sequent, rule,
+    principal, children) once; a node object met again, as in a read-back
+    proof, is not walked again.  Numbers that stand for equal subproofs
+    whose sequents list their formulas in another order then meet in one
+    node entry.  The table lists the formulas in an order fixed by their
+    structure, so the text does not depend on the order of formulas within
+    a sequent.  A formula nested deeper than ``MAX_DEPTH`` is a DepthError,
+    since the reader would refuse the file.
     """
-    formula = functools.cache(lambda f: print_formula(check_depth(f)))
-    term = functools.cache(lambda t: print_term(check_depth(t)))
+    sequents: dict[Sequent, int] = {}
+    keys: dict[tuple, int] = {}  # (sequent number, rule, principal, children) -> number
+    numbers: dict[int, int] = {}  # id(node) -> number of its key
+    stack: list[tuple[GsProof, bool]] = [(proof, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in numbers:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
+               tuple([numbers[id(child)] for child in node.children]))
+        numbers[id(node)] = keys.setdefault(key, len(keys))
 
-    @functools.cache
-    def sequent(seq: Sequent) -> list:
-        counts = Counter(map(formula, seq))
-        return [[text, n] for text, n in sorted(counts.items())]
+    items = [f for seq in sequents for f in seq]
+    for _, rule, principal, _ in keys:
+        if principal is not None:
+            items.append(principal)
+        if rule is not None and rule.witness is not None:
+            items.append(rule.witness)
+    table, entry = encode_table(items)
+    counts = [tuple(sorted(Counter(map(entry, seq)).items())) for seq in sequents]
 
-    record = _node_to_record(proof, sequent, formula, term)
+    multisets: dict[tuple, int] = {}  # sorted (entry, count) pairs -> number
+    node_entries: dict[tuple, int] = {}
+    entries: list[int] = []  # key number -> node entry
+    for seq, rule, principal, children in keys:
+        node = (multisets.setdefault(counts[seq], len(multisets)),
+                None if rule is None else rule.name,
+                None if rule is None or principal is None else entry(principal),
+                None if rule is None or rule.witness is None else entry(rule.witness),
+                tuple([entries[c] for c in children]))
+        entries.append(node_entries.setdefault(node, len(node_entries)))
+    nodes = list(node_entries)
+    root = entries[numbers[id(proof)]]
+
+    # The sequents in the order a preorder walk from the root first meets
+    # them, each as a change to the sequent of the node's first parent.
+    pairs = list(multisets)
+    seq_entries: dict[int, int] = {}  # multiset number -> sequent entry
+    seq_records: list[list] = []
+    met: set[int] = set()
+    walk: list[tuple[int, int | None]] = [(root, None)]
+    while walk:
+        n, base = walk.pop()
+        if n in met:
+            continue
+        met.add(n)
+        multiset = nodes[n][0]
+        if multiset not in seq_entries:
+            seq_entries[multiset] = len(seq_records)
+            now = dict(pairs[multiset])
+            if base is None:
+                seq_records.append([None, sorted(now.items())])
+            else:
+                before = dict(pairs[base])
+                change = {f: c for f, c in now.items() if before.get(f) != c}
+                change.update((f, 0) for f in before if f not in now)
+                seq_records.append([seq_entries[base], sorted(change.items())])
+        walk.extend((child, multiset) for child in reversed(nodes[n][4]))
+    record = {"version": 2, "table": table, "sequents": seq_records,
+              "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -487,13 +566,77 @@ def _node_from_record(record, sequent: Callable[[tuple], Sequent],
 
 
 def proof_from_json(text: str) -> GsProof:
-    """Read a proof written by ``proof_to_json``.
+    """Read a proof written by ``proof_to_json``, or a version-1 file.
 
-    Each distinct formula or term text is parsed once per call, so equal
+    A version-2 file is read in flat loops: each node entry becomes one
+    ``GsProof``, shared by every parent that refers to it, so a read-back
+    proof is a DAG.  Any malformed entry, a reference to a later or
+    missing entry, a term where a formula belongs or the reverse, or a
+    sequent formula, principal or witness with a free bound variable is a
+    FormatError.
+    """
+    record = load_json(text, "proof")
+    if file_version(record) == 2:
+        return _proof_from_v2(record)
+    return _proof_from_v1(record)
+
+
+def _proof_from_v2(record: dict) -> GsProof:
+    table = Table(record.get("table"))
+    raw_sequents = record.get("sequents")
+    if type(raw_sequents) is not list:
+        raise FormatError("sequents must be a list")
+    counts: list[dict[int, int]] = []  # per sequent: table entry -> count
+    sequents: list[Sequent] = []
+    formulas: dict[int, Formula] = {}
+    occurrences = 0
+    for raw in raw_sequents:
+        if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
+            raise FormatError("a sequent must be [base, [[formula, count], ...]]")
+        base, pairs = raw
+        count = {} if base is None else dict(counts[entry_index(base, len(counts), "base")])
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
+                raise FormatError("sequent entries must be [formula, count] pairs")
+            f, n = pair
+            formulas[f] = table.formula(f, "sequent formula")
+            if n:
+                count[f] = n
+            else:
+                count.pop(f, None)
+        occurrences += sum(count.values())
+        if occurrences > MAX_OCCURRENCES:
+            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
+        counts.append(count)
+        sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
+    raw_nodes = record.get("nodes")
+    if type(raw_nodes) is not list:
+        raise FormatError("nodes must be a list")
+    nodes: list[GsProof] = []
+    for raw in raw_nodes:
+        if type(raw) is not list or len(raw) != 5 or type(raw[4]) is not list:
+            raise FormatError("a node must be [sequent, rule, principal, witness, [children]]")
+        seq, name, principal, witness, children = raw
+        sequent = sequents[entry_index(seq, len(sequents), "sequent")]
+        rule = None
+        if name is not None:
+            if type(name) is not str:
+                raise FormatError("rule name must be a string")
+            rule = GsRule(name, None if witness is None else table.term(witness, "witness"))
+            if principal is not None:
+                principal = table.formula(principal, "principal")
+        elif principal is not None or witness is not None:
+            raise FormatError("a node without a rule has a principal or witness")
+        nodes.append(GsProof(sequent, rule, principal, tuple(
+            [nodes[entry_index(child, len(nodes), "child")] for child in children])))
+    return nodes[entry_index(record.get("root"), len(nodes), "root")]
+
+
+def _proof_from_v1(record) -> GsProof:
+    """Each distinct formula or term text is parsed once per call, so equal
     texts read back as one shared object, and each distinct validated
     sequent entry list becomes its formula tuple once per call.  Nesting
-    too deep to walk is a FormatError.
-    """
+    too deep to walk is a FormatError."""
     formula = functools.cache(lambda s: parse(s, allow_generated=True))
     term = functools.cache(lambda s: parse_term(s, allow_generated=True))
 
@@ -508,9 +651,7 @@ def proof_from_json(text: str) -> GsProof:
         return tuple(formulas)
 
     try:
-        return _node_from_record(json.loads(text), sequent, formula, term)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e}") from None
+        return _node_from_record(record, sequent, formula, term)
     except RecursionError:
         raise FormatError("proof nested too deeply") from None
 

@@ -24,9 +24,10 @@ from .formula import (
     RuleClass,
     Term,
     alpha_parts,
+    Table,
     beta_parts,
-    check_depth,
     classify,
+    encode_table,
     formula_symbols,
     free_metas,
     parse,
@@ -37,7 +38,18 @@ from .formula import (
     term_metas,
 )
 # ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
-from .tree import FormatError, Path, format_path, iter_nodes, node_at, parse_field, replace_at
+from .tree import (
+    FormatError,
+    Path,
+    entry_index,
+    file_version,
+    format_path,
+    iter_nodes,
+    load_json,
+    node_at,
+    parse_field,
+    replace_at,
+)
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
 
 CLOSURE = "closure"
@@ -410,6 +422,9 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             if rule.closure_pair is None:
                 raise AuditError(f"closure without pair at {format_path(path)}")
             pos, neg = rule.closure_pair
+            if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
+                raise AuditError(f"closure pair is not an atom and a negated atom at "
+                                 f"{format_path(path)}")
             if pos not in node.formulas or neg not in node.formulas:
                 raise AuditError(f"closure pair absent at {format_path(path)}")
             if not node.children[0].closed:
@@ -453,61 +468,78 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 
 
 # --------------------------------------------------------------- serialize
+#
+# A version-2 file is one flat JSON object: ``table`` (the distinct
+# formulas and terms, see ``formula.encode_table``), ``nodes`` (one entry
+# per tableau node, [[formulas], rule, [children], closed], every child
+# before its parent and each used once), ``root``, the constraint
+# ``store`` ([lhs, rhs] pairs), the ground ``unifier`` ([metavariable,
+# term] pairs sorted by name) and ``version``.  A rule is [class,
+# principal, [[introduced], ...], meta, skolem, closure pair], with null
+# for an absent field.  Every formula and term is a table index.  A file
+# without ``version`` is version 1: nested node records, formulas as text.
 
-
-def _rule_to_record(rule: RuleInstance, formula: Callable[[Formula], str],
-                    term: Callable[[Term], str]) -> dict:
-    record: dict = {
-        "class": rule.kind,
-        "principal": formula(rule.principal) if rule.principal is not None else None,
-        "introduced": [[formula(f) for f in child] for child in rule.introduced],
-    }
-    if rule.meta is not None:
-        record["meta"] = rule.meta.name
-    if rule.skolem is not None:
-        record["skolem"] = term(rule.skolem)
-    if rule.closure_pair is not None:
-        record["closure_pair"] = [formula(rule.closure_pair[0]), formula(rule.closure_pair[1])]
-    return record
-
-
-def _node_to_record(node: TableauNode, formula: Callable[[Formula], str],
-                    term: Callable[[Term], str]) -> dict:
-    return {
-        "formulas": [formula(f) for f in node.formulas],
-        "rule": _rule_to_record(node.rule, formula, term) if node.rule is not None else None,
-        "children": [_node_to_record(c, formula, term) for c in node.children],
-        "closed": node.closed,
-    }
+RULE_CLASSES = ("alpha", "beta", "gamma", "delta", CLOSURE)
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
-    """Canonical serialization: sorted keys, no insignificant whitespace.
+    """Canonical version-2 serialization, compact with sorted keys.
 
-    Each distinct formula or term is printed once per call.  One nested
+    The nodes are written children first, in one walk.  A formula nested
     deeper than ``MAX_DEPTH`` is a DepthError, since the reader would
     refuse the file.
     """
-    formula = functools.cache(lambda f: print_formula(check_depth(f)))
-    term = functools.cache(lambda t: print_term(check_depth(t)))
+    bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
+    items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
+    items += [x for binding in bindings for x in binding]
+    for _, node in iter_nodes(ct.root):
+        items += node.formulas
+        rule = node.rule
+        if rule is not None:
+            items += [x for x in (rule.principal, rule.meta, rule.skolem) if x is not None]
+            items += [f for child in rule.introduced for f in child]
+            items += rule.closure_pair or ()
+    table, entry = encode_table(items)
+
+    def optional(x):
+        return None if x is None else entry(x)
+
+    nodes: list[list] = []
+    done: list[int] = []  # entries of finished nodes whose parent is not yet written
+    stack: list[tuple[TableauNode, bool]] = [(ct.root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        rule = node.rule
+        if rule is not None:
+            pair = rule.closure_pair
+            rule = [rule.kind, optional(rule.principal),
+                    [[entry(f) for f in child] for child in rule.introduced],
+                    optional(rule.meta), optional(rule.skolem),
+                    None if pair is None else [entry(pair[0]), entry(pair[1])]]
+        split = len(done) - len(node.children)
+        children = done[split:]
+        del done[split:]
+        done.append(len(nodes))
+        nodes.append([[entry(f) for f in node.formulas], rule, children, node.closed])
     record = {
-        "root": _node_to_record(ct.root, formula, term),
-        "store": [
-            [_side_str(c.lhs, formula, term), _side_str(c.rhs, formula, term)]
-            for c in ct.store.constraints
-        ],
-        "unifier": sorted(
-            f"{name} := {term(t)}" for name, t in ct.unifier.items()
-        ),
+        "version": 2,
+        "table": table,
+        "nodes": nodes,
+        "root": done[0],
+        "store": [[entry(c.lhs), entry(c.rhs)] for c in ct.store.constraints],
+        "unifier": [[entry(m), entry(t)] for m, t in bindings],
     }
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _side_str(side, formula: Callable[[Formula], str] = print_formula,
-              term: Callable[[Term], str] = print_term) -> str:
+def _side_str(side) -> str:
     if isinstance(side, (Atom, Not)):
-        return formula(side)
-    return term(side)
+        return print_formula(side)
+    return print_term(side)
 
 
 def _rule_from_record(record, formula: Callable[[str], Formula],
@@ -564,20 +596,94 @@ def _node_from_record(record, formula: Callable[[str], Formula],
 
 
 def tableau_from_json(text: str) -> ClosedTableau:
-    """Read a tableau written by ``tableau_to_json``.
+    """Read a tableau written by ``tableau_to_json``, or a version-1 file.
 
-    Each distinct formula or term text is parsed once per call, so equal
-    texts read back as one shared object.  Nesting too deep to walk is a
-    FormatError.
+    A version-2 file is read in flat loops, one ``TableauNode`` per node
+    entry.  Any malformed entry, a reference to a later or missing entry,
+    a node used twice, a term where a formula belongs or the reverse, or
+    a formula or term with a free bound variable is a FormatError.
     """
+    record = load_json(text, "tableau")
+    if file_version(record) == 2:
+        return _tableau_from_v2(record)
+    # Version 1: each distinct formula or term text is parsed once per
+    # call, so equal texts read back as one shared object.
     formula = functools.cache(lambda s: parse(s, allow_generated=True))
     term = functools.cache(lambda s: parse_term(s, allow_generated=True))
     try:
-        return _tableau_from_record(json.loads(text), formula, term)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"not valid JSON: {e}") from None
+        return _tableau_from_record(record, formula, term)
     except RecursionError:
         raise FormatError("tableau nested too deeply") from None
+
+
+def _tableau_from_v2(record: dict) -> ClosedTableau:
+    table = Table(record.get("table"))
+    formula, term = table.formula, table.term
+    raw_nodes = record.get("nodes")
+    if type(raw_nodes) is not list:
+        raise FormatError("nodes must be a list")
+    nodes: list[TableauNode] = []
+    used: list[bool] = []
+    for raw in raw_nodes:
+        if (type(raw) is not list or len(raw) != 4 or type(raw[0]) is not list
+                or type(raw[2]) is not list or type(raw[3]) is not bool):
+            raise FormatError("a node must be [[formulas], rule, [children], closed]")
+        children = []
+        for child in raw[2]:
+            i = entry_index(child, len(nodes), "child")
+            if used[i]:
+                raise FormatError(f"node {i} is the child of two nodes")
+            used[i] = True
+            children.append(nodes[i])
+        rule = None if raw[1] is None else _rule_from_v2(raw[1], formula, term)
+        nodes.append(TableauNode(tuple([formula(f, "formula") for f in raw[0]]), rule,
+                                 tuple(children), raw[3]))
+        used.append(False)
+    root = entry_index(record.get("root"), len(nodes), "root")
+    if used[root]:
+        raise FormatError(f"root {root} is the child of a node")
+    store = record.get("store")
+    if type(store) is not list or not all(type(c) is list and len(c) == 2 for c in store):
+        raise FormatError("store must be a list of [lhs, rhs] pairs")
+    unifier = record.get("unifier")
+    if type(unifier) is not list or not all(type(b) is list and len(b) == 2 for b in unifier):
+        raise FormatError("unifier must be a list of [metavariable, term] pairs")
+    bindings: dict[str, Term] = {}
+    for meta, t in unifier:
+        meta = term(meta, "unifier entry")
+        if not isinstance(meta, Meta):
+            raise FormatError(f"unifier binds the non-metavariable {print_term(meta)}")
+        bindings[meta.name] = term(t, "unifier entry")
+    constraints = tuple(Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
+                        for lhs, rhs in store)
+    return ClosedTableau(nodes[root], ConstraintStore(constraints),
+                         Substitution(bindings, ground=True))
+
+
+def _rule_from_v2(raw, formula, term) -> RuleInstance:
+    if type(raw) is not list or len(raw) != 6:
+        raise FormatError("a rule must be [class, principal, introduced, meta, skolem, pair]")
+    kind, principal, introduced, meta, skolem, pair = raw
+    if kind not in RULE_CLASSES:
+        raise FormatError(f"unknown rule class {kind!r}")
+    if type(introduced) is not list or not all(type(c) is list for c in introduced):
+        raise FormatError("introduced must be a list of lists")
+    if meta is not None:
+        meta = term(meta, "meta field")
+        if not isinstance(meta, Meta):
+            raise FormatError("meta field is not a metavariable")
+    if skolem is not None:
+        skolem = term(skolem, "skolem field")
+        if not isinstance(skolem, App) or not skolem.is_skolem:
+            raise FormatError("skolem field is not a Skolem term")
+    if pair is not None:
+        if type(pair) is not list or len(pair) != 2:
+            raise FormatError("closure_pair must be a two-element list")
+        pair = (formula(pair[0], "closure pair"), formula(pair[1], "closure pair"))
+    return RuleInstance(
+        kind, None if principal is None else formula(principal, "principal"),
+        tuple(tuple([formula(f, "introduced formula") for f in child]) for child in introduced),
+        meta=meta, skolem=skolem, closure_pair=pair)
 
 
 def _tableau_from_record(record, formula: Callable[[str], Formula],

@@ -3,12 +3,14 @@
 Both trees are dataclasses whose nodes hold their subtrees in a
 ``children`` tuple.  Paths address nodes as 0/1 sequences, the root being
 the empty sequence.  This module imports nothing from the package, so the
-independent checker may use it.
+independent checker may use it.  It also holds what the proof-file readers
+share: their error, JSON loading and field checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Callable, Iterator, TypeVar
 
 Path = tuple[int, ...]
@@ -74,3 +76,34 @@ def parse_field(read: Callable[[str], T], raw, what: str) -> T:
         return read(raw)
     except ValueError as e:
         raise FormatError(f"bad {what}: {e}") from None
+
+
+def load_json(text: str, what: str):
+    """The JSON value of a proof file; invalid JSON, or JSON nested too
+    deeply to decode, is a FormatError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise FormatError(f"{what} nested too deeply") from None
+
+
+def file_version(record) -> int:
+    """2 for a version-2 proof file's top-level object, 1 for one without a
+    ``version`` field; any other version is a FormatError."""
+    if not isinstance(record, dict) or "version" not in record:
+        return 1
+    version = record["version"]
+    if type(version) is not int or version != 2:
+        raise FormatError(f"unknown version {version!r}")
+    return 2
+
+
+def entry_index(raw, bound: int, what: str) -> int:
+    """``raw`` itself if it is an integer in ``range(bound)``; anything
+    else is a FormatError.  A version-2 file refers to its entries this way,
+    each only to entries before it."""
+    if type(raw) is not int or not 0 <= raw < bound:
+        raise FormatError(f"{what} {raw!r} does not refer to an earlier entry")
+    return raw

@@ -257,14 +257,17 @@ def set_formula(record):
     record["root"]["formulas"][0] = 7
 
 
-class TestMalformedFields:
-    """Mistyped fields are malformed files: exit status 2, a message, and no
-    traceback, never the Rejected/Exhausted status 1."""
+V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 
-    def mutated(self, tmp_path, drinker_file, suffix, mutate):
-        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "both"]) == 0
+
+class TestMalformedFields:
+    """Mistyped fields of a version-1 file are malformed files: exit status
+    2, a message, and no traceback, never the Rejected/Exhausted status 1.
+    The files are the drinker proofs the version-1 writers wrote."""
+
+    def mutated(self, tmp_path, suffix, mutate):
         path = tmp_path / f"drinker{suffix}"
-        record = json.loads(path.read_text(encoding="utf-8"))
+        record = json.loads((V1_FIXTURES / path.name).read_text(encoding="utf-8"))
         mutate(record)
         path.write_text(json.dumps(record), encoding="utf-8")
         return path
@@ -278,8 +281,8 @@ class TestMalformedFields:
         set_in_rule("principal", 5),
         set_sequent_formula,
     ])
-    def test_check_exits_two(self, tmp_path, drinker_file, capsys, mutate):
-        path = self.mutated(tmp_path, drinker_file, ".gs3", mutate)
+    def test_check_exits_two(self, tmp_path, capsys, mutate):
+        path = self.mutated(tmp_path, ".gs3", mutate)
         capsys.readouterr()
         assert run_cli(["check", str(path)]) == 2
         err = capsys.readouterr().err
@@ -300,8 +303,8 @@ class TestMalformedFields:
         set_top("unifier", ["X1( := a"]),
         set_formula,
     ])
-    def test_translate_exits_two(self, tmp_path, drinker_file, capsys, mutate):
-        path = self.mutated(tmp_path, drinker_file, ".tab", mutate)
+    def test_translate_exits_two(self, tmp_path, capsys, mutate):
+        path = self.mutated(tmp_path, ".tab", mutate)
         capsys.readouterr()
         assert run_cli(["translate", str(path)]) == 2
         err = capsys.readouterr().err
