@@ -2,14 +2,17 @@
 on the family of conjoined existential-instance goals.
 
 Every existential step clones the sequent proof built so far, so the ratio
-climbs steeply with the number of conjuncts.  This script prints sizes and
-the checker's verdict only; for times per stage run
+climbs steeply with the number of conjuncts, while the clones repeat the
+same few subproofs: the ``entries`` column counts the node entries of the
+written ``.gs3``, which lists each distinct subproof once.  This script
+prints sizes and the checker's verdict only; for times per stage run
 ``python3 perfbench/run.py --workload growth --seed 1 --seconds 0 --max-k 4``.
 
 Usage: python scripts/growth_curve.py [--max-k K]
 """
 
 import argparse
+import json
 
 from tabseq import gs3
 from tabseq.formula import Not
@@ -23,7 +26,7 @@ def main() -> None:
     parser.add_argument("--max-k", type=int, default=4)
     args = parser.parse_args()
 
-    print(f"{'k':>3} {'tableau':>8} {'sequent':>9} {'ratio':>10} {'verdict':>9}")
+    print(f"{'k':>3} {'tableau':>8} {'sequent':>9} {'ratio':>10} {'entries':>8} {'verdict':>9}")
     failures = 0
     for k in range(1, args.max_k + 1):
         ct = prove([Not(growth_goal(k))])
@@ -33,7 +36,8 @@ def main() -> None:
             failures += 1
         word = "accepted" if verdict else "REJECTED"
         t, g = rule_count(ct.root), gs3.inference_count(proof)
-        print(f"{k:>3} {t:>8} {g:>9} {g / t:>10.2f} {word:>9}")
+        entries = len(json.loads(gs3.proof_to_json(proof))["nodes"])
+        print(f"{k:>3} {t:>8} {g:>9} {g / t:>10.2f} {entries:>8} {word:>9}")
     raise SystemExit(1 if failures else 0)
 
 

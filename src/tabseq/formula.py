@@ -340,17 +340,6 @@ def nesting_depth(x: Formula | Term) -> int:
     return deepest
 
 
-def check_depth(x: Formula | Term) -> Formula | Term:
-    """``x`` itself, or DepthError if it nests deeper than ``MAX_DEPTH``.
-
-    The proof writers pass every formula and term through this, so a file
-    they write never holds one that the readers would refuse.
-    """
-    if nesting_depth(x) > MAX_DEPTH:
-        raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
-    return x
-
-
 def term_metas(t: Term) -> tuple[Meta, ...]:
     out: list[Meta] = []
     for sub in _term_iter(t):
@@ -796,7 +785,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
     on the set of formulas and terms, not on their order or objects.  No
     formula is hashed or compared: objects are found by identity and
     entries by their contents.  DepthError if an item nests deeper than
-    ``MAX_DEPTH``.
+    ``MAX_DEPTH``, so no writer emits an entry the readers would refuse.
     """
     distinct = {id(item): item for item in items}  # keeps every node alive
     classes: dict[tuple, int] = {}  # (type, name, part classes) -> class

@@ -22,9 +22,9 @@ from .formula import (
     Meta,
     Not,
     RuleClass,
+    Table,
     Term,
     alpha_parts,
-    Table,
     beta_parts,
     classify,
     encode_table,
@@ -485,14 +485,22 @@ RULE_CLASSES = ("alpha", "beta", "gamma", "delta", CLOSURE)
 def tableau_to_json(ct: ClosedTableau) -> str:
     """Canonical version-2 serialization, compact with sorted keys.
 
-    The nodes are written children first, in one walk.  A formula nested
-    deeper than ``MAX_DEPTH`` is a DepthError, since the reader would
-    refuse the file.
+    The nodes are written children first.  A formula nested deeper than
+    ``MAX_DEPTH`` is a DepthError, since the reader would refuse the file.
     """
+    order: list[TableauNode] = []  # children first
+    stack: list[tuple[TableauNode, bool]] = [(ct.root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
     items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
     items += [x for binding in bindings for x in binding]
-    for _, node in iter_nodes(ct.root):
+    for node in order:
         items += node.formulas
         rule = node.rule
         if rule is not None:
@@ -505,14 +513,8 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         return None if x is None else entry(x)
 
     nodes: list[list] = []
-    done: list[int] = []  # entries of finished nodes whose parent is not yet written
-    stack: list[tuple[TableauNode, bool]] = [(ct.root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-            continue
+    done: list[int] = []  # entries of written nodes whose parent is not yet written
+    for node in order:
         rule = node.rule
         if rule is not None:
             pair = rule.closure_pair

@@ -24,7 +24,7 @@ from tabseq.formula import (
     RuleClass,
     Var,
     apply_subst,
-    check_depth,
+    encode_table,
     classify,
     const,
     alpha_parts,
@@ -170,11 +170,12 @@ class TestDepthBound:
         with pytest.raises(ParseError, match="nested deeper"):
             parse_term("f(" * 3000 + "a" + ")" * 3000)
 
-    def test_check_depth(self):
+    def test_table_encoder_refuses_deeper_entries(self):
         at_bound = parse_term("f(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1))
-        assert check_depth(at_bound) is at_bound
+        table, entry = encode_table([at_bound])
+        assert len(table) == MAX_DEPTH and entry(at_bound) == MAX_DEPTH - 1
         with pytest.raises(DepthError, match="nested deeper"):
-            check_depth(Atom("P", (at_bound,)))
+            encode_table([Atom("P", (at_bound,))])
 
 
 def field_hash(node):
