@@ -52,6 +52,7 @@ from .tree import (
     load_json,
     node_at,
     parse_field,
+    postorder,
     replace_at,
 )
 
@@ -467,15 +468,7 @@ def proof_to_json(proof: GsProof) -> str:
     sequents: dict[Sequent, int] = {}
     keys: dict[tuple, int] = {}  # (sequent number, rule, principal, children) -> number
     numbers: dict[int, int] = {}  # id(node) -> number of its key
-    stack: list[tuple[GsProof, bool]] = [(proof, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in numbers:
-            continue
-        if not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-            continue
+    for node in postorder(proof):
         key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
                tuple([numbers[id(child)] for child in node.children]))
         numbers[id(node)] = keys.setdefault(key, len(keys))

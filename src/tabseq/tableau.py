@@ -48,6 +48,7 @@ from .tree import (
     load_json,
     node_at,
     parse_field,
+    postorder,
     replace_at,
 )
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
@@ -488,15 +489,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     The nodes are written children first.  A formula nested deeper than
     ``MAX_DEPTH`` is a DepthError, since the reader would refuse the file.
     """
-    order: list[TableauNode] = []  # children first
-    stack: list[tuple[TableauNode, bool]] = [(ct.root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
+    order = list(postorder(ct.root))
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
     items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
     items += [x for binding in bindings for x in binding]
@@ -513,7 +506,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         return None if x is None else entry(x)
 
     nodes: list[list] = []
-    done: list[int] = []  # entries of written nodes whose parent is not yet written
+    numbers: dict[int, int] = {}  # id(node) -> node entry
     for node in order:
         rule = node.rule
         if rule is not None:
@@ -522,16 +515,14 @@ def tableau_to_json(ct: ClosedTableau) -> str:
                     [[entry(f) for f in child] for child in rule.introduced],
                     optional(rule.meta), optional(rule.skolem),
                     None if pair is None else [entry(pair[0]), entry(pair[1])]]
-        split = len(done) - len(node.children)
-        children = done[split:]
-        del done[split:]
-        done.append(len(nodes))
-        nodes.append([[entry(f) for f in node.formulas], rule, children, node.closed])
+        numbers[id(node)] = len(nodes)
+        nodes.append([[entry(f) for f in node.formulas], rule,
+                      [numbers[id(child)] for child in node.children], node.closed])
     record = {
         "version": 2,
         "table": table,
         "nodes": nodes,
-        "root": done[0],
+        "root": len(nodes) - 1,
         "store": [[entry(c.lhs), entry(c.rhs)] for c in ct.store.constraints],
         "unifier": [[entry(m), entry(t)] for m, t in bindings],
     }

@@ -67,6 +67,24 @@ def iter_nodes(root: N) -> Iterator[tuple[Path, N]]:
             stack.append((path + (bit,), node.children[bit]))
 
 
+def postorder(root: N) -> Iterator[N]:
+    """Each node object once, after its children, left to right, without
+    recursion; a node object reached again through another parent, as in a
+    proof read back from a file, is not walked again."""
+    done: set[int] = set()
+    stack: list[tuple[N, bool]] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in done:
+            continue
+        if ready:
+            done.add(id(node))
+            yield node
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+
+
 def parse_field(read: Callable[[str], T], raw, what: str) -> T:
     """``read`` applied to a string field of a file record; a field of
     another type, or one ``read`` refuses, is a FormatError."""
