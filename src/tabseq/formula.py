@@ -734,15 +734,21 @@ def parse_term(text: str, *, allow_generated: bool = False) -> Term:
 #   ["~", i]  ["&", i, j]  ["|", i, j]  ["=>", i, j]
 #   ["forall", var, i]  ["exists", var, i]
 
-_TAGS = {Var: "v", Meta: "m", App: "f", Atom: "P", Not: "~", And: "&", Or: "|",
-         Implies: "=>", Forall: "forall", Exists: "exists"}
-_RANKS = {cls: rank for rank, cls in enumerate(_TAGS)}
-# Per tag: the class, whether its entry is a formula and carries a name,
-# whether its parts are formulas, and how many there are (None: any).
-_SPECS = {tag: (cls, cls in (Atom, Not, And, Or, Implies, Forall, Exists),
-                cls in (Var, Meta, App, Atom, Forall, Exists), cls not in (App, Atom),
-                {Var: 0, Meta: 0, App: None, Atom: None, Not: 1, Forall: 1, Exists: 1}.get(cls, 2))
-          for cls, tag in _TAGS.items()}
+# Per tag: the class, whether the entry is a formula, whether it carries a
+# name, whether its parts are formulas, and how many there are (None: any).
+_SPECS = {
+    "v": (Var, False, True, False, 0),
+    "m": (Meta, False, True, False, 0),
+    "f": (App, False, True, False, None),
+    "P": (Atom, True, True, False, None),
+    "~": (Not, True, False, True, 1),
+    "&": (And, True, False, True, 2),
+    "|": (Or, True, False, True, 2),
+    "=>": (Implies, True, False, True, 2),
+    "forall": (Forall, True, True, True, 1),
+    "exists": (Exists, True, True, True, 1),
+}
+_TAGS = {spec[0]: tag for tag, spec in _SPECS.items()}
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _NO_NAMES = frozenset()
 
@@ -780,9 +786,10 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
     function that gives the entry of each item or part of one.
 
     Equal formulas and terms share one entry.  The entries are sorted by
-    height, then by tag, name and the entries of their parts, so a part
-    comes before every entry that refers to it, and the table depends only
-    on the set of formulas and terms, not on their order or objects.  No
+    height, then by content (tag, name and the indices of their parts), so
+    a part comes before every entry that refers to it, and the table
+    depends only on the set of formulas and terms, not on their order or
+    objects.  No
     formula is hashed or compared: objects are found by identity and
     entries by their contents.  DepthError if an item nests deeper than
     ``MAX_DEPTH``, so no writer emits an entry the readers would refuse.
@@ -823,18 +830,16 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
     index = [0] * len(members)  # class -> entry
     entries: list[tuple] = []
 
-    def content(c: int) -> tuple:
+    def entry(c: int) -> tuple:
         node, parts = members[c]
-        return (_RANKS[type(node)], _name(node) or "", *[index[p] for p in parts])
+        name = _name(node)
+        parts = [index[p] for p in parts]
+        return (_TAGS[type(node)], *parts) if name is None else (_TAGS[type(node)], name, *parts)
 
     for level in levels:
-        for c in sorted(level, key=content):
-            node, parts = members[c]
-            name = _name(node)
+        for content, c in sorted((entry(c), c) for c in level):
             index[c] = len(entries)
-            parts = [index[p] for p in parts]
-            entries.append((_TAGS[type(node)], *parts) if name is None
-                           else (_TAGS[type(node)], name, *parts))
+            entries.append(content)
     return entries, lambda x: index[of[id(x)]]
 
 

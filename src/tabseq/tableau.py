@@ -419,16 +419,18 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         rule = node.rule
         if len(node.children) != len(rule.introduced):
             raise AuditError(f"child count mismatch at {format_path(path)}")
-        if rule.kind == CLOSURE:
-            if rule.closure_pair is None:
-                raise AuditError(f"closure without pair at {format_path(path)}")
+        if rule.closure_pair is not None:
             pos, neg = rule.closure_pair
             if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
                 raise AuditError(f"closure pair is not an atom and a negated atom at "
                                  f"{format_path(path)}")
+        if rule.kind == CLOSURE:
+            if rule.closure_pair is None:
+                raise AuditError(f"closure without pair at {format_path(path)}")
+            pos, neg = rule.closure_pair
             if pos not in node.formulas or neg not in node.formulas:
                 raise AuditError(f"closure pair absent at {format_path(path)}")
-            if not node.children[0].closed:
+            if len(node.children) != 1 or not node.children[0].closed:
                 raise AuditError(f"closure child not closed at {format_path(path)}")
         else:
             if rule.principal is None or rule.principal not in node.formulas:

@@ -12,7 +12,7 @@ import pytest
 
 from tabseq import gs3, tableau
 from tabseq.cli import main
-from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Meta, Not, Var, parse, print_formula
+from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Meta, Not, Or, Var, parse, print_formula
 from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
 from tabseq.problems import HAND_GOALS, corpus, generated_goals, growth_goal
 from tabseq.tableau import (
@@ -181,6 +181,35 @@ def test_check_visits_each_node_entry_of_a_read_back_proof_once(monkeypatch):
     assert gs3.inference_count(back) == 751
 
 
+class CountedProof(GsProof):
+    """A proof node that counts the reads of its children."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "children":
+            CountedProof.reads += 1
+        return object.__getattribute__(self, name)
+
+
+def test_check_and_the_writer_walk_a_shared_proof_once_per_node():
+    # ``P | P, ~P |-`` by an or step whose two premises are one node that
+    # weakens the new ``P`` and goes on the same way: 2 ** 16 leaves as a
+    # tree, 34 node objects.
+    p = Atom("P", ())
+    short, long = (Or(p, p), Not(p)), (Or(p, p), Not(p), p)
+    node = CountedProof(long, GsRule("axiom"), p)
+    for _ in range(16):
+        node = CountedProof(short, GsRule("or"), Or(p, p), (node, node))
+        node = CountedProof(long, GsRule("weaken"), p, (node,))
+    proof = CountedProof(short, GsRule("or"), Or(p, p), (node, node))
+    CountedProof.reads = 0
+    text = proof_to_json(proof)
+    assert check(proof).accepted
+    assert CountedProof.reads <= 10 * 34
+    assert len(json.loads(text)["nodes"]) == 34 and check(proof_from_json(text)).accepted
+
+
 def entry_paths(record, target: int) -> list[tuple[int, ...]]:
     """The paths, in preorder, at which node entry ``target`` occurs."""
     found, stack = [], [((), record["root"])]
@@ -258,8 +287,19 @@ def unshared(node: GsProof, path, tree) -> GsProof:
 
 def drinker_files() -> dict[str, dict]:
     ct = proved(FIXTURE_GOALS["drinker"])
-    return {".tab": json.loads(tableau_to_json(ct)),
-            ".gs3": json.loads(proof_to_json(translate(ct)))}
+    files = {".tab": json.loads(tableau_to_json(ct)),
+             ".gs3": json.loads(proof_to_json(translate(ct)))}
+    # The entries that HOSTILE below names by index.
+    gs3_file, tab_file = files[".gs3"], files[".tab"]
+    assert gs3_file["table"][:6] == [["f", "c1"], ["v", "x"], ["v", "y"], ["P", "D", 0],
+                                     ["P", "D", 1], ["P", "D", 2]]
+    assert gs3_file["sequents"][0] == [None, [[13, 1]]]
+    assert gs3_file["nodes"][0][:3] == [8, "axiom", 3] and gs3_file["nodes"][2][3] == 0
+    assert tab_file["table"][:2] == [["f", "sko1"], ["m", "X1"]]
+    assert tab_file["table"][6] == ["P", "D", 2]
+    assert [node[1] and node[1][0] for node in tab_file["nodes"]] == [
+        None, "closure", "delta", "alpha", "gamma"]
+    return files
 
 
 def put(*steps):
@@ -281,42 +321,43 @@ def deep_entry(record):
         table.append(["~", len(table) - 1])
 
 
-# In the drinker .gs3: table 1 is the bound variable y, 2 the constant c1,
-# 3 the atom D(x) with x free, 4 D(y) with y free, 5 D(c1), 7 forall y.
-# D(y), 13 the root formula; sequent 0 is the root's; node 0 is an axiom
-# on 5, node 2 a not_exists step with witness 2, node 8 the root.  In the
-# .tab: table 2 is the metavariable X1, 3 the Skolem constant sko1, 4 D(x)
-# with x free, 6 D(X1), 7 D(sko1), 15 the root formula; node 4 is the
-# root's gamma step, 2 a delta step, 1 the closure and 0 the closed leaf.
+# In the drinker .gs3: table 0 is the constant c1, 2 the bound variable
+# y, 3 the atom D(c1), 4 D(x) with x free, 5 D(y) with y free, 6 forall
+# y. D(y), 13 the root formula; sequent 0 is the root's; node 0 is an
+# axiom on 3, node 2 a not_exists step with witness 0, node 8 the root.
+# In the .tab: table 0 is the Skolem constant sko1, 1 the metavariable X1,
+# 4 D(sko1), 5 D(X1), 6 D(x) with x free, 9 ~D(sko1), 15 the root
+# formula; node 4 is the root's gamma step, 2 a delta step, 1 the closure
+# and 0 the closed leaf.
 HOSTILE = {
     ".gs3": {
-        "forward reference": put(("table", 6, ["~", 9])),
-        "self reference": put(("table", 6, ["~", 6])),
-        "reference out of range": put(("table", 10, ["=>", 5, 99])),
-        "negative reference": put(("table", 10, ["=>", -1, 7])),
-        "boolean reference": put(("table", 6, ["~", True])),
-        "term where a formula belongs": put(("table", 6, ["~", 2])),
-        "formula where a term belongs": put(("table", 5, ["P", "D", 3])),
-        "unknown tag": put(("table", 6, ["not", 5])),
-        "entry of the wrong length": put(("table", 6, ["~", 5, 5])),
-        "entry that is no list": put(("table", 6, "(~D(c1))")),
-        "constant the grammar refuses": put(("table", 2, ["f", "c-1"])),
-        "keyword as a variable": put(("table", 1, ["v", "forall"])),
-        "binder the grammar refuses": put(("table", 7, ["forall", "1y", 4])),
-        "metavariable the grammar refuses": put(("table", 2, ["m", "Y1"])),
+        "forward reference": put(("table", 7, ["~", 9])),
+        "self reference": put(("table", 7, ["~", 7])),
+        "reference out of range": put(("table", 8, ["=>", 3, 99])),
+        "negative reference": put(("table", 8, ["=>", -1, 6])),
+        "boolean reference": put(("table", 7, ["~", True])),
+        "term where a formula belongs": put(("table", 7, ["~", 0])),
+        "formula where a term belongs": put(("table", 4, ["P", "D", 3])),
+        "unknown tag": put(("table", 7, ["not", 3])),
+        "entry of the wrong length": put(("table", 7, ["~", 3, 3])),
+        "entry that is no list": put(("table", 7, "(~D(c1))")),
+        "constant the grammar refuses": put(("table", 0, ["f", "c-1"])),
+        "keyword as a variable": put(("table", 2, ["v", "forall"])),
+        "binder the grammar refuses": put(("table", 6, ["forall", "1y", 5])),
+        "metavariable the grammar refuses": put(("table", 0, ["m", "Y1"])),
         "entry deeper than MAX_DEPTH": deep_entry,
-        "free variable in a sequent formula": put(("sequents", 0, [None, [[4, 1]]])),
-        "free variable in a principal": put(("nodes", 0, 2, 4)),
-        "free variable in a witness": put(("nodes", 2, 3, 1)),
-        "term as a sequent formula": put(("sequents", 0, [None, [[2, 1]]])),
-        "term as a principal": put(("nodes", 0, 2, 2)),
-        "formula as a witness": put(("nodes", 2, 3, 5)),
+        "free variable in a sequent formula": put(("sequents", 0, [None, [[5, 1]]])),
+        "free variable in a principal": put(("nodes", 0, 2, 5)),
+        "free variable in a witness": put(("nodes", 2, 3, 2)),
+        "term as a sequent formula": put(("sequents", 0, [None, [[0, 1]]])),
+        "term as a principal": put(("nodes", 0, 2, 0)),
+        "formula as a witness": put(("nodes", 2, 3, 3)),
         "child that is not earlier": put(("nodes", 1, 4, [1])),
         "sequent out of range": put(("nodes", 0, 0, 9)),
         "root out of range": put(("root", 9)),
         "root that is no index": put(("root", "8")),
         "principal without a rule": put(("nodes", 0, 1, None)),
-        "node of the wrong length": put(("nodes", 0, [8, "axiom", 5, None])),
+        "node of the wrong length": put(("nodes", 0, [8, "axiom", 3, None])),
         "negative count": put(("sequents", 0, [None, [[13, -1]]])),
         "count too large to hold": put(("sequents", 0, [None, [[13, 10**12]]])),
         "base sequent that is not earlier": put(("sequents", 1, 0, 1)),
@@ -326,21 +367,23 @@ HOSTILE = {
         "table that is no list": put(("table", {})),
     },
     ".tab": {
-        "forward reference": put(("table", 8, ["~", 9])),
-        "term where a formula belongs": put(("table", 8, ["~", 3])),
-        "unknown tag": put(("table", 8, ["!", 7])),
-        "free variable in a node formula": put(("nodes", 4, 0, [4])),
+        "forward reference": put(("table", 9, ["~", 10])),
+        "term where a formula belongs": put(("table", 9, ["~", 0])),
+        "unknown tag": put(("table", 9, ["!", 4])),
+        "free variable in a node formula": put(("nodes", 4, 0, [6])),
         "node that is the child of two nodes": put(("nodes", 4, 2, [3, 3])),
         "root that is a child": put(("root", 3)),
         "child that is not earlier": put(("nodes", 3, 2, [4])),
-        "unifier binding a non-metavariable": put(("unifier", [[3, 3]])),
-        "meta field that is no metavariable": put(("nodes", 4, 1, 3, 3)),
-        "skolem field that is no Skolem term": put(("nodes", 2, 1, 4, 2)),
+        "unifier binding a non-metavariable": put(("unifier", [[0, 0]])),
+        "meta field that is no metavariable": put(("nodes", 4, 1, 3, 0)),
+        "skolem field that is no Skolem term": put(("nodes", 2, 1, 4, 1)),
         "closed flag that is no boolean": put(("nodes", 0, 3, 1)),
         "unknown rule class": put(("nodes", 4, 1, 0, "zeta")),
         "rule of the wrong length": put(("nodes", 4, 1, ["gamma", 15])),
-        "store side that is a term": put(("store", [[6, 3]])),
-        "closure pair that is no complementary pair": put(("nodes", 1, 1, 5, [6, 6])),
+        "store side that is a term": put(("store", [[5, 0]])),
+        "closure pair that is no complementary pair": put(("nodes", 1, 1, 5, [5, 5])),
+        "such a pair on a gamma step": put(("nodes", 4, 1, 5, [4, 4])),
+        "closure without its closed child": put(("nodes", 1, 1, 2, []), ("nodes", 1, 2, [])),
         "unknown version": put(("version", 1)),
     },
 }
@@ -391,7 +434,7 @@ def mutate(record, rng: random.Random) -> None:
     if type(container[key]) is int and roll < 0.5:
         container[key] = rng.randrange(2 * abs(container[key]) + 2)
     elif roll < 0.6:
-        container[key] = rng.choice(JUNK)
+        container[key] = json.loads(json.dumps(rng.choice(JUNK)))
     elif roll < 0.85:
         other, other_key = rng.choice(places)
         container[key] = json.loads(json.dumps(other[other_key]))
