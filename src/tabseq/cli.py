@@ -99,10 +99,22 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 text: {e}")
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory if it is missing."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e}")
 
 
 class InputError(Exception):
-    """Input-level failure: reported on stderr with exit status 2."""
+    """An unreadable input or unwritable output: reported on stderr, with
+    the path, and exit status 2."""
 
 
 def _refused_write(e: DepthError) -> str:
@@ -125,16 +137,15 @@ def _prove_one(config: RunConfig, path: Path) -> tuple[int, str]:
         return EXIT_FAILED, f"{path}: Exhausted after {result.steps} steps: {result.reason}"
 
     out_dir = config.out if config.out is not None else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{path}: proved with {tableau.rule_count(result.root)} tableau rules"]
     if config.emit in ("tableau", "both"):
         tab_path = out_dir / (path.stem + ".tab")
-        tab_path.write_text(tableau.tableau_to_json(result), encoding="utf-8")
+        _write(tab_path, tableau.tableau_to_json(result))
         lines.append(f"wrote {tab_path}")
     if config.emit in ("gs3", "both"):
         proof = translate(result)
         gs3_path = out_dir / (path.stem + ".gs3")
-        gs3_path.write_text(gs3.proof_to_json(proof), encoding="utf-8")
+        _write(gs3_path, gs3.proof_to_json(proof))
         lines.append(f"wrote {gs3_path}")
     if config.pretty:
         lines.append(render_tableau(result).rstrip("\n"))
@@ -182,8 +193,7 @@ def _run_translate(config: RunConfig) -> int:
         print(f"{path}: error: {_refused_write(e)}", file=sys.stderr)
         return EXIT_BAD_INPUT
     out_path = config.out if config.out is not None else path.with_suffix(".gs3")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(text, encoding="utf-8")
+    _write(out_path, text)
     print(f"wrote {out_path}")
     if config.pretty:
         print(gs3.render_proof(proof).rstrip("\n"))

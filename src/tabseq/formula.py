@@ -11,13 +11,26 @@ a generated symbol.
 Bound-variable names are made unique per formula at parse time, after which
 plain structural equality is the formula equality used everywhere else.
 
-Term and formula nodes are immutable and cache their hash, so sequents that
-share formula objects can be counted and compared without re-walking them.
+Term and formula nodes are immutable and interned (hash-consing, Filliâtre
+and Conchon 2006): a class's ``__new__`` looks up the class and field
+values in one process-wide table and hands back the live node it finds, so
+structurally equal nodes are one object, ``==`` is identity and ``hash`` is
+``object``'s, both in C.  Children are interned before their parents, so a
+lookup key hashes in C too.  The table holds its nodes weakly, so a node
+nothing else uses leaves it, and a lock guards the build after a miss, so
+threads that build the same formula get one object.  A pickled or copied
+node comes back as the interned node.  The interning is not done by a
+metaclass: ``isinstance`` against a class whose metaclass is not ``type``
+leaves CPython's fast path, and the prover and checker call it millions of
+times.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
@@ -51,66 +64,105 @@ class DepthError(ValueError):
     """A formula or term nested deeper than ``MAX_DEPTH`` levels."""
 
 
+# -------------------------------------------------------------- interning
+
+
+_table: dict[tuple, weakref.KeyedRef] = {}  # (class, *fields) -> the live node
+_lookup = _table.get
+_lock = threading.Lock()
+_set_field = object.__setattr__
+
+
+def _forget(ref: weakref.KeyedRef, table=_table, remove=_remove_dead_weakref) -> None:
+    """Drop a dead node's entry, unless a live node has taken its key.
+
+    The test and the removal are one C call, the one
+    ``weakref.WeakValueDictionary`` uses, so no thread can slip a new entry
+    in between; the defaults keep the callback working while the module is
+    torn down at exit."""
+    remove(table, ref.key)
+
+
+def _intern(key: tuple):
+    """The node ``key[0](*key[1:])``: the live one if there is one, else a
+    new one entered under ``key``.  The parts in the key are interned
+    already, so the lookup hashes and compares in C.  A miss takes the
+    lock and looks again, so two threads never build rival nodes."""
+    ref = _lookup(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    with _lock:
+        ref = _lookup(key)
+        node = None if ref is None else ref()
+        if node is None:
+            cls = key[0]
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, key[1:]):
+                _set_field(node, name, value)
+            _table[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+class _Node:
+    """Base of the ten interned classes: a pickled or copied node is the
+    interned node itself."""
+
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
 # ------------------------------------------------------------------ terms
 
-
-def _cached_hash(cls):
-    """Cache a frozen dataclass's generated hash on first use.
-
-    The cached value is the generated one, so equal nodes still hash alike;
-    without the cache every hash of a node re-walks the whole subtree.  It
-    is dropped from the pickled and copied state, because string hashes
-    differ between processes.
-    """
-    generated = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = generated(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+# Every node class is a frozen, slotted dataclass with no generated
+# ``__init__``, ``__eq__`` or ``__hash__``: ``__new__`` interns it.
+_node = dataclass(frozen=True, eq=False, init=False, slots=True)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     """A bound-variable occurrence; never free in a well-formed formula."""
 
     name: str
 
+    def __new__(cls, name: str) -> Var:
+        return _intern((cls, name))
+
     def __str__(self) -> str:
         return self.name
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Meta:
+@_node
+class Meta(_Node):
     """A free variable introduced by a gamma rule, awaiting instantiation."""
 
     name: str
 
+    def __new__(cls, name: str) -> Meta:
+        return _intern((cls, name))
+
     def __str__(self) -> str:
         return self.name
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class App:
+@_node
+class App(_Node):
     """Function application; constants are zero-argument applications."""
 
     symbol: str
     args: tuple["Term", ...] = ()
+
+    def __new__(cls, symbol: str, args: tuple["Term", ...] = ()) -> App:
+        return _intern((cls, symbol, args))
 
     @property
     def is_skolem(self) -> bool:
@@ -130,70 +182,84 @@ def const(name: str) -> App:
 # --------------------------------------------------------------- formulas
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Node):
     predicate: str
     args: tuple[Term, ...] = ()
 
+    def __new__(cls, predicate: str, args: tuple[Term, ...] = ()) -> Atom:
+        return _intern((cls, predicate, args))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
+    def __new__(cls, body: "Formula") -> Not:
+        return _intern((cls, body))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
+    def __new__(cls, left: "Formula", right: "Formula") -> And:
+        return _intern((cls, left, right))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
+    def __new__(cls, left: "Formula", right: "Formula") -> Or:
+        return _intern((cls, left, right))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
+    def __new__(cls, left: "Formula", right: "Formula") -> Implies:
+        return _intern((cls, left, right))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     body: "Formula"
 
+    def __new__(cls, var: str, body: "Formula") -> Forall:
+        return _intern((cls, var, body))
+
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@_cached_hash
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     body: "Formula"
+
+    def __new__(cls, var: str, body: "Formula") -> Exists:
+        return _intern((cls, var, body))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -785,49 +851,41 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
     """The table of a version-2 proof file that holds ``items``, with the
     function that gives the entry of each item or part of one.
 
-    Equal formulas and terms share one entry.  The entries are sorted by
-    height, then by content (tag, name and the indices of their parts), so
-    a part comes before every entry that refers to it, and the table
-    depends only on the set of formulas and terms, not on their order or
-    objects.  No
-    formula is hashed or compared: objects are found by identity and
-    entries by their contents.  DepthError if an item nests deeper than
-    ``MAX_DEPTH``, so no writer emits an entry the readers would refuse.
+    Equal formulas and terms are one interned object and share one entry.
+    The entries are sorted by height, then by content (tag, name and the
+    indices of their parts), so a part comes before every entry that refers
+    to it, and the table depends only on the set of formulas and terms, not
+    on their order.  DepthError if an item nests deeper than ``MAX_DEPTH``,
+    so no writer emits an entry the readers would refuse.
     """
-    distinct = {id(item): item for item in items}  # keeps every node alive
-    classes: dict[tuple, int] = {}  # (type, name, part classes) -> class
-    of: dict[int, int] = {}  # id(node) -> class
-    members: list[tuple[Formula | Term, list[int]]] = []  # per class: a node, its parts
-    levels: list[list[int]] = []  # classes by height, from 1
+    of: dict[Formula | Term, int] = {}  # node -> its number
+    members: list[tuple[Formula | Term, list[int]]] = []  # per number: the node, its parts
+    levels: list[list[int]] = []  # numbers by height, from 1
     heights: list[int] = []
-    for item in distinct.values():
+    for item in items:
         stack = [item]  # children first, without recursion
         while stack:
             node = stack[-1]
-            if id(node) in of:
+            if node in of:
                 stack.pop()
                 continue
-            missing = [p for p in _parts(node) if id(p) not in of]
+            missing = [p for p in _parts(node) if p not in of]
             if missing:
                 stack.extend(reversed(missing))
                 continue
             stack.pop()
-            parts = [of[id(p)] for p in _parts(node)]
-            key = (type(node), _name(node), *parts)
-            c = classes.get(key)
-            if c is None:
-                height = 1 + max((heights[p] for p in parts), default=0)
-                if height > MAX_DEPTH:
-                    raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
-                c = classes[key] = len(members)
-                members.append((node, parts))
-                heights.append(height)
-                if height > len(levels):
-                    levels.append([])
-                levels[height - 1].append(c)
-            of[id(node)] = c
+            parts = [of[p] for p in _parts(node)]
+            height = 1 + max((heights[p] for p in parts), default=0)
+            if height > MAX_DEPTH:
+                raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
+            c = of[node] = len(members)
+            members.append((node, parts))
+            heights.append(height)
+            if height > len(levels):
+                levels.append([])
+            levels[height - 1].append(c)
 
-    index = [0] * len(members)  # class -> entry
+    index = [0] * len(members)  # number -> entry
     entries: list[tuple] = []
 
     def entry(c: int) -> tuple:
@@ -840,7 +898,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
         for content, c in sorted((entry(c), c) for c in level):
             index[c] = len(entries)
             entries.append(content)
-    return entries, lambda x: index[of[id(x)]]
+    return entries, lambda x: index[of[x]]
 
 
 class Table:

@@ -16,7 +16,7 @@ import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .formula import (
     And,
@@ -78,8 +78,10 @@ class StepError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class GsRule:
+class GsRule(NamedTuple):
+    """A rule name and, for the quantifier rules, its witness; a named
+    tuple, so that the checker's and the writer's keys hash in C."""
+
     name: str
     witness: Term | None = None
 
@@ -626,15 +628,21 @@ def _proof_from_v2(record: dict) -> GsProof:
 
 
 def _proof_from_v1(record) -> GsProof:
-    """Each distinct formula or term text is parsed once per call, so equal
-    texts read back as one shared object, and each distinct validated
-    sequent entry list becomes its formula tuple once per call.  Nesting
-    too deep to walk is a FormatError."""
+    """Each distinct formula or term text is parsed once per call, and each
+    distinct validated sequent entry list becomes its formula tuple once
+    per call.  Nesting too deep to walk is a FormatError, and so are
+    distinct entry lists that hold more than ``MAX_OCCURRENCES`` formula
+    occurrences between them, before any of them is built."""
     formula = functools.cache(lambda s: parse(s, allow_generated=True))
     term = functools.cache(lambda s: parse_term(s, allow_generated=True))
+    occurrences = 0
 
     @functools.cache
     def sequent(entries: tuple[tuple[str, int], ...]) -> Sequent:
+        nonlocal occurrences
+        occurrences += sum(n for _, n in entries)
+        if occurrences > MAX_OCCURRENCES:
+            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
         formulas: list[Formula] = []
         try:
             for text, n in entries:

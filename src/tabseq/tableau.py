@@ -358,19 +358,18 @@ def prove(
         # only reachable with deferred closure checking
         return Exhausted("closure constraints are globally unsatisfiable", steps)
 
-    # Children extend their parent's formula tuple, so the nodes share
-    # formula objects: walk each distinct one once, in first-occurrence order.
+    # Walk each distinct formula once, in first-occurrence order.
     metas: dict[Meta, None] = {}
     gamma_metas: list[Meta] = []
     symbols: set[str] = set()
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     for _, n in iter_nodes(root):
         if n.rule is not None and n.rule.meta is not None:
             gamma_metas.append(n.rule.meta)
         for f in n.formulas:
-            if id(f) in seen:
+            if f in seen:
                 continue
-            seen.add(id(f))
+            seen.add(f)
             metas.update(dict.fromkeys(free_metas(f)))
             symbols |= formula_symbols(f)
     # A gamma step on a variable its body never uses leaves a metavariable

@@ -150,11 +150,9 @@ def _prefixes(paths: frozenset[Path]) -> set[Path]:
 class _Builder:
     """What the steps of one translation share.
 
-    Each distinct formula is one object: the sigma-instance of a tableau
-    formula and the premise additions of a (rule, principal) pair are
-    computed once and interned, so equal formulas in different sequents
-    are the same object.  The outermost Skolem terms of each formula, which
-    the existential freshness tests read, are also computed once.
+    The sigma-instance of each tableau formula, the premise additions of
+    each (rule, principal) pair and the outermost Skolem terms of each
+    formula, which the existential freshness tests read, are computed once.
     ``leaves`` holds the open leaves of the proof being grown, by path, so
     that no step walks from the root; the caller enters the root.
     """
@@ -162,27 +160,20 @@ class _Builder:
     def __init__(self, sigma: Substitution) -> None:
         self.sigma = sigma
         self.leaves: dict[Path, GsProof] = {}
-        self._formulas: dict[Formula, Formula] = {}
         self._instances: dict[Formula, Formula] = {}
         self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
         self._skolems: dict[Formula, set[App]] = {}
 
-    def formula(self, f: Formula) -> Formula:
-        return self._formulas.setdefault(f, f)
-
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
         if out is None:
-            out = self._instances[f] = self.formula(self.sigma.apply(f))
+            out = self._instances[f] = self.sigma.apply(f)
         return out
 
     def additions(self, rule: GsRule, principal: Formula) -> tuple | None:
         key = (rule, principal)
         if key not in self._additions:
-            extras = gs3.premise_additions(rule, principal)
-            if extras is not None:
-                extras = tuple(tuple(self.formula(f) for f in extra) for extra in extras)
-            self._additions[key] = extras
+            self._additions[key] = gs3.premise_additions(rule, principal)
         return self._additions[key]
 
     def skolems(self, f: Formula) -> set[App]:
@@ -267,8 +258,6 @@ def delta_graft(
     # contain no Skolem symbols), then weaken the principal away again if
     # it was an extra copy.  Only open leaves grow, so theta's rules stay
     # readable as the template that is regrown below.
-    principal = builder.formula(principal)
-    delta_formula = builder.formula(delta_formula)
     delta_rule = GsRule(_gs_rule_name(principal), delta_term)
     for b in sorted(B):
         leaf = theta_nodes[b]

@@ -10,8 +10,9 @@ import pytest
 import tabseq
 from tabseq import gs3
 from tabseq.cli import build_parser, main
-from tabseq.formula import MAX_DEPTH, nesting_depth, parse
+from tabseq.formula import MAX_DEPTH, nesting_depth, parse, print_formula
 from tabseq.gs3 import proof_from_json
+from tabseq.problems import corpus
 from tabseq.tableau import tableau_from_json
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
@@ -89,6 +90,22 @@ class TestProve:
         for i in range(3):
             assert (tmp_path / f"goal{i}.gs3").exists()
 
+    def test_two_jobs_write_the_bytes_one_job_writes(self, tmp_path):
+        # Both runs share one process and its intern table, the second
+        # with two threads racing to build the same formulas.
+        files = []
+        for name, goal in corpus(generated=12)[-12:]:
+            path = tmp_path / f"{name}.p"
+            path.write_text(print_formula(goal) + "\n", encoding="utf-8")
+            files.append(str(path))
+        for jobs in ("1", "2"):
+            assert run_cli(["prove", *files, "--negate", "--jobs", jobs,
+                            "--out", str(tmp_path / jobs)]) == 0
+        written = sorted(p.name for p in (tmp_path / "1").iterdir())
+        assert len(written) == 24
+        for name in written:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_bad_limits_exit_two(self, drinker_file):
         assert run_cli(["prove", str(drinker_file), "--gamma-limit", "0"]) == 2
 
@@ -99,6 +116,30 @@ class TestProve:
         sat = tmp_path / "sat.p"
         sat.write_text("P & ~Q\n", encoding="utf-8")
         assert run_cli(["prove", str(drinker_file), str(sat), "--negate"]) == 1
+
+    def test_out_that_is_a_file_exits_two(self, tmp_path, drinker_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert run_cli(["prove", str(drinker_file), "--negate", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {taken / 'drinker.tab'}" in err and "Traceback" not in err
+
+    def test_non_utf8_input_exits_two_and_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.p"
+        bad.write_bytes("P(\u00e9)\n".encode("latin-1"))
+        assert run_cli(["prove", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {bad}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_utf8_input_does_not_stop_the_batch(self, tmp_path, drinker_file, capsys, jobs):
+        bad = tmp_path / "latin1.p"
+        bad.write_bytes(b"P(\xe9)\n")
+        assert run_cli(["prove", str(bad), str(drinker_file), "--negate", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: error: cannot read" in captured.err
+        assert "drinker.p: proved" in captured.out
+        assert (tmp_path / "drinker.gs3").exists()
 
 
 class TestTranslate:
@@ -114,6 +155,15 @@ class TestTranslate:
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
         assert run_cli(["translate", str(tmp_path / "drinker.tab")]) == 0
         assert (tmp_path / "drinker.gs3").exists()
+
+    def test_out_under_a_file_exits_two(self, tmp_path, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / "x.gs3"
+        assert run_cli(["translate", str(tmp_path / "drinker.tab"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err and "Traceback" not in err
 
     def test_malformed_tableau_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.tab"

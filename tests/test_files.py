@@ -4,10 +4,14 @@ built by ``translate``."""
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tabseq
 from tabseq import gs3, tableau
 from tabseq.formula import Not, parse
 from tabseq.gs3 import check, proof_from_json, proof_to_json
@@ -41,14 +45,35 @@ def proved(goal) -> ClosedTableau:
     return ct
 
 
-@pytest.mark.parametrize("group", sorted(GOLDEN))
-def test_proof_files_are_byte_identical_to_the_seed(group):
+def digests(group) -> tuple[str, str]:
     tab, seq = hashlib.sha256(), hashlib.sha256()
     for goal in golden_goals(group):
         ct = proved(goal)
         tab.update(tableau_to_json(ct).encode())
         seq.update(proof_to_json(translate(ct)).encode())
-    assert (tab.hexdigest(), seq.hexdigest()) == GOLDEN[group]
+    return tab.hexdigest(), seq.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(GOLDEN))
+def test_proof_files_are_byte_identical_to_the_seed(group):
+    assert digests(group) == GOLDEN[group]
+
+
+def test_golden_digests_hold_in_processes_with_other_hash_seeds():
+    """Formula hashes are addresses and string hashes vary with
+    ``PYTHONHASHSEED``, so set order differs between processes; the bytes
+    written must not."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tabseq.__file__).resolve().parent.parent)
+    script = ("import json, test_files\n"
+              "print(json.dumps({g: test_files.digests(g) for g in test_files.GOLDEN}))")
+    for seed in ("1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            p for p in (tests, src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert {g: tuple(d) for g, d in json.loads(done.stdout).items()} == GOLDEN, seed
 
 
 def test_corpus_tableaux_read_back_translate_and_check():

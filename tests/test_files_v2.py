@@ -3,13 +3,17 @@ shared node DAG.  Version-1 files still read; deep proofs read back; the
 checker on shared read-back proofs; hostile and mutated files."""
 
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import tabseq
 from tabseq import gs3, tableau
 from tabseq.cli import main
 from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Meta, Not, Or, Var, parse, print_formula
@@ -88,6 +92,29 @@ def test_v1_fixture_writes_the_fresh_v2_text(name):
     assert tableau_from_json(fresh_tab) == v1_tab
     assert same_proof(proof_from_json(fresh_gs3), v1_proof)
     assert check(v1_proof).accepted
+
+
+def test_v1_sequent_counts_are_bounded(tmp_path):
+    """A 31-byte v1 file that claims a billion occurrences of one formula
+    exits 2 before any sequent is built.  It is checked in a child process
+    whose address space is capped at 2 GiB, so a reader without the bound
+    ends in a MemoryError there instead of taking the machine's memory."""
+    path = tmp_path / "huge.gs3"
+    path.write_text('{"sequent":[["P",1000000000]]}\n', encoding="utf-8")
+    assert path.stat().st_size == 31
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(tabseq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "tabseq", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap_memory)
+    assert done.returncode == 2, done.stderr
+    assert f"more than {gs3.MAX_OCCURRENCES} formulas" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_writers_emit_no_formula_text_and_constant_nesting():
@@ -442,25 +469,30 @@ def mutate(record, rng: random.Random) -> None:
         del container[key]
 
 
-def test_mutated_v2_files_never_crash(tmp_path, capsys):
+def test_mutated_proof_files_never_crash(tmp_path, capsys):
+    """Mutants of the v2 files of six corpus goals and of the committed v1
+    fixtures exit 0, 1 or 2, with no traceback."""
     rng = random.Random(20061007)
-    goals = corpus(generated=12)[::2]
-    for name, goal in goals:
+    files = []  # (name, suffix, text, mutants)
+    for name, goal in corpus(generated=12)[::2]:
         ct = proved(goal)
-        texts = {".tab": tableau_to_json(ct), ".gs3": proof_to_json(translate(ct))}
-        for suffix, text in texts.items():
-            for _ in range(20):
-                record = json.loads(text)
-                for _ in range(rng.randint(1, 3)):
-                    mutate(record, rng)
-                path = tmp_path / f"mutant{suffix}"
-                path.write_text(json.dumps(record), encoding="utf-8")
-                if suffix == ".gs3":
-                    code = run_cli(["check", str(path)])
-                else:
-                    code = run_cli(["translate", str(path), "--out", str(tmp_path / "o.gs3")])
-                err = capsys.readouterr().err
-                assert code in (0, 1, 2) and "Traceback" not in err, (name, record)
+        files.append((name, ".tab", tableau_to_json(ct), 20))
+        files.append((name, ".gs3", proof_to_json(translate(ct)), 20))
+    for path in sorted(V1_FIXTURES.iterdir()):
+        files.append((path.stem, path.suffix, path.read_text(encoding="utf-8"), 150))
+    for name, suffix, text, mutants in files:
+        for _ in range(mutants):
+            record = json.loads(text)
+            for _ in range(rng.randint(1, 3)):
+                mutate(record, rng)
+            path = tmp_path / f"mutant{suffix}"
+            path.write_text(json.dumps(record), encoding="utf-8")
+            if suffix == ".gs3":
+                code = run_cli(["check", str(path)])
+            else:
+                code = run_cli(["translate", str(path), "--out", str(tmp_path / "o.gs3")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (name, suffix, record)
 
 
 def test_read_back_formulas_print_and_parse_back():

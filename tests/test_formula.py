@@ -1,12 +1,18 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_formula
+from tabseq import formula as formula_module
 from tabseq.formula import (
     And,
     App,
@@ -40,6 +46,7 @@ from tabseq.formula import (
     quant_parts,
     subst_var,
 )
+from tabseq.problems import corpus
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -178,24 +185,23 @@ class TestDepthBound:
             encode_table([Atom("P", (at_bound,))])
 
 
-def field_hash(node):
-    """The hash the frozen dataclass generates: the hash of its field tuple."""
-    return hash(tuple(getattr(node, f.name) for f in dataclasses.fields(node)))
-
-
 class TestCachedHash:
+    """Nodes are interned: equal constructions give one object, whose hash
+    is ``object``'s, computed in C, and which copies and pickles return."""
+
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_the_generated_hash(self, seed):
         f = random_formula(random.Random(seed), depth=4)
         again = random_formula(random.Random(seed), depth=4)
-        assert f == again and f is not again
-        assert hash(f) == field_hash(f) == hash(again)
-        assert hash(f) == hash(f)
+        assert f is again
+        assert hash(f) == object.__hash__(f) == hash(again)
+        assert type(f).__hash__ is object.__hash__ and type(f).__eq__ is object.__eq__
 
     def test_terms_cache_their_hash(self):
         t = App("f", (Var("x"), Meta("X1"), const("a")))
-        assert hash(t) == field_hash(t) == hash(App("f", (Var("x"), Meta("X1"), const("a"))))
-        assert hash(Var("x")) == hash(("x",))
+        assert t is App("f", (Var("x"), Meta("X1"), const("a")))
+        assert hash(t) == object.__hash__(t)
+        assert Var("x") is Var("x") and Var("x") is not Meta("x")
 
     def test_nodes_stay_frozen(self):
         f = parse("P(a) & Q")
@@ -205,11 +211,80 @@ class TestCachedHash:
 
     def test_cache_is_not_copied_or_pickled(self):
         f = parse("forall x. (P(x) => Q(f(x)))")
-        hash(f)
         for other in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-            assert other == f
-            assert "_hash" not in vars(other)
-            assert hash(other) == hash(f)
+            assert other is f
+
+
+NODES = [Var("x"), Meta("X1"), const("a"), App("f", (Var("x"), const("a"))),
+         Atom("P"), Atom("R", (const("a"), Meta("X1"))), Not(Atom("P")),
+         And(Atom("P"), Atom("Q")), Or(Atom("P"), Atom("Q")), Implies(Atom("P"), Atom("Q")),
+         Forall("x", Atom("P", (Var("x"),))), Exists("x", Atom("P", (Var("x"),)))]
+
+
+class TestInterning:
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_every_construction_gives_the_interned_node(self, node):
+        fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+        cls = type(node)
+        assert cls(*fields.values()) is node
+        assert cls(**fields) is node
+        assert dataclasses.replace(node) is node
+        assert type(cls) is type  # no metaclass: isinstance keeps its fast path
+
+    def test_default_args_are_the_empty_tuple(self):
+        assert App("a") is App("a", ()) is App(symbol="a") is const("a")
+        assert Atom("P") is Atom("P", ()) is Atom(predicate="P", args=())
+        assert dataclasses.replace(App("b"), symbol="a") is const("a")
+
+    def test_pickles_and_copies_share_the_interned_nodes(self):
+        sequent = [parse(text) for text in ("P(a) & Q", "forall x. P(x)", "~(P(a) & Q)")]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(sequent, protocol))
+            assert all(b is f for b, f in zip(back, sequent))
+        assert all(b is f for b, f in zip(copy.deepcopy(sequent), sequent))
+
+    def test_nodes_take_no_new_attributes(self):
+        f = parse("P(a) & Q")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del f.left
+        # Python 3.11's frozen slotted dataclasses refuse a name that is no
+        # field with a TypeError instead of a FrozenInstanceError.
+        with pytest.raises((AttributeError, TypeError)):
+            f.extra = 1
+        with pytest.raises(AttributeError):  # slots: no instance dict
+            object.__setattr__(f, "extra", 1)
+
+    def test_a_dropped_formula_leaves_the_table(self):
+        def named(name):
+            return [key for key in list(formula_module._table) if key[1] == name]
+
+        f = Atom("Dropped", (const("zz9"),))
+        dead = weakref.ref(f)
+        assert named("Dropped") and named("zz9")
+        del f
+        gc.collect()
+        assert dead() is None
+        assert not named("Dropped") and not named("zz9")
+
+    def test_threads_building_the_same_formulas_get_one_object(self):
+        # Texts, not formulas, so that the threads race to build them; a
+        # short switch interval makes them change places inside ``_intern``.
+        texts = [print_formula(goal) for _, goal in corpus(generated=40)]
+        start = threading.Barrier(4, timeout=60)
+
+        def build(_):
+            start.wait()
+            return [parse(text) for text in texts]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                first, *others = pool.map(build, range(4), timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        for other in others:
+            assert all(a is b for a, b in zip(first, other, strict=True))
 
 
 class TestPrint:

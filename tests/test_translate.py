@@ -344,10 +344,9 @@ class TestSkolemReplacement:
 
     def test_equal_formulas_share_one_replacement(self):
         a = parse("D(sko1)", allow_generated=True)
-        b = parse("D(sko1)", allow_generated=True)
-        assert a is not b
-        proof = replace_skolem_terms(GsProof((a, b)))
-        assert proof.sequent[0] is proof.sequent[1]
+        assert parse("D(sko1)", allow_generated=True) is a
+        proof = replace_skolem_terms(GsProof((a, a)))
+        assert proof.sequent[0] is proof.sequent[1] is parse("D(c1)")
 
     def test_two_argument_vectors_are_refused(self):
         proof = GsProof((parse("P(sko1(a), sko1(b))", allow_generated=True),))
