@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,18 +32,14 @@ class RunConfig:
     gamma_limit: int = 2
     depth_limit: int = 200
     emit: str = "both"
-    eager_close: bool = True
     out: Path | None = None
     pretty: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         if self.gamma_limit < 1:
             raise ValueError("gamma limit must be at least 1")
         if self.depth_limit < 1:
             raise ValueError("depth limit must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 @functools.cache
@@ -71,15 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Maximum branch length (default 200).")
     prove.add_argument("--emit", choices=("tableau", "gs3", "both"), default="both",
                        help="Which proof files to write (default both).")
-    prove.add_argument("--eager-close", action=argparse.BooleanOptionalAction, default=True,
-                       help="Check closure constraints against the global store as they "
-                       "are added (default); --no-eager-close defers to one final solve.")
     prove.add_argument("--out", type=Path, default=None, metavar="DIR",
                        help="Output directory (default: next to each input).")
     prove.add_argument("--pretty", action="store_true",
                        help="Print stacked renderings of the proofs.")
-    prove.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="Process input files with N parallel workers.")
 
     trans = sub.add_parser("translate", help="Compile a tableau proof file to a sequent proof.")
     trans.add_argument("inputs", nargs=1, type=Path, help="Tableau proof file (.tab).")
@@ -127,12 +117,8 @@ def _prove_one(config: RunConfig, path: Path) -> tuple[int, str]:
     goal = parse(text)
     if config.negate:
         goal = Not(goal)
-    result = tableau.prove(
-        [goal],
-        gamma_limit=config.gamma_limit,
-        depth_limit=config.depth_limit,
-        eager_close=config.eager_close,
-    )
+    result = tableau.prove([goal], gamma_limit=config.gamma_limit,
+                           depth_limit=config.depth_limit)
     if isinstance(result, Exhausted):
         return EXIT_FAILED, f"{path}: Exhausted after {result.steps} steps: {result.reason}"
 
@@ -155,26 +141,17 @@ def _prove_one(config: RunConfig, path: Path) -> tuple[int, str]:
 
 
 def _run_prove(config: RunConfig) -> int:
-    def worker(path: Path) -> tuple[int, str]:
-        try:
-            return _prove_one(config, path)
-        except (ParseError, InputError) as e:
-            return EXIT_BAD_INPUT, f"{path}: error: {e}"
-        except DepthError as e:
-            return EXIT_BAD_INPUT, f"{path}: error: {_refused_write(e)}"
-        except RecursionError:
-            return EXIT_BAD_INPUT, f"{path}: error: proof nested too deeply to build"
-
-    if config.jobs > 1 and len(config.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(worker, config.inputs))
-    else:
-        results = [worker(p) for p in config.inputs]
-
     status = EXIT_OK
-    for code, message in results:
-        stream = sys.stdout if code == EXIT_OK else sys.stderr
-        print(message, file=stream)
+    for path in config.inputs:
+        try:
+            code, message = _prove_one(config, path)
+        except (ParseError, InputError) as e:
+            code, message = EXIT_BAD_INPUT, f"{path}: error: {e}"
+        except DepthError as e:
+            code, message = EXIT_BAD_INPUT, f"{path}: error: {_refused_write(e)}"
+        except RecursionError:
+            code, message = EXIT_BAD_INPUT, f"{path}: error: proof nested too deeply to build"
+        print(message, file=sys.stdout if code == EXIT_OK else sys.stderr)
         status = max(status, code)
     return status
 
@@ -230,10 +207,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         gamma_limit=getattr(args, "gamma_limit", 2),
         depth_limit=getattr(args, "depth_limit", 200),
         emit=getattr(args, "emit", "both"),
-        eager_close=getattr(args, "eager_close", True),
         out=getattr(args, "out", None),
         pretty=getattr(args, "pretty", False),
-        jobs=getattr(args, "jobs", 1),
     )
 
 

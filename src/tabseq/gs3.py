@@ -48,9 +48,9 @@ from .tree import (
     entry_index,
     file_version,
     format_path,
+    indented,
     iter_nodes,
     load_json,
-    node_at,
     parse_field,
     postorder,
     replace_at,
@@ -363,27 +363,23 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int],
 
 
 def build_step(
-    proof: GsProof,
-    leaf: Path,
+    node: GsProof,
     rule: GsRule,
     principal: Formula,
     *,
-    node: GsProof | None = None,
     additions: tuple[tuple[Formula, ...], ...] | None = None,
     outermost_skolems: Callable[[Formula], set[App]] | None = None,
-) -> GsProof:
+) -> None:
     """Extend an open leaf by one inference, validating the schema eagerly.
 
     The leaf is extended in place: it gets its rule, principal and fresh
-    premise leaves, and the root ``proof`` is returned.  A refused step
-    raises StepError and changes nothing.
+    premise leaves.  A refused step raises StepError and changes nothing.
 
-    A builder that already holds the node at ``leaf`` passes it as
-    ``node``, which saves the walk from the root, and one that has computed
-    ``premise_additions(rule, principal)`` passes the result as
-    ``additions``; one that remembers ``outermost_skolem_terms`` of each
-    formula passes that lookup as ``outermost_skolems``.  All three are
-    trusted to be exactly what they stand for.
+    A builder that has computed ``premise_additions(rule, principal)``
+    passes the result as ``additions``; one that remembers
+    ``outermost_skolem_terms`` of each formula passes that lookup as
+    ``outermost_skolems``.  Both are trusted to be exactly what they stand
+    for.
 
     During tableau translation the existential witnesses are still Skolem
     terms; those are accepted here with the corresponding relaxed freshness
@@ -391,10 +387,8 @@ def build_step(
     which coincides with the checker's constant freshness after the final
     Skolem-to-constant replacement.
     """
-    if node is None:
-        node = node_at(proof, leaf)
     if not node.is_open:
-        raise StepError(SCHEMA_MISMATCH, f"node {format_path(leaf)} is not an open leaf")
+        raise StepError(SCHEMA_MISMATCH, "node is not an open leaf")
     if principal not in node.sequent:
         raise StepError(SCHEMA_MISMATCH,
                         f"principal {print_formula(principal)} not in sequent")
@@ -434,7 +428,6 @@ def build_step(
                                     "existential witness must be a constant or Skolem term")
         children = tuple(GsProof(node.sequent + extra) for extra in additions)
     node.rule, node.principal, node.children = rule, principal, children
-    return proof
 
 
 # --------------------------------------------------------------- serialize
@@ -673,15 +666,11 @@ def render_proof(proof: GsProof) -> str:
             text += f" [{print_term(rule.witness)}]"
         return text
 
-    def walk(node: GsProof, indent: str) -> None:
+    for indent, node in indented(proof):
         seq = ", ".join(print_formula(f) for f in node.sequent)
         lines.append(f"{indent}{seq} |-")
         if node.rule is not None:
             lines.append(f"{indent}-- {label(node)}")
-            for child in node.children:
-                walk(child, indent + ("    " if len(node.children) > 1 else ""))
         elif node.is_open:
             lines.append(f"{indent}-- (open)")
-
-    walk(proof, "")
     return "\n".join(lines) + "\n"

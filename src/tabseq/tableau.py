@@ -44,9 +44,9 @@ from .tree import (
     entry_index,
     file_version,
     format_path,
+    indented,
     iter_nodes,
     load_json,
-    node_at,
     parse_field,
     postorder,
     replace_at,
@@ -165,67 +165,54 @@ def rule_kinds(root: TableauNode) -> list[str]:
 # ------------------------------------------------------------------- rules
 
 
-def expand(root: TableauNode, leaf: Path, principal: Formula, names: NameSupply) -> TableauNode:
+def _introduced(cls: RuleClass, principal: Formula,
+                witness: Term | None) -> tuple[tuple[Formula, ...], ...]:
+    """The formulas the rule of class ``cls`` on ``principal`` adds to each
+    child; ``witness`` instantiates a quantifier."""
+    if cls is RuleClass.ALPHA:
+        return (alpha_parts(principal),)
+    if cls is RuleClass.BETA:
+        return tuple((part,) for part in beta_parts(principal))
+    return ((quant_parts(principal).instantiate(witness),),)
+
+
+def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     """Apply the alpha/beta/gamma/delta rule for ``principal`` at an open leaf.
 
-    The leaf is extended in place and ``root`` is returned.  Children
-    receive the leaf's multiset plus the introduced formulas; the
-    constraint store is untouched by expansions.
+    The leaf is extended in place.  Children receive the leaf's multiset
+    plus the introduced formulas; the constraint store is untouched by
+    expansions.
     """
-    node = node_at(root, leaf)
     if node.closed:
-        raise TableauError(f"leaf {format_path(leaf)} is closed")
+        raise TableauError("leaf is closed")
     if node.rule is not None:
-        raise TableauError(f"node {format_path(leaf)} is not a leaf")
+        raise TableauError("node is not a leaf")
     if principal not in node.formulas:
-        raise TableauError(f"principal {print_formula(principal)} not at leaf {format_path(leaf)}")
+        raise TableauError(f"principal {print_formula(principal)} not at leaf")
     cls = classify(principal)
     if cls is RuleClass.LITERAL:
         raise TableauError(f"cannot expand literal {print_formula(principal)}")
 
-    if cls is RuleClass.ALPHA:
-        intro: tuple[tuple[Formula, ...], ...] = (alpha_parts(principal),)
-        rule = RuleInstance(RuleClass.ALPHA.value, principal, intro)
-    elif cls is RuleClass.BETA:
-        left, right = beta_parts(principal)
-        intro = ((left,), (right,))
-        rule = RuleInstance(RuleClass.BETA.value, principal, intro)
-    elif cls is RuleClass.GAMMA:
-        qb = quant_parts(principal)
-        m = names.fresh_meta()
-        intro = ((qb.instantiate(m),),)
-        rule = RuleInstance(RuleClass.GAMMA.value, principal, intro, meta=m)
-    else:  # delta
-        qb = quant_parts(principal)
-        sko = App(names.fresh_skolem_symbol(), tuple(free_metas(qb.body)))
-        intro = ((qb.instantiate(sko),),)
-        rule = RuleInstance(RuleClass.DELTA.value, principal, intro, skolem=sko)
-
-    node.rule = rule
+    meta = skolem = None
+    if cls is RuleClass.GAMMA:
+        meta = names.fresh_meta()
+    elif cls is RuleClass.DELTA:
+        skolem = App(names.fresh_skolem_symbol(), tuple(free_metas(quant_parts(principal).body)))
+    intro = _introduced(cls, principal, meta if cls is RuleClass.GAMMA else skolem)
+    node.rule = RuleInstance(cls.value, principal, intro, meta=meta, skolem=skolem)
     node.children = tuple(TableauNode(node.formulas + extra) for extra in intro)
-    return root
 
 
-def close(
-    root: TableauNode,
-    store: ConstraintStore,
-    leaf: Path,
-    pos: Formula,
-    neg: Formula,
-    *,
-    eager: bool = True,
-) -> tuple[TableauNode, ConstraintStore] | None:
+def close(node: TableauNode, store: ConstraintStore, pos: Formula,
+          neg: Formula) -> ConstraintStore | None:
     """Close an open leaf on the complementary pair (pos, neg).
 
     Adds the constraint ``pos = neg'`` (neg being ``~neg'``) and closes the
-    leaf in place, returning ``root`` and the extended store, or returns
-    None (refused, nothing changed) when the candidate constraint is
-    inconsistent.  With ``eager`` unset, only the pair itself is checked
-    and global satisfiability is deferred to the final solve.
+    leaf in place, returning the extended store, or returns None (refused,
+    nothing changed) when the constraint is inconsistent with ``store``.
     """
-    node = node_at(root, leaf)
     if node.closed or node.rule is not None:
-        raise TableauError(f"{format_path(leaf)} is not an open leaf")
+        raise TableauError("node is not an open leaf")
     if not isinstance(pos, Atom) or not isinstance(neg, Not) or not isinstance(neg.body, Atom):
         raise TableauError("closure needs an atom and a negated atom")
     if pos not in node.formulas or neg not in node.formulas:
@@ -234,12 +221,11 @@ def close(
         raise TableauError("closure pair predicates do not match")
 
     c = Constraint(pos, neg.body)
-    base = store if eager else ConstraintStore()
-    if not consistent(base, [c]):
+    if not consistent(store, [c]):
         return None
     node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
     node.children = (TableauNode(node.formulas, closed=True),)
-    return root, store.add(c)
+    return store.add(c)
 
 
 # ------------------------------------------------------------------ search
@@ -250,16 +236,6 @@ _PRIORITY = {
     RuleClass.BETA: 2,
     RuleClass.GAMMA: 3,
 }
-
-
-def _branch_uses(root: TableauNode, leaf: Path) -> dict[Formula, int]:
-    uses: dict[Formula, int] = {}
-    node = root
-    for bit in leaf:
-        if node.rule is not None and node.rule.principal is not None:
-            uses[node.rule.principal] = uses.get(node.rule.principal, 0) + 1
-        node = node.children[bit]
-    return uses
 
 
 def _closure_candidates(formulas: tuple[Formula, ...]) -> Iterator[tuple[Formula, Formula]]:
@@ -280,8 +256,6 @@ def prove(
     formulas: Iterable[Formula],
     gamma_limit: int = 2,
     depth_limit: int = 200,
-    *,
-    eager_close: bool = True,
 ) -> ClosedTableau | Exhausted:
     """Search for a closed tableau refuting the given multiset.
 
@@ -290,7 +264,8 @@ def prove(
     preferring alpha > delta > beta > gamma and, within a class, the least
     used and then the oldest occurrence.  Each gamma formula may be
     re-instantiated up to ``gamma_limit`` times per branch; a branch longer
-    than ``depth_limit`` exhausts the search.
+    than ``depth_limit`` exhausts the search.  Every closure is checked
+    against the whole constraint store, so the store stays satisfiable.
     """
     if gamma_limit < 1:
         raise ValueError("gamma_limit must be at least 1")
@@ -306,27 +281,42 @@ def prove(
     root = TableauNode(gamma)
     store = ConstraintStore()
     steps = 0
-    # The open leaves, leftmost on top: expanding the leftmost leaf puts
-    # its children, which precede every other open leaf, in its place.
-    pending: list[tuple[Path, TableauNode]] = [((), root)]
+    # What groundification needs, noted in first-occurrence order as the
+    # leaves are taken: each leaf's formulas are its parent's plus the ones
+    # its rule introduced, and the leaves are taken in preorder.
+    metas: dict[Meta, None] = {}
+    gamma_metas: list[Meta] = []
+    symbols: set[str] = set()
+    noted: set[Formula] = set()
+    # The open leaves, leftmost on top, each with its depth, the number of
+    # times each principal was used on its branch (one dict per expansion,
+    # shared by the children) and the formulas it adds to its parent's.
+    # Expanding the leftmost leaf puts its children, which precede every
+    # other open leaf, in its place.
+    pending: list[tuple[TableauNode, int, dict[Formula, int], tuple[Formula, ...]]] = [
+        (root, 0, {}, gamma)]
 
     while pending:
-        leaf, node = pending.pop()
+        node, depth, uses, introduced = pending.pop()
+        for f in introduced:
+            if f not in noted:
+                noted.add(f)
+                metas.update(dict.fromkeys(free_metas(f)))
+                symbols |= formula_symbols(f)
 
         closed = None
         for pos, neg in _closure_candidates(node.formulas):
-            closed = close(root, store, leaf, pos, neg, eager=eager_close)
+            closed = close(node, store, pos, neg)
             if closed is not None:
                 break
         if closed is not None:
-            root, store = closed
+            store = closed
             steps += 1
             continue
 
-        if len(leaf) >= depth_limit:
+        if depth >= depth_limit:
             return Exhausted("depth limit reached", steps)
 
-        uses = _branch_uses(root, leaf)
         best: tuple[int, int, int] | None = None
         principal: Formula | None = None
         seen: set[Formula] = set()
@@ -348,30 +338,18 @@ def prove(
         if principal is None:
             return Exhausted("no closure and no usable formula on a branch", steps)
 
-        root = expand(root, leaf, principal, names)
+        expand(node, principal, names)
         steps += 1
-        for bit in reversed(range(len(node.children))):
-            pending.append((leaf + (bit,), node.children[bit]))
+        rule = node.rule
+        if rule.meta is not None:
+            gamma_metas.append(rule.meta)
+        child_uses = {**uses, principal: uses.get(principal, 0) + 1}
+        for child, extra in zip(reversed(node.children), reversed(rule.introduced)):
+            pending.append((child, depth + 1, child_uses, extra))
 
     sigma = solve(store)
-    if sigma is None:
-        # only reachable with deferred closure checking
-        return Exhausted("closure constraints are globally unsatisfiable", steps)
-
-    # Walk each distinct formula once, in first-occurrence order.
-    metas: dict[Meta, None] = {}
-    gamma_metas: list[Meta] = []
-    symbols: set[str] = set()
-    seen: set[Formula] = set()
-    for _, n in iter_nodes(root):
-        if n.rule is not None and n.rule.meta is not None:
-            gamma_metas.append(n.rule.meta)
-        for f in n.formulas:
-            if f in seen:
-                continue
-            seen.add(f)
-            metas.update(dict.fromkeys(free_metas(f)))
-            symbols |= formula_symbols(f)
+    if sigma is None:  # each closure was checked against the whole store
+        raise TableauError("closure constraints are globally unsatisfiable")
     # A gamma step on a variable its body never uses leaves a metavariable
     # in no formula, yet the sequent rule still needs it as a ground
     # witness.  Such metavariables go last, so the others keep their
@@ -389,7 +367,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 
     Raises AuditError on the first violation: every leaf closed, each child
     multiset equal to its parent plus the introduced formulas
-    (non-destructivity), rule labels consistent with the recorded children,
+    (non-destructivity), the introduced formulas the decomposition of the
+    principal by its rule, rule labels consistent with the recorded children,
     Skolem symbols unused before their introduction, and the unifier
     ground, solving the store, and equating every closure pair.
     """
@@ -438,6 +417,11 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"delta without skolem at {format_path(path)}")
             if rule.kind == RuleClass.GAMMA.value and rule.meta is None:
                 raise AuditError(f"gamma without metavariable at {format_path(path)}")
+            cls = classify(rule.principal)
+            witness = rule.meta if cls is RuleClass.GAMMA else rule.skolem
+            if cls.value != rule.kind or rule.introduced != _introduced(cls, rule.principal, witness):
+                raise AuditError(f"introduced formulas are not the {rule.kind} decomposition "
+                                 f"of the principal at {format_path(path)}")
 
     introduced: set[str] = set()
     for path, n in iter_nodes(ct.root):
@@ -728,15 +712,12 @@ def render_tableau(ct: ClosedTableau) -> str:
             extra = f" [{print_term(rule.skolem)}]"
         return f"{rule.kind} on {print_formula(rule.principal)}{extra}"
 
-    def walk(node: TableauNode, indent: str) -> None:
+    for indent, node in indented(ct.root):
         marker = "x " if node.closed else ""
         lines.append(indent + marker + ", ".join(print_formula(f) for f in node.formulas))
         if node.rule is not None:
             lines.append(indent + "-- " + label(node.rule))
-            for child in node.children:
-                walk(child, indent + ("    " if len(node.children) > 1 else ""))
 
-    walk(ct.root, "")
     lines.append("store: " + ("; ".join(
         f"{_side_str(c.lhs)} = {_side_str(c.rhs)}" for c in ct.store.constraints
     ) or "(empty)"))

@@ -39,7 +39,7 @@ from .formula import (
     print_term,
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
-from .tableau import CLOSURE, ClosedTableau, audit_closed_tableau
+from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
 from .tree import Path, PathError, format_path, iter_nodes, node_at
 from .unify import Substitution
 
@@ -182,7 +182,7 @@ class _Builder:
             out = self._skolems[f] = outermost_skolem_terms(f)
         return out
 
-    def step(self, proof: GsProof, leaf: Path, rule: GsRule, principal: Formula) -> None:
+    def step(self, leaf: Path, rule: GsRule, principal: Formula) -> None:
         """``build_step`` at an open leaf, then track its premises."""
         node = self.leaves.get(leaf)
         if node is None:
@@ -190,8 +190,7 @@ class _Builder:
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
-        build_step(proof, leaf, rule, principal, node=node, additions=additions,
-                   outermost_skolems=self.skolems)
+        build_step(node, rule, principal, additions=additions, outermost_skolems=self.skolems)
         del self.leaves[leaf]
         for bit, child in enumerate(node.children):
             self.leaves[leaf + (bit,)] = child
@@ -270,12 +269,12 @@ def delta_graft(
             raise TranslateError("graft leaf does not contain the root sequent")
         s = b
         for f in sorted(drops.elements(), key=print_formula):
-            builder.step(theta, s, GsRule("weaken"), f)
+            builder.step(s, GsRule("weaken"), f)
             s += (0,)
-        builder.step(theta, s, delta_rule, principal)
+        builder.step(s, delta_rule, principal)
         s += (0,)
         if extra_principal:
-            builder.step(theta, s, GsRule("weaken"), principal)
+            builder.step(s, GsRule("weaken"), principal)
             s += (0,)
         link(s, ())
         held.add(s)
@@ -294,7 +293,7 @@ def delta_graft(
 
         if rule.name == "axiom":
             for s in S:
-                builder.step(theta, s, rule, rule_principal)
+                builder.step(s, rule, rule_principal)
                 del mu_part[s]
                 held.discard(s)
             continue
@@ -303,7 +302,7 @@ def delta_graft(
             for s in S:
                 del mu_part[s]
                 if s in held:
-                    builder.step(theta, s, rule, rule_principal)
+                    builder.step(s, rule, rule_principal)
                     link(s + (0,), b + (0,))
                     held.discard(s)
                     held.add(s + (0,))
@@ -376,7 +375,7 @@ def delta_graft(
         for s in S:
             was_held = s in held
             held.discard(s)
-            builder.step(theta, s, rule, rule_principal)
+            builder.step(s, rule, rule_principal)
             del mu_part[s]
             for bit in range(len(node_th.children)):
                 child_s = s + (bit,)
@@ -390,7 +389,7 @@ def delta_graft(
                 ):
                     # This side leaves the grafted region; drop the held
                     # Skolem side formula.
-                    builder.step(theta, child_s, GsRule("weaken"), delta_formula)
+                    builder.step(child_s, GsRule("weaken"), delta_formula)
                     child_s += (0,)
                     child_held = False
                 link(child_s, child_b)
@@ -464,12 +463,14 @@ def parallel_extend(
     marks: set[Path],
     ct: ClosedTableau,
     leaf: Path,
+    node: TableauNode,
     stats: TranslateStats,
     audit: bool,
     ranks: Mapping[App, int],
     builder: _Builder,
 ) -> None:
-    """Replay the tableau rule at ``leaf`` on every linked sequent leaf.
+    """Replay the rule of the tableau node ``node``, at path ``leaf``, on
+    every linked sequent leaf.
 
     ``link`` maps each open leaf of the proof to its tableau node, and
     ``marks`` holds the tableau nodes whose rules are replayed, a
@@ -485,7 +486,6 @@ def parallel_extend(
     if not _on_fringe(marks, leaf):
         raise TranslateError(f"{format_path(leaf)} is not a fringe leaf")
     sigma = ct.unifier
-    node = node_at(ct.root, leaf)
     rule = node.rule
     if rule is None:
         raise TranslateError(f"tableau node {format_path(leaf)} has no rule to replay")
@@ -497,7 +497,7 @@ def parallel_extend(
         pos, _neg = rule.closure_pair
         principal = builder.instance(pos)
         for s in S:
-            builder.step(proof, s, GsRule("axiom"), principal)
+            builder.step(s, GsRule("axiom"), principal)
             del link[s]
 
     elif rule.kind == "delta":
@@ -523,7 +523,7 @@ def parallel_extend(
         witness = sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
         gs_rule = GsRule(name, witness)
         for s in S:
-            builder.step(proof, s, gs_rule, principal)
+            builder.step(s, gs_rule, principal)
             del link[s]
             for bit in range(len(node.children)):
                 link[s + (bit,)] = leaf + (bit,)
@@ -683,7 +683,7 @@ def translate_detailed(
     # fringe of the rules replayed before it, the least such path.
     for leaf, node in iter_nodes(ct.root):
         if node.rule is not None:
-            parallel_extend(proof, link, marks, ct, leaf, stats, audit, ranks, builder)
+            parallel_extend(proof, link, marks, ct, leaf, node, stats, audit, ranks, builder)
 
     if link:
         raise TranslateError("open sequent leaves remain after the last tableau rule")

@@ -67,6 +67,18 @@ def iter_nodes(root: N) -> Iterator[tuple[Path, N]]:
             stack.append((path + (bit,), node.children[bit]))
 
 
+def indented(root: N) -> Iterator[tuple[str, N]]:
+    """Preorder traversal for a stacked rendering, each node with its
+    indent: the children of a node with two or more children sit four
+    spaces further in than their parent."""
+    stack: list[tuple[str, N]] = [("", root)]
+    while stack:
+        indent, node = stack.pop()
+        yield indent, node
+        inner = indent + "    " if len(node.children) > 1 else indent
+        stack.extend((inner, child) for child in reversed(node.children))
+
+
 def postorder(root: N) -> Iterator[N]:
     """Each node object once, after its children, left to right, without
     recursion; a node object reached again through another parent, as in a

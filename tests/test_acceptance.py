@@ -12,13 +12,13 @@ from tabseq.tableau import (
     ClosedTableau,
     audit_closed_tableau,
     iter_nodes,
-    node_at,
     prove,
     rule_count,
     rule_kinds,
     tableau_to_json,
 )
 from tabseq.translate import translate, translate_detailed
+from tabseq.tree import node_at
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -94,7 +94,7 @@ def test_acceptance_3_checker_negative_control():
     result = gs3.check(test_gs3.naive_drinker_pseudo_proof())
     assert not result.accepted
     assert result.reason == "freshness-violation"
-    failing = gs3.node_at(test_gs3.naive_drinker_pseudo_proof(), result.path)
+    failing = node_at(test_gs3.naive_drinker_pseudo_proof(), result.path)
     assert failing.rule.name == "not_forall"
     print(f"\nACCEPTANCE 3 PASS: pseudo-derivation rejected with "
           f"{result.reason} at its not_forall inference (path {''.join(map(str, result.path))})")

@@ -13,7 +13,15 @@ from tabseq.cli import build_parser, main
 from tabseq.formula import MAX_DEPTH, nesting_depth, parse, print_formula
 from tabseq.gs3 import proof_from_json
 from tabseq.problems import corpus
-from tabseq.tableau import tableau_from_json
+from tabseq.tableau import (
+    CLOSURE,
+    ClosedTableau,
+    RuleInstance,
+    TableauNode,
+    tableau_from_json,
+    tableau_to_json,
+)
+from tabseq.unify import ConstraintStore, Substitution
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -79,38 +87,19 @@ class TestProve:
         assert "closure on" in out
         assert "|-" in out
 
-    def test_jobs_fan_out_over_files(self, tmp_path, capsys):
+    def test_several_inputs_each_get_their_proof_files(self, tmp_path, capsys):
         files = []
         for i, text in enumerate(["P => P", "P | ~P", DRINKER]):
             p = tmp_path / f"goal{i}.p"
             p.write_text(text + "\n", encoding="utf-8")
             files.append(str(p))
-        code = run_cli(["prove", *files, "--negate", "--jobs", "3"])
+        code = run_cli(["prove", *files, "--negate"])
         assert code == 0
         for i in range(3):
             assert (tmp_path / f"goal{i}.gs3").exists()
 
-    def test_two_jobs_write_the_bytes_one_job_writes(self, tmp_path):
-        # Both runs share one process and its intern table, the second
-        # with two threads racing to build the same formulas.
-        files = []
-        for name, goal in corpus(generated=12)[-12:]:
-            path = tmp_path / f"{name}.p"
-            path.write_text(print_formula(goal) + "\n", encoding="utf-8")
-            files.append(str(path))
-        for jobs in ("1", "2"):
-            assert run_cli(["prove", *files, "--negate", "--jobs", jobs,
-                            "--out", str(tmp_path / jobs)]) == 0
-        written = sorted(p.name for p in (tmp_path / "1").iterdir())
-        assert len(written) == 24
-        for name in written:
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
-
     def test_bad_limits_exit_two(self, drinker_file):
         assert run_cli(["prove", str(drinker_file), "--gamma-limit", "0"]) == 2
-
-    def test_no_eager_close_flag_accepted(self, tmp_path, drinker_file):
-        assert run_cli(["prove", str(drinker_file), "--negate", "--no-eager-close"]) == 0
 
     def test_mixed_results_use_worst_status(self, tmp_path, drinker_file):
         sat = tmp_path / "sat.p"
@@ -131,13 +120,19 @@ class TestProve:
         err = capsys.readouterr().err
         assert f"cannot read {bad}: not UTF-8 text" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_non_utf8_input_does_not_stop_the_batch(self, tmp_path, drinker_file, capsys, jobs):
+    @pytest.mark.parametrize("position", ["1", "2"])
+    def test_non_utf8_input_does_not_stop_the_batch(self, tmp_path, drinker_file, capsys,
+                                                    position):
         bad = tmp_path / "latin1.p"
         bad.write_bytes(b"P(\xe9)\n")
-        assert run_cli(["prove", str(bad), str(drinker_file), "--negate", "--jobs", jobs]) == 2
+        inputs = [str(bad), str(drinker_file)]
+        if position == "2":
+            inputs.reverse()
+        assert run_cli(["prove", *inputs, "--negate"]) == 2
         captured = capsys.readouterr()
         assert f"{bad}: error: cannot read" in captured.err
+        assert f"{drinker_file}: proved" in captured.out
+        assert (tmp_path / "drinker.gs3").exists()
         assert "drinker.p: proved" in captured.out
         assert (tmp_path / "drinker.gs3").exists()
 
@@ -178,6 +173,24 @@ class TestTranslate:
         record["unifier"] = []
         tab.write_text(json.dumps(record), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
+
+    def test_alpha_rule_with_an_extra_introduced_formula_exits_two(self, tmp_path, capsys):
+        # The alpha rule on P & Q introduces P, Q and S, and S is in its
+        # child too, so every child is its parent plus the introduced
+        # formulas; only the decomposition is wrong.
+        pq, not_p, p, q, s = (parse(t) for t in ("P & Q", "~P", "P", "Q", "S"))
+        child = TableauNode((pq, not_p, p, q, s),
+                            RuleInstance(CLOSURE, None, ((),), closure_pair=(p, not_p)))
+        child.children = (TableauNode(child.formulas, closed=True),)
+        root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
+        tab = tmp_path / "forged.tab"
+        tab.write_text(tableau_to_json(ClosedTableau(
+            root, ConstraintStore(), Substitution({}, ground=True))), encoding="utf-8")
+        assert run_cli(["translate", str(tab)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "
+                              "the alpha decomposition of the principal at (root)")
+        assert not (tmp_path / "forged.gs3").exists()
 
     def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
@@ -461,8 +474,8 @@ class TestDepthBoundEndToEnd:
 
 @pytest.mark.parametrize("argv", [
     ["prove", "a.p"],
-    ["prove", "a.p", "b.p", "--negate", "--gamma-limit", "3", "--emit", "gs3", "--jobs", "2"],
-    ["prove", "a.p", "--no-eager-close", "--out", "dir", "--pretty"],
+    ["prove", "a.p", "b.p", "--negate", "--gamma-limit", "3", "--emit", "gs3"],
+    ["prove", "a.p", "--depth-limit", "9", "--out", "dir", "--pretty"],
     ["translate", "a.tab"],
     ["translate", "a.tab", "--out", "a.gs3", "--pretty"],
     ["check", "a.gs3"],

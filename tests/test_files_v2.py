@@ -26,10 +26,12 @@ from tabseq.tableau import (
     close,
     expand,
     prove,
+    render_tableau,
     tableau_from_json,
     tableau_to_json,
 )
 from tabseq.translate import translate
+from tabseq.tree import node_at
 from tabseq.unify import ConstraintStore, Substitution
 
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
@@ -160,13 +162,13 @@ def deep_gs3_proof(rounds: int) -> GsProof:
 def deep_tableau(steps: int) -> ClosedTableau:
     """``steps`` gamma steps on ``forall x. P(x)`` along one branch, closed
     on the first instance against ``~P(a)``."""
-    root = TableauNode((FORALL_P, Not(P_A)))
-    names, node, path = NameSupply({"P", "a"}), root, ()
+    root = node = TableauNode((FORALL_P, Not(P_A)))
+    names = NameSupply({"P", "a"})
     for _ in range(steps):
-        expand(root, path, FORALL_P, names)
-        node, path = node.children[0], path + (0,)
+        expand(node, FORALL_P, names)
+        (node,) = node.children
     first = Atom("P", (Meta("X1"),))
-    _, store = close(root, ConstraintStore(), path, first, Not(P_A))
+    store = close(node, ConstraintStore(), first, Not(P_A))
     unifier = Substitution({f"X{i}": A for i in range(1, steps + 1)}, ground=True)
     return ClosedTableau(root, store, unifier)
 
@@ -191,6 +193,26 @@ def test_deep_tableau_reads_back():
     text = tableau_to_json(ct)
     back = tableau_from_json(text)
     assert tableau_to_json(back) == text and depth(back.root) == depth(ct.root)
+
+
+def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """Both renderings walk the tree without recursion.  Under a recursion
+    limit of 200, a 300-step tableau and its translation print in full, and
+    ``translate --pretty`` exits 0 after writing the proof."""
+    ct = deep_tableau(300)
+    path = tmp_path / "deep.tab"
+    path.write_text(tableau_to_json(ct), encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        text = render_tableau(ct)
+        code = run_cli(["translate", str(path), "--pretty"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("-- gamma on") == 300 and text.count("-- closure on") == 1
+    out = capsys.readouterr().out
+    assert code == 0 and out.startswith(f"wrote {tmp_path / 'deep.gs3'}\n")
+    assert out.count("-- forall on") == 300 and out.count("-- axiom on") == 1
 
 
 # ---------------------------------------------- the checker on shared nodes
@@ -297,7 +319,7 @@ def test_a_fault_in_a_shared_node_is_reported_at_its_first_occurrence(fault):
     tampered = proof_from_json(json.dumps(record))
     tree = proof
     for path in paths:
-        tree = gs3.replace_at(tree, path, unshared(gs3.node_at(tampered, path), path, tree))
+        tree = gs3.replace_at(tree, path, unshared(node_at(tampered, path), path, tree))
     in_memory = check(tree)
     assert not from_file.accepted and from_file == in_memory
     # At the first copy, or at its parent when the fault is in a premise.
@@ -306,7 +328,7 @@ def test_a_fault_in_a_shared_node_is_reported_at_its_first_occurrence(fault):
 
 def unshared(node: GsProof, path, tree) -> GsProof:
     """``node`` with the subproof below it taken from ``tree`` at ``path``."""
-    return GsProof(node.sequent, node.rule, node.principal, gs3.node_at(tree, path).children)
+    return GsProof(node.sequent, node.rule, node.principal, node_at(tree, path).children)
 
 
 # ------------------------------------------------------------ hostile files

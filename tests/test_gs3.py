@@ -18,7 +18,6 @@ from tabseq.gs3 import (
     check,
     inference_count,
     iter_nodes,
-    node_at,
     open_leaves,
     premise_additions,
     proof_from_json,
@@ -32,7 +31,7 @@ from tabseq import gs3, tableau
 from tabseq.problems import growth_goal
 from tabseq.tableau import prove
 from tabseq.translate import translate
-from tabseq.tree import PathError
+from tabseq.tree import PathError, node_at
 
 GOAL = parse("~(exists x. (D(x) => forall y. D(y)))")
 NOT_IMP = parse("~(D(c) => forall y. D(y))")
@@ -45,16 +44,20 @@ C = const("c")
 def grown_drinker_proof() -> GsProof:
     """The graft-and-grow sequent proof of the drinker statement, built
     step by step (weakening chains written one occurrence at a time)."""
-    p = GsProof((GOAL,))
-    p = build_step(p, (), GsRule("not_exists", C), GOAL)
-    p = build_step(p, (0,), GsRule("not_implies"), NOT_IMP)
-    p = build_step(p, (0, 0), GsRule("weaken"), NOT_IMP)
-    p = build_step(p, (0, 0, 0), GsRule("weaken"), D_C)
-    p = build_step(p, (0, 0, 0, 0), GsRule("not_forall", C), NOT_ALL)
-    p = build_step(p, (0, 0, 0, 0, 0), GsRule("weaken"), NOT_ALL)
-    p = build_step(p, (0,) * 6, GsRule("not_exists", C), GOAL)
-    p = build_step(p, (0,) * 7, GsRule("not_implies"), NOT_IMP)
-    p = build_step(p, (0,) * 8, GsRule("axiom"), D_C)
+    p = node = GsProof((GOAL,))
+    for rule, principal in (
+        (GsRule("not_exists", C), GOAL),
+        (GsRule("not_implies"), NOT_IMP),
+        (GsRule("weaken"), NOT_IMP),
+        (GsRule("weaken"), D_C),
+        (GsRule("not_forall", C), NOT_ALL),
+        (GsRule("weaken"), NOT_ALL),
+        (GsRule("not_exists", C), GOAL),
+        (GsRule("not_implies"), NOT_IMP),
+    ):
+        build_step(node, rule, principal)
+        (node,) = node.children
+    build_step(node, GsRule("axiom"), D_C)
     return p
 
 
@@ -103,11 +106,12 @@ class TestCheckAccepts:
     def test_branching_rules(self):
         f = parse("(P | Q) & (~P & ~Q)")
         p = GsProof((f,))
-        p = build_step(p, (), GsRule("and"), f)
-        p = build_step(p, (0,), GsRule("and"), parse("~P & ~Q"))
-        p = build_step(p, (0, 0), GsRule("or"), parse("P | Q"))
-        p = build_step(p, (0, 0, 0), GsRule("axiom"), parse("P"))
-        p = build_step(p, (0, 0, 1), GsRule("axiom"), parse("Q"))
+        build_step(p, GsRule("and"), f)
+        build_step(p.children[0], GsRule("and"), parse("~P & ~Q"))
+        (node,) = p.children[0].children
+        build_step(node, GsRule("or"), parse("P | Q"))
+        build_step(node.children[0], GsRule("axiom"), parse("P"))
+        build_step(node.children[1], GsRule("axiom"), parse("Q"))
         assert check(p).accepted
 
 
@@ -296,31 +300,33 @@ class TestWeakening:
 
 class TestBuildStep:
     def test_fig5_bottom_inference(self):
-        p = build_step(GsProof((GOAL,)), (), GsRule("not_exists", C), GOAL)
+        p = GsProof((GOAL,))
+        build_step(p, GsRule("not_exists", C), GOAL)
         assert node_at(p, (0,)).sequent == (GOAL, NOT_IMP)
 
     def test_weaken_drops_one_occurrence(self):
         p = GsProof((GOAL, NOT_ALL))
-        p = build_step(p, (), GsRule("weaken"), NOT_ALL)
+        build_step(p, GsRule("weaken"), NOT_ALL)
         assert node_at(p, (0,)).sequent == (GOAL,)
 
     def test_implies_two_children(self):
         f = parse("A => B")
-        p = build_step(GsProof((f,)), (), GsRule("implies"), f)
+        p = GsProof((f,))
+        build_step(p, GsRule("implies"), f)
         assert node_at(p, (0,)).sequent == (f, parse("~A"))
         assert node_at(p, (1,)).sequent == (f, parse("B"))
 
     def test_delta_freshness_enforced_eagerly(self):
         seq = (parse("exists x. P(x)"), parse("Q(c)"))
         with pytest.raises(StepError) as err:
-            build_step(GsProof(seq), (), GsRule("exists", C), seq[0])
+            build_step(GsProof(seq), GsRule("exists", C), seq[0])
         assert err.value.reason == FRESHNESS
 
     def test_skolem_witness_outermost_occurrence_refused(self):
         sko = App("sko1", ())
         seq = (parse("exists x. P(x)"), Atom("Q", (sko,)))
         with pytest.raises(StepError) as err:
-            build_step(GsProof(seq), (), GsRule("exists", sko), seq[0])
+            build_step(GsProof(seq), GsRule("exists", sko), seq[0])
         assert err.value.reason == FRESHNESS
 
     def test_skolem_witness_nested_occurrence_allowed(self):
@@ -329,52 +335,51 @@ class TestBuildStep:
         inner = App("sko1", ())
         outer = App("sko2", (inner,))
         seq = (parse("exists x. P(x)"), Atom("Q", (outer,)))
-        p = build_step(GsProof(seq), (), GsRule("exists", inner), seq[0])
+        p = GsProof(seq)
+        build_step(p, GsRule("exists", inner), seq[0])
         assert node_at(p, (0,)).sequent[-1] == Atom("P", (inner,))
 
     def test_bad_axiom_raises(self):
         with pytest.raises(StepError) as err:
-            build_step(GsProof((parse("P"),)), (), GsRule("axiom"), parse("P"))
+            build_step(GsProof((parse("P"),)), GsRule("axiom"), parse("P"))
         assert err.value.reason == BAD_AXIOM
 
     def test_closed_leaf_rejected(self):
         p = GsProof((parse("P"), parse("~P")), GsRule("axiom"), parse("P"), ())
         with pytest.raises(StepError):
-            build_step(p, (), GsRule("weaken"), parse("P"))
+            build_step(p, GsRule("weaken"), parse("P"))
 
     def test_extends_the_leaf_in_place(self):
         f = parse("A => B")
         root = GsProof((GOAL, f))
-        root = build_step(root, (), GsRule("weaken"), GOAL)
-        leaf = node_at(root, (0,))
-        assert build_step(root, (0,), GsRule("implies"), f) is root
-        assert node_at(root, (0,)) is leaf
+        build_step(root, GsRule("weaken"), GOAL)
+        (leaf,) = root.children
+        build_step(leaf, GsRule("implies"), f)
+        assert root.children == (leaf,)
         assert leaf.rule == GsRule("implies") and leaf.principal == f
         assert [c.sequent for c in leaf.children] == [(f, parse("~A")), (f, parse("B"))]
 
     def test_refused_step_changes_nothing(self):
         root = GsProof((parse("P"), parse("Q")))
         with pytest.raises(StepError):
-            build_step(root, (), GsRule("axiom"), parse("P"))
+            build_step(root, GsRule("axiom"), parse("P"))
         assert root.is_open
 
     def test_given_node_and_additions_build_the_same_step(self):
         f = parse("A => B")
-        root = build_step(GsProof((GOAL, f)), (), GsRule("weaken"), GOAL)
-        leaf = node_at(root, (0,))
+        root = GsProof((GOAL, f))
+        build_step(root, GsRule("weaken"), GOAL)
+        (leaf,) = root.children
         additions = premise_additions(GsRule("implies"), f)
-        assert build_step(root, (0,), GsRule("implies"), f, node=leaf, additions=additions) is root
+        build_step(leaf, GsRule("implies"), f, additions=additions)
         assert [c.sequent for c in leaf.children] == [(f, parse("~A")), (f, parse("B"))]
         assert [c.sequent[-1] for c in leaf.children] == [a for (a,) in additions]
 
     def test_given_node_is_still_validated(self):
-        leaf = GsProof((parse("P"), parse("Q")))
-        with pytest.raises(StepError):
-            build_step(GsProof(()), (5,), GsRule("axiom"), parse("P"), node=leaf)
         seq = (parse("exists x. P(x)"), parse("Q(c)"))
         leaf = GsProof(seq)
         with pytest.raises(StepError) as err:
-            build_step(leaf, (), GsRule("exists", C), seq[0], node=leaf,
+            build_step(leaf, GsRule("exists", C), seq[0],
                        additions=premise_additions(GsRule("exists", C), seq[0]))
         assert err.value.reason == FRESHNESS
         assert leaf.is_open
@@ -429,9 +434,9 @@ def random_built_proof(rng: random.Random) -> GsProof:
         if not candidates:
             break
         rule, principal = rng.choice(candidates)
-        proof = build_step(proof, leaf, rule, principal)
+        build_step(node, rule, principal)
     for leaf in open_leaves(proof):
-        proof = build_step(proof, leaf, GsRule("axiom"), parse("P"))
+        build_step(node_at(proof, leaf), GsRule("axiom"), parse("P"))
     return proof
 
 

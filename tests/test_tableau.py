@@ -17,7 +17,6 @@ from tabseq.tableau import (
     close,
     expand,
     iter_nodes,
-    node_at,
     open_leaves,
     prove,
     render_tableau,
@@ -26,6 +25,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
+from tabseq.tree import node_at
 from tabseq.unify import ConstraintStore, Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
@@ -36,63 +36,63 @@ class TestExpand:
         # the only metavariable at the leaf does not occur in D(y), so the
         # Skolem term is a fresh constant
         root = TableauNode((Not(parse("forall y. D(y)")), Atom("P", (Meta("X"),))))
-        tree = expand(root, (), root.formulas[0], NameSupply())
-        child = node_at(tree, (0,))
+        expand(root, root.formulas[0], NameSupply())
+        (child,) = root.children
         assert child.formulas[-1] == Not(Atom("D", (App("sko1", ()),)))
-        assert tree.rule.skolem == App("sko1", ())
+        assert root.rule.skolem == App("sko1", ())
 
     def test_delta_collects_occurring_metas(self):
         from tabseq.formula import Forall
 
         f = Not(Forall("y", Atom("Q", (Meta("X"), Var("y")))))
         root = TableauNode((f,))
-        tree = expand(root, (), f, NameSupply())
-        assert tree.rule.skolem == App("sko1", (Meta("X"),))
-        child = node_at(tree, (0,))
+        expand(root, f, NameSupply())
+        assert root.rule.skolem == App("sko1", (Meta("X"),))
+        (child,) = root.children
         assert child.formulas[-1] == Not(Atom("Q", (Meta("X"), App("sko1", (Meta("X"),)))))
 
     def test_gamma_introduces_fresh_meta(self):
         f = parse(DRINKER_NEG)
         root = TableauNode((f,))
-        tree = expand(root, (), f, NameSupply())
-        child = node_at(tree, (0,))
+        expand(root, f, NameSupply())
+        (child,) = root.children
         intro = child.formulas[-1]
         assert intro == parse("~(D(X1) => forall y. D(y))", allow_generated=True)
-        assert tree.rule.meta == Meta("X1")
+        assert root.rule.meta == Meta("X1")
 
     def test_beta_splits_into_two_children(self):
         f = parse("A | B")
         root = TableauNode((f,))
-        tree = expand(root, (), f, NameSupply())
-        assert len(tree.children) == 2
-        assert tree.children[0].formulas == (f, Atom("A", ()))
-        assert tree.children[1].formulas == (f, Atom("B", ()))
+        expand(root, f, NameSupply())
+        assert len(root.children) == 2
+        assert root.children[0].formulas == (f, Atom("A", ()))
+        assert root.children[1].formulas == (f, Atom("B", ()))
 
     def test_children_supersets_of_parent(self):
         f = parse("~(P => Q)")
         root = TableauNode((f, Atom("R", ())))
-        tree = expand(root, (), f, NameSupply())
-        child = node_at(tree, (0,))
+        expand(root, f, NameSupply())
+        (child,) = root.children
         assert child.formulas[: len(root.formulas)] == root.formulas
 
     def test_errors(self):
         f = parse("P & Q")
         root = TableauNode((f,))
         with pytest.raises(TableauError, match="not at leaf"):
-            expand(root, (), parse("P | Q"), NameSupply())
+            expand(root, parse("P | Q"), NameSupply())
         with pytest.raises(TableauError, match="literal"):
-            expand(TableauNode((Atom("P", ()),)), (), Atom("P", ()), NameSupply())
-        tree = expand(root, (), f, NameSupply())
+            expand(TableauNode((Atom("P", ()),)), Atom("P", ()), NameSupply())
+        expand(root, f, NameSupply())
         with pytest.raises(TableauError, match="not a leaf"):
-            expand(tree, (), f, NameSupply())
+            expand(root, f, NameSupply())
 
     def test_extends_the_leaf_in_place(self):
         f = parse("A | B")
         root = TableauNode((parse("P & Q"), f))
-        root = expand(root, (), root.formulas[0], NameSupply())
-        leaf = node_at(root, (0,))
-        assert expand(root, (0,), f, NameSupply()) is root
-        assert node_at(root, (0,)) is leaf
+        expand(root, root.formulas[0], NameSupply())
+        (leaf,) = root.children
+        expand(leaf, f, NameSupply())
+        assert root.children == (leaf,)
         assert leaf.rule.principal == f and len(leaf.children) == 2
 
     def test_name_supply_avoids_input_symbols(self):
@@ -106,45 +106,44 @@ class TestClose:
         pos = Atom("D", (Meta("X"),))
         neg = Not(Atom("D", (const("c"),)))
         root = TableauNode((pos, neg))
-        result = close(root, ConstraintStore(), (), pos, neg)
-        assert result is not None
-        tree, store = result
-        assert tree.rule.kind == "closure"
-        assert tree.rule.closure_pair == (pos, neg)
-        assert node_at(tree, (0,)).closed
+        store = close(root, ConstraintStore(), pos, neg)
+        assert store is not None
+        assert root.rule.kind == "closure"
+        assert root.rule.closure_pair == (pos, neg)
+        assert node_at(root, (0,)).closed
         assert len(store) == 1
 
     def test_ground_identical_literals(self):
         pos, neg = Atom("P", ()), Not(Atom("P", ()))
-        result = close(TableauNode((pos, neg)), ConstraintStore(), (), pos, neg)
+        result = close(TableauNode((pos, neg)), ConstraintStore(), pos, neg)
         assert result is not None
 
     def test_constant_clash_refused(self):
         pos = Atom("P", (const("a"),))
         neg = Not(Atom("P", (const("b"),)))
-        result = close(TableauNode((pos, neg)), ConstraintStore(), (), pos, neg)
+        result = close(TableauNode((pos, neg)), ConstraintStore(), pos, neg)
         assert result is None
 
     def test_refusal_leaves_store_untouched(self):
         store = ConstraintStore()
         pos = Atom("P", (const("a"),))
         neg = Not(Atom("P", (const("b"),)))
-        close(TableauNode((pos, neg)), store, (), pos, neg)
+        close(TableauNode((pos, neg)), store, pos, neg)
         assert len(store) == 0
 
     def test_refusal_leaves_the_leaf_open(self):
         pos = Atom("P", (const("a"),))
         neg = Not(Atom("P", (const("b"),)))
         root = TableauNode((pos, neg))
-        assert close(root, ConstraintStore(), (), pos, neg) is None
+        assert close(root, ConstraintStore(), pos, neg) is None
         assert root.is_open_leaf and root.rule is None
         assert open_leaves(root) == [()]
 
     def test_closes_the_leaf_in_place(self):
         pos, neg = Atom("P", ()), Not(Atom("P", ()))
         root = TableauNode((pos, neg))
-        tree, _ = close(root, ConstraintStore(), (), pos, neg)
-        assert tree is root and root.rule.kind == "closure"
+        assert close(root, ConstraintStore(), pos, neg) is not None
+        assert root.rule.kind == "closure"
         assert open_leaves(root) == []
 
 
@@ -211,6 +210,22 @@ class TestProve:
             ct = prove([parse(text)])
             audit_closed_tableau(ct)
 
+    def test_refused_closure_leaves_room_for_a_consistent_one(self):
+        # Closing the ~Q(X1) branch binds X1 to a; the ~R(X1) branch must
+        # then refuse R(b), which clashes with the store, and close on R(a).
+        gamma = [
+            parse("Q(a)"),
+            parse("R(b)"),
+            parse("R(a)"),
+            parse("forall x. (~Q(x) | ~R(x))"),
+        ]
+        ct = prove(gamma)
+        assert isinstance(ct, ClosedTableau)
+        pairs = [n.rule.closure_pair for _, n in iter_nodes(ct.root)
+                 if n.rule is not None and n.rule.kind == CLOSURE]
+        assert pairs == [(parse("Q(a)"), parse("~Q(X1)", allow_generated=True)),
+                         (parse("R(a)"), parse("~R(X1)", allow_generated=True))]
+
     def test_multiset_root(self):
         ct = prove([parse("P"), parse("~P")])
         assert rule_kinds(ct.root) == ["closure"]
@@ -220,27 +235,6 @@ def _rule_nodes(ct):
     from tabseq.tableau import iter_nodes
 
     return [(p, n) for p, n in iter_nodes(ct.root) if n.rule is not None]
-
-
-class TestEagerVersusDeferred:
-    def test_deferred_can_dead_end_where_eager_recovers(self):
-        gamma = [
-            parse("Q(a)"),
-            parse("R(b)"),
-            parse("R(a)"),
-            parse("forall x. (~Q(x) | ~R(x))"),
-        ]
-        eager = prove(gamma, eager_close=True)
-        assert isinstance(eager, ClosedTableau)
-        deferred = prove(gamma, eager_close=False)
-        assert isinstance(deferred, Exhausted)
-        assert "unsatisfiable" in deferred.reason
-
-    def test_deferred_agrees_on_unconstrained_proofs(self):
-        for text in (DRINKER_NEG, "~(P => P)"):
-            eager = prove([parse(text)], eager_close=True)
-            deferred = prove([parse(text)], eager_close=False)
-            assert tableau_to_json(eager) == tableau_to_json(deferred)
 
 
 class TestSerialization:
@@ -357,6 +351,38 @@ class TestAudit:
         path = (0,) * 1050
         node_at(ct.root, path).formulas += (parse("Q"),)
         with pytest.raises(AuditError, match=f"not parent plus introduced at {'0' * 1049}$"):
+            audit_closed_tableau(ct)
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma", "delta"])
+    def test_introduced_formulas_must_decompose_the_principal(self, kind):
+        # Each forgery keeps every child equal to its parent plus the
+        # introduced formulas: only the decomposition is wrong.
+        text = {"alpha": "~((P & Q) => P)", "beta": "~((P | Q) => (Q | P))",
+                "gamma": "~((forall x. P(x)) => P(a))", "delta": DRINKER_NEG}[kind]
+        ct = prove([parse(text)])
+        path, node = next((p, n) for p, n in iter_nodes(ct.root)
+                          if n.rule is not None and n.rule.kind == kind)
+        rule = node.rule
+        if kind == "beta":
+            # The branches swapped.
+            introduced = rule.introduced[::-1]
+            node.children = node.children[::-1]
+        else:
+            # One more formula, on the child and below it.
+            introduced = (rule.introduced[0] + (parse("S"),),)
+            for _, below in iter_nodes(node.children[0]):
+                below.formulas += (parse("S"),)
+        node.rule = RuleInstance(rule.kind, rule.principal, introduced, rule.meta, rule.skolem)
+        with pytest.raises(AuditError, match=f"not the {kind} decomposition of the principal "
+                                             f"at {''.join(map(str, path)) or '[(]root[)]'}$"):
+            audit_closed_tableau(ct)
+
+    def test_rule_kind_must_be_the_principal_class(self):
+        ct = prove([parse("~((P & Q) => P)")])
+        alpha = next(n for _, n in iter_nodes(ct.root) if n.rule is not None
+                     and n.rule.kind == "alpha" and n.rule.principal == parse("P & Q"))
+        alpha.rule = RuleInstance("beta", alpha.rule.principal, alpha.rule.introduced)
+        with pytest.raises(AuditError, match="not the beta decomposition"):
             audit_closed_tableau(ct)
 
     def test_first_violation_is_the_first_in_preorder(self):

@@ -10,7 +10,6 @@ from tabseq.problems import growth_goal
 from tabseq.tableau import (
     ClosedTableau,
     iter_nodes,
-    node_at,
     prove,
     rule_count,
     tableau_from_json,
@@ -27,7 +26,7 @@ from tabseq.translate import (
     translate,
     translate_detailed,
 )
-from tabseq.tree import PathError
+from tabseq.tree import PathError, node_at
 from tabseq.unify import Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
@@ -133,8 +132,8 @@ class Replay:
         self.ranks = skolem_ranks(ct)
 
     def extend(self, leaf):
-        parallel_extend(self.proof, self.link, self.marks, self.ct, leaf, self.stats, True,
-                        self.ranks, self.builder)
+        parallel_extend(self.proof, self.link, self.marks, self.ct, leaf,
+                        node_at(self.ct.root, leaf), self.stats, True, self.ranks, self.builder)
 
     def preimage(self, target):
         return sorted(s for s, q in self.link.items() if q == target)
@@ -199,7 +198,7 @@ class TestParallelExtend:
             parse("D(sko1)", allow_generated=True),
             parse("~(forall y. D(y))"),
         ]
-        assert list(gs3.node_at(replay.proof, open_leaf).sequent) == expected
+        assert list(node_at(replay.proof, open_leaf).sequent) == expected
         assert gs3.rule_names(replay.proof) == ["not_exists", "not_implies"]
         assert replay.proof.rule.witness == sko
 
@@ -245,7 +244,7 @@ class TestDeltaGraft:
         principal = parse("exists x. D(x)")
         root = (parse("P & (exists x. D(x))"),)
         theta = GsProof(root)
-        gs3.build_step(theta, (), GsRule("and"), root[0])
+        gs3.build_step(theta, GsRule("and"), root[0])
         sko = App("sko1", ())
         d_sko = parse("D(sko1)", allow_generated=True)
         mu_part, mu_theta, held = graft(theta, {(0,)}, sko, d_sko, principal)
@@ -258,7 +257,7 @@ class TestDeltaGraft:
         assert mu_theta == {}
         assert held == {leaf}
         expected = Counter(theta.children[0].sequent) + Counter([d_sko])
-        assert Counter(gs3.node_at(theta, leaf).sequent) == expected
+        assert Counter(node_at(theta, leaf).sequent) == expected
 
     def test_base_case_with_single_leaf_b(self):
         theta = GsProof((parse("~(forall y. D(y))"),))
@@ -324,17 +323,19 @@ class TestInPlaceGrowth:
 
     def test_delta_graft_grows_the_tree_it_was_given(self):
         root = (parse("P & Q"), parse("exists x. D(x)"))
-        theta = gs3.build_step(GsProof(root), (), GsRule("and"), root[0])
-        leaf = gs3.node_at(theta, (0,))
+        theta = GsProof(root)
+        gs3.build_step(theta, GsRule("and"), root[0])
+        (leaf,) = theta.children
         graft(theta, {(0,)}, App("sko1", ()), parse("D(sko1)", allow_generated=True), root[1])
-        assert gs3.node_at(theta, (0,)) is leaf
+        assert theta.children == (leaf,)
         assert leaf.rule == GsRule("weaken") and not leaf.is_open
 
 
 class TestSkolemReplacement:
     def test_rewrites_in_place_and_keeps_formulas_without_skolem_terms(self):
         goal = parse("exists x. D(x)")
-        proof = gs3.build_step(GsProof((goal,)), (), GsRule("exists", App("sko1", ())), goal)
+        proof = GsProof((goal,))
+        gs3.build_step(proof, GsRule("exists", App("sko1", ())), goal)
         leaf = proof.children[0]
         assert replace_skolem_terms(proof) is proof
         assert proof.children[0] is leaf
