@@ -10,9 +10,8 @@ import pytest
 import tabseq
 from tabseq import gs3
 from tabseq.cli import build_parser, main
-from tabseq.formula import MAX_DEPTH, nesting_depth, parse, print_formula
+from tabseq.formula import MAX_DEPTH, nesting_depth, parse
 from tabseq.gs3 import proof_from_json
-from tabseq.problems import corpus
 from tabseq.tableau import (
     CLOSURE,
     ClosedTableau,
