@@ -237,19 +237,61 @@ _PRIORITY = {
     RuleClass.GAMMA: 3,
 }
 
+# A branch's literal index: per (predicate, arity), the atoms and the
+# negated atoms on the branch, each as (position, literal) in position
+# order.  A child's index is its parent's plus the literals its rule
+# introduced; the first level of term indexing (Ramakrishnan, Sekar &
+# Voronkov, "Term Indexing", Handbook of Automated Reasoning, 2001).
+_LiteralIndex = dict[tuple[str, int], tuple[tuple[tuple[int, Formula], ...],
+                                            tuple[tuple[int, Formula], ...]]]
+_NO_LITERALS: tuple[tuple, tuple] = ((), ())
 
-def _closure_candidates(formulas: tuple[Formula, ...]) -> Iterator[tuple[Formula, Formula]]:
-    for pos in formulas:
-        if not isinstance(pos, Atom):
-            continue
-        for neg in formulas:
-            if (
-                isinstance(neg, Not)
-                and isinstance(neg.body, Atom)
-                and neg.body.predicate == pos.predicate
-                and len(neg.body.args) == len(pos.args)
-            ):
-                yield pos, neg
+
+def _key(atom: Atom) -> tuple[str, int]:
+    return atom.predicate, len(atom.args)
+
+
+def _extend_index(index: _LiteralIndex, atoms: list[tuple[int, Formula]],
+                  negated: list[tuple[int, Formula]]) -> _LiteralIndex:
+    """A copy of ``index`` with the given atoms and negated atoms added."""
+    index = dict(index)
+    for entry in atoms:
+        key = _key(entry[1])
+        pos, neg = index.get(key, _NO_LITERALS)
+        index[key] = (pos + (entry,), neg)
+    for entry in negated:
+        key = _key(entry[1].body)
+        pos, neg = index.get(key, _NO_LITERALS)
+        index[key] = (pos, neg + (entry,))
+    return index
+
+
+def _new_closure_pairs(index: _LiteralIndex, start: int, atoms: list[tuple[int, Formula]],
+                       negated: list[tuple[int, Formula]]) -> Iterator[tuple[Formula, Formula]]:
+    """The closure candidates of a leaf that contain one of the literals
+    its rule introduced, at positions ``start`` on, and that ``index``
+    already holds.  They come in the order of a scan of the leaf's
+    formulas: atoms by position, each against the negated atoms of its
+    predicate and arity by position."""
+    wanted: dict[tuple[str, int], list[Formula]] = {}
+    for _, neg in negated:
+        wanted.setdefault(_key(neg.body), []).append(neg)
+    # The parent's atoms come first, each against the new negated atoms ...
+    older = sorted(entry for key in wanted for entry in index[key][0] if entry[0] < start)
+    for _, pos in older:
+        for neg in wanted[_key(pos)]:
+            yield pos, neg
+    # ... then each new atom against every negated atom.
+    for _, pos in atoms:
+        for _, neg in index[_key(pos)][1]:
+            yield pos, neg
+
+
+def _binds(rule: RuleInstance) -> bool:
+    """True if the instance a gamma or delta rule introduced contains its
+    witness, that is, if the principal's variable occurs in its body."""
+    quant = quant_parts(rule.principal)
+    return rule.introduced[0][0] != (Not(quant.body) if quant.negated else quant.body)
 
 
 def prove(
@@ -259,13 +301,20 @@ def prove(
 ) -> ClosedTableau | Exhausted:
     """Search for a closed tableau refuting the given multiset.
 
-    Deterministic strategy: always work on the leftmost open leaf, try
-    every closure candidate first, then expand the best remaining formula,
+    Deterministic strategy: always work on the leftmost open leaf, try the
+    closure candidates first, then expand the best remaining formula,
     preferring alpha > delta > beta > gamma and, within a class, the least
     used and then the oldest occurrence.  Each gamma formula may be
     re-instantiated up to ``gamma_limit`` times per branch; a branch longer
     than ``depth_limit`` exhausts the search.  Every closure is checked
     against the whole constraint store, so the store stays satisfiable.
+
+    A leaf tries only the candidates that contain a literal its rule
+    introduced, in the order of a scan of all its formulas.  Every other
+    candidate is made of its parent's formulas, so the parent tried it and
+    the store refused it; the store has only grown since, and a
+    constraint inconsistent with a store is inconsistent with every
+    larger one.
     """
     if gamma_limit < 1:
         raise ValueError("gamma_limit must be at least 1")
@@ -273,65 +322,72 @@ def prove(
         raise ValueError("depth_limit must be at least 1")
 
     gamma = tuple(formulas)
-    avoid: set[str] = set()
+    # What groundification needs.  The root's symbols, plus the Skolem
+    # symbol of each delta step whose instance holds it; the root's
+    # metavariables, plus the metavariable of each gamma step whose
+    # instance holds it, in first-occurrence order, which is the preorder
+    # the leaves are taken in.
+    symbols: set[str] = set()
     for f in gamma:
-        avoid |= formula_symbols(f)
-    names = NameSupply(avoid)
+        symbols |= formula_symbols(f)
+    metas = dict.fromkeys(m for f in gamma for m in free_metas(f))
+    vacuous: list[Meta] = []
+    names = NameSupply(symbols)
 
     root = TableauNode(gamma)
     store = ConstraintStore()
     steps = 0
-    # What groundification needs, noted in first-occurrence order as the
-    # leaves are taken: each leaf's formulas are its parent's plus the ones
-    # its rule introduced, and the leaves are taken in preorder.
-    metas: dict[Meta, None] = {}
-    gamma_metas: list[Meta] = []
-    symbols: set[str] = set()
-    noted: set[Formula] = set()
+    # Per distinct formula: (priority, use limit) if it can be expanded,
+    # None for a literal.
+    ranks: dict[Formula, tuple[int, int] | None] = {}
     # The open leaves, leftmost on top, each with its depth, the number of
     # times each principal was used on its branch (one dict per expansion,
-    # shared by the children) and the formulas it adds to its parent's.
-    # Expanding the leftmost leaf puts its children, which precede every
-    # other open leaf, in its place.
-    pending: list[tuple[TableauNode, int, dict[Formula, int], tuple[Formula, ...]]] = [
-        (root, 0, {}, gamma)]
+    # shared by the children), the formulas it adds to its parent's and
+    # its parent's literal index.  Expanding the leftmost leaf puts its
+    # children, which precede every other open leaf, in its place.
+    pending: list[tuple[TableauNode, int, dict[Formula, int], tuple[Formula, ...],
+                        _LiteralIndex]] = [(root, 0, {}, gamma, {})]
 
     while pending:
-        node, depth, uses, introduced = pending.pop()
-        for f in introduced:
-            if f not in noted:
-                noted.add(f)
-                metas.update(dict.fromkeys(free_metas(f)))
-                symbols |= formula_symbols(f)
+        node, depth, uses, introduced, literals = pending.pop()
+        start = len(node.formulas) - len(introduced)
+        atoms: list[tuple[int, Formula]] = []
+        negated: list[tuple[int, Formula]] = []
+        for position, f in enumerate(introduced, start):
+            if f not in ranks:
+                cls = classify(f)
+                ranks[f] = None if cls is RuleClass.LITERAL else (
+                    _PRIORITY[cls], gamma_limit if cls is RuleClass.GAMMA else 1)
+            if ranks[f] is None:
+                (atoms if isinstance(f, Atom) else negated).append((position, f))
 
-        closed = None
-        for pos, neg in _closure_candidates(node.formulas):
-            closed = close(node, store, pos, neg)
+        if atoms or negated:
+            literals = _extend_index(literals, atoms, negated)
+            closed = None
+            for pos, neg in _new_closure_pairs(literals, start, atoms, negated):
+                closed = close(node, store, pos, neg)
+                if closed is not None:
+                    break
             if closed is not None:
-                break
-        if closed is not None:
-            store = closed
-            steps += 1
-            continue
+                store = closed
+                steps += 1
+                continue
 
         if depth >= depth_limit:
             return Exhausted("depth limit reached", steps)
 
+        # The least (priority, used, position); a repeated formula never
+        # beats its first occurrence.
         best: tuple[int, int, int] | None = None
         principal: Formula | None = None
-        seen: set[Formula] = set()
-        for index, f in enumerate(node.formulas):
-            if f in seen:
-                continue
-            seen.add(f)
-            cls = classify(f)
-            if cls is RuleClass.LITERAL:
+        for position, f in enumerate(node.formulas):
+            rank = ranks[f]
+            if rank is None:
                 continue
             used = uses.get(f, 0)
-            limit = gamma_limit if cls is RuleClass.GAMMA else 1
-            if used >= limit:
+            if used >= rank[1]:
                 continue
-            key = (_PRIORITY[cls], used, index)
+            key = (rank[0], used, position)
             if best is None or key < best:
                 best = key
                 principal = f
@@ -342,10 +398,15 @@ def prove(
         steps += 1
         rule = node.rule
         if rule.meta is not None:
-            gamma_metas.append(rule.meta)
+            if _binds(rule):
+                metas[rule.meta] = None
+            else:
+                vacuous.append(rule.meta)
+        elif rule.skolem is not None and _binds(rule):
+            symbols.add(rule.skolem.symbol)
         child_uses = {**uses, principal: uses.get(principal, 0) + 1}
         for child, extra in zip(reversed(node.children), reversed(rule.introduced)):
-            pending.append((child, depth + 1, child_uses, extra))
+            pending.append((child, depth + 1, child_uses, extra, literals))
 
     sigma = solve(store)
     if sigma is None:  # each closure was checked against the whole store
@@ -354,7 +415,7 @@ def prove(
     # in no formula, yet the sequent rule still needs it as a ground
     # witness.  Such metavariables go last, so the others keep their
     # constants.
-    metas.update(dict.fromkeys(gamma_metas))
+    metas.update(dict.fromkeys(vacuous))
     ground = groundify(sigma, metas, symbols)
     return ClosedTableau(root, store, ground)
 
@@ -381,7 +442,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         if spine:
             parent = spine[-1]
             extra = parent.rule.introduced[path[-1]]
-            if Counter(node.formulas) != Counter(parent.formulas) + Counter(extra):
+            if (node.formulas != parent.formulas + extra
+                    and Counter(node.formulas) != Counter(parent.formulas) + Counter(extra)):
                 raise AuditError(
                     f"child multiset is not parent plus introduced at {format_path(path[:-1])}"
                 )
@@ -424,6 +486,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                                  f"of the principal at {format_path(path)}")
 
     introduced: set[str] = set()
+    symbols: dict[Formula, set[str]] = {}  # each distinct formula's, walked once
     for path, n in iter_nodes(ct.root):
         if n.rule is not None and n.rule.skolem is not None:
             sym = n.rule.skolem.symbol
@@ -431,7 +494,9 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"skolem symbol {sym} introduced twice")
             introduced.add(sym)
             for f in n.formulas:
-                if sym in formula_symbols(f):
+                if f not in symbols:
+                    symbols[f] = formula_symbols(f)
+                if sym in symbols[f]:
                     raise AuditError(f"skolem {sym} occurs before its delta step")
 
     if not ct.unifier.ground:
@@ -478,18 +543,35 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
     items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
     items += [x for binding in bindings for x in binding]
+    items += ct.root.formulas
+    # A child whose formulas are its parent's plus the ones its rule
+    # introduced, as every child ``expand`` and ``close`` make, is listed
+    # from its parent's entries; any other child, as in a forged file read
+    # back, from its own formulas.
+    grown: dict[int, tuple[TableauNode, tuple[Formula, ...]]] = {}  # id(child) -> parent, extra
     for node in order:
-        items += node.formulas
         rule = node.rule
+        introduced = ()
         if rule is not None:
+            introduced = rule.introduced
             items += [x for x in (rule.principal, rule.meta, rule.skolem) if x is not None]
-            items += [f for child in rule.introduced for f in child]
+            items += [f for child in introduced for f in child]
             items += rule.closure_pair or ()
+        for i, child in enumerate(node.children):
+            if i < len(introduced) and child.formulas == node.formulas + introduced[i]:
+                grown[id(child)] = (node, introduced[i])
+            else:
+                items += child.formulas
     table, entry = encode_table(items)
 
     def optional(x):
         return None if x is None else entry(x)
 
+    lists: dict[int, list[int]] = {}  # id(node) -> its formulas' entries
+    for node in reversed(order):  # every parent before its children
+        parent, extra = grown.get(id(node), (None, None))
+        lists[id(node)] = ([entry(f) for f in node.formulas] if parent is None
+                           else lists[id(parent)] + [entry(f) for f in extra])
     nodes: list[list] = []
     numbers: dict[int, int] = {}  # id(node) -> node entry
     for node in order:
@@ -501,7 +583,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
                     optional(rule.meta), optional(rule.skolem),
                     None if pair is None else [entry(pair[0]), entry(pair[1])]]
         numbers[id(node)] = len(nodes)
-        nodes.append([[entry(f) for f in node.formulas], rule,
+        nodes.append([lists[id(node)], rule,
                       [numbers[id(child)] for child in node.children], node.closed])
     record = {
         "version": 2,
@@ -600,6 +682,16 @@ def _tableau_from_v2(record: dict) -> ClosedTableau:
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")
+    checked: dict[int, Formula] = {}  # node-formula index -> its formula
+
+    def node_formulas(ids: list) -> tuple[Formula, ...]:
+        """The formulas at ``ids``, each distinct index checked once per
+        file.  A bool is never looked up, since ``True`` would find 1."""
+        for i in ids:
+            if type(i) is not int or i not in checked:
+                checked[i] = formula(i, "formula")
+        return tuple(map(checked.__getitem__, ids))
+
     nodes: list[TableauNode] = []
     used: list[bool] = []
     for raw in raw_nodes:
@@ -614,8 +706,7 @@ def _tableau_from_v2(record: dict) -> ClosedTableau:
             used[i] = True
             children.append(nodes[i])
         rule = None if raw[1] is None else _rule_from_v2(raw[1], formula, term)
-        nodes.append(TableauNode(tuple([formula(f, "formula") for f in raw[0]]), rule,
-                                 tuple(children), raw[3]))
+        nodes.append(TableauNode(node_formulas(raw[0]), rule, tuple(children), raw[3]))
         used.append(False)
     root = entry_index(record.get("root"), len(nodes), "root")
     if used[root]:

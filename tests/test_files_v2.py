@@ -5,6 +5,7 @@ checker on shared read-back proofs; hostile and mutated files."""
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -20,9 +21,11 @@ from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Meta, Not, Or, Var, par
 from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
 from tabseq.problems import HAND_GOALS, corpus, generated_goals, growth_goal
 from tabseq.tableau import (
+    AuditError,
     ClosedTableau,
     NameSupply,
     TableauNode,
+    audit_closed_tableau,
     close,
     expand,
     prove,
@@ -460,6 +463,54 @@ def test_the_unaltered_drinker_files_pass(tmp_path):
     assert run_cli(["translate", str(tmp_path / "drinker.tab"),
                     "--out", str(tmp_path / "again.gs3")]) == 0
     assert run_cli(["check", str(tmp_path / "drinker.gs3")]) == 0
+
+
+def canonical(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# Drinker .tab nodes: 4 the root [15], 3 the alpha step's node [15, 14],
+# 2 the delta step's node [15, 14, 5, 12]; 4 is D(sko1), a part of 9.
+@pytest.mark.parametrize("node,formulas,audit", [
+    (3, [14, 15], None),  # reordered
+    (2, [15, 14, 12, 5], None),  # introduced formulas reordered
+    (3, [15, 14, 4], "child multiset is not parent plus introduced at (root)"),  # one extra
+])
+def test_children_that_are_not_parent_plus_introduced_write_back_as_read(node, formulas, audit):
+    """The writer lists such a child from its own formulas; the audit
+    compares multisets, so a reordered child passes it."""
+    record = drinker_files()[".tab"]
+    record["nodes"][node][0] = formulas
+    text = canonical(record)
+    ct = tableau_from_json(text)
+    assert tableau_to_json(ct) == text
+    if audit is None:
+        audit_closed_tableau(ct)
+    else:
+        with pytest.raises(AuditError, match=re.escape(audit)):
+            audit_closed_tableau(ct)
+
+
+@pytest.mark.parametrize("goal,formulas,message", [
+    ("drinker", [15, True], "formula True is not the index of a table entry"),
+    ("drinker", [15, -1], "formula -1 is not the index of a table entry"),
+    ("drinker", [15, 0], "formula must be a formula"),
+    ("drinker", [15, 6], "formula has the free bound variable x"),
+    # Entry 0 of this file is P, read as a node formula before the root:
+    # False, equal to 0 as a key, must not find it.
+    ("~(P => P)", [3, False], "formula False is not the index of a table entry"),
+])
+def test_bad_node_formula_index_exits_two(tmp_path, capsys, goal, formulas, message):
+    if goal == "drinker":
+        record = drinker_files()[".tab"]
+    else:
+        record = json.loads(tableau_to_json(prove([parse(goal)])))
+        assert record["table"][0] == ["P", "P"] and 0 in record["nodes"][0][0]
+    record["nodes"][record["root"]][0] = formulas
+    path = tmp_path / "bad.tab"
+    path.write_text(canonical(record), encoding="utf-8")
+    assert run_cli(["translate", str(path), "--out", str(tmp_path / "o.gs3")]) == 2
+    assert capsys.readouterr().err == f"{path}: malformed tableau proof: {message}\n"
 
 
 JUNK = (None, True, False, -1, 0, 1, 2, 7, 10**9, 0.5, "", "X1", "sko1", "forall", "~", "P",

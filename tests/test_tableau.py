@@ -1,8 +1,24 @@
+import random
 import sys
 
 import pytest
 
-from tabseq.formula import App, Atom, Meta, Not, Var, const, parse, print_formula
+from tabseq import tableau
+from tabseq.formula import (
+    App,
+    Atom,
+    Meta,
+    Not,
+    RuleClass,
+    Var,
+    classify,
+    const,
+    formula_symbols,
+    free_metas,
+    parse,
+    print_formula,
+)
+from tabseq.problems import corpus
 from tabseq.tableau import (
     CLOSURE,
     AuditError,
@@ -26,7 +42,7 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 from tabseq.tree import node_at
-from tabseq.unify import ConstraintStore, Substitution
+from tabseq.unify import ConstraintStore, Substitution, groundify, solve
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -229,6 +245,143 @@ class TestProve:
     def test_multiset_root(self):
         ct = prove([parse("P"), parse("~P")])
         assert rule_kinds(ct.root) == ["closure"]
+
+
+def wide(n: int):
+    conj = " & ".join(f"P{i}" for i in range(n))
+    return parse(f"~(({conj}) => ({conj}))")
+
+
+def closure_count(ct: ClosedTableau) -> int:
+    return sum(1 for _, n in iter_nodes(ct.root) if n.rule is not None and n.rule.kind == CLOSURE)
+
+
+def old_order_pairs(formulas):
+    """Every closure candidate of a leaf, in the order ``prove`` tries them:
+    atoms by position, each against the negated atoms of its predicate and
+    arity by position."""
+    for pos in formulas:
+        if isinstance(pos, Atom):
+            for neg in formulas:
+                if (isinstance(neg, Not) and isinstance(neg.body, Atom)
+                        and neg.body.predicate == pos.predicate
+                        and len(neg.body.args) == len(pos.args)):
+                    yield pos, neg
+
+
+def reference_prove(formulas, gamma_limit=2, depth_limit=200):
+    """``prove`` as a plain search: every leaf tries all its closure
+    candidates in the old order, classifies every formula at every step and
+    walks every introduced formula for metavariables and symbols."""
+    priority = {RuleClass.ALPHA: 0, RuleClass.DELTA: 1, RuleClass.BETA: 2, RuleClass.GAMMA: 3}
+    gamma = tuple(formulas)
+    symbols = set()
+    for f in gamma:
+        symbols |= formula_symbols(f)
+    names = NameSupply(symbols)
+    root = TableauNode(gamma)
+    store = ConstraintStore()
+    steps = 0
+    metas, gamma_metas = {}, []
+    pending = [(root, 0, {}, gamma)]
+    while pending:
+        node, depth, uses, introduced = pending.pop()
+        for f in introduced:
+            metas.update(dict.fromkeys(free_metas(f)))
+            symbols |= formula_symbols(f)
+        closed = None
+        for pos, neg in old_order_pairs(node.formulas):
+            closed = close(node, store, pos, neg)
+            if closed is not None:
+                break
+        if closed is not None:
+            store = closed
+            steps += 1
+            continue
+        if depth >= depth_limit:
+            return Exhausted("depth limit reached", steps)
+        candidates = []
+        for index, f in enumerate(node.formulas):
+            cls = classify(f)
+            if cls is not RuleClass.LITERAL:
+                used = uses.get(f, 0)
+                if used < (gamma_limit if cls is RuleClass.GAMMA else 1):
+                    candidates.append(((priority[cls], used, index), f))
+        if not candidates:
+            return Exhausted("no closure and no usable formula on a branch", steps)
+        principal = min(candidates)[1]
+        expand(node, principal, names)
+        steps += 1
+        if node.rule.meta is not None:
+            gamma_metas.append(node.rule.meta)
+        child_uses = {**uses, principal: uses.get(principal, 0) + 1}
+        for child, extra in zip(reversed(node.children), reversed(node.rule.introduced)):
+            pending.append((child, depth + 1, child_uses, extra))
+    metas.update(dict.fromkeys(gamma_metas))
+    return ClosedTableau(root, store, groundify(solve(store), metas, symbols))
+
+
+def refusal_goal(seed: int) -> list:
+    """Seeded inputs on which a closure pair is refused at a leaf that is
+    then expanded, so the pair is still on the branch below it: closing
+    the ~Q(X1) branch binds X1, after which the other branch's ~R(X1)
+    clashes with each R atom, and the branch goes on to T | ~S(X1)."""
+    rng = random.Random(seed)
+    a, b, c = rng.sample("abcd", 3)
+    texts = [f"Q({a})", f"R({b})", f"R({c})", f"S({rng.choice((a, b, c))})", "~T",
+             "forall x. (~Q(x) | (~R(x) & (T | ~S(x))))"]
+    texts += [f"{rng.choice(('', '~'))}{rng.choice('QRS')}({rng.choice('abcd')})"
+              for _ in range(rng.randrange(3))]
+    rng.shuffle(texts)
+    return [parse(t) for t in texts]
+
+
+class TestClosureCandidates:
+    def test_consistent_runs_once_per_closure_on_wide_40(self, monkeypatch):
+        calls = []
+        real = tableau.consistent
+        monkeypatch.setattr(tableau, "consistent",
+                            lambda store, extra: calls.append(1) or real(store, extra))
+        ct = prove([wide(40)])
+        assert isinstance(ct, ClosedTableau)
+        assert closure_count(ct) == 40
+        assert len(calls) == closure_count(ct)
+
+    def test_a_leaf_tries_only_pairs_with_a_literal_its_rule_introduced(self, monkeypatch):
+        tried = []
+        real = tableau.close
+        monkeypatch.setattr(tableau, "close", lambda node, store, pos, neg: (
+            tried.append((node, pos, neg)) or real(node, store, pos, neg)))
+        inputs = [[Not(goal)] for _, goal in corpus()] + [refusal_goal(s) for s in range(10)]
+        for formulas in inputs:
+            tried.clear()
+            result = prove(formulas)
+            if isinstance(result, Exhausted):
+                continue
+            fresh = {id(result.root): result.root.formulas}
+            for _, node in iter_nodes(result.root):
+                for child in node.children:
+                    fresh[id(child)] = child.formulas[len(node.formulas):]
+            for node, pos, neg in tried:
+                assert pos in fresh[id(node)] or neg in fresh[id(node)]
+
+    def test_refused_pairs_left_on_the_branch_change_no_outcome(self, monkeypatch):
+        refused_at = []
+        real = tableau.close
+        monkeypatch.setattr(tableau, "close", lambda node, store, pos, neg: (
+            real(node, store, pos, neg) or refused_at.append(node)))
+        expanded_after_refusal = 0
+        for seed in range(60):
+            formulas = refusal_goal(seed)
+            refused_at.clear()
+            result = prove(formulas, 2, 30)
+            expected = reference_prove(formulas, 2, 30)
+            if isinstance(result, Exhausted):
+                assert result == expected
+                continue
+            assert tableau_to_json(result) == tableau_to_json(expected)
+            expanded_after_refusal += any(n.rule.kind != CLOSURE for n in refused_at)
+        assert expanded_after_refusal >= 10
 
 
 def _rule_nodes(ct):
