@@ -407,3 +407,67 @@ class TestInvariants:
             assert isinstance(ct, ClosedTableau), name
             proof, _ = translate_detailed(ct, audit=True)
             assert gs3.check(proof).accepted, name
+
+
+def outcomes_with_one_premise_cut(ct: ClosedTableau, monkeypatch) -> Counter:
+    """For each k, the error of an audited translation whose k-th
+    ``build_step`` drops the last formula of its first premise, or "ok";
+    the count of each (exception class, message)."""
+    module = sys.modules["tabseq.translate"]
+    real = module.build_step
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "build_step", lambda *a, **kw: (calls.append(1), real(*a, **kw))[1])
+        translate_detailed(ct, audit=True)
+    out: Counter = Counter()
+    for k in range(1, len(calls) + 1):
+        count = [0]
+
+        def cut(node, *args, **kwargs):
+            real(node, *args, **kwargs)
+            count[0] += 1
+            if count[0] == k and node.children:
+                first = node.children[0]
+                first.sequent = first.sequent[:-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "build_step", cut)
+            try:
+                translate_detailed(ct, audit=True)
+            except (TranslateError, gs3.StepError) as e:
+                out[type(e).__name__, str(e)] += 1
+            else:
+                out["ok", ""] += 1
+    return out
+
+
+def test_audits_catch_a_cut_premise_at_every_step(monkeypatch):
+    """Pins which audit, or which later step, notices a premise that lost a
+    formula, with the paths the messages name."""
+    seen = Counter()
+    for text in (DRINKER_NEG, NESTED_NEG):
+        seen += outcomes_with_one_premise_cut(prove([parse(text)]), monkeypatch)
+    missing = "schema-mismatch: principal ({}) not in sequent"
+    containment = "containment invariant broken at sequent leaf {}"
+    assert seen == Counter({
+        ("ok", ""): 2,  # the cut step was an axiom, which has no premise
+        ("TranslateError", "a held leaf does not carry exactly the Skolem side formula"): 16,
+        ("TranslateError", "graft leaf does not contain the root sequent"): 3,
+        ("TranslateError", containment.format("0")): 2,
+        ("TranslateError", containment.format("00")): 2,
+        ("TranslateError", containment.format("0" * 9)): 1,
+        ("TranslateError", containment.format("0" * 10)): 1,
+        ("TranslateError", containment.format("0" * 51)): 1,
+        ("TranslateError", containment.format("0" * 52)): 1,
+        ("TranslateError", containment.format("0" * 53)): 1,
+        ("TranslateError", containment.format("0" * 54)): 1,
+        ("StepError", missing.format(
+            "~(D(k1) => (forall y. (exists z. (E(y, z) => (forall w. E(z, w))))))")): 6,
+        ("StepError", missing.format("~(D(sko1) => (forall y. D(y)))")): 1,
+        ("StepError", missing.format("~(E(sko1, sko1) => (forall w. E(sko1, w)))")): 2,
+        ("StepError", missing.format("~(exists z. (E(sko1, z) => (forall w. E(z, w))))")): 3,
+        ("StepError", missing.format("~(forall w. E(sko1, w))")): 12,
+        ("StepError", missing.format(
+            "~(forall y. (exists z. (E(y, z) => (forall w. E(z, w)))))")): 7,
+        ("StepError", missing.format("~(forall y. D(y))")): 2,
+    })
