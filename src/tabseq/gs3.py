@@ -86,12 +86,13 @@ class GsRule(NamedTuple):
     witness: Term | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class GsProof:
     """A sequent-proof node; leaves without a rule are open.
 
     Not frozen: ``build_step`` grows a proof by setting the rule, principal
-    and children of an open leaf, once.  Nothing hashes a proof node.
+    and children of an open leaf, once.  A node compares and hashes by
+    identity, so the translator keys its bookkeeping by node.
     """
 
     sequent: Sequent

@@ -1,9 +1,10 @@
 """Compile a closed tableau with its ground unifier into a sequent proof.
 
 The sequent proof is grown from the root by replaying tableau rules one at
-a time.  A link maps every open sequent leaf to the tableau branch it
-mirrors, with the invariant that the sigma-instances of the branch's
-formulas are contained in the leaf's sequent.  Alpha, beta, gamma and
+a time.  A link lists, for each tableau node on the fringe of the rules
+replayed so far, the open sequent leaves that mirror its branch, with the
+invariant that the sigma-instances of the branch's formulas are contained
+in each such leaf's sequent.  Alpha, beta, gamma and
 closure rules replay directly on all linked leaves.  An existential rule
 cannot be replayed in place (its Skolem witness is generally stale there),
 so it is grafted instead: clone the current proof, weaken the affected
@@ -40,20 +41,12 @@ from .formula import (
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
-from .tree import Path, PathError, format_path, iter_nodes, node_at
-from .unify import Substitution
+from .tree import format_path, iter_nodes, preorder
 
 
 class TranslateError(AssertionError):
     """An internal invariant of the construction failed; unreachable from a
     valid closed tableau."""
-
-
-def _on_fringe(marks: set[Path], path: Path) -> bool:
-    """Whether ``path`` is unmarked with every proper prefix marked: the
-    fringe of the prefix-closed set of replayed rules, tested without
-    walking the tree."""
-    return path not in marks and all(path[:i] in marks for i in range(len(path)))
 
 
 @dataclass
@@ -83,7 +76,7 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     """
     sigma = ct.unifier
     edges: dict[App, set[App]] = {}
-    for _, n in iter_nodes(ct.root):
+    for n in preorder(ct.root):
         rule = n.rule
         if rule is None or rule.skolem is None:
             continue
@@ -142,27 +135,27 @@ def _gs_rule_name(principal: Formula) -> str:
     raise TranslateError(f"no sequent rule for {print_formula(principal)}")
 
 
-def _prefixes(paths: frozenset[Path]) -> set[Path]:
-    """Every prefix of every path, each path included."""
-    return {p[:i] for p in paths for i in range(len(p) + 1)}
-
-
 class _Builder:
     """What the steps of one translation share.
 
-    The sigma-instance of each tableau formula, the premise additions of
-    each (rule, principal) pair and the outermost Skolem terms of each
-    formula, which the existential freshness tests read, are computed once.
-    ``leaves`` holds the open leaves of the proof being grown, by path, so
-    that no step walks from the root; the caller enters the root.
+    The proof being grown and its count of open leaves, the statistics,
+    the audit switch and the Skolem ranks.  The sigma-instance of each
+    tableau formula, the premise additions of each (rule, principal) pair
+    and the outermost Skolem terms of each formula, which the existential
+    freshness tests read, are computed once.
     """
 
-    def __init__(self, sigma: Substitution) -> None:
-        self.sigma = sigma
-        self.leaves: dict[Path, GsProof] = {}
+    def __init__(self, ct: ClosedTableau, audit: bool = True) -> None:
+        self.sigma = ct.unifier
+        self.tableau = ct.root
+        self.audit = audit
+        self.stats = TranslateStats()
+        self.ranks = skolem_ranks(ct)
         self._instances: dict[Formula, Formula] = {}
         self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
         self._skolems: dict[Formula, set[App]] = {}
+        self.proof = GsProof(tuple(self.instance(f) for f in ct.root.formulas))
+        self.open = 1  # the proof's open leaves, kept up to date by ``step``
 
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
@@ -182,18 +175,21 @@ class _Builder:
             out = self._skolems[f] = outermost_skolem_terms(f)
         return out
 
-    def step(self, leaf: Path, rule: GsRule, principal: Formula) -> None:
-        """``build_step`` at an open leaf, then track its premises."""
-        node = self.leaves.get(leaf)
-        if node is None:
-            raise TranslateError(f"{format_path(leaf)} is not an open leaf")
+    def step(self, leaf: GsProof, rule: GsRule, principal: Formula) -> tuple[GsProof, ...]:
+        """``build_step`` at an open leaf; returns its premises."""
+        if not leaf.is_open:
+            raise TranslateError(f"{_path_of(self.proof, leaf)} is not an open leaf")
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
-        build_step(node, rule, principal, additions=additions, outermost_skolems=self.skolems)
-        del self.leaves[leaf]
-        for bit, child in enumerate(node.children):
-            self.leaves[leaf + (bit,)] = child
+        build_step(leaf, rule, principal, additions=additions, outermost_skolems=self.skolems)
+        self.open += len(leaf.children) - 1
+        return leaf.children
+
+
+def _path_of(root, node) -> str:
+    """The path of ``node`` below ``root``, for an error message."""
+    return next((format_path(p) for p, n in iter_nodes(root) if n is node), "?")
 
 
 # ------------------------------------------------------------- delta graft
@@ -201,56 +197,54 @@ class _Builder:
 
 def delta_graft(
     theta: GsProof,
-    B: frozenset[Path],
+    B: list[GsProof],
     delta_term: Term,
     delta_formula: Formula,
     principal: Formula,
-    stats: TranslateStats,
-    audit: bool,
-    ranks: Mapping[App, int],
     builder: _Builder,
-) -> tuple[dict[Path, Path], dict[Path, Path], set[Path]]:
-    """Graft ``principal``'s existential step over the leaves ``B`` of theta
-    and regrow every rule of theta on top of it.
+) -> tuple[dict[GsProof, list[GsProof]], set[GsProof]]:
+    """Graft ``principal``'s existential step over the open leaves ``B`` of
+    theta and regrow every rule of theta on top of it.
 
     Theta's open leaves are extended in place, so theta becomes the grown
-    tree.  Returns the two halves of the bilink (a map into the regrown
-    rules' fringe and a map into theta's remaining open leaves), and the
-    set of leaves that carry the Skolem formula as an extra side
-    occurrence.  The second map sends no leaf into ``B``.  Leaves mapped
-    over a prefix of ``B``, ``B`` included, either hold that extra
-    occurrence or sit below a reused equal existential step whose target
-    already accounts for it; all other leaves agree with their target
-    exactly.
+    tree.  Returns the bilink, which lists for each open leaf theta had the
+    open leaves now linked to it (a leaf outside ``B`` lists itself too),
+    and the set of leaves that carry the Skolem formula as an extra side
+    occurrence.  Held leaves are linked into ``B``.  A leaf linked into
+    ``B`` either holds that extra occurrence or sits below a reused equal
+    existential step whose target already accounts for it; all other
+    leaves agree with their target exactly.
 
-    ``builder`` is the translation's shared state, whose ``leaves`` must be
-    theta's open leaves.
+    ``builder`` is the translation's shared state, whose proof is theta.
     """
     # One walk over theta: its rules are the template that is regrown, and
-    # its nodes are the link targets.
-    theta_nodes = dict(gs3.iter_nodes(theta))
-    theta_open = [p for p, n in theta_nodes.items() if n.is_open]
-    if not B <= set(theta_open):
+    # its open leaves are the link targets.
+    theta_nodes = list(preorder(theta))
+    theta_open = {n for n in theta_nodes if n.is_open}
+    in_B = set(B)
+    if not in_B <= theta_open:
         raise TranslateError("graft leaves must be open leaves of the target tree")
-    template = [(p, n) for p, n in theta_nodes.items() if n.rule is not None]
-    over_B = _prefixes(B)
+    template = [n for n in theta_nodes if n.rule is not None]
+    over_B = set(in_B)  # the nodes with a B leaf below them, B included
+    for n in reversed(template):
+        if any(c in over_B for c in n.children):
+            over_B.add(n)
     root_gamma = Counter(theta.sequent)
 
+    stats = builder.stats
     stats.grafts += 1
-    stats.measures.append((ranks[delta_term], len(template)))
-    leaves_before = len(theta_open)
+    stats.measures.append((builder.ranks[delta_term], len(template)))
+    leaves_before = builder.open
 
-    # ``mu_part`` maps each regrown leaf to its template node; ``waiting``
-    # indexes it by template node, so each template rule finds its leaves
-    # without a scan.
-    mu_theta: dict[Path, Path] = {p: p for p in theta_open if p not in B}
-    mu_part: dict[Path, Path] = {}
-    waiting: defaultdict[Path, list[Path]] = defaultdict(list)
-    held: set[Path] = set()
-
-    def link(s: Path, q: Path) -> None:
-        mu_part[s] = q
-        waiting[q].append(s)
+    # ``waiting`` lists, for each node of theta, the leaves linked to it;
+    # each template rule pops its own.  ``clones`` are the leaves that copy
+    # one of theta's open leaves outside B exactly, that leaf included.
+    waiting: defaultdict[GsProof, list[GsProof]] = defaultdict(list)
+    for q in theta_nodes:
+        if q in theta_open and q not in in_B:
+            waiting[q].append(q)
+    clones = set(waiting)
+    held: set[GsProof] = set()
 
     # Base graft: at each B leaf weaken down to the root sequent plus the
     # principal, apply the existential rule (legal there: the root formulas
@@ -258,59 +252,48 @@ def delta_graft(
     # it was an extra copy.  Only open leaves grow, so theta's rules stay
     # readable as the template that is regrown below.
     delta_rule = GsRule(_gs_rule_name(principal), delta_term)
-    for b in sorted(B):
-        leaf = theta_nodes[b]
+    for s in B:
         target = root_gamma.copy()
         extra_principal = target[principal] == 0
         if extra_principal:
             target[principal] = 1
-        drops = Counter(leaf.sequent) - target
-        if Counter(leaf.sequent) - drops != target:
+        drops = Counter(s.sequent) - target
+        if Counter(s.sequent) - drops != target:
             raise TranslateError("graft leaf does not contain the root sequent")
-        s = b
         for f in sorted(drops.elements(), key=print_formula):
-            builder.step(s, GsRule("weaken"), f)
-            s += (0,)
-        builder.step(s, delta_rule, principal)
-        s += (0,)
+            (s,) = builder.step(s, GsRule("weaken"), f)
+        (s,) = builder.step(s, delta_rule, principal)
         if extra_principal:
-            builder.step(s, GsRule("weaken"), principal)
-            s += (0,)
-        link(s, ())
+            (s,) = builder.step(s, GsRule("weaken"), principal)
+        waiting[theta].append(s)
         held.add(s)
 
-    # Regrow theta's rules root-first (theta's preorder is the
-    # lexicographic order of paths, a topological order), adapting around
-    # the grafted branches.  ``held`` leaves carry one occurrence of the
-    # Skolem formula beyond their target; a reused equal existential step
-    # absorbs that occurrence into the target content, and a later
-    # weakening of the Skolem formula is then skipped on such leaves, which
-    # releases the occurrence again.
-    for b, node_th in template:
-        rule, rule_principal = node_th.rule, node_th.principal
-        S = sorted(waiting.pop(b, ()))
+    # Regrow theta's rules root-first (preorder is a topological order),
+    # adapting around the grafted branches.  ``held`` leaves carry one
+    # occurrence of the Skolem formula beyond their target; a reused equal
+    # existential step absorbs that occurrence into the target content, and
+    # a later weakening of the Skolem formula is then skipped on such
+    # leaves, which releases the occurrence again.
+    for b in template:
+        rule, rule_principal = b.rule, b.principal
+        S = waiting.pop(b, [])
         prefix = b in over_B
 
         if rule.name == "axiom":
             for s in S:
                 builder.step(s, rule, rule_principal)
-                del mu_part[s]
                 held.discard(s)
             continue
 
         if rule.name == "weaken" and prefix and rule_principal == delta_formula:
             for s in S:
-                del mu_part[s]
                 if s in held:
-                    builder.step(s, rule, rule_principal)
-                    link(s + (0,), b + (0,))
                     held.discard(s)
-                    held.add(s + (0,))
-                else:
-                    # Absorbed leaf: the target loses its Skolem-formula
-                    # occurrence here, ours becomes the side copy again.
-                    link(s, b + (0,))
-                    held.add(s)
+                    (s,) = builder.step(s, rule, rule_principal)
+                # else an absorbed leaf: the target loses its Skolem-formula
+                # occurrence here, ours becomes the side copy again.
+                waiting[b.children[0]].append(s)
+                held.add(s)
             continue
 
         if rule.name in DELTA_RULES and prefix:
@@ -326,7 +309,7 @@ def delta_graft(
                             "reused existential step on a leaf without the side formula"
                         )
                     held.discard(s)
-                    link(s, b + (0,))
+                    waiting[b.children[0]].append(s)
                 continue
             if is_subterm(eps, delta_term) or eps in builder.skolems(delta_formula):
                 # The witness is stale over the grafted region (it sits
@@ -335,38 +318,31 @@ def delta_graft(
                 # these leaves, with the current tree as its own target.
                 stats.graft_case_v += 1
                 e_formula = builder.additions(rule, rule_principal)[0][0]
-                B_b = frozenset(S)
-                if not ranks[eps] < ranks[delta_term]:
+                if not builder.ranks[eps] < builder.ranks[delta_term]:
                     raise TranslateError("graft recursion measure did not decrease")
-                mu1, mu2, held2 = delta_graft(
-                    theta, B_b, eps, e_formula, rule_principal, stats, audit, ranks, builder)
-                old_part = mu_part
-                new_theta: dict[Path, Path] = {}
-                new_held: set[Path] = set()
-                mu_part, waiting = {}, defaultdict(list)
-                for s2 in builder.leaves:  # the regrown tree's open leaves
-                    if s2 in mu1:
-                        q = mu1[s2]
-                    elif s2 in mu2:
-                        q = mu2[s2]
-                    else:
-                        raise TranslateError("bilink does not cover a grafted leaf")
-                    if q in B_b:
-                        if s2 not in held2:
+                bilink, held2 = delta_graft(theta, S, eps, e_formula, rule_principal, builder)
+                if sum(map(len, bilink.values())) != builder.open:
+                    raise TranslateError("bilink does not cover a grafted leaf")
+                linked_to = {s: q for q, leaves in waiting.items() for s in leaves}
+                waiting, old_held, old_clones = defaultdict(list), held, clones
+                held, clones = set(), set()
+                in_S = set(S)
+                for s, leaves in bilink.items():
+                    if s in in_S:
+                        if not held2.issuperset(leaves):
                             raise TranslateError(
                                 "recursive graft lost the inner Skolem side formula"
                             )
-                        link(s2, b + (0,))
-                    elif q in old_part:
-                        link(s2, old_part[q])
-                    elif q in mu_theta:
-                        new_theta[s2] = mu_theta[q]
-                        continue
+                        q = b.children[0]
+                    elif s in linked_to:
+                        q = linked_to[s]
                     else:
                         raise TranslateError("grafted leaf maps outside both links")
-                    if q in held:
-                        new_held.add(s2)
-                mu_theta, held = new_theta, new_held
+                    waiting[q].extend(leaves)
+                    if s in old_held:
+                        held.update(leaves)
+                    elif s in old_clones:
+                        clones.update(leaves)
                 continue
             # Incomparable witness, or one containing the grafted term: it
             # is still fresh over the side formula, copy the rule.
@@ -375,121 +351,107 @@ def delta_graft(
         for s in S:
             was_held = s in held
             held.discard(s)
-            builder.step(s, rule, rule_principal)
-            del mu_part[s]
-            for bit in range(len(node_th.children)):
-                child_s = s + (bit,)
-                child_b = b + (bit,)
+            for child_s, child_b in zip(builder.step(s, rule, rule_principal), b.children):
                 child_held = was_held
-                if (
-                    rule.name in gs3.BETA_RULES
-                    and prefix
-                    and child_b not in over_B
-                    and was_held
-                ):
+                if rule.name in gs3.BETA_RULES and prefix and child_b not in over_B and was_held:
                     # This side leaves the grafted region; drop the held
                     # Skolem side formula.
-                    builder.step(child_s, GsRule("weaken"), delta_formula)
-                    child_s += (0,)
+                    (child_s,) = builder.step(child_s, GsRule("weaken"), delta_formula)
                     child_held = False
-                link(child_s, child_b)
+                waiting[child_b].append(child_s)
                 if child_held:
                     held.add(child_s)
 
-    if audit:
-        _audit_graft(theta, theta_nodes, B, over_B, delta_formula, mu_part, mu_theta, held, stats)
-    stats.graft_leaf_growth.append((leaves_before, len(builder.leaves)))
-    return mu_part, mu_theta, held
+    if builder.audit:
+        _audit_graft(waiting, theta_open, in_B, delta_formula, held, clones, builder)
+    stats.graft_leaf_growth.append((leaves_before, builder.open))
+    return waiting, held
 
 
 def _audit_graft(
-    proof: GsProof,
-    theta_nodes: Mapping[Path, GsProof],
-    B: frozenset[Path],
-    over_B: set[Path],
+    bilink: Mapping[GsProof, list[GsProof]],
+    theta_open: set[GsProof],
+    B: set[GsProof],
     delta_formula: Formula,
-    mu_part: dict[Path, Path],
-    mu_theta: dict[Path, Path],
-    held: set[Path],
-    stats: TranslateStats,
+    held: set[GsProof],
+    clones: set[GsProof],
+    builder: _Builder,
 ) -> None:
-    """``proof`` is the grown tree; ``theta_nodes`` indexes, by path, the
-    nodes it had before the graft, whose sequents are the link targets."""
-    leaves = {p: n for p, n in gs3.iter_nodes(proof) if n.is_open}
-    if mu_part.keys() & mu_theta.keys():
-        raise TranslateError("bilink domains overlap")
-    if mu_part.keys() | mu_theta.keys() != leaves.keys():
-        raise TranslateError("bilink domains do not cover the open leaves")
-    stats.bilink_audits += 1
-
-    def target(q: Path) -> Counter:
-        node = theta_nodes.get(q)
-        if node is None:
+    """Check the leaves a graft made against the open leaves of theta they
+    are linked to, whose sequents the graft left as they were; a leaf of
+    theta that lists itself is unchanged.  Totality is a count."""
+    listed: set[GsProof] = set()
+    for q, leaves in bilink.items():
+        if q not in theta_open:
             raise TranslateError("a leaf is linked outside the target tree")
-        return Counter(node.sequent)
-
-    for s, q in mu_theta.items():
-        if q in B:
-            raise TranslateError("a leaf is linked into the grafted region")
-        if s in held:
-            raise TranslateError("a cloned leaf claims to hold the side formula")
-        if Counter(leaves[s].sequent) != target(q):
-            raise TranslateError("a cloned leaf does not match its target")
-    for s, q in mu_part.items():
-        here = Counter(leaves[s].sequent)
-        there = target(q)
-        if s in held:
-            if q not in over_B:
-                raise TranslateError("a held leaf is not linked over the grafted region")
-            if here != there + Counter([delta_formula]):
-                raise TranslateError(
-                    "a held leaf does not carry exactly the Skolem side formula"
-                )
-        else:
-            if here != there:
-                raise TranslateError("a regrown leaf does not match its target")
-            if q in B and there[delta_formula] < 1:
-                raise TranslateError(
-                    "a grafted leaf lost its Skolem formula occurrence"
-                )
+        there = Counter(q.sequent)
+        for s in leaves:
+            if s in listed:
+                raise TranslateError("bilink domains overlap")
+            listed.add(s)
+            if s is q:
+                continue
+            here = Counter(s.sequent)
+            if s in clones:
+                if q in B:
+                    raise TranslateError("a leaf is linked into the grafted region")
+                if s in held:
+                    raise TranslateError("a cloned leaf claims to hold the side formula")
+                if here != there:
+                    raise TranslateError("a cloned leaf does not match its target")
+            elif s in held:
+                if q not in B:
+                    raise TranslateError("a held leaf is not linked over the grafted region")
+                if here != there + Counter([delta_formula]):
+                    raise TranslateError(
+                        "a held leaf does not carry exactly the Skolem side formula"
+                    )
+            else:
+                if here != there:
+                    raise TranslateError("a regrown leaf does not match its target")
+                if q in B and there[delta_formula] < 1:
+                    raise TranslateError(
+                        "a grafted leaf lost its Skolem formula occurrence"
+                    )
+    if len(listed) != builder.open:
+        raise TranslateError("bilink domains do not cover the open leaves")
+    builder.stats.bilink_audits += 1
 
 
 # ------------------------------------------------------- parallel extension
 
 
 def parallel_extend(
-    proof: GsProof,
-    link: dict[Path, Path],
-    marks: set[Path],
-    ct: ClosedTableau,
-    leaf: Path,
+    link: dict[int, tuple[TableauNode, list[GsProof]]],
+    marks: set[int],
     node: TableauNode,
-    stats: TranslateStats,
-    audit: bool,
-    ranks: Mapping[App, int],
     builder: _Builder,
 ) -> None:
-    """Replay the rule of the tableau node ``node``, at path ``leaf``, on
-    every linked sequent leaf.
+    """Replay the rule of the tableau node ``node`` on every linked sequent
+    leaf.
 
-    ``link`` maps each open leaf of the proof to its tableau node, and
-    ``marks`` holds the tableau nodes whose rules are replayed, a
-    prefix-closed set with ``leaf`` on its fringe; both are updated in
-    place, and the proof's open leaves are extended in place.  The
-    containment invariant (instances of the linked branch's formulas
-    inside each leaf sequent) is re-checked afterwards.  ``builder`` is
-    the translation's shared state, whose ``leaves`` must be the proof's
-    open leaves.
+    Tableau nodes are keyed by ``id``.  ``marks`` holds the nodes whose
+    rules are replayed, the initial part, and the keys of ``link`` are its
+    fringe: each maps to its node and the open leaves of the proof linked
+    to it.  ``node`` must be on the fringe; its entry is replaced by entries
+    for its children, and the proof's open leaves are extended in place.
+    The containment invariant (instances of the linked branch's formulas
+    inside each leaf sequent) is checked on the leaves the replay made.
     """
-    if leaf in marks:
-        raise TranslateError(f"{format_path(leaf)} already marked")
-    if not _on_fringe(marks, leaf):
-        raise TranslateError(f"{format_path(leaf)} is not a fringe leaf")
-    sigma = ct.unifier
+    if id(node) in marks:
+        raise TranslateError(f"{_path_of(builder.tableau, node)} already marked")
+    if id(node) not in link:
+        raise TranslateError(f"{_path_of(builder.tableau, node)} is not a fringe leaf")
     rule = node.rule
     if rule is None:
-        raise TranslateError(f"tableau node {format_path(leaf)} has no rule to replay")
-    S = sorted(s for s, q in link.items() if q == leaf)
+        raise TranslateError(
+            f"tableau node {_path_of(builder.tableau, node)} has no rule to replay")
+    _, S = link.pop(id(node))
+    for child in node.children:
+        link[id(child)] = (child, [])
+    kept = builder.open - len(S)
+    made: list[tuple[TableauNode, GsProof]] = []  # (target, leaf) for each new leaf
+    stats = builder.stats
     stats.steps += 1
     stats.by_kind[rule.kind] += 1
 
@@ -498,68 +460,63 @@ def parallel_extend(
         principal = builder.instance(pos)
         for s in S:
             builder.step(s, GsRule("axiom"), principal)
-            del link[s]
 
     elif rule.kind == "delta":
         if S:
-            delta_sigma = sigma.apply_term(rule.skolem)
+            delta_sigma = builder.sigma.apply_term(rule.skolem)
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
-            B = frozenset(S)
-            mu_part, mu_theta, _held = delta_graft(
-                proof, B, delta_sigma, d_delta, principal, stats, audit, ranks, builder)
-            grown: dict[Path, Path] = {}
-            for s2 in builder.leaves:  # the grown proof's open leaves
-                q = mu_part.get(s2)
-                if q is None:
-                    q = mu_theta[s2]
-                grown[s2] = leaf + (0,) if q in B else link[q]
-            link.clear()
-            link.update(grown)
+            bilink, _held = delta_graft(
+                builder.proof, S, delta_sigma, d_delta, principal, builder)
+            for key, (target, leaves) in link.items():
+                grown = []
+                for q in leaves:  # each lists itself and its copies
+                    grown += bilink[q]
+                    made.extend((target, s) for s in bilink[q] if s is not q)
+                link[key] = (target, grown)
+            (child,) = node.children
+            grafted = [s for q in S for s in bilink.get(q, ())]
+            link[id(child)] = (child, grafted)
+            made.extend((child, s) for s in grafted)
 
     else:
         principal = builder.instance(rule.principal)
-        name = _gs_rule_name(principal)
-        witness = sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
-        gs_rule = GsRule(name, witness)
+        witness = builder.sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
+        gs_rule = GsRule(_gs_rule_name(principal), witness)
         for s in S:
-            builder.step(s, gs_rule, principal)
-            del link[s]
-            for bit in range(len(node.children)):
-                link[s + (bit,)] = leaf + (bit,)
+            for premise, child in zip(builder.step(s, gs_rule, principal), node.children):
+                link[id(child)][1].append(premise)
+                made.append((child, premise))
 
-    marks.add(leaf)
-    if audit:
-        _audit_link(proof, link, marks, ct, stats, builder)
+    marks.add(id(node))
+    if builder.audit:
+        _audit_link(link, marks, made, kept, builder)
 
 
 def _audit_link(
-    proof: GsProof,
-    link: dict[Path, Path],
-    marks: set[Path],
-    ct: ClosedTableau,
-    stats: TranslateStats,
+    link: dict[int, tuple[TableauNode, list[GsProof]]],
+    marks: set[int],
+    made: list[tuple[TableauNode, GsProof]],
+    kept: int,
     builder: _Builder,
 ) -> None:
-    """Totality over open leaves plus the containment invariant."""
-    leaves = {p: n for p, n in gs3.iter_nodes(proof) if n.is_open}
-    if link.keys() != leaves.keys():
+    """Totality over open leaves, as a count of the ``kept`` leaves the
+    replay left alone and the leaves it ``made``, plus the containment
+    invariant on the leaves it made."""
+    if kept + len(made) != builder.open or not all(s.is_open for _, s in made):
         raise TranslateError("link is not total on the open sequent leaves")
-    instances: dict[Path, Counter] = {}
-    for s, q in link.items():
-        if q not in instances:
-            try:
-                target = node_at(ct.root, q)
-            except PathError:
-                target = None
-            if target is None or not _on_fringe(marks, q):
+    instances: dict[int, Counter] = {}
+    for q, s in made:
+        there = instances.get(id(q))
+        if there is None:
+            if id(q) in marks or id(q) not in link:
                 raise TranslateError("link target is not a fringe leaf")
-            instances[q] = Counter(builder.instance(f) for f in target.formulas)
-        if instances[q] - Counter(leaves[s].sequent):
+            there = instances[id(q)] = Counter(builder.instance(f) for f in q.formulas)
+        if there - Counter(s.sequent):
             raise TranslateError(
-                f"containment invariant broken at sequent leaf {format_path(s)}"
+                f"containment invariant broken at sequent leaf {_path_of(builder.proof, s)}"
             )
-    stats.link_audits += 1
+    builder.stats.link_audits += 1
 
 
 # -------------------------------------------------- skolem term replacement
@@ -574,14 +531,10 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     without Skolem terms are kept, and the nodes are updated in place.
     The proof is returned.
     """
-    nodes: list[GsProof] = []
+    nodes = list(preorder(proof))
     distinct: set[Formula] = set()  # a rule's principal is in its sequent
-    stack = [proof]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
+    for node in nodes:
         distinct.update(node.sequent)
-        stack.extend(node.children)
 
     vectors: dict[str, tuple[Term, ...]] = {}
     taken: set[str] = set()
@@ -671,28 +624,24 @@ def translate_detailed(
     """Translate a closed tableau, returning the proof and step statistics."""
     if audit:
         audit_closed_tableau(ct)
-    stats = TranslateStats()
-    ranks = skolem_ranks(ct)
-    builder = _Builder(ct.unifier)
-    proof = GsProof(tuple(builder.instance(f) for f in ct.root.formulas))
-    builder.leaves[()] = proof
-    link: dict[Path, Path] = {(): ()}
-    marks: set[Path] = set()
+    builder = _Builder(ct, audit)
+    link = {id(ct.root): (ct.root, [builder.proof])}
+    marks: set[int] = set()
 
     # Replay in the tableau's preorder: each rule's node is then on the
-    # fringe of the rules replayed before it, the least such path.
-    for leaf, node in iter_nodes(ct.root):
+    # fringe of the rules replayed before it.
+    for node in preorder(ct.root):
         if node.rule is not None:
-            parallel_extend(proof, link, marks, ct, leaf, node, stats, audit, ranks, builder)
+            parallel_extend(link, marks, node, builder)
 
-    if link:
+    if builder.open:
         raise TranslateError("open sequent leaves remain after the last tableau rule")
-    proof = replace_skolem_terms(proof)
+    proof = replace_skolem_terms(builder.proof)
     if audit:
         result = gs3.check(proof)
         if not result:
             raise TranslateError(f"translated proof fails the checker: {result.describe()}")
-    return proof, stats
+    return proof, builder.stats
 
 
 def translate(ct: ClosedTableau, *, audit: bool = True) -> GsProof:

@@ -67,6 +67,15 @@ def iter_nodes(root: N) -> Iterator[tuple[Path, N]]:
             stack.append((path + (bit,), node.children[bit]))
 
 
+def preorder(root: N) -> Iterator[N]:
+    """Each node in preorder, left child before right, without its path."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 def indented(root: N) -> Iterator[tuple[str, N]]:
     """Preorder traversal for a stacked rendering, each node with its
     indent: the children of a node with two or more children sit four

@@ -198,6 +198,34 @@ def test_deep_tableau_reads_back():
     assert tableau_to_json(back) == text and depth(back.root) == depth(ct.root)
 
 
+def test_deep_tableau_translates_and_checks_from_the_cli(tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000
+    path = tmp_path / "deep.tab"
+    path.write_text(tableau_to_json(deep_tableau(1100)), encoding="utf-8")
+    assert run_cli(["translate", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'deep.gs3'}\n"
+    assert run_cli(["check", str(tmp_path / "deep.gs3")]) == 0
+    assert capsys.readouterr().out.strip() == "Accepted"
+
+
+def test_translating_a_deep_tableau_walks_each_proof_node_at_most_once(monkeypatch):
+    """Neither a replay nor its audits walk the proof; counted through the
+    walker the translator calls."""
+    module = sys.modules["tabseq.translate"]
+    walk, walked = module.preorder, []
+
+    def counted(root):
+        for node in walk(root):
+            if isinstance(node, GsProof):
+                walked.append(node)
+            yield node
+
+    monkeypatch.setattr(module, "preorder", counted)
+    proof, _ = module.translate_detailed(deep_tableau(600), audit=True)
+    nodes = sum(1 for _ in gs3.iter_nodes(proof))
+    assert nodes > 600 and len(walked) <= nodes
+
+
 def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys):
     """Both renderings walk the tree without recursion.  Under a recursion
     limit of 200, a 300-step tableau and its translation print in full, and

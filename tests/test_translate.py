@@ -9,6 +9,7 @@ from tabseq.gs3 import GsProof, GsRule
 from tabseq.problems import growth_goal
 from tabseq.tableau import (
     ClosedTableau,
+    TableauNode,
     iter_nodes,
     prove,
     rule_count,
@@ -17,7 +18,6 @@ from tabseq.tableau import (
 )
 from tabseq.translate import (
     TranslateError,
-    TranslateStats,
     _Builder,
     delta_graft,
     parallel_extend,
@@ -27,7 +27,7 @@ from tabseq.translate import (
     translate_detailed,
 )
 from tabseq.tree import PathError, node_at
-from tabseq.unify import Substitution
+from tabseq.unify import ConstraintStore, Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 NESTED_NEG = "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))"
@@ -117,26 +117,37 @@ def node_at_rule(proof: GsProof, name: str) -> GsProof:
     raise AssertionError(f"no {name} node")
 
 
+def paths(root) -> dict:
+    """The path of each node of a tree, by ``id``."""
+    return {id(n): p for p, n in iter_nodes(root)}
+
+
 class Replay:
     """The state ``translate_detailed`` threads through ``parallel_extend``,
-    for replaying a tableau's rules one call at a time."""
+    for replaying a tableau's rules one call at a time, with path views of
+    the link and the marks."""
 
     def __init__(self, ct: ClosedTableau):
         self.ct = ct
-        self.builder = _Builder(ct.unifier)
-        self.proof = GsProof(tuple(self.builder.instance(f) for f in ct.root.formulas))
-        self.builder.leaves[()] = self.proof
-        self.link = {(): ()}
+        self.builder = _Builder(ct)
+        self.proof = self.builder.proof
+        self.link = {id(ct.root): (ct.root, [self.proof])}
         self.marks = set()
-        self.stats = TranslateStats()
-        self.ranks = skolem_ranks(ct)
 
     def extend(self, leaf):
-        parallel_extend(self.proof, self.link, self.marks, self.ct, leaf,
-                        node_at(self.ct.root, leaf), self.stats, True, self.ranks, self.builder)
+        parallel_extend(self.link, self.marks, node_at(self.ct.root, leaf), self.builder)
+
+    def link_paths(self) -> dict:
+        """The link as {sequent leaf path: tableau node path}."""
+        leaf_path, node_path = paths(self.proof), paths(self.ct.root)
+        return {leaf_path[id(s)]: node_path[q] for q, (_, leaves) in self.link.items() for s in leaves}
+
+    def mark_paths(self) -> set:
+        node_path = paths(self.ct.root)
+        return {node_path[q] for q in self.marks}
 
     def preimage(self, target):
-        return sorted(s for s, q in self.link.items() if q == target)
+        return sorted(s for s, q in self.link_paths().items() if q == target)
 
 
 class TestInitialPart:
@@ -146,33 +157,33 @@ class TestInitialPart:
     def test_first_extension_marks_the_root_rule(self):
         replay = Replay(drinker_tableau())
         replay.extend(())
-        assert replay.marks == {()}
+        assert replay.mark_paths() == {()}
         assert node_at(replay.ct.root, ()).rule.kind == "gamma"
-        assert set(replay.link.values()) == {(0,)}
+        assert set(replay.link_paths().values()) == {(0,)}
 
     def test_final_extension_consumes_the_closure(self):
         replay = Replay(drinker_tableau())
         for leaf in [(), (0,), (0, 0), (0, 0, 0)]:
             replay.extend(leaf)
-        assert replay.marks == {(), (0,), (0, 0), (0, 0, 0)}
-        assert replay.link == {}
+        assert replay.mark_paths() == {(), (0,), (0, 0), (0, 0, 0)}
+        assert replay.link_paths() == {}
         with pytest.raises(TranslateError, match="no rule to replay"):
             replay.extend((0, 0, 0, 0))
 
     def test_errors(self):
         replay = Replay(drinker_tableau())
         replay.extend(())
-        before = (gs3.proof_to_json(replay.proof), dict(replay.link), set(replay.marks))
+        before = (gs3.proof_to_json(replay.proof), replay.link_paths(), replay.mark_paths())
         with pytest.raises(TranslateError, match="already marked"):
             replay.extend(())
         with pytest.raises(TranslateError, match="not a fringe leaf"):
             replay.extend((0, 0))
         # A refused replay changes nothing.
-        assert (gs3.proof_to_json(replay.proof), replay.link, replay.marks) == before
+        assert (gs3.proof_to_json(replay.proof), replay.link_paths(), replay.mark_paths()) == before
 
     def test_fringe_needs_every_ancestor_marked_and_the_node_to_exist(self):
         replay = Replay(drinker_tableau())
-        replay.marks.add((0,))  # not prefix-closed: the root rule is unmarked
+        replay.marks.add(id(node_at(replay.ct.root, (0,))))  # the root rule is unmarked
         with pytest.raises(TranslateError, match="not a fringe leaf"):
             replay.extend((0, 0))
         replay = Replay(drinker_tableau())
@@ -189,7 +200,7 @@ class TestParallelExtend:
             replay.extend(leaf)
         # The link is updated in place.
         assert replay.link is link
-        [(open_leaf, target)] = list(link.items())
+        [(open_leaf, target)] = list(replay.link_paths().items())
         assert target == (0, 0)
         sko = const("sko1")
         expected = [
@@ -206,7 +217,7 @@ class TestParallelExtend:
         replay = Replay(prove([parse("~(P => P)")]))
         replay.extend(())
         replay.extend((0,))
-        assert replay.link == {}
+        assert replay.link_paths() == {}
         assert gs3.check(replay.proof).accepted
 
     def test_beta_replay_on_two_linked_leaves_makes_four(self):
@@ -222,21 +233,28 @@ class TestParallelExtend:
             if node.rule.kind == "beta" and len(fanned) == 2:
                 fanout_seen = True
                 new_leaves = [
-                    s for s, q in replay.link.items() if q in (leaf + (0,), leaf + (1,))
+                    s for s, q in replay.link_paths().items() if q in (leaf + (0,), leaf + (1,))
                 ]
                 assert len(new_leaves) == 4
         assert fanout_seen
-        assert replay.link == {}
+        assert replay.link_paths() == {}
         assert gs3.check(replay.proof).accepted
 
 
 def graft(theta: GsProof, B, sko: App, delta_formula, principal):
-    """``delta_graft`` over the leaves ``B`` of a tree that no graft has
-    touched yet, with the state a translation would pass."""
-    builder = _Builder(Substitution({}, ground=True))
-    builder.leaves.update((p, n) for p, n in gs3.iter_nodes(theta) if n.is_open)
-    return delta_graft(theta, frozenset(B), sko, delta_formula, principal, TranslateStats(), True,
-                       {sko: 1}, builder)
+    """``delta_graft`` over the leaves at the paths ``B`` of a tree that no
+    graft has touched yet, with the state a translation would pass.  Returns
+    the bilink as {leaf path: path of the leaf of theta it is linked to},
+    and the paths of the held leaves."""
+    empty = ClosedTableau(TableauNode(()), ConstraintStore(), Substitution({}, ground=True))
+    builder = _Builder(empty)
+    builder.proof, builder.ranks = theta, {sko: 1}
+    builder.open = sum(1 for _, n in gs3.iter_nodes(theta) if n.is_open)
+    bilink, held = delta_graft(
+        theta, [node_at(theta, b) for b in sorted(B)], sko, delta_formula, principal, builder)
+    at = paths(theta)
+    return ({at[id(s)]: at[id(q)] for q, leaves in bilink.items() for s in leaves},
+            {at[id(s)] for s in held})
 
 
 class TestDeltaGraft:
@@ -247,14 +265,14 @@ class TestDeltaGraft:
         gs3.build_step(theta, GsRule("and"), root[0])
         sko = App("sko1", ())
         d_sko = parse("D(sko1)", allow_generated=True)
-        mu_part, mu_theta, held = graft(theta, {(0,)}, sko, d_sko, principal)
+        links, held = graft(theta, {(0,)}, sko, d_sko, principal)
         # The base graft weakens the B leaf down to the root sequent plus
         # the principal, applies the existential rule and drops the extra
         # principal; then theta's one rule is regrown on top.
         assert gs3.rule_names(theta) == ["and", "weaken", "exists", "weaken", "and"]
-        [(leaf, target)] = list(mu_part.items())
+        # One leaf, linked to theta's one leaf: no leaf outside B.
+        [(leaf, target)] = list(links.items())
         assert target == (0,)
-        assert mu_theta == {}
         assert held == {leaf}
         expected = Counter(theta.children[0].sequent) + Counter([d_sko])
         assert Counter(node_at(theta, leaf).sequent) == expected
@@ -262,11 +280,11 @@ class TestDeltaGraft:
     def test_base_case_with_single_leaf_b(self):
         theta = GsProof((parse("~(forall y. D(y))"),))
         sko = App("sko1", ())
-        mu_part, _, _ = graft(
+        links, _ = graft(
             theta, {()}, sko, parse("~D(sko1)", allow_generated=True), parse("~(forall y. D(y))"))
         # the principal is a root formula, so no weakenings are needed
         assert gs3.rule_names(theta) == ["not_forall"]
-        assert list(mu_part.values()) == [()]
+        assert list(links.values()) == [()]
 
     def test_nested_dependency_triggers_one_recursive_graft(self):
         ct = prove([parse(NESTED_NEG)])
