@@ -3,9 +3,12 @@ on the family of conjoined existential-instance goals.
 
 Every existential step clones the sequent proof built so far, so the ratio
 climbs steeply with the number of conjuncts, while the clones repeat the
-same few subproofs: the ``entries`` column counts the node entries of the
-written ``.gs3``, which lists each distinct subproof once.  This script
-prints sizes and the checker's verdict only; for times per stage run
+same few subproofs.  The translator builds each repeated subproof once, so
+``sequent`` counts the inferences of the tree the proof unfolds to, and the
+``entries`` column counts the node entries of the written ``.gs3``, which
+lists each distinct subproof once.  Each proof is translated with audits on
+and read back from its ``.gs3`` text.  This script prints sizes and the
+checker's verdict only; for times per stage run
 ``python3 perfbench/run.py --workload growth --seed 1 --seconds 0 --max-k 4``.
 
 Usage: python scripts/growth_curve.py [--max-k K]
@@ -23,20 +26,21 @@ from tabseq.translate import translate
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-k", type=int, default=4)
+    parser.add_argument("--max-k", type=int, default=5)
     args = parser.parse_args()
 
     print(f"{'k':>3} {'tableau':>8} {'sequent':>9} {'ratio':>10} {'entries':>8} {'verdict':>9}")
     failures = 0
     for k in range(1, args.max_k + 1):
         ct = prove([Not(growth_goal(k))])
-        proof = translate(ct, audit=False)
+        text = gs3.proof_to_json(translate(ct, audit=True))
+        proof = gs3.proof_from_json(text)
         verdict = gs3.check(proof)
         if not verdict:
             failures += 1
         word = "accepted" if verdict else "REJECTED"
         t, g = rule_count(ct.root), gs3.inference_count(proof)
-        entries = len(json.loads(gs3.proof_to_json(proof))["nodes"])
+        entries = len(json.loads(text)["nodes"])
         print(f"{k:>3} {t:>8} {g:>9} {g / t:>10.2f} {entries:>8} {word:>9}")
     raise SystemExit(1 if failures else 0)
 

@@ -129,7 +129,12 @@ def open_leaves(root: GsProof) -> list[Path]:
 
 
 def inference_count(root: GsProof) -> int:
-    return sum(1 for _, n in iter_nodes(root) if n.rule is not None)
+    """The inferences of the tree the proof unfolds to, a node object under
+    several parents counted once per parent, in one pass over the objects."""
+    below: dict[int, int] = {}  # id(node) -> inferences of its subtree
+    for node in postorder(root):
+        below[id(node)] = (node.rule is not None) + sum([below[id(c)] for c in node.children])
+    return below[id(root)]
 
 
 def rule_names(root: GsProof) -> list[str]:

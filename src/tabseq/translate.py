@@ -41,7 +41,7 @@ from .formula import (
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
-from .tree import format_path, iter_nodes, preorder
+from .tree import format_path, postorder, preorder
 
 
 class TranslateError(AssertionError):
@@ -51,6 +51,9 @@ class TranslateError(AssertionError):
 
 @dataclass
 class TranslateStats:
+    """What a translation did; a step or template node that several leaves
+    share counts once, and leaf counts are of open leaf objects."""
+
     steps: int = 0
     by_kind: Counter = field(default_factory=Counter)
     grafts: int = 0
@@ -142,7 +145,8 @@ class _Builder:
     the audit switch and the Skolem ranks.  The sigma-instance of each
     tableau formula, the premise additions of each (rule, principal) pair
     and the outermost Skolem terms of each formula, which the existential
-    freshness tests read, are computed once.
+    freshness tests read, are computed once.  With audits on, ``targets``
+    holds the count of the sigma-instances of each fringe node's formulas.
     """
 
     def __init__(self, ct: ClosedTableau, audit: bool = True) -> None:
@@ -156,6 +160,7 @@ class _Builder:
         self._skolems: dict[Formula, set[App]] = {}
         self.proof = GsProof(tuple(self.instance(f) for f in ct.root.formulas))
         self.open = 1  # the proof's open leaves, kept up to date by ``step``
+        self.targets: dict[int, Counter] = {id(ct.root): Counter(self.proof.sequent)}
 
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
@@ -186,10 +191,38 @@ class _Builder:
         self.open += len(leaf.children) - 1
         return leaf.children
 
+    def shares(self, first: dict | None, key, leaf: GsProof) -> bool:
+        """Whether ``leaf`` takes the step an earlier leaf of its waiting
+        list took: the first leaf with its key (the sequent, in a graft with
+        the held status), as ``first`` records; None for a one-leaf list.
+        A leaf's future depends only on those and its target, so the leaf
+        gets that leaf's rule, principal and premise objects, and the proof
+        is a DAG that unfolds to the tree the steps would have made."""
+        if first is None:
+            return False
+        like = first.setdefault(key, leaf)
+        if like is leaf:
+            return False
+        if not leaf.is_open or like.rule is None or leaf.sequent != like.sequent:
+            raise TranslateError(f"{_path_of(self.proof, leaf)} cannot share a step")
+        leaf.rule, leaf.principal, leaf.children = like.rule, like.principal, like.children
+        self.open -= 1
+        return True
+
 
 def _path_of(root, node) -> str:
-    """The path of ``node`` below ``root``, for an error message."""
-    return next((format_path(p) for p, n in iter_nodes(root) if n is node), "?")
+    """The first path of ``node`` below ``root`` in preorder, for an error
+    message; a node object reached again is not walked again."""
+    met: set[int] = set()
+    stack = [((), root)]
+    while stack:
+        path, n = stack.pop()
+        if n is node:
+            return format_path(path)
+        if id(n) not in met:
+            met.add(id(n))
+            stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(n.children))))
+    return "?"
 
 
 # ------------------------------------------------------------- delta graft
@@ -217,18 +250,18 @@ def delta_graft(
 
     ``builder`` is the translation's shared state, whose proof is theta.
     """
-    # One walk over theta: its rules are the template that is regrown, and
-    # its open leaves are the link targets.
-    theta_nodes = list(preorder(theta))
+    # One walk over theta's node objects, children first: its rules are the
+    # template that is regrown, and its open leaves are the link targets.
+    theta_nodes = list(postorder(theta))
     theta_open = {n for n in theta_nodes if n.is_open}
     in_B = set(B)
     if not in_B <= theta_open:
         raise TranslateError("graft leaves must be open leaves of the target tree")
-    template = [n for n in theta_nodes if n.rule is not None]
     over_B = set(in_B)  # the nodes with a B leaf below them, B included
-    for n in reversed(template):
+    for n in theta_nodes:
         if any(c in over_B for c in n.children):
             over_B.add(n)
+    template = [n for n in reversed(theta_nodes) if n.rule is not None]
     root_gamma = Counter(theta.sequent)
 
     stats = builder.stats
@@ -252,7 +285,10 @@ def delta_graft(
     # it was an extra copy.  Only open leaves grow, so theta's rules stay
     # readable as the template that is regrown below.
     delta_rule = GsRule(_gs_rule_name(principal), delta_term)
+    first = {} if len(B) > 1 else None
     for s in B:
+        if builder.shares(first, s.sequent, s):
+            continue
         target = root_gamma.copy()
         extra_principal = target[principal] == 0
         if extra_principal:
@@ -268,9 +304,10 @@ def delta_graft(
         waiting[theta].append(s)
         held.add(s)
 
-    # Regrow theta's rules root-first (preorder is a topological order),
-    # adapting around the grafted branches.  ``held`` leaves carry one
-    # occurrence of the Skolem formula beyond their target; a reused equal
+    # Regrow theta's rules root-first, each node object once after all its
+    # parents (reversed postorder is a topological order) on the leaves they
+    # all sent it, adapting around the grafted branches.  ``held`` leaves
+    # carry one occurrence of the Skolem formula beyond their target; a reused equal
     # existential step absorbs that occurrence into the target content, and
     # a later weakening of the Skolem formula is then skipped on such
     # leaves, which releases the occurrence again.
@@ -278,10 +315,12 @@ def delta_graft(
         rule, rule_principal = b.rule, b.principal
         S = waiting.pop(b, [])
         prefix = b in over_B
+        first = {} if len(S) > 1 else None
 
         if rule.name == "axiom":
             for s in S:
-                builder.step(s, rule, rule_principal)
+                if not builder.shares(first, (s.sequent, s in held), s):
+                    builder.step(s, rule, rule_principal)
                 held.discard(s)
             continue
 
@@ -351,6 +390,8 @@ def delta_graft(
         for s in S:
             was_held = s in held
             held.discard(s)
+            if builder.shares(first, (s.sequent, was_held), s):
+                continue
             for child_s, child_b in zip(builder.step(s, rule, rule_principal), b.children):
                 child_held = was_held
                 if rule.name in gs3.BETA_RULES and prefix and child_b not in over_B and was_held:
@@ -450,6 +491,7 @@ def parallel_extend(
     for child in node.children:
         link[id(child)] = (child, [])
     kept = builder.open - len(S)
+    first = {} if len(S) > 1 else None
     made: list[tuple[TableauNode, GsProof]] = []  # (target, leaf) for each new leaf
     stats = builder.stats
     stats.steps += 1
@@ -459,7 +501,8 @@ def parallel_extend(
         pos, _neg = rule.closure_pair
         principal = builder.instance(pos)
         for s in S:
-            builder.step(s, GsRule("axiom"), principal)
+            if not builder.shares(first, s.sequent, s):
+                builder.step(s, GsRule("axiom"), principal)
 
     elif rule.kind == "delta":
         if S:
@@ -484,35 +527,41 @@ def parallel_extend(
         witness = builder.sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
         gs_rule = GsRule(_gs_rule_name(principal), witness)
         for s in S:
+            if builder.shares(first, s.sequent, s):
+                continue
             for premise, child in zip(builder.step(s, gs_rule, principal), node.children):
                 link[id(child)][1].append(premise)
                 made.append((child, premise))
 
     marks.add(id(node))
     if builder.audit:
-        _audit_link(link, marks, made, kept, builder)
+        _audit_link(link, marks, node, made, kept, builder)
 
 
 def _audit_link(
     link: dict[int, tuple[TableauNode, list[GsProof]]],
     marks: set[int],
+    node: TableauNode,
     made: list[tuple[TableauNode, GsProof]],
     kept: int,
     builder: _Builder,
 ) -> None:
     """Totality over open leaves, as a count of the ``kept`` leaves the
-    replay left alone and the leaves it ``made``, plus the containment
-    invariant on the leaves it made."""
+    replay of ``node`` left alone and the leaves it ``made``, plus the
+    containment invariant on the leaves it made.  The target count of each
+    child of ``node`` is its parent's plus the sigma-instances of what the
+    rule introduced there."""
+    there = builder.targets.pop(id(node))
+    for i, (child, extra) in enumerate(zip(node.children, node.rule.introduced)):
+        count = there if i == len(node.children) - 1 else there.copy()
+        count.update(map(builder.instance, extra))
+        builder.targets[id(child)] = count
     if kept + len(made) != builder.open or not all(s.is_open for _, s in made):
         raise TranslateError("link is not total on the open sequent leaves")
-    instances: dict[int, Counter] = {}
     for q, s in made:
-        there = instances.get(id(q))
-        if there is None:
-            if id(q) in marks or id(q) not in link:
-                raise TranslateError("link target is not a fringe leaf")
-            there = instances[id(q)] = Counter(builder.instance(f) for f in q.formulas)
-        if there - Counter(s.sequent):
+        if id(q) in marks or id(q) not in link:
+            raise TranslateError("link target is not a fringe leaf")
+        if builder.targets[id(q)] - Counter(s.sequent):
             raise TranslateError(
                 f"containment invariant broken at sequent leaf {_path_of(builder.proof, s)}"
             )
@@ -526,12 +575,12 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     """Replace each (now globally fresh) Skolem term by a distinct fresh
     constant, turning relaxed existential witnesses into strict ones.
 
-    One iterative walk collects the nodes and the distinct formulas; each
-    distinct formula is scanned for symbols and rewritten once, formulas
-    without Skolem terms are kept, and the nodes are updated in place.
-    The proof is returned.
+    One iterative walk collects the node objects, each once however many
+    parents share it, and the distinct formulas; each distinct formula is
+    scanned for symbols and rewritten once, formulas without Skolem terms
+    are kept, and the nodes are updated in place.  The proof is returned.
     """
-    nodes = list(preorder(proof))
+    nodes = list(postorder(proof))
     distinct: set[Formula] = set()  # a rule's principal is in its sequent
     for node in nodes:
         distinct.update(node.sequent)

@@ -210,9 +210,9 @@ def test_deep_tableau_translates_and_checks_from_the_cli(tmp_path, capsys):
 
 def test_translating_a_deep_tableau_walks_each_proof_node_at_most_once(monkeypatch):
     """Neither a replay nor its audits walk the proof; counted through the
-    walker the translator calls."""
+    walker the translator calls on proofs."""
     module = sys.modules["tabseq.translate"]
-    walk, walked = module.preorder, []
+    walk, walked = module.postorder, []
 
     def counted(root):
         for node in walk(root):
@@ -220,10 +220,10 @@ def test_translating_a_deep_tableau_walks_each_proof_node_at_most_once(monkeypat
                 walked.append(node)
             yield node
 
-    monkeypatch.setattr(module, "preorder", counted)
+    monkeypatch.setattr(module, "postorder", counted)
     proof, _ = module.translate_detailed(deep_tableau(600), audit=True)
     nodes = sum(1 for _ in gs3.iter_nodes(proof))
-    assert nodes > 600 and len(walked) <= nodes
+    assert nodes > 600 and 0 < len(walked) <= nodes
 
 
 def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -272,22 +272,36 @@ class CountedProof(GsProof):
         return object.__getattribute__(self, name)
 
 
-def test_check_and_the_writer_walk_a_shared_proof_once_per_node():
-    # ``P | P, ~P |-`` by an or step whose two premises are one node that
-    # weakens the new ``P`` and goes on the same way: 2 ** 16 leaves as a
-    # tree, 34 node objects.
+def shared_or_tower() -> CountedProof:
+    """``P | P, ~P |-`` by an or step whose two premises are one node that
+    weakens the new ``P`` and goes on the same way: 2 ** 16 leaves as a
+    tree, 34 node objects."""
     p = Atom("P", ())
     short, long = (Or(p, p), Not(p)), (Or(p, p), Not(p), p)
     node = CountedProof(long, GsRule("axiom"), p)
     for _ in range(16):
         node = CountedProof(short, GsRule("or"), Or(p, p), (node, node))
         node = CountedProof(long, GsRule("weaken"), p, (node,))
-    proof = CountedProof(short, GsRule("or"), Or(p, p), (node, node))
+    return CountedProof(short, GsRule("or"), Or(p, p), (node, node))
+
+
+def test_check_and_the_writer_walk_a_shared_proof_once_per_node():
+    proof = shared_or_tower()
     CountedProof.reads = 0
     text = proof_to_json(proof)
     assert check(proof).accepted
     assert CountedProof.reads <= 10 * 34
     assert len(json.loads(text)["nodes"]) == 34 and check(proof_from_json(text)).accepted
+
+
+def test_inference_count_unfolds_a_shared_proof_in_one_pass():
+    # Below the top or step, each weakening over an or step over the last
+    # weakening holds 2 + 2 * n inferences where that one holds n, starting
+    # from the axiom's 1: 3 * 2 ** 16 - 2, twice, plus the top step.
+    proof = shared_or_tower()
+    CountedProof.reads = 0
+    assert gs3.inference_count(proof) == 1 + 2 * (3 * 2 ** 16 - 2) == 393_213
+    assert CountedProof.reads <= 10 * 34
 
 
 def entry_paths(record, target: int) -> list[tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import json
 import sys
 from collections import Counter
 
@@ -26,7 +27,7 @@ from tabseq.translate import (
     translate,
     translate_detailed,
 )
-from tabseq.tree import PathError, node_at
+from tabseq.tree import PathError, node_at, postorder
 from tabseq.unify import ConstraintStore, Substitution
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
@@ -146,9 +147,6 @@ class Replay:
         node_path = paths(self.ct.root)
         return {node_path[q] for q in self.marks}
 
-    def preimage(self, target):
-        return sorted(s for s, q in self.link_paths().items() if q == target)
-
 
 class TestInitialPart:
     """The replayed rules form a prefix-closed set, the initial part, and
@@ -220,7 +218,7 @@ class TestParallelExtend:
         assert replay.link_paths() == {}
         assert gs3.check(replay.proof).accepted
 
-    def test_beta_replay_on_two_linked_leaves_makes_four(self):
+    def test_beta_replay_on_two_equal_linked_leaves_shares_one_step(self):
         ct = prove([parse(DRINKER_NEG), parse("P | (C | E)")])
         assert isinstance(ct, ClosedTableau)
         replay = Replay(ct)
@@ -228,17 +226,42 @@ class TestParallelExtend:
         for leaf, node in iter_nodes(ct.root):
             if node.rule is None:
                 continue
-            fanned = replay.preimage(leaf)
+            fanned = list(replay.link[id(node)][1])
             replay.extend(leaf)
             if node.rule.kind == "beta" and len(fanned) == 2:
                 fanout_seen = True
-                new_leaves = [
-                    s for s, q in replay.link_paths().items() if q in (leaf + (0,), leaf + (1,))
-                ]
-                assert len(new_leaves) == 4
+                # The two linked leaves have one sequent, so the second
+                # shares the first one's step and its two premises.
+                first, second = fanned
+                assert first.sequent == second.sequent
+                assert second.children is first.children
+                new_leaves = [s for child in node.children for s in replay.link[id(child)][1]]
+                assert len(set(new_leaves)) == len(new_leaves) == 2
+                unfolded = [n for _, n in gs3.iter_nodes(replay.proof) if n in new_leaves]
+                assert len(unfolded) == 4
         assert fanout_seen
         assert replay.link_paths() == {}
         assert gs3.check(replay.proof).accepted
+
+
+class TestSharing:
+    def test_a_leaf_shares_the_step_of_the_first_leaf_with_its_key(self):
+        builder = _Builder(drinker_tableau())
+        seq, other = (parse("P & Q"),), (parse("P & R"),)
+        a, b, c, d = GsProof(seq), GsProof(seq), GsProof(seq), GsProof(other)
+        first, open_before = {}, builder.open
+        assert not builder.shares(None, seq, a) and not builder.shares(first, seq, a)
+        with pytest.raises(TranslateError, match="cannot share a step"):
+            builder.shares(first, seq, b)  # the first leaf has not stepped yet
+        builder.step(a, GsRule("and"), seq[0])
+        assert builder.shares(first, seq, b)
+        assert (b.rule, b.principal) == (a.rule, a.principal) and b.children is a.children
+        assert builder.open == open_before - 1  # b is no longer an open leaf
+        with pytest.raises(TranslateError, match="cannot share a step"):
+            builder.shares(first, seq, b)  # no longer open
+        with pytest.raises(TranslateError, match="cannot share a step"):
+            builder.shares(first, seq, d)  # another sequent under the same key
+        assert c.is_open and d.is_open
 
 
 def graft(theta: GsProof, B, sko: App, delta_formula, principal):
@@ -322,13 +345,33 @@ class TestInPlaceGrowth:
         parse(DRINKER_NEG),
         parse(NESTED_NEG),
         parse("~((P | Q) => (Q | P))"),
-        Not(growth_goal(3)),
-    ], ids=["drinker", "nested", "or-commutes", "growth-3"])
+    ], ids=["drinker", "nested", "or-commutes"])
     def test_no_node_object_appears_twice(self, goal, monkeypatch):
         ct = prove([goal])
         for proof in (grown_before_skolem_replacement(ct, monkeypatch), translate(ct)):
             ids = [id(n) for _, n in gs3.iter_nodes(proof)]
             assert len(ids) == len(set(ids))
+
+    def test_growth_3_shares_subproofs_and_unfolds_to_the_tree(self, monkeypatch):
+        """Leaves with equal sequents share one step, so the 751-inference
+        tree is built from at most two objects per node entry of its
+        ``.gs3``: an entry's first object and the leaves that shared it."""
+        ct = prove([Not(growth_goal(3))])
+        for proof in (grown_before_skolem_replacement(ct, monkeypatch), translate(ct)):
+            entries = len(json.loads(gs3.proof_to_json(proof))["nodes"])
+            objects = sum(1 for _ in postorder(proof))
+            assert entries == 83 and objects <= 2 * entries
+            assert gs3.inference_count(proof) == 751
+            assert sum(1 for n in gs3.iter_nodes(proof) if n[1].rule is not None) == 751
+
+    def test_growth_5_translates_checks_and_reads_back_as_the_shared_tree(self):
+        ct = prove([Not(growth_goal(5))])
+        proof = translate(ct, audit=True)
+        text = gs3.proof_to_json(proof)
+        back = gs3.proof_from_json(text)
+        assert rule_count(ct.root) == 24 and len(json.loads(text)["nodes"]) == 373
+        assert gs3.inference_count(proof) == gs3.inference_count(back) == 107_693_581
+        assert gs3.check(back).accepted and gs3.proof_to_json(back) == text
 
     @pytest.mark.parametrize("text", [DRINKER_NEG, NESTED_NEG])
     def test_translating_twice_gives_the_same_file_and_keeps_the_tableau(self, text):
@@ -360,6 +403,27 @@ class TestSkolemReplacement:
         assert proof.sequent[0] is goal and proof.principal is goal
         assert proof.rule.witness == const("c1")
         assert leaf.sequent == (goal, parse("D(c1)"))
+
+    def test_a_shared_node_is_rewritten_once(self):
+        # ``Q | Q`` splits into two equal premises, one object, which refutes
+        # ``~forall y. D(y)`` and ``forall y. D(y)`` through a Skolem witness.
+        sko = App("sko1", ())
+        q, neg, pos = parse("Q | Q"), parse("~(forall y. D(y))"), parse("forall y. D(y)")
+        proof = GsProof((q, neg, pos))
+        gs3.build_step(proof, GsRule("or"), q)
+        shared = proof.children[0]
+        proof.children = (shared, shared)
+        gs3.build_step(shared, GsRule("not_forall", sko), neg)
+        (node,) = shared.children
+        gs3.build_step(node, GsRule("forall", sko), pos)
+        (node,) = node.children
+        gs3.build_step(node, GsRule("axiom"), parse("D(sko1)", allow_generated=True))
+        before = shared.sequent
+        assert replace_skolem_terms(proof) is proof
+        assert proof.children == (shared, shared) and shared.sequent == before
+        assert shared.rule == GsRule("not_forall", const("c1"))
+        assert node.sequent[-2:] == (parse("~D(c1)"), parse("D(c1)"))
+        assert gs3.check(proof).accepted
 
     def test_equal_formulas_share_one_replacement(self):
         a = parse("D(sko1)", allow_generated=True)
