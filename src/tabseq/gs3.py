@@ -129,8 +129,8 @@ def open_leaves(root: GsProof) -> list[Path]:
 
 
 def inference_count(root: GsProof) -> int:
-    """The inferences of the tree the proof unfolds to, a node object under
-    several parents counted once per parent, in one pass over the objects."""
+    """The inferences of the tree the proof unfolds to, a shared node object
+    counted once per path to it, in one pass over the objects."""
     below: dict[int, int] = {}  # id(node) -> inferences of its subtree
     for node in postorder(root):
         below[id(node)] = (node.rule is not None) + sum([below[id(c)] for c in node.children])
