@@ -38,6 +38,7 @@ from tabseq.tree import node_at
 from tabseq.unify import ConstraintStore, Substitution
 
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
+V2_FIXTURES = V1_FIXTURES.parent / "v2"
 FIXTURE_GOALS = {
     "drinker": parse(dict(HAND_GOALS)["drinker"]),
     "growth-2": growth_goal(2),
@@ -97,6 +98,21 @@ def test_v1_fixture_writes_the_fresh_v2_text(name):
     assert tableau_from_json(fresh_tab) == v1_tab
     assert same_proof(proof_from_json(fresh_gs3), v1_proof)
     assert check(v1_proof).accepted
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_GOALS))
+def test_v2_fixture_reads_back_translates_and_checks(name):
+    ct = proved(FIXTURE_GOALS[name])
+    fresh_tab, fresh_gs3 = tableau_to_json(ct), proof_to_json(translate(ct))
+    v2_tab_text = (V2_FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
+    v2_gs3_text = (V2_FIXTURES / f"{name}.gs3").read_text(encoding="utf-8")
+    assert json.loads(v2_tab_text)["version"] == json.loads(v2_gs3_text)["version"] == 2
+    v2_tab, v2_proof = tableau_from_json(v2_tab_text), proof_from_json(v2_gs3_text)
+    assert tableau_to_json(v2_tab) == fresh_tab and tableau_from_json(fresh_tab) == v2_tab
+    assert proof_to_json(v2_proof) == v2_gs3_text == fresh_gs3
+    proof = translate(v2_tab)
+    assert proof_to_json(proof) == fresh_gs3
+    assert check(proof).accepted and check(v2_proof).accepted
 
 
 def test_v1_sequent_counts_are_bounded(tmp_path):
