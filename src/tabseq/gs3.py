@@ -44,6 +44,7 @@ from .formula import (
 # ``replace_at`` is not used here; callers reach it as ``gs3.replace_at``.
 from .tree import (
     FormatError,
+    MAX_OCCURRENCES,
     Path,
     entry_index,
     file_version,
@@ -451,9 +452,6 @@ def build_step(
 # A file without ``version`` is version 1: one nested node record per
 # proof node, with formulas as text.
 
-MAX_OCCURRENCES = 10_000_000  # formula occurrences over a file's sequents
-
-
 def proof_to_json(proof: GsProof) -> str:
     """Canonical version-2 serialization, compact with sorted keys.
 
@@ -570,7 +568,7 @@ def proof_from_json(text: str) -> GsProof:
     FormatError.
     """
     record = load_json(text, "proof")
-    if file_version(record) == 2:
+    if file_version(record, (2,)) == 2:
         return _proof_from_v2(record)
     return _proof_from_v1(record)
 

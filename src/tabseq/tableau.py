@@ -40,6 +40,7 @@ from .formula import (
 # ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
 from .tree import (
     FormatError,
+    MAX_OCCURRENCES,
     Path,
     entry_index,
     file_version,
@@ -520,21 +521,24 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 
 # --------------------------------------------------------------- serialize
 #
-# A version-2 file is one flat JSON object: ``table`` (the distinct
+# A version-3 file is one flat JSON object: ``table`` (the distinct
 # formulas and terms, see ``formula.encode_table``), ``nodes`` (one entry
-# per tableau node, [[formulas], rule, [children], closed], every child
+# per tableau node, [formulas, rule, [children], closed], every child
 # before its parent and each used once), ``root``, the constraint
 # ``store`` ([lhs, rhs] pairs), the ground ``unifier`` ([metavariable,
 # term] pairs sorted by name) and ``version``.  A rule is [class,
 # principal, [[introduced], ...], meta, skolem, closure pair], with null
-# for an absent field.  Every formula and term is a table index.  A file
+# for an absent field.  Every formula and term is a table index.  A node's
+# formulas are null when they are its parent's followed by the ones the
+# parent's rule introduced for it, and a list of entries otherwise.  A
+# version-2 file is the same with every node's formulas listed.  A file
 # without ``version`` is version 1: nested node records, formulas as text.
 
 RULE_CLASSES = ("alpha", "beta", "gamma", "delta", CLOSURE)
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
-    """Canonical version-2 serialization, compact with sorted keys.
+    """Canonical version-3 serialization, compact with sorted keys.
 
     The nodes are written children first.  A formula nested deeper than
     ``MAX_DEPTH`` is a DepthError, since the reader would refuse the file.
@@ -545,10 +549,10 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     items += [x for binding in bindings for x in binding]
     items += ct.root.formulas
     # A child whose formulas are its parent's plus the ones its rule
-    # introduced, as every child ``expand`` and ``close`` make, is listed
-    # from its parent's entries; any other child, as in a forged file read
-    # back, from its own formulas.
-    grown: dict[int, tuple[TableauNode, tuple[Formula, ...]]] = {}  # id(child) -> parent, extra
+    # introduced, as every child ``expand`` and ``close`` make, is written
+    # without its formulas; any other child, as in a forged file read back,
+    # lists its own.
+    grown: set[int] = set()  # id(child)
     for node in order:
         rule = node.rule
         introduced = ()
@@ -559,7 +563,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
             items += rule.closure_pair or ()
         for i, child in enumerate(node.children):
             if i < len(introduced) and child.formulas == node.formulas + introduced[i]:
-                grown[id(child)] = (node, introduced[i])
+                grown.add(id(child))
             else:
                 items += child.formulas
     table, entry = encode_table(items)
@@ -567,11 +571,6 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     def optional(x):
         return None if x is None else entry(x)
 
-    lists: dict[int, list[int]] = {}  # id(node) -> its formulas' entries
-    for node in reversed(order):  # every parent before its children
-        parent, extra = grown.get(id(node), (None, None))
-        lists[id(node)] = ([entry(f) for f in node.formulas] if parent is None
-                           else lists[id(parent)] + [entry(f) for f in extra])
     nodes: list[list] = []
     numbers: dict[int, int] = {}  # id(node) -> node entry
     for node in order:
@@ -583,10 +582,10 @@ def tableau_to_json(ct: ClosedTableau) -> str:
                     optional(rule.meta), optional(rule.skolem),
                     None if pair is None else [entry(pair[0]), entry(pair[1])]]
         numbers[id(node)] = len(nodes)
-        nodes.append([lists[id(node)], rule,
+        nodes.append([None if id(node) in grown else [entry(f) for f in node.formulas], rule,
                       [numbers[id(child)] for child in node.children], node.closed])
     record = {
-        "version": 2,
+        "version": 3,
         "table": table,
         "nodes": nodes,
         "root": len(nodes) - 1,
@@ -656,16 +655,22 @@ def _node_from_record(record, formula: Callable[[str], Formula],
 
 
 def tableau_from_json(text: str) -> ClosedTableau:
-    """Read a tableau written by ``tableau_to_json``, or a version-1 file.
+    """Read a tableau written by ``tableau_to_json``, or a version-1 or
+    version-2 file.
 
-    A version-2 file is read in flat loops, one ``TableauNode`` per node
-    entry.  Any malformed entry, a reference to a later or missing entry,
-    a node used twice, a term where a formula belongs or the reverse, or
-    a formula or term with a free bound variable is a FormatError.
+    A version-2 or version-3 file is read in flat loops, one
+    ``TableauNode`` per node entry; then one pass from the root gives each
+    node written without its formulas its parent's followed by the ones
+    the parent's rule introduced for it.  Any malformed entry, a reference
+    to a later or missing entry, a node used twice, a term where a formula
+    belongs or the reverse, a formula or term with a free bound variable,
+    or a node without formulas that is no node's child or whose parent's
+    rule introduced none for it is a FormatError.
     """
     record = load_json(text, "tableau")
-    if file_version(record) == 2:
-        return _tableau_from_v2(record)
+    version = file_version(record, (2, 3))
+    if version > 1:
+        return _tableau_from_table(record, version)
     # Version 1: each distinct formula or term text is parsed once per
     # call, so equal texts read back as one shared object.
     formula = functools.cache(lambda s: parse(s, allow_generated=True))
@@ -676,7 +681,7 @@ def tableau_from_json(text: str) -> ClosedTableau:
         raise FormatError("tableau nested too deeply") from None
 
 
-def _tableau_from_v2(record: dict) -> ClosedTableau:
+def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
     table = Table(record.get("table"))
     formula, term = table.formula, table.term
     raw_nodes = record.get("nodes")
@@ -695,9 +700,10 @@ def _tableau_from_v2(record: dict) -> ClosedTableau:
     nodes: list[TableauNode] = []
     used: list[bool] = []
     for raw in raw_nodes:
-        if (type(raw) is not list or len(raw) != 4 or type(raw[0]) is not list
+        if (type(raw) is not list or len(raw) != 4
+                or type(raw[0]) is not list and (raw[0] is not None or version < 3)
                 or type(raw[2]) is not list or type(raw[3]) is not bool):
-            raise FormatError("a node must be [[formulas], rule, [children], closed]")
+            raise FormatError("a node must be [formulas, rule, [children], closed]")
         children = []
         for child in raw[2]:
             i = entry_index(child, len(nodes), "child")
@@ -705,12 +711,28 @@ def _tableau_from_v2(record: dict) -> ClosedTableau:
                 raise FormatError(f"node {i} is the child of two nodes")
             used[i] = True
             children.append(nodes[i])
-        rule = None if raw[1] is None else _rule_from_v2(raw[1], formula, term)
-        nodes.append(TableauNode(node_formulas(raw[0]), rule, tuple(children), raw[3]))
+        rule = None if raw[1] is None else _rule_from_table(raw[1], formula, term)
+        formulas = None if raw[0] is None else node_formulas(raw[0])
+        nodes.append(TableauNode(formulas, rule, tuple(children), raw[3]))
         used.append(False)
     root = entry_index(record.get("root"), len(nodes), "root")
     if used[root]:
         raise FormatError(f"root {root} is the child of a node")
+    occurrences = 0
+    for n in reversed(range(len(nodes))):  # every parent before its children
+        node = nodes[n]
+        if node.formulas is None:
+            raise FormatError(f"node {n} lists no formulas and is no node's child")
+        for i, child in enumerate(node.children):
+            if child.formulas is None:
+                introduced = () if node.rule is None else node.rule.introduced
+                if i >= len(introduced):
+                    raise FormatError(f"child {i} of node {n} lists no formulas, and its "
+                                      "parent's rule has no introduced list for it")
+                occurrences += len(node.formulas) + len(introduced[i])
+                if occurrences > MAX_OCCURRENCES:
+                    raise FormatError(f"nodes hold more than {MAX_OCCURRENCES} formulas")
+                child.formulas = node.formulas + introduced[i]
     store = record.get("store")
     if type(store) is not list or not all(type(c) is list and len(c) == 2 for c in store):
         raise FormatError("store must be a list of [lhs, rhs] pairs")
@@ -729,7 +751,7 @@ def _tableau_from_v2(record: dict) -> ClosedTableau:
                          Substitution(bindings, ground=True))
 
 
-def _rule_from_v2(raw, formula, term) -> RuleInstance:
+def _rule_from_table(raw, formula, term) -> RuleInstance:
     if type(raw) is not list or len(raw) != 6:
         raise FormatError("a rule must be [class, principal, introduced, meta, skolem, pair]")
     kind, principal, introduced, meta, skolem, pair = raw

@@ -17,6 +17,11 @@ Path = tuple[int, ...]
 N = TypeVar("N")
 T = TypeVar("T")
 
+# Formula occurrences a reader builds from one file: a file can ask for many
+# more occurrences than it has bytes, since a sequent or tableau node is
+# written as a change to another.
+MAX_OCCURRENCES = 10_000_000
+
 
 class FormatError(ValueError):
     """A serialized proof file is malformed."""
@@ -128,15 +133,16 @@ def load_json(text: str, what: str):
         raise FormatError(f"{what} nested too deeply") from None
 
 
-def file_version(record) -> int:
-    """2 for a version-2 proof file's top-level object, 1 for one without a
-    ``version`` field; any other version is a FormatError."""
+def file_version(record, versions: tuple[int, ...]) -> int:
+    """The ``version`` of a proof file's top-level object, one of the
+    ``versions`` its reader accepts, or 1 for an object without one; any
+    other version is a FormatError."""
     if not isinstance(record, dict) or "version" not in record:
         return 1
     version = record["version"]
-    if type(version) is not int or version != 2:
+    if type(version) is not int or version not in versions:
         raise FormatError(f"unknown version {version!r}")
-    return 2
+    return version
 
 
 def entry_index(raw, bound: int, what: str) -> int:

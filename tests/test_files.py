@@ -20,13 +20,14 @@ from tabseq.tableau import ClosedTableau, prove, tableau_from_json, tableau_to_j
 from tabseq.translate import translate
 
 # sha256 of the concatenated .tab texts and of the concatenated .gs3 texts
-# of each group, in goal order, as the version-2 writers write them.
+# of each group, in goal order, as the version-3 tableau writer and the
+# version-2 proof writer write them.
 GOLDEN = {
-    "hand": ("9806c55a805ed823ea4d9ee57e23815c3feb5b37f8dd9f35b6988706c2ce612b",
+    "hand": ("cdb16322e8508901e3dfa867ce2c1fe03a87b04e309c7f1815488b021ee8c1cf",
              "4febd408a695218550e29797ba0d879b9cc7b501ebe9f3ae4df82aa1dea36ba1"),
-    "growth": ("5457b25618f97a089b083c16e3ea9b7787d90374bdea01203a192267d5706a3e",
+    "growth": ("23bc18367cbe35d798b218ab13684ce8d90a8dfe2fde47f7f970ec73164bccd4",
                "dc977f2b8f1c02047dc44a926bb4daf2cb270d32574972c0e9524255c8c149c8"),
-    "generated": ("f23cf755b97d3515fada074ab96c83acc2032942464a9dd32ff5f451a173da06",
+    "generated": ("7a45a90524ef0f9af998f5346346a48c198a808f8167d9cb3ae9c884a4931fe6",
                   "456a3cbcd20b7beffc25fc3a7f75ccc4f6977431bbbcc341fbb26a350d9ce2c2"),
 }
 

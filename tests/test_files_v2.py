@@ -83,7 +83,7 @@ def depth(root) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GOALS))
-def test_v1_fixture_writes_the_fresh_v2_text(name):
+def test_v1_fixture_writes_the_fresh_text(name):
     ct = proved(FIXTURE_GOALS[name])
     fresh_tab, fresh_gs3 = tableau_to_json(ct), proof_to_json(translate(ct))
     v1_tab_text = (V1_FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
@@ -92,7 +92,7 @@ def test_v1_fixture_writes_the_fresh_v2_text(name):
     v1_tab, v1_proof = tableau_from_json(v1_tab_text), proof_from_json(v1_gs3_text)
     assert tableau_to_json(v1_tab) == fresh_tab
     assert proof_to_json(v1_proof) == fresh_gs3
-    assert json.loads(fresh_tab)["version"] == json.loads(fresh_gs3)["version"] == 2
+    assert json.loads(fresh_tab)["version"] == 3 and json.loads(fresh_gs3)["version"] == 2
     # The version-1 reader lists a sequent's formulas by their text, the
     # version-2 reader by table entry.
     assert tableau_from_json(fresh_tab) == v1_tab
@@ -107,6 +107,7 @@ def test_v2_fixture_reads_back_translates_and_checks(name):
     v2_tab_text = (V2_FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
     v2_gs3_text = (V2_FIXTURES / f"{name}.gs3").read_text(encoding="utf-8")
     assert json.loads(v2_tab_text)["version"] == json.loads(v2_gs3_text)["version"] == 2
+    assert json.loads(fresh_tab)["version"] == 3
     v2_tab, v2_proof = tableau_from_json(v2_tab_text), proof_from_json(v2_gs3_text)
     assert tableau_to_json(v2_tab) == fresh_tab and tableau_from_json(fresh_tab) == v2_tab
     assert proof_to_json(v2_proof) == v2_gs3_text == fresh_gs3
@@ -395,10 +396,17 @@ def unshared(node: GsProof, path, tree) -> GsProof:
 # ------------------------------------------------------------ hostile files
 
 
-def drinker_files() -> dict[str, dict]:
-    ct = proved(FIXTURE_GOALS["drinker"])
-    files = {".tab": json.loads(tableau_to_json(ct)),
-             ".gs3": json.loads(proof_to_json(translate(ct)))}
+def drinker_files(tab_version: int = 3) -> dict[str, dict]:
+    """The drinker's fresh files, or for ``tab_version`` 2 its committed
+    version-2 fixtures, whose ``.gs3`` is the fresh one."""
+    if tab_version == 2:
+        files = {suffix: json.loads((V2_FIXTURES / f"drinker{suffix}").read_text(encoding="utf-8"))
+                 for suffix in (".tab", ".gs3")}
+    else:
+        ct = proved(FIXTURE_GOALS["drinker"])
+        files = {".tab": json.loads(tableau_to_json(ct)),
+                 ".gs3": json.loads(proof_to_json(translate(ct)))}
+    assert files[".tab"]["version"] == tab_version
     # The entries that HOSTILE below names by index.
     gs3_file, tab_file = files[".gs3"], files[".tab"]
     assert gs3_file["table"][:6] == [["f", "c1"], ["v", "x"], ["v", "y"], ["P", "D", 0],
@@ -438,7 +446,8 @@ def deep_entry(record):
 # In the .tab: table 0 is the Skolem constant sko1, 1 the metavariable X1,
 # 4 D(sko1), 5 D(X1), 6 D(x) with x free, 9 ~D(sko1), 15 the root
 # formula; node 4 is the root's gamma step, 2 a delta step, 1 the closure
-# and 0 the closed leaf.
+# and 0 the closed leaf.  These cases run against the version-2 fixtures,
+# where every node lists its formulas.
 HOSTILE = {
     ".gs3": {
         "forward reference": put(("table", 7, ["~", 9])),
@@ -495,27 +504,83 @@ HOSTILE = {
         "such a pair on a gamma step": put(("nodes", 4, 1, 5, [4, 4])),
         "closure without its closed child": put(("nodes", 1, 1, 2, []), ("nodes", 1, 2, [])),
         "unknown version": put(("version", 1)),
+        "node without formulas in version 2": put(("nodes", 3, 0, None)),
     },
 }
+
+# In the fresh, version-3 drinker .tab only the root, node 4, lists its
+# formulas; nodes 3 to 0 are each their parent's plus what its rule
+# introduced.  Each case with the message it exits with.
+NO_INTRODUCED_LIST = "child 0 of node 4 lists no formulas, and its parent's rule has no " \
+    "introduced list for it"
+HOSTILE_V3 = {
+    ".tab": {
+        "root without formulas": (
+            put(("nodes", 4, 0, None)), "node 4 lists no formulas and is no node's child"),
+        "node without formulas that is no node's child": (
+            put(("nodes", 4, 2, [])), "node 3 lists no formulas and is no node's child"),
+        "parent without a rule": (
+            put(("nodes", 4, 1, None)), NO_INTRODUCED_LIST),
+        "parent whose rule introduces nothing for the child": (
+            put(("nodes", 4, 1, 2, [])), NO_INTRODUCED_LIST),
+        "formulas that are neither a list nor null": (
+            put(("nodes", 3, 0, 14)), "a node must be [formulas, rule, [children], closed]"),
+        "unknown version": (put(("version", 4)), "unknown version 4"),
+    },
+    ".gs3": {
+        "version 3": (put(("version", 3)), "unknown version 3"),
+    },
+}
+
+
+def exit_code_and_error(tmp_path, capsys, suffix, record) -> tuple[int, str]:
+    """``check`` on a ``.gs3`` record or ``translate`` on a ``.tab`` one."""
+    path = tmp_path / f"hostile{suffix}"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    command = "check" if suffix == ".gs3" else "translate"
+    code = run_cli([command, str(path), *(["--out", str(tmp_path / "o.gs3")]
+                                          if command == "translate" else [])])
+    return code, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suffix,case", [(suffix, case) for suffix in HOSTILE
                                          for case in HOSTILE[suffix]])
 def test_hostile_v2_file_exits_two(tmp_path, capsys, suffix, case):
-    record = drinker_files()[suffix]
+    record = drinker_files(2)[suffix]
     HOSTILE[suffix][case](record)
-    path = tmp_path / f"hostile{suffix}"
-    path.write_text(json.dumps(record), encoding="utf-8")
-    command = "check" if suffix == ".gs3" else "translate"
-    assert run_cli([command, str(path), *(["--out", str(tmp_path / "o.gs3")]
-                                          if command == "translate" else [])]) == 2
-    err = capsys.readouterr().err
+    code, err = exit_code_and_error(tmp_path, capsys, suffix, record)
     kind = "sequent proof" if suffix == ".gs3" else "tableau proof"
-    assert f"malformed {kind}: " in err and "Traceback" not in err
+    assert code == 2 and f"malformed {kind}: " in err and "Traceback" not in err
 
 
-def test_the_unaltered_drinker_files_pass(tmp_path):
-    for suffix, record in drinker_files().items():
+@pytest.mark.parametrize("suffix,case", [(suffix, case) for suffix in HOSTILE_V3
+                                         for case in HOSTILE_V3[suffix]])
+def test_hostile_v3_file_exits_two(tmp_path, capsys, suffix, case):
+    record = drinker_files(3)[suffix]
+    mutation, message = HOSTILE_V3[suffix][case]
+    mutation(record)
+    code, err = exit_code_and_error(tmp_path, capsys, suffix, record)
+    kind = "sequent proof" if suffix == ".gs3" else "tableau proof"
+    assert code == 2 and err.endswith(f"malformed {kind}: {message}\n"), err
+
+
+def test_v3_node_formulas_are_bounded(tmp_path, capsys):
+    """A 102 kB chain of 1,000 nodes, each written as its parent plus 25
+    introduced formulas, would hold 12.5 million formula occurrences; it
+    exits 2 before they are built."""
+    record = drinker_files(3)[".tab"]
+    rule = ["alpha", 15, [[4] * 25], None, None, None]
+    record["nodes"] = [[None, None, [], True]] + [[None, rule, [k], False] for k in range(999)]
+    record["nodes"][-1][0] = [15]
+    record["root"] = 999
+    assert len(canonical(record)) < 102_000
+    code, err = exit_code_and_error(tmp_path, capsys, ".tab", record)
+    assert code == 2 and err.endswith(f"more than {tableau.MAX_OCCURRENCES} formulas\n"), err
+
+
+@pytest.mark.parametrize("tab_version", [2, 3])
+def test_the_unaltered_drinker_files_pass(tmp_path, tab_version):
+    for suffix, record in drinker_files(tab_version).items():
         path = tmp_path / f"drinker{suffix}"
         path.write_text(json.dumps(record), encoding="utf-8")
     assert run_cli(["translate", str(tmp_path / "drinker.tab"),
@@ -563,7 +628,8 @@ def test_bad_node_formula_index_exits_two(tmp_path, capsys, goal, formulas, mess
         record = drinker_files()[".tab"]
     else:
         record = json.loads(tableau_to_json(prove([parse(goal)])))
-        assert record["table"][0] == ["P", "P"] and 0 in record["nodes"][0][0]
+        assert record["table"][0] == ["P", "P"] and record["nodes"][0][0] is None
+        record["nodes"][0][0] = [3, 0, 2]  # the closed leaf's formulas, listed
     record["nodes"][record["root"]][0] = formulas
     path = tmp_path / "bad.tab"
     path.write_text(canonical(record), encoding="utf-8")
@@ -601,8 +667,8 @@ def mutate(record, rng: random.Random) -> None:
 
 
 def test_mutated_proof_files_never_crash(tmp_path, capsys):
-    """Mutants of the v2 files of six corpus goals and of the committed v1
-    fixtures exit 0, 1 or 2, with no traceback."""
+    """Mutants of the fresh files of six corpus goals and of the committed
+    v1 and v2 fixtures exit 0, 1 or 2, with no traceback."""
     rng = random.Random(20061007)
     files = []  # (name, suffix, text, mutants)
     for name, goal in corpus(generated=12)[::2]:
@@ -611,6 +677,8 @@ def test_mutated_proof_files_never_crash(tmp_path, capsys):
         files.append((name, ".gs3", proof_to_json(translate(ct)), 20))
     for path in sorted(V1_FIXTURES.iterdir()):
         files.append((path.stem, path.suffix, path.read_text(encoding="utf-8"), 150))
+    for path in sorted(V2_FIXTURES.iterdir()):
+        files.append((path.stem, path.suffix, path.read_text(encoding="utf-8"), 60))
     for name, suffix, text, mutants in files:
         for _ in range(mutants):
             record = json.loads(text)
