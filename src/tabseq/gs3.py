@@ -472,20 +472,24 @@ def proof_to_json(proof: GsProof) -> str:
                tuple([numbers[id(child)] for child in node.children]))
         numbers[id(node)] = keys.setdefault(key, len(keys))
 
-    items = [f for seq in sequents for f in seq]
+    counts = [Counter(seq) for seq in sequents]  # formula -> count, per sequent number
+    items = set().union(*counts)
     for _, rule, principal, _ in keys:
         if principal is not None:
-            items.append(principal)
+            items.add(principal)
         if rule is not None and rule.witness is not None:
-            items.append(rule.witness)
+            items.add(rule.witness)
     table, entry = encode_table(items)
-    counts = [tuple(sorted(Counter(map(entry, seq)).items())) for seq in sequents]
+    # Each sequent's multiset: the set of its formulas if each occurs once,
+    # as most do, and its (formula, count) pairs otherwise.
+    multisets = [frozenset(count) if len(count) == len(seq) else frozenset(count.items())
+                 for count, seq in zip(counts, sequents)]
+    tally = dict(zip(multisets, counts))
 
-    multisets: dict[tuple, int] = {}  # sorted (entry, count) pairs -> number
     node_entries: dict[tuple, int] = {}
     entries: list[int] = []  # key number -> node entry
     for seq, rule, principal, children in keys:
-        node = (multisets.setdefault(counts[seq], len(multisets)),
+        node = (multisets[seq],
                 None if rule is None else rule.name,
                 None if rule is None or principal is None else entry(principal),
                 None if rule is None or rule.witness is None else entry(rule.witness),
@@ -496,11 +500,10 @@ def proof_to_json(proof: GsProof) -> str:
 
     # The sequents in the order a preorder walk from the root first meets
     # them, each as a change to the sequent of the node's first parent.
-    pairs = list(multisets)
-    seq_entries: dict[int, int] = {}  # multiset number -> sequent entry
+    seq_entries: dict[frozenset, int] = {}  # multiset -> sequent entry
     seq_records: list[list] = []
     met: set[int] = set()
-    walk: list[tuple[int, int | None]] = [(root, None)]
+    walk: list[tuple[int, frozenset | None]] = [(root, None)]
     while walk:
         n, base = walk.pop()
         if n in met:
@@ -509,14 +512,14 @@ def proof_to_json(proof: GsProof) -> str:
         multiset = nodes[n][0]
         if multiset not in seq_entries:
             seq_entries[multiset] = len(seq_records)
-            now = dict(pairs[multiset])
+            now = tally[multiset]
             if base is None:
-                seq_records.append([None, sorted(now.items())])
+                seq_records.append([None, sorted([(entry(f), c) for f, c in now.items()])])
             else:
-                before = dict(pairs[base])
-                change = {f: c for f, c in now.items() if before.get(f) != c}
-                change.update((f, 0) for f in before if f not in now)
-                seq_records.append([seq_entries[base], sorted(change.items())])
+                before = tally[base]
+                change = [(entry(f), c) for f, c in now.items() - before.items()]
+                change += [(entry(f), 0) for f in before.keys() - now.keys()]
+                seq_records.append([seq_entries[base], sorted(change)])
         walk.extend((child, multiset) for child in reversed(nodes[n][4]))
     record = {"version": 2, "table": table, "sequents": seq_records,
               "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
