@@ -661,7 +661,15 @@ def _proof_from_v1(record) -> GsProof:
 
 
 def render_proof(proof: GsProof) -> str:
-    """Human-readable stacked rendering, root first, branches indented."""
+    """Human-readable stacked rendering, root first, branches indented.
+
+    Each node object is rendered once.  One with two or more parents is
+    numbered where it is first rendered, ``[n] sequent |-``, and is written
+    ``[n] as above`` wherever it is met again, so the rendering of a shared
+    proof grows with its node objects, not with the tree it unfolds to.
+    """
+    parents = Counter(id(child) for node in postorder(proof) for child in node.children)
+    numbers: dict[int, str] = {}  # id(node) -> "[n]"
     lines: list[str] = []
 
     def label(node: GsProof) -> str:
@@ -673,8 +681,14 @@ def render_proof(proof: GsProof) -> str:
             text += f" [{print_term(rule.witness)}]"
         return text
 
-    for indent, node in indented(proof):
+    for indent, node, again in indented(proof):
+        if again:
+            lines.append(f"{indent}{numbers[id(node)]} as above")
+            continue
         seq = ", ".join(print_formula(f) for f in node.sequent)
+        if parents[id(node)] > 1:
+            numbers[id(node)] = f"[{len(numbers) + 1}]"
+            seq = f"{numbers[id(node)]} {seq}"
         lines.append(f"{indent}{seq} |-")
         if node.rule is not None:
             lines.append(f"{indent}-- {label(node)}")

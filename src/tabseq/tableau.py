@@ -825,7 +825,7 @@ def render_tableau(ct: ClosedTableau) -> str:
             extra = f" [{print_term(rule.skolem)}]"
         return f"{rule.kind} on {print_formula(rule.principal)}{extra}"
 
-    for indent, node in indented(ct.root):
+    for indent, node, _ in indented(ct.root):
         marker = "x " if node.closed else ""
         lines.append(indent + marker + ", ".join(print_formula(f) for f in node.formulas))
         if node.rule is not None:

@@ -81,16 +81,22 @@ def preorder(root: N) -> Iterator[N]:
         stack.extend(reversed(node.children))
 
 
-def indented(root: N) -> Iterator[tuple[str, N]]:
+def indented(root: N) -> Iterator[tuple[str, N, bool]]:
     """Preorder traversal for a stacked rendering, each node with its
-    indent: the children of a node with two or more children sit four
-    spaces further in than their parent."""
+    indent and whether it was met before: the children of a node with two
+    or more children sit four spaces further in than their parent.  A node
+    object met again, as in a shared proof, is yielded again but its
+    children are not."""
+    seen: set[int] = set()
     stack: list[tuple[str, N]] = [("", root)]
     while stack:
         indent, node = stack.pop()
-        yield indent, node
-        inner = indent + "    " if len(node.children) > 1 else indent
-        stack.extend((inner, child) for child in reversed(node.children))
+        again = id(node) in seen
+        yield indent, node, again
+        if not again:
+            seen.add(id(node))
+            inner = indent + "    " if len(node.children) > 1 else indent
+            stack.extend((inner, child) for child in reversed(node.children))
 
 
 def postorder(root: N) -> Iterator[N]:

@@ -10,8 +10,9 @@ import pytest
 import tabseq
 from tabseq import gs3
 from tabseq.cli import build_parser, main
-from tabseq.formula import MAX_DEPTH, nesting_depth, parse
+from tabseq.formula import MAX_DEPTH, nesting_depth, parse, print_formula
 from tabseq.gs3 import proof_from_json
+from tabseq.problems import growth_goal
 from tabseq.tableau import (
     CLOSURE,
     ClosedTableau,
@@ -85,6 +86,26 @@ class TestProve:
         out = capsys.readouterr().out
         assert "closure on" in out
         assert "|-" in out
+
+    def test_pretty_renders_a_shared_proof_by_its_nodes(self, tmp_path, capsys):
+        """Growth k=5's proof unfolds to 107,693,581 inferences, and its
+        .gs3 lists 373 node entries; the rendering stays within a few
+        lines per entry, and each back-reference follows its subproof."""
+        path = tmp_path / "growth5.p"
+        path.write_text(print_formula(growth_goal(5)) + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(path), "--negate", "--pretty"]) == 0
+        out = capsys.readouterr().out
+        entries = len(json.loads((tmp_path / "growth5.gs3").read_text(encoding="utf-8"))["nodes"])
+        assert entries == 373 and out.count("\n") < 5 * entries and len(out) < 1_000_000
+        rendered = set()
+        for line in out.splitlines():
+            number, _, rest = line.strip().partition(" ")
+            if number.startswith("[") and rest == "as above":
+                assert number in rendered
+            elif number.startswith("["):
+                assert number not in rendered
+                rendered.add(number)
+        assert rendered
 
     def test_several_inputs_each_get_their_proof_files(self, tmp_path, capsys):
         files = []

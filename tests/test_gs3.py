@@ -478,6 +478,29 @@ class TestSerialization:
         text = render_proof(grown_drinker_proof())
         assert "|-" in text and "not_forall" in text
 
+    def test_render_writes_a_shared_subproof_once(self):
+        """Without shared nodes the rendering is the tree's; a node object
+        with two parents is numbered once and referred to after that."""
+        p, p_or_p, not_p = parse("P"), parse("P | P"), parse("~P")
+        short, long = (p_or_p, not_p), (p_or_p, not_p, p)
+        tree = GsProof(short, GsRule("or"), p_or_p,
+                       (GsProof(long, GsRule("axiom"), p), GsProof(long, GsRule("axiom"), p)))
+        leaf = GsProof(long, GsRule("axiom"), p)
+        shared = GsProof(short, GsRule("or"), p_or_p, (leaf, leaf))
+        assert render_proof(tree) == (
+            "(P | P), (~P) |-\n"
+            "-- or on (P | P)\n"
+            "    (P | P), (~P), P |-\n"
+            "    -- axiom on P\n"
+            "    (P | P), (~P), P |-\n"
+            "    -- axiom on P\n")
+        assert render_proof(shared) == (
+            "(P | P), (~P) |-\n"
+            "-- or on (P | P)\n"
+            "    [1] (P | P), (~P), P |-\n"
+            "    -- axiom on P\n"
+            "    [1] as above\n")
+
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tabseq"
 TREE_HELPERS = {"format_path", "node_at", "iter_nodes", "replace_at", "FormatError", "parse_field"}
