@@ -789,9 +789,10 @@ def parse_term(text: str, *, allow_generated: bool = False) -> Term:
 
 # ----------------------------------------------------------- file tables
 #
-# A version-2 proof file holds each distinct formula and term once, as one
-# entry of its table.  An entry is a JSON list whose first item is a tag,
-# and it refers to earlier entries by their index:
+# A version-2 `.gs3` or a version-2 or -3 `.tab` file holds each distinct
+# formula and term once, as one entry of its table.  An entry is a JSON
+# list whose first item is a tag, and it refers to earlier entries by their
+# index:
 #
 #   ["v", name]                 bound variable
 #   ["m", name]                 metavariable
@@ -848,7 +849,7 @@ def _name(x: Formula | Term) -> str | None:
 
 
 def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
-    """The table of a version-2 proof file that holds ``items``, with the
+    """The table of a proof file (version 2 or 3) that holds ``items``, with the
     function that gives the entry of each item or part of one.
 
     Equal formulas and terms are one interned object and share one entry.
@@ -902,7 +903,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
 
 
 class Table:
-    """The decoded table of a version-2 proof file, read in one flat loop.
+    """The decoded table of a proof file (version 2 or 3), read in one flat loop.
 
     Every entry must be well formed: a known tag, a name the grammar
     accepts (with the generated ``skoN``/``XN`` families), the right number

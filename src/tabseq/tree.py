@@ -153,7 +153,7 @@ def file_version(record, versions: tuple[int, ...]) -> int:
 
 def entry_index(raw, bound: int, what: str) -> int:
     """``raw`` itself if it is an integer in ``range(bound)``; anything
-    else is a FormatError.  A version-2 file refers to its entries this way,
+    else is a FormatError.  A version-2 or -3 file refers to its entries this way,
     each only to entries before it."""
     if type(raw) is not int or not 0 <= raw < bound:
         raise FormatError(f"{what} {raw!r} does not refer to an earlier entry")
