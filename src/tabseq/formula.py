@@ -19,10 +19,12 @@ structurally equal nodes are one object, ``==`` is identity and ``hash`` is
 lookup key hashes in C too.  The table holds its nodes weakly, so a node
 nothing else uses leaves it, and a lock guards the build after a miss, so
 threads that build the same formula get one object.  A pickled or copied
-node comes back as the interned node.  The interning is not done by a
-metaclass: ``isinstance`` against a class whose metaclass is not ``type``
-leaves CPython's fast path, and the prover and checker call it millions of
-times.
+node comes back as the interned node.  Each node carries its height, the
+formula and term nodes on its longest downward path, computed from its
+parts' heights when it is built, so depth bounds cost nothing to test.
+The interning is not done by a metaclass: ``isinstance`` against a class
+whose metaclass is not ``type`` leaves CPython's fast path, and the prover
+and checker call it millions of times.
 """
 
 from __future__ import annotations
@@ -101,15 +103,21 @@ def _intern(key: tuple):
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, key[1:]):
                 _set_field(node, name, value)
+            _set_field(node, "height", 1 + max([p.height for p in _parts(node)], default=0))
             _table[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
 class _Node:
     """Base of the ten interned classes: a pickled or copied node is the
-    interned node itself."""
+    interned node itself.
 
-    __slots__ = ("__weakref__",)
+    ``height`` is the number of formula and term nodes on the longest path
+    from the node down, set from its parts' when the node is built.  It is
+    not a dataclass field, so it takes no part in the intern key, in
+    ``__reduce__`` or in ``repr``."""
+
+    __slots__ = ("__weakref__", "height")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -387,25 +395,6 @@ def formula_terms(f: Formula) -> Iterator[Term]:
         raise TypeError(f"not a formula: {f!r}")
 
 
-def nesting_depth(x: Formula | Term) -> int:
-    """Formula and term nodes on the longest root-to-leaf path, counted
-    without recursion."""
-    deepest = 0
-    stack = [(x, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > deepest:
-            deepest = depth
-        if isinstance(node, (Atom, App)):
-            stack.extend((a, depth + 1) for a in node.args)
-        elif isinstance(node, (Not, Forall, Exists)):
-            stack.append((node.body, depth + 1))
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append((node.left, depth + 1))
-            stack.append((node.right, depth + 1))
-    return deepest
-
-
 def term_metas(t: Term) -> tuple[Meta, ...]:
     out: list[Meta] = []
     for sub in _term_iter(t):
@@ -458,12 +447,31 @@ def outermost_skolem_terms(x: Formula | Term) -> set[App]:
     return out
 
 
+def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
+    """Enter in ``memo`` each formula and term of ``items``, and each part of
+    one, that it lacks: true if ``own`` holds of the node or of a part below
+    it.  A node is entered after its parts and visited once, and a node
+    already in ``memo`` is not walked into, so calls that share one memo
+    visit each distinct node once between them.  ``own`` is called once
+    per node entered."""
+    for item in items:
+        if item in memo:
+            continue
+        stack: list[tuple[Formula | Term, tuple | None]] = [(item, None)]
+        while stack:
+            node, parts = stack.pop()
+            if parts is None:
+                if node in memo:  # reached again through another parent
+                    continue
+                parts = _parts(node)
+                stack.append((node, parts))
+                stack.extend([(p, None) for p in parts if p not in memo])
+            else:
+                memo[node] = own(node) or any([memo[p] for p in parts])
+
+
 def is_ground_term(t: Term) -> bool:
     return not any(isinstance(sub, (Meta, Var)) for sub in _term_iter(t))
-
-
-def has_metas(f: Formula) -> bool:
-    return any(isinstance(t, Meta) for t in formula_terms(f))
 
 
 def is_subterm(s: Term, t: Term) -> bool:
@@ -764,9 +772,7 @@ def _parse_whole(text: str, allow_generated: bool, start: Callable[[_Parser], V]
     end = parser.peek()
     if end.kind != "END":
         raise ParseError(f"unexpected trailing input {end.value!r}", end.line, end.column)
-    # Every node has a token of its own, so only inputs with more tokens
-    # than the bound can nest deeper than it.
-    if len(parser.tokens) > MAX_DEPTH and nesting_depth(result) > MAX_DEPTH:
+    if result.height > MAX_DEPTH:
         first = parser.tokens[0]
         raise ParseError(f"nested deeper than {MAX_DEPTH} levels", first.line, first.column)
     return result
@@ -859,47 +865,34 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
     on their order.  DepthError if an item nests deeper than ``MAX_DEPTH``,
     so no writer emits an entry the readers would refuse.
     """
-    of: dict[Formula | Term, int] = {}  # node -> its number
-    members: list[tuple[Formula | Term, list[int]]] = []  # per number: the node, its parts
-    levels: list[list[int]] = []  # numbers by height, from 1
-    heights: list[int] = []
-    for item in items:
-        stack = [item]  # children first, without recursion
-        while stack:
-            node = stack[-1]
-            if node in of:
-                stack.pop()
-                continue
-            missing = [p for p in _parts(node) if p not in of]
-            if missing:
-                stack.extend(reversed(missing))
-                continue
-            stack.pop()
-            parts = [of[p] for p in _parts(node)]
-            height = 1 + max((heights[p] for p in parts), default=0)
-            if height > MAX_DEPTH:
-                raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
-            c = of[node] = len(members)
-            members.append((node, parts))
-            heights.append(height)
-            if height > len(levels):
-                levels.append([])
-            levels[height - 1].append(c)
+    nodes = set(items)  # the items and every part of one, each once
+    top = max([x.height for x in nodes], default=0)
+    if top > MAX_DEPTH:
+        raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
+    stack = list(nodes)
+    while stack:
+        for part in _parts(stack.pop()):
+            if part not in nodes:
+                nodes.add(part)
+                stack.append(part)
+    levels: list[list[Formula | Term]] = [[] for _ in range(top)]
+    for x in nodes:
+        levels[x.height - 1].append(x)
 
-    index = [0] * len(members)  # number -> entry
+    index: dict[Formula | Term, int] = {}  # node -> its entry
     entries: list[tuple] = []
 
-    def entry(c: int) -> tuple:
-        node, parts = members[c]
-        name = _name(node)
-        parts = [index[p] for p in parts]
-        return (_TAGS[type(node)], *parts) if name is None else (_TAGS[type(node)], name, *parts)
+    def entry(x: Formula | Term) -> tuple:
+        name = _name(x)
+        parts = [index[p] for p in _parts(x)]
+        return (_TAGS[type(x)], *parts) if name is None else (_TAGS[type(x)], name, *parts)
 
+    # Equal contents are one interned node, so the sort never compares nodes.
     for level in levels:
-        for content, c in sorted((entry(c), c) for c in level):
-            index[c] = len(entries)
+        for content, x in sorted([(entry(x), x) for x in level]):
+            index[x] = len(entries)
             entries.append(content)
-    return entries, lambda x: index[of[x]]
+    return entries, index.__getitem__
 
 
 class Table:
@@ -916,8 +909,8 @@ class Table:
     def __init__(self, raw) -> None:
         if type(raw) is not list:
             raise FormatError("table must be a list")
-        # Per entry: (object, is a formula, depth, free bound variables).
-        entries: list[tuple[Formula | Term, bool, int, frozenset]] = []
+        # Per entry: (object, is a formula, free bound variables).
+        entries: list[tuple[Formula | Term, bool, frozenset]] = []
         for pos, entry in enumerate(raw):
             if type(entry) is not list or not entry or type(entry[0]) is not str:
                 raise FormatError(f"table entry {pos} must be a list that starts with a tag")
@@ -946,8 +939,8 @@ class Table:
             objs = [part[0] for part in parts]
             free = _NO_NAMES
             for part in parts:
-                if part[3]:
-                    free = free | part[3]
+                if part[2]:
+                    free = free | part[2]
             if cls is Var:
                 obj, free = Var(name), frozenset((name,))
             elif cls is Meta:
@@ -958,16 +951,15 @@ class Table:
                 obj, free = cls(name, objs[0]), free - {name}
             else:
                 obj = cls(*objs)
-            depth = 1 + max((part[2] for part in parts), default=0)
-            if depth > MAX_DEPTH:
+            if obj.height > MAX_DEPTH:
                 raise FormatError(f"table entry {pos} is nested deeper than {MAX_DEPTH} levels")
-            entries.append((obj, formula, depth, free))
+            entries.append((obj, formula, free))
         self._entries = entries
 
     def _closed(self, raw, formula: bool, what: str) -> Formula | Term:
         if type(raw) is not int or not 0 <= raw < len(self._entries):
             raise FormatError(f"{what} {raw!r} is not the index of a table entry")
-        obj, is_formula, _, free = self._entries[raw]
+        obj, is_formula, free = self._entries[raw]
         if is_formula is not formula:
             raise FormatError(f"{what} must be {'a formula' if formula else 'a term'}")
         if free:

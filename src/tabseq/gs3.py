@@ -25,14 +25,15 @@ from .formula import (
     Forall,
     Formula,
     Implies,
+    Meta,
     Not,
     Or,
     Table,
     Term,
     encode_table,
     formula_symbols,
-    has_metas,
     is_ground_term,
+    mark_any,
     outermost_skolem_terms,
     parse,
     parse_term,
@@ -242,6 +243,13 @@ def check(proof: GsProof) -> CheckResult:
     constant absent from its conclusion sequent.  The first violation in
     preorder is reported.
 
+    A node's formulas are its parent's plus what the parent's rule added
+    there, so the metavariable test reads the root's formulas and, at each
+    other node, only those added ones; a per-call memo walks each distinct
+    subformula once.  A premise whose tuple is its conclusion's followed by
+    the added formulas, as ``build_step`` makes it, is accepted without
+    being counted; any other premise is counted and compared.
+
     Each distinct local inference is checked once per call.  The local
     check reads nothing but its key, the node's sequent, rule, principal
     and premise sequents, and the conclusion multiset it is given always
@@ -254,15 +262,15 @@ def check(proof: GsProof) -> CheckResult:
     walk finished that subproof, and accepted it, when it first met the
     object, since an object cannot lie below itself.
     """
-    ground: set[Formula] = set()  # sequent formulas already found free of metavariables
-    accepted: dict[tuple, list[dict[Formula, int]]] = {}  # key -> premise multisets
+    metas: dict = {}  # formula or term -> whether it holds a metavariable
+    accepted: dict[tuple, list[tuple[dict[Formula, int], Sequent]]] = {}  # key -> premises
     met: set[int] = set()  # ids of the node objects walked so far
-    # Preorder walk; each premise's multiset, counted while checking its
-    # parent, is the child's conclusion.
-    stack: list[tuple[Path, GsProof, dict[Formula, int]]] = [
-        ((), proof, _multiset(proof.sequent))]
+    # Preorder walk; each premise's multiset and added formulas, found
+    # while checking its parent, are the child's conclusion and new formulas.
+    stack: list[tuple[Path, GsProof, dict[Formula, int], Sequent]] = [
+        ((), proof, _multiset(proof.sequent), proof.sequent)]
     while stack:
-        path, node, conclusion = stack.pop()
+        path, node, conclusion, added = stack.pop()
         if id(node) in met:
             continue
         met.add(id(node))
@@ -270,12 +278,12 @@ def check(proof: GsProof) -> CheckResult:
         key = (node.sequent, node.rule, node.principal, tuple([c.sequent for c in children]))
         premises = accepted.get(key)
         if premises is None:
-            result = _check_node(path, node, conclusion, ground)
+            result = _check_node(path, node, conclusion, added, metas)
             if isinstance(result, CheckResult):
                 return result
             premises = accepted[key] = result
         for bit in reversed(range(len(premises))):
-            stack.append((path + (bit,), children[bit], premises[bit]))
+            stack.append((path + (bit,), children[bit], *premises[bit]))
     return CheckResult(True)
 
 
@@ -288,16 +296,21 @@ def _multiset(formulas) -> dict[Formula, int]:
     return out
 
 
-def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int],
-                ground: set[Formula]) -> CheckResult | list[dict[Formula, int]]:
-    """The rejection at this node, or the multisets of its premises."""
-    for f in node.sequent:
-        if f in ground:
-            continue
-        if has_metas(f):
+def _is_meta(x) -> bool:
+    return type(x) is Meta
+
+
+def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added: Sequent,
+                metas: dict) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
+    """The rejection at this node, or the multiset and added formulas of
+    each of its premises.  ``added`` holds, in the order of the node's
+    sequent, every formula of it that its ancestors' sequents lack, and
+    may hold some they have."""
+    mark_any(added, metas, _is_meta)
+    for f in added:
+        if metas[f]:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"metavariable in sequent formula {print_formula(f)}")
-        ground.add(f)
     if node.rule is None:
         if node.children:
             return CheckResult(False, path, SCHEMA_MISMATCH, "rule-less node has children")
@@ -327,11 +340,12 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int],
             del expected[principal]
         else:
             expected[principal] -= 1
-        premise = _multiset(node.children[0].sequent)
-        if premise != expected:
+        seq, i = node.sequent, node.sequent.index(principal)
+        premise = node.children[0].sequent
+        if premise != seq[:i] + seq[i + 1:] and _multiset(premise) != expected:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                "premise is not conclusion minus the dropped occurrence")
-        return [premise]
+        return [(expected, ())]
 
     additions = premise_additions(rule, principal)
     if additions is None:
@@ -353,16 +367,21 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int],
                 return CheckResult(False, path, FRESHNESS,
                                    f"witness {w.symbol} occurs in the conclusion sequent")
 
-    premises: list[dict[Formula, int]] = []
+    premises: list[tuple[dict[Formula, int], Sequent]] = []
     for bit, extra in enumerate(additions):
         expected = dict(conclusion)
         for f in extra:
             expected[f] = expected.get(f, 0) + 1
-        premise = _multiset(node.children[bit].sequent)
-        if premise != expected:
+        premise = node.children[bit].sequent
+        if premise == node.sequent + extra:
+            premises.append((expected, extra))
+        elif _multiset(premise) == expected:
+            # The added formulas in the premise's own order, among the
+            # conclusion's, which the memo answers without a walk.
+            premises.append((expected, premise))
+        else:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"premise {bit} is not conclusion plus introduced formulas")
-        premises.append(premise)
     return premises
 
 
@@ -452,6 +471,23 @@ def build_step(
 # A file without ``version`` is version 1: one nested node record per
 # proof node, with formulas as text.
 
+def _subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[int, int]]:
+    """The distinct sequents and subproofs of ``proof``, numbered in one
+    walk, children first: each distinct sequent tuple, each distinct key
+    (sequent number, rule, principal, children's key numbers), and the key
+    number of each node object by its id.  A node object met again is not
+    walked again, and equal subproofs built as separate objects get one
+    key."""
+    sequents: dict[Sequent, int] = {}
+    keys: dict[tuple, int] = {}
+    numbers: dict[int, int] = {}
+    for node in postorder(proof):
+        key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
+               tuple([numbers[id(child)] for child in node.children]))
+        numbers[id(node)] = keys.setdefault(key, len(keys))
+    return sequents, keys, numbers
+
+
 def proof_to_json(proof: GsProof) -> str:
     """Canonical version-2 serialization, compact with sorted keys.
 
@@ -464,14 +500,7 @@ def proof_to_json(proof: GsProof) -> str:
     a sequent.  A formula nested deeper than ``MAX_DEPTH`` is a DepthError,
     since the reader would refuse the file.
     """
-    sequents: dict[Sequent, int] = {}
-    keys: dict[tuple, int] = {}  # (sequent number, rule, principal, children) -> number
-    numbers: dict[int, int] = {}  # id(node) -> number of its key
-    for node in postorder(proof):
-        key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
-               tuple([numbers[id(child)] for child in node.children]))
-        numbers[id(node)] = keys.setdefault(key, len(keys))
-
+    sequents, keys, numbers = _subproofs(proof)
     counts = [Counter(seq) for seq in sequents]  # formula -> count, per sequent number
     items = set().union(*counts)
     for _, rule, principal, _ in keys:
@@ -589,12 +618,19 @@ def _proof_from_v2(record: dict) -> GsProof:
         if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
             raise FormatError("a sequent must be [base, [[formula, count], ...]]")
         base, pairs = raw
-        count = {} if base is None else dict(counts[entry_index(base, len(counts), "base")])
+        if base is None:
+            count, before = {}, ()
+        else:
+            base = entry_index(base, len(counts), "base")
+            count, before = dict(counts[base]), sequents[base]
+        grown = True  # every pair adds a formula the sequent lacked so far
         for pair in pairs:
             if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
                 raise FormatError("sequent entries must be [formula, count] pairs")
             f, n = pair
             formulas[f] = table.formula(f, "sequent formula")
+            if f in count or not n:
+                grown = False
             if n:
                 count[f] = n
             else:
@@ -603,7 +639,12 @@ def _proof_from_v2(record: dict) -> GsProof:
         if occurrences > MAX_OCCURRENCES:
             raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
         counts.append(count)
-        sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
+        if grown:
+            # The base's tuple followed by the new formulas in pair order,
+            # which is the order of ``count`` too.
+            sequents.append(before + tuple([formulas[f] for f, n in pairs for _ in range(n)]))
+        else:
+            sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")
@@ -663,13 +704,16 @@ def _proof_from_v1(record) -> GsProof:
 def render_proof(proof: GsProof) -> str:
     """Human-readable stacked rendering, root first, branches indented.
 
-    Each node object is rendered once.  One with two or more parents is
-    numbered where it is first rendered, ``[n] sequent |-``, and is written
-    ``[n] as above`` wherever it is met again, so the rendering of a shared
-    proof grows with its node objects, not with the tree it unfolds to.
+    Each distinct subproof, as ``proof_to_json`` numbers them, is rendered
+    once, whether its copies are one node object or several.  One with two
+    or more parents is numbered where it is first rendered, ``[n] sequent
+    |-``, and is written ``[n] as above`` wherever it is met again, so the
+    rendering of a shared proof grows with its distinct subproofs, not with
+    the tree it unfolds to.
     """
-    parents = Counter(id(child) for node in postorder(proof) for child in node.children)
-    numbers: dict[int, str] = {}  # id(node) -> "[n]"
+    _, keys, numbers = _subproofs(proof)
+    parents = Counter(child for key in keys for child in key[3])
+    labels: dict[int, str] = {}  # key number -> "[n]"
     lines: list[str] = []
 
     def label(node: GsProof) -> str:
@@ -681,14 +725,15 @@ def render_proof(proof: GsProof) -> str:
             text += f" [{print_term(rule.witness)}]"
         return text
 
-    for indent, node, again in indented(proof):
+    for indent, node, again in indented(proof, lambda n: numbers[id(n)]):
+        number = numbers[id(node)]
         if again:
-            lines.append(f"{indent}{numbers[id(node)]} as above")
+            lines.append(f"{indent}{labels[number]} as above")
             continue
         seq = ", ".join(print_formula(f) for f in node.sequent)
-        if parents[id(node)] > 1:
-            numbers[id(node)] = f"[{len(numbers) + 1}]"
-            seq = f"{numbers[id(node)]} {seq}"
+        if parents[number] > 1:
+            labels[number] = f"[{len(labels) + 1}]"
+            seq = f"{labels[number]} {seq}"
         lines.append(f"{indent}{seq} |-")
         if node.rule is not None:
             lines.append(f"{indent}-- {label(node)}")

@@ -44,12 +44,13 @@ from .tree import (
     Path,
     entry_index,
     file_version,
-    format_path,
     indented,
     iter_nodes,
     load_json,
     parse_field,
+    path_of,
     postorder,
+    preorder,
     replace_at,
 )
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
@@ -155,12 +156,12 @@ def open_leaves(root: TableauNode) -> list[Path]:
 
 
 def rule_count(root: TableauNode) -> int:
-    return sum(1 for _, n in iter_nodes(root) if n.rule is not None)
+    return sum(1 for n in preorder(root) if n.rule is not None)
 
 
 def rule_kinds(root: TableauNode) -> list[str]:
     """Rule kinds in preorder; on one-branch tableaux this is root-to-leaf order."""
-    return [n.rule.kind for _, n in iter_nodes(root) if n.rule is not None]
+    return [n.rule.kind for n in preorder(root) if n.rule is not None]
 
 
 # ------------------------------------------------------------------- rules
@@ -434,61 +435,61 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     Skolem symbols unused before their introduction, and the unifier
     ground, solving the store, and equating every closure pair.
     """
+    def at(node: TableauNode) -> str:
+        return path_of(ct.root, node)
+
     # Preorder, as a recursive walk would go: a child's multiset is checked
-    # when the child is visited, before its own rule.  ``spine`` holds the
-    # ancestors of the visited node.
-    spine: list[TableauNode] = []
-    for path, node in iter_nodes(ct.root):
-        del spine[len(path):]
-        if spine:
-            parent = spine[-1]
-            extra = parent.rule.introduced[path[-1]]
+    # when the child is visited, before its own rule.  Each entry holds a
+    # node, its parent and its place among the parent's children; a path
+    # is formatted only for an error.
+    stack: list[tuple[TableauNode, TableauNode | None, int]] = [(ct.root, None, 0)]
+    while stack:
+        node, parent, bit = stack.pop()
+        if parent is not None:
+            extra = parent.rule.introduced[bit]
             if (node.formulas != parent.formulas + extra
                     and Counter(node.formulas) != Counter(parent.formulas) + Counter(extra)):
-                raise AuditError(
-                    f"child multiset is not parent plus introduced at {format_path(path[:-1])}"
-                )
-        spine.append(node)
+                raise AuditError(f"child multiset is not parent plus introduced at {at(parent)}")
         if node.rule is None:
             if node.children:
-                raise AuditError(f"rule-less node {format_path(path)} has children")
+                raise AuditError(f"rule-less node {at(node)} has children")
             if not node.closed:
-                raise AuditError(f"open leaf at {format_path(path)}")
+                raise AuditError(f"open leaf at {at(node)}")
             continue
         if node.closed:
-            raise AuditError(f"closed node {format_path(path)} carries a rule")
+            raise AuditError(f"closed node {at(node)} carries a rule")
         rule = node.rule
         if len(node.children) != len(rule.introduced):
-            raise AuditError(f"child count mismatch at {format_path(path)}")
+            raise AuditError(f"child count mismatch at {at(node)}")
         if rule.closure_pair is not None:
             pos, neg = rule.closure_pair
             if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
-                raise AuditError(f"closure pair is not an atom and a negated atom at "
-                                 f"{format_path(path)}")
+                raise AuditError(f"closure pair is not an atom and a negated atom at {at(node)}")
         if rule.kind == CLOSURE:
             if rule.closure_pair is None:
-                raise AuditError(f"closure without pair at {format_path(path)}")
+                raise AuditError(f"closure without pair at {at(node)}")
             pos, neg = rule.closure_pair
             if pos not in node.formulas or neg not in node.formulas:
-                raise AuditError(f"closure pair absent at {format_path(path)}")
+                raise AuditError(f"closure pair absent at {at(node)}")
             if len(node.children) != 1 or not node.children[0].closed:
-                raise AuditError(f"closure child not closed at {format_path(path)}")
+                raise AuditError(f"closure child not closed at {at(node)}")
         else:
             if rule.principal is None or rule.principal not in node.formulas:
-                raise AuditError(f"principal absent at {format_path(path)}")
+                raise AuditError(f"principal absent at {at(node)}")
             if rule.kind == RuleClass.DELTA.value and rule.skolem is None:
-                raise AuditError(f"delta without skolem at {format_path(path)}")
+                raise AuditError(f"delta without skolem at {at(node)}")
             if rule.kind == RuleClass.GAMMA.value and rule.meta is None:
-                raise AuditError(f"gamma without metavariable at {format_path(path)}")
+                raise AuditError(f"gamma without metavariable at {at(node)}")
             cls = classify(rule.principal)
             witness = rule.meta if cls is RuleClass.GAMMA else rule.skolem
             if cls.value != rule.kind or rule.introduced != _introduced(cls, rule.principal, witness):
                 raise AuditError(f"introduced formulas are not the {rule.kind} decomposition "
-                                 f"of the principal at {format_path(path)}")
+                                 f"of the principal at {at(node)}")
+        stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
 
     introduced: set[str] = set()
     symbols: dict[Formula, set[str]] = {}  # each distinct formula's, walked once
-    for path, n in iter_nodes(ct.root):
+    for n in preorder(ct.root):
         if n.rule is not None and n.rule.skolem is not None:
             sym = n.rule.skolem.symbol
             if sym in introduced:
@@ -512,11 +513,11 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         rhs = ct.unifier.apply(c.rhs) if isinstance(c.rhs, (Atom, Not)) else ct.unifier.apply_term(c.rhs)
         if lhs != rhs:
             raise AuditError("unifier does not equate a stored constraint")
-    for path, n in iter_nodes(ct.root):
+    for n in preorder(ct.root):
         if n.rule is not None and n.rule.closure_pair is not None:
             pos, neg = n.rule.closure_pair
             if ct.unifier.apply(pos) != ct.unifier.apply(neg.body):
-                raise AuditError(f"unifier does not equate closure pair at {format_path(path)}")
+                raise AuditError(f"unifier does not equate closure pair at {at(n)}")
 
 
 # --------------------------------------------------------------- serialize

@@ -33,15 +33,15 @@ from .formula import (
     Not,
     Or,
     Term,
-    formula_terms,
     is_subterm,
+    mark_any,
     outermost_skolem_terms,
     print_formula,
     print_term,
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
-from .tree import format_path, postorder, preorder
+from .tree import path_of, postorder, preorder
 
 
 class TranslateError(AssertionError):
@@ -183,7 +183,7 @@ class _Builder:
     def step(self, leaf: GsProof, rule: GsRule, principal: Formula) -> tuple[GsProof, ...]:
         """``build_step`` at an open leaf; returns its premises."""
         if not leaf.is_open:
-            raise TranslateError(f"{_path_of(self.proof, leaf)} is not an open leaf")
+            raise TranslateError(f"{path_of(self.proof, leaf)} is not an open leaf")
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
@@ -204,25 +204,10 @@ class _Builder:
         if like is leaf:
             return False
         if not leaf.is_open or like.rule is None or leaf.sequent != like.sequent:
-            raise TranslateError(f"{_path_of(self.proof, leaf)} cannot share a step")
+            raise TranslateError(f"{path_of(self.proof, leaf)} cannot share a step")
         leaf.rule, leaf.principal, leaf.children = like.rule, like.principal, like.children
         self.open -= 1
         return True
-
-
-def _path_of(root, node) -> str:
-    """The first path of ``node`` below ``root`` in preorder, for an error
-    message; a node object reached again is not walked again."""
-    met: set[int] = set()
-    stack = [((), root)]
-    while stack:
-        path, n = stack.pop()
-        if n is node:
-            return format_path(path)
-        if id(n) not in met:
-            met.add(id(n))
-            stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(n.children))))
-    return "?"
 
 
 # ------------------------------------------------------------- delta graft
@@ -480,13 +465,13 @@ def parallel_extend(
     inside each leaf sequent) is checked on the leaves the replay made.
     """
     if id(node) in marks:
-        raise TranslateError(f"{_path_of(builder.tableau, node)} already marked")
+        raise TranslateError(f"{path_of(builder.tableau, node)} already marked")
     if id(node) not in link:
-        raise TranslateError(f"{_path_of(builder.tableau, node)} is not a fringe leaf")
+        raise TranslateError(f"{path_of(builder.tableau, node)} is not a fringe leaf")
     rule = node.rule
     if rule is None:
         raise TranslateError(
-            f"tableau node {_path_of(builder.tableau, node)} has no rule to replay")
+            f"tableau node {path_of(builder.tableau, node)} has no rule to replay")
     _, S = link.pop(id(node))
     for child in node.children:
         link[id(child)] = (child, [])
@@ -563,7 +548,7 @@ def _audit_link(
             raise TranslateError("link target is not a fringe leaf")
         if builder.targets[id(q)] - Counter(s.sequent):
             raise TranslateError(
-                f"containment invariant broken at sequent leaf {_path_of(builder.proof, s)}"
+                f"containment invariant broken at sequent leaf {path_of(builder.proof, s)}"
             )
     builder.stats.link_audits += 1
 
@@ -576,43 +561,41 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     constant, turning relaxed existential witnesses into strict ones.
 
     One iterative walk collects the node objects, each once however many
-    parents share it, and the distinct formulas; each distinct formula is
-    scanned for symbols and rewritten once, formulas without Skolem terms
-    are kept, and the nodes are updated in place.  The proof is returned.
+    parents share it, and the distinct formulas and witnesses.  One
+    memoised walk over their distinct subformulas and subterms then
+    collects the symbols in use and each Skolem symbol's argument vector,
+    and marks the formulas that hold a Skolem term; only those are
+    rewritten, each once, and the nodes are updated in place.  The proof
+    is returned.
     """
     nodes = list(postorder(proof))
     distinct: set[Formula] = set()  # a rule's principal is in its sequent
     for node in nodes:
         distinct.update(node.sequent)
+    witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
 
     vectors: dict[str, tuple[Term, ...]] = {}
     taken: set[str] = set()
 
-    def scan(t: Term) -> bool:
-        """Record t's Skolem argument vector, if it is a Skolem term."""
-        if not (isinstance(t, App) and t.is_skolem):
+    def skolem(x: Formula | Term) -> bool:
+        """Whether x is a Skolem term, whose argument vector is then recorded."""
+        if type(x) is not App or not x.is_skolem:
             return False
-        if vectors.setdefault(t.symbol, t.args) != t.args:
-            raise TranslateError(f"skolem symbol {t.symbol} used with two argument vectors")
+        if vectors.setdefault(x.symbol, x.args) != x.args:
+            raise TranslateError(f"skolem symbol {x.symbol} used with two argument vectors")
         return True
 
-    with_skolems: list[Formula] = []
-    for f in distinct:
-        found = False
-        for t in formula_terms(f):
-            if isinstance(t, App):
-                taken.add(t.symbol)
-                found = scan(t) or found
-        if found:
-            with_skolems.append(f)
-    witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
-    for w in witnesses:
-        terms = [w]
-        while terms:
-            t = terms.pop()
-            scan(t)
-            if isinstance(t, App):
-                terms.extend(t.args)
+    def used(x: Formula | Term) -> bool:
+        """``skolem(x)``; an application's symbol is taken as well."""
+        if type(x) is App:
+            taken.add(x.symbol)
+        return skolem(x)
+
+    # The symbols of the sequent formulas are taken, not those of a witness
+    # that occurs in none of them.
+    skolem_below: dict = {}  # formula or term -> whether it holds a Skolem term
+    mark_any(distinct, skolem_below, used)
+    mark_any(witnesses, skolem_below, skolem)
     if not vectors:
         return proof
 
@@ -650,9 +633,7 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
             return Forall(f.var, formula(f.body))
         return Exists(f.var, formula(f.body))
 
-    rewritten = {f: f for f in distinct}
-    for f in with_skolems:
-        rewritten[f] = formula(f)
+    rewritten = {f: formula(f) if skolem_below[f] else f for f in distinct}
     new = rewritten.__getitem__
     for node in nodes:
         node.sequent = tuple(map(new, node.sequent))

@@ -72,6 +72,22 @@ def iter_nodes(root: N) -> Iterator[tuple[Path, N]]:
             stack.append((path + (bit,), node.children[bit]))
 
 
+def path_of(root: N, node: N) -> str:
+    """The first path of ``node`` below ``root`` in preorder, formatted, or
+    "?" if it is not there, for an error message; a node object reached
+    again is not walked again."""
+    met: set[int] = set()
+    stack: list[tuple[Path, N]] = [((), root)]
+    while stack:
+        path, n = stack.pop()
+        if n is node:
+            return format_path(path)
+        if id(n) not in met:
+            met.add(id(n))
+            stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(n.children))))
+    return "?"
+
+
 def preorder(root: N) -> Iterator[N]:
     """Each node in preorder, left child before right, without its path."""
     stack = [root]
@@ -81,20 +97,20 @@ def preorder(root: N) -> Iterator[N]:
         stack.extend(reversed(node.children))
 
 
-def indented(root: N) -> Iterator[tuple[str, N, bool]]:
+def indented(root: N, key: Callable[[N], object] = id) -> Iterator[tuple[str, N, bool]]:
     """Preorder traversal for a stacked rendering, each node with its
-    indent and whether it was met before: the children of a node with two
-    or more children sit four spaces further in than their parent.  A node
-    object met again, as in a shared proof, is yielded again but its
-    children are not."""
-    seen: set[int] = set()
+    indent and whether a node with its ``key`` was met before: the children
+    of a node with two or more children sit four spaces further in than
+    their parent.  A node met again, by default the same node object as in
+    a shared proof, is yielded again but its children are not."""
+    seen: set = set()
     stack: list[tuple[str, N]] = [("", root)]
     while stack:
         indent, node = stack.pop()
-        again = id(node) in seen
+        again = key(node) in seen
         yield indent, node, again
         if not again:
-            seen.add(id(node))
+            seen.add(key(node))
             inner = indent + "    " if len(node.children) > 1 else indent
             stack.extend((inner, child) for child in reversed(node.children))
 

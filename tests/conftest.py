@@ -1,9 +1,12 @@
-"""Shared test helpers: a seeded random formula builder."""
+"""Shared test helpers: a seeded random formula builder, and a count of
+the nodes the memoised formula walks visit."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
+from tabseq import formula as formula_module
 from tabseq.formula import (
     And,
     App,
@@ -87,3 +90,46 @@ def random_formula_with_metas(rng: random.Random, metas: tuple[str, ...], depth:
         return Exists(g.var, sprinkle(g.body))
 
     return sprinkle(f)
+
+
+def subnodes(items) -> set:
+    """The formulas and terms of ``items`` and every part of one, each once."""
+    out: set = set()
+    stack = list(items)
+    while stack:
+        x = stack.pop()
+        if x in out:
+            continue
+        out.add(x)
+        if isinstance(x, (Atom, App)):
+            stack.extend(x.args)
+        elif isinstance(x, (Not, Forall, Exists)):
+            stack.append(x.body)
+        elif isinstance(x, (And, Or, Implies)):
+            stack += [x.left, x.right]
+    return out
+
+
+def count_memo_walk(monkeypatch, module) -> Counter:
+    """Count, per node, the visits of the memoised walks ``module`` makes
+    through ``formula.mark_any``: the calls that ask for a node's parts
+    while such a walk runs."""
+    visits: Counter = Counter()
+    walking = [False]
+    parts, mark_any = formula_module._parts, formula_module.mark_any
+
+    def counted_parts(x):
+        if walking[0]:
+            visits[x] += 1
+        return parts(x)
+
+    def counted_mark_any(*args):
+        walking[0] = True
+        try:
+            return mark_any(*args)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(formula_module, "_parts", counted_parts)
+    monkeypatch.setattr(module, "mark_any", counted_mark_any)
+    return visits

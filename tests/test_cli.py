@@ -10,7 +10,7 @@ import pytest
 import tabseq
 from tabseq import gs3
 from tabseq.cli import build_parser, main
-from tabseq.formula import MAX_DEPTH, nesting_depth, parse, print_formula
+from tabseq.formula import MAX_DEPTH, parse, print_formula
 from tabseq.gs3 import proof_from_json
 from tabseq.problems import growth_goal
 from tabseq.tableau import (
@@ -431,7 +431,7 @@ def chain_goal(links, step):
 
 def deepest_in_proof(path):
     proof = proof_from_json(path.read_text(encoding="utf-8"))
-    return max(nesting_depth(f) for _, node in gs3.iter_nodes(proof) for f in node.sequent)
+    return max(f.height for _, node in gs3.iter_nodes(proof) for f in node.sequent)
 
 
 class TestDepthBoundEndToEnd:
@@ -448,7 +448,7 @@ class TestDepthBoundEndToEnd:
 
     def test_instances_deeper_than_the_goal(self, tmp_path, capsys):
         goal = chain_goal(4, 46)
-        assert nesting_depth(parse(goal)) < 60
+        assert parse(goal).height < 60
         gs3_path = self.prove_translate_check(tmp_path, goal)
         assert deepest_in_proof(gs3_path) > 180
         assert "Traceback" not in capsys.readouterr().err
@@ -459,7 +459,7 @@ class TestDepthBoundEndToEnd:
         # the proof files sits at it.
         deep = "f(" * (MAX_DEPTH - 4) + "a" + ")" * (MAX_DEPTH - 4)
         goal = f"P({deep}) => P({deep})"
-        assert nesting_depth(parse(goal)) == MAX_DEPTH - 1
+        assert parse(goal).height == MAX_DEPTH - 1
         assert deepest_in_proof(self.prove_translate_check(tmp_path, goal)) == MAX_DEPTH
 
     def test_instances_deeper_than_the_bound_are_not_written(self, tmp_path, capsys):
@@ -481,7 +481,7 @@ class TestDepthBoundEndToEnd:
         path = tmp_path / "goal.p"
         path.write_text(f"(forall x. D(x) => P({g}x{end})) => D({f_a}) => exists y. P({g}y{end})\n",
                         encoding="utf-8")
-        assert nesting_depth(parse(path.read_text(encoding="utf-8"))) <= MAX_DEPTH
+        assert parse(path.read_text(encoding="utf-8")).height <= MAX_DEPTH
         assert run_cli(["prove", str(path), str(drinker_file), "--negate"]) == 2
         err = capsys.readouterr().err
         assert "nested too deeply" in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import sys
@@ -9,7 +10,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula
 from tabseq import formula as formula_module
@@ -28,6 +29,7 @@ from tabseq.formula import (
     ParseError,
     QuantBody,
     RuleClass,
+    Table,
     Var,
     apply_subst,
     encode_table,
@@ -36,8 +38,6 @@ from tabseq.formula import (
     alpha_parts,
     beta_parts,
     free_metas,
-    has_metas,
-    nesting_depth,
     outermost_skolem_terms,
     parse,
     parse_term,
@@ -149,17 +149,17 @@ class TestParse:
 class TestDepthBound:
     def test_goal_at_the_bound_parses(self):
         f = parse(" => ".join(["P"] * MAX_DEPTH))
-        assert nesting_depth(f) == MAX_DEPTH
+        assert f.height == walk_height(f) == MAX_DEPTH
 
     def test_wide_120_parses(self):
         conj = " & ".join(f"P{i}" for i in range(120))
-        assert nesting_depth(parse(f"({conj}) => ({conj})")) == 121
+        assert parse(f"({conj}) => ({conj})").height == 121
 
     def test_proof_files_share_the_bound(self):
         text = "~" * MAX_DEPTH + "P"
         with pytest.raises(ParseError, match="nested deeper"):
             parse(text, allow_generated=True)
-        assert nesting_depth(parse(text[1:], allow_generated=True)) == MAX_DEPTH
+        assert parse(text[1:], allow_generated=True).height == MAX_DEPTH
 
     @pytest.mark.parametrize("text", [
         " => ".join(["P"] * 1200),
@@ -183,6 +183,70 @@ class TestDepthBound:
         assert len(table) == MAX_DEPTH and entry(at_bound) == MAX_DEPTH - 1
         with pytest.raises(DepthError, match="nested deeper"):
             encode_table([Atom("P", (at_bound,))])
+
+
+def walk_height(x) -> int:
+    """Formula and term nodes on the longest downward path, walked from
+    scratch without reading any node's ``height``."""
+    if isinstance(x, (Atom, App)):
+        return 1 + max([walk_height(a) for a in x.args], default=0)
+    if isinstance(x, (Not, Forall, Exists)):
+        return 1 + walk_height(x.body)
+    if isinstance(x, (And, Or, Implies)):
+        return 1 + max(walk_height(x.left), walk_height(x.right))
+    return 1
+
+
+TERMS = st.recursive(
+    st.sampled_from([Meta("X1"), Meta("X2"), const("a"), const("b")]),
+    lambda kids: st.builds(lambda name, args: App(name, tuple(args)),
+                           st.sampled_from(["f", "g", "sko1"]), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=12)
+FORMULAS = st.recursive(
+    st.builds(lambda name, args: Atom(name, tuple(args)),
+              st.sampled_from(["P", "Q"]), st.lists(TERMS, max_size=3)),
+    lambda kids: st.one_of(
+        st.builds(Not, kids), st.builds(And, kids, kids), st.builds(Or, kids, kids),
+        st.builds(Implies, kids, kids), st.builds(Forall, st.just("x"), kids),
+        st.builds(Exists, st.just("y"), kids)),
+    max_leaves=16)
+
+
+class TestHeight:
+    """Every node carries the height a from-scratch walk finds, however it
+    was built: by a constructor, the parser, a pickle, a copy or a table."""
+
+    @given(FORMULAS)
+    def test_formulas(self, f):
+        assert f.height == walk_height(f)
+        assert parse(print_formula(f), allow_generated=True).height == walk_height(f)
+
+    @given(TERMS)
+    def test_terms(self, t):
+        assert t.height == walk_height(t)
+
+    @settings(max_examples=40)  # each example collects the garbage
+    @given(st.one_of(FORMULAS, TERMS))
+    def test_read_back_pickled_and_copied(self, x):
+        entries, index = encode_table([x])
+        text, at = json.dumps(entries), index(x)
+        texts = [pickle.dumps(x, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        formula = not isinstance(x, (Meta, App))
+        del x
+        gc.collect()  # nodes nothing holds leave the table and are built again
+        table = Table(json.loads(text))
+        back = table.formula(at, "item") if formula else table.term(at, "item")
+        assert back.height == walk_height(back)
+        for text in texts:
+            assert pickle.loads(text) is back
+        assert copy.copy(back).height == copy.deepcopy(back).height == walk_height(back)
+
+    def test_height_is_no_field(self):
+        f = parse("P(f(a)) & Q")
+        assert f.height == 4
+        assert [field.name for field in dataclasses.fields(f)] == ["left", "right"]
+        assert f.__reduce__() == (And, (f.left, f.right))
+        assert "height" not in repr(f)
 
 
 class TestCachedHash:
@@ -423,7 +487,7 @@ class TestApplySubst:
 
         f = random_formula_with_metas(rng, ("X1", "X2"))
         bindings = {m.name: const("a") for m in free_metas(f)}
-        assert not has_metas(apply_subst(bindings, f))
+        assert free_metas(apply_subst(bindings, f)) == ()
 
 
 class TestMisc:

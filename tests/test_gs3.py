@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 import random
 
@@ -31,7 +32,7 @@ from tabseq import gs3, tableau
 from tabseq.problems import growth_goal
 from tabseq.tableau import prove
 from tabseq.translate import translate
-from tabseq.tree import PathError, node_at
+from tabseq.tree import PathError, node_at, postorder
 
 GOAL = parse("~(exists x. (D(x) => forall y. D(y)))")
 NOT_IMP = parse("~(D(c) => forall y. D(y))")
@@ -206,6 +207,65 @@ class TestLocality:
         from tabseq.gs3 import replace_at
 
         assert not check(replace_at(p, (0, 0, 0, 0), bad)).accepted
+
+
+class TestCheckReadsWhatRulesAdd:
+    """A premise built as its conclusion followed by what the rule added is
+    accepted without being counted; any other premise is counted, and the
+    metavariable test reads the root and each premise's additions."""
+
+    def test_premise_in_another_order_or_with_a_repeat_is_accepted(self):
+        f, p, q, not_p = parse("P & Q"), parse("P"), parse("Q"), parse("~P")
+        shuffled = GsProof((f, not_p), GsRule("and"), f,
+                           (GsProof((q, not_p, p, f), GsRule("axiom"), p),))
+        assert check(shuffled).accepted
+        repeated = GsProof((f, p, not_p), GsRule("and"), f,
+                           (GsProof((p, f, not_p, p, q), GsRule("axiom"), p),))
+        assert check(repeated).accepted
+        weakened = GsProof((p, q, not_p), GsRule("weaken"), q,
+                           (GsProof((not_p, p), GsRule("axiom"), p),))
+        assert check(weakened).accepted
+
+    def test_premise_missing_a_formula_is_rejected_at_its_parent(self):
+        f, g = parse("P & Q"), parse("R | S")
+        below = GsProof((g, f, parse("R")), GsRule("and"), f, (GsProof((g, f, parse("P"))),))
+        proof = GsProof((g, f), GsRule("or"), g, (below, GsProof((g, f, parse("S")))))
+        result = check(proof)
+        assert (result.path, result.reason, result.detail) == (
+            (0,), SCHEMA_MISMATCH, "premise 0 is not conclusion plus introduced formulas")
+        lost = GsProof((g, f, parse("R")), GsRule("weaken"), f, (GsProof((g,)),))
+        result = check(GsProof((g, f), GsRule("or"), g, (lost, GsProof((g, f, parse("S"))))))
+        assert (result.path, result.reason, result.detail) == (
+            (0,), SCHEMA_MISMATCH, "premise is not conclusion minus the dropped occurrence")
+
+    def test_metavariable_only_an_addition_holds_is_rejected_at_the_premise(self, monkeypatch):
+        # No schema adds a metavariable its principal lacks, so one that
+        # does stands in: ``and`` here also adds R(X1).
+        f, stray = parse("P & Q"), Atom("R", (Meta("X1"),))
+        monkeypatch.setattr(gs3, "premise_additions",
+                            lambda rule, principal: ((principal.left, principal.right, stray),))
+        leaf = GsProof((f, parse("~P"), parse("P"), parse("Q"), stray), GsRule("axiom"), parse("P"))
+        result = check(GsProof((f, parse("~P")), GsRule("and"), f, (leaf,)))
+        assert (result.path, result.reason, result.detail) == (
+            (0,), SCHEMA_MISMATCH, "metavariable in sequent formula R(X1)")
+
+    def test_a_translated_proof_counts_only_the_root(self, monkeypatch):
+        proof = _growth_proof(3)
+        counted = []
+        multiset = gs3._multiset
+        monkeypatch.setattr(gs3, "_multiset", lambda formulas: counted.append(formulas) or
+                            multiset(formulas))
+        assert check(proof).accepted
+        assert counted == [proof.sequent]
+
+    def test_metavariable_memo_visits_each_distinct_subnode_once(self, monkeypatch):
+        from conftest import count_memo_walk, subnodes
+
+        proof = _growth_proof(3)
+        distinct = subnodes(f for node in postorder(proof) for f in node.sequent)
+        visits = count_memo_walk(monkeypatch, gs3)
+        assert check(proof).accepted
+        assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
 
 
 def _local_key(node: GsProof):
@@ -474,32 +534,68 @@ class TestSerialization:
         with pytest.raises(FormatError):
             proof_from_json(text)
 
+    def test_sequent_changes_read_back_in_their_order(self):
+        """A change that only adds formulas its base lacks extends the base's
+        tuple; one that raises or removes a formula of its base, or lists
+        one twice, gives the sequent in the order its counts were set."""
+        sequents = [
+            [None, [[0, 1], [1, 1]]],  # P, Q
+            [0, [[2, 1], [3, 2]]],  # adds R and S twice
+            [0, [[0, 2]]],  # raises P
+            [0, [[0, 0], [2, 1]]],  # removes P, adds R
+            [1, [[1, 3]]],  # raises Q
+            [0, [[2, 1], [2, 2]]],  # lists R twice
+        ]
+        text = json.dumps({
+            "version": 2, "table": [["P", "P"], ["P", "Q"], ["P", "R"], ["P", "S"]],
+            "sequents": sequents, "root": 6,
+            "nodes": [[n, None, None, None, []] for n in range(6)]
+                     + [[0, None, None, None, list(range(6))]]})
+        p, q, r, s = (parse(name) for name in "PQRS")
+        assert [child.sequent for child in proof_from_json(text).children] == [
+            (p, q), (p, q, r, s, s), (p, p, q), (q, r), (p, q, q, q, r, s, s), (p, q, r, r)]
+
     def test_render_smoke(self):
         text = render_proof(grown_drinker_proof())
         assert "|-" in text and "not_forall" in text
 
     def test_render_writes_a_shared_subproof_once(self):
-        """Without shared nodes the rendering is the tree's; a node object
-        with two parents is numbered once and referred to after that."""
-        p, p_or_p, not_p = parse("P"), parse("P | P"), parse("~P")
+        """A proof without repeats renders as its tree.  A subproof with two
+        parents is numbered once and referred to after that, whether its
+        copies are one node object or equal separate ones."""
+        p, q, p_or_p, p_or_q = parse("P"), parse("Q"), parse("P | P"), parse("P | Q")
+        not_p, not_q = parse("~P"), parse("~Q")
+        base = (p_or_q, not_p, not_q)
+        distinct = GsProof(base, GsRule("or"), p_or_q,
+                           (GsProof(base + (p,), GsRule("axiom"), p),
+                            GsProof(base + (q,), GsRule("axiom"), q)))
+        assert render_proof(distinct) == (
+            "(P | Q), (~P), (~Q) |-\n"
+            "-- or on (P | Q)\n"
+            "    (P | Q), (~P), (~Q), P |-\n"
+            "    -- axiom on P\n"
+            "    (P | Q), (~P), (~Q), Q |-\n"
+            "    -- axiom on Q\n")
         short, long = (p_or_p, not_p), (p_or_p, not_p, p)
-        tree = GsProof(short, GsRule("or"), p_or_p,
-                       (GsProof(long, GsRule("axiom"), p), GsProof(long, GsRule("axiom"), p)))
+        copies = GsProof(short, GsRule("or"), p_or_p,
+                         (GsProof(long, GsRule("axiom"), p), GsProof(long, GsRule("axiom"), p)))
         leaf = GsProof(long, GsRule("axiom"), p)
         shared = GsProof(short, GsRule("or"), p_or_p, (leaf, leaf))
-        assert render_proof(tree) == (
-            "(P | P), (~P) |-\n"
-            "-- or on (P | P)\n"
-            "    (P | P), (~P), P |-\n"
-            "    -- axiom on P\n"
-            "    (P | P), (~P), P |-\n"
-            "    -- axiom on P\n")
-        assert render_proof(shared) == (
-            "(P | P), (~P) |-\n"
-            "-- or on (P | P)\n"
-            "    [1] (P | P), (~P), P |-\n"
-            "    -- axiom on P\n"
-            "    [1] as above\n")
+        for proof in (copies, shared):
+            assert render_proof(proof) == (
+                "(P | P), (~P) |-\n"
+                "-- or on (P | P)\n"
+                "    [1] (P | P), (~P), P |-\n"
+                "    -- axiom on P\n"
+                "    [1] as above\n")
+
+    def test_render_of_growth_five_lists_each_distinct_subproof_once(self):
+        # In memory the translated proof holds 678 node objects for the 373
+        # distinct subproofs its .gs3 file lists.
+        proof = translate(prove([Not(growth_goal(5))]), audit=False)
+        lines = render_proof(proof).splitlines()
+        assert sum(1 for line in lines if line.endswith(" |-")) <= 373
+        assert len(list(postorder(proof))) == 678
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tabseq"

@@ -431,6 +431,18 @@ class TestSkolemReplacement:
         proof = replace_skolem_terms(GsProof((a, a)))
         assert proof.sequent[0] is proof.sequent[1] is parse("D(c1)")
 
+    def test_walk_visits_each_distinct_subnode_once(self, monkeypatch):
+        from conftest import count_memo_walk, subnodes
+
+        proof = grown_before_skolem_replacement(prove([Not(growth_goal(3))]), monkeypatch)
+        nodes = list(postorder(proof))
+        distinct = subnodes([f for node in nodes for f in node.sequent]
+                            + [n.rule.witness for n in nodes if n.rule and n.rule.witness])
+        visits = count_memo_walk(monkeypatch, sys.modules["tabseq.translate"])
+        assert replace_skolem_terms(proof) is proof
+        assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
+        assert any(isinstance(x, App) and x.is_skolem for x in visits)
+
     def test_two_argument_vectors_are_refused(self):
         proof = GsProof((parse("P(sko1(a), sko1(b))", allow_generated=True),))
         with pytest.raises(TranslateError, match="two argument vectors"):
