@@ -216,10 +216,7 @@ def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     try:
         status = run(config_from_args(args))
-    except (ParseError, InputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        status = EXIT_BAD_INPUT
-    except (ValueError, TranslateError) as e:
+    except (ValueError, InputError, TranslateError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_BAD_INPUT
     except RecursionError:

@@ -25,6 +25,14 @@ parts' heights when it is built, so depth bounds cost nothing to test.
 The interning is not done by a metaclass: ``isinstance`` against a class
 whose metaclass is not ``type`` leaves CPython's fast path, and the prover
 and checker call it millions of times.
+
+Every structural query and rewrite goes through one generic view of a
+node: ``_parts`` (its subformulas and subterms, in order), ``_name`` (its
+symbol, predicate or bound variable) and ``_make`` (the interned node of a
+class with a name and parts), which the file tables use too.  ``walk``
+lists a node's positions in document order without recursion, and
+``rebuild`` rewrites them bottom-up; since a node rebuilt from unchanged
+parts is the node itself, a rewrite that changes nothing returns its input.
 """
 
 from __future__ import annotations
@@ -43,11 +51,14 @@ SKOLEM_NAME = re.compile(r"sko[0-9]+\Z")
 META_NAME = re.compile(r"X[0-9]+\Z")
 
 # Deepest formula or term that ``parse`` accepts and the proof writers emit,
-# counting formula and term nodes along a path.  The prover, translator,
-# checker and printer all recurse on formulas.  The costliest shapes, nested
-# terms and quantifier prefixes, take about 4 interpreter frames per level
-# in ``gs3.check``: a 200-deep one needs about 820 of CPython 3.11's default
-# 1,000 frames and leaves about 180 to the caller.
+# counting formula and term nodes along a path.  The parser, the printer
+# and ``rebuild`` recurse on formulas.  Measured on CPython 3.11 with a
+# 200-deep formula of each costliest shape: ``parse`` takes 804 frames on a
+# quantifier prefix (4 per level), ``print_formula`` 597 on nested terms
+# (3 per level) and ``rebuild`` about 400 on any shape (2 per level, which
+# bounds ``gs3.check``); proving, translating with audits, checking and
+# rendering takes at most 600.  That leaves about 200 of the default 1,000
+# frames to the caller.
 MAX_DEPTH = 200
 
 V = TypeVar("V")
@@ -370,81 +381,57 @@ def quant_parts(f: Formula) -> QuantBody:
 # ------------------------------------------------------------- traversals
 
 
-def _term_iter(t: Term) -> Iterator[Term]:
-    stack = [t]
+def walk(x: Formula | Term, descend: Callable[[Formula | Term], bool] | None = None
+         ) -> Iterator[Formula | Term]:
+    """Every formula and term position of ``x``, ``x`` first, in preorder
+    and left-to-right document order, found without recursion.  The parts
+    of a node for which ``descend`` is false are skipped."""
+    stack = [x]
     while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, App):
-            stack.extend(reversed(cur.args))
+        node = stack.pop()
+        yield node
+        if descend is None or descend(node):
+            stack += _parts(node)[::-1]
 
 
-def formula_terms(f: Formula) -> Iterator[Term]:
-    """All term positions of a formula, in left-to-right document order."""
-    if isinstance(f, Atom):
-        for a in f.args:
-            yield from _term_iter(a)
-    elif isinstance(f, Not):
-        yield from formula_terms(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from formula_terms(f.left)
-        yield from formula_terms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from formula_terms(f.body)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+def rebuild(x: Formula | Term, by: Callable[[Formula | Term], Formula | Term | None]
+            ) -> Formula | Term:
+    """``x`` with each position rewritten bottom-up: ``by(node)`` if that is
+    not None, else the node rebuilt from its rewritten parts, which is the
+    node itself when no part changed.  ``by`` sees a node before its parts,
+    which it does not enter when it gives a result.  It recurses once per
+    level of ``x``, so ``MAX_DEPTH`` bounds its stack (see there)."""
+    new = by(x)
+    if new is not None:
+        return new
+    parts = _parts(x)
+    if not parts:
+        return x
+    new = tuple([rebuild(p, by) for p in parts])
+    return x if new == parts else _make(type(x), _name(x), new)
 
 
-def term_metas(t: Term) -> tuple[Meta, ...]:
-    out: list[Meta] = []
-    for sub in _term_iter(t):
-        if isinstance(sub, Meta) and sub not in out:
-            out.append(sub)
-    return tuple(out)
-
-
-def free_metas(f: Formula) -> tuple[Meta, ...]:
-    """Metavariables of a formula in first-occurrence order.
+def free_metas(x: Formula | Term) -> tuple[Meta, ...]:
+    """Metavariables of a formula or term in first-occurrence order.
 
     The order is what fixes the argument order of Skolem terms.
     """
-    out: list[Meta] = []
-    for t in formula_terms(f):
-        if isinstance(t, Meta) and t not in out:
-            out.append(t)
-    return tuple(out)
+    return tuple(dict.fromkeys([y for y in walk(x) if type(y) is Meta]))
 
 
 def formula_symbols(f: Formula) -> set[str]:
     """Function symbols (including constants) occurring anywhere in f."""
-    out: set[str] = set()
-    for t in formula_terms(f):
-        if isinstance(t, App):
-            out.add(t.symbol)
-    return out
+    return {y.symbol for y in walk(f) if type(y) is App}
+
+
+def _not_skolem(x: Formula | Term) -> bool:
+    return type(x) is not App or not x.is_skolem
 
 
 def outermost_skolem_terms(x: Formula | Term) -> set[App]:
     """Maximal Skolem-rooted subterms of a formula or term (occurrences
-    inside a larger Skolem term are not reported separately), found
-    without recursion."""
-    out: set[App] = set()
-    stack = [x]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            if node.is_skolem:
-                out.add(node)
-            else:
-                stack.extend(node.args)
-        elif isinstance(node, Atom):
-            stack.extend(node.args)
-        elif isinstance(node, (Not, Forall, Exists)):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies)):
-            stack.append(node.left)
-            stack.append(node.right)
-    return out
+    inside a larger Skolem term are not reported separately)."""
+    return {y for y in walk(x, _not_skolem) if not _not_skolem(y)}
 
 
 def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
@@ -471,78 +458,44 @@ def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
 
 
 def is_ground_term(t: Term) -> bool:
-    return not any(isinstance(sub, (Meta, Var)) for sub in _term_iter(t))
+    return not any([type(y) is Meta or type(y) is Var for y in walk(t)])
 
 
 def is_subterm(s: Term, t: Term) -> bool:
     """True if s occurs in t (including s == t)."""
-    return any(sub == s for sub in _term_iter(t))
+    return any(y is s for y in walk(t))
 
 
 # ----------------------------------------------------------- substitution
 
 
-def apply_subst_term(bindings: Mapping[str, Term], t: Term) -> Term:
-    if isinstance(t, Meta):
-        return bindings.get(t.name, t)
-    if isinstance(t, App):
-        if not t.args:
-            return t
-        return App(t.symbol, tuple(apply_subst_term(bindings, a) for a in t.args))
-    return t
-
-
-def apply_subst(bindings: Mapping[str, Term], f: Formula) -> Formula:
+def apply_subst(bindings: Mapping[str, Term], x: Formula | Term) -> Formula | Term:
     """Simultaneous replacement of metavariables by their images.
 
     Binders are untouched: metavariables are never bound, and after
     groundification the images are closed terms, so capture cannot occur.
     """
     if not bindings:
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(apply_subst_term(bindings, a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(apply_subst(bindings, f.body))
-    if isinstance(f, And):
-        return And(apply_subst(bindings, f.left), apply_subst(bindings, f.right))
-    if isinstance(f, Or):
-        return Or(apply_subst(bindings, f.left), apply_subst(bindings, f.right))
-    if isinstance(f, Implies):
-        return Implies(apply_subst(bindings, f.left), apply_subst(bindings, f.right))
-    if isinstance(f, Forall):
-        return Forall(f.var, apply_subst(bindings, f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, apply_subst(bindings, f.body))
-    raise TypeError(f"not a formula: {f!r}")
+        return x
+    return rebuild(x, lambda y: bindings.get(y.name, y) if type(y) is Meta else None)
 
 
 def subst_var(f: Formula, var: str, t: Term) -> Formula:
-    """Replace free occurrences of the bound variable ``var`` by ``t``."""
+    """Replace free occurrences of the bound variable ``var`` by ``t``.
 
-    def in_term(u: Term) -> Term:
-        if isinstance(u, Var) and u.name == var:
-            return t
-        if isinstance(u, App) and u.args:
-            return App(u.symbol, tuple(in_term(a) for a in u.args))
-        return u
+    A binder of ``var`` in ``f`` shadows it and is kept whole: ``parse``
+    renames binders apart, but a ``.gs3`` table may hold a formula that
+    binds one name twice."""
 
-    if isinstance(f, Atom):
-        return Atom(f.predicate, tuple(in_term(a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(subst_var(f.body, var, t))
-    if isinstance(f, And):
-        return And(subst_var(f.left, var, t), subst_var(f.right, var, t))
-    if isinstance(f, Or):
-        return Or(subst_var(f.left, var, t), subst_var(f.right, var, t))
-    if isinstance(f, Implies):
-        return Implies(subst_var(f.left, var, t), subst_var(f.right, var, t))
-    if isinstance(f, (Forall, Exists)):
-        if f.var == var:  # shadowed; cannot happen with unique binders
-            return f
-        ctor = Forall if isinstance(f, Forall) else Exists
-        return ctor(f.var, subst_var(f.body, var, t))
-    raise TypeError(f"not a formula: {f!r}")
+    def by(x: Formula | Term) -> Formula | Term | None:
+        cls = type(x)
+        if cls is Var:
+            return t if x.name == var else x
+        if (cls is Forall or cls is Exists) and x.var == var:
+            return x
+        return None
+
+    return rebuild(f, by)
 
 
 # ----------------------------------------------------------------- print
@@ -840,6 +793,14 @@ def _parts(x: Formula | Term) -> tuple:
     raise TypeError(f"not a formula or term: {x!r}")
 
 
+def _make(cls: type, name: str | None, parts) -> Formula | Term:
+    """The node of class ``cls`` whose ``_name`` is ``name`` and whose
+    ``_parts`` are ``parts``."""
+    if cls is App or cls is Atom:
+        return _intern((cls, name, tuple(parts)))
+    return _intern((cls, *parts) if name is None else (cls, name, *parts))
+
+
 def _name(x: Formula | Term) -> str | None:
     """The name an entry for ``x`` carries; None for a connective."""
     cls = type(x)
@@ -936,21 +897,15 @@ class Table:
                     raise FormatError(f"table entry {pos} needs "
                                       f"{'a formula' if part_formula else 'a term'} "
                                       f"where entry {ref} is not one")
-            objs = [part[0] for part in parts]
+            obj = _make(cls, name, [part[0] for part in parts])
             free = _NO_NAMES
             for part in parts:
                 if part[2]:
                     free = free | part[2]
             if cls is Var:
-                obj, free = Var(name), frozenset((name,))
-            elif cls is Meta:
-                obj = Meta(name)
-            elif cls is App or cls is Atom:
-                obj = cls(name, tuple(objs))
-            elif named:
-                obj, free = cls(name, objs[0]), free - {name}
-            else:
-                obj = cls(*objs)
+                free = frozenset((name,))
+            elif named and part_formula:  # a quantifier binds its name
+                free = free - {name}
             if obj.height > MAX_DEPTH:
                 raise FormatError(f"table entry {pos} is nested deeper than {MAX_DEPTH} levels")
             entries.append((obj, formula, free))

@@ -167,13 +167,6 @@ def spine_rule_names(root: GsProof, *, coalesce_weaken: bool = False) -> list[st
     return names
 
 
-def sequent_symbols(seq: Sequent) -> set[str]:
-    out: set[str] = set()
-    for f in seq:
-        out |= formula_symbols(f)
-    return out
-
-
 # ----------------------------------------------------------------- schemas
 
 
@@ -246,9 +239,10 @@ def check(proof: GsProof) -> CheckResult:
     A node's formulas are its parent's plus what the parent's rule added
     there, so the metavariable test reads the root's formulas and, at each
     other node, only those added ones; a per-call memo walks each distinct
-    subformula once.  A premise whose tuple is its conclusion's followed by
-    the added formulas, as ``build_step`` makes it, is accepted without
-    being counted; any other premise is counted and compared.
+    subformula once.  The freshness test keeps one such memo per witness
+    symbol.  A premise whose tuple is its conclusion's followed by the
+    added formulas, as ``build_step`` makes it, is accepted without being
+    counted; any other premise is counted and compared.
 
     Each distinct local inference is checked once per call.  The local
     check reads nothing but its key, the node's sequent, rule, principal
@@ -263,6 +257,7 @@ def check(proof: GsProof) -> CheckResult:
     object, since an object cannot lie below itself.
     """
     metas: dict = {}  # formula or term -> whether it holds a metavariable
+    symbols: dict[str, dict] = {}  # witness symbol -> its memo, as ``metas``
     accepted: dict[tuple, list[tuple[dict[Formula, int], Sequent]]] = {}  # key -> premises
     met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
@@ -278,7 +273,7 @@ def check(proof: GsProof) -> CheckResult:
         key = (node.sequent, node.rule, node.principal, tuple([c.sequent for c in children]))
         premises = accepted.get(key)
         if premises is None:
-            result = _check_node(path, node, conclusion, added, metas)
+            result = _check_node(path, node, conclusion, added, metas, symbols)
             if isinstance(result, CheckResult):
                 return result
             premises = accepted[key] = result
@@ -301,11 +296,13 @@ def _is_meta(x) -> bool:
 
 
 def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added: Sequent,
-                metas: dict) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
+                metas: dict, symbols: dict[str, dict]
+                ) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
     """The rejection at this node, or the multiset and added formulas of
     each of its premises.  ``added`` holds, in the order of the node's
     sequent, every formula of it that its ancestors' sequents lack, and
-    may hold some they have."""
+    may hold some they have.  ``metas`` and each memo in ``symbols`` say
+    which formulas and terms hold a metavariable or that symbol."""
     mark_any(added, metas, _is_meta)
     for f in added:
         if metas[f]:
@@ -363,7 +360,9 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
             if not isinstance(w, App) or w.args:
                 return CheckResult(False, path, SCHEMA_MISMATCH,
                                    "existential witness must be a constant")
-            if w.symbol in sequent_symbols(node.sequent):
+            memo = symbols.setdefault(w.symbol, {})
+            mark_any(node.sequent, memo, lambda x: type(x) is App and x.symbol == w.symbol)
+            if any([memo[f] for f in node.sequent]):
                 return CheckResult(False, path, FRESHNESS,
                                    f"witness {w.symbol} occurs in the conclusion sequent")
 
@@ -446,7 +445,7 @@ def build_step(
                         raise StepError(FRESHNESS,
                                         f"witness {print_term(w)} occurs in the conclusion")
                 elif isinstance(w, App) and not w.args:
-                    if w.symbol in sequent_symbols(node.sequent):
+                    if any(w.symbol in formula_symbols(f) for f in node.sequent):
                         raise StepError(FRESHNESS,
                                         f"witness {w.symbol} occurs in the conclusion")
                 else:

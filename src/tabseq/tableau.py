@@ -35,7 +35,6 @@ from .formula import (
     print_formula,
     print_term,
     quant_parts,
-    term_metas,
 )
 # ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
 from .tree import (
@@ -94,10 +93,6 @@ class TableauNode:
     rule: RuleInstance | None = None
     children: tuple["TableauNode", ...] = ()
     closed: bool = False
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     @property
     def is_open_leaf(self) -> bool:
@@ -501,17 +496,13 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 if sym in symbols[f]:
                     raise AuditError(f"skolem {sym} occurs before its delta step")
 
-    if not ct.unifier.ground:
-        raise AuditError("unifier is not flagged ground")
     for name, t in ct.unifier.items():
-        if term_metas(t):
+        if free_metas(t):
             raise AuditError(f"unifier range for {name} contains a metavariable")
     if solve(ct.store) is None:
         raise AuditError("final store is unsatisfiable")
     for c in ct.store.constraints:
-        lhs = ct.unifier.apply(c.lhs) if isinstance(c.lhs, (Atom, Not)) else ct.unifier.apply_term(c.lhs)
-        rhs = ct.unifier.apply(c.rhs) if isinstance(c.rhs, (Atom, Not)) else ct.unifier.apply_term(c.rhs)
-        if lhs != rhs:
+        if ct.unifier.apply(c.lhs) != ct.unifier.apply(c.rhs):
             raise AuditError("unifier does not equate a stored constraint")
     for n in preorder(ct.root):
         if n.rule is not None and n.rule.closure_pair is not None:
@@ -749,7 +740,7 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
     constraints = tuple(Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
                         for lhs, rhs in store)
     return ClosedTableau(nodes[root], ConstraintStore(constraints),
-                         Substitution(bindings, ground=True))
+                         Substitution(bindings))
 
 
 def _rule_from_table(raw, formula, term) -> RuleInstance:
@@ -804,7 +795,7 @@ def _tableau_from_record(record, formula: Callable[[str], Formula],
         if not isinstance(t, Meta):
             raise FormatError(f"unifier binds non-metavariable {name!r}")
         bindings[t.name] = parse_field(term, rhs, "unifier entry")
-    unifier = Substitution(bindings, ground=True)
+    unifier = Substitution(bindings)
     return ClosedTableau(root, ConstraintStore(tuple(constraints)), unifier)
 
 

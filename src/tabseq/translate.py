@@ -25,7 +25,6 @@ from . import gs3
 from .formula import (
     And,
     App,
-    Atom,
     Exists,
     Forall,
     Formula,
@@ -38,6 +37,7 @@ from .formula import (
     outermost_skolem_terms,
     print_formula,
     print_term,
+    rebuild,
 )
 from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
@@ -55,7 +55,6 @@ class TranslateStats:
     share counts once, and leaf counts are of open leaf objects."""
 
     steps: int = 0
-    by_kind: Counter = field(default_factory=Counter)
     grafts: int = 0
     graft_case_iii: int = 0
     graft_case_iv: int = 0
@@ -83,7 +82,7 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
         rule = n.rule
         if rule is None or rule.skolem is None:
             continue
-        term = sigma.apply_term(rule.skolem)
+        term = sigma.apply(rule.skolem)
         assert isinstance(term, App)
         deps = outermost_skolem_terms(sigma.apply(rule.introduced[0][0]))
         for arg in term.args:
@@ -480,7 +479,6 @@ def parallel_extend(
     made: list[tuple[TableauNode, GsProof]] = []  # (target, leaf) for each new leaf
     stats = builder.stats
     stats.steps += 1
-    stats.by_kind[rule.kind] += 1
 
     if rule.kind == CLOSURE:
         pos, _neg = rule.closure_pair
@@ -491,7 +489,7 @@ def parallel_extend(
 
     elif rule.kind == "delta":
         if S:
-            delta_sigma = builder.sigma.apply_term(rule.skolem)
+            delta_sigma = builder.sigma.apply(rule.skolem)
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
             bilink, _held = delta_graft(
@@ -509,7 +507,7 @@ def parallel_extend(
 
     else:
         principal = builder.instance(rule.principal)
-        witness = builder.sigma.apply_term(rule.meta) if rule.kind == "gamma" else None
+        witness = builder.sigma.apply(rule.meta) if rule.kind == "gamma" else None
         gs_rule = GsRule(_gs_rule_name(principal), witness)
         for s in S:
             if builder.shares(first, s.sequent, s):
@@ -564,9 +562,9 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     parents share it, and the distinct formulas and witnesses.  One
     memoised walk over their distinct subformulas and subterms then
     collects the symbols in use and each Skolem symbol's argument vector,
-    and marks the formulas that hold a Skolem term; only those are
-    rewritten, each once, and the nodes are updated in place.  The proof
-    is returned.
+    and marks the formulas and terms that hold a Skolem term; the rewrite
+    enters only those, each distinct formula once, and the nodes are
+    updated in place.  The proof is returned.
     """
     nodes = list(postorder(proof))
     distinct: set[Formula] = set()  # a rule's principal is in its sequent
@@ -610,30 +608,14 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
                 constants[symbol] = App(candidate, ())
                 break
 
-    def term(t: Term) -> Term:
-        if isinstance(t, App):
-            if t.symbol in constants:
-                return constants[t.symbol]
-            if t.args:
-                return App(t.symbol, tuple(term(a) for a in t.args))
-        return t
+    def by(x: Formula | Term) -> Formula | Term | None:
+        """A node with no Skolem term below kept whole, a Skolem term's
+        constant, or None for a node to rebuild from its parts."""
+        if not skolem_below[x]:
+            return x
+        return constants.get(x.symbol) if type(x) is App else None
 
-    def formula(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return Atom(f.predicate, tuple(term(a) for a in f.args))
-        if isinstance(f, Not):
-            return Not(formula(f.body))
-        if isinstance(f, And):
-            return And(formula(f.left), formula(f.right))
-        if isinstance(f, Or):
-            return Or(formula(f.left), formula(f.right))
-        if isinstance(f, Implies):
-            return Implies(formula(f.left), formula(f.right))
-        if isinstance(f, Forall):
-            return Forall(f.var, formula(f.body))
-        return Exists(f.var, formula(f.body))
-
-    rewritten = {f: formula(f) if skolem_below[f] else f for f in distinct}
+    rewritten = {f: rebuild(f, by) for f in distinct}
     new = rewritten.__getitem__
     for node in nodes:
         node.sequent = tuple(map(new, node.sequent))
@@ -641,7 +623,7 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
         if rule is not None:
             node.principal = new(node.principal)
             if rule.witness is not None:
-                node.rule = GsRule(rule.name, term(rule.witness))
+                node.rule = GsRule(rule.name, rebuild(rule.witness, by))
     return proof
 
 

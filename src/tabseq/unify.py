@@ -19,8 +19,8 @@ from .formula import (
     Term,
     Var,
     apply_subst,
-    apply_subst_term,
-    term_metas,
+    free_metas,
+    is_subterm,
 )
 
 Side = Union[Formula, Term]
@@ -53,33 +53,18 @@ class ConstraintStore:
 
 @dataclass(frozen=True)
 class Substitution:
-    """Idempotent solution of a constraint store.
-
-    With the ``ground`` flag set, no metavariable occurs in any range term.
-    """
+    """Idempotent solution of a constraint store."""
 
     bindings: Mapping[str, Term] = field(default_factory=dict)
-    ground: bool = False
 
-    def apply_term(self, t: Term) -> Term:
-        return apply_subst_term(self.bindings, t)
-
-    def apply(self, f: Formula) -> Formula:
-        return apply_subst(self.bindings, f)
+    def apply(self, x: Side) -> Side:
+        return apply_subst(self.bindings, x)
 
     def items(self):
         return self.bindings.items()
 
     def __len__(self) -> int:
         return len(self.bindings)
-
-
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Meta):
-        return t.name == name
-    if isinstance(t, App):
-        return any(_occurs(name, a) for a in t.args)
-    return False
 
 
 def _formula_equations(lhs: Formula, rhs: Formula) -> list[tuple[Term, Term]] | None:
@@ -121,18 +106,18 @@ def solve(store: ConstraintStore) -> Substitution | None:
     bindings: dict[str, Term] = {}
     while work:
         lhs, rhs = work.pop()
-        lhs = apply_subst_term(bindings, lhs)
-        rhs = apply_subst_term(bindings, rhs)
+        lhs = apply_subst(bindings, lhs)
+        rhs = apply_subst(bindings, rhs)
         if lhs == rhs:
             continue
         if not isinstance(lhs, Meta) and isinstance(rhs, Meta):
             lhs, rhs = rhs, lhs
         if isinstance(lhs, Meta):
-            if _occurs(lhs.name, rhs):
+            if is_subterm(lhs, rhs):
                 return None
             step = {lhs.name: rhs}
             for k in list(bindings):
-                bindings[k] = apply_subst_term(step, bindings[k])
+                bindings[k] = apply_subst(step, bindings[k])
             bindings[lhs.name] = rhs
         elif isinstance(lhs, App) and isinstance(rhs, App):
             if lhs.symbol != rhs.symbol or len(lhs.args) != len(rhs.args):
@@ -176,7 +161,7 @@ def groundify(
 
     kappa: dict[str, Term] = {}
     for name in sorted(sigma.bindings):
-        for m in term_metas(sigma.bindings[name]):
+        for m in free_metas(sigma.bindings[name]):
             if m.name not in kappa:
                 kappa[m.name] = fresh()
     for m in metas:
@@ -185,6 +170,6 @@ def groundify(
 
     out: dict[str, Term] = {}
     for name, t in sigma.bindings.items():
-        out[name] = apply_subst_term(kappa, t)
+        out[name] = apply_subst(kappa, t)
     out.update(kappa)
-    return Substitution(out, ground=True)
+    return Substitution(out)

@@ -110,10 +110,11 @@ def subnodes(items) -> set:
     return out
 
 
-def count_memo_walk(monkeypatch, module) -> Counter:
+def count_memo_walk(monkeypatch, module, own=None) -> Counter:
     """Count, per node, the visits of the memoised walks ``module`` makes
-    through ``formula.mark_any``: the calls that ask for a node's parts
-    while such a walk runs."""
+    through ``formula.mark_any``, or only of those that test ``own`` if it
+    is given: the calls that ask for a node's parts while such a walk
+    runs."""
     visits: Counter = Counter()
     walking = [False]
     parts, mark_any = formula_module._parts, formula_module.mark_any
@@ -123,10 +124,10 @@ def count_memo_walk(monkeypatch, module) -> Counter:
             visits[x] += 1
         return parts(x)
 
-    def counted_mark_any(*args):
-        walking[0] = True
+    def counted_mark_any(items, memo, test):
+        walking[0] = own is None or test is own
         try:
-            return mark_any(*args)
+            return mark_any(items, memo, test)
         finally:
             walking[0] = False
 

@@ -205,7 +205,7 @@ class TestTranslate:
         root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
         tab = tmp_path / "forged.tab"
         tab.write_text(tableau_to_json(ClosedTableau(
-            root, ConstraintStore(), Substitution({}, ground=True))), encoding="utf-8")
+            root, ConstraintStore(), Substitution({}))), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "

@@ -191,7 +191,7 @@ def deep_tableau(steps: int) -> ClosedTableau:
         (node,) = node.children
     first = Atom("P", (Meta("X1"),))
     store = close(node, ConstraintStore(), first, Not(P_A))
-    unifier = Substitution({f"X{i}": A for i in range(1, steps + 1)}, ground=True)
+    unifier = Substitution({f"X{i}": A for i in range(1, steps + 1)})
     return ClosedTableau(root, store, unifier)
 
 

@@ -8,6 +8,7 @@ import pytest
 from tabseq.formula import App, Atom, Meta, Not, const, parse
 from tabseq.gs3 import (
     BAD_AXIOM,
+    DELTA_RULES,
     FRESHNESS,
     OPEN_LEAF,
     SCHEMA_MISMATCH,
@@ -263,9 +264,22 @@ class TestCheckReadsWhatRulesAdd:
 
         proof = _growth_proof(3)
         distinct = subnodes(f for node in postorder(proof) for f in node.sequent)
-        visits = count_memo_walk(monkeypatch, gs3)
+        visits = count_memo_walk(monkeypatch, gs3, own=gs3._is_meta)
         assert check(proof).accepted
         assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
+
+    def test_freshness_walks_each_distinct_subnode_once_per_witness_symbol(self, monkeypatch):
+        from conftest import count_memo_walk, subnodes
+
+        proof = _growth_proof(3)
+        nodes = list(postorder(proof))
+        distinct = subnodes(f for node in nodes for f in node.sequent)
+        symbols = {n.rule.witness.symbol for n in nodes if n.rule and n.rule.name in DELTA_RULES}
+        visits = count_memo_walk(monkeypatch, gs3)
+        assert check(proof).accepted
+        # Each node: once for the metavariable test, once per witness symbol.
+        assert len(symbols) > 1 and set(visits) <= distinct
+        assert 1 < max(visits.values()) <= 1 + len(symbols)
 
 
 def _local_key(node: GsProof):

@@ -486,7 +486,7 @@ def double_negation_chain(depth: int) -> ClosedTableau:
         node = child
     node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(p, np))
     node.children = (TableauNode(formulas, closed=True),)
-    return ClosedTableau(root, ConstraintStore(), Substitution({}, ground=True))
+    return ClosedTableau(root, ConstraintStore(), Substitution({}))
 
 
 class TestAudit:

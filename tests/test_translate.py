@@ -269,7 +269,7 @@ def graft(theta: GsProof, B, sko: App, delta_formula, principal):
     graft has touched yet, with the state a translation would pass.  Returns
     the bilink as {leaf path: path of the leaf of theta it is linked to},
     and the paths of the held leaves."""
-    empty = ClosedTableau(TableauNode(()), ConstraintStore(), Substitution({}, ground=True))
+    empty = ClosedTableau(TableauNode(()), ConstraintStore(), Substitution({}))
     builder = _Builder(empty)
     builder.proof, builder.ranks = theta, {sko: 1}
     builder.open = sum(1 for _, n in gs3.iter_nodes(theta) if n.is_open)

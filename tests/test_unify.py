@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tabseq.formula import App, Atom, Meta, Not, apply_subst_term, const, parse_term, term_metas
+from tabseq.formula import App, Atom, Meta, Not, apply_subst, const, free_metas, parse_term
 from tabseq.unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
 
 
@@ -38,14 +38,14 @@ class TestSolve:
     def test_negated_literal_constraint(self):
         store = term_store((Not(Atom("P", (Meta("X"),))), Not(Atom("P", (const("a"),)))))
         sigma = solve(store)
-        assert sigma is not None and sigma.apply_term(Meta("X")) == const("a")
+        assert sigma is not None and sigma.apply(Meta("X")) == const("a")
 
     def test_chained_bindings_stay_idempotent(self):
         # X = f(Y), Y = a: the final range must not mention Y
         store = term_store((Meta("X"), App("f", (Meta("Y"),))), (Meta("Y"), const("a")))
         sigma = solve(store)
         assert sigma is not None
-        assert sigma.apply_term(Meta("X")) == App("f", (const("a"),))
+        assert sigma.apply(Meta("X")) == App("f", (const("a"),))
 
     def test_soundness_on_every_constraint(self):
         store = term_store(
@@ -55,10 +55,7 @@ class TestSolve:
         sigma = solve(store)
         assert sigma is not None
         for c in store.constraints:
-            if isinstance(c.lhs, (Atom, Not)):
-                assert sigma.apply(c.lhs) == sigma.apply(c.rhs)
-            else:
-                assert sigma.apply_term(c.lhs) == sigma.apply_term(c.rhs)
+            assert sigma.apply(c.lhs) == sigma.apply(c.rhs)
 
 
 class TestConsistent:
@@ -102,7 +99,7 @@ def random_solvable_store(rng: random.Random) -> ConstraintStore:
     pairs = []
     for _ in range(rng.randrange(1, 5)):
         t = random_open(2)
-        pairs.append((t, apply_subst_term(theta, t)))
+        pairs.append((t, apply_subst(theta, t)))
     return term_store(*pairs)
 
 
@@ -122,11 +119,11 @@ class TestIdempotence:
             assert sigma is not None, seed
             solved += 1
             for name, t in sigma.items():
-                assert sigma.apply_term(t) == t, seed
+                assert sigma.apply(t) == t, seed
             for c in store.constraints:
-                lhs = sigma.apply_term(c.lhs)
-                assert lhs == sigma.apply_term(c.rhs)
-                assert sigma.apply_term(lhs) == lhs
+                lhs = sigma.apply(c.lhs)
+                assert lhs == sigma.apply(c.rhs)
+                assert sigma.apply(lhs) == lhs
         assert solved == 1000
 
 
@@ -134,14 +131,14 @@ class TestGroundify:
     def test_meta_in_range_gets_fresh_constant(self):
         sigma = Substitution({"X": Meta("Y")})
         ground = groundify(sigma)
-        assert ground.ground
+        assert not any(free_metas(t) for _, t in ground.items())
         assert dict(ground.items()) == {"X": const("k1"), "Y": const("k1")}
 
     def test_already_ground_unchanged(self):
         sigma = Substitution({"X": App("f", (const("a"),))})
         ground = groundify(sigma)
         assert dict(ground.items()) == dict(sigma.items())
-        assert ground.ground
+        assert not any(free_metas(t) for _, t in ground.items())
 
     def test_unbound_tableau_meta_covered(self):
         ground = groundify(Substitution({}), metas=[Meta("X")])
@@ -156,7 +153,7 @@ class TestGroundify:
         sigma = Substitution({"X": App("f", (Meta("Y"), Meta("Z")))})
         ground = groundify(sigma, metas=[Meta("W")])
         for _, t in ground.items():
-            assert not term_metas(t)
+            assert not free_metas(t)
 
     def test_avoid_set_respected(self):
         ground = groundify(Substitution({}), metas=[Meta("X")], avoid={"k1", "k2"})
@@ -166,8 +163,8 @@ class TestGroundify:
         sigma = Substitution({"X": App("f", (Meta("Y"),))})
         ground = groundify(sigma)
         # applying the ground substitution refines every original binding
-        image = ground.apply_term(sigma.apply_term(Meta("X")))
-        assert image == ground.apply_term(Meta("X"))
+        image = ground.apply(sigma.apply(Meta("X")))
+        assert image == ground.apply(Meta("X"))
 
 
 @given(st.integers(0, 2**32 - 1))
