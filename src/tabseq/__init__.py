@@ -2,7 +2,7 @@
 closed tableaux to ground one-sided sequent proofs and an independent
 checker for the latter."""
 
-from .formula import Formula, Meta, App, Var, Term, RuleClass, parse, print_formula
+from .formula import Formula, Meta, App, Var, Term, parse, print_formula
 from .tableau import ClosedTableau, Exhausted, prove
 from .gs3 import GsProof, check
 from .translate import translate
@@ -16,7 +16,6 @@ __all__ = [
     "Formula",
     "GsProof",
     "Meta",
-    "RuleClass",
     "Term",
     "Var",
     "check",

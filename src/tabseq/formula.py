@@ -1,4 +1,4 @@
-"""First-order syntax: terms, formulas, parsing, canonical printing, classification.
+"""First-order syntax: terms, formulas, parsing, canonical printing.
 
 The term language has three node kinds: bound-variable occurrences, free
 metavariables (placeholders introduced by gamma expansions and written
@@ -42,7 +42,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .tree import FormatError
@@ -285,97 +284,6 @@ class Exists(_Node):
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Forall, Exists]
-
-
-# ----------------------------------------------------------- rule classes
-
-
-class RuleClass(Enum):
-    ALPHA = "alpha"
-    BETA = "beta"
-    GAMMA = "gamma"
-    DELTA = "delta"
-    LITERAL = "literal"
-
-
-def classify(f: Formula) -> RuleClass:
-    """Total classification of a formula into alpha/beta/gamma/delta/literal."""
-    if isinstance(f, And):
-        return RuleClass.ALPHA
-    if isinstance(f, (Or, Implies)):
-        return RuleClass.BETA
-    if isinstance(f, Exists):
-        return RuleClass.DELTA
-    if isinstance(f, Forall):
-        return RuleClass.GAMMA
-    if isinstance(f, Atom):
-        return RuleClass.LITERAL
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, (Or, Implies, Not)):
-            return RuleClass.ALPHA
-        if isinstance(g, And):
-            return RuleClass.BETA
-        if isinstance(g, Forall):
-            return RuleClass.DELTA
-        if isinstance(g, Exists):
-            return RuleClass.GAMMA
-        if isinstance(g, Atom):
-            return RuleClass.LITERAL
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@dataclass(frozen=True)
-class QuantBody:
-    """Bound variable and body of a gamma/delta formula, with its polarity.
-
-    ``negated`` is true for the negative forms (``~forall``/``~exists``),
-    whose instances keep the pushed-in negation.
-    """
-
-    var: str
-    body: Formula
-    negated: bool
-
-    def instantiate(self, t: Term) -> Formula:
-        inst = subst_var(self.body, self.var, t)
-        return Not(inst) if self.negated else inst
-
-
-def alpha_parts(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, And):
-        return (f.left, f.right)
-    if isinstance(f, Not):
-        g = f.body
-        if isinstance(g, Or):
-            return (Not(g.left), Not(g.right))
-        if isinstance(g, Implies):
-            return (g.left, Not(g.right))
-        if isinstance(g, Not):
-            return (g.body,)
-    raise ValueError(f"not an alpha formula: {f}")
-
-
-def beta_parts(f: Formula) -> tuple[Formula, Formula]:
-    if isinstance(f, Or):
-        return (f.left, f.right)
-    if isinstance(f, Implies):
-        return (Not(f.left), f.right)
-    if isinstance(f, Not) and isinstance(f.body, And):
-        return (Not(f.body.left), Not(f.body.right))
-    raise ValueError(f"not a beta formula: {f}")
-
-
-def quant_parts(f: Formula) -> QuantBody:
-    if isinstance(f, Forall):
-        return QuantBody(f.var, f.body, False)
-    if isinstance(f, Exists):
-        return QuantBody(f.var, f.body, False)
-    if isinstance(f, Not) and isinstance(f.body, Forall):
-        return QuantBody(f.body.var, f.body.body, True)
-    if isinstance(f, Not) and isinstance(f.body, Exists):
-        return QuantBody(f.body.var, f.body.body, True)
-    raise ValueError(f"not a quantified formula: {f}")
 
 
 # ------------------------------------------------------------- traversals

@@ -8,6 +8,10 @@ rules consume a witness constant that must be fresh for the conclusion
 sequent; that locality is the whole trust story of the checker, so this
 module deliberately depends on nothing but the formula syntax and the
 shared tree helpers.
+
+It also holds the one rule table (``rule_name``, ``RULE_GROUPS``,
+``premise_additions``): each tableau expansion is the sequent rule of
+the same name, as the prover and the translator take it from here.
 """
 
 from __future__ import annotations
@@ -60,11 +64,20 @@ from .tree import (
 
 Sequent = tuple[Formula, ...]
 
-ALPHA_RULES = ("not_not", "not_implies", "and", "not_or")
-BETA_RULES = ("implies", "not_and", "or")
-DELTA_RULES = ("exists", "not_forall")
-GAMMA_RULES = ("not_exists", "forall")
-RULE_NAMES = ALPHA_RULES + BETA_RULES + DELTA_RULES + GAMMA_RULES + ("axiom", "weaken")
+# Each decomposition rule's tableau group.
+RULE_GROUPS = {
+    "not_not": "alpha", "not_implies": "alpha", "and": "alpha", "not_or": "alpha",
+    "implies": "beta", "not_and": "beta", "or": "beta",
+    "exists": "delta", "not_forall": "delta",
+    "not_exists": "gamma", "forall": "gamma",
+}
+RULE_NAMES = (*RULE_GROUPS, "axiom", "weaken")
+
+# The rule whose principal a formula is, by its class and, under a
+# negation, by its body's class.
+_RULE_OF = {And: "and", Or: "or", Implies: "implies", Exists: "exists", Forall: "forall"}
+_NEGATED_RULE_OF = {Not: "not_not", And: "not_and", Or: "not_or", Implies: "not_implies",
+                    Forall: "not_forall", Exists: "not_exists"}
 
 SCHEMA_MISMATCH = "schema-mismatch"
 FRESHNESS = "freshness-violation"
@@ -170,16 +183,11 @@ def spine_rule_names(root: GsProof, *, coalesce_weaken: bool = False) -> list[st
 # ----------------------------------------------------------------- schemas
 
 
-def _group(name: str) -> str:
-    if name in ALPHA_RULES:
-        return "alpha"
-    if name in BETA_RULES:
-        return "beta"
-    if name in DELTA_RULES:
-        return "delta"
-    if name in GAMMA_RULES:
-        return "gamma"
-    return name
+def rule_name(f: Formula) -> str | None:
+    """The decomposition rule whose principal ``f`` is; None for a literal."""
+    if type(f) is Not:
+        return _NEGATED_RULE_OF.get(type(f.body))
+    return _RULE_OF.get(type(f))
 
 
 def premise_additions(rule: GsRule, principal: Formula) -> tuple[tuple[Formula, ...], ...] | None:
@@ -351,7 +359,7 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
     if len(node.children) != len(additions):
         return CheckResult(False, path, SCHEMA_MISMATCH, "wrong number of premises")
 
-    group = _group(rule.name)
+    group = RULE_GROUPS[rule.name]
     if group in ("delta", "gamma"):
         w = rule.witness
         if w is None or not is_ground_term(w):
@@ -432,7 +440,7 @@ def build_step(
         if additions is None:
             raise StepError(SCHEMA_MISMATCH,
                             f"{rule.name} does not apply to {print_formula(principal)}")
-        group = _group(rule.name)
+        group = RULE_GROUPS.get(rule.name)
         if group in ("delta", "gamma"):
             w = rule.witness
             if w is None or not is_ground_term(w):

@@ -21,12 +21,8 @@ from .formula import (
     Formula,
     Meta,
     Not,
-    RuleClass,
     Table,
     Term,
-    alpha_parts,
-    beta_parts,
-    classify,
     encode_table,
     formula_symbols,
     free_metas,
@@ -34,8 +30,8 @@ from .formula import (
     parse_term,
     print_formula,
     print_term,
-    quant_parts,
 )
+from .gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 # ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
 from .tree import (
     FormatError,
@@ -162,23 +158,14 @@ def rule_kinds(root: TableauNode) -> list[str]:
 # ------------------------------------------------------------------- rules
 
 
-def _introduced(cls: RuleClass, principal: Formula,
-                witness: Term | None) -> tuple[tuple[Formula, ...], ...]:
-    """The formulas the rule of class ``cls`` on ``principal`` adds to each
-    child; ``witness`` instantiates a quantifier."""
-    if cls is RuleClass.ALPHA:
-        return (alpha_parts(principal),)
-    if cls is RuleClass.BETA:
-        return tuple((part,) for part in beta_parts(principal))
-    return ((quant_parts(principal).instantiate(witness),),)
-
-
 def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     """Apply the alpha/beta/gamma/delta rule for ``principal`` at an open leaf.
 
     The leaf is extended in place.  Children receive the leaf's multiset
-    plus the introduced formulas; the constraint store is untouched by
-    expansions.
+    plus the formulas the sequent rule of the same name adds to each
+    premise, its witness being a fresh metavariable (gamma) or a Skolem
+    term over the principal's metavariables (delta); the constraint store
+    is untouched by expansions.
     """
     if node.closed:
         raise TableauError("leaf is closed")
@@ -186,17 +173,18 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
         raise TableauError("node is not a leaf")
     if principal not in node.formulas:
         raise TableauError(f"principal {print_formula(principal)} not at leaf")
-    cls = classify(principal)
-    if cls is RuleClass.LITERAL:
+    name = rule_name(principal)
+    if name is None:
         raise TableauError(f"cannot expand literal {print_formula(principal)}")
 
+    kind = RULE_GROUPS[name]
     meta = skolem = None
-    if cls is RuleClass.GAMMA:
+    if kind == "gamma":
         meta = names.fresh_meta()
-    elif cls is RuleClass.DELTA:
-        skolem = App(names.fresh_skolem_symbol(), tuple(free_metas(quant_parts(principal).body)))
-    intro = _introduced(cls, principal, meta if cls is RuleClass.GAMMA else skolem)
-    node.rule = RuleInstance(cls.value, principal, intro, meta=meta, skolem=skolem)
+    elif kind == "delta":
+        skolem = App(names.fresh_skolem_symbol(), free_metas(principal))
+    intro = premise_additions(GsRule(name, meta if kind == "gamma" else skolem), principal)
+    node.rule = RuleInstance(kind, principal, intro, meta=meta, skolem=skolem)
     node.children = tuple(TableauNode(node.formulas + extra) for extra in intro)
 
 
@@ -227,12 +215,7 @@ def close(node: TableauNode, store: ConstraintStore, pos: Formula,
 
 # ------------------------------------------------------------------ search
 
-_PRIORITY = {
-    RuleClass.ALPHA: 0,
-    RuleClass.DELTA: 1,
-    RuleClass.BETA: 2,
-    RuleClass.GAMMA: 3,
-}
+_PRIORITY = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
 
 # A branch's literal index: per (predicate, arity), the atoms and the
 # negated atoms on the branch, each as (position, literal) in position
@@ -287,8 +270,8 @@ def _new_closure_pairs(index: _LiteralIndex, start: int, atoms: list[tuple[int, 
 def _binds(rule: RuleInstance) -> bool:
     """True if the instance a gamma or delta rule introduced contains its
     witness, that is, if the principal's variable occurs in its body."""
-    quant = quant_parts(rule.principal)
-    return rule.introduced[0][0] != (Not(quant.body) if quant.negated else quant.body)
+    q = rule.principal
+    return rule.introduced[0][0] != (Not(q.body.body) if type(q) is Not else q.body)
 
 
 def prove(
@@ -352,9 +335,9 @@ def prove(
         negated: list[tuple[int, Formula]] = []
         for position, f in enumerate(introduced, start):
             if f not in ranks:
-                cls = classify(f)
-                ranks[f] = None if cls is RuleClass.LITERAL else (
-                    _PRIORITY[cls], gamma_limit if cls is RuleClass.GAMMA else 1)
+                kind = RULE_GROUPS.get(rule_name(f))
+                ranks[f] = None if kind is None else (
+                    _PRIORITY[kind], gamma_limit if kind == "gamma" else 1)
             if ranks[f] is None:
                 (atoms if isinstance(f, Atom) else negated).append((position, f))
 
@@ -471,13 +454,14 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         else:
             if rule.principal is None or rule.principal not in node.formulas:
                 raise AuditError(f"principal absent at {at(node)}")
-            if rule.kind == RuleClass.DELTA.value and rule.skolem is None:
+            if rule.kind == "delta" and rule.skolem is None:
                 raise AuditError(f"delta without skolem at {at(node)}")
-            if rule.kind == RuleClass.GAMMA.value and rule.meta is None:
+            if rule.kind == "gamma" and rule.meta is None:
                 raise AuditError(f"gamma without metavariable at {at(node)}")
-            cls = classify(rule.principal)
-            witness = rule.meta if cls is RuleClass.GAMMA else rule.skolem
-            if cls.value != rule.kind or rule.introduced != _introduced(cls, rule.principal, witness):
+            name = rule_name(rule.principal)
+            witness = rule.meta if rule.kind == "gamma" else rule.skolem
+            if (RULE_GROUPS.get(name) != rule.kind or rule.introduced
+                    != premise_additions(GsRule(name, witness), rule.principal)):
                 raise AuditError(f"introduced formulas are not the {rule.kind} decomposition "
                                  f"of the principal at {at(node)}")
         stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
@@ -526,7 +510,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 # version-2 file is the same with every node's formulas listed.  A file
 # without ``version`` is version 1: nested node records, formulas as text.
 
-RULE_CLASSES = ("alpha", "beta", "gamma", "delta", CLOSURE)
+# The rule classes a file may name: the rule table's groups and closure.
+RULE_CLASSES = (*dict.fromkeys(RULE_GROUPS.values()), CLOSURE)
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
@@ -598,7 +583,7 @@ def _rule_from_record(record, formula: Callable[[str], Formula],
     if not isinstance(record, dict):
         raise FormatError("rule must be an object")
     kind = record.get("class")
-    if kind not in ("alpha", "beta", "gamma", "delta", CLOSURE):
+    if kind not in RULE_CLASSES:
         raise FormatError(f"unknown rule class {kind!r}")
     principal = record.get("principal")
     principal_f = parse_field(formula, principal, "principal") if principal is not None else None

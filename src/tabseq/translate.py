@@ -23,14 +23,8 @@ from typing import Mapping
 
 from . import gs3
 from .formula import (
-    And,
     App,
-    Exists,
-    Forall,
     Formula,
-    Implies,
-    Not,
-    Or,
     Term,
     is_subterm,
     mark_any,
@@ -39,7 +33,7 @@ from .formula import (
     print_term,
     rebuild,
 )
-from .gs3 import DELTA_RULES, GsProof, GsRule, build_step
+from .gs3 import RULE_GROUPS, GsProof, GsRule, build_step, rule_name
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
 from .tree import path_of, postorder, preorder
 
@@ -107,34 +101,6 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     for t in edges:
         rank(t)
     return ranks
-
-
-def _gs_rule_name(principal: Formula) -> str:
-    if isinstance(principal, And):
-        return "and"
-    if isinstance(principal, Or):
-        return "or"
-    if isinstance(principal, Implies):
-        return "implies"
-    if isinstance(principal, Exists):
-        return "exists"
-    if isinstance(principal, Forall):
-        return "forall"
-    if isinstance(principal, Not):
-        body = principal.body
-        if isinstance(body, Not):
-            return "not_not"
-        if isinstance(body, And):
-            return "not_and"
-        if isinstance(body, Or):
-            return "not_or"
-        if isinstance(body, Implies):
-            return "not_implies"
-        if isinstance(body, Forall):
-            return "not_forall"
-        if isinstance(body, Exists):
-            return "not_exists"
-    raise TranslateError(f"no sequent rule for {print_formula(principal)}")
 
 
 class _Builder:
@@ -268,7 +234,7 @@ def delta_graft(
     # contain no Skolem symbols), then weaken the principal away again if
     # it was an extra copy.  Only open leaves grow, so theta's rules stay
     # readable as the template that is regrown below.
-    delta_rule = GsRule(_gs_rule_name(principal), delta_term)
+    delta_rule = GsRule(rule_name(principal), delta_term)
     first = {} if len(B) > 1 else None
     for s in B:
         if builder.shares(first, s.sequent, s):
@@ -297,6 +263,7 @@ def delta_graft(
     # leaves, which releases the occurrence again.
     for b in template:
         rule, rule_principal = b.rule, b.principal
+        group = RULE_GROUPS.get(rule.name)
         S = waiting.pop(b, [])
         prefix = b in over_B
         first = {} if len(S) > 1 else None
@@ -319,7 +286,7 @@ def delta_graft(
                 held.add(s)
             continue
 
-        if rule.name in DELTA_RULES and prefix:
+        if group == "delta" and prefix:
             eps = rule.witness
             if eps == delta_term:
                 # The same existential step again: its premise formula is
@@ -378,7 +345,7 @@ def delta_graft(
                 continue
             for child_s, child_b in zip(builder.step(s, rule, rule_principal), b.children):
                 child_held = was_held
-                if rule.name in gs3.BETA_RULES and prefix and child_b not in over_B and was_held:
+                if group == "beta" and prefix and child_b not in over_B and was_held:
                     # This side leaves the grafted region; drop the held
                     # Skolem side formula.
                     (child_s,) = builder.step(child_s, GsRule("weaken"), delta_formula)
@@ -508,7 +475,7 @@ def parallel_extend(
     else:
         principal = builder.instance(rule.principal)
         witness = builder.sigma.apply(rule.meta) if rule.kind == "gamma" else None
-        gs_rule = GsRule(_gs_rule_name(principal), witness)
+        gs_rule = GsRule(rule_name(principal), witness)
         for s in S:
             if builder.shares(first, s.sequent, s):
                 continue

@@ -27,25 +27,20 @@ from tabseq.formula import (
     MAX_DEPTH,
     DepthError,
     ParseError,
-    QuantBody,
-    RuleClass,
     Table,
     Var,
     apply_subst,
     encode_table,
-    classify,
     const,
-    alpha_parts,
-    beta_parts,
     free_metas,
     outermost_skolem_terms,
     parse,
     parse_term,
     print_formula,
     print_term,
-    quant_parts,
     subst_var,
 )
+from tabseq.gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 from tabseq.problems import corpus
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
@@ -377,75 +372,86 @@ class TestPrint:
         assert parse(print_formula(f)) == f
 
 
+def group(f):
+    """The tableau group of the rule that decomposes ``f``; None for a literal."""
+    return RULE_GROUPS.get(rule_name(f))
+
+
+CLASSIFY_CASES = [
+    ("P & Q", "alpha"),
+    ("~(P | Q)", "alpha"),
+    ("~(P => Q)", "alpha"),
+    ("~~P", "alpha"),
+    ("P | Q", "beta"),
+    ("P => Q", "beta"),
+    ("~(P & Q)", "beta"),
+    ("exists x. P(x)", "delta"),
+    ("~(forall x. P(x))", "delta"),
+    ("forall x. P(x)", "gamma"),
+    ("~(exists x. P(x))", "gamma"),
+    ("P(a)", None),
+    ("~P(a)", None),
+]
+
+
 class TestClassify:
+    # The ids are the ones these cases had when the groups were the enum
+    # ``RuleClass``, so that runs before and after compare case by case.
     @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("P & Q", RuleClass.ALPHA),
-            ("~(P | Q)", RuleClass.ALPHA),
-            ("~(P => Q)", RuleClass.ALPHA),
-            ("~~P", RuleClass.ALPHA),
-            ("P | Q", RuleClass.BETA),
-            ("P => Q", RuleClass.BETA),
-            ("~(P & Q)", RuleClass.BETA),
-            ("exists x. P(x)", RuleClass.DELTA),
-            ("~(forall x. P(x))", RuleClass.DELTA),
-            ("forall x. P(x)", RuleClass.GAMMA),
-            ("~(exists x. P(x))", RuleClass.GAMMA),
-            ("P(a)", RuleClass.LITERAL),
-            ("~P(a)", RuleClass.LITERAL),
-        ],
+        "text,expected", CLASSIFY_CASES,
+        ids=[f"{text}-RuleClass.{(kind or 'literal').upper()}" for text, kind in CLASSIFY_CASES],
     )
     def test_table(self, text, expected):
-        assert classify(parse(text)) == expected
+        assert group(parse(text)) == expected
 
     def test_paper_alpha_step(self):
         f = Not(Implies(Atom("D", (Meta("X"),)), Forall("y", Atom("D", (Var("y"),)))))
-        assert classify(f) == RuleClass.ALPHA
+        assert group(f) == "alpha"
 
     def test_paper_delta_step(self):
-        assert classify(Not(Forall("y", Atom("D", (Var("y"),))))) == RuleClass.DELTA
+        assert group(Not(Forall("y", Atom("D", (Var("y"),))))) == "delta"
 
 
 class TestDecompose:
-    """A non-literal formula's successors: alpha and beta parts, or the
-    bound variable, body and polarity of a quantifier."""
+    """A non-literal formula's successors: what each premise of its rule
+    adds, with the quantifier rules' witness substituted."""
 
     def test_alpha_negated_implication(self):
         f = Not(Implies(Atom("D", (Meta("X"),)), Forall("y", Atom("D", (Var("y"),)))))
-        assert alpha_parts(f) == (Atom("D", (Meta("X"),)), Not(Forall("y", Atom("D", (Var("y"),)))))
+        assert rule_name(f) == "not_implies"
+        assert premise_additions(GsRule("not_implies"), f) == (
+            (Atom("D", (Meta("X"),)), Not(Forall("y", Atom("D", (Var("y"),))))),)
 
     def test_beta_disjunction(self):
-        assert beta_parts(parse("P | Q")) == (Atom("P", ()), Atom("Q", ()))
+        assert premise_additions(GsRule("or"), parse("P | Q")) == (
+            (Atom("P", ()),), (Atom("Q", ()),))
 
     def test_alpha_double_negation(self):
-        assert alpha_parts(parse("~~P")) == (Atom("P", ()),)
+        assert premise_additions(GsRule("not_not"), parse("~~P")) == ((Atom("P", ()),),)
 
     def test_gamma_returns_body_and_polarity(self):
-        qb = quant_parts(parse("~(exists x. P(x))"))
-        assert qb == QuantBody("x", Atom("P", (Var("x"),)), True)
-        assert qb.instantiate(const("a")) == Not(Atom("P", (const("a"),)))
+        f = parse("~(exists x. P(x))")
+        assert rule_name(f) == "not_exists" and group(f) == "gamma"
+        assert premise_additions(GsRule("not_exists", const("a")), f) == (
+            (Not(Atom("P", (const("a"),))),),)
 
     def test_delta_positive_polarity(self):
-        qb = quant_parts(parse("exists x. P(x)"))
-        assert qb.negated is False
-        assert qb.instantiate(Meta("X1")) == Atom("P", (Meta("X1"),))
+        f = parse("exists x. P(x)")
+        assert rule_name(f) == "exists" and group(f) == "delta"
+        assert premise_additions(GsRule("exists", Meta("X1")), f) == ((Atom("P", (Meta("X1"),)),),)
 
     def test_literal_rejected(self):
-        for parts in (alpha_parts, beta_parts, quant_parts):
-            with pytest.raises(ValueError):
-                parts(parse("P(a)"))
+        for text in ("P(a)", "~P(a)"):
+            assert rule_name(parse(text)) is None
+            for name in RULE_GROUPS:
+                assert premise_additions(GsRule(name, const("a")), parse(text)) is None
 
     @given(st.integers(0, 2**32 - 1))
     def test_alpha_beta_parts_are_subformulas(self, seed):
         f = random_formula(random.Random(seed))
-        cls = classify(f)
-        if cls is RuleClass.ALPHA:
-            parts = alpha_parts(f)
-        elif cls is RuleClass.BETA:
-            parts = beta_parts(f)
-        else:
+        if group(f) not in ("alpha", "beta"):
             return
+        parts = [g for added in premise_additions(GsRule(rule_name(f)), f) for g in added]
         direct = f.body if isinstance(f, Not) else f
         subformulas = {direct.left, direct.right} if not isinstance(direct, Not) else {direct.body}
         for g in parts:
@@ -499,8 +505,9 @@ class TestMisc:
         # Formulas equal up to the names of their bound variables have the
         # same ground instances, which is all the prover reads of a binder.
         def instance(text):
-            outer = quant_parts(parse(text)).instantiate(const("a"))
-            return quant_parts(outer).instantiate(const("b"))
+            f = parse(text)
+            outer = subst_var(f.body, f.var, const("a"))
+            return subst_var(outer.body, outer.var, const("b"))
 
         same = instance("forall x. exists y. R(x, y)")
         assert instance("forall u. exists v. R(u, v)") == same == parse("R(a, b)")

@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from tabseq.formula import App, Atom, Meta, Not, const, parse
+from tabseq.formula import App, Atom, Meta, Not, const, parse, parse_term
 from tabseq.gs3 import (
     BAD_AXIOM,
-    DELTA_RULES,
     FRESHNESS,
     OPEN_LEAF,
+    RULE_GROUPS,
     SCHEMA_MISMATCH,
     FormatError,
     GsProof,
@@ -26,6 +26,7 @@ from tabseq.gs3 import (
     proof_to_json,
     render_proof,
     replace_at,
+    rule_name,
     rule_names,
     spine_rule_names,
 )
@@ -274,7 +275,8 @@ class TestCheckReadsWhatRulesAdd:
         proof = _growth_proof(3)
         nodes = list(postorder(proof))
         distinct = subnodes(f for node in nodes for f in node.sequent)
-        symbols = {n.rule.witness.symbol for n in nodes if n.rule and n.rule.name in DELTA_RULES}
+        symbols = {n.rule.witness.symbol for n in nodes
+                   if n.rule and RULE_GROUPS.get(n.rule.name) == "delta"}
         visits = count_memo_walk(monkeypatch, gs3)
         assert check(proof).accepted
         # Each node: once for the metavariable test, once per witness symbol.
@@ -488,20 +490,14 @@ def random_built_proof(rng: random.Random) -> GsProof:
         leaf = rng.choice(leaves)
         node = node_at(proof, leaf)
         candidates = []
-        for f in set(node.sequent):
-            text = None
-            from tabseq.formula import RuleClass, classify
-
-            cls = classify(f)
-            if cls is RuleClass.LITERAL:
+        for f in dict.fromkeys(node.sequent):  # a set's order would follow addresses
+            name = rule_name(f)
+            if name is None:
                 continue
-            from tabseq.translate import _gs_rule_name
-
-            name = _gs_rule_name(f)
-            if name in ("exists", "not_forall"):
+            if RULE_GROUPS[name] == "delta":
                 fresh[0] += 1
                 candidates.append((GsRule(name, const(f"w{fresh[0]}")), f))
-            elif name in ("forall", "not_exists"):
+            elif RULE_GROUPS[name] == "gamma":
                 candidates.append((GsRule(name, const(rng.choice("ab"))), f))
             else:
                 candidates.append((GsRule(name), f))
@@ -669,6 +665,68 @@ class TestCheckerIndependence:
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
                 for name in names:
                     assert name.lstrip("_") not in TREE_HELPERS, f"{path.name} defines {name}"
+
+
+# One row per decomposition rule: its name and group, a principal, a
+# witness and what each premise adds, written out by hand.  Until a second,
+# reference checker exists, this table is the independent encoding of the
+# schemas that ``rule_name``, ``RULE_GROUPS`` and ``premise_additions`` hold.
+SCHEMA_TABLE = [
+    ("not_not", "alpha", "~~P(a)", None, [["P(a)"]]),
+    ("not_implies", "alpha", "~(P(a) => Q)", None, [["P(a)", "~Q"]]),
+    ("and", "alpha", "P(a) & ~Q", None, [["P(a)", "~Q"]]),
+    ("not_or", "alpha", "~(P(a) | ~Q)", None, [["~P(a)", "~~Q"]]),
+    ("implies", "beta", "~P(a) => Q", None, [["~~P(a)"], ["Q"]]),
+    ("not_and", "beta", "~(P(a) & Q)", None, [["~P(a)"], ["~Q"]]),
+    ("or", "beta", "P(a) | (Q & R)", None, [["P(a)"], ["Q & R"]]),
+    ("exists", "delta", "exists x. R(x, a)", "c", [["R(c, a)"]]),
+    ("not_forall", "delta", "~(forall x. (P(x) | Q))", "c", [["~(P(c) | Q)"]]),
+    ("not_exists", "gamma", "~(exists x. R(x, f(a)))", "f(b)", [["~R(f(b), f(a))"]]),
+    ("forall", "gamma", "forall x. (P(x) & exists y. R(x, y))", "b",
+     [["P(b) & exists y. R(b, y)"]]),
+]
+RULE_TABLE = {"rule_name", "RULE_GROUPS", "premise_additions"}
+
+
+def defined_names(path: pathlib.Path) -> list[str]:
+    """The functions, classes and plain assignment targets a source file
+    defines, at any depth."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("name,group,principal,witness,added", SCHEMA_TABLE,
+                             ids=[row[0] for row in SCHEMA_TABLE])
+    def test_each_rule_decomposes_as_written(self, name, group, principal, witness, added):
+        f = parse(principal)
+        rule = GsRule(name, None if witness is None else parse_term(witness))
+        assert rule_name(f) == name
+        assert RULE_GROUPS[name] == group
+        assert premise_additions(rule, f) == tuple(tuple(map(parse, texts)) for texts in added)
+        for other in RULE_GROUPS.keys() - {name}:
+            assert premise_additions(GsRule(other, C), f) is None, other
+
+    def test_the_table_has_one_row_per_rule(self):
+        assert sorted(row[0] for row in SCHEMA_TABLE) == sorted(RULE_GROUPS)
+
+    def test_a_literal_has_no_rule(self):
+        for text in ("P(a)", "~P(a)"):
+            assert rule_name(parse(text)) is None
+            for name in RULE_GROUPS:
+                assert premise_additions(GsRule(name, C), parse(text)) is None
+
+    def test_the_rule_table_is_defined_only_in_the_checker_module(self):
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "gs3.py":
+                continue
+            for name in defined_names(path):
+                assert name.lstrip("_") not in RULE_TABLE, f"{path.name} defines {name}"
 
 
 class TestSharedTreeHelpers:

@@ -9,15 +9,14 @@ from tabseq.formula import (
     Atom,
     Meta,
     Not,
-    RuleClass,
     Var,
-    classify,
     const,
     formula_symbols,
     free_metas,
     parse,
     print_formula,
 )
+from tabseq.gs3 import RULE_GROUPS, rule_name
 from tabseq.problems import corpus
 from tabseq.tableau import (
     CLOSURE,
@@ -273,7 +272,7 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
     """``prove`` as a plain search: every leaf tries all its closure
     candidates in the old order, classifies every formula at every step and
     walks every introduced formula for metavariables and symbols."""
-    priority = {RuleClass.ALPHA: 0, RuleClass.DELTA: 1, RuleClass.BETA: 2, RuleClass.GAMMA: 3}
+    priority = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
     gamma = tuple(formulas)
     symbols = set()
     for f in gamma:
@@ -302,11 +301,11 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
             return Exhausted("depth limit reached", steps)
         candidates = []
         for index, f in enumerate(node.formulas):
-            cls = classify(f)
-            if cls is not RuleClass.LITERAL:
+            kind = RULE_GROUPS.get(rule_name(f))
+            if kind is not None:
                 used = uses.get(f, 0)
-                if used < (gamma_limit if cls is RuleClass.GAMMA else 1):
-                    candidates.append(((priority[cls], used, index), f))
+                if used < (gamma_limit if kind == "gamma" else 1):
+                    candidates.append(((priority[kind], used, index), f))
         if not candidates:
             return Exhausted("no closure and no usable formula on a branch", steps)
         principal = min(candidates)[1]
