@@ -1,0 +1,85 @@
+"""Time each stage of the pipeline in-process on three inputs whose proofs
+are long, and print one table row per input.
+
+Stages: prove, translate with the translator's audits off and on, check,
+``.gs3`` write and read, ``.tab`` write and read; each time is the best of
+``--repeats`` runs, in milliseconds, measured with ``time.perf_counter``.
+The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
+
+- growth k=5: the paper's growth family, a shared proof DAG that unfolds to
+  about 10^8 inferences;
+- wide n=120: ``(P0 & ... & P119) => (P0 & ... & P119)``, proved with
+  ``depth_limit=1000``, one long branch of long sequents;
+- ``problems.deep_tableau(1100)``: one branch of 1,100 gamma steps, given as
+  a tableau, so it has no prove time.
+
+The script reports and gates nothing; it exits 1 only if a proof it made
+is rejected or does not read back to the same text.  For end-to-end
+throughput run ``python3 perfbench/run.py``.
+
+Usage: python scripts/layer_times.py [--repeats N]
+"""
+
+import argparse
+import time
+
+from tabseq import gs3
+from tabseq.formula import Not, parse
+from tabseq.problems import deep_tableau, growth_goal
+from tabseq.tableau import prove, tableau_from_json, tableau_to_json
+from tabseq.translate import translate
+
+
+def best(repeats: int, run):
+    """The result of ``run()`` and its best time over ``repeats`` calls, in ms."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - start)
+    return result, 1000 * min(times)
+
+
+def inputs():
+    """(name, function that returns the closed tableau, whether it proves)."""
+    conj = " & ".join(f"P{i}" for i in range(120))
+    wide = parse(f"({conj}) => ({conj})")
+    return [
+        ("growth k=5", lambda: prove([Not(growth_goal(5))]), True),
+        ("wide n=120", lambda: prove([Not(wide)], depth_limit=1000), True),
+        ("deep_tableau(1100)", lambda: deep_tableau(1100), False),
+    ]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    print(f"{'input':<20} {'prove':>7} {'tr off':>7} {'tr on':>7} {'check':>7} "
+          f"{'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} {'tab r':>7}  gs3 / tab bytes")
+    failures = 0
+    for name, make, proves in inputs():
+        ct, prove_ms = best(args.repeats, make)
+        _, off = best(args.repeats, lambda: translate(ct, audit=False))
+        proof, on = best(args.repeats, lambda: translate(ct, audit=True))
+        verdict, check_ms = best(args.repeats, lambda: gs3.check(proof))
+        gs3_text, gs3_w = best(args.repeats, lambda: gs3.proof_to_json(proof))
+        back, gs3_r = best(args.repeats, lambda: gs3.proof_from_json(gs3_text))
+        tab_text, tab_w = best(args.repeats, lambda: tableau_to_json(ct))
+        tab_back, tab_r = best(args.repeats, lambda: tableau_from_json(tab_text))
+        if (not verdict or not gs3.check(back) or gs3.proof_to_json(back) != gs3_text
+                or tableau_to_json(tab_back) != tab_text):
+            failures += 1
+            name += " FAILED"
+        shown = f"{prove_ms:7.1f}" if proves else f"{'—':>7}"
+        print(f"{name:<20} {shown} {off:7.1f} {on:7.1f} {check_ms:7.1f} {gs3_w:7.1f} "
+              f"{gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
+              f"{len(gs3_text.encode()):,} / {len(tab_text.encode()):,}")
+    raise SystemExit(1 if failures else 0)
+
+
+if __name__ == "__main__":
+    main()

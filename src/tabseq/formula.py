@@ -19,20 +19,22 @@ structurally equal nodes are one object, ``==`` is identity and ``hash`` is
 lookup key hashes in C too.  The table holds its nodes weakly, so a node
 nothing else uses leaves it, and a lock guards the build after a miss, so
 threads that build the same formula get one object.  A pickled or copied
-node comes back as the interned node.  Each node carries its height, the
-formula and term nodes on its longest downward path, computed from its
-parts' heights when it is built, so depth bounds cost nothing to test.
+node comes back as the interned node.  Each node carries, set once when it
+is built, its ``parts`` (its subformulas and subterms, in order) and its
+height (the formula and term nodes on its longest downward path, computed
+from its parts' heights), so a traversal reads a node's parts in one
+attribute and depth bounds cost nothing to test.
 The interning is not done by a metaclass: ``isinstance`` against a class
 whose metaclass is not ``type`` leaves CPython's fast path, and the prover
 and checker call it millions of times.
 
 Every structural query and rewrite goes through one generic view of a
-node: ``_parts`` (its subformulas and subterms, in order), ``_name`` (its
-symbol, predicate or bound variable) and ``_make`` (the interned node of a
-class with a name and parts), which the file tables use too.  ``walk``
-lists a node's positions in document order without recursion, and
-``rebuild`` rewrites them bottom-up; since a node rebuilt from unchanged
-parts is the node itself, a rewrite that changes nothing returns its input.
+node: its ``parts``, ``_name`` (its symbol, predicate or bound variable)
+and ``_make`` (the interned node of a class with a name and parts), which
+the file tables use too.  ``walk`` lists a node's positions in document
+order without recursion, and ``rebuild`` rewrites them bottom-up; since a
+node rebuilt from unchanged parts is the node itself, a rewrite that
+changes nothing returns its input.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ def _intern(key: tuple):
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, key[1:]):
                 _set_field(node, name, value)
-            _set_field(node, "height", 1 + max([p.height for p in _parts(node)], default=0))
+            parts = _parts(node)
+            _set_field(node, "parts", parts)
+            _set_field(node, "height", 1 + max([p.height for p in parts], default=0))
             _table[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -122,12 +126,13 @@ class _Node:
     """Base of the ten interned classes: a pickled or copied node is the
     interned node itself.
 
-    ``height`` is the number of formula and term nodes on the longest path
-    from the node down, set from its parts' when the node is built.  It is
-    not a dataclass field, so it takes no part in the intern key, in
+    ``parts`` holds the node's subformulas and subterms in document order,
+    and ``height`` the number of formula and term nodes on the longest path
+    from the node down; both are set when the node is built.  Neither is a
+    dataclass field, so they take no part in the intern key, in
     ``__reduce__`` or in ``repr``."""
 
-    __slots__ = ("__weakref__", "height")
+    __slots__ = ("__weakref__", "parts", "height")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -299,7 +304,7 @@ def walk(x: Formula | Term, descend: Callable[[Formula | Term], bool] | None = N
         node = stack.pop()
         yield node
         if descend is None or descend(node):
-            stack += _parts(node)[::-1]
+            stack += node.parts[::-1]
 
 
 def rebuild(x: Formula | Term, by: Callable[[Formula | Term], Formula | Term | None]
@@ -312,7 +317,7 @@ def rebuild(x: Formula | Term, by: Callable[[Formula | Term], Formula | Term | N
     new = by(x)
     if new is not None:
         return new
-    parts = _parts(x)
+    parts = x.parts
     if not parts:
         return x
     new = tuple([rebuild(p, by) for p in parts])
@@ -358,7 +363,7 @@ def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
             if parts is None:
                 if node in memo:  # reached again through another parent
                     continue
-                parts = _parts(node)
+                parts = node.parts
                 stack.append((node, parts))
                 stack.extend([(p, None) for p in parts if p not in memo])
             else:
@@ -688,7 +693,8 @@ _NO_NAMES = frozenset()
 
 
 def _parts(x: Formula | Term) -> tuple:
-    """The subformulas and subterms an entry for ``x`` refers to, in order."""
+    """The subformulas and subterms an entry for ``x`` refers to, in order,
+    from its fields; ``_intern`` stores them as ``x.parts``."""
     cls = type(x)
     if cls is Atom or cls is App:
         return x.args
@@ -703,7 +709,7 @@ def _parts(x: Formula | Term) -> tuple:
 
 def _make(cls: type, name: str | None, parts) -> Formula | Term:
     """The node of class ``cls`` whose ``_name`` is ``name`` and whose
-    ``_parts`` are ``parts``."""
+    ``parts`` are ``parts``."""
     if cls is App or cls is Atom:
         return _intern((cls, name, tuple(parts)))
     return _intern((cls, *parts) if name is None else (cls, name, *parts))
@@ -740,7 +746,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
         raise DepthError(f"formula or term nested deeper than {MAX_DEPTH} levels")
     stack = list(nodes)
     while stack:
-        for part in _parts(stack.pop()):
+        for part in stack.pop().parts:
             if part not in nodes:
                 nodes.add(part)
                 stack.append(part)
@@ -753,7 +759,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
 
     def entry(x: Formula | Term) -> tuple:
         name = _name(x)
-        parts = [index[p] for p in _parts(x)]
+        parts = [index[p] for p in x.parts]
         return (_TAGS[type(x)], *parts) if name is None else (_TAGS[type(x)], name, *parts)
 
     # Equal contents are one interned node, so the sort never compares nodes.

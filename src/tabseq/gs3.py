@@ -495,6 +495,67 @@ def _subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], di
     return sequents, keys, numbers
 
 
+def _multisets(sequents: list[Sequent], keys: list[tuple]
+               ) -> tuple[list[int], list[dict[Formula, int]], dict[tuple[int, int], Sequent],
+                          set[Formula]]:
+    """Number the multisets of the distinct sequent tuples ``sequents``,
+    equal multisets alike, and count each multiset once.  ``keys`` are the
+    distinct subproofs that ``_subproofs`` numbers, children first.
+
+    The keys are read parents first.  A sequent whose tuple is the tuple of
+    a parent's sequent followed by a tail, as ``build_step`` and the reader
+    make them, is counted as that parent's count plus the tail, and the
+    tail is kept as its change from the parent's multiset.  A sequent that
+    extends none of its parents, the root's and a reordered or weakened
+    one, is counted whole.  Two counts are compared only if their formulas'
+    hashes have one sum, which equal multisets have.
+
+    Returns each sequent's multiset number, each multiset's count, the tail
+    of each (multiset, parent multiset) pair met as such an extension, and
+    every formula of the sequents."""
+    numbers: list[int] = [-1] * len(sequents)  # sequent -> multiset number, -1 if unknown
+    sums: list[int] = [0] * len(sequents)  # sequent -> sum of its formulas' hashes
+    counts: list[dict[Formula, int]] = []  # multiset number -> formula -> count
+    by_sum: dict[int, list[int]] = {}  # hash sum -> the multiset numbers with it
+    tails: dict[tuple[int, int], Sequent] = {}
+    formulas: set[Formula] = set()
+    tested: set[tuple[int, int]] = set()  # (sequent, parent sequent) pairs
+
+    def enter(seq: int, count: dict[Formula, int], total: int) -> None:
+        for number in by_sum.setdefault(total, []):
+            if counts[number] == count:
+                break
+        else:
+            number = len(counts)
+            counts.append(count)
+            by_sum[total].append(number)
+        numbers[seq], sums[seq] = number, total
+
+    for seq, _, _, children in reversed(keys):
+        here = sequents[seq]
+        if numbers[seq] < 0:
+            formulas.update(here)
+            enter(seq, dict(Counter(here)), sum(map(hash, here)))
+        size = len(here)
+        for child in children:
+            below = keys[child][0]
+            if below == seq or (below, seq) in tested:
+                continue
+            tested.add((below, seq))
+            there = sequents[below]
+            if len(there) <= size or there[:size] != here:
+                continue
+            tail = there[size:]
+            if numbers[below] < 0:
+                count = counts[numbers[seq]].copy()
+                for f in tail:
+                    count[f] = count.get(f, 0) + 1
+                formulas.update(tail)
+                enter(below, count, sums[seq] + sum(map(hash, tail)))
+            tails.setdefault((numbers[below], numbers[seq]), tail)
+    return numbers, counts, tails, formulas
+
+
 def proof_to_json(proof: GsProof) -> str:
     """Canonical version-2 serialization, compact with sorted keys.
 
@@ -506,26 +567,27 @@ def proof_to_json(proof: GsProof) -> str:
     structure, so the text does not depend on the order of formulas within
     a sequent.  A formula nested deeper than ``MAX_DEPTH`` is a DepthError,
     since the reader would refuse the file.
+
+    A sequent whose tuple extends its parent's is counted from the
+    parent's count and its tail, and its change is read off the tail (see
+    ``_multisets``), so writing a proof grown by ``build_step`` costs what
+    each rule added; any other sequent is counted whole and its change
+    found by comparing counts.
     """
     sequents, keys, numbers = _subproofs(proof)
-    counts = [Counter(seq) for seq in sequents]  # formula -> count, per sequent number
-    items = set().union(*counts)
-    for _, rule, principal, _ in keys:
+    key_list = list(keys)
+    multiset_of, counts, tails, items = _multisets(list(sequents), key_list)
+    for _, rule, principal, _ in key_list:
         if principal is not None:
             items.add(principal)
         if rule is not None and rule.witness is not None:
             items.add(rule.witness)
     table, entry = encode_table(items)
-    # Each sequent's multiset: the set of its formulas if each occurs once,
-    # as most do, and its (formula, count) pairs otherwise.
-    multisets = [frozenset(count) if len(count) == len(seq) else frozenset(count.items())
-                 for count, seq in zip(counts, sequents)]
-    tally = dict(zip(multisets, counts))
 
     node_entries: dict[tuple, int] = {}
     entries: list[int] = []  # key number -> node entry
-    for seq, rule, principal, children in keys:
-        node = (multisets[seq],
+    for seq, rule, principal, children in key_list:
+        node = (multiset_of[seq],
                 None if rule is None else rule.name,
                 None if rule is None or principal is None else entry(principal),
                 None if rule is None or rule.witness is None else entry(rule.witness),
@@ -536,10 +598,10 @@ def proof_to_json(proof: GsProof) -> str:
 
     # The sequents in the order a preorder walk from the root first meets
     # them, each as a change to the sequent of the node's first parent.
-    seq_entries: dict[frozenset, int] = {}  # multiset -> sequent entry
+    seq_entries: dict[int, int] = {}  # multiset number -> sequent entry
     seq_records: list[list] = []
     met: set[int] = set()
-    walk: list[tuple[int, frozenset | None]] = [(root, None)]
+    walk: list[tuple[int, int | None]] = [(root, None)]
     while walk:
         n, base = walk.pop()
         if n in met:
@@ -548,14 +610,16 @@ def proof_to_json(proof: GsProof) -> str:
         multiset = nodes[n][0]
         if multiset not in seq_entries:
             seq_entries[multiset] = len(seq_records)
-            now = tally[multiset]
+            now = counts[multiset]
             if base is None:
-                seq_records.append([None, sorted([(entry(f), c) for f, c in now.items()])])
+                change = [(entry(f), c) for f, c in now.items()]
+            elif (multiset, base) in tails:  # only the tail's formulas changed, each upwards
+                change = [(entry(f), now[f]) for f in dict.fromkeys(tails[multiset, base])]
             else:
-                before = tally[base]
+                before = counts[base]
                 change = [(entry(f), c) for f, c in now.items() - before.items()]
                 change += [(entry(f), 0) for f in before.keys() - now.keys()]
-                seq_records.append([seq_entries[base], sorted(change)])
+            seq_records.append([None if base is None else seq_entries[base], sorted(change)])
         walk.extend((child, multiset) for child in reversed(nodes[n][4]))
     record = {"version": 2, "table": table, "sequents": seq_records,
               "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
@@ -613,11 +677,26 @@ def proof_from_json(text: str) -> GsProof:
 
 
 def _proof_from_v2(record: dict) -> GsProof:
+    """The sequents are read in one loop.  Each sequent's count is its
+    base's with the change applied, and a base's count is handed on, not
+    copied, to the last sequent that names it, so a proof without branches
+    copies none.  A change whose every pair raises a count gives the base's
+    tuple followed by the added occurrences in pair order; any other gives
+    the formulas in the order their counts were first set.  Each
+    sequent's number of occurrences is kept, and the sum is tested against
+    ``MAX_OCCURRENCES`` before the sequent's tuple is built."""
     table = Table(record.get("table"))
     raw_sequents = record.get("sequents")
     if type(raw_sequents) is not list:
         raise FormatError("sequents must be a list")
-    counts: list[dict[int, int]] = []  # per sequent: table entry -> count
+    # How many sequents name each sequent as their base; a malformed entry
+    # is counted as naming none, and refused in the loop below.
+    uses = [0] * len(raw_sequents)
+    for pos, raw in enumerate(raw_sequents):
+        if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and 0 <= raw[0] < pos:
+            uses[raw[0]] += 1
+    counts: list[dict[int, int] | None] = []  # per sequent: table entry -> count, while needed
+    totals: list[int] = []  # per sequent: its number of occurrences
     sequents: list[Sequent] = []
     formulas: dict[int, Formula] = {}
     occurrences = 0
@@ -626,30 +705,38 @@ def _proof_from_v2(record: dict) -> GsProof:
             raise FormatError("a sequent must be [base, [[formula, count], ...]]")
         base, pairs = raw
         if base is None:
-            count, before = {}, ()
+            count, before, total = {}, (), 0
         else:
             base = entry_index(base, len(counts), "base")
-            count, before = dict(counts[base]), sequents[base]
-        grown = True  # every pair adds a formula the sequent lacked so far
+            uses[base] -= 1
+            count, before, total = counts[base], sequents[base], totals[base]
+            if uses[base]:
+                count = dict(count)
+            else:
+                counts[base] = None
+        added: list[tuple[Formula, int]] | None = []  # occurrences added, while each pair raises
         for pair in pairs:
             if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
                 raise FormatError("sequent entries must be [formula, count] pairs")
             f, n = pair
-            formulas[f] = table.formula(f, "sequent formula")
-            if f in count or not n:
-                grown = False
+            formula = formulas[f] = table.formula(f, "sequent formula")
+            old = count.get(f, 0)
+            total += n - old
+            if added is not None and n > old:
+                added.append((formula, n - old))
+            else:
+                added = None
             if n:
                 count[f] = n
             else:
                 count.pop(f, None)
-        occurrences += sum(count.values())
+        occurrences += total
         if occurrences > MAX_OCCURRENCES:
             raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
-        counts.append(count)
-        if grown:
-            # The base's tuple followed by the new formulas in pair order,
-            # which is the order of ``count`` too.
-            sequents.append(before + tuple([formulas[f] for f, n in pairs for _ in range(n)]))
+        counts.append(count if uses[len(counts)] else None)
+        totals.append(total)
+        if added is not None:
+            sequents.append(before + tuple([f for f, n in added for _ in range(n)]))
         else:
             sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
     raw_nodes = record.get("nodes")

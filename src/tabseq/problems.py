@@ -1,5 +1,5 @@
-"""Named example goals, a nested-drinker growth family, and a seeded
-generator of provable instances.
+"""Named example goals, a nested-drinker growth family, a seeded
+generator of provable instances, and one deep closed tableau.
 
 Everything here states goals positively; refute the negation to prove one.
 """
@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 
-from .formula import And, Formula, parse, print_formula
+from .formula import And, App, Atom, Forall, Formula, Meta, Not, Var, parse, print_formula
+from .tableau import ClosedTableau, NameSupply, TableauNode, close, expand
+from .unify import ConstraintStore, Substitution
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -127,3 +129,21 @@ def corpus(generated: int = 40, seed: int = 0) -> list[tuple[str, Formula]]:
     goals.append(("growth-3", growth_goal(3)))
     goals.extend(generated_goals(generated, seed))
     return goals
+
+
+def deep_tableau(steps: int) -> ClosedTableau:
+    """The closed tableau of ``forall x. P(x), ~P(a)`` with ``steps`` gamma
+    steps on ``forall x. P(x)`` along one branch, closed on the first
+    instance against ``~P(a)``: every metavariable is bound to ``a``, so
+    its translation is one branch whose sequents repeat ``P(a)`` up to
+    ``steps`` times."""
+    forall_p = Forall("x", Atom("P", (Var("x"),)))
+    p_a = Atom("P", (App("a", ()),))
+    root = node = TableauNode((forall_p, Not(p_a)))
+    names = NameSupply({"P", "a"})
+    for _ in range(steps):
+        expand(node, forall_p, names)
+        (node,) = node.children
+    store = close(node, ConstraintStore(), Atom("P", (Meta("X1"),)), Not(p_a))
+    unifier = Substitution({f"X{i}": App("a", ()) for i in range(1, steps + 1)})
+    return ClosedTableau(root, store, unifier)

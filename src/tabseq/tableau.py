@@ -406,12 +406,13 @@ def prove(
 def audit_closed_tableau(ct: ClosedTableau) -> None:
     """Check the structural invariants of a finished tableau.
 
-    Raises AuditError on the first violation: every leaf closed, each child
-    multiset equal to its parent plus the introduced formulas
-    (non-destructivity), the introduced formulas the decomposition of the
-    principal by its rule, rule labels consistent with the recorded children,
-    Skolem symbols unused before their introduction, and the unifier
-    ground, solving the store, and equating every closure pair.
+    Raises AuditError on the first violation: every leaf closed, each
+    closed node the only child of a closure rule, each child multiset equal
+    to its parent plus the introduced formulas (non-destructivity), the
+    introduced formulas the decomposition of the principal by its rule,
+    rule labels consistent with the recorded children, Skolem symbols
+    unused before their introduction, and the unifier ground, solving the
+    store, and equating every closure pair.
     """
     def at(node: TableauNode) -> str:
         return path_of(ct.root, node)
@@ -433,6 +434,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"rule-less node {at(node)} has children")
             if not node.closed:
                 raise AuditError(f"open leaf at {at(node)}")
+            if parent is None or parent.rule.kind != CLOSURE:
+                raise AuditError(f"closed leaf {at(node)} is not the child of a closure rule")
             continue
         if node.closed:
             raise AuditError(f"closed node {at(node)} carries a rule")

@@ -443,7 +443,8 @@ def parallel_extend(
         link[id(child)] = (child, [])
     kept = builder.open - len(S)
     first = {} if len(S) > 1 else None
-    made: list[tuple[TableauNode, GsProof]] = []  # (target, leaf) for each new leaf
+    # (target, leaf, the leaf it was made on by one step or None) per new leaf
+    made: list[tuple[TableauNode, GsProof, GsProof | None]] = []
     stats = builder.stats
     stats.steps += 1
 
@@ -465,12 +466,12 @@ def parallel_extend(
                 grown = []
                 for q in leaves:  # each lists itself and its copies
                     grown += bilink[q]
-                    made.extend((target, s) for s in bilink[q] if s is not q)
+                    made.extend((target, s, None) for s in bilink[q] if s is not q)
                 link[key] = (target, grown)
             (child,) = node.children
             grafted = [s for q in S for s in bilink.get(q, ())]
             link[id(child)] = (child, grafted)
-            made.extend((child, s) for s in grafted)
+            made.extend((child, s, None) for s in grafted)
 
     else:
         principal = builder.instance(rule.principal)
@@ -481,7 +482,7 @@ def parallel_extend(
                 continue
             for premise, child in zip(builder.step(s, gs_rule, principal), node.children):
                 link[id(child)][1].append(premise)
-                made.append((child, premise))
+                made.append((child, premise, s))
 
     marks.add(id(node))
     if builder.audit:
@@ -492,7 +493,7 @@ def _audit_link(
     link: dict[int, tuple[TableauNode, list[GsProof]]],
     marks: set[int],
     node: TableauNode,
-    made: list[tuple[TableauNode, GsProof]],
+    made: list[tuple[TableauNode, GsProof, GsProof | None]],
     kept: int,
     builder: _Builder,
 ) -> None:
@@ -500,17 +501,26 @@ def _audit_link(
     replay of ``node`` left alone and the leaves it ``made``, plus the
     containment invariant on the leaves it made.  The target count of each
     child of ``node`` is its parent's plus the sigma-instances of what the
-    rule introduced there."""
+    rule introduced there.
+
+    A leaf made by one step on a leaf linked to ``node``, whose tuple is
+    that leaf's followed by those instances, holds its target: the leaf it
+    was made on passed this test against the target of ``node`` when it
+    was made.  That is one tuple compare; any other leaf is counted."""
     there = builder.targets.pop(id(node))
+    introduced: dict[int, tuple[Formula, ...]] = {}  # id(child) -> the instances added there
     for i, (child, extra) in enumerate(zip(node.children, node.rule.introduced)):
+        introduced[id(child)] = tuple(map(builder.instance, extra))
         count = there if i == len(node.children) - 1 else there.copy()
-        count.update(map(builder.instance, extra))
+        count.update(introduced[id(child)])
         builder.targets[id(child)] = count
-    if kept + len(made) != builder.open or not all(s.is_open for _, s in made):
+    if kept + len(made) != builder.open or not all(s.is_open for _, s, _ in made):
         raise TranslateError("link is not total on the open sequent leaves")
-    for q, s in made:
+    for q, s, on in made:
         if id(q) in marks or id(q) not in link:
             raise TranslateError("link target is not a fringe leaf")
+        if on is not None and s.sequent == on.sequent + introduced[id(q)]:
+            continue
         if builder.targets[id(q)] - Counter(s.sequent):
             raise TranslateError(
                 f"containment invariant broken at sequent leaf {path_of(builder.proof, s)}"

@@ -113,24 +113,20 @@ def subnodes(items) -> set:
 def count_memo_walk(monkeypatch, module, own=None) -> Counter:
     """Count, per node, the visits of the memoised walks ``module`` makes
     through ``formula.mark_any``, or only of those that test ``own`` if it
-    is given: the calls that ask for a node's parts while such a walk
-    runs."""
+    is given: the calls of the walk's test, which ``mark_any`` makes once
+    per node it enters."""
     visits: Counter = Counter()
-    walking = [False]
-    parts, mark_any = formula_module._parts, formula_module.mark_any
-
-    def counted_parts(x):
-        if walking[0]:
-            visits[x] += 1
-        return parts(x)
+    mark_any = formula_module.mark_any
 
     def counted_mark_any(items, memo, test):
-        walking[0] = own is None or test is own
-        try:
+        if own is not None and test is not own:
             return mark_any(items, memo, test)
-        finally:
-            walking[0] = False
 
-    monkeypatch.setattr(formula_module, "_parts", counted_parts)
+        def counted(x):
+            visits[x] += 1
+            return test(x)
+
+        return mark_any(items, memo, counted)
+
     monkeypatch.setattr(module, "mark_any", counted_mark_any)
     return visits

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,16 @@ import pytest
 import tabseq
 from tabseq import gs3
 from tabseq.cli import build_parser, main
-from tabseq.formula import MAX_DEPTH, parse, print_formula
+from tabseq.formula import MAX_DEPTH, Not, parse, print_formula
 from tabseq.gs3 import proof_from_json
 from tabseq.problems import growth_goal
 from tabseq.tableau import (
     CLOSURE,
+    AuditError,
     ClosedTableau,
     RuleInstance,
     TableauNode,
+    audit_closed_tableau,
     tableau_from_json,
     tableau_to_json,
 )
@@ -210,6 +213,30 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "
                               "the alpha decomposition of the principal at (root)")
+        assert not (tmp_path / "forged.gs3").exists()
+
+    @pytest.mark.parametrize("forgery", ["dropped closure", "closed root"])
+    def test_a_closed_leaf_outside_a_closure_rule_exits_two(self, tmp_path, capsys, forgery):
+        # A closure rule of (P | Q) => (P | Q) dropped and its node marked
+        # closed, or a bare closed root: each reads back and must fail the
+        # tableau audit, not the translation.
+        if forgery == "dropped closure":
+            ct = tabseq.prove([Not(parse("(P | Q) => (P | Q)"))])
+            node = ct.root.children[0].children[0].children[0]
+            assert node.rule.kind == CLOSURE
+            node.rule, node.children, node.closed = None, (), True
+            where = "000"
+        else:
+            ct = ClosedTableau(TableauNode((parse("~(P | ~P)"),), closed=True),
+                               ConstraintStore(), Substitution({}))
+            where = "(root)"
+        message = f"closed leaf {where} is not the child of a closure rule"
+        with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
+            audit_closed_tableau(ct)
+        tab = tmp_path / "forged.tab"
+        tab.write_text(tableau_to_json(ct), encoding="utf-8")
+        assert run_cli(["translate", str(tab)]) == 2
+        assert capsys.readouterr().err == f"{tab}: malformed tableau proof: {message}\n"
         assert not (tmp_path / "forged.gs3").exists()
 
     def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):

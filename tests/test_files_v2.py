@@ -19,17 +19,13 @@ import pytest
 import tabseq
 from tabseq import gs3, tableau
 from tabseq.cli import main
-from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Meta, Not, Or, Var, parse, print_formula
+from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Not, Or, Var, parse, print_formula
 from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
-from tabseq.problems import HAND_GOALS, corpus, generated_goals, growth_goal
+from tabseq.problems import HAND_GOALS, corpus, deep_tableau, generated_goals, growth_goal
 from tabseq.tableau import (
     AuditError,
     ClosedTableau,
-    NameSupply,
-    TableauNode,
     audit_closed_tableau,
-    close,
-    expand,
     prove,
     render_tableau,
     tableau_from_json,
@@ -37,7 +33,6 @@ from tabseq.tableau import (
 )
 from tabseq.translate import translate
 from tabseq.tree import node_at
-from tabseq.unify import ConstraintStore, Substitution
 
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 V2_FIXTURES = V1_FIXTURES.parent / "v2"
@@ -179,20 +174,6 @@ def deep_gs3_proof(rounds: int) -> GsProof:
         node = GsProof(short + (P_A,), GsRule("weaken"), P_A, (node,))
         node = GsProof(short, GsRule("forall", A), FORALL_P, (node,))
     return node
-
-
-def deep_tableau(steps: int) -> ClosedTableau:
-    """``steps`` gamma steps on ``forall x. P(x)`` along one branch, closed
-    on the first instance against ``~P(a)``."""
-    root = node = TableauNode((FORALL_P, Not(P_A)))
-    names = NameSupply({"P", "a"})
-    for _ in range(steps):
-        expand(node, FORALL_P, names)
-        (node,) = node.children
-    first = Atom("P", (Meta("X1"),))
-    store = close(node, ConstraintStore(), first, Not(P_A))
-    unifier = Substitution({f"X{i}": A for i in range(1, steps + 1)})
-    return ClosedTableau(root, store, unifier)
 
 
 def test_deep_sequent_proof_reads_back_and_checks(tmp_path, capsys):

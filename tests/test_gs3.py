@@ -2,6 +2,7 @@ import ast
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from tabseq.gs3 import (
     FRESHNESS,
     OPEN_LEAF,
     RULE_GROUPS,
+    RULE_NAMES,
     SCHEMA_MISMATCH,
     FormatError,
     GsProof,
@@ -472,18 +474,24 @@ EXTRA_POOL = (
     "~(exists x. S(x))",
     "exists x. S(x)",
     "~(forall x. S(x))",
+    "Q & R",
+    "~(Q | R)",
+    "~(Q => R)",
 )
 
 
+PROTECTED = (parse("P"), parse("~P"))
+
+
 def random_built_proof(rng: random.Random) -> GsProof:
-    """A proof built only through build_step: random legal expansions over a
-    protected complementary pair, then axioms everywhere."""
+    """A proof built only through build_step: random legal expansions and
+    weakenings over a protected complementary pair, then axioms everywhere."""
     extras = [parse(t) for t in rng.sample(EXTRA_POOL, rng.randrange(0, 4))]
-    sequent = [parse("P"), parse("~P")] + extras
+    sequent = [*PROTECTED, *extras]
     rng.shuffle(sequent)
     proof = GsProof(tuple(sequent))
     fresh = [0]
-    for _ in range(rng.randrange(0, 6)):
+    for _ in range(rng.randrange(0, 14)):
         leaves = open_leaves(proof)
         if not leaves:
             break
@@ -501,6 +509,10 @@ def random_built_proof(rng: random.Random) -> GsProof:
                 candidates.append((GsRule(name, const(rng.choice("ab"))), f))
             else:
                 candidates.append((GsRule(name), f))
+        weakenings = [(GsRule("weaken"), f) for f in dict.fromkeys(node.sequent)
+                      if f not in PROTECTED]
+        if weakenings and (not candidates or rng.random() < 0.2):
+            candidates = weakenings
         if not candidates:
             break
         rule, principal = rng.choice(candidates)
@@ -512,10 +524,17 @@ def random_built_proof(rng: random.Random) -> GsProof:
 
 class TestBuildCheckRoundTrip:
     def test_thousand_random_build_sequences_pass_check(self):
+        used: Counter = Counter()
         for seed in range(1000):
             proof = random_built_proof(random.Random(seed))
             result = check(proof)
             assert result.accepted, (seed, result.describe())
+            text = proof_to_json(proof)
+            back = proof_from_json(text)
+            assert proof_to_json(back) == text, seed
+            assert check(back).accepted, seed
+            used.update(rule_names(proof))
+        assert set(used) == set(RULE_NAMES), used
 
 
 class TestSerialization:
@@ -545,25 +564,28 @@ class TestSerialization:
             proof_from_json(text)
 
     def test_sequent_changes_read_back_in_their_order(self):
-        """A change that only adds formulas its base lacks extends the base's
-        tuple; one that raises or removes a formula of its base, or lists
-        one twice, gives the sequent in the order its counts were set."""
+        """A change whose every pair raises a count extends the base's
+        tuple by the added occurrences in pair order; one that removes or
+        lowers a formula of its base gives the sequent in the order its
+        counts were set."""
         sequents = [
             [None, [[0, 1], [1, 1]]],  # P, Q
             [0, [[2, 1], [3, 2]]],  # adds R and S twice
             [0, [[0, 2]]],  # raises P
             [0, [[0, 0], [2, 1]]],  # removes P, adds R
             [1, [[1, 3]]],  # raises Q
-            [0, [[2, 1], [2, 2]]],  # lists R twice
+            [0, [[2, 1], [2, 2]]],  # lists R twice, raising it each time
+            [1, [[3, 1], [0, 2]]],  # lowers S, raises P
         ]
         text = json.dumps({
             "version": 2, "table": [["P", "P"], ["P", "Q"], ["P", "R"], ["P", "S"]],
-            "sequents": sequents, "root": 6,
-            "nodes": [[n, None, None, None, []] for n in range(6)]
-                     + [[0, None, None, None, list(range(6))]]})
+            "sequents": sequents, "root": 7,
+            "nodes": [[n, None, None, None, []] for n in range(7)]
+                     + [[0, None, None, None, list(range(7))]]})
         p, q, r, s = (parse(name) for name in "PQRS")
         assert [child.sequent for child in proof_from_json(text).children] == [
-            (p, q), (p, q, r, s, s), (p, p, q), (q, r), (p, q, q, q, r, s, s), (p, q, r, r)]
+            (p, q), (p, q, r, s, s), (p, q, p), (q, r), (p, q, r, s, s, q, q), (p, q, r, r),
+            (p, p, q, r, s)]
 
     def test_render_smoke(self):
         text = render_proof(grown_drinker_proof())
