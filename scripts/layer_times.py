@@ -1,9 +1,11 @@
 """Time each stage of the pipeline in-process on three inputs whose proofs
 are long, and print one table row per input.
 
-Stages: prove, translate with the translator's audits off and on, check,
-``.gs3`` write and read, ``.tab`` write and read; each time is the best of
-``--repeats`` runs, in milliseconds, measured with ``time.perf_counter``.
+Stages: prove, translate with the translator's audits off and on, check on
+the translator's proof and on the one read back from its ``.gs3`` text (the
+shared DAG that ``tabseq check`` checks), ``.gs3`` write and read, ``.tab``
+write and read; each time is the best of ``--repeats`` runs, in
+milliseconds, measured with ``time.perf_counter``.
 The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
 
 - growth k=5: the paper's growth family, a shared proof DAG that unfolds to
@@ -58,7 +60,7 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    print(f"{'input':<20} {'prove':>7} {'tr off':>7} {'tr on':>7} {'check':>7} "
+    print(f"{'input':<20} {'prove':>7} {'tr off':>7} {'tr on':>7} {'check':>7} {'check r':>7} "
           f"{'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} {'tab r':>7}  gs3 / tab bytes")
     failures = 0
     for name, make, proves in inputs():
@@ -68,15 +70,16 @@ def main() -> None:
         verdict, check_ms = best(args.repeats, lambda: gs3.check(proof))
         gs3_text, gs3_w = best(args.repeats, lambda: gs3.proof_to_json(proof))
         back, gs3_r = best(args.repeats, lambda: gs3.proof_from_json(gs3_text))
+        back_verdict, check_r = best(args.repeats, lambda: gs3.check(back))
         tab_text, tab_w = best(args.repeats, lambda: tableau_to_json(ct))
         tab_back, tab_r = best(args.repeats, lambda: tableau_from_json(tab_text))
-        if (not verdict or not gs3.check(back) or gs3.proof_to_json(back) != gs3_text
+        if (not verdict or not back_verdict or gs3.proof_to_json(back) != gs3_text
                 or tableau_to_json(tab_back) != tab_text):
             failures += 1
             name += " FAILED"
         shown = f"{prove_ms:7.1f}" if proves else f"{'—':>7}"
-        print(f"{name:<20} {shown} {off:7.1f} {on:7.1f} {check_ms:7.1f} {gs3_w:7.1f} "
-              f"{gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
+        print(f"{name:<20} {shown} {off:7.1f} {on:7.1f} {check_ms:7.1f} {check_r:7.1f} "
+              f"{gs3_w:7.1f} {gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
               f"{len(gs3_text.encode()):,} / {len(tab_text.encode()):,}")
     raise SystemExit(1 if failures else 0)
 

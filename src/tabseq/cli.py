@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import gs3, tableau
@@ -24,28 +23,11 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    inputs: tuple[Path, ...]
-    negate: bool = False
-    gamma_limit: int = 2
-    depth_limit: int = 200
-    emit: str = "both"
-    out: Path | None = None
-    pretty: bool = False
-
-    def __post_init__(self):
-        if self.gamma_limit < 1:
-            raise ValueError("gamma limit must be at least 1")
-        if self.depth_limit < 1:
-            raise ValueError("depth limit must be at least 1")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every ``main`` call can share it."""
+    unchanged, so every ``main`` call can share it.  Each subcommand sets
+    ``run`` to its handler, which takes the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="tabseq",
         description="Refute formulas with free-variable tableaux and compile "
@@ -70,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Output directory (default: next to each input).")
     prove.add_argument("--pretty", action="store_true",
                        help="Print stacked renderings of the proofs.")
+    prove.set_defaults(run=_run_prove)
 
     trans = sub.add_parser("translate", help="Compile a tableau proof file to a sequent proof.")
     trans.add_argument("inputs", nargs=1, type=Path, help="Tableau proof file (.tab).")
@@ -77,9 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Output file (default: input with .gs3 suffix).")
     trans.add_argument("--pretty", action="store_true",
                        help="Print a stacked rendering of the sequent proof.")
+    trans.set_defaults(run=_run_translate)
 
     check = sub.add_parser("check", help="Verify a sequent proof file.")
     check.add_argument("inputs", nargs=1, type=Path, help="Sequent proof file (.gs3).")
+    check.set_defaults(run=_run_check)
 
     return parser
 
@@ -112,39 +97,43 @@ def _refused_write(e: DepthError) -> str:
     return f"cannot write the proof: nested too deeply: {e}"
 
 
-def _prove_one(config: RunConfig, path: Path) -> tuple[int, str]:
+def _prove_one(args: argparse.Namespace, path: Path) -> tuple[int, str]:
     text = _read(path)
     goal = parse(text)
-    if config.negate:
+    if args.negate:
         goal = Not(goal)
-    result = tableau.prove([goal], gamma_limit=config.gamma_limit,
-                           depth_limit=config.depth_limit)
+    result = tableau.prove([goal], gamma_limit=args.gamma_limit,
+                           depth_limit=args.depth_limit)
     if isinstance(result, Exhausted):
         return EXIT_FAILED, f"{path}: Exhausted after {result.steps} steps: {result.reason}"
 
-    out_dir = config.out if config.out is not None else path.parent
+    out_dir = args.out if args.out is not None else path.parent
     lines = [f"{path}: proved with {tableau.rule_count(result.root)} tableau rules"]
-    if config.emit in ("tableau", "both"):
+    if args.emit in ("tableau", "both"):
         tab_path = out_dir / (path.stem + ".tab")
         _write(tab_path, tableau.tableau_to_json(result))
         lines.append(f"wrote {tab_path}")
-    if config.emit in ("gs3", "both"):
+    if args.emit in ("gs3", "both"):
         proof = translate(result)
         gs3_path = out_dir / (path.stem + ".gs3")
         _write(gs3_path, gs3.proof_to_json(proof))
         lines.append(f"wrote {gs3_path}")
-    if config.pretty:
+    if args.pretty:
         lines.append(render_tableau(result).rstrip("\n"))
-        if config.emit in ("gs3", "both"):
+        if args.emit in ("gs3", "both"):
             lines.append(gs3.render_proof(proof).rstrip("\n"))
     return EXIT_OK, "\n".join(lines)
 
 
-def _run_prove(config: RunConfig) -> int:
+def _run_prove(args: argparse.Namespace) -> int:
+    if args.gamma_limit < 1:
+        raise ValueError("gamma limit must be at least 1")
+    if args.depth_limit < 1:
+        raise ValueError("depth limit must be at least 1")
     status = EXIT_OK
-    for path in config.inputs:
+    for path in args.inputs:
         try:
-            code, message = _prove_one(config, path)
+            code, message = _prove_one(args, path)
         except (ParseError, InputError) as e:
             code, message = EXIT_BAD_INPUT, f"{path}: error: {e}"
         except DepthError as e:
@@ -156,8 +145,8 @@ def _run_prove(config: RunConfig) -> int:
     return status
 
 
-def _run_translate(config: RunConfig) -> int:
-    path = config.inputs[0]
+def _run_translate(args: argparse.Namespace) -> int:
+    path = args.inputs[0]
     try:
         # ``translate`` audits the tableau before it builds anything.
         proof = translate(tableau.tableau_from_json(_read(path)))
@@ -169,16 +158,16 @@ def _run_translate(config: RunConfig) -> int:
     except DepthError as e:
         print(f"{path}: error: {_refused_write(e)}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    out_path = config.out if config.out is not None else path.with_suffix(".gs3")
+    out_path = args.out if args.out is not None else path.with_suffix(".gs3")
     _write(out_path, text)
     print(f"wrote {out_path}")
-    if config.pretty:
+    if args.pretty:
         print(gs3.render_proof(proof).rstrip("\n"))
     return EXIT_OK
 
 
-def _run_check(config: RunConfig) -> int:
-    path = config.inputs[0]
+def _run_check(args: argparse.Namespace) -> int:
+    path = args.inputs[0]
     try:
         proof = gs3.proof_from_json(_read(path))
     except FormatError as e:
@@ -189,33 +178,10 @@ def _run_check(config: RunConfig) -> int:
     return EXIT_OK if result else EXIT_FAILED
 
 
-def run(config: RunConfig) -> int:
-    if config.command == "prove":
-        return _run_prove(config)
-    if config.command == "translate":
-        return _run_translate(config)
-    if config.command == "check":
-        return _run_check(config)
-    raise ValueError(f"unknown command {config.command!r}")
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(args.inputs),
-        negate=getattr(args, "negate", False),
-        gamma_limit=getattr(args, "gamma_limit", 2),
-        depth_limit=getattr(args, "depth_limit", 200),
-        emit=getattr(args, "emit", "both"),
-        out=getattr(args, "out", None),
-        pretty=getattr(args, "pretty", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> None:
     args = build_parser().parse_args(argv)
     try:
-        status = run(config_from_args(args))
+        status = args.run(args)
     except (ValueError, InputError, TranslateError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_BAD_INPUT

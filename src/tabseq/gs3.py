@@ -252,21 +252,15 @@ def check(proof: GsProof) -> CheckResult:
     added formulas, as ``build_step`` makes it, is accepted without being
     counted; any other premise is counted and compared.
 
-    Each distinct local inference is checked once per call.  The local
-    check reads nothing but its key, the node's sequent, rule, principal
-    and premise sequents, and the conclusion multiset it is given always
-    equals the count of the node's sequent.  A key is remembered only once
-    it has been accepted, so a node with a remembered key would be
-    accepted again, and skipping it cannot change the first rejection.
-
-    A node object met again, as in a proof read back from a file, whose
-    equal subproofs are one object, is skipped with its whole subproof: the
-    walk finished that subproof, and accepted it, when it first met the
-    object, since an object cannot lie below itself.
+    Each node object is checked once per call.  One met again, as in a
+    proof read back from a file, whose equal subproofs are one object, is
+    skipped with its whole subproof: the walk finished that subproof, and
+    accepted it, when it first met the object, since an object cannot lie
+    below itself.  So the first rejection and its path are those of a
+    check of every node of the tree the proof unfolds to.
     """
     metas: dict = {}  # formula or term -> whether it holds a metavariable
     symbols: dict[str, dict] = {}  # witness symbol -> its memo, as ``metas``
-    accepted: dict[tuple, list[tuple[dict[Formula, int], Sequent]]] = {}  # key -> premises
     met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
     # while checking its parent, are the child's conclusion and new formulas.
@@ -277,16 +271,11 @@ def check(proof: GsProof) -> CheckResult:
         if id(node) in met:
             continue
         met.add(id(node))
-        children = node.children
-        key = (node.sequent, node.rule, node.principal, tuple([c.sequent for c in children]))
-        premises = accepted.get(key)
-        if premises is None:
-            result = _check_node(path, node, conclusion, added, metas, symbols)
-            if isinstance(result, CheckResult):
-                return result
-            premises = accepted[key] = result
+        premises = _check_node(path, node, conclusion, added, metas, symbols)
+        if isinstance(premises, CheckResult):
+            return premises
         for bit in reversed(range(len(premises))):
-            stack.append((path + (bit,), children[bit], *premises[bit]))
+            stack.append((path + (bit,), node.children[bit], *premises[bit]))
     return CheckResult(True)
 
 

@@ -18,6 +18,7 @@ from tabseq.gs3 import check, proof_from_json, proof_to_json
 from tabseq.problems import HAND_GOALS, corpus, generated_goals, growth_goal
 from tabseq.tableau import ClosedTableau, prove, tableau_from_json, tableau_to_json
 from tabseq.translate import translate
+from tabseq.tree import postorder
 
 # sha256 of the concatenated .tab texts and of the concatenated .gs3 texts
 # of each group, in goal order, as the version-3 tableau writer and the
@@ -148,15 +149,17 @@ def test_translate_computes_premise_additions_once_per_rule_and_principal(monkey
     assert len(calls) == len(pairs) == 11
 
 
-def test_check_computes_premise_additions_once_per_distinct_inference(monkeypatch):
+def test_check_computes_premise_additions_once_per_node_object(monkeypatch):
+    """``check`` walks the translator's shared DAG, not the tree it unfolds
+    to: one ``premise_additions`` call per decomposition node object."""
     proof = translate(proved(growth_goal(3)))
-    inferences = {(n.sequent, n.rule, n.principal, tuple(c.sequent for c in n.children))
-                  for _, n in gs3.iter_nodes(proof)
-                  if n.rule is not None and n.rule.name not in ("axiom", "weaken")}
+    decompositions = [n for n in postorder(proof)
+                      if n.rule is not None and n.rule.name not in ("axiom", "weaken")]
     calls = counting(monkeypatch, gs3, "premise_additions")
     assert check(proof).accepted
-    # 751 inferences, 377 of which need their schema's additions.
-    assert len(calls) == len(inferences) == 39
+    # The unfolded tree has 751 inferences, 377 of which need their
+    # schema's additions.
+    assert len(calls) == len(decompositions) == 62
 
 
 def test_translate_finds_outermost_skolem_terms_once_per_formula(monkeypatch):

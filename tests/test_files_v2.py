@@ -32,7 +32,7 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 from tabseq.translate import translate
-from tabseq.tree import node_at
+from tabseq.tree import node_at, postorder
 
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 V2_FIXTURES = V1_FIXTURES.parent / "v2"
@@ -250,15 +250,22 @@ def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys)
 
 
 def test_check_visits_each_node_entry_of_a_read_back_proof_once(monkeypatch):
-    text = proof_to_json(translate(proved(growth_goal(3))))
+    """``check`` checks each node object once, both on the translator's
+    proof and on the one read back from its file, whose node entries are
+    the distinct subproofs."""
+    proof = translate(proved(growth_goal(3)))
+    text = proof_to_json(proof)
     entries = len(json.loads(text)["nodes"])
     back = proof_from_json(text)
     calls = []
     original = gs3._check_node
     monkeypatch.setattr(gs3, "_check_node", lambda *args: (calls.append(1), original(*args))[1])
-    assert check(back).accepted
-    assert entries == 83 and len(calls) <= entries
-    assert gs3.inference_count(back) == 751
+    for dag, objects in ((proof, 114), (back, 83)):
+        calls.clear()
+        assert check(dag).accepted
+        assert len(calls) == len(list(postorder(dag))) == objects
+        assert gs3.inference_count(dag) == 751
+    assert entries == 83
 
 
 class CountedProof(GsProof):

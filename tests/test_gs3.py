@@ -309,8 +309,9 @@ def _growth_proof(k: int) -> GsProof:
 
 
 class TestRepeatedInferences:
-    """``check`` checks each distinct local inference once; a fault at the
-    last occurrence of a repeated one must still be found, at its path."""
+    """A proof repeats local inferences, and ``check`` skips a node object
+    it has met before; a fault at the last occurrence of a repeated
+    inference must still be found, at its path."""
 
     @staticmethod
     def assert_rejected_as_alone(proof: GsProof, path, bad: GsProof) -> None:
