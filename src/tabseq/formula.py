@@ -512,8 +512,7 @@ class _Parser:
 
     Identifiers match ``[A-Za-z][A-Za-z0-9_]*``; the generated families
     ``sko<digits>`` (Skolem symbols) and ``X<digits>`` (metavariables) are
-    reserved and rejected unless ``allow_generated`` is set, which is the
-    mode used when reading proof files back.
+    reserved and rejected unless ``allow_generated`` is set (see ``parse``).
     """
 
     def __init__(self, tokens: list[_Token], allow_generated: bool):
@@ -648,8 +647,9 @@ def parse(text: str, *, allow_generated: bool = False) -> Formula:
     """Parse a formula; bound variables are renamed apart.
 
     ``allow_generated`` admits the reserved ``skoN``/``XN`` identifier
-    families (Skolem symbols and metavariables) and is used only when
-    reading tool-produced proof files.  Input nested deeper than
+    families (Skolem symbols and metavariables).  The package itself never
+    sets it: ``scripts/upgrade_files.py`` does, to read the formula text
+    of version-1 proof files, and so do tests.  Input nested deeper than
     ``MAX_DEPTH`` is a ParseError.
     """
     return _parse_whole(text, allow_generated, _Parser.parse_formula)

@@ -16,7 +16,6 @@ the same name, as the prover and the translator take it from here.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -39,14 +38,10 @@ from .formula import (
     is_ground_term,
     mark_any,
     outermost_skolem_terms,
-    parse,
-    parse_term,
     print_formula,
     print_term,
     subst_var,
 )
-
-# ``replace_at`` is not used here; callers reach it as ``gs3.replace_at``.
 from .tree import (
     FormatError,
     MAX_OCCURRENCES,
@@ -57,10 +52,15 @@ from .tree import (
     indented,
     iter_nodes,
     load_json,
-    parse_field,
     postorder,
-    replace_at,
 )
+
+# Nothing here calls ``parse``, ``parse_term`` or ``replace_at``.  They stay
+# bound in this module because the benchmark's tracer (``WRAPPED`` in
+# ``perfbench/spans.py``) looks each of them up here by name, and a traced
+# run fails on a missing one.
+from .formula import parse, parse_term
+from .tree import replace_at
 
 Sequent = tuple[Formula, ...]
 
@@ -464,8 +464,6 @@ def build_step(
 # - ``nodes``: each [sequent, rule name, principal, witness, [children]],
 #   every child before its parent, and equal subproofs one entry;
 # - ``root``: the index of the root node.
-# A file without ``version`` is version 1: one nested node record per
-# proof node, with formulas as text.
 
 def _subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[int, int]]:
     """The distinct sequents and subproofs of ``proof``, numbered in one
@@ -615,44 +613,10 @@ def proof_to_json(proof: GsProof) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _node_from_record(record, sequent: Callable[[tuple], Sequent],
-                      formula: Callable[[str], Formula],
-                      term: Callable[[str], Term]) -> GsProof:
-    if not isinstance(record, dict):
-        raise FormatError("proof node must be an object")
-    seq_raw = record.get("sequent")
-    if not isinstance(seq_raw, list):
-        raise FormatError("sequent must be a list")
-    for item in seq_raw:
-        if not isinstance(item, list) or len(item) != 2 or not isinstance(item[1], int) or item[1] < 1:
-            raise FormatError("sequent entries must be [formula, count] pairs")
-        if not isinstance(item[0], str):
-            raise FormatError("sequent formula must be a string")
-    formulas = sequent(tuple(map(tuple, seq_raw)))
-    rule_raw = record.get("rule")
-    rule = None
-    principal = None
-    if rule_raw is not None:
-        if not isinstance(rule_raw, dict) or "name" not in rule_raw:
-            raise FormatError("rule must be an object with a name")
-        if not isinstance(rule_raw["name"], str):
-            raise FormatError("rule name must be a string")
-        witness = None
-        if "witness" in rule_raw:
-            witness = parse_field(term, rule_raw["witness"], "witness")
-        rule = GsRule(rule_raw["name"], witness)
-        principal = parse_field(formula, rule_raw.get("principal"), "principal")
-    children_raw = record.get("children", [])
-    if not isinstance(children_raw, list):
-        raise FormatError("children must be a list")
-    children = tuple(_node_from_record(c, sequent, formula, term) for c in children_raw)
-    return GsProof(formulas, rule, principal, children)
-
-
 def proof_from_json(text: str) -> GsProof:
-    """Read a proof written by ``proof_to_json``, or a version-1 file.
+    """Read a proof written by ``proof_to_json``.
 
-    A version-2 file is read in flat loops: each node entry becomes one
+    The file is read in flat loops: each node entry becomes one
     ``GsProof``, shared by every parent that refers to it, so a read-back
     proof is a DAG.  Any malformed entry, a reference to a later or
     missing entry, a term where a formula belongs or the reverse, or a
@@ -660,9 +624,8 @@ def proof_from_json(text: str) -> GsProof:
     FormatError.
     """
     record = load_json(text, "proof")
-    if file_version(record, (2,)) == 2:
-        return _proof_from_v2(record)
-    return _proof_from_v1(record)
+    file_version(record, (2,))
+    return _proof_from_v2(record)
 
 
 def _proof_from_v2(record: dict) -> GsProof:
@@ -749,36 +712,6 @@ def _proof_from_v2(record: dict) -> GsProof:
         nodes.append(GsProof(sequent, rule, principal, tuple(
             [nodes[entry_index(child, len(nodes), "child")] for child in children])))
     return nodes[entry_index(record.get("root"), len(nodes), "root")]
-
-
-def _proof_from_v1(record) -> GsProof:
-    """Each distinct formula or term text is parsed once per call, and each
-    distinct validated sequent entry list becomes its formula tuple once
-    per call.  Nesting too deep to walk is a FormatError, and so are
-    distinct entry lists that hold more than ``MAX_OCCURRENCES`` formula
-    occurrences between them, before any of them is built."""
-    formula = functools.cache(lambda s: parse(s, allow_generated=True))
-    term = functools.cache(lambda s: parse_term(s, allow_generated=True))
-    occurrences = 0
-
-    @functools.cache
-    def sequent(entries: tuple[tuple[str, int], ...]) -> Sequent:
-        nonlocal occurrences
-        occurrences += sum(n for _, n in entries)
-        if occurrences > MAX_OCCURRENCES:
-            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
-        formulas: list[Formula] = []
-        try:
-            for text, n in entries:
-                formulas += [formula(text)] * n
-        except ValueError as e:
-            raise FormatError(f"bad sequent formula: {e}") from None
-        return tuple(formulas)
-
-    try:
-        return _node_from_record(record, sequent, formula, term)
-    except RecursionError:
-        raise FormatError("proof nested too deeply") from None
 
 
 # ------------------------------------------------------------------ render

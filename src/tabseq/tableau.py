@@ -9,11 +9,10 @@ a one-child rule whose child is the closed leaf.  Paths address nodes as
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .formula import (
     App,
@@ -26,13 +25,10 @@ from .formula import (
     encode_table,
     formula_symbols,
     free_metas,
-    parse,
-    parse_term,
     print_formula,
     print_term,
 )
 from .gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
-# ``replace_at`` is not used here; callers reach it as ``tableau.replace_at``.
 from .tree import (
     FormatError,
     MAX_OCCURRENCES,
@@ -42,13 +38,18 @@ from .tree import (
     indented,
     iter_nodes,
     load_json,
-    parse_field,
     path_of,
     postorder,
     preorder,
-    replace_at,
 )
 from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
+
+# Nothing here calls ``parse``, ``parse_term`` or ``replace_at``.  They stay
+# bound in this module because the benchmark's tracer (``WRAPPED`` in
+# ``perfbench/spans.py``) looks each of them up here by name, and a traced
+# run fails on a missing one.
+from .formula import parse, parse_term
+from .tree import replace_at
 
 CLOSURE = "closure"
 
@@ -510,8 +511,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 # for an absent field.  Every formula and term is a table index.  A node's
 # formulas are null when they are its parent's followed by the ones the
 # parent's rule introduced for it, and a list of entries otherwise.  A
-# version-2 file is the same with every node's formulas listed.  A file
-# without ``version`` is version 1: nested node records, formulas as text.
+# version-2 file is the same with every node's formulas listed.
 
 # The rule classes a file may name: the rule table's groups and closure.
 RULE_CLASSES = (*dict.fromkeys(RULE_GROUPS.values()), CLOSURE)
@@ -581,84 +581,20 @@ def _side_str(side) -> str:
     return print_term(side)
 
 
-def _rule_from_record(record, formula: Callable[[str], Formula],
-                      term: Callable[[str], Term]) -> RuleInstance:
-    if not isinstance(record, dict):
-        raise FormatError("rule must be an object")
-    kind = record.get("class")
-    if kind not in RULE_CLASSES:
-        raise FormatError(f"unknown rule class {kind!r}")
-    principal = record.get("principal")
-    principal_f = parse_field(formula, principal, "principal") if principal is not None else None
-    introduced = record.get("introduced")
-    if not isinstance(introduced, list) or not all(isinstance(c, list) for c in introduced):
-        raise FormatError("introduced must be a list of lists")
-    intro = tuple(
-        tuple(parse_field(formula, f, "introduced formula") for f in child)
-        for child in introduced
-    )
-    meta = None
-    if "meta" in record:
-        meta = parse_field(term, record["meta"], "meta field")
-        if not isinstance(meta, Meta):
-            raise FormatError("meta field is not a metavariable")
-    skolem = None
-    if "skolem" in record:
-        skolem = parse_field(term, record["skolem"], "skolem field")
-        if not isinstance(skolem, App) or not skolem.is_skolem:
-            raise FormatError("skolem field is not a Skolem term")
-    pair = None
-    if "closure_pair" in record:
-        raw = record["closure_pair"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise FormatError("closure_pair must be a two-element list")
-        pair = (parse_field(formula, raw[0], "closure pair"),
-                parse_field(formula, raw[1], "closure pair"))
-    return RuleInstance(kind, principal_f, intro, meta=meta, skolem=skolem, closure_pair=pair)
-
-
-def _node_from_record(record, formula: Callable[[str], Formula],
-                      term: Callable[[str], Term]) -> TableauNode:
-    if not isinstance(record, dict):
-        raise FormatError("node must be an object")
-    formulas = record.get("formulas")
-    if not isinstance(formulas, list):
-        raise FormatError("formulas must be a list")
-    fs = tuple(parse_field(formula, f, "formula") for f in formulas)
-    rule = record.get("rule")
-    rule_i = _rule_from_record(rule, formula, term) if rule is not None else None
-    children = record.get("children", [])
-    if not isinstance(children, list):
-        raise FormatError("children must be a list")
-    kids = tuple(_node_from_record(c, formula, term) for c in children)
-    return TableauNode(fs, rule_i, kids, bool(record.get("closed", False)))
-
-
 def tableau_from_json(text: str) -> ClosedTableau:
-    """Read a tableau written by ``tableau_to_json``, or a version-1 or
-    version-2 file.
+    """Read a tableau written by ``tableau_to_json``, or a version-2 file.
 
-    A version-2 or version-3 file is read in flat loops, one
-    ``TableauNode`` per node entry; then one pass from the root gives each
-    node written without its formulas its parent's followed by the ones
-    the parent's rule introduced for it.  Any malformed entry, a reference
+    The file is read in flat loops, one ``TableauNode`` per node entry;
+    then one pass from the root gives each node written without its
+    formulas its parent's followed by the ones the parent's rule
+    introduced for it.  Any malformed entry, a reference
     to a later or missing entry, a node used twice, a term where a formula
     belongs or the reverse, a formula or term with a free bound variable,
     or a node without formulas that is no node's child or whose parent's
     rule introduced none for it is a FormatError.
     """
     record = load_json(text, "tableau")
-    version = file_version(record, (2, 3))
-    if version > 1:
-        return _tableau_from_table(record, version)
-    # Version 1: each distinct formula or term text is parsed once per
-    # call, so equal texts read back as one shared object.
-    formula = functools.cache(lambda s: parse(s, allow_generated=True))
-    term = functools.cache(lambda s: parse_term(s, allow_generated=True))
-    try:
-        return _tableau_from_record(record, formula, term)
-    except RecursionError:
-        raise FormatError("tableau nested too deeply") from None
+    return _tableau_from_table(record, file_version(record, (2, 3)))
 
 
 def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
@@ -755,36 +691,6 @@ def _rule_from_table(raw, formula, term) -> RuleInstance:
         kind, None if principal is None else formula(principal, "principal"),
         tuple(tuple([formula(f, "introduced formula") for f in child]) for child in introduced),
         meta=meta, skolem=skolem, closure_pair=pair)
-
-
-def _tableau_from_record(record, formula: Callable[[str], Formula],
-                         term: Callable[[str], Term]) -> ClosedTableau:
-    if not isinstance(record, dict):
-        raise FormatError("top level must be an object")
-    root = _node_from_record(record.get("root"), formula, term)
-    store_raw = record.get("store")
-    if not isinstance(store_raw, list):
-        raise FormatError("store must be a list")
-    constraints = []
-    for item in store_raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise FormatError("store entries must be two-element lists")
-        constraints.append(Constraint(parse_field(formula, item[0], "constraint"),
-                                      parse_field(formula, item[1], "constraint")))
-    unifier_raw = record.get("unifier")
-    if not isinstance(unifier_raw, list):
-        raise FormatError("unifier must be a list")
-    bindings: dict[str, Term] = {}
-    for entry in unifier_raw:
-        if not isinstance(entry, str) or " := " not in entry:
-            raise FormatError(f"bad unifier entry {entry!r}")
-        name, _, rhs = entry.partition(" := ")
-        t = parse_field(term, name, "unifier entry")
-        if not isinstance(t, Meta):
-            raise FormatError(f"unifier binds non-metavariable {name!r}")
-        bindings[t.name] = parse_field(term, rhs, "unifier entry")
-    unifier = Substitution(bindings)
-    return ClosedTableau(root, ConstraintStore(tuple(constraints)), unifier)
 
 
 # ------------------------------------------------------------------ render

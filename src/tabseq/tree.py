@@ -4,7 +4,7 @@ Both trees are dataclasses whose nodes hold their subtrees in a
 ``children`` tuple.  Paths address nodes as 0/1 sequences, the root being
 the empty sequence.  This module imports nothing from the package, so the
 independent checker may use it.  It also holds what the proof-file readers
-share: their error, JSON loading and field checks.
+share: their error, JSON loading, version check and entry references.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable, Iterator, TypeVar
 
 Path = tuple[int, ...]
 N = TypeVar("N")
-T = TypeVar("T")
 
 # Formula occurrences a reader builds from one file: a file can ask for many
 # more occurrences than it has bytes, since a sequent or tableau node is
@@ -133,17 +132,6 @@ def postorder(root: N) -> Iterator[N]:
             stack.extend((child, False) for child in reversed(node.children))
 
 
-def parse_field(read: Callable[[str], T], raw, what: str) -> T:
-    """``read`` applied to a string field of a file record; a field of
-    another type, or one ``read`` refuses, is a FormatError."""
-    if not isinstance(raw, str):
-        raise FormatError(f"{what} must be a string")
-    try:
-        return read(raw)
-    except ValueError as e:
-        raise FormatError(f"bad {what}: {e}") from None
-
-
 def load_json(text: str, what: str):
     """The JSON value of a proof file; invalid JSON, or JSON nested too
     deeply to decode, is a FormatError."""
@@ -157,10 +145,15 @@ def load_json(text: str, what: str):
 
 def file_version(record, versions: tuple[int, ...]) -> int:
     """The ``version`` of a proof file's top-level object, one of the
-    ``versions`` its reader accepts, or 1 for an object without one; any
-    other version is a FormatError."""
-    if not isinstance(record, dict) or "version" not in record:
-        return 1
+    ``versions`` its reader accepts.  A top level that is no object, an
+    object without a version (an old, version-1 file, which
+    ``scripts/upgrade_files.py`` rewrites in the current format) and any
+    other version are FormatErrors."""
+    if not isinstance(record, dict):
+        raise FormatError("top level must be a JSON object")
+    if "version" not in record:
+        raise FormatError("no version field: version-1 files are no longer read; "
+                          "upgrade it with scripts/upgrade_files.py")
     version = record["version"]
     if type(version) is not int or version not in versions:
         raise FormatError(f"unknown version {version!r}")

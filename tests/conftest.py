@@ -1,10 +1,16 @@
-"""Shared test helpers: a seeded random formula builder, and a count of
-the nodes the memoised formula walks visit."""
+"""Shared test helpers: a seeded random formula builder, a count of the
+nodes the memoised formula walks visit, and the upgrade script run
+in-process."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from tabseq import formula as formula_module
 from tabseq.formula import (
@@ -130,3 +136,22 @@ def count_memo_walk(monkeypatch, module, own=None) -> Counter:
 
     monkeypatch.setattr(module, "mark_any", counted_mark_any)
     return visits
+
+
+UPGRADE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "upgrade_files.py"
+
+
+@functools.cache
+def _upgrade_module():
+    spec = importlib.util.spec_from_file_location("upgrade_files", UPGRADE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_upgrade(argv: list[str]) -> int:
+    """``scripts/upgrade_files.py`` run in-process on ``argv``; its exit
+    status.  An exception it does not turn into a message fails the test."""
+    with pytest.raises(SystemExit) as exc:
+        _upgrade_module().main(argv)
+    return exc.value.code

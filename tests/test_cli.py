@@ -26,6 +26,8 @@ from tabseq.tableau import (
 )
 from tabseq.unify import ConstraintStore, Substitution
 
+from conftest import run_upgrade
+
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
 
@@ -371,9 +373,18 @@ V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 
 
 class TestMalformedFields:
-    """Mistyped fields of a version-1 file are malformed files: exit status
-    2, a message, and no traceback, never the Rejected/Exhausted status 1.
-    The files are the drinker proofs the version-1 writers wrote."""
+    """Mistyped fields of a version-1 file: ``check`` and ``translate``
+    refuse the file, and the upgrade script reports it, each with exit
+    status 2, a message, and no traceback, never the Rejected/Exhausted
+    status 1.  The files are the drinker proofs the version-1 writers
+    wrote."""
+
+    def assert_upgrade_refuses(self, tmp_path, capsys, path):
+        out = tmp_path / "upgraded"
+        assert run_upgrade([str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: cannot upgrade: ") and "Traceback" not in err
+        assert not out.exists()
 
     def mutated(self, tmp_path, suffix, mutate):
         path = tmp_path / f"drinker{suffix}"
@@ -397,6 +408,7 @@ class TestMalformedFields:
         assert run_cli(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert "malformed sequent proof" in err and "Traceback" not in err
+        self.assert_upgrade_refuses(tmp_path, capsys, path)
 
     @pytest.mark.parametrize("mutate", [
         set_in_rule("meta", 7),
@@ -419,6 +431,7 @@ class TestMalformedFields:
         assert run_cli(["translate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "malformed tableau proof" in err and "Traceback" not in err
+        self.assert_upgrade_refuses(tmp_path, capsys, path)
 
 
 class TestDeepInputs:

@@ -1,8 +1,9 @@
 """Proof files over a structured formula table: version-2 `.gs3` files, one
 shared node DAG, and version-3 `.tab` files, each grown node written as its
-parent plus what its rule introduced.  Version-1 files and version-2 `.tab`
-files still read; deep proofs read back; the checker on shared read-back
-proofs; hostile and mutated files."""
+parent plus what its rule introduced.  Version-2 `.tab` files still read,
+version-1 files are refused and upgraded by `scripts/upgrade_files.py`;
+deep proofs read back; the checker on shared read-back proofs; hostile and
+mutated files."""
 
 import json
 import os
@@ -11,7 +12,6 @@ import re
 import resource
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,6 +34,8 @@ from tabseq.tableau import (
 from tabseq.translate import translate
 from tabseq.tree import node_at, postorder
 
+from conftest import UPGRADE_SCRIPT, run_upgrade
+
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 V2_FIXTURES = V1_FIXTURES.parent / "v2"
 FIXTURE_GOALS = {
@@ -55,18 +57,6 @@ def run_cli(argv) -> int:
     return exc.value.code
 
 
-def same_proof(a: GsProof, b: GsProof) -> bool:
-    """Equal proofs up to the order of the formulas within each sequent."""
-    pairs = [(a, b)]
-    while pairs:
-        x, y = pairs.pop()
-        if ((Counter(x.sequent), x.rule, x.principal, len(x.children))
-                != (Counter(y.sequent), y.rule, y.principal, len(y.children))):
-            return False
-        pairs.extend(zip(x.children, y.children))
-    return True
-
-
 def depth(root) -> int:
     deepest, stack = 0, [(root, 0)]
     while stack:
@@ -80,21 +70,40 @@ def depth(root) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GOALS))
-def test_v1_fixture_writes_the_fresh_text(name):
+def test_v1_fixture_writes_the_fresh_text(tmp_path, capsys, name):
+    """The upgrade script writes each version-1 fixture as the current
+    writers write the fixture's goal, and the checker accepts the
+    upgraded proof."""
     ct = proved(FIXTURE_GOALS[name])
     fresh_tab, fresh_gs3 = tableau_to_json(ct), proof_to_json(translate(ct))
-    v1_tab_text = (V1_FIXTURES / f"{name}.tab").read_text(encoding="utf-8")
-    v1_gs3_text = (V1_FIXTURES / f"{name}.gs3").read_text(encoding="utf-8")
-    assert "version" not in json.loads(v1_tab_text) and "version" not in json.loads(v1_gs3_text)
-    v1_tab, v1_proof = tableau_from_json(v1_tab_text), proof_from_json(v1_gs3_text)
-    assert tableau_to_json(v1_tab) == fresh_tab
-    assert proof_to_json(v1_proof) == fresh_gs3
+    v1_tab, v1_gs3 = V1_FIXTURES / f"{name}.tab", V1_FIXTURES / f"{name}.gs3"
+    assert all("version" not in json.loads(path.read_text(encoding="utf-8"))
+               for path in (v1_tab, v1_gs3))
+    assert run_upgrade([str(v1_tab), str(v1_gs3), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / f"{name}.tab").read_text(encoding="utf-8") == fresh_tab
+    assert (tmp_path / f"{name}.gs3").read_text(encoding="utf-8") == fresh_gs3
     assert json.loads(fresh_tab)["version"] == 3 and json.loads(fresh_gs3)["version"] == 2
-    # The version-1 reader lists a sequent's formulas by their text, the
-    # version-2 reader by table entry.
-    assert tableau_from_json(fresh_tab) == v1_tab
-    assert same_proof(proof_from_json(fresh_gs3), v1_proof)
-    assert check(v1_proof).accepted
+    assert check(proof_from_json(fresh_gs3)).accepted
+
+
+@pytest.mark.parametrize("path", sorted(V1_FIXTURES.iterdir()), ids=lambda p: p.name)
+def test_v1_file_is_refused_with_the_upgrade_hint(tmp_path, capsys, path):
+    """``check`` and ``translate`` read no version-1 file: exit 2, with one
+    message that names the upgrade script.  A top level that is no object
+    has a message of its own."""
+    command = "check" if path.suffix == ".gs3" else "translate"
+    kind = "sequent proof" if path.suffix == ".gs3" else "tableau proof"
+    out = ["--out", str(tmp_path / "o.gs3")] if command == "translate" else []
+    assert run_cli([command, str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: malformed {kind}: no version field") and err.count("\n") == 1
+    assert "scripts/upgrade_files.py" in err and "Traceback" not in err
+    listed = tmp_path / f"list{path.suffix}"
+    listed.write_text("[1, 2]\n", encoding="utf-8")
+    assert run_cli([command, str(listed), *out]) == 2
+    assert capsys.readouterr().err == f"{listed}: malformed {kind}: top level must be a JSON object\n"
+    assert not (tmp_path / "o.gs3").exists()
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_GOALS))
@@ -115,9 +124,10 @@ def test_v2_fixture_reads_back_translates_and_checks(name):
 
 def test_v1_sequent_counts_are_bounded(tmp_path):
     """A 31-byte v1 file that claims a billion occurrences of one formula
-    exits 2 before any sequent is built.  It is checked in a child process
-    whose address space is capped at 2 GiB, so a reader without the bound
-    ends in a MemoryError there instead of taking the machine's memory."""
+    makes the upgrade script exit 2 before any sequent is built.  It runs
+    as a child process whose address space is capped at 2 GiB, so a script
+    without the bound ends in a MemoryError there instead of taking the
+    machine's memory."""
     path = tmp_path / "huge.gs3"
     path.write_text('{"sequent":[["P",1000000000]]}\n', encoding="utf-8")
     assert path.stat().st_size == 31
@@ -128,12 +138,14 @@ def test_v1_sequent_counts_are_bounded(tmp_path):
     src = str(Path(tabseq.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "tabseq", "check", str(path)],
+    done = subprocess.run([sys.executable, str(UPGRADE_SCRIPT), str(path),
+                           "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=60,
                           preexec_fn=cap_memory)
     assert done.returncode == 2, done.stderr
     assert f"more than {gs3.MAX_OCCURRENCES} formulas" in done.stderr
     assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_writers_emit_no_formula_text_and_constant_nesting():

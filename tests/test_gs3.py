@@ -632,7 +632,7 @@ class TestSerialization:
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tabseq"
-TREE_HELPERS = {"format_path", "node_at", "iter_nodes", "replace_at", "FormatError", "parse_field"}
+TREE_HELPERS = {"format_path", "node_at", "iter_nodes", "replace_at", "FormatError"}
 
 
 def package_imports(path: pathlib.Path) -> set[str]:
