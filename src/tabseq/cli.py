@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import gs3, tableau
-from .formula import DepthError, Not, ParseError, parse
+from .formula import DepthError, Not, ParseError, parse, print_formula, print_term
 from .tableau import Exhausted, render_tableau
 from .translate import TranslateError, translate
-from .tree import FormatError
+from .tree import FormatError, indented
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -97,6 +98,47 @@ def _refused_write(e: DepthError) -> str:
     return f"cannot write the proof: nested too deeply: {e}"
 
 
+def render_proof(proof: gs3.GsProof) -> str:
+    """Human-readable stacked rendering, root first, branches indented.
+
+    Each distinct subproof, as ``proof_to_json`` numbers them, is rendered
+    once, whether its copies are one node object or several.  One with two
+    or more parents is numbered where it is first rendered, ``[n] sequent
+    |-``, and is written ``[n] as above`` wherever it is met again, so the
+    rendering of a shared proof grows with its distinct subproofs, not with
+    the tree it unfolds to.
+    """
+    _, keys, numbers = gs3.subproofs(proof)
+    parents = Counter(child for key in keys for child in key[3])
+    labels: dict[int, str] = {}  # key number -> "[n]"
+    lines: list[str] = []
+
+    def label(node: gs3.GsProof) -> str:
+        rule = node.rule
+        text = rule.name
+        if node.principal is not None:
+            text += f" on {print_formula(node.principal)}"
+        if rule.witness is not None:
+            text += f" [{print_term(rule.witness)}]"
+        return text
+
+    for indent, node, again in indented(proof, lambda n: numbers[id(n)]):
+        number = numbers[id(node)]
+        if again:
+            lines.append(f"{indent}{labels[number]} as above")
+            continue
+        seq = ", ".join(print_formula(f) for f in node.sequent)
+        if parents[number] > 1:
+            labels[number] = f"[{len(labels) + 1}]"
+            seq = f"{labels[number]} {seq}"
+        lines.append(f"{indent}{seq} |-")
+        if node.rule is not None:
+            lines.append(f"{indent}-- {label(node)}")
+        elif node.is_open:
+            lines.append(f"{indent}-- (open)")
+    return "\n".join(lines) + "\n"
+
+
 def _prove_one(args: argparse.Namespace, path: Path) -> tuple[int, str]:
     text = _read(path)
     goal = parse(text)
@@ -121,7 +163,7 @@ def _prove_one(args: argparse.Namespace, path: Path) -> tuple[int, str]:
     if args.pretty:
         lines.append(render_tableau(result).rstrip("\n"))
         if args.emit in ("gs3", "both"):
-            lines.append(gs3.render_proof(proof).rstrip("\n"))
+            lines.append(render_proof(proof).rstrip("\n"))
     return EXIT_OK, "\n".join(lines)
 
 
@@ -162,7 +204,7 @@ def _run_translate(args: argparse.Namespace) -> int:
     _write(out_path, text)
     print(f"wrote {out_path}")
     if args.pretty:
-        print(gs3.render_proof(proof).rstrip("\n"))
+        print(render_proof(proof).rstrip("\n"))
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
-"""One-sided ground sequent calculus: proof trees, stepwise construction,
-and an independent checker.
+"""One-sided ground sequent calculus: the rule table, proof trees, an
+independent checker, and the ``.gs3`` reader and writer.
 
 Sequents are multisets of ground formulas read "Delta |-".  Contraction is
 implicit (every rule keeps its principal formula in the premises) and
@@ -9,9 +9,11 @@ sequent; that locality is the whole trust story of the checker, so this
 module deliberately depends on nothing but the formula syntax and the
 shared tree helpers.
 
-It also holds the one rule table (``rule_name``, ``RULE_GROUPS``,
-``premise_additions``): each tableau expansion is the sequent rule of
-the same name, as the prover and the translator take it from here.
+The rule table (``rule_name``, ``RULE_GROUPS``, ``premise_additions``) is
+written once, in ``_RULES``: each tableau expansion is the sequent rule of
+the same name, as the prover and the translator take it from here.  The
+translator's step builder and the ``--pretty`` renderer live with their
+callers, ``translate`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .formula import (
     And,
@@ -34,12 +36,9 @@ from .formula import (
     Table,
     Term,
     encode_table,
-    formula_symbols,
     is_ground_term,
     mark_any,
-    outermost_skolem_terms,
     print_formula,
-    print_term,
     subst_var,
 )
 from .tree import (
@@ -49,48 +48,48 @@ from .tree import (
     entry_index,
     file_version,
     format_path,
-    indented,
-    iter_nodes,
     load_json,
     postorder,
 )
 
-# Nothing here calls ``parse``, ``parse_term`` or ``replace_at``.  They stay
-# bound in this module because the benchmark's tracer (``WRAPPED`` in
-# ``perfbench/spans.py``) looks each of them up here by name, and a traced
-# run fails on a missing one.
-from .formula import parse, parse_term
-from .tree import replace_at
+# Nothing here calls ``parse``, ``parse_term``, ``print_term``,
+# ``replace_at`` or ``iter_nodes``.  They stay bound in this module because
+# the benchmark's tracer (``WRAPPED`` in ``perfbench/spans.py``) looks the
+# first four up here by name, and a traced run fails on a missing one; the
+# benchmark's tests call the last two on this module.
+from .formula import parse, parse_term, print_term
+from .tree import iter_nodes, replace_at
 
 Sequent = tuple[Formula, ...]
 
-# Each decomposition rule's tableau group.
-RULE_GROUPS = {
-    "not_not": "alpha", "not_implies": "alpha", "and": "alpha", "not_or": "alpha",
-    "implies": "beta", "not_and": "beta", "or": "beta",
-    "exists": "delta", "not_forall": "delta",
-    "not_exists": "gamma", "forall": "gamma",
-}
+# The decomposition rules, one row each: the rule's name and tableau group,
+# its principal's class and, under a negation, the body's class, and what
+# each premise adds, from the formula decomposed (the principal, or the
+# negation's body) and the rule's witness.
+_RULES = (
+    ("not_not", "alpha", Not, Not, lambda f, w: ((f.body,),)),
+    ("not_implies", "alpha", Not, Implies, lambda f, w: ((f.left, Not(f.right)),)),
+    ("and", "alpha", And, None, lambda f, w: ((f.left, f.right),)),
+    ("not_or", "alpha", Not, Or, lambda f, w: ((Not(f.left), Not(f.right)),)),
+    ("implies", "beta", Implies, None, lambda f, w: ((Not(f.left),), (f.right,))),
+    ("not_and", "beta", Not, And, lambda f, w: ((Not(f.left),), (Not(f.right),))),
+    ("or", "beta", Or, None, lambda f, w: ((f.left,), (f.right,))),
+    ("exists", "delta", Exists, None, lambda f, w: ((subst_var(f.body, f.var, w),),)),
+    ("not_forall", "delta", Not, Forall, lambda f, w: ((Not(subst_var(f.body, f.var, w)),),)),
+    ("not_exists", "gamma", Not, Exists, lambda f, w: ((Not(subst_var(f.body, f.var, w)),),)),
+    ("forall", "gamma", Forall, None, lambda f, w: ((subst_var(f.body, f.var, w),),)),
+)
+RULE_GROUPS = {name: group for name, group, *_ in _RULES}
 RULE_NAMES = (*RULE_GROUPS, "axiom", "weaken")
-
-# The rule whose principal a formula is, by its class and, under a
-# negation, by its body's class.
-_RULE_OF = {And: "and", Or: "or", Implies: "implies", Exists: "exists", Forall: "forall"}
-_NEGATED_RULE_OF = {Not: "not_not", And: "not_and", Or: "not_or", Implies: "not_implies",
-                    Forall: "not_forall", Exists: "not_exists"}
+# The row whose principal a formula is, by its class and, under a negation,
+# by its body's class.
+_ROW_OF = {row[2]: row for row in _RULES if row[3] is None}
+_NEGATED_ROW_OF = {row[3]: row for row in _RULES if row[3] is not None}
 
 SCHEMA_MISMATCH = "schema-mismatch"
 FRESHNESS = "freshness-violation"
 BAD_AXIOM = "bad-axiom"
 OPEN_LEAF = "open-leaf"
-
-
-class StepError(ValueError):
-    """A construction step violated its rule schema."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(f"{reason}: {message}")
-        self.reason = reason
 
 
 class GsRule(NamedTuple):
@@ -105,9 +104,9 @@ class GsRule(NamedTuple):
 class GsProof:
     """A sequent-proof node; leaves without a rule are open.
 
-    Not frozen: ``build_step`` grows a proof by setting the rule, principal
-    and children of an open leaf, once.  A node compares and hashes by
-    identity, so the translator keys its bookkeeping by node.
+    Not frozen: the translator grows a proof by setting the rule,
+    principal and children of an open leaf, once.  A node compares and
+    hashes by identity, so the translator keys its bookkeeping by node.
     """
 
     sequent: Sequent
@@ -136,13 +135,6 @@ class CheckResult:
         return f"Rejected: {self.reason} at path {format_path(self.path)}"
 
 
-# ------------------------------------------------------------- tree helpers
-
-
-def open_leaves(root: GsProof) -> list[Path]:
-    return [p for p, n in iter_nodes(root) if n.is_open]
-
-
 def inference_count(root: GsProof) -> int:
     """The inferences of the tree the proof unfolds to, a shared node object
     counted once per path to it, in one pass over the objects."""
@@ -152,83 +144,28 @@ def inference_count(root: GsProof) -> int:
     return below[id(root)]
 
 
-def rule_names(root: GsProof) -> list[str]:
-    """Rule names in preorder; on a single branch this is root-to-leaf order."""
-    return [n.rule.name for _, n in iter_nodes(root) if n.rule is not None]
-
-
-def spine_rule_names(root: GsProof, *, coalesce_weaken: bool = False) -> list[str]:
-    """Rule names along the leftmost branch, root to leaf.
-
-    With ``coalesce_weaken`` set, a run of consecutive weakenings counts as
-    one entry, matching how stacked derivations display them.
-    """
-    names: list[str] = []
-    node = root
-    while node.rule is not None:
-        names.append(node.rule.name)
-        if not node.children:
-            break
-        node = node.children[0]
-    if coalesce_weaken:
-        out: list[str] = []
-        for name in names:
-            if name == "weaken" and out and out[-1] == "weaken":
-                continue
-            out.append(name)
-        return out
-    return names
-
-
 # ----------------------------------------------------------------- schemas
 
 
 def rule_name(f: Formula) -> str | None:
     """The decomposition rule whose principal ``f`` is; None for a literal."""
-    if type(f) is Not:
-        return _NEGATED_RULE_OF.get(type(f.body))
-    return _RULE_OF.get(type(f))
+    row = _NEGATED_ROW_OF.get(type(f.body)) if type(f) is Not else _ROW_OF.get(type(f))
+    return None if row is None else row[0]
 
 
 def premise_additions(rule: GsRule, principal: Formula) -> tuple[tuple[Formula, ...], ...] | None:
-    """Formulas each premise adds to the conclusion, or None on a shape clash."""
-    name = rule.name
-    if name == "not_not":
-        if isinstance(principal, Not) and isinstance(principal.body, Not):
-            return ((principal.body.body,),)
-    elif name == "not_implies":
-        if isinstance(principal, Not) and isinstance(principal.body, Implies):
-            return ((principal.body.left, Not(principal.body.right)),)
-    elif name == "and":
-        if isinstance(principal, And):
-            return ((principal.left, principal.right),)
-    elif name == "not_or":
-        if isinstance(principal, Not) and isinstance(principal.body, Or):
-            return ((Not(principal.body.left), Not(principal.body.right)),)
-    elif name == "implies":
-        if isinstance(principal, Implies):
-            return ((Not(principal.left),), (principal.right,))
-    elif name == "not_and":
-        if isinstance(principal, Not) and isinstance(principal.body, And):
-            return ((Not(principal.body.left),), (Not(principal.body.right),))
-    elif name == "or":
-        if isinstance(principal, Or):
-            return ((principal.left,), (principal.right,))
-    elif name == "exists":
-        if isinstance(principal, Exists) and rule.witness is not None:
-            return ((subst_var(principal.body, principal.var, rule.witness),),)
-    elif name == "not_forall":
-        if isinstance(principal, Not) and isinstance(principal.body, Forall) and rule.witness is not None:
-            inner = subst_var(principal.body.body, principal.body.var, rule.witness)
-            return ((Not(inner),),)
-    elif name == "not_exists":
-        if isinstance(principal, Not) and isinstance(principal.body, Exists) and rule.witness is not None:
-            inner = subst_var(principal.body.body, principal.body.var, rule.witness)
-            return ((Not(inner),),)
-    elif name == "forall":
-        if isinstance(principal, Forall) and rule.witness is not None:
-            return ((subst_var(principal.body, principal.var, rule.witness),),)
-    return None
+    """Formulas each premise adds to the conclusion, or None on a shape
+    clash or a quantifier rule without a witness."""
+    if type(principal) is Not:
+        row = _NEGATED_ROW_OF.get(type(principal.body))
+    else:
+        row = _ROW_OF.get(type(principal))
+    if row is None:
+        return None
+    name, group, _, body, adds = row
+    if name != rule.name or (rule.witness is None and group in ("delta", "gamma")):
+        return None
+    return adds(principal if body is None else principal.body, rule.witness)
 
 
 # ------------------------------------------------------------------- check
@@ -248,9 +185,10 @@ def check(proof: GsProof) -> CheckResult:
     there, so the metavariable test reads the root's formulas and, at each
     other node, only those added ones; a per-call memo walks each distinct
     subformula once.  The freshness test keeps one such memo per witness
-    symbol.  A premise whose tuple is its conclusion's followed by the
-    added formulas, as ``build_step`` makes it, is accepted without being
-    counted; any other premise is counted and compared.
+    symbol.  A premise whose tuple is its conclusion's followed by a tail
+    that is the added formulas in some order, as the translator and the
+    reader make it, is accepted by counting at most that tail; any other
+    premise is counted whole and compared.
 
     Each node object is checked once per call.  One met again, as in a
     proof read back from a file, whose equal subproofs are one object, is
@@ -364,13 +302,15 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
                                    f"witness {w.symbol} occurs in the conclusion sequent")
 
     premises: list[tuple[dict[Formula, int], Sequent]] = []
+    seq, size = node.sequent, len(node.sequent)
     for bit, extra in enumerate(additions):
         expected = dict(conclusion)
         for f in extra:
             expected[f] = expected.get(f, 0) + 1
         premise = node.children[bit].sequent
-        if premise == node.sequent + extra:
-            premises.append((expected, extra))
+        tail = premise[size:]
+        if premise[:size] == seq and (tail == extra or _multiset(tail) == _multiset(extra)):
+            premises.append((expected, tail))
         elif _multiset(premise) == expected:
             # The added formulas in the premise's own order, among the
             # conclusion's, which the memo answers without a walk.
@@ -379,77 +319,6 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"premise {bit} is not conclusion plus introduced formulas")
     return premises
-
-
-# ------------------------------------------------------------- build steps
-
-
-def build_step(
-    node: GsProof,
-    rule: GsRule,
-    principal: Formula,
-    *,
-    additions: tuple[tuple[Formula, ...], ...] | None = None,
-    outermost_skolems: Callable[[Formula], set[App]] | None = None,
-) -> None:
-    """Extend an open leaf by one inference, validating the schema eagerly.
-
-    The leaf is extended in place: it gets its rule, principal and fresh
-    premise leaves.  A refused step raises StepError and changes nothing.
-
-    A builder that has computed ``premise_additions(rule, principal)``
-    passes the result as ``additions``; one that remembers
-    ``outermost_skolem_terms`` of each formula passes that lookup as
-    ``outermost_skolems``.  Both are trusted to be exactly what they stand
-    for.
-
-    During tableau translation the existential witnesses are still Skolem
-    terms; those are accepted here with the corresponding relaxed freshness
-    reading (the witness term must not occur outermost in the conclusion),
-    which coincides with the checker's constant freshness after the final
-    Skolem-to-constant replacement.
-    """
-    if not node.is_open:
-        raise StepError(SCHEMA_MISMATCH, "node is not an open leaf")
-    if principal not in node.sequent:
-        raise StepError(SCHEMA_MISMATCH,
-                        f"principal {print_formula(principal)} not in sequent")
-
-    if rule.name == "axiom":
-        if Not(principal) not in node.sequent:
-            raise StepError(BAD_AXIOM, f"no complement for {print_formula(principal)}")
-        children: tuple[GsProof, ...] = ()
-    elif rule.name == "weaken":
-        remaining = list(node.sequent)
-        remaining.remove(principal)
-        children = (GsProof(tuple(remaining)),)
-    else:
-        if additions is None:
-            additions = premise_additions(rule, principal)
-        if additions is None:
-            raise StepError(SCHEMA_MISMATCH,
-                            f"{rule.name} does not apply to {print_formula(principal)}")
-        group = RULE_GROUPS.get(rule.name)
-        if group in ("delta", "gamma"):
-            w = rule.witness
-            if w is None or not is_ground_term(w):
-                raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
-            if group == "delta":
-                if isinstance(w, App) and w.is_skolem:
-                    if outermost_skolems is None:
-                        outermost_skolems = outermost_skolem_terms
-                    if any(w in outermost_skolems(f) for f in node.sequent):
-                        raise StepError(FRESHNESS,
-                                        f"witness {print_term(w)} occurs in the conclusion")
-                elif isinstance(w, App) and not w.args:
-                    if any(w.symbol in formula_symbols(f) for f in node.sequent):
-                        raise StepError(FRESHNESS,
-                                        f"witness {w.symbol} occurs in the conclusion")
-                else:
-                    raise StepError(SCHEMA_MISMATCH,
-                                    "existential witness must be a constant or Skolem term")
-        children = tuple(GsProof(node.sequent + extra) for extra in additions)
-    node.rule, node.principal, node.children = rule, principal, children
 
 
 # --------------------------------------------------------------- serialize
@@ -465,13 +334,13 @@ def build_step(
 #   every child before its parent, and equal subproofs one entry;
 # - ``root``: the index of the root node.
 
-def _subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[int, int]]:
+def subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[int, int]]:
     """The distinct sequents and subproofs of ``proof``, numbered in one
     walk, children first: each distinct sequent tuple, each distinct key
     (sequent number, rule, principal, children's key numbers), and the key
     number of each node object by its id.  A node object met again is not
     walked again, and equal subproofs built as separate objects get one
-    key."""
+    key.  The writer and the ``--pretty`` renderer in ``cli`` number by it."""
     sequents: dict[Sequent, int] = {}
     keys: dict[tuple, int] = {}
     numbers: dict[int, int] = {}
@@ -487,10 +356,10 @@ def _multisets(sequents: list[Sequent], keys: list[tuple]
                           set[Formula]]:
     """Number the multisets of the distinct sequent tuples ``sequents``,
     equal multisets alike, and count each multiset once.  ``keys`` are the
-    distinct subproofs that ``_subproofs`` numbers, children first.
+    distinct subproofs that ``subproofs`` numbers, children first.
 
     The keys are read parents first.  A sequent whose tuple is the tuple of
-    a parent's sequent followed by a tail, as ``build_step`` and the reader
+    a parent's sequent followed by a tail, as the translator and the reader
     make them, is counted as that parent's count plus the tail, and the
     tail is kept as its change from the parent's multiset.  A sequent that
     extends none of its parents, the root's and a reordered or weakened
@@ -557,11 +426,11 @@ def proof_to_json(proof: GsProof) -> str:
 
     A sequent whose tuple extends its parent's is counted from the
     parent's count and its tail, and its change is read off the tail (see
-    ``_multisets``), so writing a proof grown by ``build_step`` costs what
+    ``_multisets``), so writing a proof grown by the translator costs what
     each rule added; any other sequent is counted whole and its change
     found by comparing counts.
     """
-    sequents, keys, numbers = _subproofs(proof)
+    sequents, keys, numbers = subproofs(proof)
     key_list = list(keys)
     multiset_of, counts, tails, items = _multisets(list(sequents), key_list)
     for _, rule, principal, _ in key_list:
@@ -712,47 +581,3 @@ def _proof_from_v2(record: dict) -> GsProof:
         nodes.append(GsProof(sequent, rule, principal, tuple(
             [nodes[entry_index(child, len(nodes), "child")] for child in children])))
     return nodes[entry_index(record.get("root"), len(nodes), "root")]
-
-
-# ------------------------------------------------------------------ render
-
-
-def render_proof(proof: GsProof) -> str:
-    """Human-readable stacked rendering, root first, branches indented.
-
-    Each distinct subproof, as ``proof_to_json`` numbers them, is rendered
-    once, whether its copies are one node object or several.  One with two
-    or more parents is numbered where it is first rendered, ``[n] sequent
-    |-``, and is written ``[n] as above`` wherever it is met again, so the
-    rendering of a shared proof grows with its distinct subproofs, not with
-    the tree it unfolds to.
-    """
-    _, keys, numbers = _subproofs(proof)
-    parents = Counter(child for key in keys for child in key[3])
-    labels: dict[int, str] = {}  # key number -> "[n]"
-    lines: list[str] = []
-
-    def label(node: GsProof) -> str:
-        rule = node.rule
-        text = rule.name
-        if node.principal is not None:
-            text += f" on {print_formula(node.principal)}"
-        if rule.witness is not None:
-            text += f" [{print_term(rule.witness)}]"
-        return text
-
-    for indent, node, again in indented(proof, lambda n: numbers[id(n)]):
-        number = numbers[id(node)]
-        if again:
-            lines.append(f"{indent}{labels[number]} as above")
-            continue
-        seq = ", ".join(print_formula(f) for f in node.sequent)
-        if parents[number] > 1:
-            labels[number] = f"[{len(labels) + 1}]"
-            seq = f"{labels[number]} {seq}"
-        lines.append(f"{indent}{seq} |-")
-        if node.rule is not None:
-            lines.append(f"{indent}-- {label(node)}")
-        elif node.is_open:
-            lines.append(f"{indent}-- (open)")
-    return "\n".join(lines) + "\n"

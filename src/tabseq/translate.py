@@ -13,19 +13,26 @@ rule there while it is still fresh, then regrow the saved proof on top of
 the graft, carrying the new Skolem formula along as a side formula.  After
 the last rule the Skolem terms are globally fresh and are replaced by
 fresh constants, which yields a strictly rule-conforming proof.
+
+Each inference is made by ``build_step``, which tests it against its rule
+schema as it is made, reading an existential step's freshness for Skolem
+witnesses; only ``gs3.check`` judges the finished proof.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import gs3
 from .formula import (
     App,
     Formula,
+    Not,
     Term,
+    formula_symbols,
+    is_ground_term,
     is_subterm,
     mark_any,
     outermost_skolem_terms,
@@ -33,7 +40,7 @@ from .formula import (
     print_term,
     rebuild,
 )
-from .gs3 import RULE_GROUPS, GsProof, GsRule, build_step, rule_name
+from .gs3 import BAD_AXIOM, FRESHNESS, RULE_GROUPS, SCHEMA_MISMATCH, GsProof, GsRule, rule_name
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
 from .tree import path_of, postorder, preorder
 
@@ -41,6 +48,14 @@ from .tree import path_of, postorder, preorder
 class TranslateError(AssertionError):
     """An internal invariant of the construction failed; unreachable from a
     valid closed tableau."""
+
+
+class StepError(ValueError):
+    """A construction step violated its rule schema."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(f"{reason}: {message}")
+        self.reason = reason
 
 
 @dataclass
@@ -57,6 +72,77 @@ class TranslateStats:
     link_audits: int = 0
     bilink_audits: int = 0
     measures: list[tuple[int, int]] = field(default_factory=list)
+
+
+# ------------------------------------------------------------- build steps
+
+
+def build_step(
+    node: GsProof,
+    rule: GsRule,
+    principal: Formula,
+    *,
+    additions: tuple[tuple[Formula, ...], ...] | None = None,
+    outermost_skolems: Callable[[Formula], set[App]] | None = None,
+) -> None:
+    """Extend an open leaf by one inference, validating the schema eagerly.
+
+    The leaf is extended in place: it gets its rule, principal and fresh
+    premise leaves.  A refused step raises StepError and changes nothing.
+
+    A builder that has computed ``gs3.premise_additions(rule, principal)``
+    passes the result as ``additions``; one that remembers
+    ``outermost_skolem_terms`` of each formula passes that lookup as
+    ``outermost_skolems``.  Both are trusted to be exactly what they stand
+    for.
+
+    During tableau translation the existential witnesses are still Skolem
+    terms; those are accepted here with the corresponding relaxed freshness
+    reading (the witness term must not occur outermost in the conclusion),
+    which coincides with the checker's constant freshness after the final
+    Skolem-to-constant replacement.
+    """
+    if not node.is_open:
+        raise StepError(SCHEMA_MISMATCH, "node is not an open leaf")
+    if principal not in node.sequent:
+        raise StepError(SCHEMA_MISMATCH,
+                        f"principal {print_formula(principal)} not in sequent")
+
+    if rule.name == "axiom":
+        if Not(principal) not in node.sequent:
+            raise StepError(BAD_AXIOM, f"no complement for {print_formula(principal)}")
+        children: tuple[GsProof, ...] = ()
+    elif rule.name == "weaken":
+        remaining = list(node.sequent)
+        remaining.remove(principal)
+        children = (GsProof(tuple(remaining)),)
+    else:
+        if additions is None:
+            additions = gs3.premise_additions(rule, principal)
+        if additions is None:
+            raise StepError(SCHEMA_MISMATCH,
+                            f"{rule.name} does not apply to {print_formula(principal)}")
+        group = RULE_GROUPS.get(rule.name)
+        if group in ("delta", "gamma"):
+            w = rule.witness
+            if w is None or not is_ground_term(w):
+                raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
+            if group == "delta":
+                if isinstance(w, App) and w.is_skolem:
+                    if outermost_skolems is None:
+                        outermost_skolems = outermost_skolem_terms
+                    if any(w in outermost_skolems(f) for f in node.sequent):
+                        raise StepError(FRESHNESS,
+                                        f"witness {print_term(w)} occurs in the conclusion")
+                elif isinstance(w, App) and not w.args:
+                    if any(w.symbol in formula_symbols(f) for f in node.sequent):
+                        raise StepError(FRESHNESS,
+                                        f"witness {w.symbol} occurs in the conclusion")
+                else:
+                    raise StepError(SCHEMA_MISMATCH,
+                                    "existential witness must be a constant or Skolem term")
+        children = tuple(GsProof(node.sequent + extra) for extra in additions)
+    node.rule, node.principal, node.children = rule, principal, children
 
 
 def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
@@ -536,7 +622,10 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     constant, turning relaxed existential witnesses into strict ones.
 
     One iterative walk collects the node objects, each once however many
-    parents share it, and the distinct formulas and witnesses.  One
+    parents share it, and the distinct formulas and witnesses: the root's
+    formulas and what each premise adds to its conclusion's tuple, or the
+    whole premise if it does not extend that tuple, as a weakening's does
+    not.  One
     memoised walk over their distinct subformulas and subterms then
     collects the symbols in use and each Skolem symbol's argument vector,
     and marks the formulas and terms that hold a Skolem term; the rewrite
@@ -544,9 +633,12 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     updated in place.  The proof is returned.
     """
     nodes = list(postorder(proof))
-    distinct: set[Formula] = set()  # a rule's principal is in its sequent
+    distinct: set[Formula] = set(proof.sequent)  # a rule's principal is in its sequent
     for node in nodes:
-        distinct.update(node.sequent)
+        size = len(node.sequent)
+        for child in node.children:
+            tail = child.sequent[size:]
+            distinct.update(tail if child.sequent[:size] == node.sequent else child.sequent)
     witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
 
     vectors: dict[str, tuple[Term, ...]] = {}

@@ -2,7 +2,9 @@
 
 Both trees are dataclasses whose nodes hold their subtrees in a
 ``children`` tuple.  Paths address nodes as 0/1 sequences, the root being
-the empty sequence.  This module imports nothing from the package, so the
+the empty sequence; the package names a node by its path in messages and
+in altered copies, and the tests look one up with ``conftest.node_at``.
+This module imports nothing from the package, so the
 independent checker may use it.  It also holds what the proof-file readers
 share: their error, JSON loading, version check and entry references.
 """
@@ -26,22 +28,8 @@ class FormatError(ValueError):
     """A serialized proof file is malformed."""
 
 
-class PathError(IndexError):
-    """A path names no node of the tree."""
-
-
 def format_path(path: Path) -> str:
     return "".join(str(b) for b in path) or "(root)"
-
-
-def node_at(root: N, path: Path) -> N:
-    node = root
-    for bit in path:
-        try:
-            node = node.children[bit]
-        except IndexError:
-            raise PathError(f"no node at path {format_path(path)}") from None
-    return node
 
 
 def replace_at(root: N, path: Path, new: N) -> N:

@@ -1,6 +1,7 @@
 """Shared test helpers: a seeded random formula builder, a count of the
-nodes the memoised formula walks visit, and the upgrade script run
-in-process."""
+nodes the memoised formula walks visit, the upgrade script run
+in-process, and the path lookup and rule listings of proof trees that
+only tests use."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from tabseq import formula as formula_module
+from tabseq.tree import Path as TreePath, format_path, iter_nodes
 from tabseq.formula import (
     And,
     App,
@@ -155,3 +157,55 @@ def run_upgrade(argv: list[str]) -> int:
     with pytest.raises(SystemExit) as exc:
         _upgrade_module().main(argv)
     return exc.value.code
+
+
+# ------------------------------------------------------------- proof trees
+
+
+class PathError(IndexError):
+    """A path names no node of the tree."""
+
+
+def node_at(root, path: TreePath):
+    """The node of a tableau or sequent-proof tree at ``path``."""
+    node = root
+    for bit in path:
+        try:
+            node = node.children[bit]
+        except IndexError:
+            raise PathError(f"no node at path {format_path(path)}") from None
+    return node
+
+
+def open_leaves(root) -> list[TreePath]:
+    """The paths of a sequent proof's open leaves, in preorder."""
+    return [p for p, n in iter_nodes(root) if n.is_open]
+
+
+def rule_names(root) -> list[str]:
+    """A sequent proof's rule names in preorder; on a single branch this is
+    root-to-leaf order."""
+    return [n.rule.name for _, n in iter_nodes(root) if n.rule is not None]
+
+
+def spine_rule_names(root, *, coalesce_weaken: bool = False) -> list[str]:
+    """Rule names along a sequent proof's leftmost branch, root to leaf.
+
+    With ``coalesce_weaken`` set, a run of consecutive weakenings counts as
+    one entry, matching how stacked derivations display them.
+    """
+    names: list[str] = []
+    node = root
+    while node.rule is not None:
+        names.append(node.rule.name)
+        if not node.children:
+            break
+        node = node.children[0]
+    if coalesce_weaken:
+        out: list[str] = []
+        for name in names:
+            if name == "weaken" and out and out[-1] == "weaken":
+                continue
+            out.append(name)
+        return out
+    return names

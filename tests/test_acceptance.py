@@ -4,7 +4,7 @@ pass line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 import random
 import time
 
-from conftest import random_formula
+from conftest import node_at, random_formula, spine_rule_names
 from tabseq import gs3
 from tabseq.formula import App, Atom, Meta, Not, parse, print_formula
 from tabseq.problems import corpus, growth_goal
@@ -18,7 +18,6 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 from tabseq.translate import translate, translate_detailed
-from tabseq.tree import node_at
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -53,7 +52,7 @@ def test_acceptance_2_translation_reproduction():
     proof = translate(ct)
     elapsed = time.perf_counter() - start
 
-    spine = gs3.spine_rule_names(proof, coalesce_weaken=True)
+    spine = spine_rule_names(proof, coalesce_weaken=True)
     assert spine == [
         "not_exists",
         "not_implies",

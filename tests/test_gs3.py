@@ -17,26 +17,23 @@ from tabseq.gs3 import (
     FormatError,
     GsProof,
     GsRule,
-    StepError,
-    build_step,
     check,
     inference_count,
     iter_nodes,
-    open_leaves,
     premise_additions,
     proof_from_json,
     proof_to_json,
-    render_proof,
     replace_at,
     rule_name,
-    rule_names,
-    spine_rule_names,
 )
 from tabseq import gs3, tableau
+from tabseq.cli import render_proof
 from tabseq.problems import growth_goal
 from tabseq.tableau import prove
-from tabseq.translate import translate
-from tabseq.tree import PathError, node_at, postorder
+from tabseq.translate import StepError, build_step, translate
+from tabseq.tree import postorder
+
+from conftest import PathError, node_at, open_leaves, rule_names, spine_rule_names
 
 GOAL = parse("~(exists x. (D(x) => forall y. D(y)))")
 NOT_IMP = parse("~(D(c) => forall y. D(y))")
@@ -214,9 +211,10 @@ class TestLocality:
 
 
 class TestCheckReadsWhatRulesAdd:
-    """A premise built as its conclusion followed by what the rule added is
-    accepted without being counted; any other premise is counted, and the
-    metavariable test reads the root and each premise's additions."""
+    """A premise built as its conclusion followed by what the rule added, in
+    any order, is accepted by counting at most that tail; any other premise
+    is counted whole, and the metavariable test reads the root and each
+    premise's additions."""
 
     def test_premise_in_another_order_or_with_a_repeat_is_accepted(self):
         f, p, q, not_p = parse("P & Q"), parse("P"), parse("Q"), parse("~P")
@@ -261,6 +259,21 @@ class TestCheckReadsWhatRulesAdd:
                             multiset(formulas))
         assert check(proof).accepted
         assert counted == [proof.sequent]
+
+    def test_a_read_back_proof_counts_only_the_root_and_the_tails(self, monkeypatch):
+        # The reader lists what a rule added in the file's order, not the
+        # rule's, so the wide n=120 proof's premises end in tails that are
+        # the additions reordered.
+        conj = " & ".join(f"P{i}" for i in range(120))
+        ct = prove([Not(parse(f"({conj}) => ({conj})"))], depth_limit=1000)
+        back = proof_from_json(proof_to_json(translate(ct)))
+        counted = []
+        multiset = gs3._multiset
+        monkeypatch.setattr(gs3, "_multiset", lambda formulas: counted.append(formulas) or
+                            multiset(formulas))
+        assert check(back).accepted
+        assert counted[0] == back.sequent and len(back.sequent) == 1
+        assert len(counted) > 200 and max(map(len, counted[1:])) == 2
 
     def test_metavariable_memo_visits_each_distinct_subnode_once(self, monkeypatch):
         from conftest import count_memo_walk, subnodes
@@ -691,9 +704,10 @@ class TestCheckerIndependence:
 
 
 # One row per decomposition rule: its name and group, a principal, a
-# witness and what each premise adds, written out by hand.  Until a second,
-# reference checker exists, this table is the independent encoding of the
-# schemas that ``rule_name``, ``RULE_GROUPS`` and ``premise_additions`` hold.
+# witness and what each premise adds, written out by hand.  With
+# ``schema`` in ``reference_check.py``, it is an independent encoding of
+# the schemas that ``rule_name``, ``RULE_GROUPS`` and ``premise_additions``
+# derive from ``gs3._RULES``.
 SCHEMA_TABLE = [
     ("not_not", "alpha", "~~P(a)", None, [["P(a)"]]),
     ("not_implies", "alpha", "~(P(a) => Q)", None, [["P(a)", "~Q"]]),

@@ -40,8 +40,9 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.tree import node_at
 from tabseq.unify import ConstraintStore, Substitution, groundify, solve
+
+from conftest import node_at
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 

@@ -18,8 +18,10 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 from tabseq.translate import (
+    StepError,
     TranslateError,
     _Builder,
+    build_step,
     delta_graft,
     parallel_extend,
     replace_skolem_terms,
@@ -27,8 +29,10 @@ from tabseq.translate import (
     translate,
     translate_detailed,
 )
-from tabseq.tree import PathError, node_at, postorder
+from tabseq.tree import postorder
 from tabseq.unify import ConstraintStore, Substitution
+
+from conftest import PathError, node_at, rule_names, spine_rule_names
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 NESTED_NEG = "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))"
@@ -44,7 +48,7 @@ class TestDrinkerTranslation:
     def test_structure_matches_the_grown_proof(self):
         proof = translate(drinker_tableau())
         assert gs3.inference_count(proof) == 9
-        assert gs3.spine_rule_names(proof, coalesce_weaken=True) == [
+        assert spine_rule_names(proof, coalesce_weaken=True) == [
             "not_exists",
             "not_implies",
             "weaken",
@@ -93,14 +97,14 @@ class TestSimpleCases:
     def test_propositional_needs_no_graft(self):
         ct = prove([parse("~(P => P)")])
         proof, stats = translate_detailed(ct)
-        assert gs3.rule_names(proof) == ["not_implies", "axiom"]
+        assert rule_names(proof) == ["not_implies", "axiom"]
         assert stats.grafts == 0
         assert gs3.check(proof).accepted
 
     def test_gamma_witness_is_the_unifier_image(self):
         ct = prove([parse("~((forall x. P(x)) => P(a))")])
         proof = translate(ct)
-        names = gs3.rule_names(proof)
+        names = rule_names(proof)
         assert names == ["not_implies", "forall", "axiom"]
         witness = node_at_rule(proof, "forall").rule.witness
         assert witness == const("a")
@@ -208,7 +212,7 @@ class TestParallelExtend:
             parse("~(forall y. D(y))"),
         ]
         assert list(node_at(replay.proof, open_leaf).sequent) == expected
-        assert gs3.rule_names(replay.proof) == ["not_exists", "not_implies"]
+        assert rule_names(replay.proof) == ["not_exists", "not_implies"]
         assert replay.proof.rule.witness == sko
 
     def test_closure_on_a_single_leaf_empties_the_link(self):
@@ -285,14 +289,14 @@ class TestDeltaGraft:
         principal = parse("exists x. D(x)")
         root = (parse("P & (exists x. D(x))"),)
         theta = GsProof(root)
-        gs3.build_step(theta, GsRule("and"), root[0])
+        build_step(theta, GsRule("and"), root[0])
         sko = App("sko1", ())
         d_sko = parse("D(sko1)", allow_generated=True)
         links, held = graft(theta, {(0,)}, sko, d_sko, principal)
         # The base graft weakens the B leaf down to the root sequent plus
         # the principal, applies the existential rule and drops the extra
         # principal; then theta's one rule is regrown on top.
-        assert gs3.rule_names(theta) == ["and", "weaken", "exists", "weaken", "and"]
+        assert rule_names(theta) == ["and", "weaken", "exists", "weaken", "and"]
         # One leaf, linked to theta's one leaf: no leaf outside B.
         [(leaf, target)] = list(links.items())
         assert target == (0,)
@@ -306,7 +310,7 @@ class TestDeltaGraft:
         links, _ = graft(
             theta, {()}, sko, parse("~D(sko1)", allow_generated=True), parse("~(forall y. D(y))"))
         # the principal is a root formula, so no weakenings are needed
-        assert gs3.rule_names(theta) == ["not_forall"]
+        assert rule_names(theta) == ["not_forall"]
         assert list(links.values()) == [()]
 
     def test_nested_dependency_triggers_one_recursive_graft(self):
@@ -385,7 +389,7 @@ class TestInPlaceGrowth:
     def test_delta_graft_grows_the_tree_it_was_given(self):
         root = (parse("P & Q"), parse("exists x. D(x)"))
         theta = GsProof(root)
-        gs3.build_step(theta, GsRule("and"), root[0])
+        build_step(theta, GsRule("and"), root[0])
         (leaf,) = theta.children
         graft(theta, {(0,)}, App("sko1", ()), parse("D(sko1)", allow_generated=True), root[1])
         assert theta.children == (leaf,)
@@ -396,7 +400,7 @@ class TestSkolemReplacement:
     def test_rewrites_in_place_and_keeps_formulas_without_skolem_terms(self):
         goal = parse("exists x. D(x)")
         proof = GsProof((goal,))
-        gs3.build_step(proof, GsRule("exists", App("sko1", ())), goal)
+        build_step(proof, GsRule("exists", App("sko1", ())), goal)
         leaf = proof.children[0]
         assert replace_skolem_terms(proof) is proof
         assert proof.children[0] is leaf
@@ -410,14 +414,14 @@ class TestSkolemReplacement:
         sko = App("sko1", ())
         q, neg, pos = parse("Q | Q"), parse("~(forall y. D(y))"), parse("forall y. D(y)")
         proof = GsProof((q, neg, pos))
-        gs3.build_step(proof, GsRule("or"), q)
+        build_step(proof, GsRule("or"), q)
         shared = proof.children[0]
         proof.children = (shared, shared)
-        gs3.build_step(shared, GsRule("not_forall", sko), neg)
+        build_step(shared, GsRule("not_forall", sko), neg)
         (node,) = shared.children
-        gs3.build_step(node, GsRule("forall", sko), pos)
+        build_step(node, GsRule("forall", sko), pos)
         (node,) = node.children
-        gs3.build_step(node, GsRule("axiom"), parse("D(sko1)", allow_generated=True))
+        build_step(node, GsRule("axiom"), parse("D(sko1)", allow_generated=True))
         before = shared.sequent
         assert replace_skolem_terms(proof) is proof
         assert proof.children == (shared, shared) and shared.sequent == before
@@ -528,7 +532,7 @@ def outcomes_with_one_premise_cut(ct: ClosedTableau, monkeypatch) -> Counter:
             patch.setattr(module, "build_step", cut)
             try:
                 translate_detailed(ct, audit=True)
-            except (TranslateError, gs3.StepError) as e:
+            except (TranslateError, StepError) as e:
                 out[type(e).__name__, str(e)] += 1
             else:
                 out["ok", ""] += 1

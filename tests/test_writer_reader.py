@@ -26,7 +26,7 @@ from tabseq.tree import MAX_OCCURRENCES, FormatError, entry_index, postorder
 
 
 def ref_proof_to_json(proof: GsProof) -> str:
-    sequents, keys, numbers = gs3._subproofs(proof)
+    sequents, keys, numbers = gs3.subproofs(proof)
     counts = [Counter(seq) for seq in sequents]  # formula -> count, per sequent number
     items = set().union(*counts)
     for _, rule, principal, _ in keys:
