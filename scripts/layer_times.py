@@ -1,5 +1,5 @@
-"""Time each stage of the pipeline in-process on three inputs whose proofs
-are long, and print one table row per input.
+"""Time each stage of the pipeline in-process on inputs whose proofs are
+long, and print one table row per input.
 
 Stages: prove, translate with the translator's audits off and on, check on
 the translator's proof and on the one read back from its ``.gs3`` text (the
@@ -10,8 +10,9 @@ The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
 
 - growth k=5: the paper's growth family, a shared proof DAG that unfolds to
   about 10^8 inferences;
-- wide n=120: ``(P0 & ... & P119) => (P0 & ... & P119)``, proved with
-  ``depth_limit=1000``, one long branch of long sequents;
+- wide n=30, n=60 and n=120: ``(P0 & ... & Pn-1) => (P0 & ... & Pn-1)``,
+  proved with ``depth_limit=1000``, one long branch of long sequents; the
+  three rows show how each stage grows as n doubles;
 - ``problems.deep_tableau(1100)``: one branch of 1,100 gamma steps, given as
   a tableau, so it has no prove time.
 
@@ -44,11 +45,16 @@ def best(repeats: int, run):
 
 def inputs():
     """(name, function that returns the closed tableau, whether it proves)."""
-    conj = " & ".join(f"P{i}" for i in range(120))
-    wide = parse(f"({conj}) => ({conj})")
+    def wide(n: int):
+        conj = " & ".join(f"P{i}" for i in range(n))
+        goal = Not(parse(f"({conj}) => ({conj})"))
+        return f"wide n={n}", lambda: prove([goal], depth_limit=1000), True
+
     return [
         ("growth k=5", lambda: prove([Not(growth_goal(5))]), True),
-        ("wide n=120", lambda: prove([Not(wide)], depth_limit=1000), True),
+        wide(30),
+        wide(60),
+        wide(120),
         ("deep_tableau(1100)", lambda: deep_tableau(1100), False),
     ]
 

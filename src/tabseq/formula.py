@@ -20,10 +20,12 @@ lookup key hashes in C too.  The table holds its nodes weakly, so a node
 nothing else uses leaves it, and a lock guards the build after a miss, so
 threads that build the same formula get one object.  A pickled or copied
 node comes back as the interned node.  Each node carries, set once when it
-is built, its ``parts`` (its subformulas and subterms, in order) and its
+is built, its ``parts`` (its subformulas and subterms, in order), its
 height (the formula and term nodes on its longest downward path, computed
-from its parts' heights), so a traversal reads a node's parts in one
-attribute and depth bounds cost nothing to test.
+from its parts' heights) and whether it holds a metavariable or a Skolem
+term (from its parts' flags), so a traversal reads a node's parts in one
+attribute, depth bounds cost nothing to test, and a walk for
+metavariables or Skolem terms skips every subtree that holds none.
 The interning is not done by a metaclass: ``isinstance`` against a class
 whose metaclass is not ``type`` leaves CPython's fast path, and the prover
 and checker call it millions of times.
@@ -44,6 +46,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
 
 from .tree import FormatError
@@ -63,6 +66,7 @@ META_NAME = re.compile(r"X[0-9]+\Z")
 MAX_DEPTH = 200
 
 V = TypeVar("V")
+_has_meta = attrgetter("has_meta")
 
 
 class ParseError(ValueError):
@@ -118,6 +122,9 @@ def _intern(key: tuple):
             parts = _parts(node)
             _set_field(node, "parts", parts)
             _set_field(node, "height", 1 + max([p.height for p in parts], default=0))
+            _set_field(node, "has_meta", cls is Meta or any([p.has_meta for p in parts]))
+            _set_field(node, "has_skolem", cls is App and SKOLEM_NAME.match(node.symbol) is not None
+                       or any([p.has_skolem for p in parts]))
             _table[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -127,12 +134,14 @@ class _Node:
     interned node itself.
 
     ``parts`` holds the node's subformulas and subterms in document order,
-    and ``height`` the number of formula and term nodes on the longest path
-    from the node down; both are set when the node is built.  Neither is a
-    dataclass field, so they take no part in the intern key, in
-    ``__reduce__`` or in ``repr``."""
+    ``height`` the number of formula and term nodes on the longest path
+    from the node down, and ``has_meta`` and ``has_skolem`` whether a
+    metavariable or a Skolem term occurs in the node (the node itself
+    included); all are set when the node is built.  None is a dataclass
+    field, so they take no part in the intern key, in ``__reduce__`` or in
+    ``repr``."""
 
-    __slots__ = ("__weakref__", "parts", "height")
+    __slots__ = ("__weakref__", "parts", "height", "has_meta", "has_skolem")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -329,7 +338,7 @@ def free_metas(x: Formula | Term) -> tuple[Meta, ...]:
 
     The order is what fixes the argument order of Skolem terms.
     """
-    return tuple(dict.fromkeys([y for y in walk(x) if type(y) is Meta]))
+    return tuple(dict.fromkeys([y for y in walk(x, _has_meta) if type(y) is Meta]))
 
 
 def formula_symbols(f: Formula) -> set[str]:
@@ -344,7 +353,7 @@ def _not_skolem(x: Formula | Term) -> bool:
 def outermost_skolem_terms(x: Formula | Term) -> set[App]:
     """Maximal Skolem-rooted subterms of a formula or term (occurrences
     inside a larger Skolem term are not reported separately)."""
-    return {y for y in walk(x, _not_skolem) if not _not_skolem(y)}
+    return {y for y in walk(x, lambda y: y.has_skolem and _not_skolem(y)) if not _not_skolem(y)}
 
 
 def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
@@ -390,7 +399,8 @@ def apply_subst(bindings: Mapping[str, Term], x: Formula | Term) -> Formula | Te
     """
     if not bindings:
         return x
-    return rebuild(x, lambda y: bindings.get(y.name, y) if type(y) is Meta else None)
+    return rebuild(x, lambda y: y if not y.has_meta else
+                   bindings.get(y.name, y) if type(y) is Meta else None)
 
 
 def subst_var(f: Formula, var: str, t: Term) -> Formula:

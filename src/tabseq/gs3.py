@@ -30,7 +30,6 @@ from .formula import (
     Forall,
     Formula,
     Implies,
-    Meta,
     Not,
     Or,
     Table,
@@ -182,13 +181,14 @@ def check(proof: GsProof) -> CheckResult:
     preorder is reported.
 
     A node's formulas are its parent's plus what the parent's rule added
-    there, so the metavariable test reads the root's formulas and, at each
-    other node, only those added ones; a per-call memo walks each distinct
-    subformula once.  The freshness test keeps one such memo per witness
-    symbol.  A premise whose tuple is its conclusion's followed by a tail
-    that is the added formulas in some order, as the translator and the
-    reader make it, is accepted by counting at most that tail; any other
-    premise is counted whole and compared.
+    there, so the metavariable test reads the ``has_meta`` flag of the
+    root's formulas and, at each other node, of only those added ones; it
+    walks nothing.  The freshness test keeps a per-call memo per witness
+    symbol, which walks each distinct subformula once.  A premise whose
+    tuple is its conclusion's followed by a tail that is the added formulas
+    in some order, as the translator and the reader make it, is accepted
+    by counting at most that tail; any other premise is counted whole and
+    compared.
 
     Each node object is checked once per call.  One met again, as in a
     proof read back from a file, whose equal subproofs are one object, is
@@ -197,8 +197,7 @@ def check(proof: GsProof) -> CheckResult:
     below itself.  So the first rejection and its path are those of a
     check of every node of the tree the proof unfolds to.
     """
-    metas: dict = {}  # formula or term -> whether it holds a metavariable
-    symbols: dict[str, dict] = {}  # witness symbol -> its memo, as ``metas``
+    symbols: dict[str, dict] = {}  # witness symbol -> formula or term -> holds the symbol
     met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
     # while checking its parent, are the child's conclusion and new formulas.
@@ -209,7 +208,7 @@ def check(proof: GsProof) -> CheckResult:
         if id(node) in met:
             continue
         met.add(id(node))
-        premises = _check_node(path, node, conclusion, added, metas, symbols)
+        premises = _check_node(path, node, conclusion, added, symbols)
         if isinstance(premises, CheckResult):
             return premises
         for bit in reversed(range(len(premises))):
@@ -226,21 +225,15 @@ def _multiset(formulas) -> dict[Formula, int]:
     return out
 
 
-def _is_meta(x) -> bool:
-    return type(x) is Meta
-
-
 def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added: Sequent,
-                metas: dict, symbols: dict[str, dict]
-                ) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
+                symbols: dict[str, dict]) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
     """The rejection at this node, or the multiset and added formulas of
     each of its premises.  ``added`` holds, in the order of the node's
     sequent, every formula of it that its ancestors' sequents lack, and
-    may hold some they have.  ``metas`` and each memo in ``symbols`` say
-    which formulas and terms hold a metavariable or that symbol."""
-    mark_any(added, metas, _is_meta)
+    may hold some they have.  Each memo in ``symbols`` says which formulas
+    and terms hold that symbol."""
     for f in added:
-        if metas[f]:
+        if f.has_meta:
             return CheckResult(False, path, SCHEMA_MISMATCH,
                                f"metavariable in sequent formula {print_formula(f)}")
     if node.rule is None:
@@ -313,7 +306,7 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
             premises.append((expected, tail))
         elif _multiset(premise) == expected:
             # The added formulas in the premise's own order, among the
-            # conclusion's, which the memo answers without a walk.
+            # conclusion's, whose flags the metavariable test reads again.
             premises.append((expected, premise))
         else:
             return CheckResult(False, path, SCHEMA_MISMATCH,

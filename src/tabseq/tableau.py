@@ -172,7 +172,8 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
         raise TableauError("leaf is closed")
     if node.rule is not None:
         raise TableauError("node is not a leaf")
-    if principal not in node.formulas:
+    # Searched from the end: the principal is mostly a recent formula.
+    if principal not in reversed(node.formulas):
         raise TableauError(f"principal {print_formula(principal)} not at leaf")
     name = rule_name(principal)
     if name is None:
@@ -201,7 +202,9 @@ def close(node: TableauNode, store: ConstraintStore, pos: Formula,
         raise TableauError("node is not an open leaf")
     if not isinstance(pos, Atom) or not isinstance(neg, Not) or not isinstance(neg.body, Atom):
         raise TableauError("closure needs an atom and a negated atom")
-    if pos not in node.formulas or neg not in node.formulas:
+    # Searched from the end: ``prove`` pairs a literal the leaf's rule
+    # introduced, the last formulas, with an older one.
+    if pos not in reversed(node.formulas) or neg not in reversed(node.formulas):
         raise TableauError("closure pair not present at leaf")
     if pos.predicate != neg.body.predicate or len(pos.args) != len(neg.body.args):
         raise TableauError("closure pair predicates do not match")
@@ -219,10 +222,11 @@ def close(node: TableauNode, store: ConstraintStore, pos: Formula,
 _PRIORITY = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
 
 # A branch's literal index: per (predicate, arity), the atoms and the
-# negated atoms on the branch, each as (position, literal) in position
-# order.  A child's index is its parent's plus the literals its rule
-# introduced; the first level of term indexing (Ramakrishnan, Sekar &
-# Voronkov, "Term Indexing", Handbook of Automated Reasoning, 2001).
+# negated atoms on the branch, each as (position, literal) at its first
+# occurrence, in position order.  A child's index is its parent's plus the
+# literals its rule introduced; the first level of term indexing
+# (Ramakrishnan, Sekar & Voronkov, "Term Indexing", Handbook of Automated
+# Reasoning, 2001).
 _LiteralIndex = dict[tuple[str, int], tuple[tuple[tuple[int, Formula], ...],
                                             tuple[tuple[int, Formula], ...]]]
 _NO_LITERALS: tuple[tuple, tuple] = ((), ())
@@ -268,6 +272,38 @@ def _new_closure_pairs(index: _LiteralIndex, start: int, atoms: list[tuple[int, 
             yield pos, neg
 
 
+# A branch's buckets: per priority class of ``_PRIORITY``, the formulas of
+# that class on the branch that can still be expanded there, each once, in
+# first-occurrence order; gamma's bucket is split by the number of times a
+# formula was used on the branch, one bucket per count below the limit.
+_Buckets = tuple[tuple[Formula, ...], ...]
+
+
+def _choose(buckets: _Buckets, fresh: list[tuple[int, Formula]]
+            ) -> tuple[Formula | None, _Buckets]:
+    """The principal of a leaf, the expandable formula with the least
+    (priority, uses, first position) on its branch, and the buckets its
+    children inherit.  ``buckets`` are the parent's and ``fresh`` the
+    (bucket, formula) pairs of the formulas the leaf's rule introduced that
+    occur on the branch for the first time.  The principal is the first
+    entry of the first nonempty bucket; a gamma principal moves on to the
+    next bucket unless it reaches the limit."""
+    out = list(buckets)
+    for level, f in fresh:
+        out[level] += (f,)
+    for level, bucket in enumerate(out):
+        if bucket:
+            principal = bucket[0]
+            out[level] = bucket[1:]
+            # Each entry of the next bucket came there as the first entry
+            # of the first nonempty bucket, as the principal does, so it
+            # occurs on the branch before the principal.
+            if level >= _PRIORITY["gamma"] and level + 1 < len(out):
+                out[level + 1] += (principal,)
+            return principal, tuple(out)
+    return None, tuple(out)
+
+
 def _binds(rule: RuleInstance) -> bool:
     """True if the instance a gamma or delta rule introduced contains its
     witness, that is, if the principal's variable occurs in its body."""
@@ -288,7 +324,9 @@ def prove(
     used and then the oldest occurrence.  Each gamma formula may be
     re-instantiated up to ``gamma_limit`` times per branch; a branch longer
     than ``depth_limit`` exhausts the search.  Every closure is checked
-    against the whole constraint store, so the store stays satisfiable.
+    against the whole constraint store, so the store stays satisfiable;
+    the store carries its unifier, so the check unifies only the new pair
+    under it (incremental closure, Giese 2001).
 
     A leaf tries only the candidates that contain a literal its rule
     introduced, in the order of a scan of all its formulas.  Every other
@@ -296,6 +334,18 @@ def prove(
     the store refused it; the store has only grown since, and a
     constraint inconsistent with a store is inconsistent with every
     larger one.
+
+    The principal is read off the branch's buckets, not found by a scan of
+    the leaf: per class, and for gamma per number of uses, the branch's
+    formulas of that class in first-occurrence order, which each leaf
+    extends by the formulas its rule introduced (see ``_choose``).
+
+    A formula that a rule introduces on a branch that already holds it
+    enters neither the literal index nor the buckets.  A pair a repeated
+    literal would make is one its first occurrence makes, and that pair is
+    tried first: at the same leaf, or at an ancestor whose store refused
+    it.  A repeated expandable formula never ranks before its first
+    occurrence, and is used up with it.
     """
     if gamma_limit < 1:
         raise ValueError("gamma_limit must be at least 1")
@@ -318,29 +368,33 @@ def prove(
     root = TableauNode(gamma)
     store = ConstraintStore()
     steps = 0
-    # Per distinct formula: (priority, use limit) if it can be expanded,
-    # None for a literal.
-    ranks: dict[Formula, tuple[int, int] | None] = {}
-    # The open leaves, leftmost on top, each with its depth, the number of
-    # times each principal was used on its branch (one dict per expansion,
-    # shared by the children), the formulas it adds to its parent's and
-    # its parent's literal index.  Expanding the leftmost leaf puts its
-    # children, which precede every other open leaf, in its place.
-    pending: list[tuple[TableauNode, int, dict[Formula, int], tuple[Formula, ...],
-                        _LiteralIndex]] = [(root, 0, {}, gamma, {})]
+    # Per distinct formula: its priority if it can be expanded, None for a
+    # literal.
+    ranks: dict[Formula, int | None] = {}
+    # The open leaves, leftmost on top, each with its depth, the formulas
+    # it adds to its parent's, and its parent's literal index and buckets.
+    # Expanding the leftmost leaf puts its children, which precede every
+    # other open leaf, in its place.
+    pending: list[tuple[TableauNode, int, tuple[Formula, ...], _LiteralIndex, _Buckets]] = [
+        (root, 0, gamma, {}, ((),) * (_PRIORITY["gamma"] + gamma_limit))]
 
     while pending:
-        node, depth, uses, introduced, literals = pending.pop()
+        node, depth, introduced, literals, buckets = pending.pop()
         start = len(node.formulas) - len(introduced)
         atoms: list[tuple[int, Formula]] = []
         negated: list[tuple[int, Formula]] = []
+        fresh: list[tuple[int, Formula]] = []
         for position, f in enumerate(introduced, start):
             if f not in ranks:
                 kind = RULE_GROUPS.get(rule_name(f))
-                ranks[f] = None if kind is None else (
-                    _PRIORITY[kind], gamma_limit if kind == "gamma" else 1)
-            if ranks[f] is None:
+                ranks[f] = None if kind is None else _PRIORITY[kind]
+            elif node.formulas.index(f) < position:
+                continue  # a repeat, which is never a principal nor a new pair
+            rank = ranks[f]
+            if rank is None:
                 (atoms if isinstance(f, Atom) else negated).append((position, f))
+            else:
+                fresh.append((rank, f))
 
         if atoms or negated:
             literals = _extend_index(literals, atoms, negated)
@@ -357,21 +411,7 @@ def prove(
         if depth >= depth_limit:
             return Exhausted("depth limit reached", steps)
 
-        # The least (priority, used, position); a repeated formula never
-        # beats its first occurrence.
-        best: tuple[int, int, int] | None = None
-        principal: Formula | None = None
-        for position, f in enumerate(node.formulas):
-            rank = ranks[f]
-            if rank is None:
-                continue
-            used = uses.get(f, 0)
-            if used >= rank[1]:
-                continue
-            key = (rank[0], used, position)
-            if best is None or key < best:
-                best = key
-                principal = f
+        principal, buckets = _choose(buckets, fresh)
         if principal is None:
             return Exhausted("no closure and no usable formula on a branch", steps)
 
@@ -385,9 +425,8 @@ def prove(
                 vacuous.append(rule.meta)
         elif rule.skolem is not None and _binds(rule):
             symbols.add(rule.skolem.symbol)
-        child_uses = {**uses, principal: uses.get(principal, 0) + 1}
         for child, extra in zip(reversed(node.children), reversed(rule.introduced)):
-            pending.append((child, depth + 1, child_uses, extra, literals))
+            pending.append((child, depth + 1, extra, literals, buckets))
 
     sigma = solve(store)
     if sigma is None:  # each closure was checked against the whole store

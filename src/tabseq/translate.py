@@ -625,12 +625,13 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     parents share it, and the distinct formulas and witnesses: the root's
     formulas and what each premise adds to its conclusion's tuple, or the
     whole premise if it does not extend that tuple, as a weakening's does
-    not.  One
-    memoised walk over their distinct subformulas and subterms then
-    collects the symbols in use and each Skolem symbol's argument vector,
-    and marks the formulas and terms that hold a Skolem term; the rewrite
-    enters only those, each distinct formula once, and the nodes are
-    updated in place.  The proof is returned.
+    not.  If none of them holds a Skolem term (their ``has_skolem`` flag),
+    the proof is returned as it is, before any formula is walked.  Else one
+    memoised walk over their distinct subformulas and subterms collects
+    the symbols in use and each Skolem symbol's argument vector; the
+    rewrite enters only the formulas and terms that hold a Skolem term,
+    each distinct formula once, and the nodes are updated in place.  The
+    proof is returned.
     """
     nodes = list(postorder(proof))
     distinct: set[Formula] = set(proof.sequent)  # a rule's principal is in its sequent
@@ -640,6 +641,8 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
             tail = child.sequent[size:]
             distinct.update(tail if child.sequent[:size] == node.sequent else child.sequent)
     witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
+    if not any([x.has_skolem for x in (*distinct, *witnesses)]):
+        return proof
 
     vectors: dict[str, tuple[Term, ...]] = {}
     taken: set[str] = set()
@@ -660,11 +663,9 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
 
     # The symbols of the sequent formulas are taken, not those of a witness
     # that occurs in none of them.
-    skolem_below: dict = {}  # formula or term -> whether it holds a Skolem term
-    mark_any(distinct, skolem_below, used)
-    mark_any(witnesses, skolem_below, skolem)
-    if not vectors:
-        return proof
+    walked: dict = {}  # formula or term -> whether it holds a Skolem term
+    mark_any(distinct, walked, used)
+    mark_any(witnesses, walked, skolem)
 
     constants: dict[str, App] = {}
     counter = 0
@@ -680,7 +681,7 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     def by(x: Formula | Term) -> Formula | Term | None:
         """A node with no Skolem term below kept whole, a Skolem term's
         constant, or None for a node to rebuild from its parts."""
-        if not skolem_below[x]:
+        if not x.has_skolem:
             return x
         return constants.get(x.symbol) if type(x) is App else None
 

@@ -40,12 +40,38 @@ class Constraint:
 
 @dataclass(frozen=True)
 class ConstraintStore:
-    """Monotone set of pending constraints: rules only ever add."""
+    """Monotone set of pending constraints: rules only ever add.
+
+    A store carries ``unifier``, the most general idempotent unifier of
+    its constraints as bindings, or None if they have none.  A store built
+    whole solves its constraints when ``unifier`` is first read; a store
+    that ``add`` builds unifies only the added constraints under its
+    base's unifier, so a closure costs its new pair, not the store
+    (incremental closure, Giese 2001).  ``add`` keeps the store it built
+    last, and hands it out again for the same constraints, so testing a
+    closure with ``consistent`` and then adding its constraint unifies once.
+    """
 
     constraints: tuple[Constraint, ...] = ()
+    # ``...`` until ``unifier`` is first read.
+    _unifier: object = field(default=..., init=False, compare=False, repr=False)
+    _added: ConstraintStore | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def unifier(self) -> Mapping[str, Term] | None:
+        if self._unifier is ...:
+            object.__setattr__(self, "_unifier", _unify({}, self.constraints))
+        return self._unifier
 
     def add(self, *extra: Constraint) -> "ConstraintStore":
-        return ConstraintStore(self.constraints + tuple(extra))
+        added = self._added
+        if added is None or added.constraints[len(self.constraints):] != extra:
+            added = ConstraintStore(self.constraints + extra)
+            unifier = self.unifier
+            object.__setattr__(added, "_unifier",
+                               None if unifier is None else _unify(unifier, extra))
+            object.__setattr__(self, "_added", added)
+        return added
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -86,15 +112,18 @@ def _formula_equations(lhs: Formula, rhs: Formula) -> list[tuple[Term, Term]] | 
     return None
 
 
-def solve(store: ConstraintStore) -> Substitution | None:
-    """Most general idempotent unifier of all constraints, or None.
+def _unify(bindings: Mapping[str, Term], constraints: Iterable[Constraint]
+           ) -> dict[str, Term] | None:
+    """The most general idempotent unifier that extends the idempotent
+    ``bindings`` and unifies ``constraints``, or None; ``bindings`` is
+    left as it is.
 
     Robinson-style worklist with the occurs check always on; a None result
     (symbol clash or occurs-check failure) signals that a candidate closure
     is impossible.
     """
     work: list[tuple[Term, Term]] = []
-    for c in store.constraints:
+    for c in constraints:
         if isinstance(c.lhs, (Var, Meta, App)) and isinstance(c.rhs, (Var, Meta, App)):
             work.append((c.lhs, c.rhs))
         else:
@@ -103,7 +132,7 @@ def solve(store: ConstraintStore) -> Substitution | None:
                 return None
             work.extend(eqs)
 
-    bindings: dict[str, Term] = {}
+    bindings = dict(bindings)
     while work:
         lhs, rhs = work.pop()
         lhs = apply_subst(bindings, lhs)
@@ -113,7 +142,7 @@ def solve(store: ConstraintStore) -> Substitution | None:
         if not isinstance(lhs, Meta) and isinstance(rhs, Meta):
             lhs, rhs = rhs, lhs
         if isinstance(lhs, Meta):
-            if is_subterm(lhs, rhs):
+            if rhs.has_meta and is_subterm(lhs, rhs):
                 return None
             step = {lhs.name: rhs}
             for k in list(bindings):
@@ -127,12 +156,20 @@ def solve(store: ConstraintStore) -> Substitution | None:
             # distinct bound variables, or a bound variable against an
             # application: rigid, not unifiable
             return None
-    return Substitution(bindings)
+    return bindings
+
+
+def solve(store: ConstraintStore) -> Substitution | None:
+    """Most general idempotent unifier of all constraints, or None, found
+    from the empty substitution whatever the store carries."""
+    bindings = _unify({}, store.constraints)
+    return None if bindings is None else Substitution(bindings)
 
 
 def consistent(store: ConstraintStore, extra: Iterable[Constraint]) -> bool:
-    """True iff the store extended by ``extra`` still has a unifier."""
-    return solve(store.add(*extra)) is not None
+    """True iff the store extended by ``extra`` still has a unifier; only
+    ``extra`` is unified, under the store's unifier (see ``ConstraintStore``)."""
+    return store.add(*extra).unifier is not None
 
 
 def groundify(

@@ -118,18 +118,14 @@ def subnodes(items) -> set:
     return out
 
 
-def count_memo_walk(monkeypatch, module, own=None) -> Counter:
+def count_memo_walk(monkeypatch, module) -> Counter:
     """Count, per node, the visits of the memoised walks ``module`` makes
-    through ``formula.mark_any``, or only of those that test ``own`` if it
-    is given: the calls of the walk's test, which ``mark_any`` makes once
-    per node it enters."""
+    through ``formula.mark_any``: the calls of the walk's test, which
+    ``mark_any`` makes once per node it enters."""
     visits: Counter = Counter()
     mark_any = formula_module.mark_any
 
     def counted_mark_any(items, memo, test):
-        if own is not None and test is not own:
-            return mark_any(items, memo, test)
-
         def counted(x):
             visits[x] += 1
             return test(x)

@@ -38,7 +38,9 @@ from tabseq.formula import (
     parse_term,
     print_formula,
     print_term,
+    rebuild,
     subst_var,
+    walk,
 )
 from tabseq.gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 from tabseq.problems import corpus
@@ -242,6 +244,55 @@ class TestHeight:
         assert [field.name for field in dataclasses.fields(f)] == ["left", "right"]
         assert f.__reduce__() == (And, (f.left, f.right))
         assert "height" not in repr(f)
+
+
+def assert_flags_match_a_walk(x) -> None:
+    """Each position of ``x`` says in its ``has_meta`` and ``has_skolem``
+    what a walk below it finds, without reading any node's flags."""
+    for y in walk(x):
+        below = list(walk(y))
+        assert y.has_meta == any(type(z) is Meta for z in below)
+        assert y.has_skolem == any(type(z) is App and z.is_skolem for z in below)
+
+
+class TestFlags:
+    """Every node's ``has_meta`` and ``has_skolem`` say whether a
+    metavariable or a Skolem term occurs in it, however it was built: by a
+    constructor, the parser, a table, a pickle, a copy or a rewrite."""
+
+    @settings(max_examples=40)  # each example collects the garbage
+    @given(st.one_of(FORMULAS, TERMS))
+    def test_built_parsed_read_back_pickled_and_copied(self, x):
+        assert_flags_match_a_walk(x)
+        formula = not isinstance(x, (Meta, App))
+        printed = print_formula(x) if formula else print_term(x)
+        entries, index = encode_table([x])
+        text, at = json.dumps(entries), index(x)
+        data = pickle.dumps(x)
+        del x, entries, index
+        gc.collect()  # nodes nothing holds leave the table and are built again
+        table = Table(json.loads(text))
+        back = table.formula(at, "item") if formula else table.term(at, "item")
+        assert_flags_match_a_walk(back)
+        # The parser renames nested binders of one name apart.
+        assert_flags_match_a_walk((parse if formula else parse_term)(printed, allow_generated=True))
+        assert pickle.loads(data) is back
+        assert copy.copy(back) is copy.deepcopy(back) is back
+
+    @given(FORMULAS, TERMS, TERMS)
+    def test_rewritten(self, f, t, u):
+        with_var = Forall("x", And(f, Atom("R", (Var("x"), u))))
+        no_skolems = rebuild(f, lambda y: const("c9") if type(y) is App and y.is_skolem else None)
+        for y in (apply_subst({"X1": t}, f), apply_subst({"X2": const("a")}, u),
+                  subst_var(with_var.body, "x", t), no_skolems):
+            assert_flags_match_a_walk(y)
+        assert not no_skolems.has_skolem
+
+    def test_flags_are_no_fields(self):
+        t = parse_term("f(sko1(X1))", allow_generated=True)
+        assert t.has_meta and t.has_skolem and not t.is_skolem and t.args[0].is_skolem
+        assert [field.name for field in dataclasses.fields(t)] == ["symbol", "args"]
+        assert "has_" not in repr(t) and t.__reduce__() == (App, ("f", t.args))
 
 
 class TestCachedHash:

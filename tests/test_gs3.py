@@ -26,7 +26,7 @@ from tabseq.gs3 import (
     replace_at,
     rule_name,
 )
-from tabseq import gs3, tableau
+from tabseq import formula as formula_module, gs3, tableau
 from tabseq.cli import render_proof
 from tabseq.problems import growth_goal
 from tabseq.tableau import prove
@@ -275,14 +275,25 @@ class TestCheckReadsWhatRulesAdd:
         assert counted[0] == back.sequent and len(back.sequent) == 1
         assert len(counted) > 200 and max(map(len, counted[1:])) == 2
 
-    def test_metavariable_memo_visits_each_distinct_subnode_once(self, monkeypatch):
-        from conftest import count_memo_walk, subnodes
+    def test_the_metavariable_test_walks_nothing(self, monkeypatch):
+        # The wide proof has no quantifier rule, so no freshness memo and
+        # no witness test: with every formula walk refused, ``check`` still
+        # accepts it, and still finds a metavariable nested deep in a
+        # sequent formula, from the formula's flag.
+        conj = " & ".join(f"P{i}" for i in range(16))
+        proof = translate(prove([Not(parse(f"({conj}) => ({conj})"))]))
+        buried = parse("P(f(g(a, f(X1))))", allow_generated=True)
 
-        proof = _growth_proof(3)
-        distinct = subnodes(f for node in postorder(proof) for f in node.sequent)
-        visits = count_memo_walk(monkeypatch, gs3, own=gs3._is_meta)
+        def refuse(*args):
+            raise AssertionError("check walked a formula")
+
+        monkeypatch.setattr(gs3, "mark_any", refuse)
+        monkeypatch.setattr(formula_module, "walk", refuse)
         assert check(proof).accepted
-        assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
+        result = check(GsProof(proof.sequent + (buried,), proof.rule, proof.principal,
+                               proof.children))
+        assert (result.path, result.reason, result.detail) == (
+            (), SCHEMA_MISMATCH, "metavariable in sequent formula P(f(g(a, f(X1))))")
 
     def test_freshness_walks_each_distinct_subnode_once_per_witness_symbol(self, monkeypatch):
         from conftest import count_memo_walk, subnodes
@@ -294,9 +305,10 @@ class TestCheckReadsWhatRulesAdd:
                    if n.rule and RULE_GROUPS.get(n.rule.name) == "delta"}
         visits = count_memo_walk(monkeypatch, gs3)
         assert check(proof).accepted
-        # Each node: once for the metavariable test, once per witness symbol.
+        # Each node: once per witness symbol; the metavariable test walks
+        # nothing.
         assert len(symbols) > 1 and set(visits) <= distinct
-        assert 1 < max(visits.values()) <= 1 + len(symbols)
+        assert 1 < max(visits.values()) <= len(symbols)
 
 
 def _local_key(node: GsProof):

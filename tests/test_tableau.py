@@ -40,7 +40,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.unify import ConstraintStore, Substitution, groundify, solve
+from tabseq.unify import Constraint, ConstraintStore, Substitution, groundify, solve
 
 from conftest import node_at
 
@@ -269,10 +269,24 @@ def old_order_pairs(formulas):
                     yield pos, neg
 
 
+def reference_close(node, store, pos, neg):
+    """``close`` as it was first written: the leaf closes if a solve of
+    the whole store, with the pair's constraint added, finds a unifier.
+    It reads no unifier that the store carries."""
+    grown = ConstraintStore(store.constraints + (Constraint(pos, neg.body),))
+    if solve(grown) is None:
+        return None
+    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
+    node.children = (TableauNode(node.formulas, closed=True),)
+    return grown
+
+
 def reference_prove(formulas, gamma_limit=2, depth_limit=200):
     """``prove`` as a plain search: every leaf tries all its closure
-    candidates in the old order, classifies every formula at every step and
-    walks every introduced formula for metavariables and symbols."""
+    candidates in the old order, each against a solve of the whole store,
+    scans and classifies every formula of the leaf for its principal at
+    every step, and walks every introduced formula for metavariables and
+    symbols."""
     priority = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
     gamma = tuple(formulas)
     symbols = set()
@@ -291,7 +305,7 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
             symbols |= formula_symbols(f)
         closed = None
         for pos, neg in old_order_pairs(node.formulas):
-            closed = close(node, store, pos, neg)
+            closed = reference_close(node, store, pos, neg)
             if closed is not None:
                 break
         if closed is not None:
@@ -555,3 +569,26 @@ class TestAudit:
         node_at(ct.root, closure + (0,)).closed = True
         with pytest.raises(AuditError, match="child multiset is not parent plus introduced"):
             audit_closed_tableau(ct)
+
+
+def test_prove_agrees_with_the_reference_search():
+    """The incremental closure test and the principal buckets against the
+    plain search, on the search digest's inputs, the wide family and the
+    refusal goals, under each of the digest's limits: the same Exhausted
+    result or the same ``.tab`` bytes."""
+    from test_search_digest import LIMITS, inputs
+
+    goals = [formulas for _, formulas in inputs()]
+    goals += [[wide(n)] for n in range(8, 41)]
+    goals += [refusal_goal(seed) for seed in range(60)]
+    closed = 0
+    for formulas in goals:
+        for gamma_limit, depth_limit in LIMITS:
+            result = prove(formulas, gamma_limit, depth_limit)
+            expected = reference_prove(formulas, gamma_limit, depth_limit)
+            if isinstance(expected, Exhausted):
+                assert result == expected
+            else:
+                closed += 1
+                assert tableau_to_json(result) == tableau_to_json(expected)
+    assert closed > len(goals)

@@ -80,6 +80,111 @@ class TestConsistent:
         assert len(store) == 1
 
 
+def random_constraint(rng: random.Random) -> Constraint:
+    """A term pair or an atom pair over few metavariables and symbols, so
+    that symbol clashes and occurs-check failures, through the store's
+    bindings too, are common."""
+    metas = [Meta(f"X{i}") for i in range(1, 5)]
+
+    def term(depth: int):
+        roll = rng.random()
+        if roll < 0.45:
+            return rng.choice(metas)
+        if depth > 0 and roll < 0.75:
+            return App(rng.choice("fg"), (term(depth - 1),))
+        return const(rng.choice("ab"))
+
+    if rng.random() < 0.5:
+        return Constraint(term(2), term(2))
+    arity = rng.randrange(3)
+    return Constraint(Atom(rng.choice("PP" "Q"), tuple(term(1) for _ in range(arity))),
+                      Atom("P", tuple(term(1) for _ in range(arity))))
+
+
+class TestIncrementalConsistency:
+    """``consistent`` unifies only the new constraints, under the unifier
+    the store carries; it must agree with a solve of the whole store, and
+    the carried unifier must stay a unifier of every stored constraint."""
+
+    @staticmethod
+    def whole(constraints) -> ConstraintStore:
+        return ConstraintStore(tuple(constraints))
+
+    def test_agrees_with_a_whole_store_solve_on_random_sequences(self):
+        refused = occurs = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            store = ConstraintStore()
+            for _ in range(rng.randrange(1, 12)):
+                c = random_constraint(rng)
+                verdict = consistent(store, [c])
+                assert verdict == (solve(self.whole(store.constraints + (c,))) is not None), seed
+                if not verdict:
+                    refused += 1
+                    occurs += _pairs_a_meta_with_a_term_holding_it(store, c)
+                    continue
+                store = store.add(c)
+                sigma = store.unifier
+                for stored in store.constraints:
+                    assert apply_subst(sigma, stored.lhs) is apply_subst(sigma, stored.rhs), seed
+                for t in sigma.values():
+                    assert not any(m.name in sigma for m in free_metas(t)), seed
+        assert refused > 100 and occurs > 10
+
+    def test_occurs_check_through_the_store(self):
+        store = ConstraintStore().add(Constraint(Meta("X1"), App("f", (Meta("X2"),))))
+        assert not consistent(store, [Constraint(Meta("X2"), App("g", (Meta("X1"),)))])
+        assert consistent(store, [Constraint(Meta("X2"), App("g", (Meta("X3"),)))])
+
+    def test_symbol_clash_through_the_store(self):
+        store = ConstraintStore().add(
+            Constraint(Atom("P", (Meta("X1"),)), Atom("P", (const("a"),))))
+        assert not consistent(store, [Constraint(Meta("X1"), const("b"))])
+        assert consistent(store, [Constraint(Meta("X1"), const("a"))])
+
+    def test_an_unsolvable_store_stays_unsolvable(self):
+        store = term_store((const("a"), const("b")))
+        assert store.unifier is None
+        assert not consistent(store, [Constraint(Meta("X1"), const("a"))])
+        assert store.add(Constraint(Meta("X1"), const("a"))).unifier is None
+
+    def test_add_after_consistent_unifies_once(self, monkeypatch):
+        from tabseq import unify
+
+        calls = []
+        real = unify._unify
+        monkeypatch.setattr(unify, "_unify", lambda b, cs: calls.append(cs) or real(b, cs))
+        store = ConstraintStore().add(Constraint(Meta("X1"), const("a")))
+        c = Constraint(Atom("P", (Meta("X1"), Meta("X2"))), Atom("P", (const("a"), const("b"))))
+        calls.clear()
+        assert consistent(store, [c])
+        grown = store.add(c)
+        assert calls == [(c,)] and grown.unifier == {"X1": const("a"), "X2": const("b")}
+        assert store.add(Constraint(Meta("X2"), const("a"))) is not grown
+
+
+def _pairs_a_meta_with_a_term_holding_it(store: ConstraintStore, c: Constraint) -> bool:
+    """Whether ``c`` under the store's unifier puts, at one position of
+    both sides and before any clash of shapes, a metavariable against a
+    term that strictly contains it: a refusal of the occurs check."""
+    sigma = store.unifier
+    lhs, rhs = apply_subst(sigma, c.lhs), apply_subst(sigma, c.rhs)
+    pairs = [(lhs, rhs)]
+    while pairs:
+        s, t = pairs.pop()
+        if s is t:
+            continue
+        if type(s) is Meta or type(t) is Meta:
+            m, u = (s, t) if type(s) is Meta else (t, s)
+            if m in free_metas(u):
+                return True
+            continue
+        if type(s) is not type(t) or len(s.parts) != len(t.parts):
+            return False
+        pairs += zip(s.parts, t.parts)
+    return False
+
+
 def random_solvable_store(rng: random.Random) -> ConstraintStore:
     """Random pairs (t, t-instantiated), solvable by construction."""
     metas = [Meta(f"X{i}") for i in range(1, 5)]
