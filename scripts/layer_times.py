@@ -13,8 +13,9 @@ The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
 - wide n=30, n=60 and n=120: ``(P0 & ... & Pn-1) => (P0 & ... & Pn-1)``,
   proved with ``depth_limit=1000``, one long branch of long sequents; the
   three rows show how each stage grows as n doubles;
-- ``problems.deep_tableau(1100)``: one branch of 1,100 gamma steps, given as
-  a tableau, so it has no prove time.
+- ``problems.deep_tableau(n)`` for n=1,100, 2,200 and 4,400: one branch of
+  n gamma steps, given as a tableau, so it has no prove time; a layer
+  whose cost is linear in the proof's height doubles from row to row.
 
 The script reports and gates nothing; it exits 1 only if a proof it made
 is rejected or does not read back to the same text.  For end-to-end
@@ -50,12 +51,17 @@ def inputs():
         goal = Not(parse(f"({conj}) => ({conj})"))
         return f"wide n={n}", lambda: prove([goal], depth_limit=1000), True
 
+    def deep(n: int):
+        return f"deep_tableau({n})", lambda: deep_tableau(n), False
+
     return [
         ("growth k=5", lambda: prove([Not(growth_goal(5))]), True),
         wide(30),
         wide(60),
         wide(120),
-        ("deep_tableau(1100)", lambda: deep_tableau(1100), False),
+        deep(1100),
+        deep(2200),
+        deep(4400),
     ]
 
 

@@ -184,11 +184,13 @@ def check(proof: GsProof) -> CheckResult:
     there, so the metavariable test reads the ``has_meta`` flag of the
     root's formulas and, at each other node, of only those added ones; it
     walks nothing.  The freshness test keeps a per-call memo per witness
-    symbol, which walks each distinct subformula once.  A premise whose
-    tuple is its conclusion's followed by a tail that is the added formulas
-    in some order, as the translator and the reader make it, is accepted
-    by counting at most that tail; any other premise is counted whole and
-    compared.
+    symbol, which walks each distinct subformula once, and each distinct
+    (rule, principal) pair's additions are derived once per call.  A
+    node's path is kept as a link to its parent's and built only for the
+    rejection.  A premise whose tuple is its conclusion's followed by a
+    tail that is the added formulas in some order, as the translator and
+    the reader make it, is accepted by counting at most that tail; any
+    other premise is counted whole and compared.
 
     Each node object is checked once per call.  One met again, as in a
     proof read back from a file, whose equal subproofs are one object, is
@@ -198,21 +200,27 @@ def check(proof: GsProof) -> CheckResult:
     check of every node of the tree the proof unfolds to.
     """
     symbols: dict[str, dict] = {}  # witness symbol -> formula or term -> holds the symbol
+    schemas: dict[tuple, tuple | None] = {}  # (rule, principal) -> premise_additions
     met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
     # while checking its parent, are the child's conclusion and new formulas.
-    stack: list[tuple[Path, GsProof, dict[Formula, int], Sequent]] = [
-        ((), proof, _multiset(proof.sequent), proof.sequent)]
+    # A node's link is (its parent's link, its bit), None at the root.
+    stack: list[tuple[tuple | None, GsProof, dict[Formula, int], Sequent]] = [
+        (None, proof, _multiset(proof.sequent), proof.sequent)]
     while stack:
-        path, node, conclusion, added = stack.pop()
+        link, node, conclusion, added = stack.pop()
         if id(node) in met:
             continue
         met.add(id(node))
-        premises = _check_node(path, node, conclusion, added, symbols)
-        if isinstance(premises, CheckResult):
-            return premises
+        premises = _check_node(node, conclusion, added, symbols, schemas)
+        if type(premises) is tuple:
+            path: list[int] = []
+            while link is not None:
+                link, bit = link
+                path.append(bit)
+            return CheckResult(False, tuple(reversed(path)), *premises)
         for bit in reversed(range(len(premises))):
-            stack.append((path + (bit,), node.children[bit], *premises[bit]))
+            stack.append(((link, bit), node.children[bit], *premises[bit]))
     return CheckResult(True)
 
 
@@ -225,79 +233,78 @@ def _multiset(formulas) -> dict[Formula, int]:
     return out
 
 
-def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added: Sequent,
-                symbols: dict[str, dict]) -> CheckResult | list[tuple[dict[Formula, int], Sequent]]:
-    """The rejection at this node, or the multiset and added formulas of
-    each of its premises.  ``added`` holds, in the order of the node's
-    sequent, every formula of it that its ancestors' sequents lack, and
-    may hold some they have.  Each memo in ``symbols`` says which formulas
-    and terms hold that symbol."""
+def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
+                symbols: dict[str, dict], schemas: dict[tuple, tuple | None]
+                ) -> tuple[str, str] | list[tuple[dict[Formula, int], Sequent]]:
+    """The rejection at this node, as its reason and detail, or the
+    multiset and added formulas of each of its premises; the last premise
+    is handed ``conclusion`` itself.  ``added`` holds, in the order of the
+    node's sequent, every formula of it that its ancestors' sequents lack,
+    and may hold some they have.  Each memo in ``symbols`` says which
+    formulas and terms hold that symbol; ``schemas`` keeps the additions
+    of each (rule, principal) pair met."""
     for f in added:
         if f.has_meta:
-            return CheckResult(False, path, SCHEMA_MISMATCH,
-                               f"metavariable in sequent formula {print_formula(f)}")
+            return SCHEMA_MISMATCH, f"metavariable in sequent formula {print_formula(f)}"
     if node.rule is None:
         if node.children:
-            return CheckResult(False, path, SCHEMA_MISMATCH, "rule-less node has children")
-        return CheckResult(False, path, OPEN_LEAF, "open leaf")
+            return SCHEMA_MISMATCH, "rule-less node has children"
+        return OPEN_LEAF, "open leaf"
     rule, principal = node.rule, node.principal
     if rule.name not in RULE_NAMES:
-        return CheckResult(False, path, SCHEMA_MISMATCH, f"unknown rule {rule.name!r}")
+        return SCHEMA_MISMATCH, f"unknown rule {rule.name!r}"
     if principal is None:
-        return CheckResult(False, path, SCHEMA_MISMATCH, "rule without principal")
+        return SCHEMA_MISMATCH, "rule without principal"
     if principal not in conclusion:
-        return CheckResult(False, path, SCHEMA_MISMATCH,
-                           f"principal {print_formula(principal)} not in sequent")
+        return SCHEMA_MISMATCH, f"principal {print_formula(principal)} not in sequent"
 
     if rule.name == "axiom":
         if node.children:
-            return CheckResult(False, path, SCHEMA_MISMATCH, "axiom with premises")
+            return SCHEMA_MISMATCH, "axiom with premises"
         if Not(principal) not in conclusion:
-            return CheckResult(False, path, BAD_AXIOM,
-                               f"no complement for {print_formula(principal)}")
+            return BAD_AXIOM, f"no complement for {print_formula(principal)}"
         return []
 
     if rule.name == "weaken":
         if len(node.children) != 1:
-            return CheckResult(False, path, SCHEMA_MISMATCH, "weakening needs one premise")
-        expected = dict(conclusion)
+            return SCHEMA_MISMATCH, "weakening needs one premise"
+        seq, i = node.sequent, node.sequent.index(principal)
+        expected = conclusion
         if expected[principal] == 1:
             del expected[principal]
         else:
             expected[principal] -= 1
-        seq, i = node.sequent, node.sequent.index(principal)
         premise = node.children[0].sequent
         if premise != seq[:i] + seq[i + 1:] and _multiset(premise) != expected:
-            return CheckResult(False, path, SCHEMA_MISMATCH,
-                               "premise is not conclusion minus the dropped occurrence")
+            return SCHEMA_MISMATCH, "premise is not conclusion minus the dropped occurrence"
         return [(expected, ())]
 
-    additions = premise_additions(rule, principal)
+    key = (rule, principal)
+    if key not in schemas:
+        schemas[key] = premise_additions(rule, principal)
+    additions = schemas[key]
     if additions is None:
-        return CheckResult(False, path, SCHEMA_MISMATCH,
-                           f"{rule.name} does not apply to {print_formula(principal)}")
+        return SCHEMA_MISMATCH, f"{rule.name} does not apply to {print_formula(principal)}"
     if len(node.children) != len(additions):
-        return CheckResult(False, path, SCHEMA_MISMATCH, "wrong number of premises")
+        return SCHEMA_MISMATCH, "wrong number of premises"
 
     group = RULE_GROUPS[rule.name]
     if group in ("delta", "gamma"):
         w = rule.witness
         if w is None or not is_ground_term(w):
-            return CheckResult(False, path, SCHEMA_MISMATCH, "witness must be a ground term")
+            return SCHEMA_MISMATCH, "witness must be a ground term"
         if group == "delta":
             if not isinstance(w, App) or w.args:
-                return CheckResult(False, path, SCHEMA_MISMATCH,
-                                   "existential witness must be a constant")
+                return SCHEMA_MISMATCH, "existential witness must be a constant"
             memo = symbols.setdefault(w.symbol, {})
             mark_any(node.sequent, memo, lambda x: type(x) is App and x.symbol == w.symbol)
             if any([memo[f] for f in node.sequent]):
-                return CheckResult(False, path, FRESHNESS,
-                                   f"witness {w.symbol} occurs in the conclusion sequent")
+                return FRESHNESS, f"witness {w.symbol} occurs in the conclusion sequent"
 
     premises: list[tuple[dict[Formula, int], Sequent]] = []
-    seq, size = node.sequent, len(node.sequent)
+    seq, size, last = node.sequent, len(node.sequent), len(additions) - 1
     for bit, extra in enumerate(additions):
-        expected = dict(conclusion)
+        expected = conclusion if bit == last else dict(conclusion)
         for f in extra:
             expected[f] = expected.get(f, 0) + 1
         premise = node.children[bit].sequent
@@ -309,8 +316,7 @@ def _check_node(path: Path, node: GsProof, conclusion: dict[Formula, int], added
             # conclusion's, whose flags the metavariable test reads again.
             premises.append((expected, premise))
         else:
-            return CheckResult(False, path, SCHEMA_MISMATCH,
-                               f"premise {bit} is not conclusion plus introduced formulas")
+            return SCHEMA_MISMATCH, f"premise {bit} is not conclusion plus introduced formulas"
     return premises
 
 

@@ -562,7 +562,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     The nodes are written children first.  A formula nested deeper than
     ``MAX_DEPTH`` is a DepthError, since the reader would refuse the file.
     """
-    order = list(postorder(ct.root))
+    order = postorder(ct.root)
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
     items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
     items += [x for binding in bindings for x in binding]

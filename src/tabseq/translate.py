@@ -42,7 +42,7 @@ from .formula import (
 )
 from .gs3 import BAD_AXIOM, FRESHNESS, RULE_GROUPS, SCHEMA_MISMATCH, GsProof, GsRule, rule_name
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
-from .tree import path_of, postorder, preorder
+from .tree import path_of, preorder
 
 
 class TranslateError(AssertionError):
@@ -194,10 +194,20 @@ class _Builder:
 
     The proof being grown and its count of open leaves, the statistics,
     the audit switch and the Skolem ranks.  The sigma-instance of each
-    tableau formula, the premise additions of each (rule, principal) pair
-    and the outermost Skolem terms of each formula, which the existential
-    freshness tests read, are computed once.  With audits on, ``targets``
-    holds the count of the sigma-instances of each fringe node's formulas.
+    tableau formula, the premise additions of each (rule, principal) pair,
+    the outermost Skolem terms of each formula, which the existential
+    freshness tests read, and the text of each formula a graft weakens
+    are computed once.  With audits on, ``targets`` holds the count of the
+    sigma-instances of each fringe node's formulas.
+
+    The steps record what they make, which the grafts and the Skolem
+    replacement read instead of walking the proof: ``nodes``, every node
+    object in creation order; ``formulas``, the root's formulas and what
+    each premise adds; ``witnesses``, the rules' witnesses.  A node is made
+    when its parent steps, and a leaf that shares a step existed before
+    the premises it shares, so ``nodes`` lists each node after all its
+    parents.  A (rule, principal) pair's formulas and witness are recorded
+    at its first step, when its additions are computed.
     """
 
     def __init__(self, ct: ClosedTableau, audit: bool = True) -> None:
@@ -209,7 +219,11 @@ class _Builder:
         self._instances: dict[Formula, Formula] = {}
         self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
         self._skolems: dict[Formula, set[App]] = {}
+        self._texts: dict[Formula, str] = {}
         self.proof = GsProof(tuple(self.instance(f) for f in ct.root.formulas))
+        self.nodes: list[GsProof] = [self.proof]
+        self.formulas: set[Formula] = set(self.proof.sequent)
+        self.witnesses: set[Term] = set()
         self.open = 1  # the proof's open leaves, kept up to date by ``step``
         self.targets: dict[int, Counter] = {id(ct.root): Counter(self.proof.sequent)}
 
@@ -222,7 +236,11 @@ class _Builder:
     def additions(self, rule: GsRule, principal: Formula) -> tuple | None:
         key = (rule, principal)
         if key not in self._additions:
-            self._additions[key] = gs3.premise_additions(rule, principal)
+            out = self._additions[key] = gs3.premise_additions(rule, principal)
+            for extra in out or ():
+                self.formulas.update(extra)
+            if rule.witness is not None:
+                self.witnesses.add(rule.witness)
         return self._additions[key]
 
     def skolems(self, f: Formula) -> set[App]:
@@ -231,14 +249,21 @@ class _Builder:
             out = self._skolems[f] = outermost_skolem_terms(f)
         return out
 
+    def text(self, f: Formula) -> str:
+        out = self._texts.get(f)
+        if out is None:
+            out = self._texts[f] = print_formula(f)
+        return out
+
     def step(self, leaf: GsProof, rule: GsRule, principal: Formula) -> tuple[GsProof, ...]:
-        """``build_step`` at an open leaf; returns its premises."""
+        """``build_step`` at an open leaf; records and returns its premises."""
         if not leaf.is_open:
             raise TranslateError(f"{path_of(self.proof, leaf)} is not an open leaf")
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
         build_step(leaf, rule, principal, additions=additions, outermost_skolems=self.skolems)
+        self.nodes += leaf.children
         self.open += len(leaf.children) - 1
         return leaf.children
 
@@ -284,20 +309,23 @@ def delta_graft(
     existential step whose target already accounts for it; all other
     leaves agree with their target exactly.
 
-    ``builder`` is the translation's shared state, whose proof is theta.
+    ``builder`` is the translation's shared state, whose proof is theta
+    and whose ``nodes`` are theta's node objects, parents first.
     """
-    # One walk over theta's node objects, children first: its rules are the
-    # template that is regrown, and its open leaves are the link targets.
-    theta_nodes = list(postorder(theta))
-    theta_open = {n for n in theta_nodes if n.is_open}
+    # Theta's rules are the template that is regrown, in creation order,
+    # and its open leaves are the link targets.
+    template: list[GsProof] = []
+    leaves: list[GsProof] = []
+    for n in builder.nodes:
+        (leaves if n.rule is None else template).append(n)
+    theta_open = set(leaves)
     in_B = set(B)
     if not in_B <= theta_open:
         raise TranslateError("graft leaves must be open leaves of the target tree")
     over_B = set(in_B)  # the nodes with a B leaf below them, B included
-    for n in theta_nodes:
-        if any(c in over_B for c in n.children):
+    for n in reversed(template):
+        if not over_B.isdisjoint(n.children):
             over_B.add(n)
-    template = [n for n in reversed(theta_nodes) if n.rule is not None]
     root_gamma = Counter(theta.sequent)
 
     stats = builder.stats
@@ -309,8 +337,8 @@ def delta_graft(
     # each template rule pops its own.  ``clones`` are the leaves that copy
     # one of theta's open leaves outside B exactly, that leaf included.
     waiting: defaultdict[GsProof, list[GsProof]] = defaultdict(list)
-    for q in theta_nodes:
-        if q in theta_open and q not in in_B:
+    for q in leaves:
+        if q not in in_B:
             waiting[q].append(q)
     clones = set(waiting)
     held: set[GsProof] = set()
@@ -332,7 +360,7 @@ def delta_graft(
         drops = Counter(s.sequent) - target
         if Counter(s.sequent) - drops != target:
             raise TranslateError("graft leaf does not contain the root sequent")
-        for f in sorted(drops.elements(), key=print_formula):
+        for f in sorted(drops.elements(), key=builder.text):
             (s,) = builder.step(s, GsRule("weaken"), f)
         (s,) = builder.step(s, delta_rule, principal)
         if extra_principal:
@@ -341,7 +369,7 @@ def delta_graft(
         held.add(s)
 
     # Regrow theta's rules root-first, each node object once after all its
-    # parents (reversed postorder is a topological order) on the leaves they
+    # parents (creation order is a topological order) on the leaves they
     # all sent it, adapting around the grafted branches.  ``held`` leaves
     # carry one occurrence of the Skolem formula beyond their target; a reused equal
     # existential step absorbs that occurrence into the target content, and
@@ -617,31 +645,24 @@ def _audit_link(
 # -------------------------------------------------- skolem term replacement
 
 
-def replace_skolem_terms(proof: GsProof) -> GsProof:
+def replace_skolem_terms(nodes: list[GsProof], formulas: set[Formula],
+                         witnesses: set[Term]) -> GsProof:
     """Replace each (now globally fresh) Skolem term by a distinct fresh
     constant, turning relaxed existential witnesses into strict ones.
 
-    One iterative walk collects the node objects, each once however many
-    parents share it, and the distinct formulas and witnesses: the root's
-    formulas and what each premise adds to its conclusion's tuple, or the
-    whole premise if it does not extend that tuple, as a weakening's does
-    not.  If none of them holds a Skolem term (their ``has_skolem`` flag),
-    the proof is returned as it is, before any formula is walked.  Else one
-    memoised walk over their distinct subformulas and subterms collects
-    the symbols in use and each Skolem symbol's argument vector; the
-    rewrite enters only the formulas and terms that hold a Skolem term,
-    each distinct formula once, and the nodes are updated in place.  The
-    proof is returned.
+    ``nodes`` are the node objects of a proof, each once, its root first;
+    ``formulas`` are the distinct formulas of their sequents and
+    ``witnesses`` the distinct witnesses of their rules, as the builder
+    records them.  If none of these holds a Skolem term (their
+    ``has_skolem`` flag), the proof is returned as it is, before any
+    formula is walked.  Else one memoised walk over their distinct
+    subformulas and subterms collects the symbols in use and each Skolem
+    symbol's argument vector; the rewrite enters only the formulas and
+    terms that hold a Skolem term, each distinct formula once, and the
+    nodes are updated in place.  The proof's root is returned.
     """
-    nodes = list(postorder(proof))
-    distinct: set[Formula] = set(proof.sequent)  # a rule's principal is in its sequent
-    for node in nodes:
-        size = len(node.sequent)
-        for child in node.children:
-            tail = child.sequent[size:]
-            distinct.update(tail if child.sequent[:size] == node.sequent else child.sequent)
-    witnesses = {n.rule.witness for n in nodes if n.rule is not None and n.rule.witness is not None}
-    if not any([x.has_skolem for x in (*distinct, *witnesses)]):
+    proof = nodes[0]
+    if not any([x.has_skolem for x in (*formulas, *witnesses)]):
         return proof
 
     vectors: dict[str, tuple[Term, ...]] = {}
@@ -664,7 +685,7 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
     # The symbols of the sequent formulas are taken, not those of a witness
     # that occurs in none of them.
     walked: dict = {}  # formula or term -> whether it holds a Skolem term
-    mark_any(distinct, walked, used)
+    mark_any(formulas, walked, used)
     mark_any(witnesses, walked, skolem)
 
     constants: dict[str, App] = {}
@@ -685,7 +706,7 @@ def replace_skolem_terms(proof: GsProof) -> GsProof:
             return x
         return constants.get(x.symbol) if type(x) is App else None
 
-    rewritten = {f: rebuild(f, by) for f in distinct}
+    rewritten = {f: rebuild(f, by) for f in formulas}
     new = rewritten.__getitem__
     for node in nodes:
         node.sequent = tuple(map(new, node.sequent))
@@ -718,7 +739,7 @@ def translate_detailed(
 
     if builder.open:
         raise TranslateError("open sequent leaves remain after the last tableau rule")
-    proof = replace_skolem_terms(builder.proof)
+    proof = replace_skolem_terms(builder.nodes, builder.formulas, builder.witnesses)
     if audit:
         result = gs3.check(proof)
         if not result:

@@ -102,10 +102,11 @@ def indented(root: N, key: Callable[[N], object] = id) -> Iterator[tuple[str, N,
             stack.extend((inner, child) for child in reversed(node.children))
 
 
-def postorder(root: N) -> Iterator[N]:
+def postorder(root: N) -> list[N]:
     """Each node object once, after its children, left to right, without
     recursion; a node object reached again through another parent, as in a
     proof read back from a file, is not walked again."""
+    out: list[N] = []
     done: set[int] = set()
     stack: list[tuple[N, bool]] = [(root, False)]
     while stack:
@@ -114,10 +115,12 @@ def postorder(root: N) -> Iterator[N]:
             continue
         if ready:
             done.add(id(node))
-            yield node
+            out.append(node)
         else:
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
+            for child in reversed(node.children):
+                stack.append((child, False))
+    return out
 
 
 def load_json(text: str, what: str):

@@ -1,7 +1,7 @@
 """Shared test helpers: a seeded random formula builder, a count of the
 nodes the memoised formula walks visit, the upgrade script run
-in-process, and the path lookup and rule listings of proof trees that
-only tests use."""
+in-process, the path lookup and rule listings of proof trees that only
+tests use, and the translator's records of a proof built by hand."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tabseq import formula as formula_module
-from tabseq.tree import Path as TreePath, format_path, iter_nodes
+from tabseq.tree import Path as TreePath, format_path, iter_nodes, postorder
 from tabseq.formula import (
     And,
     App,
@@ -205,3 +205,16 @@ def spine_rule_names(root, *, coalesce_weaken: bool = False) -> list[str]:
             out.append(name)
         return out
     return names
+
+
+def builder_records(proof) -> tuple[list, set, set]:
+    """What the translator's builder records of a proof it grows, found by
+    a walk, for tests that graft onto or replace the Skolem terms of a
+    proof built by hand: the node objects, root first and each after all
+    its parents; the distinct formulas of their sequents; the distinct
+    witnesses of their rules."""
+    nodes = postorder(proof)[::-1]
+    formulas = {f for node in nodes for f in node.sequent}
+    witnesses = {node.rule.witness for node in nodes
+                 if node.rule is not None and node.rule.witness is not None}
+    return nodes, formulas, witnesses

@@ -149,17 +149,21 @@ def test_translate_computes_premise_additions_once_per_rule_and_principal(monkey
     assert len(calls) == len(pairs) == 11
 
 
-def test_check_computes_premise_additions_once_per_node_object(monkeypatch):
-    """``check`` walks the translator's shared DAG, not the tree it unfolds
-    to: one ``premise_additions`` call per decomposition node object."""
+def test_check_computes_premise_additions_once_per_rule_and_principal(monkeypatch):
+    """``check`` derives the additions of each distinct (rule, principal)
+    pair once per call, however many node objects of the translator's
+    shared DAG apply it."""
     proof = translate(proved(growth_goal(3)))
     decompositions = [n for n in postorder(proof)
                       if n.rule is not None and n.rule.name not in ("axiom", "weaken")]
+    pairs = {(n.rule, n.principal) for n in decompositions}
     calls = counting(monkeypatch, gs3, "premise_additions")
     assert check(proof).accepted
     # The unfolded tree has 751 inferences, 377 of which need their
-    # schema's additions.
-    assert len(calls) == len(decompositions) == 62
+    # schema's additions, made by 62 node objects.
+    assert len(decompositions) == 62
+    assert len(calls) == len(pairs) == 11
+    assert check(proof).accepted and len(calls) == 22  # the memo lives for one call
 
 
 def test_translate_finds_outermost_skolem_terms_once_per_formula(monkeypatch):

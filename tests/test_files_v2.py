@@ -220,22 +220,29 @@ def test_deep_tableau_translates_and_checks_from_the_cli(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "Accepted"
 
 
-def test_translating_a_deep_tableau_walks_each_proof_node_at_most_once(monkeypatch):
-    """Neither a replay nor its audits walk the proof; counted through the
-    walker the translator calls on proofs."""
-    module = sys.modules["tabseq.translate"]
-    walk, walked = module.postorder, []
+def test_a_translation_with_audits_on_walks_no_proof_with_the_tree_helpers(monkeypatch):
+    """Neither a replay, a graft, the Skolem replacement nor an audit walks
+    the proof: each reads what the builder recorded as it stepped.  Every
+    binding of the tree walkers in the package is watched; the tableau is
+    still walked, the proof never."""
+    walked = []
 
-    def counted(root):
-        for node in walk(root):
-            if isinstance(node, GsProof):
-                walked.append(node)
-            yield node
+    def watched(walk):
+        def watching(root):
+            if isinstance(root, GsProof):
+                walked.append(root)
+            return walk(root)
+        return watching
 
-    monkeypatch.setattr(module, "postorder", counted)
-    proof, _ = module.translate_detailed(deep_tableau(600), audit=True)
-    nodes = sum(1 for _ in gs3.iter_nodes(proof))
-    assert nodes > 600 and 0 < len(walked) <= nodes
+    translate_module = sys.modules["tabseq.translate"]
+    for ct in (deep_tableau(600), proved(growth_goal(3))):
+        with monkeypatch.context() as patch:
+            for module in (tabseq.tree, gs3, tableau, translate_module):
+                for name in ("postorder", "preorder", "iter_nodes"):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, watched(getattr(module, name)))
+            proof, _ = translate_module.translate_detailed(ct, audit=True)
+        assert walked == [] and gs3.inference_count(proof) > 600
 
 
 def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from tabseq import gs3
 from tabseq.formula import App, Not, const, parse
 from tabseq.gs3 import GsProof, GsRule
-from tabseq.problems import growth_goal
+from tabseq.problems import corpus, deep_tableau, growth_goal
 from tabseq.tableau import (
     ClosedTableau,
     TableauNode,
@@ -32,7 +32,7 @@ from tabseq.translate import (
 from tabseq.tree import postorder
 from tabseq.unify import ConstraintStore, Substitution
 
-from conftest import PathError, node_at, rule_names, spine_rule_names
+from conftest import PathError, builder_records, node_at, rule_names, spine_rule_names
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 NESTED_NEG = "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))"
@@ -276,6 +276,7 @@ def graft(theta: GsProof, B, sko: App, delta_formula, principal):
     empty = ClosedTableau(TableauNode(()), ConstraintStore(), Substitution({}))
     builder = _Builder(empty)
     builder.proof, builder.ranks = theta, {sko: 1}
+    builder.nodes, builder.formulas, builder.witnesses = builder_records(theta)
     builder.open = sum(1 for _, n in gs3.iter_nodes(theta) if n.is_open)
     bilink, held = delta_graft(
         theta, [node_at(theta, b) for b in sorted(B)], sko, delta_formula, principal, builder)
@@ -336,12 +337,21 @@ class TestDeltaGraft:
         assert any(after > before for before, after in stats.graft_leaf_growth)
 
 
-def grown_before_skolem_replacement(ct: ClosedTableau, monkeypatch) -> GsProof:
-    """The proof ``translate`` grows, before its Skolem terms are replaced."""
+def grown_before_skolem_replacement(ct: ClosedTableau, monkeypatch) -> tuple[list, set, set]:
+    """The builder's records of the proof ``translate`` grows, as
+    ``replace_skolem_terms`` takes them, before its Skolem terms are
+    replaced: the node objects, root first, the formulas and the
+    witnesses."""
+    records = []
+
+    def keep(nodes, formulas, witnesses):
+        records.extend((nodes, formulas, witnesses))
+        return nodes[0]
+
     with monkeypatch.context() as patch:
-        patch.setattr(sys.modules["tabseq.translate"], "replace_skolem_terms", lambda proof: proof)
-        proof, _ = translate_detailed(ct, audit=False)
-    return proof
+        patch.setattr(sys.modules["tabseq.translate"], "replace_skolem_terms", keep)
+        translate_detailed(ct, audit=False)
+    return tuple(records)
 
 
 class TestInPlaceGrowth:
@@ -352,7 +362,7 @@ class TestInPlaceGrowth:
     ], ids=["drinker", "nested", "or-commutes"])
     def test_no_node_object_appears_twice(self, goal, monkeypatch):
         ct = prove([goal])
-        for proof in (grown_before_skolem_replacement(ct, monkeypatch), translate(ct)):
+        for proof in (grown_before_skolem_replacement(ct, monkeypatch)[0][0], translate(ct)):
             ids = [id(n) for _, n in gs3.iter_nodes(proof)]
             assert len(ids) == len(set(ids))
 
@@ -361,7 +371,7 @@ class TestInPlaceGrowth:
         tree is built from at most two objects per node entry of its
         ``.gs3``: an entry's first object and the leaves that shared it."""
         ct = prove([Not(growth_goal(3))])
-        for proof in (grown_before_skolem_replacement(ct, monkeypatch), translate(ct)):
+        for proof in (grown_before_skolem_replacement(ct, monkeypatch)[0][0], translate(ct)):
             entries = len(json.loads(gs3.proof_to_json(proof))["nodes"])
             objects = sum(1 for _ in postorder(proof))
             assert entries == 83 and objects <= 2 * entries
@@ -402,7 +412,7 @@ class TestSkolemReplacement:
         proof = GsProof((goal,))
         build_step(proof, GsRule("exists", App("sko1", ())), goal)
         leaf = proof.children[0]
-        assert replace_skolem_terms(proof) is proof
+        assert replace_skolem_terms(*builder_records(proof)) is proof
         assert proof.children[0] is leaf
         assert proof.sequent[0] is goal and proof.principal is goal
         assert proof.rule.witness == const("c1")
@@ -423,7 +433,7 @@ class TestSkolemReplacement:
         (node,) = node.children
         build_step(node, GsRule("axiom"), parse("D(sko1)", allow_generated=True))
         before = shared.sequent
-        assert replace_skolem_terms(proof) is proof
+        assert replace_skolem_terms(*builder_records(proof)) is proof
         assert proof.children == (shared, shared) and shared.sequent == before
         assert shared.rule == GsRule("not_forall", const("c1"))
         assert node.sequent[-2:] == (parse("~D(c1)"), parse("D(c1)"))
@@ -432,25 +442,56 @@ class TestSkolemReplacement:
     def test_equal_formulas_share_one_replacement(self):
         a = parse("D(sko1)", allow_generated=True)
         assert parse("D(sko1)", allow_generated=True) is a
-        proof = replace_skolem_terms(GsProof((a, a)))
+        proof = replace_skolem_terms(*builder_records(GsProof((a, a))))
         assert proof.sequent[0] is proof.sequent[1] is parse("D(c1)")
 
     def test_walk_visits_each_distinct_subnode_once(self, monkeypatch):
         from conftest import count_memo_walk, subnodes
 
-        proof = grown_before_skolem_replacement(prove([Not(growth_goal(3))]), monkeypatch)
+        records = grown_before_skolem_replacement(prove([Not(growth_goal(3))]), monkeypatch)
+        proof = records[0][0]
         nodes = list(postorder(proof))
         distinct = subnodes([f for node in nodes for f in node.sequent]
                             + [n.rule.witness for n in nodes if n.rule and n.rule.witness])
         visits = count_memo_walk(monkeypatch, sys.modules["tabseq.translate"])
-        assert replace_skolem_terms(proof) is proof
+        assert replace_skolem_terms(*records) is proof
         assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
         assert any(isinstance(x, App) and x.is_skolem for x in visits)
 
     def test_two_argument_vectors_are_refused(self):
         proof = GsProof((parse("P(sko1(a), sko1(b))", allow_generated=True),))
         with pytest.raises(TranslateError, match="two argument vectors"):
-            replace_skolem_terms(proof)
+            replace_skolem_terms(*builder_records(proof))
+
+
+def recorded_tableaux():
+    """(name, closed tableau) for the records test: a corpus sample,
+    growth k=1..4 and a one-branch tableau of 300 gamma steps."""
+    for name, goal in corpus(300, seed=5):
+        yield name, prove([Not(goal)])
+    for k in range(1, 5):
+        yield f"growth-{k}", prove([Not(growth_goal(k))])
+    yield "deep_tableau(300)", deep_tableau(300)
+
+
+class TestBuilderRecords:
+    def test_records_agree_with_a_walk_of_the_proof(self, monkeypatch):
+        """The grafts and the Skolem replacement read the builder's records
+        in place of a walk; they must be what a walk finds."""
+        for name, ct in recorded_tableaux():
+            assert isinstance(ct, ClosedTableau), name
+            nodes, formulas, witnesses = grown_before_skolem_replacement(ct, monkeypatch)
+            proof = nodes[0]
+            _, walked_formulas, walked_witnesses = builder_records(proof)
+            assert (formulas, witnesses) == (walked_formulas, walked_witnesses), name
+            assert replace_skolem_terms(nodes, formulas, witnesses) is proof
+            assert gs3.check(proof).accepted, name
+            # Each object of the finished proof once, after all its parents.
+            finished = postorder(proof)
+            assert len(nodes) == len(finished), name
+            assert {id(n) for n in nodes} == {id(n) for n in finished}, name
+            place = {id(n): i for i, n in enumerate(nodes)}
+            assert all(place[id(c)] > place[id(n)] for n in nodes for c in n.children), name
 
 
 class TestInvariants:

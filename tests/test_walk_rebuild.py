@@ -32,6 +32,8 @@ from tabseq.formula import (
 from tabseq.gs3 import GsProof
 from tabseq.translate import replace_skolem_terms
 
+from conftest import builder_records
+
 # --------------------------------------------------------------- reference
 
 
@@ -236,7 +238,7 @@ def test_subst_var_keeps_a_shadowing_binder_whole():
 
 @given(st.lists(formulas, min_size=1, max_size=3))
 def test_replace_skolem_terms_matches_the_reference(fs):
-    proof = replace_skolem_terms(GsProof(tuple(fs)))
+    proof = replace_skolem_terms(*builder_records(GsProof(tuple(fs))))
     assert proof.sequent == ref_replace_skolems(fs)
 
 
