@@ -21,22 +21,23 @@ nothing else uses leaves it, and a lock guards the build after a miss, so
 threads that build the same formula get one object.  A pickled or copied
 node comes back as the interned node.  Each node carries, set once when it
 is built, its ``parts`` (its subformulas and subterms, in order), its
-height (the formula and term nodes on its longest downward path, computed
-from its parts' heights) and whether it holds a metavariable or a Skolem
-term (from its parts' flags), so a traversal reads a node's parts in one
-attribute, depth bounds cost nothing to test, and a walk for
-metavariables or Skolem terms skips every subtree that holds none.
+``head`` (its file-table tag and name), its height (the formula and term
+nodes on its longest downward path, computed from its parts' heights) and
+whether it holds a metavariable or a Skolem term (from its parts' flags),
+so a traversal reads a node's parts in one attribute, depth bounds cost
+nothing to test, and a walk for metavariables or Skolem terms skips every
+subtree that holds none.  A node's ``decomposed`` slot is filled later, by
+``gs3.premise_additions``, the first time it decomposes the node.
 The interning is not done by a metaclass: ``isinstance`` against a class
 whose metaclass is not ``type`` leaves CPython's fast path, and the prover
 and checker call it millions of times.
 
 Every structural query and rewrite goes through one generic view of a
-node: its ``parts``, ``_name`` (its symbol, predicate or bound variable)
-and ``_make`` (the interned node of a class with a name and parts), which
-the file tables use too.  ``walk`` lists a node's positions in document
-order without recursion, and ``rebuild`` rewrites them bottom-up; since a
-node rebuilt from unchanged parts is the node itself, a rewrite that
-changes nothing returns its input.
+node: its ``parts``, its ``head`` and ``_make`` (the interned node of a
+class with a name and parts), which the file tables use too.  ``walk``
+lists a node's positions in document order without recursion, and
+``rebuild`` rewrites them bottom-up; since a node rebuilt from unchanged
+parts is the node itself, a rewrite that changes nothing returns its input.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def _intern(key: tuple):
             _set_field(node, "has_meta", cls is Meta or any([p.has_meta for p in parts]))
             _set_field(node, "has_skolem", cls is App and SKOLEM_NAME.match(node.symbol) is not None
                        or any([p.has_skolem for p in parts]))
+            tag, named = _HEADS[cls]
+            _set_field(node, "head", (tag, key[1]) if named else (tag,))
+            _set_field(node, "decomposed", None)
             _table[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -134,14 +138,17 @@ class _Node:
     interned node itself.
 
     ``parts`` holds the node's subformulas and subterms in document order,
+    ``head`` its file-table entry's tag and name (see ``encode_table``),
     ``height`` the number of formula and term nodes on the longest path
     from the node down, and ``has_meta`` and ``has_skolem`` whether a
     metavariable or a Skolem term occurs in the node (the node itself
-    included); all are set when the node is built.  None is a dataclass
-    field, so they take no part in the intern key, in ``__reduce__`` or in
-    ``repr``."""
+    included); all are set when the node is built.  ``decomposed`` is None
+    until ``gs3.premise_additions`` keeps there the rule name and the
+    additions of a witness-free decomposition of the node.  None is a
+    dataclass field, so they take no part in the intern key, in
+    ``__reduce__`` or in ``repr``."""
 
-    __slots__ = ("__weakref__", "parts", "height", "has_meta", "has_skolem")
+    __slots__ = ("__weakref__", "parts", "height", "has_meta", "has_skolem", "decomposed", "head")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -330,7 +337,10 @@ def rebuild(x: Formula | Term, by: Callable[[Formula | Term], Formula | Term | N
     if not parts:
         return x
     new = tuple([rebuild(p, by) for p in parts])
-    return x if new == parts else _make(type(x), _name(x), new)
+    if new == parts:
+        return x
+    head = x.head
+    return _make(type(x), head[1] if len(head) > 1 else None, new)
 
 
 def free_metas(x: Formula | Term) -> tuple[Meta, ...]:
@@ -480,22 +490,25 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text`` in one scan; a match that does not start where
+    the last one ended skipped a character no token matches."""
     tokens = []
     line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != pos:
+            break
         kind = m.lastgroup
         value = m.group()
         if kind != "WS":
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            line_start = m.start() + value.rfind("\n") + 1
+            tokens.append(_Token(kind, value, line, start - line_start + 1))
+        elif "\n" in value:
+            line += value.count("\n")
+            line_start = start + value.rfind("\n") + 1
         pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
     tokens.append(_Token("END", "", line, pos - line_start + 1))
     return tokens
 
@@ -697,7 +710,7 @@ _SPECS = {
     "forall": (Forall, True, True, True, 1),
     "exists": (Exists, True, True, True, 1),
 }
-_TAGS = {spec[0]: tag for tag, spec in _SPECS.items()}
+_HEADS = {spec[0]: (tag, spec[2]) for tag, spec in _SPECS.items()}  # class -> (tag, named)
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _NO_NAMES = frozenset()
 
@@ -718,25 +731,12 @@ def _parts(x: Formula | Term) -> tuple:
 
 
 def _make(cls: type, name: str | None, parts) -> Formula | Term:
-    """The node of class ``cls`` whose ``_name`` is ``name`` and whose
-    ``parts`` are ``parts``."""
+    """The node of class ``cls`` whose name (its symbol, predicate or bound
+    variable; None for a connective) is ``name`` and whose ``parts`` are
+    ``parts``."""
     if cls is App or cls is Atom:
         return _intern((cls, name, tuple(parts)))
     return _intern((cls, *parts) if name is None else (cls, name, *parts))
-
-
-def _name(x: Formula | Term) -> str | None:
-    """The name an entry for ``x`` carries; None for a connective."""
-    cls = type(x)
-    if cls is Var or cls is Meta:
-        return x.name
-    if cls is App:
-        return x.symbol
-    if cls is Atom:
-        return x.predicate
-    if cls is Forall or cls is Exists:
-        return x.var
-    return None
 
 
 def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
@@ -765,16 +765,12 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
         levels[x.height - 1].append(x)
 
     index: dict[Formula | Term, int] = {}  # node -> its entry
+    at = index.__getitem__
     entries: list[tuple] = []
-
-    def entry(x: Formula | Term) -> tuple:
-        name = _name(x)
-        parts = [index[p] for p in x.parts]
-        return (_TAGS[type(x)], *parts) if name is None else (_TAGS[type(x)], name, *parts)
-
-    # Equal contents are one interned node, so the sort never compares nodes.
+    # An entry is a node's head followed by its parts' entries.  Equal
+    # contents are one interned node, so the sort never compares nodes.
     for level in levels:
-        for content, x in sorted([(entry(x), x) for x in level]):
+        for content, x in sorted([(x.head + tuple(map(at, x.parts)), x) for x in level]):
             index[x] = len(entries)
             entries.append(content)
     return entries, index.__getitem__
@@ -789,6 +785,9 @@ class Table:
     term), and no more than ``MAX_DEPTH`` levels of nesting.  Equal
     references give one shared object.  ``formula`` and ``term`` hand out
     entries that may stand alone: closed, with no bound variable free.
+    ``closed_formulas`` holds the closed formulas by index, for a reader
+    that resolves many references; ``formula`` gives the FormatError for
+    an index it lacks.
     """
 
     def __init__(self, raw) -> None:
@@ -796,6 +795,7 @@ class Table:
             raise FormatError("table must be a list")
         # Per entry: (object, is a formula, free bound variables).
         entries: list[tuple[Formula | Term, bool, frozenset]] = []
+        closed: dict[int, Formula] = {}
         for pos, entry in enumerate(raw):
             if type(entry) is not list or not entry or type(entry[0]) is not str:
                 raise FormatError(f"table entry {pos} must be a list that starts with a tag")
@@ -833,7 +833,10 @@ class Table:
             if obj.height > MAX_DEPTH:
                 raise FormatError(f"table entry {pos} is nested deeper than {MAX_DEPTH} levels")
             entries.append((obj, formula, free))
+            if formula and not free:
+                closed[pos] = obj
         self._entries = entries
+        self.closed_formulas = closed
 
     def _closed(self, raw, formula: bool, what: str) -> Formula | Term:
         if type(raw) is not int or not 0 <= raw < len(self._entries):

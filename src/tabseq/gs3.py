@@ -18,7 +18,6 @@ callers, ``translate`` and ``cli``.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,6 +43,7 @@ from .tree import (
     FormatError,
     MAX_OCCURRENCES,
     Path,
+    dump_json,
     entry_index,
     file_version,
     format_path,
@@ -99,7 +99,7 @@ class GsRule(NamedTuple):
     witness: Term | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GsProof:
     """A sequent-proof node; leaves without a rule are open.
 
@@ -154,7 +154,14 @@ def rule_name(f: Formula) -> str | None:
 
 def premise_additions(rule: GsRule, principal: Formula) -> tuple[tuple[Formula, ...], ...] | None:
     """Formulas each premise adds to the conclusion, or None on a shape
-    clash or a quantifier rule without a witness."""
+    clash or a quantifier rule without a witness.  A witness-free result
+    is kept, with the rule name, in the principal's ``decomposed`` slot,
+    which only this function writes and later witness-free calls read."""
+    witness = rule.witness
+    if witness is None:
+        done = principal.decomposed
+        if done is not None and done[0] == rule.name:
+            return done[1]
     if type(principal) is Not:
         row = _NEGATED_ROW_OF.get(type(principal.body))
     else:
@@ -162,9 +169,12 @@ def premise_additions(rule: GsRule, principal: Formula) -> tuple[tuple[Formula, 
     if row is None:
         return None
     name, group, _, body, adds = row
-    if name != rule.name or (rule.witness is None and group in ("delta", "gamma")):
+    if name != rule.name or (witness is None and group in ("delta", "gamma")):
         return None
-    return adds(principal if body is None else principal.body, rule.witness)
+    additions = adds(principal if body is None else principal.body, witness)
+    if witness is None:
+        object.__setattr__(principal, "decomposed", (name, additions))
+    return additions
 
 
 # ------------------------------------------------------------------- check
@@ -478,7 +488,7 @@ def proof_to_json(proof: GsProof) -> str:
         walk.extend((child, multiset) for child in reversed(nodes[n][4]))
     record = {"version": 2, "table": table, "sequents": seq_records,
               "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(record) + "\n"
 
 
 def proof_from_json(text: str) -> GsProof:
@@ -506,6 +516,7 @@ def _proof_from_v2(record: dict) -> GsProof:
     sequent's number of occurrences is kept, and the sum is tested against
     ``MAX_OCCURRENCES`` before the sequent's tuple is built."""
     table = Table(record.get("table"))
+    closed = table.closed_formulas
     raw_sequents = record.get("sequents")
     if type(raw_sequents) is not list:
         raise FormatError("sequents must be a list")
@@ -518,7 +529,6 @@ def _proof_from_v2(record: dict) -> GsProof:
     counts: list[dict[int, int] | None] = []  # per sequent: table entry -> count, while needed
     totals: list[int] = []  # per sequent: its number of occurrences
     sequents: list[Sequent] = []
-    formulas: dict[int, Formula] = {}
     occurrences = 0
     for raw in raw_sequents:
         if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
@@ -539,7 +549,9 @@ def _proof_from_v2(record: dict) -> GsProof:
             if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
                 raise FormatError("sequent entries must be [formula, count] pairs")
             f, n = pair
-            formula = formulas[f] = table.formula(f, "sequent formula")
+            formula = closed.get(f) if type(f) is int else None  # ``True`` would find 1
+            if formula is None:  # ``formula`` raises for what ``closed`` lacks
+                formula = table.formula(f, "sequent formula")
             old = count.get(f, 0)
             total += n - old
             if added is not None and n > old:
@@ -558,7 +570,7 @@ def _proof_from_v2(record: dict) -> GsProof:
         if added is not None:
             sequents.append(before + tuple([f for f, n in added for _ in range(n)]))
         else:
-            sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
+            sequents.append(tuple([closed[f] for f, n in count.items() for _ in range(n)]))
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")

@@ -9,10 +9,9 @@ a one-child rule whose child is the closed leaf.  Paths address nodes as
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .formula import (
     App,
@@ -33,6 +32,7 @@ from .tree import (
     FormatError,
     MAX_OCCURRENCES,
     Path,
+    dump_json,
     entry_index,
     file_version,
     indented,
@@ -62,9 +62,9 @@ class AuditError(AssertionError):
     """A structural invariant of a tableau failed."""
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    """The rule applied at an internal node.
+class RuleInstance(NamedTuple):
+    """The rule applied at an internal node; a named tuple, which costs
+    less than half of a frozen dataclass to build.
 
     ``kind`` is one of alpha/beta/gamma/delta/closure; ``introduced`` lists
     the formulas added per child.  Delta instances carry the Skolem term
@@ -81,7 +81,7 @@ class RuleInstance:
     closure_pair: tuple[Formula, Formula] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TableauNode:
     """A tableau node; ``expand`` and ``close`` set the rule and children of
     an open leaf in place, once.  Nothing hashes a tableau node."""
@@ -611,7 +611,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         "store": [[entry(c.lhs), entry(c.rhs)] for c in ct.store.constraints],
         "unifier": [[entry(m), entry(t)] for m, t in bindings],
     }
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_json(record) + "\n"
 
 
 def _side_str(side) -> str:
@@ -636,22 +636,23 @@ def tableau_from_json(text: str) -> ClosedTableau:
     return _tableau_from_table(record, file_version(record, (2, 3)))
 
 
+def _formulas_at(table: Table, ids: list, what: str) -> tuple[Formula, ...]:
+    """The closed formulas at the indices ``ids``, read from the table's
+    ``closed_formulas`` without a call per index; a bool is never looked
+    up, since ``True`` would find entry 1."""
+    closed = table.closed_formulas
+    for i in ids:
+        if type(i) is not int or i not in closed:
+            table.formula(i, what)  # raises the FormatError for what ``closed`` lacks
+    return tuple(map(closed.__getitem__, ids))
+
+
 def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
     table = Table(record.get("table"))
     formula, term = table.formula, table.term
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")
-    checked: dict[int, Formula] = {}  # node-formula index -> its formula
-
-    def node_formulas(ids: list) -> tuple[Formula, ...]:
-        """The formulas at ``ids``, each distinct index checked once per
-        file.  A bool is never looked up, since ``True`` would find 1."""
-        for i in ids:
-            if type(i) is not int or i not in checked:
-                checked[i] = formula(i, "formula")
-        return tuple(map(checked.__getitem__, ids))
-
     nodes: list[TableauNode] = []
     used: list[bool] = []
     for raw in raw_nodes:
@@ -666,8 +667,8 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
                 raise FormatError(f"node {i} is the child of two nodes")
             used[i] = True
             children.append(nodes[i])
-        rule = None if raw[1] is None else _rule_from_table(raw[1], formula, term)
-        formulas = None if raw[0] is None else node_formulas(raw[0])
+        rule = None if raw[1] is None else _rule_from_table(raw[1], table)
+        formulas = None if raw[0] is None else _formulas_at(table, raw[0], "formula")
         nodes.append(TableauNode(formulas, rule, tuple(children), raw[3]))
         used.append(False)
     root = entry_index(record.get("root"), len(nodes), "root")
@@ -706,7 +707,8 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
                          Substitution(bindings))
 
 
-def _rule_from_table(raw, formula, term) -> RuleInstance:
+def _rule_from_table(raw, table: Table) -> RuleInstance:
+    formula, term = table.formula, table.term
     if type(raw) is not list or len(raw) != 6:
         raise FormatError("a rule must be [class, principal, introduced, meta, skolem, pair]")
     kind, principal, introduced, meta, skolem, pair = raw
@@ -728,7 +730,7 @@ def _rule_from_table(raw, formula, term) -> RuleInstance:
         pair = (formula(pair[0], "closure pair"), formula(pair[1], "closure pair"))
     return RuleInstance(
         kind, None if principal is None else formula(principal, "principal"),
-        tuple(tuple([formula(f, "introduced formula") for f in child]) for child in introduced),
+        tuple([_formulas_at(table, child, "introduced formula") for child in introduced]),
         meta=meta, skolem=skolem, closure_pair=pair)
 
 

@@ -6,7 +6,8 @@ the empty sequence; the package names a node by its path in messages and
 in altered copies, and the tests look one up with ``conftest.node_at``.
 This module imports nothing from the package, so the
 independent checker may use it.  It also holds what the proof-file readers
-share: their error, JSON loading, version check and entry references.
+and writers share: their error, JSON writing and loading, version check and
+entry references.
 """
 
 from __future__ import annotations
@@ -121,6 +122,17 @@ def postorder(root: N) -> list[N]:
             for child in reversed(node.children):
                 stack.append((child, False))
     return out
+
+
+# The writers' records are freshly built acyclic lists and dicts, so the
+# encoder's circular-reference check, a third of its time, cannot fire.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def dump_json(record) -> str:
+    """The compact text of a proof file's record, its keys sorted; the text
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` gives."""
+    return _ENCODER.encode(record)
 
 
 def load_json(text: str, what: str):

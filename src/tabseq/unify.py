@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .formula import (
     And,
@@ -26,8 +26,7 @@ from .formula import (
 Side = Union[Formula, Term]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """A pair to be made syntactically equal.
 
     Closure steps add formula constraints between the two literals of a

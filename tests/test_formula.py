@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_formula
+from reference_check import schema
 from tabseq import formula as formula_module
 from tabseq.formula import (
     And,
@@ -42,6 +43,7 @@ from tabseq.formula import (
     subst_var,
     walk,
 )
+from tabseq.formula import _TOKEN_RE, _Token, _tokenize
 from tabseq.gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 from tabseq.problems import corpus
 
@@ -141,6 +143,51 @@ class TestParse:
         assert parse("P | Q | R") == Or(Or(p, q), r)
         assert parse("P => Q | R => S") == Implies(p, Implies(Or(q, r), s))
         assert parse("P & forall x. Q | R") == And(p, Forall("x", Or(q, r)))
+
+
+def loop_tokenize(text: str) -> list[_Token]:
+    """The tokenizer as a loop that matches at each position in turn."""
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        value = m.group()
+        if kind != "WS":
+            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
+        nl = value.count("\n")
+        if nl:
+            line += nl
+            line_start = m.start() + value.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(_Token("END", "", line, pos - line_start + 1))
+    return tokens
+
+
+def tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+
+
+PIECES = ["P", "Q1", "forall", "x_2", "f", "(", ")", ",", ".", "~", "&", "|", "=>", "=", ">",
+          " ", "\t", "\n", "\r\n", "$", "#", "\u00e9", "1", "_"]
+
+
+class TestTokenize:
+    @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+    def test_matches_the_loop(self, text):
+        assert tokens_or_error(_tokenize, text) == tokens_or_error(loop_tokenize, text)
+
+    def test_a_bad_character_after_newlines(self):
+        with pytest.raises(ParseError) as e:
+            _tokenize("P &\n  Q |\r\n ~$R")
+        assert (str(e.value), e.value.line, e.value.column) == (
+            "unexpected character '$' (line 3, column 3)", 3, 3)
 
 
 class TestDepthBound:
@@ -293,6 +340,20 @@ class TestFlags:
         assert t.has_meta and t.has_skolem and not t.is_skolem and t.args[0].is_skolem
         assert [field.name for field in dataclasses.fields(t)] == ["symbol", "args"]
         assert "has_" not in repr(t) and t.__reduce__() == (App, ("f", t.args))
+        # Nor are the head and the decomposition memo.
+        f = parse("forall x. (P(x) & Q)")
+        assert f.head == ("forall", "x") and f.body.head == ("&",) and f.body.left.head == ("P", "P")
+        assert premise_additions(GsRule("and"), f.body) == ((f.body.left, f.body.right),)
+        assert f.body.decomposed == ("and", ((f.body.left, f.body.right),))
+        for x in (f, f.body):
+            assert [field.name for field in dataclasses.fields(x)] == list(x.__match_args__)
+            assert "head" not in repr(x) and "decomposed" not in repr(x)
+            assert x.__reduce__() == (type(x), tuple(getattr(x, n) for n in x.__match_args__))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(x, protocol)
+                assert b"head" not in data and b"decomposed" not in data
+                assert pickle.loads(data) is x
+            assert copy.copy(x) is copy.deepcopy(x) is x
 
 
 class TestCachedHash:
@@ -496,6 +557,28 @@ class TestDecompose:
             assert rule_name(parse(text)) is None
             for name in RULE_GROUPS:
                 assert premise_additions(GsRule(name, const("a")), parse(text)) is None
+
+    @given(FORMULAS, st.permutations(sorted(RULE_GROUPS)))
+    def test_a_kept_decomposition_equals_a_fresh_one(self, f, names):
+        """Every rule, in any order and twice over, with a witness and then
+        without, on a principal whose ``decomposed`` slot starts empty: each
+        result equals the schema written out in ``reference_check``, a
+        witness-free call that succeeds keeps its result, and any other
+        call keeps nothing."""
+        object.__setattr__(f, "decomposed", None)
+        for name in names * 2:
+            for witness in (const("a"), None):
+                before = f.decomposed
+                fresh = schema(name, f, witness)
+                out = premise_additions(GsRule(name, witness), f)
+                if fresh is None:
+                    assert out is None
+                else:
+                    assert out == tuple(map(tuple, fresh[1]))
+                if fresh is None or witness is not None:
+                    assert f.decomposed is before
+                else:
+                    assert f.decomposed == (name, out)
 
     @given(st.integers(0, 2**32 - 1))
     def test_alpha_beta_parts_are_subformulas(self, seed):

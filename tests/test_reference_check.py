@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from tabseq.formula import Not, const
+from tabseq.formula import App, Meta, Not, Var, const, parse
 from tabseq.gs3 import (
     GsProof,
     GsRule,
@@ -26,7 +26,7 @@ from tabseq.tableau import prove
 from tabseq.translate import translate
 from tabseq.tree import FormatError, postorder
 
-from reference_check import reference_check
+from reference_check import reference_check, schema
 from test_files_v2 import mutate
 from test_gs3 import _tamper, grown_drinker_proof, naive_drinker_pseudo_proof
 
@@ -124,3 +124,48 @@ def test_mutated_proof_files_that_read_agree(proofs):
         compared += 1
         reasons[ours[2]] += 1
     assert compared > 200 and len(reasons) >= 3, (compared, reasons)
+
+
+P, NOT_P = parse("P(a)"), parse("~P(a)")
+
+
+def quantifier_step(principal, name: str, witness) -> GsProof:
+    """The one-step proof of ``principal`` by the quantifier rule ``name``
+    with ``witness``, its premise the conclusion plus what the rule adds."""
+    _, (added,) = schema(name, principal, witness)
+    return GsProof((principal,), GsRule(name, witness), principal,
+                   (GsProof((principal, *added)),))
+
+
+# Hand-built faults at the root, each with the detail ``check`` gives.
+GAPS = [
+    ("axiom given a premise", GsProof((P, NOT_P), GsRule("axiom"), P, (GsProof((P, NOT_P)),)),
+     "axiom with premises"),
+    ("rule-less node with children", GsProof((P,), None, None, (GsProof((P,)),)),
+     "rule-less node has children"),
+    ("unknown rule cut", GsProof((P, NOT_P), GsRule("cut"), P, (GsProof((P, NOT_P)),)),
+     "unknown rule 'cut'"),
+    ("forall, bound variable", quantifier_step(parse("forall x. P(x)"), "forall", Var("x")),
+     "witness must be a ground term"),
+    ("forall, metavariable", quantifier_step(parse("forall x. P(x)"), "forall", Meta("X1")),
+     "witness must be a ground term"),
+    ("not_forall, bound variable",
+     quantifier_step(parse("~(forall x. P(x))"), "not_forall", Var("x")),
+     "witness must be a ground term"),
+    ("not_forall, metavariable",
+     quantifier_step(parse("~(forall x. P(x))"), "not_forall", Meta("X1")),
+     "witness must be a ground term"),
+    ("not_forall, fresh g(a)",
+     quantifier_step(parse("~(forall x. P(x))"), "not_forall", App("g", (const("a"),))),
+     "existential witness must be a constant"),
+]
+
+
+@pytest.mark.parametrize("proof,detail", [gap[1:] for gap in GAPS], ids=[gap[0] for gap in GAPS])
+def test_hand_built_faults_agree(proof, detail):
+    """Faults that no translation or file mutation makes: both checkers
+    reject them at the root, and ``check`` says why."""
+    result = check(proof)
+    assert (result.accepted, result.path, result.reason) == reference_check(proof) == (
+        False, (), "schema-mismatch")
+    assert result.detail == detail

@@ -16,7 +16,7 @@ from tabseq.formula import (
     parse,
     print_formula,
 )
-from tabseq.gs3 import RULE_GROUPS, rule_name
+from tabseq.gs3 import RULE_GROUPS, GsProof, GsRule, rule_name
 from tabseq.problems import corpus
 from tabseq.tableau import (
     CLOSURE,
@@ -467,6 +467,33 @@ class TestInPlaceGrowth:
         metas = [n.rule.meta.name for _, n in iter_nodes(ct.root)
                  if n.rule is not None and n.rule.meta is not None]
         assert metas == ["X1", "X2", "X3", "X4"]
+
+
+class TestRecords:
+    """The rule instances and constraints are immutable named tuples; the
+    tableau and sequent-proof nodes are slotted, so that only their own
+    fields, which the builders set once, can be set."""
+
+    def test_rule_instances_and_constraints_refuse_assignment(self):
+        f = parse("P & Q")
+        rule = RuleInstance("alpha", f, ((f.left, f.right),))
+        constraint = Constraint(Meta("X1"), const("a"))
+        for record, field in ((rule, "kind"), (rule, "introduced"), (constraint, "lhs")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert rule == RuleInstance("alpha", f, ((f.left, f.right),), None, None, None)
+        assert constraint == Constraint(Meta("X1"), const("a"))
+
+    def test_nodes_refuse_new_attributes(self):
+        node = TableauNode((parse("P"),))
+        proof = GsProof((parse("P"),))
+        for record in (node, proof):
+            with pytest.raises(AttributeError):
+                record.note = "set"
+            assert not hasattr(record, "__dict__")
+        node.closed = True
+        proof.rule = GsRule("axiom")
+        assert node.closed and proof.rule == GsRule("axiom")
 
 
 class TestNonDestructivity:

@@ -13,6 +13,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tabseq import gs3
 from tabseq.formula import Not, Table, const, encode_table, parse
@@ -20,7 +21,7 @@ from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
 from tabseq.problems import corpus, deep_tableau, growth_goal
 from tabseq.tableau import ClosedTableau, prove
 from tabseq.translate import translate
-from tabseq.tree import MAX_OCCURRENCES, FormatError, entry_index, postorder
+from tabseq.tree import MAX_OCCURRENCES, FormatError, dump_json, entry_index, postorder
 
 # --------------------------------------------------------------- reference
 
@@ -284,3 +285,16 @@ def test_mutated_sequent_records_read_alike(proofs):
             assert str(err.value) == str(e)
             continue
         assert_same_reading(text)
+
+
+RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=20)
+
+
+@given(RECORDS)
+def test_dump_json_writes_what_json_dumps_writes(record):
+    """The writers' encoder, which skips the circular-reference check."""
+    assert dump_json(record) == json.dumps(record, sort_keys=True, separators=(",", ":"))
