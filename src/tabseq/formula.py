@@ -26,8 +26,9 @@ nodes on its longest downward path, computed from its parts' heights) and
 whether it holds a metavariable or a Skolem term (from its parts' flags),
 so a traversal reads a node's parts in one attribute, depth bounds cost
 nothing to test, and a walk for metavariables or Skolem terms skips every
-subtree that holds none.  A node's ``decomposed`` slot is filled later, by
-``gs3.premise_additions``, the first time it decomposes the node.
+subtree that holds none.  Two slots are filled later, once: ``decomposed``
+by ``gs3.premise_additions``, and ``symbols`` (the function symbols) by
+``symbols_of`` from its parts' slots, the first time each is asked for.
 The interning is not done by a metaclass: ``isinstance`` against a class
 whose metaclass is not ``type`` leaves CPython's fast path, and the prover
 and checker call it millions of times.
@@ -86,13 +87,19 @@ class DepthError(ValueError):
 # -------------------------------------------------------------- interning
 
 
-_table: dict[tuple, weakref.KeyedRef] = {}  # (class, *fields) -> the live node
+class _Ref(weakref.ref):
+    """``weakref.KeyedRef`` without its ``__new__`` and ``__init__`` in Python."""
+
+    __slots__ = ("key",)
+
+
+_table: dict[tuple, _Ref] = {}  # (class, *fields) -> the live node
 _lookup = _table.get
 _lock = threading.Lock()
 _set_field = object.__setattr__
 
 
-def _forget(ref: weakref.KeyedRef, table=_table, remove=_remove_dead_weakref) -> None:
+def _forget(ref: _Ref, table=_table, remove=_remove_dead_weakref) -> None:
     """Drop a dead node's entry, unless a live node has taken its key.
 
     The test and the removal are one C call, the one
@@ -117,19 +124,28 @@ def _intern(key: tuple):
         node = None if ref is None else ref()
         if node is None:
             cls = key[0]
+            tag, named = _HEADS[cls]
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, key[1:]):
                 _set_field(node, name, value)
-            parts = _parts(node)
+            parts = key[2] if cls is App or cls is Atom else key[2:] if named else key[1:]
+            height, meta = 0, cls is Meta
+            skolem = cls is App and SKOLEM_NAME.match(key[1]) is not None
+            for part in parts:
+                if part.height > height:
+                    height = part.height
+                meta |= part.has_meta
+                skolem |= part.has_skolem
             _set_field(node, "parts", parts)
-            _set_field(node, "height", 1 + max([p.height for p in parts], default=0))
-            _set_field(node, "has_meta", cls is Meta or any([p.has_meta for p in parts]))
-            _set_field(node, "has_skolem", cls is App and SKOLEM_NAME.match(node.symbol) is not None
-                       or any([p.has_skolem for p in parts]))
-            tag, named = _HEADS[cls]
+            _set_field(node, "height", height + 1)
+            _set_field(node, "has_meta", meta)
+            _set_field(node, "has_skolem", skolem)
             _set_field(node, "head", (tag, key[1]) if named else (tag,))
             _set_field(node, "decomposed", None)
-            _table[key] = weakref.KeyedRef(node, _forget, key)
+            _set_field(node, "symbols", None)
+            ref = _Ref(node, _forget)
+            ref.key = key
+            _table[key] = ref
     return node
 
 
@@ -144,11 +160,13 @@ class _Node:
     metavariable or a Skolem term occurs in the node (the node itself
     included); all are set when the node is built.  ``decomposed`` is None
     until ``gs3.premise_additions`` keeps there the rule name and the
-    additions of a witness-free decomposition of the node.  None is a
-    dataclass field, so they take no part in the intern key, in
+    additions of a witness-free decomposition of the node, and ``symbols``
+    until ``symbols_of`` keeps there the node's function symbols.  None is
+    a dataclass field, so they take no part in the intern key, in
     ``__reduce__`` or in ``repr``."""
 
-    __slots__ = ("__weakref__", "parts", "height", "has_meta", "has_skolem", "decomposed", "head")
+    __slots__ = ("__weakref__", "parts", "height", "has_meta", "has_skolem", "decomposed", "head",
+                 "symbols")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
@@ -351,9 +369,30 @@ def free_metas(x: Formula | Term) -> tuple[Meta, ...]:
     return tuple(dict.fromkeys([y for y in walk(x, _has_meta) if type(y) is Meta]))
 
 
-def formula_symbols(f: Formula) -> set[str]:
-    """Function symbols (including constants) occurring anywhere in f."""
-    return {y.symbol for y in walk(f) if type(y) is App}
+def symbols_of(x: Formula | Term) -> frozenset[str]:
+    """The function symbols (constants and Skolem symbols included) that
+    occur in ``x``, kept in its ``symbols`` slot.  A node's set is made
+    once, from its parts' sets, which are made before it, without
+    recursion; a node whose set is one of its parts' shares that set."""
+    if x.symbols is None:
+        stack = [x]
+        while stack:
+            node = stack[-1]
+            lacking = [p for p in node.parts if p.symbols is None]
+            if lacking:
+                stack += lacking
+                continue
+            stack.pop()
+            if node.symbols is None:  # else pushed twice, and made since
+                out = frozenset((node.symbol,)) if type(node) is App else _NO_NAMES
+                for part in node.parts:
+                    more = part.symbols
+                    if out <= more:
+                        out = more
+                    elif not more <= out:
+                        out = out | more
+                _set_field(node, "symbols", out)
+    return x.symbols
 
 
 def _not_skolem(x: Formula | Term) -> bool:
@@ -364,29 +403,6 @@ def outermost_skolem_terms(x: Formula | Term) -> set[App]:
     """Maximal Skolem-rooted subterms of a formula or term (occurrences
     inside a larger Skolem term are not reported separately)."""
     return {y for y in walk(x, lambda y: y.has_skolem and _not_skolem(y)) if not _not_skolem(y)}
-
-
-def mark_any(items, memo: dict, own: Callable[[Formula | Term], bool]) -> None:
-    """Enter in ``memo`` each formula and term of ``items``, and each part of
-    one, that it lacks: true if ``own`` holds of the node or of a part below
-    it.  A node is entered after its parts and visited once, and a node
-    already in ``memo`` is not walked into, so calls that share one memo
-    visit each distinct node once between them.  ``own`` is called once
-    per node entered."""
-    for item in items:
-        if item in memo:
-            continue
-        stack: list[tuple[Formula | Term, tuple | None]] = [(item, None)]
-        while stack:
-            node, parts = stack.pop()
-            if parts is None:
-                if node in memo:  # reached again through another parent
-                    continue
-                parts = node.parts
-                stack.append((node, parts))
-                stack.extend([(p, None) for p in parts if p not in memo])
-            else:
-                memo[node] = own(node) or any([memo[p] for p in parts])
 
 
 def is_ground_term(t: Term) -> bool:
@@ -713,21 +729,6 @@ _SPECS = {
 _HEADS = {spec[0]: (tag, spec[2]) for tag, spec in _SPECS.items()}  # class -> (tag, named)
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _NO_NAMES = frozenset()
-
-
-def _parts(x: Formula | Term) -> tuple:
-    """The subformulas and subterms an entry for ``x`` refers to, in order,
-    from its fields; ``_intern`` stores them as ``x.parts``."""
-    cls = type(x)
-    if cls is Atom or cls is App:
-        return x.args
-    if cls is Not or cls is Forall or cls is Exists:
-        return (x.body,)
-    if cls is And or cls is Or or cls is Implies:
-        return (x.left, x.right)
-    if cls is Var or cls is Meta:
-        return ()
-    raise TypeError(f"not a formula or term: {x!r}")
 
 
 def _make(cls: type, name: str | None, parts) -> Formula | Term:

@@ -35,9 +35,9 @@ from .formula import (
     Term,
     encode_table,
     is_ground_term,
-    mark_any,
     print_formula,
     subst_var,
+    symbols_of,
 )
 from .tree import (
     FormatError,
@@ -193,8 +193,8 @@ def check(proof: GsProof) -> CheckResult:
     A node's formulas are its parent's plus what the parent's rule added
     there, so the metavariable test reads the ``has_meta`` flag of the
     root's formulas and, at each other node, of only those added ones; it
-    walks nothing.  The freshness test keeps a per-call memo per witness
-    symbol, which walks each distinct subformula once, and each distinct
+    walks nothing.  The freshness test reads each conclusion formula's
+    ``symbols`` slot (see ``formula.symbols_of``), and each distinct
     (rule, principal) pair's additions are derived once per call.  A
     node's path is kept as a link to its parent's and built only for the
     rejection.  A premise whose tuple is its conclusion's followed by a
@@ -209,7 +209,6 @@ def check(proof: GsProof) -> CheckResult:
     below itself.  So the first rejection and its path are those of a
     check of every node of the tree the proof unfolds to.
     """
-    symbols: dict[str, dict] = {}  # witness symbol -> formula or term -> holds the symbol
     schemas: dict[tuple, tuple | None] = {}  # (rule, principal) -> premise_additions
     met: set[int] = set()  # ids of the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
@@ -222,7 +221,7 @@ def check(proof: GsProof) -> CheckResult:
         if id(node) in met:
             continue
         met.add(id(node))
-        premises = _check_node(node, conclusion, added, symbols, schemas)
+        premises = _check_node(node, conclusion, added, schemas)
         if type(premises) is tuple:
             path: list[int] = []
             while link is not None:
@@ -244,15 +243,14 @@ def _multiset(formulas) -> dict[Formula, int]:
 
 
 def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
-                symbols: dict[str, dict], schemas: dict[tuple, tuple | None]
+                schemas: dict[tuple, tuple | None]
                 ) -> tuple[str, str] | list[tuple[dict[Formula, int], Sequent]]:
     """The rejection at this node, as its reason and detail, or the
     multiset and added formulas of each of its premises; the last premise
     is handed ``conclusion`` itself.  ``added`` holds, in the order of the
     node's sequent, every formula of it that its ancestors' sequents lack,
-    and may hold some they have.  Each memo in ``symbols`` says which
-    formulas and terms hold that symbol; ``schemas`` keeps the additions
-    of each (rule, principal) pair met."""
+    and may hold some they have.  ``schemas`` keeps the additions of each
+    (rule, principal) pair met."""
     for f in added:
         if f.has_meta:
             return SCHEMA_MISMATCH, f"metavariable in sequent formula {print_formula(f)}"
@@ -280,10 +278,9 @@ def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
             return SCHEMA_MISMATCH, "weakening needs one premise"
         seq, i = node.sequent, node.sequent.index(principal)
         expected = conclusion
-        if expected[principal] == 1:
+        expected[principal] -= 1
+        if not expected[principal]:
             del expected[principal]
-        else:
-            expected[principal] -= 1
         premise = node.children[0].sequent
         if premise != seq[:i] + seq[i + 1:] and _multiset(premise) != expected:
             return SCHEMA_MISMATCH, "premise is not conclusion minus the dropped occurrence"
@@ -306,9 +303,7 @@ def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
         if group == "delta":
             if not isinstance(w, App) or w.args:
                 return SCHEMA_MISMATCH, "existential witness must be a constant"
-            memo = symbols.setdefault(w.symbol, {})
-            mark_any(node.sequent, memo, lambda x: type(x) is App and x.symbol == w.symbol)
-            if any([memo[f] for f in node.sequent]):
+            if any([w.symbol in symbols_of(f) for f in node.sequent]):
                 return FRESHNESS, f"witness {w.symbol} occurs in the conclusion sequent"
 
     premises: list[tuple[dict[Formula, int], Sequent]] = []
@@ -367,22 +362,22 @@ def _multisets(sequents: list[Sequent], keys: list[tuple]
     equal multisets alike, and count each multiset once.  ``keys`` are the
     distinct subproofs that ``subproofs`` numbers, children first.
 
-    The keys are read parents first.  A sequent whose tuple is the tuple of
-    a parent's sequent followed by a tail, as the translator and the reader
-    make them, is counted as that parent's count plus the tail, and the
-    tail is kept as its change from the parent's multiset.  A sequent that
-    extends none of its parents, the root's and a reordered or weakened
-    one, is counted whole.  Two counts are compared only if their formulas'
-    hashes have one sum, which equal multisets have.
+    The keys are read parents first.  A sequent whose tuple is a parent's
+    followed by a tail, as the translator and the reader make them, or a
+    weakening's conclusion's less the principal's first occurrence, as the
+    translator makes it, is counted from the parent's count, and the tail
+    or the principal is kept as its change.  Any other sequent, the root's
+    and a reordered one, is counted whole.  Two counts are compared only
+    if their formulas' hashes have one sum, which equal multisets have.
 
-    Returns each sequent's multiset number, each multiset's count, the tail
-    of each (multiset, parent multiset) pair met as such an extension, and
-    every formula of the sequents."""
+    Returns each sequent's multiset number, each multiset's count, the
+    change of each (multiset, parent multiset) pair met as such an
+    extension or weakening, and every formula of the sequents."""
     numbers: list[int] = [-1] * len(sequents)  # sequent -> multiset number, -1 if unknown
     sums: list[int] = [0] * len(sequents)  # sequent -> sum of its formulas' hashes
     counts: list[dict[Formula, int]] = []  # multiset number -> formula -> count
     by_sum: dict[int, list[int]] = {}  # hash sum -> the multiset numbers with it
-    tails: dict[tuple[int, int], Sequent] = {}
+    changes: dict[tuple[int, int], Sequent] = {}
     formulas: set[Formula] = set()
     tested: set[tuple[int, int]] = set()  # (sequent, parent sequent) pairs
 
@@ -396,29 +391,38 @@ def _multisets(sequents: list[Sequent], keys: list[tuple]
             by_sum[total].append(number)
         numbers[seq], sums[seq] = number, total
 
-    for seq, _, _, children in reversed(keys):
+    for seq, rule, principal, children in reversed(keys):
         here = sequents[seq]
         if numbers[seq] < 0:
             formulas.update(here)
             enter(seq, dict(Counter(here)), sum(map(hash, here)))
         size = len(here)
+        dropped = None  # a weakening's conclusion less the principal's first occurrence
+        if rule is not None and rule.name == "weaken" and principal in here:
+            i = here.index(principal)
+            dropped = here[:i] + here[i + 1:]
         for child in children:
             below = keys[child][0]
             if below == seq or (below, seq) in tested:
                 continue
             tested.add((below, seq))
             there = sequents[below]
-            if len(there) <= size or there[:size] != here:
+            if len(there) > size and there[:size] == here:
+                change, step = there[size:], 1
+            elif there == dropped:
+                change, step = (principal,), -1
+            else:
                 continue
-            tail = there[size:]
             if numbers[below] < 0:
                 count = counts[numbers[seq]].copy()
-                for f in tail:
-                    count[f] = count.get(f, 0) + 1
-                formulas.update(tail)
-                enter(below, count, sums[seq] + sum(map(hash, tail)))
-            tails.setdefault((numbers[below], numbers[seq]), tail)
-    return numbers, counts, tails, formulas
+                for f in change:
+                    count[f] = count.get(f, 0) + step
+                if not count[change[0]]:  # a weakening's principal, no longer in the sequent
+                    del count[change[0]]
+                formulas.update(change)
+                enter(below, count, sums[seq] + step * sum(map(hash, change)))
+            changes.setdefault((numbers[below], numbers[seq]), change)
+    return numbers, counts, changes, formulas
 
 
 def proof_to_json(proof: GsProof) -> str:
@@ -433,15 +437,15 @@ def proof_to_json(proof: GsProof) -> str:
     a sequent.  A formula nested deeper than ``MAX_DEPTH`` is a DepthError,
     since the reader would refuse the file.
 
-    A sequent whose tuple extends its parent's is counted from the
-    parent's count and its tail, and its change is read off the tail (see
-    ``_multisets``), so writing a proof grown by the translator costs what
-    each rule added; any other sequent is counted whole and its change
-    found by comparing counts.
+    A sequent whose tuple extends its parent's, or drops a weakening's
+    principal from it, is counted from the parent's count and its change
+    read off that (see ``_multisets``), so writing a proof grown by the
+    translator costs what each rule changed; any other sequent is counted
+    whole and its change found by comparing counts.
     """
     sequents, keys, numbers = subproofs(proof)
     key_list = list(keys)
-    multiset_of, counts, tails, items = _multisets(list(sequents), key_list)
+    multiset_of, counts, changes, items = _multisets(list(sequents), key_list)
     for _, rule, principal, _ in key_list:
         if principal is not None:
             items.add(principal)
@@ -478,8 +482,9 @@ def proof_to_json(proof: GsProof) -> str:
             now = counts[multiset]
             if base is None:
                 change = [(entry(f), c) for f, c in now.items()]
-            elif (multiset, base) in tails:  # only the tail's formulas changed, each upwards
-                change = [(entry(f), now[f]) for f in dict.fromkeys(tails[multiset, base])]
+            elif (multiset, base) in changes:  # only these formulas' counts changed
+                change = [(entry(f), now.get(f, 0))
+                          for f in dict.fromkeys(changes[multiset, base])]
             else:
                 before = counts[base]
                 change = [(entry(f), c) for f, c in now.items() - before.items()]

@@ -22,10 +22,10 @@ from .formula import (
     Table,
     Term,
     encode_table,
-    formula_symbols,
     free_metas,
     print_formula,
     print_term,
+    symbols_of,
 )
 from .gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 from .tree import (
@@ -360,7 +360,7 @@ def prove(
     # the leaves are taken in.
     symbols: set[str] = set()
     for f in gamma:
-        symbols |= formula_symbols(f)
+        symbols |= symbols_of(f)
     metas = dict.fromkeys(m for f in gamma for m in free_metas(f))
     vacuous: list[Meta] = []
     names = NameSupply(symbols)
@@ -510,7 +510,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
 
     introduced: set[str] = set()
-    symbols: dict[Formula, set[str]] = {}  # each distinct formula's, walked once
     for n in preorder(ct.root):
         if n.rule is not None and n.rule.skolem is not None:
             sym = n.rule.skolem.symbol
@@ -518,9 +517,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"skolem symbol {sym} introduced twice")
             introduced.add(sym)
             for f in n.formulas:
-                if f not in symbols:
-                    symbols[f] = formula_symbols(f)
-                if sym in symbols[f]:
+                if sym in symbols_of(f):
                     raise AuditError(f"skolem {sym} occurs before its delta step")
 
     for name, t in ct.unifier.items():

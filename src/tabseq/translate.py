@@ -31,14 +31,13 @@ from .formula import (
     Formula,
     Not,
     Term,
-    formula_symbols,
     is_ground_term,
     is_subterm,
-    mark_any,
     outermost_skolem_terms,
     print_formula,
     print_term,
     rebuild,
+    symbols_of,
 )
 from .gs3 import BAD_AXIOM, FRESHNESS, RULE_GROUPS, SCHEMA_MISMATCH, GsProof, GsRule, rule_name
 from .tableau import CLOSURE, ClosedTableau, TableauNode, audit_closed_tableau
@@ -135,7 +134,7 @@ def build_step(
                         raise StepError(FRESHNESS,
                                         f"witness {print_term(w)} occurs in the conclusion")
                 elif isinstance(w, App) and not w.args:
-                    if any(w.symbol in formula_symbols(f) for f in node.sequent):
+                    if any(w.symbol in symbols_of(f) for f in node.sequent):
                         raise StepError(FRESHNESS,
                                         f"witness {w.symbol} occurs in the conclusion")
                 else:
@@ -225,7 +224,9 @@ class _Builder:
         self.formulas: set[Formula] = set(self.proof.sequent)
         self.witnesses: set[Term] = set()
         self.open = 1  # the proof's open leaves, kept up to date by ``step``
-        self.targets: dict[int, Counter] = {id(ct.root): Counter(self.proof.sequent)}
+        self.targets: dict[int, Counter] = {}
+        if audit:
+            self.targets[id(ct.root)] = Counter(self.proof.sequent)
 
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
@@ -655,38 +656,32 @@ def replace_skolem_terms(nodes: list[GsProof], formulas: set[Formula],
     ``witnesses`` the distinct witnesses of their rules, as the builder
     records them.  If none of these holds a Skolem term (their
     ``has_skolem`` flag), the proof is returned as it is, before any
-    formula is walked.  Else one memoised walk over their distinct
-    subformulas and subterms collects the symbols in use and each Skolem
-    symbol's argument vector; the rewrite enters only the formulas and
-    terms that hold a Skolem term, each distinct formula once, and the
+    formula is walked.  Else the symbols in use are read from the
+    formulas' ``symbols`` slots (see ``formula.symbols_of``), and a walk of
+    the subtrees that hold a Skolem term, each distinct one once, collects
+    each Skolem symbol's argument vector.  Only the formulas and witnesses
+    that hold a Skolem term are rewritten, each distinct one once, and the
     nodes are updated in place.  The proof's root is returned.
     """
     proof = nodes[0]
-    if not any([x.has_skolem for x in (*formulas, *witnesses)]):
+    met = {x for x in (*formulas, *witnesses) if x.has_skolem}
+    if not met:
         return proof
-
-    vectors: dict[str, tuple[Term, ...]] = {}
-    taken: set[str] = set()
-
-    def skolem(x: Formula | Term) -> bool:
-        """Whether x is a Skolem term, whose argument vector is then recorded."""
-        if type(x) is not App or not x.is_skolem:
-            return False
-        if vectors.setdefault(x.symbol, x.args) != x.args:
-            raise TranslateError(f"skolem symbol {x.symbol} used with two argument vectors")
-        return True
-
-    def used(x: Formula | Term) -> bool:
-        """``skolem(x)``; an application's symbol is taken as well."""
-        if type(x) is App:
-            taken.add(x.symbol)
-        return skolem(x)
 
     # The symbols of the sequent formulas are taken, not those of a witness
     # that occurs in none of them.
-    walked: dict = {}  # formula or term -> whether it holds a Skolem term
-    mark_any(formulas, walked, used)
-    mark_any(witnesses, walked, skolem)
+    taken: set[str] = set().union(*map(symbols_of, formulas))
+    vectors: dict[str, tuple[Term, ...]] = {}
+    stack = list(met)
+    while stack:
+        x = stack.pop()
+        if type(x) is App and x.is_skolem:
+            if vectors.setdefault(x.symbol, x.args) != x.args:
+                raise TranslateError(f"skolem symbol {x.symbol} used with two argument vectors")
+        for part in x.parts:
+            if part.has_skolem and part not in met:
+                met.add(part)
+                stack.append(part)
 
     constants: dict[str, App] = {}
     counter = 0
@@ -706,15 +701,15 @@ def replace_skolem_terms(nodes: list[GsProof], formulas: set[Formula],
             return x
         return constants.get(x.symbol) if type(x) is App else None
 
-    rewritten = {f: rebuild(f, by) for f in formulas}
+    rewritten = {x: rebuild(x, by) if x.has_skolem else x for x in (*formulas, *witnesses)}
     new = rewritten.__getitem__
     for node in nodes:
         node.sequent = tuple(map(new, node.sequent))
         rule = node.rule
         if rule is not None:
             node.principal = new(node.principal)
-            if rule.witness is not None:
-                node.rule = GsRule(rule.name, rebuild(rule.witness, by))
+            if rule.witness is not None and rule.witness.has_skolem:
+                node.rule = GsRule(rule.name, new(rule.witness))
     return proof
 
 

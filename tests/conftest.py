@@ -1,5 +1,5 @@
 """Shared test helpers: a seeded random formula builder, a count of the
-nodes the memoised formula walks visit, the upgrade script run
+function-symbol sets the formula nodes make, the upgrade script run
 in-process, the path lookup and rule listings of proof trees that only
 tests use, and the translator's records of a proof built by hand."""
 
@@ -118,22 +118,28 @@ def subnodes(items) -> set:
     return out
 
 
-def count_memo_walk(monkeypatch, module) -> Counter:
-    """Count, per node, the visits of the memoised walks ``module`` makes
-    through ``formula.mark_any``: the calls of the walk's test, which
-    ``mark_any`` makes once per node it enters."""
-    visits: Counter = Counter()
-    mark_any = formula_module.mark_any
+def forget_symbols(items) -> set:
+    """Clear the ``symbols`` slot of the formulas and terms of ``items`` and
+    of every part of one, as it is on a node just built; those nodes."""
+    nodes = subnodes(items)
+    for x in nodes:
+        object.__setattr__(x, "symbols", None)
+    return nodes
 
-    def counted_mark_any(items, memo, test):
-        def counted(x):
-            visits[x] += 1
-            return test(x)
 
-        return mark_any(items, memo, counted)
+def count_symbol_sets(monkeypatch) -> Counter:
+    """Count, per node, the sets ``formula.symbols_of`` makes from now on:
+    the writes of a set to a ``symbols`` slot."""
+    made: Counter = Counter()
+    set_field = formula_module._set_field
 
-    monkeypatch.setattr(module, "mark_any", counted_mark_any)
-    return visits
+    def counted(node, name, value):
+        if name == "symbols" and value is not None:
+            made[node] += 1
+        set_field(node, name, value)
+
+    monkeypatch.setattr(formula_module, "_set_field", counted)
+    return made
 
 
 UPGRADE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "upgrade_files.py"

@@ -41,6 +41,7 @@ from tabseq.formula import (
     print_term,
     rebuild,
     subst_var,
+    symbols_of,
     walk,
 )
 from tabseq.formula import _TOKEN_RE, _Token, _tokenize
@@ -340,20 +341,62 @@ class TestFlags:
         assert t.has_meta and t.has_skolem and not t.is_skolem and t.args[0].is_skolem
         assert [field.name for field in dataclasses.fields(t)] == ["symbol", "args"]
         assert "has_" not in repr(t) and t.__reduce__() == (App, ("f", t.args))
-        # Nor are the head and the decomposition memo.
-        f = parse("forall x. (P(x) & Q)")
+        # Nor are the head, the decomposition memo and the function symbols.
+        f = parse("forall x. (P(x, g(a)) & Q)")
         assert f.head == ("forall", "x") and f.body.head == ("&",) and f.body.left.head == ("P", "P")
         assert premise_additions(GsRule("and"), f.body) == ((f.body.left, f.body.right),)
         assert f.body.decomposed == ("and", ((f.body.left, f.body.right),))
-        for x in (f, f.body):
+        assert symbols_of(t) == {"f", "sko1"} and symbols_of(f) == {"g", "a"}
+        assert t.symbols is symbols_of(t) and f.symbols is f.body.symbols is f.body.left.symbols
+        for x in (t, f, f.body):
             assert [field.name for field in dataclasses.fields(x)] == list(x.__match_args__)
-            assert "head" not in repr(x) and "decomposed" not in repr(x)
+            for word in ("head", "decomposed", "symbols", "frozenset"):
+                assert word not in repr(x)
             assert x.__reduce__() == (type(x), tuple(getattr(x, n) for n in x.__match_args__))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 data = pickle.dumps(x, protocol)
                 assert b"head" not in data and b"decomposed" not in data
+                assert b"symbols" not in data and b"frozenset" not in data
                 assert pickle.loads(data) is x
             assert copy.copy(x) is copy.deepcopy(x) is x
+
+    def test_a_shared_part_gets_its_symbols_once(self, monkeypatch):
+        # ``f(a)`` is a part of several nodes, twice of one, and ``P(...)``
+        # is below both sides of the conjunction: every node's set is made
+        # exactly once, and shared with a part where it is the same.
+        from conftest import count_symbol_sets, forget_symbols
+
+        f = parse("(P(f(a), f(a)) & ~P(f(a), f(a))) | Q(g(f(a)))")
+        nodes = forget_symbols([f])
+        made = count_symbol_sets(monkeypatch)
+        assert symbols_of(f) == {"f", "a", "g"} and made == dict.fromkeys(nodes, 1)
+        assert symbols_of(f) is f.symbols and made == dict.fromkeys(nodes, 1)
+        assert f.left.symbols is f.left.left.symbols is f.left.right.symbols
+
+    @settings(max_examples=40)  # each example collects the garbage
+    @given(st.one_of(FORMULAS, TERMS), st.randoms(use_true_random=False))
+    def test_symbols_match_the_old_walk(self, x, rng):
+        """``symbols_of`` of every position, asked for in a random order on
+        the nodes as built and on the nodes ``Table`` builds again, equals
+        the walk of every position that ``formula_symbols`` made before the
+        ``symbols`` slot."""
+
+        def old_walk(y):
+            return {z.symbol for z in walk(y) if type(z) is App}
+
+        def assert_symbols_match(nodes):
+            nodes = list(nodes)
+            rng.shuffle(nodes)
+            for y in nodes:
+                assert type(symbols_of(y)) is frozenset and symbols_of(y) is y.symbols
+                assert symbols_of(y) == old_walk(y)
+
+        assert_symbols_match(set(walk(x)))
+        entries, index = encode_table([x])
+        text = json.dumps(entries)
+        del x, entries, index
+        gc.collect()  # nodes nothing holds leave the table and are built again
+        assert_symbols_match(entry[0] for entry in Table(json.loads(text))._entries)
 
 
 class TestCachedHash:

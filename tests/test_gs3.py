@@ -276,39 +276,48 @@ class TestCheckReadsWhatRulesAdd:
         assert len(counted) > 200 and max(map(len, counted[1:])) == 2
 
     def test_the_metavariable_test_walks_nothing(self, monkeypatch):
-        # The wide proof has no quantifier rule, so no freshness memo and
-        # no witness test: with every formula walk refused, ``check`` still
-        # accepts it, and still finds a metavariable nested deep in a
-        # sequent formula, from the formula's flag.
+        # The wide proof has no quantifier rule, so no freshness test and no
+        # witness test: with every formula walk refused and its formulas'
+        # function-symbol sets cleared, ``check`` still accepts it, and still
+        # finds a metavariable nested deep in a sequent formula, from the
+        # formula's flag, and makes no function-symbol set.
+        from conftest import count_symbol_sets, forget_symbols
+
         conj = " & ".join(f"P{i}" for i in range(16))
         proof = translate(prove([Not(parse(f"({conj}) => ({conj})"))]))
         buried = parse("P(f(g(a, f(X1))))", allow_generated=True)
+        forget_symbols([f for node in postorder(proof) for f in node.sequent] + [buried])
 
         def refuse(*args):
             raise AssertionError("check walked a formula")
 
-        monkeypatch.setattr(gs3, "mark_any", refuse)
+        made = count_symbol_sets(monkeypatch)
         monkeypatch.setattr(formula_module, "walk", refuse)
         assert check(proof).accepted
         result = check(GsProof(proof.sequent + (buried,), proof.rule, proof.principal,
                                proof.children))
         assert (result.path, result.reason, result.detail) == (
             (), SCHEMA_MISMATCH, "metavariable in sequent formula P(f(g(a, f(X1))))")
+        assert not made
 
     def test_freshness_walks_each_distinct_subnode_once_per_witness_symbol(self, monkeypatch):
-        from conftest import count_memo_walk, subnodes
+        # The freshness test reads each formula's ``symbols`` slot: with
+        # every slot cleared, one ``check`` makes each distinct subnode's
+        # set at most once, whatever the number of witness symbols, and a
+        # second ``check`` makes none.
+        from conftest import count_symbol_sets, forget_symbols
 
         proof = _growth_proof(3)
         nodes = list(postorder(proof))
-        distinct = subnodes(f for node in nodes for f in node.sequent)
         symbols = {n.rule.witness.symbol for n in nodes
                    if n.rule and RULE_GROUPS.get(n.rule.name) == "delta"}
-        visits = count_memo_walk(monkeypatch, gs3)
+        distinct = forget_symbols(f for node in nodes for f in node.sequent)
+        made = count_symbol_sets(monkeypatch)
         assert check(proof).accepted
-        # Each node: once per witness symbol; the metavariable test walks
-        # nothing.
-        assert len(symbols) > 1 and set(visits) <= distinct
-        assert 1 < max(visits.values()) <= len(symbols)
+        assert len(symbols) > 1 and made and set(made) <= distinct
+        assert set(made.values()) == {1}
+        made.clear()
+        assert check(proof).accepted and not made
 
 
 def _local_key(node: GsProof):

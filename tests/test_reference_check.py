@@ -129,15 +129,18 @@ def test_mutated_proof_files_that_read_agree(proofs):
 P, NOT_P = parse("P(a)"), parse("~P(a)")
 
 
-def quantifier_step(principal, name: str, witness) -> GsProof:
-    """The one-step proof of ``principal`` by the quantifier rule ``name``
-    with ``witness``, its premise the conclusion plus what the rule adds."""
+def quantifier_step(principal, name: str, witness, *side) -> GsProof:
+    """The one-step proof of ``principal``, next to the ``side`` formulas,
+    by the quantifier rule ``name`` with ``witness``, its premise the
+    conclusion plus what the rule adds."""
     _, (added,) = schema(name, principal, witness)
-    return GsProof((principal,), GsRule(name, witness), principal,
-                   (GsProof((principal, *added)),))
+    return GsProof((principal, *side), GsRule(name, witness), principal,
+                   (GsProof((principal, *side, *added)),))
 
 
-# Hand-built faults at the root, each with the detail ``check`` gives.
+# Hand-built faults at the root, each with the detail ``check`` gives: schema
+# mismatches, then witnesses that are not fresh, each found only below the
+# top of a side formula.
 GAPS = [
     ("axiom given a premise", GsProof((P, NOT_P), GsRule("axiom"), P, (GsProof((P, NOT_P)),)),
      "axiom with premises"),
@@ -159,13 +162,30 @@ GAPS = [
      quantifier_step(parse("~(forall x. P(x))"), "not_forall", App("g", (const("a"),))),
      "existential witness must be a constant"),
 ]
+STALE_WITNESSES = [
+    ("not_forall, c nested in a term",
+     quantifier_step(parse("~(forall x. P(x))"), "not_forall", const("c"), parse("P(f(g(c)))")),
+     "witness c occurs in the conclusion sequent"),
+    ("exists, c in a sibling under a quantifier",
+     quantifier_step(parse("exists x. P(x)"), "exists", const("c"),
+                     parse("forall y. (Q(y) | ~R(h(y, c)))")),
+     "witness c occurs in the conclusion sequent"),
+    ("not_forall, c under nested quantifiers",
+     quantifier_step(parse("~(forall x. P(x))"), "not_forall", const("c"), P,
+                     parse("exists y. forall z. R(y, f(z, g(c)))")),
+     "witness c occurs in the conclusion sequent"),
+]
 
 
-@pytest.mark.parametrize("proof,detail", [gap[1:] for gap in GAPS], ids=[gap[0] for gap in GAPS])
-def test_hand_built_faults_agree(proof, detail):
+@pytest.mark.parametrize(
+    "proof,reason,detail",
+    [(proof, "schema-mismatch", detail) for _, proof, detail in GAPS]
+    + [(proof, "freshness-violation", detail) for _, proof, detail in STALE_WITNESSES],
+    ids=[gap[0] for gap in GAPS + STALE_WITNESSES])
+def test_hand_built_faults_agree(proof, reason, detail):
     """Faults that no translation or file mutation makes: both checkers
     reject them at the root, and ``check`` says why."""
     result = check(proof)
     assert (result.accepted, result.path, result.reason) == reference_check(proof) == (
-        False, (), "schema-mismatch")
+        False, (), reason)
     assert result.detail == detail

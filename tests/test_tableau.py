@@ -11,10 +11,10 @@ from tabseq.formula import (
     Not,
     Var,
     const,
-    formula_symbols,
     free_metas,
     parse,
     print_formula,
+    symbols_of,
 )
 from tabseq.gs3 import RULE_GROUPS, GsProof, GsRule, rule_name
 from tabseq.problems import corpus
@@ -291,7 +291,7 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
     gamma = tuple(formulas)
     symbols = set()
     for f in gamma:
-        symbols |= formula_symbols(f)
+        symbols |= symbols_of(f)
     names = NameSupply(symbols)
     root = TableauNode(gamma)
     store = ConstraintStore()
@@ -302,7 +302,7 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
         node, depth, uses, introduced = pending.pop()
         for f in introduced:
             metas.update(dict.fromkeys(free_metas(f)))
-            symbols |= formula_symbols(f)
+            symbols |= symbols_of(f)
         closed = None
         for pos, neg in old_order_pairs(node.formulas):
             closed = reference_close(node, store, pos, neg)

@@ -446,17 +446,24 @@ class TestSkolemReplacement:
         assert proof.sequent[0] is proof.sequent[1] is parse("D(c1)")
 
     def test_walk_visits_each_distinct_subnode_once(self, monkeypatch):
-        from conftest import count_memo_walk, subnodes
+        # The symbols in use are read from the formulas' ``symbols`` slots:
+        # with every slot cleared, one replacement makes each distinct
+        # subnode's set at most once, and a replacement on the records of
+        # the same proof grown again makes none.
+        from conftest import count_symbol_sets, forget_symbols
 
         records = grown_before_skolem_replacement(prove([Not(growth_goal(3))]), monkeypatch)
         proof = records[0][0]
         nodes = list(postorder(proof))
-        distinct = subnodes([f for node in nodes for f in node.sequent]
-                            + [n.rule.witness for n in nodes if n.rule and n.rule.witness])
-        visits = count_memo_walk(monkeypatch, sys.modules["tabseq.translate"])
+        distinct = forget_symbols([f for node in nodes for f in node.sequent]
+                                  + [n.rule.witness for n in nodes if n.rule and n.rule.witness])
+        made = count_symbol_sets(monkeypatch)
         assert replace_skolem_terms(*records) is proof
-        assert set(visits.values()) == {1} and sum(visits.values()) <= len(distinct)
-        assert any(isinstance(x, App) and x.is_skolem for x in visits)
+        assert set(made.values()) == {1} and set(made) <= distinct
+        assert any(isinstance(x, App) and x.is_skolem for x in made)
+        again = grown_before_skolem_replacement(prove([Not(growth_goal(3))]), monkeypatch)
+        made.clear()
+        assert replace_skolem_terms(*again) is again[0][0] and not made
 
     def test_two_argument_vectors_are_refused(self):
         proof = GsProof((parse("P(sko1(a), sko1(b))", allow_generated=True),))
@@ -513,13 +520,13 @@ class TestInvariants:
             assert gs3.inference_count(proof) >= rule_count(ct.root)
 
     def test_final_proof_has_no_skolem_symbols(self):
-        from tabseq.formula import formula_symbols
+        from tabseq.formula import symbols_of
 
         ct = prove([parse(NESTED_NEG)])
         proof = translate(ct)
         for _, node in gs3.iter_nodes(proof):
             for f in node.sequent:
-                assert not any(s.startswith("sko") for s in formula_symbols(f))
+                assert not any(s.startswith("sko") for s in symbols_of(f))
             if node.rule is not None and node.rule.witness is not None:
                 assert not any(
                     t.is_skolem

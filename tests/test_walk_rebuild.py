@@ -20,13 +20,13 @@ from tabseq.formula import (
     Or,
     Var,
     apply_subst,
-    formula_symbols,
     free_metas,
     is_ground_term,
     is_subterm,
     outermost_skolem_terms,
     rebuild,
     subst_var,
+    symbols_of,
     walk,
 )
 from tabseq.gs3 import GsProof
@@ -208,7 +208,7 @@ def test_walk_is_preorder_in_document_order(x):
 def test_queries_match_the_reference(x):
     assert free_metas(x) == ref_free_metas(x)
     assert outermost_skolem_terms(x) == ref_outermost_skolems(x)
-    assert formula_symbols(x) == ref_symbols(x)
+    assert symbols_of(x) == ref_symbols(x)
 
 
 @given(terms, terms)
@@ -271,6 +271,6 @@ def test_max_depth_formula_under_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert ground.height == MAX_DEPTH - 1 and not free_metas(ground)
-    assert formula_symbols(ground) == {"a", "b", "f", "g", "sko1"}
+    assert symbols_of(ground) == {"a", "b", "f", "g", "sko1"}
     assert skolems == {App("sko1", (Meta("X1"),))}
     assert metas == (Meta("X1"),)

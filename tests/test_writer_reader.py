@@ -13,7 +13,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tabseq import gs3
 from tabseq.formula import Not, Table, const, encode_table, parse
@@ -285,6 +285,77 @@ def test_mutated_sequent_records_read_alike(proofs):
             assert str(err.value) == str(e)
             continue
         assert_same_reading(text)
+
+
+def reordered_weakening_premises(proof: GsProof) -> tuple[GsProof, bool]:
+    """A copy of the proof tree ``proof`` whose weakenings' premises list
+    their formulas rotated, by the fewest places that make the tuple other
+    than the copied conclusion's less the principal's first occurrence,
+    and whether every premise has such a rotation: then the writer counts
+    and diffs each premise whole."""
+    every = True
+
+    def copy(node: GsProof, sequent: tuple) -> GsProof:
+        nonlocal every
+        out = GsProof(sequent, node.rule, node.principal)
+        children = []
+        for child in node.children:
+            seq = child.sequent
+            if node.rule.name == "weaken":
+                i = sequent.index(node.principal)
+                dropped = sequent[:i] + sequent[i + 1:]
+                seq = next((t for t in (seq[k:] + seq[:k] for k in range(len(seq)))
+                            if t != dropped), seq)
+                every = every and seq != dropped
+            children.append(copy(child, seq))
+        out.children = tuple(children)
+        return out
+
+    return copy(proof, proof.sequent), every
+
+
+def counted_sequents(record: dict) -> list[dict[int, int]]:
+    """Each sequent record's count, by table entry, its base's with its
+    pairs applied."""
+    counts: list[dict[int, int]] = []
+    for base, pairs in record["sequents"]:
+        count = {} if base is None else dict(counts[base])
+        count.update(pairs)
+        counts.append({f: n for f, n in count.items() if n})
+    return counts
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**6))
+def test_a_weakening_is_written_as_its_one_changed_count(seed):
+    """A weakening's premise, as ``build_step`` makes it, is written as one
+    pair, the principal's count lowered by one, when its base is the
+    weakening's conclusion; with the premises' tuples reordered, which
+    turns that path off, the bytes are the same."""
+    from test_gs3 import random_built_proof
+
+    proof = random_built_proof(random.Random(seed))
+    text = proof_to_json(proof)
+    reordered, every = reordered_weakening_premises(proof)
+    assert check(reordered).accepted
+    assert proof_to_json(reordered) == text
+    sequents, keys, _ = gs3.subproofs(reordered)
+    keys = list(keys)
+    numbers, _, changes, _ = gs3._multisets(list(sequents), keys)
+    weakenings = [(numbers[keys[children[0]][0]], numbers[seq])
+                  for seq, rule, _, children in keys if rule == GsRule("weaken")]
+    assert not every or changes.keys().isdisjoint(weakenings)
+
+    record = json.loads(text)
+    nodes, counts = record["nodes"], counted_sequents(record)
+    for seq, rule, principal, _, children in nodes:
+        if rule == "weaken":
+            below = nodes[children[0]][0]
+            lowered = counts[seq][principal] - 1
+            assert counts[below] == {f: n for f, n in {**counts[seq], principal: lowered}.items()
+                                     if n}
+            if record["sequents"][below][0] == seq:
+                assert record["sequents"][below][1] == [[principal, lowered]]
 
 
 RECORDS = st.recursive(
