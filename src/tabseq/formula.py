@@ -787,8 +787,8 @@ class Table:
     references give one shared object.  ``formula`` and ``term`` hand out
     entries that may stand alone: closed, with no bound variable free.
     ``closed_formulas`` holds the closed formulas by index, for a reader
-    that resolves many references; ``formula`` gives the FormatError for
-    an index it lacks.
+    that resolves many references; ``formula`` reads it first, and gives
+    the FormatError for an index it lacks.
     """
 
     def __init__(self, raw) -> None:
@@ -812,21 +812,22 @@ class Table:
             refs = entry[2:] if named else entry[1:]
             if count is not None and len(refs) != count:
                 raise FormatError(f"table entry {pos} has the wrong length for {entry[0]!r}")
+            # Each part's entry is unpacked once: its object, sort and free variables.
             parts = []
+            free = _NO_NAMES
             for ref in refs:
                 if type(ref) is not int or not 0 <= ref < pos:
                     raise FormatError(f"table entry {pos} refers to {ref!r}, "
                                       "not to an earlier entry")
-                parts.append(entries[ref])
-                if parts[-1][1] is not part_formula:
+                part, part_is_formula, part_free = entries[ref]
+                if part_is_formula is not part_formula:
                     raise FormatError(f"table entry {pos} needs "
                                       f"{'a formula' if part_formula else 'a term'} "
                                       f"where entry {ref} is not one")
-            obj = _make(cls, name, [part[0] for part in parts])
-            free = _NO_NAMES
-            for part in parts:
-                if part[2]:
-                    free = free | part[2]
+                parts.append(part)
+                if part_free:
+                    free = free | part_free
+            obj = _make(cls, name, parts)
             if cls is Var:
                 free = frozenset((name,))
             elif named and part_formula:  # a quantifier binds its name
@@ -851,7 +852,8 @@ class Table:
 
     def formula(self, raw, what: str) -> Formula:
         """The closed formula at index ``raw``, or a FormatError naming ``what``."""
-        return self._closed(raw, True, what)
+        found = self.closed_formulas.get(raw) if type(raw) is int else None  # a bool is no index
+        return self._closed(raw, True, what) if found is None else found
 
     def term(self, raw, what: str) -> Term:
         """The closed term at index ``raw``, or a FormatError naming ``what``."""

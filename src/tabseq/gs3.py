@@ -99,6 +99,10 @@ class GsRule(NamedTuple):
     witness: Term | None = None
 
 
+# Each rule name's witness-free rule, built once.
+BARE_RULES = {name: GsRule(name) for name in RULE_NAMES}
+
+
 @dataclass(eq=False, slots=True)
 class GsProof:
     """A sequent-proof node; leaves without a rule are open.
@@ -589,7 +593,8 @@ def _proof_from_v2(record: dict) -> GsProof:
         if name is not None:
             if type(name) is not str:
                 raise FormatError("rule name must be a string")
-            rule = GsRule(name, None if witness is None else table.term(witness, "witness"))
+            rule = (BARE_RULES.get(name) or GsRule(name) if witness is None
+                    else GsRule(name, table.term(witness, "witness")))
             if principal is not None:
                 principal = table.formula(principal, "principal")
         elif principal is not None or witness is not None:

@@ -27,7 +27,7 @@ from .formula import (
     print_term,
     symbols_of,
 )
-from .gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
+from .gs3 import BARE_RULES, RULE_GROUPS, GsRule, premise_additions, rule_name
 from .tree import (
     FormatError,
     MAX_OCCURRENCES,
@@ -183,11 +183,17 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     meta = skolem = None
     if kind == "gamma":
         meta = names.fresh_meta()
+        rule = GsRule(name, meta)
     elif kind == "delta":
         skolem = App(names.fresh_skolem_symbol(), free_metas(principal))
-    intro = premise_additions(GsRule(name, meta if kind == "gamma" else skolem), principal)
-    node.rule = RuleInstance(kind, principal, intro, meta=meta, skolem=skolem)
-    node.children = tuple(TableauNode(node.formulas + extra) for extra in intro)
+        rule = GsRule(name, skolem)
+    else:
+        rule = BARE_RULES[name]
+    intro = premise_additions(rule, principal)
+    # Built without keyword arguments, which cost a named tuple about half again.
+    node.rule = RuleInstance(kind, principal, intro, meta, skolem)
+    formulas = node.formulas
+    node.children = tuple([TableauNode(formulas + extra) for extra in intro])
 
 
 def close(node: TableauNode, store: ConstraintStore, pos: Formula,
@@ -212,8 +218,8 @@ def close(node: TableauNode, store: ConstraintStore, pos: Formula,
     c = Constraint(pos, neg.body)
     if not consistent(store, [c]):
         return None
-    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
-    node.children = (TableauNode(node.formulas, closed=True),)
+    node.rule = RuleInstance(CLOSURE, None, ((),), None, None, (pos, neg))
+    node.children = (TableauNode(node.formulas, None, (), True),)
     return store.add(c)
 
 
@@ -551,6 +557,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 
 # The rule classes a file may name: the rule table's groups and closure.
 RULE_CLASSES = (*dict.fromkeys(RULE_GROUPS.values()), CLOSURE)
+_CLASS_SET = frozenset(RULE_CLASSES)
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
@@ -698,8 +705,8 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         if not isinstance(meta, Meta):
             raise FormatError(f"unifier binds the non-metavariable {print_term(meta)}")
         bindings[meta.name] = term(t, "unifier entry")
-    constraints = tuple(Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
-                        for lhs, rhs in store)
+    constraints = tuple([Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
+                         for lhs, rhs in store])
     return ClosedTableau(nodes[root], ConstraintStore(constraints),
                          Substitution(bindings))
 
@@ -709,9 +716,10 @@ def _rule_from_table(raw, table: Table) -> RuleInstance:
     if type(raw) is not list or len(raw) != 6:
         raise FormatError("a rule must be [class, principal, introduced, meta, skolem, pair]")
     kind, principal, introduced, meta, skolem, pair = raw
-    if kind not in RULE_CLASSES:
+    if type(kind) is not str or kind not in _CLASS_SET:  # a list, which would not hash, too
         raise FormatError(f"unknown rule class {kind!r}")
-    if type(introduced) is not list or not all(type(c) is list for c in introduced):
+    # A decoded JSON list is a ``list`` itself, never a subclass.
+    if type(introduced) is not list or not all(map(list.__instancecheck__, introduced)):
         raise FormatError("introduced must be a list of lists")
     if meta is not None:
         meta = term(meta, "meta field")
@@ -728,7 +736,7 @@ def _rule_from_table(raw, table: Table) -> RuleInstance:
     return RuleInstance(
         kind, None if principal is None else formula(principal, "principal"),
         tuple([_formulas_at(table, child, "introduced formula") for child in introduced]),
-        meta=meta, skolem=skolem, closure_pair=pair)
+        meta, skolem, pair)
 
 
 # ------------------------------------------------------------------ render

@@ -136,11 +136,12 @@ def dump_json(record) -> str:
 
 
 def load_json(text: str, what: str):
-    """The JSON value of a proof file; invalid JSON, or JSON nested too
-    deeply to decode, is a FormatError."""
+    """The JSON value of a proof file; invalid JSON, JSON nested too deeply
+    to decode, or an integer literal longer than the interpreter converts
+    (``sys.get_int_max_str_digits``) is a FormatError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError is one
         raise FormatError(f"not valid JSON: {e}") from None
     except RecursionError:
         raise FormatError(f"{what} nested too deeply") from None

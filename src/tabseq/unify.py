@@ -49,6 +49,8 @@ class ConstraintStore:
     (incremental closure, Giese 2001).  ``add`` keeps the store it built
     last, and hands it out again for the same constraints, so testing a
     closure with ``consistent`` and then adding its constraint unifies once.
+    A store whose added constraints leave nothing to solve holds its
+    base's unifier dict itself (see ``_unify``), so no one may alter it.
     """
 
     constraints: tuple[Constraint, ...] = ()
@@ -111,25 +113,39 @@ def _formula_equations(lhs: Formula, rhs: Formula) -> list[tuple[Term, Term]] | 
     return None
 
 
+# Terms and atoms hold no quantifier.  A constraint whose two sides are one
+# such node, or one negated atom, holds under every unifier; one whose sides
+# are one quantified formula must still be refused by ``_formula_equations``.
+_FLAT = (Var, Meta, App, Atom)
+
+
 def _unify(bindings: Mapping[str, Term], constraints: Iterable[Constraint]
-           ) -> dict[str, Term] | None:
+           ) -> Mapping[str, Term] | None:
     """The most general idempotent unifier that extends the idempotent
-    ``bindings`` and unifies ``constraints``, or None; ``bindings`` is
-    left as it is.
+    ``bindings`` and unifies ``constraints``, or None.  ``bindings`` is
+    left as it is, and is the result itself when every constraint's two
+    sides are one term, atom or negated atom (one interned object), as on
+    a closure of two identical literals: such a constraint is skipped, not
+    decomposed, and nothing is copied.  A store's unifier may thus be its
+    base's, so no caller may alter a unifier it is handed.
 
     Robinson-style worklist with the occurs check always on; a None result
     (symbol clash or occurs-check failure) signals that a candidate closure
     is impossible.
     """
     work: list[tuple[Term, Term]] = []
-    for c in constraints:
-        if isinstance(c.lhs, (Var, Meta, App)) and isinstance(c.rhs, (Var, Meta, App)):
-            work.append((c.lhs, c.rhs))
+    for lhs, rhs in constraints:
+        if lhs is rhs and (type(lhs) in _FLAT or type(lhs) is Not and type(lhs.body) is Atom):
+            continue
+        if isinstance(lhs, (Var, Meta, App)) and isinstance(rhs, (Var, Meta, App)):
+            work.append((lhs, rhs))
         else:
-            eqs = _formula_equations(c.lhs, c.rhs)
+            eqs = _formula_equations(lhs, rhs)
             if eqs is None:
                 return None
             work.extend(eqs)
+    if not work:
+        return bindings
 
     bindings = dict(bindings)
     while work:

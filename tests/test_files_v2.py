@@ -534,6 +534,8 @@ HOSTILE_V3 = {
             put(("nodes", 4, 1, 2, [])), NO_INTRODUCED_LIST),
         "formulas that are neither a list nor null": (
             put(("nodes", 3, 0, 14)), "a node must be [formulas, rule, [children], closed]"),
+        "rule class that is a list": (
+            put(("nodes", 4, 1, 0, ["gamma"])), "unknown rule class ['gamma']"),
         "unknown version": (put(("version", 4)), "unknown version 4"),
     },
     ".gs3": {
@@ -571,6 +573,25 @@ def test_hostile_v3_file_exits_two(tmp_path, capsys, suffix, case):
     code, err = exit_code_and_error(tmp_path, capsys, suffix, record)
     kind = "sequent proof" if suffix == ".gs3" else "tableau proof"
     assert code == 2 and err.endswith(f"malformed {kind}: {message}\n"), err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="the interpreter converts integer literals of any length")
+@pytest.mark.parametrize("suffix", [".gs3", ".tab"])
+def test_integer_literal_too_long_to_convert_exits_two(tmp_path, capsys, suffix):
+    """``json.loads`` refuses an integer literal longer than
+    ``sys.get_int_max_str_digits()`` with a plain ValueError, which the
+    readers report as invalid JSON, with the path."""
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    text = json.dumps({**drinker_files(3)[suffix], "root": 0})
+    text = text.replace('"root": 0', '"root": ' + digits)
+    path = tmp_path / f"long{suffix}"
+    path.write_text(text, encoding="utf-8")
+    command = ["check", str(path)] if suffix == ".gs3" else [
+        "translate", str(path), "--out", str(tmp_path / "o.gs3")]
+    kind = "sequent proof" if suffix == ".gs3" else "tableau proof"
+    assert run_cli(command) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: malformed {kind}: not valid JSON: ")
 
 
 def test_v3_node_formulas_are_bounded(tmp_path, capsys):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tabseq.formula import App, Atom, Meta, Not, apply_subst, const, free_metas, parse_term
+from tabseq.formula import (App, Atom, Meta, Not, apply_subst, const, free_metas, parse,
+                            parse_term)
 from tabseq.unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
 
 
@@ -34,6 +35,12 @@ class TestSolve:
 
     def test_predicate_clash_between_atoms(self):
         assert solve(term_store((Atom("P", ()), Atom("Q", ())))) is None
+
+    def test_one_quantified_formula_on_both_sides_is_still_refused(self):
+        f = parse("forall x. P(x)")
+        for side in (f, Not(f)):
+            with pytest.raises(ValueError, match="under quantifiers"):
+                solve(term_store((side, side)))
 
     def test_negated_literal_constraint(self):
         store = term_store((Not(Atom("P", (Meta("X"),))), Not(Atom("P", (const("a"),)))))
@@ -83,7 +90,8 @@ class TestConsistent:
 def random_constraint(rng: random.Random) -> Constraint:
     """A term pair or an atom pair over few metavariables and symbols, so
     that symbol clashes and occurs-check failures, through the store's
-    bindings too, are common."""
+    bindings too, are common; one in five has one term, atom or negated
+    atom (one interned object) on both sides."""
     metas = [Meta(f"X{i}") for i in range(1, 5)]
 
     def term(depth: int):
@@ -94,7 +102,11 @@ def random_constraint(rng: random.Random) -> Constraint:
             return App(rng.choice("fg"), (term(depth - 1),))
         return const(rng.choice("ab"))
 
-    if rng.random() < 0.5:
+    roll = rng.random()
+    if roll < 0.2:
+        side = [term(2), Atom("P", (term(1),)), Not(Atom("Q", (term(1), term(1))))][int(roll * 15)]
+        return Constraint(side, side)
+    if roll < 0.6:
         return Constraint(term(2), term(2))
     arity = rng.randrange(3)
     return Constraint(Atom(rng.choice("PP" "Q"), tuple(term(1) for _ in range(arity))),
@@ -111,7 +123,7 @@ class TestIncrementalConsistency:
         return ConstraintStore(tuple(constraints))
 
     def test_agrees_with_a_whole_store_solve_on_random_sequences(self):
-        refused = occurs = 0
+        refused = occurs = same = 0
         for seed in range(400):
             rng = random.Random(seed)
             store = ConstraintStore()
@@ -119,6 +131,10 @@ class TestIncrementalConsistency:
                 c = random_constraint(rng)
                 verdict = consistent(store, [c])
                 assert verdict == (solve(self.whole(store.constraints + (c,))) is not None), seed
+                if c.lhs is c.rhs:
+                    # Nothing to solve: the unifier is handed on, not copied.
+                    same += 1
+                    assert store.add(c).unifier is store.unifier, seed
                 if not verdict:
                     refused += 1
                     occurs += _pairs_a_meta_with_a_term_holding_it(store, c)
@@ -129,7 +145,29 @@ class TestIncrementalConsistency:
                     assert apply_subst(sigma, stored.lhs) is apply_subst(sigma, stored.rhs), seed
                 for t in sigma.values():
                     assert not any(m.name in sigma for m in free_metas(t)), seed
-        assert refused > 100 and occurs > 10
+        assert refused > 100 and occurs > 10 and same > 300
+
+    def test_add_never_alters_a_unifier_a_store_holds(self):
+        """Stores share unifier dicts, so ``add`` must leave every unifier
+        it is handed as it was: each store's unifier, as first read, is
+        compared after every later ``add`` of its sequence."""
+        shared = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            stores = [ConstraintStore()]
+            held = [dict(stores[0].unifier)]
+            for _ in range(rng.randrange(1, 12)):
+                c = random_constraint(rng)
+                base = rng.choice(stores)
+                grown = base.add(c)
+                if grown.unifier is None:
+                    continue
+                shared += grown.unifier is base.unifier
+                stores.append(grown)
+                held.append(dict(grown.unifier))
+                for store, unifier in zip(stores, held):
+                    assert store.unifier == unifier, seed
+        assert shared > 200
 
     def test_occurs_check_through_the_store(self):
         store = ConstraintStore().add(Constraint(Meta("X1"), App("f", (Meta("X2"),))))
