@@ -1,8 +1,9 @@
 """Time each stage of the pipeline in-process on inputs whose proofs are
 long, and print one table row per input.
 
-Stages: prove, translate with the translator's audits off and on, check on
-the translator's proof and on the one read back from its ``.gs3`` text (the
+Stages: parse of the goal's text and its print (rows with a goal), prove,
+translate with the translator's audits off and on, check on the
+translator's proof and on the one read back from its ``.gs3`` text (the
 shared DAG that ``tabseq check`` checks), ``.gs3`` write and read, ``.tab``
 write and read; each time is the best of ``--repeats`` runs, in
 milliseconds, measured with ``time.perf_counter``.
@@ -14,11 +15,13 @@ The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
   proved with ``depth_limit=1000``, one long branch of long sequents; the
   three rows show how each stage grows as n doubles;
 - ``problems.deep_tableau(n)`` for n=1,100, 2,200 and 4,400: one branch of
-  n gamma steps, given as a tableau, so it has no prove time; a layer
-  whose cost is linear in the proof's height doubles from row to row.
+  n gamma steps, given as a tableau, so it has no goal to parse or print
+  and no prove time; a layer whose cost is linear in the proof's height
+  doubles from row to row.
 
-The script reports and gates nothing; it exits 1 only if a proof it made
-is rejected or does not read back to the same text.  For end-to-end
+The script reports and gates nothing; it exits 1 only if a goal does not
+parse back from its printed text, or a proof it made is rejected or does
+not read back to the same text.  For end-to-end
 throughput run ``python3 perfbench/run.py``.
 
 Usage: python scripts/layer_times.py [--repeats N]
@@ -28,7 +31,7 @@ import argparse
 import time
 
 from tabseq import gs3
-from tabseq.formula import Not, parse
+from tabseq.formula import Not, parse, print_formula
 from tabseq.problems import deep_tableau, growth_goal
 from tabseq.tableau import prove, tableau_from_json, tableau_to_json
 from tabseq.translate import translate
@@ -45,17 +48,18 @@ def best(repeats: int, run):
 
 
 def inputs():
-    """(name, function that returns the closed tableau, whether it proves)."""
+    """(name, the goal or None, function that returns the closed tableau)."""
     def wide(n: int):
         conj = " & ".join(f"P{i}" for i in range(n))
-        goal = Not(parse(f"({conj}) => ({conj})"))
-        return f"wide n={n}", lambda: prove([goal], depth_limit=1000), True
+        goal = parse(f"({conj}) => ({conj})")
+        return f"wide n={n}", goal, lambda: prove([Not(goal)], depth_limit=1000)
 
     def deep(n: int):
-        return f"deep_tableau({n})", lambda: deep_tableau(n), False
+        return f"deep_tableau({n})", None, lambda: deep_tableau(n)
 
+    growth = growth_goal(5)
     return [
-        ("growth k=5", lambda: prove([Not(growth_goal(5))]), True),
+        ("growth k=5", growth, lambda: prove([Not(growth)])),
         wide(30),
         wide(60),
         wide(120),
@@ -72,11 +76,17 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    print(f"{'input':<20} {'prove':>7} {'tr off':>7} {'tr on':>7} {'check':>7} {'check r':>7} "
-          f"{'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} {'tab r':>7}  gs3 / tab bytes")
+    print(f"{'input':<20} {'parse':>7} {'print':>7} {'prove':>7} {'tr off':>7} {'tr on':>7} "
+          f"{'check':>7} {'check r':>7} {'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} {'tab r':>7}  "
+          "gs3 / tab bytes")
     failures = 0
-    for name, make, proves in inputs():
+    for name, goal, make in inputs():
         ct, prove_ms = best(args.repeats, make)
+        front, back_goal = f"{'—':>7} {'—':>7} {'—':>7}", goal
+        if goal is not None:
+            text, print_ms = best(args.repeats, lambda: print_formula(goal))
+            back_goal, parse_ms = best(args.repeats, lambda: parse(text))
+            front = f"{parse_ms:7.2f} {print_ms:7.2f} {prove_ms:7.1f}"
         _, off = best(args.repeats, lambda: translate(ct, audit=False))
         proof, on = best(args.repeats, lambda: translate(ct, audit=True))
         verdict, check_ms = best(args.repeats, lambda: gs3.check(proof))
@@ -85,12 +95,11 @@ def main() -> None:
         back_verdict, check_r = best(args.repeats, lambda: gs3.check(back))
         tab_text, tab_w = best(args.repeats, lambda: tableau_to_json(ct))
         tab_back, tab_r = best(args.repeats, lambda: tableau_from_json(tab_text))
-        if (not verdict or not back_verdict or gs3.proof_to_json(back) != gs3_text
-                or tableau_to_json(tab_back) != tab_text):
+        if (back_goal is not goal or not verdict or not back_verdict
+                or gs3.proof_to_json(back) != gs3_text or tableau_to_json(tab_back) != tab_text):
             failures += 1
             name += " FAILED"
-        shown = f"{prove_ms:7.1f}" if proves else f"{'—':>7}"
-        print(f"{name:<20} {shown} {off:7.1f} {on:7.1f} {check_ms:7.1f} {check_r:7.1f} "
+        print(f"{name:<20} {front} {off:7.1f} {on:7.1f} {check_ms:7.1f} {check_r:7.1f} "
               f"{gs3_w:7.1f} {gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
               f"{len(gs3_text.encode()):,} / {len(tab_text.encode()):,}")
     raise SystemExit(1 if failures else 0)

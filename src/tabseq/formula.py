@@ -49,7 +49,7 @@ import weakref
 from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .tree import FormatError
 
@@ -57,17 +57,14 @@ SKOLEM_NAME = re.compile(r"sko[0-9]+\Z")
 META_NAME = re.compile(r"X[0-9]+\Z")
 
 # Deepest formula or term that ``parse`` accepts and the proof writers emit,
-# counting formula and term nodes along a path.  The parser, the printer
-# and ``rebuild`` recurse on formulas.  Measured on CPython 3.11 with a
-# 200-deep formula of each costliest shape: ``parse`` takes 804 frames on a
-# quantifier prefix (4 per level), ``print_formula`` 597 on nested terms
-# (3 per level) and ``rebuild`` about 400 on any shape (2 per level, which
-# bounds ``gs3.check``); proving, translating with audits, checking and
-# rendering takes at most 600.  That leaves about 200 of the default 1,000
-# frames to the caller.
+# counting formula and term nodes along a path.  ``parse`` and the printers
+# keep explicit stacks and take at most 7 frames on any input.  ``rebuild``
+# recurses, 2 frames per level, and is the deepest: measured on CPython 3.11
+# with a 200-deep formula, proving, translating with audits and checking
+# take about 400 frames through it.  That leaves about 600 of the default
+# 1,000 frames to the caller.
 MAX_DEPTH = 200
 
-V = TypeVar("V")
 _has_meta = attrgetter("has_meta")
 
 
@@ -448,237 +445,240 @@ def subst_var(f: Formula, var: str, t: Term) -> Formula:
 
 
 # ----------------------------------------------------------------- print
+#
+# Both printers keep a stack of the nodes still to print, each with the
+# text that follows it, so they take a constant number of frames.
+
+_CONNECTIVES = {And: " & ", Or: " | ", Implies: " => "}
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, (Var, Meta)):
-        return t.name
-    if isinstance(t, App):
-        if not t.args:
-            return t.symbol
-        return f"{t.symbol}({', '.join(print_term(a) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
+    out = []
+    stack = [(t, "")]
+    while stack:
+        x, after = stack.pop()
+        cls = type(x)
+        if cls is App and x.args:
+            out.append(x.symbol + "(")
+            stack.append((x.args[-1], ")" + after))
+            stack += [(a, ", ") for a in x.args[-2::-1]]
+            continue
+        if cls is App:
+            out.append(x.symbol)
+        elif cls is Var or cls is Meta:
+            out.append(x.name)
+        else:
+            raise TypeError(f"not a term: {x!r}")
+        out.append(after)
+    return "".join(out)
 
 
 def print_formula(f: Formula) -> str:
     """Canonical fully-parenthesized rendering; inverse of ``parse``."""
-    if isinstance(f, Atom):
-        if not f.args:
-            return f.predicate
-        return f"{f.predicate}({', '.join(print_term(a) for a in f.args)})"
-    if isinstance(f, Not):
-        return f"(~{print_formula(f.body)})"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"({print_formula(f.left)} => {print_formula(f.right)})"
-    if isinstance(f, Forall):
-        return f"(forall {f.var}. {print_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var}. {print_formula(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+    out = []
+    stack = [(f, "")]
+    while stack:
+        x, after = stack.pop()
+        cls = type(x)
+        if cls is Atom:
+            out.append(f"{x.predicate}({', '.join(map(print_term, x.args))})" if x.args
+                       else x.predicate)
+            out.append(after)
+        elif cls is Not:
+            out.append("(~")
+            stack.append((x.body, ")" + after))
+        elif cls is Forall or cls is Exists:
+            out.append(f"({'forall' if cls is Forall else 'exists'} {x.var}. ")
+            stack.append((x.body, ")" + after))
+        elif cls in _CONNECTIVES:
+            out.append("(")
+            stack += ((x.right, ")" + after), (x.left, _CONNECTIVES[cls]))
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    return "".join(out)
 
 
 # ----------------------------------------------------------------- parse
+#
+# Grammar (precedence ``~ > & > | > =>``, ``=>`` right-associative, a
+# quantifier body extends as far right as possible)::
+#
+#     formula := implies
+#     implies := or ("=>" implies)?
+#     or      := and ("|" and)*
+#     and     := unary ("&" unary)*
+#     unary   := "~" unary | "forall" ident "." implies
+#              | "exists" ident "." implies | atom | "(" implies ")"
+#     atom    := ident ("(" term ("," term)* ")")?
+#     term    := ident ("(" term ("," term)* ")")?
+#
+# Identifiers match ``[A-Za-z][A-Za-z0-9_]*``; the generated families
+# ``sko<digits>`` (Skolem symbols) and ``X<digits>`` (metavariables) are
+# reserved and rejected unless ``allow_generated`` is set (see ``parse``).
+# Formulas, terms and parentheses nest at most ``MAX_DEPTH`` deep.
 
-_TOKEN_SPEC = [
-    ("IMPLIES", r"=>"),
-    ("IDENT", r"[A-Za-z][A-Za-z0-9_]*"),
-    ("LPAR", r"\("),
-    ("RPAR", r"\)"),
-    ("COMMA", r","),
-    ("DOT", r"\."),
-    ("NOT", r"~"),
-    ("AND", r"&"),
-    ("OR", r"\|"),
-    ("WS", r"[ \t\r\n]+"),
-]
-_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
-
-
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text`` in one scan; a match that does not start where
-    the last one ended skipped a character no token matches."""
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != pos:
-            break
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "WS":
-            tokens.append(_Token(kind, value, line, start - line_start + 1))
-        elif "\n" in value:
-            line += value.count("\n")
-            line_start = start + value.rfind("\n") + 1
-        pos = m.end()
-    if pos < len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-    tokens.append(_Token("END", "", line, pos - line_start + 1))
-    return tokens
+# A token is ``=>``, an identifier or any other character but white space;
+# a character that is no identifier and not one of ``(),.~&|`` is an error.
+_TOKEN = re.compile(r"=>|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
+_PUNCTUATION = frozenset(["=>", "(", ")", ",", ".", "~", "&", "|"])
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_RESERVED = re.compile(r"\b(?:sko|X)[0-9]+\b", re.ASCII)  # SKOLEM_NAME or META_NAME
+_QUANTIFIERS = {"forall": Forall, "exists": Exists}
+_DEEP = f"nested deeper than {MAX_DEPTH} levels"
+# A pending operator is (binds, class, left operand or bound name, source
+# name, the binding it shadows).  A connective first reduces the operators
+# that bind at least as tightly as its floor (``=>`` nests to the right,
+# ``&`` and ``|`` chain to the left); ``)`` and the end reduce all but "(".
+_BINARY = {"=>": (2, 1, Implies), "|": (2, 2, Or), "&": (3, 3, And)}  # floor, binds, class
+_NEGATION, _PARENTHESIS = (4, Not, None, None, None), (-1, None, None, None, None)
 
 
-# Binary connectives by token: (precedence, constructor); ``=>`` binds
-# loosest and nests to the right, ``&`` and ``|`` chain to the left.
-_BINARY = {"IMPLIES": (1, Implies), "OR": (2, Or), "AND": (3, And)}
+class _Reader:
+    """One parse of ``text``: its tokens, from one scan, and its binders.
+    ``formula`` reads with one loop over a stack of pending operators and
+    ``term`` with a stack of open applications, so a parse takes a constant
+    number of frames; input is refused, at the first token, as soon as it
+    is certain to nest deeper than ``MAX_DEPTH``."""
 
+    __slots__ = ("text", "tokens", "generated", "reserved", "scope", "binders", "taken")
 
-class _Parser:
-    """Recursive-descent parser for the formula grammar.
+    def __init__(self, text: str, allow_generated: bool):
+        self.text, self.generated = text, allow_generated
+        self.tokens = _TOKEN.findall(text) + [""]  # "" is the end of the input
+        self.reserved = not allow_generated and _RESERVED.search(text) is not None
+        self.scope: dict[str, str | None] = {}  # source name -> its innermost binder's name
+        self.binders: set[str] = set()  # binder names given out
+        self.taken: dict[str, int] | None = None  # each token and binder name: its last suffix
 
-    Grammar (precedence ``~ > & > | > =>``, ``=>`` right-associative, a
-    quantifier body extends as far right as possible)::
+    def fail(self, i: int, message: str):
+        """Raise ``message`` at token ``i``, unless a character is no token,
+        which is refused first; only here does a scan find positions."""
+        text, start = self.text, len(self.text)
+        for n, m in enumerate(_TOKEN.finditer(text)):
+            if m[0][0] not in _LETTERS and m[0] not in _PUNCTUATION:
+                message, start = f"unexpected character {m[0]!r}", m.start()
+                break
+            if n == i:
+                start = m.start()
+        raise ParseError(message, text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start))
 
-        formula := implies
-        implies := or ("=>" implies)?
-        or      := and ("|" and)*
-        and     := unary ("&" unary)*
-        unary   := "~" unary | "forall" ident "." implies
-                 | "exists" ident "." implies | atom | "(" implies ")"
-        atom    := ident ("(" term ("," term)* ")")?
-        term    := ident ("(" term ("," term)* ")")?
-
-    Identifiers match ``[A-Za-z][A-Za-z0-9_]*``; the generated families
-    ``sko<digits>`` (Skolem symbols) and ``X<digits>`` (metavariables) are
-    reserved and rejected unless ``allow_generated`` is set (see ``parse``).
-    """
-
-    def __init__(self, tokens: list[_Token], allow_generated: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_generated = allow_generated
-        self.env: list[tuple[str, str]] = []  # (source name, unique name)
-        self.binder_names: set[str] = set()
-        self.taken = {t.value for t in tokens if t.kind == "IDENT"}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def name(self, i: int, what: str) -> str:
+        """The identifier at token ``i``: no keyword, and not reserved."""
+        tok = self.tokens[i]
+        if tok[:1] not in _LETTERS:
+            self.fail(i, f"expected {what}, found {tok or 'end of input'!r}")
+        if tok in _QUANTIFIERS:
+            self.fail(i, f"expected {what}, found keyword {tok!r}")
+        if self.reserved and _RESERVED.fullmatch(tok):
+            self.fail(i, f"identifier {tok!r} is reserved for generated symbols")
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.value or 'end of input'!r}",
-                             tok.line, tok.column)
-        return self.next()
+    def fresh(self, name: str) -> str:
+        """A binder's name for ``name``: itself if no binder has it, else
+        the first of ``name_1``, ``name_2``, ... that no token or binder
+        has; names are only added, so the search starts after the last."""
+        if name in self.binders:
+            if self.taken is None:
+                self.taken = dict.fromkeys(self.tokens, 0)
+            n = self.taken[name] + 1
+            while f"{name}_{n}" in self.taken:
+                n += 1
+            self.taken[name], name = n, f"{name}_{n}"
+            self.taken[name] = 0
+        self.binders.add(name)
+        return name
 
-    def ident(self, what: str) -> _Token:
-        tok = self.expect("IDENT", what)
-        if tok.value in ("forall", "exists"):
-            raise ParseError(f"expected {what}, found keyword {tok.value!r}",
-                             tok.line, tok.column)
-        if not self.allow_generated and (SKOLEM_NAME.match(tok.value) or META_NAME.match(tok.value)):
-            raise ParseError(f"identifier {tok.value!r} is reserved for generated symbols",
-                             tok.line, tok.column)
-        return tok
-
-    def fresh_binder(self, name: str) -> str:
-        if name not in self.binder_names:
-            unique = name
-        else:
-            i = 1
-            while f"{name}_{i}" in self.binder_names or f"{name}_{i}" in self.taken:
-                i += 1
-            unique = f"{name}_{i}"
-        self.binder_names.add(unique)
-        self.taken.add(unique)
-        return unique
-
-    def parse_formula(self, min_precedence: int = 1) -> Formula:
-        """Precedence climbing over the binary connectives: one call per
-        right-nested ``=>`` or parenthesis level, a loop for ``&`` and ``|``
-        chains."""
-        left = self.parse_unary()
+    def term(self, i: int, frames: list, level: int) -> tuple[Term, int]:
+        """The term at token ``i`` and the index after it, done when the
+        applications (or the atom) open above it in ``frames``, each as
+        (class, name, arguments read), are closed; ``level`` counts the
+        formula operators pending above those."""
+        tokens, scope = self.tokens, self.scope
         while True:
-            op = _BINARY.get(self.peek().kind)
-            if op is None or op[0] < min_precedence:
-                return left
-            self.next()
-            precedence, ctor = op
-            right_assoc = ctor is Implies
-            right = self.parse_formula(precedence if right_assoc else precedence + 1)
-            left = ctor(left, right)
+            if level + len(frames) >= MAX_DEPTH:
+                self.fail(0, _DEEP)
+            name = self.name(i, "a term")
+            i += 1
+            if tokens[i] == "(":
+                frames.append((App, name, []))
+                i += 1
+                continue
+            bound = scope.get(name)
+            t = (_intern((Var, bound)) if bound is not None else _intern((Meta, name))
+                 if self.generated and META_NAME.match(name) else _intern((App, name, ())))
+            while frames:
+                frames[-1][2].append(t)
+                tok = tokens[i]
+                i += 1
+                if tok == ",":
+                    break
+                if tok != ")":
+                    self.fail(i - 1, f"expected ')', found {tok or 'end of input'!r}")
+                cls, name, args = frames.pop()
+                t = _intern((cls, name, tuple(args)))
+            else:
+                return t, i
 
-    def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "NOT":
-            self.next()
-            return Not(self.parse_unary())
-        if tok.kind == "IDENT" and tok.value in ("forall", "exists"):
-            self.next()
-            name_tok = self.ident("a bound-variable name")
-            unique = self.fresh_binder(name_tok.value)
-            self.expect("DOT", "'.' after the bound variable")
-            self.env.append((name_tok.value, unique))
-            body = self.parse_formula()
-            self.env.pop()
-            return Forall(unique, body) if tok.value == "forall" else Exists(unique, body)
-        if tok.kind == "LPAR":
-            self.next()
-            f = self.parse_formula()
-            self.expect("RPAR", "')'")
-            return f
-        if tok.kind == "IDENT":
-            return self.parse_atom()
-        raise ParseError(f"expected a formula, found {tok.value or 'end of input'!r}",
-                         tok.line, tok.column)
+    def formula(self) -> tuple[Formula, int]:
+        """The formula at the first token and the index after it."""
+        tokens, scope, stack = self.tokens, self.scope, []
+        level = parens = i = 0  # pending operators, open parentheses, next token
+        while True:
+            tok = tokens[i]  # an operand: prefix operators, then an atom
+            if tok == "~":
+                stack.append(_NEGATION)
+                level, i = level + 1, i + 1
+            elif tok == "(":
+                stack.append(_PARENTHESIS)
+                parens, i = parens + 1, i + 1
+            elif tok in _QUANTIFIERS:
+                source = self.name(i + 1, "a bound-variable name")
+                bound = self.fresh(source)
+                if tokens[i + 2] != ".":
+                    self.fail(i + 2, "expected '.' after the bound variable, "
+                                     f"found {tokens[i + 2] or 'end of input'!r}")
+                stack.append((0, _QUANTIFIERS[tok], bound, source, scope.get(source)))
+                scope[source], level, i = bound, level + 1, i + 3
+            else:
+                if tok[:1] not in _LETTERS:
+                    self.fail(i, f"expected a formula, found {tok or 'end of input'!r}")
+                if self.reserved and _RESERVED.fullmatch(tok):
+                    self.fail(i, f"identifier {tok!r} is reserved for generated symbols")
+                if tokens[i + 1] == "(":
+                    f, i = self.term(i + 2, [(Atom, tok, [])], level)
+                else:
+                    f, i = _intern((Atom, tok, ())), i + 1
+                while True:  # after an operand: a connective, ")" or the end
+                    tok = tokens[i]
+                    op = _BINARY.get(tok)
+                    while stack and stack[-1][0] >= (0 if op is None else op[0]):
+                        _, cls, arg, source, shadowed = stack.pop()
+                        level -= 1
+                        f = _intern((Not, f) if cls is Not else (cls, arg, f))
+                        if source is not None:
+                            scope[source] = shadowed
+                    if op is not None:
+                        stack.append((op[1], op[2], f, None, None))
+                        level, i = level + 1, i + 1
+                        if f.height + level > MAX_DEPTH:  # the new node and those above it
+                            self.fail(0, _DEEP)
+                        break
+                    if not stack:
+                        return f, i
+                    if tok != ")":
+                        self.fail(i, f"expected ')', found {tok or 'end of input'!r}")
+                    stack.pop()
+                    parens, i = parens - 1, i + 1
+                continue
+            if level >= MAX_DEPTH or parens > MAX_DEPTH:
+                self.fail(0, _DEEP)
 
-    def parse_atom(self) -> Formula:
-        name = self.ident("a predicate name")
-        args: tuple[Term, ...] = ()
-        if self.peek().kind == "LPAR":
-            args = self.parse_args()
-        return Atom(name.value, args)
 
-    def parse_args(self) -> tuple[Term, ...]:
-        self.expect("LPAR", "'('")
-        args = [self.parse_term()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            args.append(self.parse_term())
-        self.expect("RPAR", "')'")
-        return tuple(args)
-
-    def parse_term(self) -> Term:
-        name = self.ident("a term")
-        if self.peek().kind == "LPAR":
-            return App(name.value, self.parse_args())
-        for source, unique in reversed(self.env):
-            if source == name.value:
-                return Var(unique)
-        if self.allow_generated and META_NAME.match(name.value):
-            return Meta(name.value)
-        return App(name.value, ())
-
-
-def _parse_whole(text: str, allow_generated: bool, start: Callable[[_Parser], V]) -> V:
-    parser = _Parser(_tokenize(text), allow_generated)
-    try:
-        result = start(parser)
-    except RecursionError:
-        tok = parser.peek()
-        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", tok.line, tok.column) from None
-    end = parser.peek()
-    if end.kind != "END":
-        raise ParseError(f"unexpected trailing input {end.value!r}", end.line, end.column)
-    if result.height > MAX_DEPTH:
-        first = parser.tokens[0]
-        raise ParseError(f"nested deeper than {MAX_DEPTH} levels", first.line, first.column)
+def _read(text: str, allow_generated: bool, formula: bool):
+    reader = _Reader(text, allow_generated)
+    result, i = reader.formula() if formula else reader.term(0, [], 0)
+    if reader.tokens[i]:
+        reader.fail(i, f"unexpected trailing input {reader.tokens[i]!r}")
     return result
 
 
@@ -691,11 +691,11 @@ def parse(text: str, *, allow_generated: bool = False) -> Formula:
     of version-1 proof files, and so do tests.  Input nested deeper than
     ``MAX_DEPTH`` is a ParseError.
     """
-    return _parse_whole(text, allow_generated, _Parser.parse_formula)
+    return _read(text, allow_generated, True)
 
 
 def parse_term(text: str, *, allow_generated: bool = False) -> Term:
-    return _parse_whole(text, allow_generated, _Parser.parse_term)
+    return _read(text, allow_generated, False)
 
 
 # ----------------------------------------------------------- file tables

@@ -705,9 +705,14 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         if not isinstance(meta, Meta):
             raise FormatError(f"unifier binds the non-metavariable {print_term(meta)}")
         bindings[meta.name] = term(t, "unifier entry")
-    constraints = tuple([Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
-                         for lhs, rhs in store])
-    return ClosedTableau(nodes[root], ConstraintStore(constraints),
+    constraints = []
+    for pair in store:
+        sides = (formula(pair[0], "constraint"), formula(pair[1], "constraint"))
+        for side in sides:  # ``close`` stores atom pairs; no closure stores more than literals
+            if type(side) is not Atom and (type(side) is not Not or type(side.body) is not Atom):
+                raise FormatError(f"constraint side {print_formula(side)} is not a literal")
+        constraints.append(Constraint(*sides))
+    return ClosedTableau(nodes[root], ConstraintStore(tuple(constraints)),
                          Substitution(bindings))
 
 

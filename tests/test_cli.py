@@ -199,6 +199,22 @@ class TestTranslate:
         tab.write_text(json.dumps(record), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
 
+    def test_a_store_side_that_is_no_literal_exits_two(self, tmp_path, drinker_file, capsys):
+        # The audit's solve would refuse a quantified side only as an error
+        # without the path; the reader refuses every side that is no literal.
+        run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
+        tab = tmp_path / "drinker.tab"
+        record = json.loads(tab.read_text(encoding="utf-8"))
+        goal = record["nodes"][record["root"]][0][0]
+        record["store"].append([goal, goal])
+        tab.write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["translate", str(tab)]) == 2
+        assert capsys.readouterr().err == (
+            f"{tab}: malformed tableau proof: constraint side "
+            f"{print_formula(Not(parse(DRINKER)))} is not a literal\n")
+        assert not (tmp_path / "drinker.gs3").exists()
+
     def test_alpha_rule_with_an_extra_introduced_formula_exits_two(self, tmp_path, capsys):
         # The alpha rule on P & Q introduces P, Q and S, and S is in its
         # child too, so every child is its parent plus the introduced

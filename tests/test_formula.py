@@ -4,6 +4,7 @@ import gc
 import json
 import pickle
 import random
+import re
 import sys
 import threading
 import weakref
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_parse
 from conftest import random_formula
 from reference_check import schema
 from tabseq import formula as formula_module
@@ -44,7 +46,6 @@ from tabseq.formula import (
     symbols_of,
     walk,
 )
-from tabseq.formula import _TOKEN_RE, _Token, _tokenize
 from tabseq.gs3 import RULE_GROUPS, GsRule, premise_additions, rule_name
 from tabseq.problems import corpus
 
@@ -146,25 +147,46 @@ class TestParse:
         assert parse("P & forall x. Q | R") == And(p, Forall("x", Or(q, r)))
 
 
-def loop_tokenize(text: str) -> list[_Token]:
-    """The tokenizer as a loop that matches at each position in turn."""
+# The token pattern of the tokenizer that ``formula.parse`` replaced.
+LOOP_TOKEN_RE = re.compile(r"(?P<IMPLIES>=>)|(?P<IDENT>[A-Za-z][A-Za-z0-9_]*)|(?P<LPAR>\()|"
+                           r"(?P<RPAR>\))|(?P<COMMA>,)|(?P<DOT>\.)|(?P<NOT>~)|(?P<AND>&)|"
+                           r"(?P<OR>\|)|(?P<WS>[ \t\r\n]+)")
+
+
+def loop_tokenize(text: str) -> list[tuple[str, int, int]]:
+    """The tokens as (text, line, column), the end as ("", line, column),
+    from a loop that matches at each position in turn."""
     tokens = []
     line, line_start = 1, 0
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = LOOP_TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
         value = m.group()
-        if kind != "WS":
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
+        if m.lastgroup != "WS":
+            tokens.append((value, line, m.start() - line_start + 1))
         nl = value.count("\n")
         if nl:
             line += nl
             line_start = m.start() + value.rfind("\n") + 1
         pos = m.end()
-    tokens.append(_Token("END", "", line, pos - line_start + 1))
+    tokens.append(("", line, pos - line_start + 1))
+    return tokens
+
+
+def scan(text: str) -> list[tuple[str, int, int]]:
+    """The package's tokens of ``text``, each with the position that an
+    error at it reports; the scan keeps no positions, so each is asked of
+    ``fail``, which also refuses a character that no token matches."""
+    reader = formula_module._Reader(text, allow_generated=False)
+    tokens = []
+    for i, tok in enumerate(reader.tokens):
+        with pytest.raises(ParseError) as e:
+            reader.fail(i, "here")
+        if not str(e.value).startswith("here"):
+            raise e.value
+        tokens.append((tok, e.value.line, e.value.column))
     return tokens
 
 
@@ -176,19 +198,27 @@ def tokens_or_error(tokenize, text: str):
 
 
 PIECES = ["P", "Q1", "forall", "x_2", "f", "(", ")", ",", ".", "~", "&", "|", "=>", "=", ">",
-          " ", "\t", "\n", "\r\n", "$", "#", "\u00e9", "1", "_"]
+          " ", "\t", "\n", "\r\n", "$", "#", "\u00e9", "1", "_", "exists", "x", "X1", "sko2"]
+SOUPS = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
 
 
 class TestTokenize:
-    @given(st.lists(st.sampled_from(PIECES), max_size=30).map("".join))
+    @given(SOUPS)
     def test_matches_the_loop(self, text):
-        assert tokens_or_error(_tokenize, text) == tokens_or_error(loop_tokenize, text)
+        assert tokens_or_error(scan, text) == tokens_or_error(loop_tokenize, text)
 
     def test_a_bad_character_after_newlines(self):
+        for read in (parse, parse_term):
+            with pytest.raises(ParseError) as e:
+                read("P &\n  Q |\r\n ~$R")
+            assert (str(e.value), e.value.line, e.value.column) == (
+                "unexpected character '$' (line 3, column 3)", 3, 3)
+
+    def test_a_bad_character_comes_before_any_parse_error(self):
         with pytest.raises(ParseError) as e:
-            _tokenize("P &\n  Q |\r\n ~$R")
+            parse("P & & Q\n\n  =")
         assert (str(e.value), e.value.line, e.value.column) == (
-            "unexpected character '$' (line 3, column 3)", 3, 3)
+            "unexpected character '=' (line 3, column 3)", 3, 3)
 
 
 class TestDepthBound:
@@ -230,6 +260,106 @@ class TestDepthBound:
             encode_table([Atom("P", (at_bound,))])
 
 
+class TestStackUse:
+    """The parser and the printers keep explicit stacks: a formula at the
+    bound round-trips from a deep caller, and deeper input is refused at
+    the first token as soon as its depth is certain."""
+
+    def test_parentheses_nest_as_deep_as_formulas(self):
+        assert parse("(" * MAX_DEPTH + "P" + ")" * MAX_DEPTH) is Atom("P")
+        with pytest.raises(ParseError, match="nested deeper") as e:
+            parse("(" * (MAX_DEPTH + 1) + "P" + ")" * (MAX_DEPTH + 1))
+        assert (e.value.line, e.value.column) == (1, 1)
+
+    @pytest.mark.parametrize("shape", ["quantifier prefix", "negation chain", "right-nested =>",
+                                       "nested terms"])
+    def test_round_trip_at_the_bound_from_a_deep_caller(self, shape):
+        f = shape_at_the_bound(shape)
+        assert f.height == MAX_DEPTH
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            back = call_from_depth(900, lambda: parse(print_formula(f), allow_generated=True))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert back is f
+
+    def test_a_deep_quantifier_prefix_stops_at_the_bound(self, monkeypatch):
+        fresh = formula_module._Reader.fresh
+        names = []
+        monkeypatch.setattr(formula_module._Reader, "fresh",
+                            lambda reader, name: names.append(name) or fresh(reader, name))
+        with pytest.raises(ParseError, match="nested deeper") as e:
+            parse("forall x. " * 3000 + "P(x)")
+        assert 0 < len(names) <= MAX_DEPTH and (e.value.line, e.value.column) == (1, 1)
+
+    @settings(max_examples=40)
+    @given(st.randoms(use_true_random=False), st.integers(MAX_DEPTH - 3, MAX_DEPTH + 3))
+    def test_mixed_shapes_are_refused_just_above_the_bound(self, rng, height):
+        f = spine_formula(rng, height)
+        assert f.height == height
+        text = print_formula(f)
+        if height <= MAX_DEPTH:
+            assert parse(text, allow_generated=True) is f
+            return
+        with pytest.raises(ParseError, match="nested deeper") as e:
+            parse(text, allow_generated=True)
+        assert (e.value.line, e.value.column) == (1, 1)
+
+
+def shape_at_the_bound(shape: str):
+    """A formula of height ``MAX_DEPTH`` in one of four shapes."""
+    if shape == "nested terms":
+        t = const("a")
+        for _ in range(MAX_DEPTH - 2):
+            t = App("f", (t,))
+        return Atom("P", (t,))
+    f = Atom("P", (Var("x1"),)) if shape == "quantifier prefix" else Atom("P")
+    for k in range(MAX_DEPTH - f.height, 0, -1):
+        if shape == "quantifier prefix":
+            f = Forall(f"x{k}", f)
+        elif shape == "negation chain":
+            f = Not(f)
+        else:
+            f = Implies(Atom(f"Q{k}"), f)
+    return f
+
+
+def spine_formula(rng: random.Random, height: int):
+    """A formula of height ``height`` whose deepest path runs through
+    nested terms, then negations, quantifiers and connectives in a random
+    order, with the path on either side of a connective."""
+    t = const("a")
+    for _ in range(rng.randrange(0, 20)):
+        t = App("g", (const("b"), t) if rng.random() < 0.5 else (t,))
+    f = Atom("P", (t,))
+    k = 0
+    while f.height < height:
+        k += 1
+        roll = rng.random()
+        if roll < 0.2:
+            f = Not(f)
+        elif roll < 0.4:
+            f = (Forall if roll < 0.3 else Exists)(f"x{k}", f)
+        else:
+            cls = rng.choice([And, Or, Implies])
+            other = Atom("Q") if rng.random() < 0.5 else Not(Atom("R", (const("c"),)))
+            f = cls(f, other) if rng.random() < 0.5 else cls(other, f)
+    return f
+
+
+def call_from_depth(frames: int, call):
+    """``call()``, made by a caller ``frames`` frames deep."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def down(n):
+        return call() if n == 0 else down(n - 1)
+
+    return down(frames - depth - 2)  # the frames of ``down`` and of ``call``
+
+
 def walk_height(x) -> int:
     """Formula and term nodes on the longest downward path, walked from
     scratch without reading any node's ``height``."""
@@ -255,6 +385,64 @@ FORMULAS = st.recursive(
         st.builds(Implies, kids, kids), st.builds(Forall, st.just("x"), kids),
         st.builds(Exists, st.just("y"), kids)),
     max_leaves=16)
+
+
+def outcome(read, text: str, allow_generated: bool):
+    """What ``read`` makes of ``text``: the node, or the error's message and
+    position; a depth error by its message only."""
+    try:
+        return read(text, allow_generated=allow_generated)
+    except ParseError as e:
+        if "nested deeper" in str(e):
+            return f"nested deeper than {MAX_DEPTH} levels"
+        return str(e), e.line, e.column
+
+
+def mutated(text: str, data) -> str:
+    """``text`` with one token dropped, doubled or replaced by a piece."""
+    tokens = [m.group() for m in LOOP_TOKEN_RE.finditer(text)]
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    how = data.draw(st.sampled_from(["drop", "double", "replace"]))
+    piece = data.draw(st.sampled_from(PIECES))
+    tokens[i:i + 1] = {"drop": [], "double": [tokens[i]] * 2, "replace": [piece]}[how]
+    return "".join(tokens)
+
+
+class TestAgainstTheReferenceParser:
+    """``parse`` and ``parse_term`` give what the recursive-descent parser
+    they replaced (``tests/reference_parse.py``) gives: the same interned
+    node, or the same message at the same line and column.  A depth error
+    keeps its message; it may come at another token."""
+
+    def assert_agree(self, text):
+        for generated in (False, True):
+            for read, reference in ((parse, reference_parse.parse),
+                                    (parse_term, reference_parse.parse_term)):
+                got = outcome(read, text, generated)
+                expected = outcome(reference, text, generated)
+                assert got is expected or got == expected, (text, generated, read.__name__)
+
+    @given(SOUPS)
+    def test_token_soups(self, text):
+        self.assert_agree(text)
+
+    @given(st.one_of(FORMULAS.map(print_formula), TERMS.map(print_term)), st.data())
+    def test_printed_formulas_and_terms_and_one_token_off(self, text, data):
+        self.assert_agree(text)
+        self.assert_agree(mutated(text, data))
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_formulas_with_binders(self, seed):
+        text = print_formula(random_formula(random.Random(seed)))
+        # Shadowed binders, renamed apart; a binder named like a renaming;
+        # and the constant ``b`` named like a binder, in and out of its scope.
+        self.assert_agree(text.replace("v1", "v0").replace("v2", "v0_1").replace("b", "v0"))
+
+    def test_a_binder_is_out_of_scope_after_its_body(self):
+        x = Var("x")
+        assert parse("(forall x. P(x)) & Q(x)") == And(Forall("x", Atom("P", (x,))),
+                                                        Atom("Q", (const("x"),)))
+        self.assert_agree("(forall x. P(x) | (exists x. Q(x)) & R(x)) => S(x)")
 
 
 class TestHeight:

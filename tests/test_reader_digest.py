@@ -19,8 +19,10 @@ from tabseq.tree import FormatError
 from conftest import run_upgrade
 from test_files_v2 import V1_FIXTURES, V2_FIXTURES, mutate, proved
 
-# sha256 over one line per mutant, in the order the mutants are made.
-DIGEST = "4f91b86c3a3ea0d4da479d6d129135e0fed1a78fb16aa4d9001e77c71e268140"
+# sha256 over one line per mutant, in the order the mutants are made.  Three
+# mutants point a ``store`` side at a formula that is no literal, which the
+# ``.tab`` reader refuses.
+DIGEST = "e049aeca66124b757b24d566b75f014b36d8644ef6332cfa1da8f11f5ac6e883"
 
 
 def mutants(tmp_path, capsys):
@@ -62,5 +64,5 @@ def reading(suffix: str, text: str) -> str:
 def test_reader_outcomes_on_mutated_files_are_pinned(tmp_path, capsys):
     lines = [f"{suffix} {reading(suffix, text)}" for suffix, text in mutants(tmp_path, capsys)]
     assert len(lines) == 1940
-    assert sum(line.split()[1] == "read" for line in lines) == 120
+    assert sum(line.split()[1] == "read" for line in lines) == 117
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
