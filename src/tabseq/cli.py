@@ -122,8 +122,8 @@ def render_proof(proof: gs3.GsProof) -> str:
             text += f" [{print_term(rule.witness)}]"
         return text
 
-    for indent, node, again in indented(proof, lambda n: numbers[id(n)]):
-        number = numbers[id(node)]
+    for indent, node, again in indented(proof, numbers.__getitem__):
+        number = numbers[node]
         if again:
             lines.append(f"{indent}{labels[number]} as above")
             continue

@@ -141,10 +141,10 @@ class CheckResult:
 def inference_count(root: GsProof) -> int:
     """The inferences of the tree the proof unfolds to, a shared node object
     counted once per path to it, in one pass over the objects."""
-    below: dict[int, int] = {}  # id(node) -> inferences of its subtree
+    below: dict[GsProof, int] = {}  # node -> inferences of its subtree
     for node in postorder(root):
-        below[id(node)] = (node.rule is not None) + sum([below[id(c)] for c in node.children])
-    return below[id(root)]
+        below[node] = (node.rule is not None) + sum([below[c] for c in node.children])
+    return below[root]
 
 
 # ----------------------------------------------------------------- schemas
@@ -214,7 +214,7 @@ def check(proof: GsProof) -> CheckResult:
     check of every node of the tree the proof unfolds to.
     """
     schemas: dict[tuple, tuple | None] = {}  # (rule, principal) -> premise_additions
-    met: set[int] = set()  # ids of the node objects walked so far
+    met: set[GsProof] = set()  # the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
     # while checking its parent, are the child's conclusion and new formulas.
     # A node's link is (its parent's link, its bit), None at the root.
@@ -222,9 +222,9 @@ def check(proof: GsProof) -> CheckResult:
         (None, proof, _multiset(proof.sequent), proof.sequent)]
     while stack:
         link, node, conclusion, added = stack.pop()
-        if id(node) in met:
+        if node in met:
             continue
-        met.add(id(node))
+        met.add(node)
         premises = _check_node(node, conclusion, added, schemas)
         if type(premises) is tuple:
             path: list[int] = []
@@ -342,20 +342,20 @@ def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
 #   every child before its parent, and equal subproofs one entry;
 # - ``root``: the index of the root node.
 
-def subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[int, int]]:
+def subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[GsProof, int]]:
     """The distinct sequents and subproofs of ``proof``, numbered in one
     walk, children first: each distinct sequent tuple, each distinct key
     (sequent number, rule, principal, children's key numbers), and the key
-    number of each node object by its id.  A node object met again is not
+    number of each node object.  A node object met again is not
     walked again, and equal subproofs built as separate objects get one
     key.  The writer and the ``--pretty`` renderer in ``cli`` number by it."""
     sequents: dict[Sequent, int] = {}
     keys: dict[tuple, int] = {}
-    numbers: dict[int, int] = {}
+    numbers: dict[GsProof, int] = {}
     for node in postorder(proof):
         key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
-               tuple([numbers[id(child)] for child in node.children]))
-        numbers[id(node)] = keys.setdefault(key, len(keys))
+               tuple([numbers[child] for child in node.children]))
+        numbers[node] = keys.setdefault(key, len(keys))
     return sequents, keys, numbers
 
 
@@ -467,7 +467,7 @@ def proof_to_json(proof: GsProof) -> str:
                 tuple([entries[c] for c in children]))
         entries.append(node_entries.setdefault(node, len(node_entries)))
     nodes = list(node_entries)
-    root = entries[numbers[id(proof)]]
+    root = entries[numbers[proof]]
 
     # The sequents in the order a preorder walk from the root first meets
     # them, each as a change to the sequent of the node's first parent.

@@ -81,10 +81,10 @@ class RuleInstance(NamedTuple):
     closure_pair: tuple[Formula, Formula] | None = None
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class TableauNode:
     """A tableau node; ``expand`` and ``close`` set the rule and children of
-    an open leaf in place, once.  Nothing hashes a tableau node."""
+    an open leaf in place, once.  A node compares and hashes by identity."""
 
     formulas: tuple[Formula, ...]
     rule: RuleInstance | None = None
@@ -149,11 +149,6 @@ def open_leaves(root: TableauNode) -> list[Path]:
 
 def rule_count(root: TableauNode) -> int:
     return sum(1 for n in preorder(root) if n.rule is not None)
-
-
-def rule_kinds(root: TableauNode) -> list[str]:
-    """Rule kinds in preorder; on one-branch tableaux this is root-to-leaf order."""
-    return [n.rule.kind for n in preorder(root) if n.rule is not None]
 
 
 # ------------------------------------------------------------------- rules
@@ -575,7 +570,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     # introduced, as every child ``expand`` and ``close`` make, is written
     # without its formulas; any other child, as in a forged file read back,
     # lists its own.
-    grown: set[int] = set()  # id(child)
+    grown: set[TableauNode] = set()
     for node in order:
         rule = node.rule
         introduced = ()
@@ -586,7 +581,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
             items += rule.closure_pair or ()
         for i, child in enumerate(node.children):
             if i < len(introduced) and child.formulas == node.formulas + introduced[i]:
-                grown.add(id(child))
+                grown.add(child)
             else:
                 items += child.formulas
     table, entry = encode_table(items)
@@ -595,7 +590,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         return None if x is None else entry(x)
 
     nodes: list[list] = []
-    numbers: dict[int, int] = {}  # id(node) -> node entry
+    numbers: dict[TableauNode, int] = {}  # node -> node entry
     for node in order:
         rule = node.rule
         if rule is not None:
@@ -604,9 +599,9 @@ def tableau_to_json(ct: ClosedTableau) -> str:
                     [[entry(f) for f in child] for child in rule.introduced],
                     optional(rule.meta), optional(rule.skolem),
                     None if pair is None else [entry(pair[0]), entry(pair[1])]]
-        numbers[id(node)] = len(nodes)
-        nodes.append([None if id(node) in grown else [entry(f) for f in node.formulas], rule,
-                      [numbers[id(child)] for child in node.children], node.closed])
+        numbers[node] = len(nodes)
+        nodes.append([None if node in grown else [entry(f) for f in node.formulas], rule,
+                      [numbers[child] for child in node.children], node.closed])
     record = {
         "version": 3,
         "table": table,

@@ -196,8 +196,12 @@ class _Builder:
     tableau formula, the premise additions of each (rule, principal) pair,
     the outermost Skolem terms of each formula, which the existential
     freshness tests read, and the text of each formula a graft weakens
-    are computed once.  With audits on, ``targets`` holds the count of the
-    sigma-instances of each fringe node's formulas.
+    are computed once.
+
+    ``link`` lists, for each tableau node on the fringe of the rules
+    replayed so far, the open sequent leaves linked to it; a node leaves it
+    when its rule is replayed.  With audits on, ``targets`` holds the count
+    of the sigma-instances of each fringe node's formulas.
 
     The steps record what they make, which the grafts and the Skolem
     replacement read instead of walking the proof: ``nodes``, every node
@@ -224,9 +228,10 @@ class _Builder:
         self.formulas: set[Formula] = set(self.proof.sequent)
         self.witnesses: set[Term] = set()
         self.open = 1  # the proof's open leaves, kept up to date by ``step``
-        self.targets: dict[int, Counter] = {}
+        self.link: dict[TableauNode, list[GsProof]] = {ct.root: [self.proof]}
+        self.targets: dict[TableauNode, Counter] = {}
         if audit:
-            self.targets[id(ct.root)] = Counter(self.proof.sequent)
+            self.targets[ct.root] = Counter(self.proof.sequent)
 
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
@@ -291,7 +296,6 @@ class _Builder:
 
 
 def delta_graft(
-    theta: GsProof,
     B: list[GsProof],
     delta_term: Term,
     delta_formula: Formula,
@@ -299,7 +303,7 @@ def delta_graft(
     builder: _Builder,
 ) -> tuple[dict[GsProof, list[GsProof]], set[GsProof]]:
     """Graft ``principal``'s existential step over the open leaves ``B`` of
-    theta and regrow every rule of theta on top of it.
+    theta, the builder's proof, and regrow every rule of theta on top of it.
 
     Theta's open leaves are extended in place, so theta becomes the grown
     tree.  Returns the bilink, which lists for each open leaf theta had the
@@ -310,9 +314,10 @@ def delta_graft(
     existential step whose target already accounts for it; all other
     leaves agree with their target exactly.
 
-    ``builder`` is the translation's shared state, whose proof is theta
-    and whose ``nodes`` are theta's node objects, parents first.
+    ``builder`` is the translation's shared state, whose ``nodes`` are
+    theta's node objects, parents first.
     """
+    theta = builder.proof
     # Theta's rules are the template that is regrown, in creation order,
     # and its open leaves are the link targets.
     template: list[GsProof] = []
@@ -425,7 +430,7 @@ def delta_graft(
                 e_formula = builder.additions(rule, rule_principal)[0][0]
                 if not builder.ranks[eps] < builder.ranks[delta_term]:
                     raise TranslateError("graft recursion measure did not decrease")
-                bilink, held2 = delta_graft(theta, S, eps, e_formula, rule_principal, builder)
+                bilink, held2 = delta_graft(S, eps, e_formula, rule_principal, builder)
                 if sum(map(len, bilink.values())) != builder.open:
                     raise TranslateError("bilink does not cover a grafted leaf")
                 linked_to = {s: q for q, leaves in waiting.items() for s in leaves}
@@ -528,34 +533,28 @@ def _audit_graft(
 # ------------------------------------------------------- parallel extension
 
 
-def parallel_extend(
-    link: dict[int, tuple[TableauNode, list[GsProof]]],
-    marks: set[int],
-    node: TableauNode,
-    builder: _Builder,
-) -> None:
-    """Replay the rule of the tableau node ``node`` on every linked sequent
-    leaf.
+def parallel_extend(node: TableauNode, builder: _Builder) -> None:
+    """Replay the rule of the tableau node ``node`` on every sequent leaf
+    the builder links to it.
 
-    Tableau nodes are keyed by ``id``.  ``marks`` holds the nodes whose
-    rules are replayed, the initial part, and the keys of ``link`` are its
-    fringe: each maps to its node and the open leaves of the proof linked
-    to it.  ``node`` must be on the fringe; its entry is replaced by entries
-    for its children, and the proof's open leaves are extended in place.
-    The containment invariant (instances of the linked branch's formulas
-    inside each leaf sequent) is checked on the leaves the replay made.
+    The keys of ``builder.link`` are the fringe of the rules replayed so
+    far, the initial part, each with the open leaves of the proof linked to
+    it.  ``node`` must be on the fringe; its entry is replaced by entries
+    for its children, so a replayed node is on it no more, and the proof's
+    open leaves are extended in place.  The containment invariant
+    (instances of the linked branch's formulas inside each leaf sequent)
+    is checked on the leaves the replay made.
     """
-    if id(node) in marks:
-        raise TranslateError(f"{path_of(builder.tableau, node)} already marked")
-    if id(node) not in link:
+    link = builder.link
+    if node not in link:
         raise TranslateError(f"{path_of(builder.tableau, node)} is not a fringe leaf")
     rule = node.rule
     if rule is None:
         raise TranslateError(
             f"tableau node {path_of(builder.tableau, node)} has no rule to replay")
-    _, S = link.pop(id(node))
+    S = link.pop(node)
     for child in node.children:
-        link[id(child)] = (child, [])
+        link[child] = []
     kept = builder.open - len(S)
     first = {} if len(S) > 1 else None
     # (target, leaf, the leaf it was made on by one step or None) per new leaf
@@ -575,17 +574,15 @@ def parallel_extend(
             delta_sigma = builder.sigma.apply(rule.skolem)
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
-            bilink, _held = delta_graft(
-                builder.proof, S, delta_sigma, d_delta, principal, builder)
-            for key, (target, leaves) in link.items():
+            bilink, _held = delta_graft(S, delta_sigma, d_delta, principal, builder)
+            for target, leaves in link.items():
                 grown = []
                 for q in leaves:  # each lists itself and its copies
                     grown += bilink[q]
                     made.extend((target, s, None) for s in bilink[q] if s is not q)
-                link[key] = (target, grown)
+                link[target] = grown
             (child,) = node.children
-            grafted = [s for q in S for s in bilink.get(q, ())]
-            link[id(child)] = (child, grafted)
+            link[child] = grafted = [s for q in S for s in bilink.get(q, ())]
             made.extend((child, s, None) for s in grafted)
 
     else:
@@ -596,17 +593,14 @@ def parallel_extend(
             if builder.shares(first, s.sequent, s):
                 continue
             for premise, child in zip(builder.step(s, gs_rule, principal), node.children):
-                link[id(child)][1].append(premise)
+                link[child].append(premise)
                 made.append((child, premise, s))
 
-    marks.add(id(node))
     if builder.audit:
-        _audit_link(link, marks, node, made, kept, builder)
+        _audit_link(node, made, kept, builder)
 
 
 def _audit_link(
-    link: dict[int, tuple[TableauNode, list[GsProof]]],
-    marks: set[int],
     node: TableauNode,
     made: list[tuple[TableauNode, GsProof, GsProof | None]],
     kept: int,
@@ -614,29 +608,30 @@ def _audit_link(
 ) -> None:
     """Totality over open leaves, as a count of the ``kept`` leaves the
     replay of ``node`` left alone and the leaves it ``made``, plus the
-    containment invariant on the leaves it made.  The target count of each
-    child of ``node`` is its parent's plus the sigma-instances of what the
-    rule introduced there.
+    containment invariant on the leaves it made, each of whose targets
+    must be on the builder's fringe.  The target count of each child of
+    ``node`` is its parent's plus the sigma-instances of what the rule
+    introduced there.
 
     A leaf made by one step on a leaf linked to ``node``, whose tuple is
     that leaf's followed by those instances, holds its target: the leaf it
     was made on passed this test against the target of ``node`` when it
     was made.  That is one tuple compare; any other leaf is counted."""
-    there = builder.targets.pop(id(node))
-    introduced: dict[int, tuple[Formula, ...]] = {}  # id(child) -> the instances added there
+    there = builder.targets.pop(node)
+    introduced: dict[TableauNode, tuple[Formula, ...]] = {}  # child -> the instances added there
     for i, (child, extra) in enumerate(zip(node.children, node.rule.introduced)):
-        introduced[id(child)] = tuple(map(builder.instance, extra))
+        introduced[child] = tuple(map(builder.instance, extra))
         count = there if i == len(node.children) - 1 else there.copy()
-        count.update(introduced[id(child)])
-        builder.targets[id(child)] = count
+        count.update(introduced[child])
+        builder.targets[child] = count
     if kept + len(made) != builder.open or not all(s.is_open for _, s, _ in made):
         raise TranslateError("link is not total on the open sequent leaves")
     for q, s, on in made:
-        if id(q) in marks or id(q) not in link:
+        if q not in builder.link:
             raise TranslateError("link target is not a fringe leaf")
-        if on is not None and s.sequent == on.sequent + introduced[id(q)]:
+        if on is not None and s.sequent == on.sequent + introduced[q]:
             continue
-        if builder.targets[id(q)] - Counter(s.sequent):
+        if builder.targets[q] - Counter(s.sequent):
             raise TranslateError(
                 f"containment invariant broken at sequent leaf {path_of(builder.proof, s)}"
             )
@@ -723,14 +718,12 @@ def translate_detailed(
     if audit:
         audit_closed_tableau(ct)
     builder = _Builder(ct, audit)
-    link = {id(ct.root): (ct.root, [builder.proof])}
-    marks: set[int] = set()
 
     # Replay in the tableau's preorder: each rule's node is then on the
     # fringe of the rules replayed before it.
     for node in preorder(ct.root):
         if node.rule is not None:
-            parallel_extend(link, marks, node, builder)
+            parallel_extend(node, builder)
 
     if builder.open:
         raise TranslateError("open sequent leaves remain after the last tableau rule")

@@ -1,13 +1,13 @@
 """Helpers shared by the tableau and sequent-proof trees and their readers.
 
 Both trees are dataclasses whose nodes hold their subtrees in a
-``children`` tuple.  Paths address nodes as 0/1 sequences, the root being
-the empty sequence; the package names a node by its path in messages and
-in altered copies, and the tests look one up with ``conftest.node_at``.
-This module imports nothing from the package, so the
-independent checker may use it.  It also holds what the proof-file readers
-and writers share: their error, JSON writing and loading, version check and
-entry references.
+``children`` tuple and compare and hash by identity, so node maps and
+sets are keyed by the node.  Paths address nodes as 0/1 sequences, the
+root the empty sequence; the package names a node by its path in messages
+and in altered copies, and the tests look one up with ``conftest.node_at``.
+This module imports nothing from the package, so the independent checker
+may use it.  It also holds what the proof-file readers and writers share:
+their error, JSON writing and loading, version check and entry references.
 """
 
 from __future__ import annotations
@@ -63,15 +63,15 @@ def iter_nodes(root: N) -> Iterator[tuple[Path, N]]:
 def path_of(root: N, node: N) -> str:
     """The first path of ``node`` below ``root`` in preorder, formatted, or
     "?" if it is not there, for an error message; a node object reached
-    again is not walked again."""
-    met: set[int] = set()
+    again, which hashes by identity, is not walked again."""
+    met: set[N] = set()
     stack: list[tuple[Path, N]] = [((), root)]
     while stack:
         path, n = stack.pop()
         if n is node:
             return format_path(path)
-        if id(n) not in met:
-            met.add(id(n))
+        if n not in met:
+            met.add(n)
             stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(n.children))))
     return "?"
 
@@ -85,7 +85,7 @@ def preorder(root: N) -> Iterator[N]:
         stack.extend(reversed(node.children))
 
 
-def indented(root: N, key: Callable[[N], object] = id) -> Iterator[tuple[str, N, bool]]:
+def indented(root: N, key: Callable[[N], object] = lambda n: n) -> Iterator[tuple[str, N, bool]]:
     """Preorder traversal for a stacked rendering, each node with its
     indent and whether a node with its ``key`` was met before: the children
     of a node with two or more children sit four spaces further in than
@@ -105,17 +105,17 @@ def indented(root: N, key: Callable[[N], object] = id) -> Iterator[tuple[str, N,
 
 def postorder(root: N) -> list[N]:
     """Each node object once, after its children, left to right, without
-    recursion; a node object reached again through another parent, as in a
-    proof read back from a file, is not walked again."""
+    recursion; a node object, which hashes by identity, reached again through
+    another parent, as in a proof read back from a file, is not walked again."""
     out: list[N] = []
-    done: set[int] = set()
+    done: set[N] = set()
     stack: list[tuple[N, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
-        if id(node) in done:
+        if node in done:
             continue
         if ready:
-            done.add(id(node))
+            done.add(node)
             out.append(node)
         else:
             stack.append((node, True))

@@ -6,16 +6,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .formula import (
-    And,
     App,
     Atom,
-    Exists,
-    Forall,
     Formula,
-    Implies,
     Meta,
     Not,
-    Or,
     Term,
     Var,
     apply_subst,
@@ -95,22 +90,15 @@ class Substitution:
 
 
 def _formula_equations(lhs: Formula, rhs: Formula) -> list[tuple[Term, Term]] | None:
-    """Decompose a formula pair into term equations; None on a shape clash."""
-    if isinstance(lhs, Atom) and isinstance(rhs, Atom):
-        if lhs.predicate != rhs.predicate or len(lhs.args) != len(rhs.args):
-            return None
-        return list(zip(lhs.args, rhs.args))
-    if isinstance(lhs, Not) and isinstance(rhs, Not):
-        return _formula_equations(lhs.body, rhs.body)
-    if type(lhs) is type(rhs) and isinstance(lhs, (And, Or, Implies)):
-        left = _formula_equations(lhs.left, rhs.left)
-        right = _formula_equations(lhs.right, rhs.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(lhs, (Forall, Exists)) or isinstance(rhs, (Forall, Exists)):
-        raise ValueError("unification under quantifiers is not supported")
-    return None
+    """The term equations of two atoms or two negated atoms, the only
+    formula pairs ``close`` stores and the ``.tab`` reader admits; None for
+    a clash or any other pair, which has no unifier."""
+    if type(lhs) is Not and type(rhs) is Not:
+        lhs, rhs = lhs.body, rhs.body
+    if (type(lhs) is not Atom or type(rhs) is not Atom or lhs.predicate != rhs.predicate
+            or len(lhs.args) != len(rhs.args)):
+        return None
+    return list(zip(lhs.args, rhs.args))
 
 
 # Terms and atoms hold no quantifier.  A constraint whose two sides are one

@@ -190,6 +190,20 @@ def rule_names(root) -> list[str]:
     return [n.rule.name for _, n in iter_nodes(root) if n.rule is not None]
 
 
+def rule_kinds(root) -> list[str]:
+    """A tableau's rule kinds in preorder; on one-branch tableaux this is
+    root-to-leaf order."""
+    return [n.rule.kind for _, n in iter_nodes(root) if n.rule is not None]
+
+
+def tableau_shape(ct) -> tuple:
+    """What a closed tableau holds, for comparing two copies, since tableau
+    nodes compare by identity: each node's path, formulas, rule and closed
+    flag in preorder, the store and the unifier."""
+    return ([(p, n.formulas, n.rule, n.closed) for p, n in iter_nodes(ct.root)],
+            ct.store, ct.unifier)
+
+
 def spine_rule_names(root, *, coalesce_weaken: bool = False) -> list[str]:
     """Rule names along a sequent proof's leftmost branch, root to leaf.
 

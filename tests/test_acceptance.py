@@ -4,7 +4,7 @@ pass line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 import random
 import time
 
-from conftest import node_at, random_formula, spine_rule_names
+from conftest import node_at, random_formula, rule_kinds, spine_rule_names
 from tabseq import gs3
 from tabseq.formula import App, Atom, Meta, Not, parse, print_formula
 from tabseq.problems import corpus, growth_goal
@@ -14,7 +14,6 @@ from tabseq.tableau import (
     iter_nodes,
     prove,
     rule_count,
-    rule_kinds,
     tableau_to_json,
 )
 from tabseq.translate import translate, translate_detailed

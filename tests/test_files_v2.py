@@ -34,7 +34,7 @@ from tabseq.tableau import (
 from tabseq.translate import translate
 from tabseq.tree import postorder
 
-from conftest import UPGRADE_SCRIPT, node_at, run_upgrade
+from conftest import UPGRADE_SCRIPT, node_at, run_upgrade, tableau_shape
 
 V1_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
 V2_FIXTURES = V1_FIXTURES.parent / "v2"
@@ -115,7 +115,8 @@ def test_v2_fixture_reads_back_translates_and_checks(name):
     assert json.loads(v2_tab_text)["version"] == json.loads(v2_gs3_text)["version"] == 2
     assert json.loads(fresh_tab)["version"] == 3
     v2_tab, v2_proof = tableau_from_json(v2_tab_text), proof_from_json(v2_gs3_text)
-    assert tableau_to_json(v2_tab) == fresh_tab and tableau_from_json(fresh_tab) == v2_tab
+    assert tableau_to_json(v2_tab) == fresh_tab
+    assert tableau_shape(tableau_from_json(fresh_tab)) == tableau_shape(v2_tab)
     assert proof_to_json(v2_proof) == v2_gs3_text == fresh_gs3
     proof = translate(v2_tab)
     assert proof_to_json(proof) == fresh_gs3
@@ -208,6 +209,16 @@ def test_deep_tableau_reads_back():
     text = tableau_to_json(ct)
     back = tableau_from_json(text)
     assert tableau_to_json(back) == text and depth(back.root) == depth(ct.root)
+
+
+def test_deep_tableaux_compare_and_hash_by_identity():
+    """Two copies of a tableau deeper than the recursion limit compare
+    unequal, each equal to itself, without a structural walk."""
+    assert sys.getrecursionlimit() <= 1000
+    text = tableau_to_json(deep_tableau(1100))
+    first, second = tableau_from_json(text), tableau_from_json(text)
+    assert first != second and first == first
+    assert len({first.root, second.root}) == 2
 
 
 def test_deep_tableau_translates_and_checks_from_the_cli(tmp_path, capsys):

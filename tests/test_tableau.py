@@ -36,13 +36,12 @@ from tabseq.tableau import (
     prove,
     render_tableau,
     rule_count,
-    rule_kinds,
     tableau_from_json,
     tableau_to_json,
 )
 from tabseq.unify import Constraint, ConstraintStore, Substitution, groundify, solve
 
-from conftest import node_at
+from conftest import node_at, rule_kinds
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 
@@ -372,12 +371,12 @@ class TestClosureCandidates:
             result = prove(formulas)
             if isinstance(result, Exhausted):
                 continue
-            fresh = {id(result.root): result.root.formulas}
+            fresh = {result.root: result.root.formulas}
             for _, node in iter_nodes(result.root):
                 for child in node.children:
-                    fresh[id(child)] = child.formulas[len(node.formulas):]
+                    fresh[child] = child.formulas[len(node.formulas):]
             for node, pos, neg in tried:
-                assert pos in fresh[id(node)] or neg in fresh[id(node)]
+                assert pos in fresh[node] or neg in fresh[node]
 
     def test_refused_pairs_left_on_the_branch_change_no_outcome(self, monkeypatch):
         refused_at = []

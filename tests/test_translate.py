@@ -114,6 +114,14 @@ class TestSimpleCases:
         loaded = tableau_from_json(tableau_to_json(ct))
         assert gs3.proof_to_json(translate(loaded)) == gs3.proof_to_json(translate(ct))
 
+    def test_a_node_object_under_two_parents_translates_as_its_unfolding(self):
+        ct = prove([parse("~P"), parse("(P & Q) | (P & Q)")])
+        unshared = gs3.proof_to_json(translate(ct))
+        left, right = ct.root.children
+        assert left.formulas == right.formulas
+        right.children = left.children  # hand-built: the .tab reader refuses this
+        assert gs3.proof_to_json(translate(ct)) == unshared
+
 
 def node_at_rule(proof: GsProof, name: str) -> GsProof:
     for _, node in gs3.iter_nodes(proof):
@@ -123,51 +131,46 @@ def node_at_rule(proof: GsProof, name: str) -> GsProof:
 
 
 def paths(root) -> dict:
-    """The path of each node of a tree, by ``id``."""
-    return {id(n): p for p, n in iter_nodes(root)}
+    """The path of each node of a tree, by node."""
+    return {n: p for p, n in iter_nodes(root)}
 
 
 class Replay:
-    """The state ``translate_detailed`` threads through ``parallel_extend``,
-    for replaying a tableau's rules one call at a time, with path views of
-    the link and the marks."""
+    """A translation's builder, for replaying a tableau's rules with
+    ``parallel_extend`` one call at a time, with a path view of its link."""
 
     def __init__(self, ct: ClosedTableau):
         self.ct = ct
         self.builder = _Builder(ct)
         self.proof = self.builder.proof
-        self.link = {id(ct.root): (ct.root, [self.proof])}
-        self.marks = set()
+        self.link = self.builder.link
 
     def extend(self, leaf):
-        parallel_extend(self.link, self.marks, node_at(self.ct.root, leaf), self.builder)
+        parallel_extend(node_at(self.ct.root, leaf), self.builder)
 
     def link_paths(self) -> dict:
         """The link as {sequent leaf path: tableau node path}."""
         leaf_path, node_path = paths(self.proof), paths(self.ct.root)
-        return {leaf_path[id(s)]: node_path[q] for q, (_, leaves) in self.link.items() for s in leaves}
-
-    def mark_paths(self) -> set:
-        node_path = paths(self.ct.root)
-        return {node_path[q] for q in self.marks}
+        return {leaf_path[s]: node_path[q] for q, leaves in self.link.items() for s in leaves}
 
 
 class TestInitialPart:
     """The replayed rules form a prefix-closed set, the initial part, and
     each replay takes a rule on its fringe."""
 
-    def test_first_extension_marks_the_root_rule(self):
+    def test_first_extension_replays_the_root_rule(self):
         replay = Replay(drinker_tableau())
         replay.extend(())
-        assert replay.mark_paths() == {()}
         assert node_at(replay.ct.root, ()).rule.kind == "gamma"
         assert set(replay.link_paths().values()) == {(0,)}
+        assert list(replay.link) == [node_at(replay.ct.root, (0,))]
 
     def test_final_extension_consumes_the_closure(self):
         replay = Replay(drinker_tableau())
         for leaf in [(), (0,), (0, 0), (0, 0, 0)]:
             replay.extend(leaf)
-        assert replay.mark_paths() == {(), (0,), (0, 0), (0, 0, 0)}
+        # Only the closed leaf is left on the fringe, with no sequent leaf.
+        assert list(replay.link) == [node_at(replay.ct.root, (0, 0, 0, 0))]
         assert replay.link_paths() == {}
         with pytest.raises(TranslateError, match="no rule to replay"):
             replay.extend((0, 0, 0, 0))
@@ -175,20 +178,19 @@ class TestInitialPart:
     def test_errors(self):
         replay = Replay(drinker_tableau())
         replay.extend(())
-        before = (gs3.proof_to_json(replay.proof), replay.link_paths(), replay.mark_paths())
-        with pytest.raises(TranslateError, match="already marked"):
+        before = (gs3.proof_to_json(replay.proof), replay.link_paths(), set(replay.link))
+        # A replayed node has left the fringe.
+        with pytest.raises(TranslateError, match="not a fringe leaf"):
             replay.extend(())
         with pytest.raises(TranslateError, match="not a fringe leaf"):
             replay.extend((0, 0))
         # A refused replay changes nothing.
-        assert (gs3.proof_to_json(replay.proof), replay.link_paths(), replay.mark_paths()) == before
+        assert (gs3.proof_to_json(replay.proof), replay.link_paths(), set(replay.link)) == before
 
-    def test_fringe_needs_every_ancestor_marked_and_the_node_to_exist(self):
+    def test_fringe_needs_every_ancestor_replayed_and_the_node_to_exist(self):
         replay = Replay(drinker_tableau())
-        replay.marks.add(id(node_at(replay.ct.root, (0,))))  # the root rule is unmarked
         with pytest.raises(TranslateError, match="not a fringe leaf"):
-            replay.extend((0, 0))
-        replay = Replay(drinker_tableau())
+            replay.extend((0,))  # the root rule is not replayed
         replay.extend(())
         with pytest.raises(PathError, match="no node at path 5"):
             replay.extend((5,))
@@ -230,7 +232,7 @@ class TestParallelExtend:
         for leaf, node in iter_nodes(ct.root):
             if node.rule is None:
                 continue
-            fanned = list(replay.link[id(node)][1])
+            fanned = list(replay.link[node])
             replay.extend(leaf)
             if node.rule.kind == "beta" and len(fanned) == 2:
                 fanout_seen = True
@@ -239,7 +241,7 @@ class TestParallelExtend:
                 first, second = fanned
                 assert first.sequent == second.sequent
                 assert second.children is first.children
-                new_leaves = [s for child in node.children for s in replay.link[id(child)][1]]
+                new_leaves = [s for child in node.children for s in replay.link[child]]
                 assert len(set(new_leaves)) == len(new_leaves) == 2
                 unfolded = [n for _, n in gs3.iter_nodes(replay.proof) if n in new_leaves]
                 assert len(unfolded) == 4
@@ -279,10 +281,9 @@ def graft(theta: GsProof, B, sko: App, delta_formula, principal):
     builder.nodes, builder.formulas, builder.witnesses = builder_records(theta)
     builder.open = sum(1 for _, n in gs3.iter_nodes(theta) if n.is_open)
     bilink, held = delta_graft(
-        theta, [node_at(theta, b) for b in sorted(B)], sko, delta_formula, principal, builder)
+        [node_at(theta, b) for b in sorted(B)], sko, delta_formula, principal, builder)
     at = paths(theta)
-    return ({at[id(s)]: at[id(q)] for q, leaves in bilink.items() for s in leaves},
-            {at[id(s)] for s in held})
+    return {at[s]: at[q] for q, leaves in bilink.items() for s in leaves}, {at[s] for s in held}
 
 
 class TestDeltaGraft:

@@ -39,8 +39,14 @@ class TestSolve:
     def test_one_quantified_formula_on_both_sides_is_still_refused(self):
         f = parse("forall x. P(x)")
         for side in (f, Not(f)):
-            with pytest.raises(ValueError, match="under quantifiers"):
-                solve(term_store((side, side)))
+            assert solve(term_store((side, side))) is None
+
+    def test_only_two_atoms_or_two_negated_atoms_unify(self):
+        p, q = Atom("P", (Meta("X"),)), Atom("P", (const("a"),))
+        assert solve(term_store((Not(p), Not(q)))) is not None
+        for lhs, rhs in [(p, Not(q)), (Not(Not(p)), Not(Not(q))),
+                         (parse("P(a) & Q"), parse("P(a) & Q")), (parse("P | Q"), parse("P | R"))]:
+            assert solve(term_store((lhs, rhs))) is None
 
     def test_negated_literal_constraint(self):
         store = term_store((Not(Atom("P", (Meta("X"),))), Not(Atom("P", (const("a"),)))))

@@ -50,7 +50,7 @@ def ref_proof_to_json(proof: GsProof) -> str:
                 tuple([entries[c] for c in children]))
         entries.append(node_entries.setdefault(node, len(node_entries)))
     nodes = list(node_entries)
-    root = entries[numbers[id(proof)]]
+    root = entries[numbers[proof]]
 
     seq_entries: dict[frozenset, int] = {}
     seq_records: list[list] = []
