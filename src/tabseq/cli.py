@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -80,10 +81,28 @@ def _read(path: Path) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, making its directory if it is missing."""
+    """Write ``text`` over ``path`` in place, making its directory only if
+    the first open finds it missing.
+
+    An existing file is not truncated on open but cut after the write, and
+    only if it was longer: on ext4, truncating a file whose data is already
+    on disk makes its close wait for writeback, which made rewriting a
+    proof file several times dearer than writing over it.  A device or a
+    pipe, such as ``/dev/null``, has size 0 and so is never cut, which it
+    would refuse.  As before, the write is neither atomic nor synced.
+    """
+    data = text.encode("utf-8")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as out:
+            size = os.fstat(fd).st_size
+            out.write(data)
+            if size > len(data):
+                out.truncate()
     except OSError as e:
         raise InputError(f"cannot write {path}: {e}")
 
@@ -96,6 +115,11 @@ class InputError(Exception):
 def _refused_write(e: DepthError) -> str:
     """The message for a proof the writers refuse, for prove and translate."""
     return f"cannot write the proof: nested too deeply: {e}"
+
+
+def render_sequent(sequent: gs3.Sequent) -> str:
+    """One sequent as the renderings and ``check`` write it: ``f1, f2 |-``."""
+    return ", ".join(print_formula(f) for f in sequent) + " |-"
 
 
 def render_proof(proof: gs3.GsProof) -> str:
@@ -127,11 +151,11 @@ def render_proof(proof: gs3.GsProof) -> str:
         if again:
             lines.append(f"{indent}{labels[number]} as above")
             continue
-        seq = ", ".join(print_formula(f) for f in node.sequent)
+        seq = render_sequent(node.sequent)
         if parents[number] > 1:
             labels[number] = f"[{len(labels) + 1}]"
             seq = f"{labels[number]} {seq}"
-        lines.append(f"{indent}{seq} |-")
+        lines.append(f"{indent}{seq}")
         if node.rule is not None:
             lines.append(f"{indent}-- {label(node)}")
         elif node.is_open:
@@ -216,6 +240,7 @@ def _run_check(args: argparse.Namespace) -> int:
         print(f"{path}: malformed sequent proof: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     result = gs3.check(proof)
+    print(render_sequent(proof.sequent))
     print(result.describe())
     return EXIT_OK if result else EXIT_FAILED
 

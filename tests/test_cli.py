@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -281,7 +282,7 @@ class TestCheck:
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "gs3"])
         capsys.readouterr()
         assert run_cli(["check", str(tmp_path / "drinker.gs3")]) == 0
-        assert capsys.readouterr().out.strip() == "Accepted"
+        assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
 
     def test_rejected_pseudo_proof(self, tmp_path, capsys):
         import test_gs3
@@ -290,13 +291,79 @@ class TestCheck:
         path = tmp_path / "fig4.gs3"
         path.write_text(gs3.proof_to_json(proof), encoding="utf-8")
         assert run_cli(["check", str(path)]) == 1
-        assert capsys.readouterr().out.strip() == "Rejected: freshness-violation at path 00"
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "Rejected: freshness-violation at path 00")
 
     def test_malformed_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.gs3"
         path.write_text("{", encoding="utf-8")
         assert run_cli(["check", str(path)]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_names_the_end_sequent_before_the_verdict(self, tmp_path, capsys):
+        proof = gs3.GsProof((parse("P"), parse("~P")), gs3.GsRule("axiom"), parse("P"))
+        path = tmp_path / "axiom.gs3"
+        path.write_text(gs3.proof_to_json(proof), encoding="utf-8")
+        assert run_cli(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "P, (~P) |-\nAccepted\n"
+
+
+def python_m_tabseq(*argv):
+    """Run ``python -m tabseq`` on ``argv`` with this checkout's package,
+    its stdout and stderr each through a pipe."""
+    src = str(Path(tabseq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "tabseq", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+class TestWrite:
+    """An output file that exists is written over in place and cut only if
+    it was longer, so a rerun's files equal a first run's, and a device or
+    a pipe as ``--out`` is written without a cut."""
+
+    @pytest.mark.parametrize("junk", [bytes(range(256)) * 400, b"x"], ids=["longer", "shorter"])
+    def test_rewritten_files_equal_fresh_ones(self, tmp_path, drinker_file, junk):
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        rerun.mkdir()
+        names = ("drinker.tab", "drinker.gs3")
+        for name in names:
+            (rerun / name).write_bytes(junk)
+        for out in (fresh, rerun):
+            assert run_cli(["prove", str(drinker_file), "--negate", "--out", str(out)]) == 0
+        for name in names:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_translate_to_dev_null(self, tmp_path, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"]) == 0
+        assert run_cli(["translate", str(tmp_path / "drinker.tab"), "--out", "/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_translate_to_stdout_through_a_pipe(self, tmp_path, drinker_file):
+        assert run_cli(["prove", str(drinker_file), "--negate"]) == 0
+        done = python_m_tabseq("translate", str(tmp_path / "drinker.tab"), "--out", "/dev/stdout")
+        assert done.returncode == 0, done.stderr
+        text = (tmp_path / "drinker.gs3").read_text(encoding="utf-8")
+        assert done.stdout == f"{text}wrote /dev/stdout\n"
+
+    def test_translate_makes_missing_directories(self, tmp_path, drinker_file):
+        assert run_cli(["prove", str(drinker_file), "--negate"]) == 0
+        out = tmp_path / "a" / "b" / "x.gs3"
+        assert run_cli(["translate", str(tmp_path / "drinker.tab"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "drinker.gs3").read_bytes()
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, drinker_file):
+        umask = os.umask(0o027)
+        try:
+            assert run_cli(["prove", str(drinker_file), "--negate", "--out",
+                            str(tmp_path / "out")]) == 0
+        finally:
+            os.umask(umask)
+        for name in ("drinker.tab", "drinker.gs3"):
+            assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == 0o666 & ~0o027
 
 
 class TestSwappedFiles:
@@ -338,7 +405,7 @@ class TestUnusedQuantifiedVariables:
         assert run_cli(["prove", str(path), "--negate"]) == 0
         capsys.readouterr()
         assert run_cli(["check", str(tmp_path / "unused.gs3")]) == 0
-        assert capsys.readouterr().out.strip() == "Accepted"
+        assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
         out = tmp_path / "again.gs3"
         assert run_cli(["translate", str(tmp_path / "unused.tab"), "--out", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "unused.gs3").read_bytes()
@@ -564,10 +631,6 @@ def test_shared_parser_parses_like_a_fresh_one(argv):
 
 def test_python_m_tabseq_checks_a_proof(tmp_path, drinker_file):
     assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "gs3"]) == 0
-    src = str(Path(tabseq.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "tabseq", "check", str(tmp_path / "drinker.gs3")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = python_m_tabseq("check", str(tmp_path / "drinker.gs3"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "Accepted"
+    assert done.stdout.splitlines()[-1] == "Accepted"
