@@ -1,5 +1,14 @@
 """Command-line front end: prove, translate, check.
 
+``COMMANDS`` is the one table of commands and their options; the help is
+built from it, and ``read_argv`` reads a command line with it in one pass.
+It reads what argparse read for this table: ``--opt value``,
+``--opt=value``, a unique prefix of an option's name, ``--`` to end the
+options, and a value that starts with "-" only if it looks like a negative
+number.  ``prove``'s inputs may also follow its options.  A usage error
+prints the usage and the error on stderr and exits 2; ``-h`` prints the
+help on stdout and exits 0.
+
 Exit status: 0 on success (proof found / Accepted), 1 when the search is
 exhausted or a proof is rejected, 2 on I/O, parse, or malformed-file
 errors.
@@ -7,12 +16,13 @@ errors.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from . import gs3, tableau
 from .formula import DepthError, Not, ParseError, parse, print_formula, print_term
@@ -23,52 +33,6 @@ from .tree import FormatError, indented
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves it
-    unchanged, so every ``main`` call can share it.  Each subcommand sets
-    ``run`` to its handler, which takes the parsed arguments."""
-    parser = argparse.ArgumentParser(
-        prog="tabseq",
-        description="Refute formulas with free-variable tableaux and compile "
-        "the proofs into independently checkable sequent proofs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    prove = sub.add_parser("prove", help="Refute the formula in each input file.")
-    prove.add_argument("inputs", nargs="+", type=Path, help="Formula files (.p).")
-    prove.add_argument(
-        "--negate",
-        action="store_true",
-        help="Refute the negation of the input, i.e. prove it as a goal.",
-    )
-    prove.add_argument("--gamma-limit", type=int, default=2, metavar="N",
-                       help="Instantiations per universal formula and branch (default 2).")
-    prove.add_argument("--depth-limit", type=int, default=200, metavar="N",
-                       help="Maximum branch length (default 200).")
-    prove.add_argument("--emit", choices=("tableau", "gs3", "both"), default="both",
-                       help="Which proof files to write (default both).")
-    prove.add_argument("--out", type=Path, default=None, metavar="DIR",
-                       help="Output directory (default: next to each input).")
-    prove.add_argument("--pretty", action="store_true",
-                       help="Print stacked renderings of the proofs.")
-    prove.set_defaults(run=_run_prove)
-
-    trans = sub.add_parser("translate", help="Compile a tableau proof file to a sequent proof.")
-    trans.add_argument("inputs", nargs=1, type=Path, help="Tableau proof file (.tab).")
-    trans.add_argument("--out", type=Path, default=None, metavar="FILE",
-                       help="Output file (default: input with .gs3 suffix).")
-    trans.add_argument("--pretty", action="store_true",
-                       help="Print a stacked rendering of the sequent proof.")
-    trans.set_defaults(run=_run_translate)
-
-    check = sub.add_parser("check", help="Verify a sequent proof file.")
-    check.add_argument("inputs", nargs=1, type=Path, help="Sequent proof file (.gs3).")
-    check.set_defaults(run=_run_check)
-
-    return parser
 
 
 def _read(path: Path) -> str:
@@ -163,7 +127,7 @@ def render_proof(proof: gs3.GsProof) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prove_one(args: argparse.Namespace, path: Path) -> tuple[int, str]:
+def _prove_one(args: SimpleNamespace, path: Path) -> tuple[int, str]:
     text = _read(path)
     goal = parse(text)
     if args.negate:
@@ -191,7 +155,7 @@ def _prove_one(args: argparse.Namespace, path: Path) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-def _run_prove(args: argparse.Namespace) -> int:
+def _run_prove(args: SimpleNamespace) -> int:
     if args.gamma_limit < 1:
         raise ValueError("gamma limit must be at least 1")
     if args.depth_limit < 1:
@@ -211,7 +175,7 @@ def _run_prove(args: argparse.Namespace) -> int:
     return status
 
 
-def _run_translate(args: argparse.Namespace) -> int:
+def _run_translate(args: SimpleNamespace) -> int:
     path = args.inputs[0]
     try:
         # ``translate`` audits the tableau before it builds anything.
@@ -226,13 +190,24 @@ def _run_translate(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     out_path = args.out if args.out is not None else path.with_suffix(".gs3")
     _write(out_path, text)
-    print(f"wrote {out_path}")
+    # On stderr, so that ``--out /dev/stdout`` gives the proof file alone.
+    print(f"wrote {out_path}", file=sys.stderr)
     if args.pretty:
         print(render_proof(proof).rstrip("\n"))
     return EXIT_OK
 
 
-def _run_check(args: argparse.Namespace) -> int:
+def _run_check(args: SimpleNamespace) -> int:
+    if args.negate and args.goal is None:
+        raise ValueError("--negate needs --goal")
+    goal = None
+    if args.goal is not None:
+        try:
+            goal = parse(_read(args.goal))
+        except ParseError as e:
+            raise InputError(f"{args.goal}: {e}")
+        if args.negate:
+            goal = Not(goal)
     path = args.inputs[0]
     try:
         proof = gs3.proof_from_json(_read(path))
@@ -241,14 +216,229 @@ def _run_check(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     result = gs3.check(proof)
     print(render_sequent(proof.sequent))
+    # The goal, as a multiset of one formula, must be the end-sequent.
+    if result and goal is not None and proof.sequent != (goal,):
+        which = "negated goal" if args.negate else "goal"
+        print(f"Rejected: the end-sequent is not the {which} in {args.goal}")
+        return EXIT_FAILED
     print(result.describe())
     return EXIT_OK if result else EXIT_FAILED
 
 
-def main(argv: list[str] | None = None) -> None:
-    args = build_parser().parse_args(argv)
+# ------------------------------------------------------------ command line
+
+
+class Option:
+    """One option of a command.  ``read`` turns its value's text into the
+    value; a flag has none, takes no value and sets ``True``.  ``choices``,
+    if given, are the only values it takes.  In ``help``, ``{default}``
+    stands for the default.  The value goes to the attribute ``dest``."""
+
+    __slots__ = ("name", "default", "help", "read", "choices", "dest", "usage")
+
+    def __init__(self, name, default, help, read=None, metavar="", choices=()):
+        self.name, self.default, self.help = name, default, help
+        self.read, self.choices = read, choices
+        self.dest = name[2:].replace("-", "_")
+        metavar = metavar or "{" + ",".join(choices) + "}"
+        self.usage = name if read is None else f"{name} {metavar}"
+
+
+HELP = Option("--help", None, "Show this help and exit.")
+TOP_OPTIONS = {"-h": HELP, "--help": HELP}
+
+
+class Command:
+    """One subcommand: its handler, what it does, what its inputs are,
+    whether it takes one or more inputs or exactly one, and its options;
+    ``names`` holds them by name, ``-h`` and ``--help`` included, and
+    ``defaults`` their defaults by attribute."""
+
+    __slots__ = ("name", "run", "help", "inputs", "many", "options", "names", "defaults", "usage")
+
+    def __init__(self, name, run, help, inputs, many, *options: Option):
+        self.name, self.run, self.help, self.inputs, self.many = name, run, help, inputs, many
+        self.options = options
+        self.names = {**TOP_OPTIONS, **{option.name: option for option in options}}
+        self.defaults = {option.dest: option.default for option in options}
+        self.usage = " ".join(["tabseq", name, "[-h]", *(f"[{o.usage}]" for o in options),
+                               "INPUT [INPUT ...]" if many else "INPUT"])
+
+
+COMMANDS = {command.name: command for command in (
+    Command(
+        "prove", _run_prove, "Refute the formula in each input file.", "Formula files (.p).", True,
+        Option("--negate", False, "Refute the negation of the input, i.e. prove it as a goal."),
+        Option("--gamma-limit", 2,
+               "Instantiations per universal formula and branch (default {default}).", int, "N"),
+        Option("--depth-limit", 200, "Maximum branch length (default {default}).", int, "N"),
+        Option("--emit", "both", "Which proof files to write (default {default}).", str,
+               choices=("tableau", "gs3", "both")),
+        Option("--out", None, "Output directory (default: next to each input).", Path, "DIR"),
+        Option("--pretty", False, "Print stacked renderings of the proofs."),
+    ),
+    Command(
+        "translate", _run_translate, "Compile a tableau proof file to a sequent proof.",
+        "Tableau proof file (.tab).", False,
+        Option("--out", None, "Output file (default: input with .gs3 suffix).", Path, "FILE"),
+        Option("--pretty", False, "Print a stacked rendering of the sequent proof."),
+    ),
+    Command(
+        "check", _run_check, "Verify a sequent proof file.", "Sequent proof file (.gs3).", False,
+        Option("--goal", None,
+               "Reject an accepted proof whose end-sequent is not the formula in FILE.", Path,
+               "FILE"),
+        Option("--negate", False, "With --goal: the end-sequent must be the goal's negation."),
+    ),
+)}
+TOP_USAGE = "tabseq [-h] {" + ",".join(COMMANDS) + "} ..."
+DESCRIPTION = """Refute formulas with free-variable tableaux and compile the proofs into
+independently checkable sequent proofs."""
+
+# argparse's test for an argument that starts with "-" but is no option.
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$").match
+
+
+class UsageError(Exception):
+    """A command line that ``read_argv`` refuses."""
+
+
+def _option(names: dict[str, Option], token: str) -> tuple[str, Option | None, str | None] | None:
+    """How ``token`` reads among the options ``names``, as argparse reads
+    it: None for a positional argument, else the option's name, the option
+    (None for an unknown one) and the value given after ``=`` (None without
+    one).
+
+    A name that is not in ``names`` may be a unique prefix of one
+    (``--neg``).  A token that starts with "-" is still a positional if it
+    is "-" alone, looks like a negative number or holds a space.
+    """
+    option = names.get(token)
+    if option is not None:
+        return token, option, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, names[name], value
+    if token[1] == "-":
+        matches = [known for known in names if known.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [token[:2]] if token[:2] in names else []
+        value = token[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], names[matches[0]], value
+    if _NEGATIVE_NUMBER(token) or " " in token:
+        return None
+    return token, None, None
+
+
+def read_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler that ``argv`` names and its arguments, read in one pass
+    over ``argv`` with the command's row of ``COMMANDS``.
+
+    The arguments hold ``command``, ``inputs`` (a list of ``Path``) and one
+    attribute per option.  ``-h`` prints help on stdout and exits 0; a
+    usage error prints the usage and the error on stderr and exits 2.
+    """
+    command = None
+    names = TOP_OPTIONS
+    values: dict[str, object] = {}
+    inputs: list[Path] = []
+    unknown: list[str] = []
+    options_end = False
+    i, count = 0, len(argv)
+    after_input = -1
     try:
-        status = args.run(args)
+        while i < count:
+            token = argv[i]
+            i += 1
+            if options_end:
+                found = None
+            elif token == "--":
+                options_end = True
+                # As argparse: a one-input command takes "--" only before
+                # its input or right after it.
+                if inputs and not command.many and i - 1 != after_input:
+                    unknown.append(token)
+                continue
+            else:
+                found = _option(names, token)
+            if found is None:
+                if command is None:
+                    command = COMMANDS.get(token)
+                    if command is None:
+                        raise UsageError(f"invalid command: {token!r}")
+                    names = command.names
+                    values = command.defaults.copy()
+                elif command.many or not inputs:
+                    inputs.append(Path(token))
+                    after_input = i
+                else:
+                    unknown.append(token)
+                continue
+            name, option, value = found
+            if option is None:
+                unknown.append(token)
+            elif option.read is None:
+                if value is not None:
+                    raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+                if option is HELP:
+                    print(_help(command))
+                    sys.exit(EXIT_OK)
+                values[option.dest] = True
+            else:
+                if value is None:
+                    if i == count or argv[i] == "--" or _option(names, argv[i]) is not None:
+                        raise UsageError(f"argument {name}: expected one argument")
+                    value = argv[i]
+                    i += 1
+                if option.choices and value not in option.choices:
+                    raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                                     f"(choose from {', '.join(option.choices)})")
+                try:
+                    values[option.dest] = option.read(value)
+                except ValueError:
+                    raise UsageError(f"argument {name}: invalid value: {value!r}") from None
+        if command is None:
+            raise UsageError("a command is required")
+        if not inputs:
+            raise UsageError("an INPUT is required")
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    except UsageError as e:
+        usage = TOP_USAGE if command is None else command.usage
+        prog = usage[:usage.index(" [")]  # "tabseq" or "tabseq CMD"
+        print(f"usage: {usage}\n{prog}: error: {e}", file=sys.stderr)
+        sys.exit(EXIT_BAD_INPUT)
+    return command.run, SimpleNamespace(command=command.name, inputs=inputs, **values)
+
+
+def _help(command: Command | None) -> str:
+    """The help for ``command``, or for the whole command line if None."""
+    if command is None:
+        lines = [f"usage: {TOP_USAGE}", "", DESCRIPTION, "", f"  -h, --help  {HELP.help}", "",
+                 "commands:"]
+        for known in COMMANDS.values():
+            lines += [f"  {known.usage}", f"      {known.help}"]
+        lines += ["", "Run 'tabseq COMMAND -h' for what a command's options do."]
+        return "\n".join(lines)
+    rows = [("INPUT ..." if command.many else "INPUT", command.inputs), ("-h, --help", HELP.help)]
+    rows += [(option.usage, option.help.format(default=option.default))
+             for option in command.options]
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"usage: {command.usage}", "", command.help, "", "arguments:"]
+    lines += [f"  {left.ljust(width)}{right}" for left, right in rows]
+    return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> None:
+    run, args = read_argv(sys.argv[1:] if argv is None else argv)
+    try:
+        status = run(args)
     except (ValueError, InputError, TranslateError) as e:  # ParseError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         status = EXIT_BAD_INPUT

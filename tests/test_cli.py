@@ -11,7 +11,7 @@ import pytest
 
 import tabseq
 from tabseq import gs3
-from tabseq.cli import build_parser, main
+from tabseq.cli import main
 from tabseq.formula import MAX_DEPTH, Not, parse, print_formula
 from tabseq.gs3 import proof_from_json
 from tabseq.problems import growth_goal
@@ -308,6 +308,73 @@ class TestCheck:
         assert capsys.readouterr().out == "P, (~P) |-\nAccepted\n"
 
 
+class TestCheckGoal:
+    """``check --goal FILE [--negate]`` rejects an accepted proof whose
+    end-sequent is not the formula in FILE, or its negation."""
+
+    END = f"{print_formula(Not(parse(DRINKER)))} |-"
+
+    @pytest.fixture
+    def drinker_proof(self, tmp_path, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "gs3"]) == 0
+        capsys.readouterr()
+        return tmp_path / "drinker.gs3"
+
+    def test_the_proved_goal_is_accepted(self, drinker_proof, drinker_file, capsys):
+        argv = ["check", str(drinker_proof), "--goal", str(drinker_file), "--negate"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == f"{self.END}\nAccepted\n"
+
+    @pytest.mark.parametrize("goal, negate, which", [
+        ("P | ~P", True, "negated goal"),
+        (DRINKER, False, "goal"),
+    ], ids=["another-goal", "without-negate"])
+    def test_another_end_sequent_exits_one(self, tmp_path, drinker_proof, capsys, goal, negate,
+                                           which):
+        goal_file = tmp_path / "goal.p"
+        goal_file.write_text(goal + "\n", encoding="utf-8")
+        argv = ["check", str(drinker_proof), "--goal", str(goal_file)] + ["--negate"] * negate
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().out == (
+            f"{self.END}\nRejected: the end-sequent is not the {which} in {goal_file}\n")
+
+    def test_a_valid_proof_of_another_sequent_exits_one(self, tmp_path, drinker_file, capsys):
+        p = parse("P")
+        path = tmp_path / "axiom.gs3"
+        path.write_text(gs3.proof_to_json(gs3.GsProof((p, Not(p)), gs3.GsRule("axiom"), p)),
+                        encoding="utf-8")
+        assert run_cli(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert run_cli(["check", str(path), "--goal", str(drinker_file), "--negate"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["P, (~P) |-",
+                       f"Rejected: the end-sequent is not the negated goal in {drinker_file}"]
+
+    def test_a_rejected_proof_keeps_the_checker_verdict(self, tmp_path, drinker_file, capsys):
+        import test_gs3
+
+        path = tmp_path / "fig4.gs3"
+        path.write_text(gs3.proof_to_json(test_gs3.naive_drinker_pseudo_proof()), encoding="utf-8")
+        assert run_cli(["check", str(path), "--goal", str(drinker_file), "--negate"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "Rejected: freshness-violation at path 00")
+
+    @pytest.mark.parametrize("text", [None, "P &", b"\xff"], ids=["missing", "parse", "utf8"])
+    def test_a_bad_goal_file_exits_two_with_its_path(self, tmp_path, drinker_proof, capsys, text):
+        goal_file = tmp_path / "goal.p"
+        if isinstance(text, str):
+            goal_file.write_text(text, encoding="utf-8")
+        elif text is not None:
+            goal_file.write_bytes(text)
+        assert run_cli(["check", str(drinker_proof), "--goal", str(goal_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(goal_file) in captured.err
+
+    def test_negate_without_goal_exits_two(self, drinker_proof, capsys):
+        assert run_cli(["check", str(drinker_proof), "--negate"]) == 2
+        assert capsys.readouterr().err == "error: --negate needs --goal\n"
+
+
 def python_m_tabseq(*argv):
     """Run ``python -m tabseq`` on ``argv`` with this checkout's package,
     its stdout and stderr each through a pipe."""
@@ -339,7 +406,7 @@ class TestWrite:
     def test_translate_to_dev_null(self, tmp_path, drinker_file, capsys):
         assert run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"]) == 0
         assert run_cli(["translate", str(tmp_path / "drinker.tab"), "--out", "/dev/null"]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == "wrote /dev/null\n"
 
     @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
     def test_translate_to_stdout_through_a_pipe(self, tmp_path, drinker_file):
@@ -347,7 +414,8 @@ class TestWrite:
         done = python_m_tabseq("translate", str(tmp_path / "drinker.tab"), "--out", "/dev/stdout")
         assert done.returncode == 0, done.stderr
         text = (tmp_path / "drinker.gs3").read_text(encoding="utf-8")
-        assert done.stdout == f"{text}wrote /dev/stdout\n"
+        assert done.stdout == text and done.stderr == "wrote /dev/stdout\n"
+        assert gs3.check(proof_from_json(done.stdout))
 
     def test_translate_makes_missing_directories(self, tmp_path, drinker_file):
         assert run_cli(["prove", str(drinker_file), "--negate"]) == 0
@@ -613,20 +681,6 @@ class TestDepthBoundEndToEnd:
         tab = tmp_path / "goal.tab"
         assert run_cli(["translate", str(tab)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["prove", "a.p"],
-    ["prove", "a.p", "b.p", "--negate", "--gamma-limit", "3", "--emit", "gs3"],
-    ["prove", "a.p", "--depth-limit", "9", "--out", "dir", "--pretty"],
-    ["translate", "a.tab"],
-    ["translate", "a.tab", "--out", "a.gs3", "--pretty"],
-    ["check", "a.gs3"],
-])
-def test_shared_parser_parses_like_a_fresh_one(argv):
-    assert build_parser() is build_parser()
-    build_parser().parse_args(["prove", "x.p", "--negate", "--depth-limit", "5"])
-    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
 
 
 def test_python_m_tabseq_checks_a_proof(tmp_path, drinker_file):

@@ -226,7 +226,7 @@ def test_deep_tableau_translates_and_checks_from_the_cli(tmp_path, capsys):
     path = tmp_path / "deep.tab"
     path.write_text(tableau_to_json(deep_tableau(1100)), encoding="utf-8")
     assert run_cli(["translate", str(path)]) == 0
-    assert capsys.readouterr().out == f"wrote {tmp_path / 'deep.gs3'}\n"
+    assert capsys.readouterr() == ("", f"wrote {tmp_path / 'deep.gs3'}\n")
     assert run_cli(["check", str(tmp_path / "deep.gs3")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
 
@@ -271,8 +271,8 @@ def test_pretty_renders_proofs_deeper_than_the_recursion_limit(tmp_path, capsys)
     finally:
         sys.setrecursionlimit(limit)
     assert text.count("-- gamma on") == 300 and text.count("-- closure on") == 1
-    out = capsys.readouterr().out
-    assert code == 0 and out.startswith(f"wrote {tmp_path / 'deep.gs3'}\n")
+    out, err = capsys.readouterr()
+    assert code == 0 and err == f"wrote {tmp_path / 'deep.gs3'}\n"
     assert out.count("-- forall on") == 300 and out.count("-- axiom on") == 1
 
 
