@@ -24,7 +24,7 @@ from tabseq.formula import parse, parse_term
 from tabseq.gs3 import GsProof, GsRule, proof_from_json, proof_to_json
 from tabseq.tableau import ClosedTableau, RuleInstance, TableauNode, tableau_from_json, tableau_to_json
 from tabseq.tree import MAX_OCCURRENCES
-from tabseq.unify import Constraint, ConstraintStore, Substitution
+from tabseq.unify import Constraint, ConstraintStore
 
 formula = functools.cache(lambda text: parse(text, allow_generated=True))
 term = functools.cache(lambda text: parse_term(text, allow_generated=True))
@@ -76,7 +76,7 @@ def tableau(record) -> ClosedTableau:
         bindings[term(meta).name] = term(value)
     store = ConstraintStore(tuple(Constraint(formula(lhs), formula(rhs))
                                   for lhs, rhs in record["store"]))
-    return ClosedTableau(build(record["root"]), store, Substitution(bindings))
+    return ClosedTableau(build(record["root"]), store, bindings)
 
 
 def upgrade(path: Path, out: Path) -> None:

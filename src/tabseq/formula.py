@@ -174,6 +174,9 @@ class _Node:
     def __deepcopy__(self, memo):
         return self
 
+    def __str__(self) -> str:
+        return print_term(self) if type(self) in (Var, Meta, App) else print_formula(self)
+
 
 # ------------------------------------------------------------------ terms
 
@@ -191,9 +194,6 @@ class Var(_Node):
     def __new__(cls, name: str) -> Var:
         return _intern((cls, name))
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @_node
 class Meta(_Node):
@@ -203,9 +203,6 @@ class Meta(_Node):
 
     def __new__(cls, name: str) -> Meta:
         return _intern((cls, name))
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @_node
@@ -221,9 +218,6 @@ class App(_Node):
     @property
     def is_skolem(self) -> bool:
         return SKOLEM_NAME.match(self.symbol) is not None
-
-    def __str__(self) -> str:
-        return print_term(self)
 
 
 Term = Union[Var, Meta, App]
@@ -244,9 +238,6 @@ class Atom(_Node):
     def __new__(cls, predicate: str, args: tuple[Term, ...] = ()) -> Atom:
         return _intern((cls, predicate, args))
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Not(_Node):
@@ -254,9 +245,6 @@ class Not(_Node):
 
     def __new__(cls, body: "Formula") -> Not:
         return _intern((cls, body))
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 @_node
@@ -267,9 +255,6 @@ class And(_Node):
     def __new__(cls, left: "Formula", right: "Formula") -> And:
         return _intern((cls, left, right))
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Or(_Node):
@@ -278,9 +263,6 @@ class Or(_Node):
 
     def __new__(cls, left: "Formula", right: "Formula") -> Or:
         return _intern((cls, left, right))
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 @_node
@@ -291,9 +273,6 @@ class Implies(_Node):
     def __new__(cls, left: "Formula", right: "Formula") -> Implies:
         return _intern((cls, left, right))
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Forall(_Node):
@@ -303,9 +282,6 @@ class Forall(_Node):
     def __new__(cls, var: str, body: "Formula") -> Forall:
         return _intern((cls, var, body))
 
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @_node
 class Exists(_Node):
@@ -314,9 +290,6 @@ class Exists(_Node):
 
     def __new__(cls, var: str, body: "Formula") -> Exists:
         return _intern((cls, var, body))
-
-    def __str__(self) -> str:
-        return print_formula(self)
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Forall, Exists]

@@ -10,7 +10,7 @@ import random
 
 from .formula import And, App, Atom, Forall, Formula, Meta, Not, Var, parse, print_formula
 from .tableau import ClosedTableau, NameSupply, TableauNode, close, expand
-from .unify import ConstraintStore, Substitution
+from .unify import ConstraintStore
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -145,5 +145,5 @@ def deep_tableau(steps: int) -> ClosedTableau:
         expand(node, forall_p, names)
         (node,) = node.children
     store = close(node, ConstraintStore(), Atom("P", (Meta("X1"),)), Not(p_a))
-    unifier = Substitution({f"X{i}": App("a", ()) for i in range(1, steps + 1)})
+    unifier = {f"X{i}": App("a", ()) for i in range(1, steps + 1)}
     return ClosedTableau(root, store, unifier)

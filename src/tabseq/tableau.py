@@ -21,6 +21,7 @@ from .formula import (
     Not,
     Table,
     Term,
+    apply_subst,
     encode_table,
     free_metas,
     print_formula,
@@ -42,7 +43,7 @@ from .tree import (
     postorder,
     preorder,
 )
-from .unify import Constraint, ConstraintStore, Substitution, consistent, groundify, solve
+from .unify import Constraint, ConstraintStore, consistent, groundify, solve
 
 # Nothing here calls ``parse``, ``parse_term`` or ``replace_at``.  They stay
 # bound in this module because the benchmark's tracer (``WRAPPED`` in
@@ -98,11 +99,13 @@ class TableauNode:
 
 @dataclass(frozen=True)
 class ClosedTableau:
-    """A fully closed tableau with its final store and ground unifier."""
+    """A fully closed tableau with its final store of literal-pair
+    constraints and its ground unifier, a dict from metavariable names to
+    terms that ``formula.apply_subst`` applies."""
 
     root: TableauNode
     store: ConstraintStore
-    unifier: Substitution
+    unifier: dict[str, Term]
 
 
 @dataclass(frozen=True)
@@ -527,12 +530,12 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     if solve(ct.store) is None:
         raise AuditError("final store is unsatisfiable")
     for c in ct.store.constraints:
-        if ct.unifier.apply(c.lhs) != ct.unifier.apply(c.rhs):
+        if apply_subst(ct.unifier, c.lhs) != apply_subst(ct.unifier, c.rhs):
             raise AuditError("unifier does not equate a stored constraint")
     for n in preorder(ct.root):
         if n.rule is not None and n.rule.closure_pair is not None:
             pos, neg = n.rule.closure_pair
-            if ct.unifier.apply(pos) != ct.unifier.apply(neg.body):
+            if apply_subst(ct.unifier, pos) != apply_subst(ct.unifier, neg.body):
                 raise AuditError(f"unifier does not equate closure pair at {at(n)}")
 
 
@@ -611,12 +614,6 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         "unifier": [[entry(m), entry(t)] for m, t in bindings],
     }
     return dump_json(record) + "\n"
-
-
-def _side_str(side) -> str:
-    if isinstance(side, (Atom, Not)):
-        return print_formula(side)
-    return print_term(side)
 
 
 def tableau_from_json(text: str) -> ClosedTableau:
@@ -707,8 +704,7 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
             if type(side) is not Atom and (type(side) is not Not or type(side.body) is not Atom):
                 raise FormatError(f"constraint side {print_formula(side)} is not a literal")
         constraints.append(Constraint(*sides))
-    return ClosedTableau(nodes[root], ConstraintStore(tuple(constraints)),
-                         Substitution(bindings))
+    return ClosedTableau(nodes[root], ConstraintStore(tuple(constraints)), bindings)
 
 
 def _rule_from_table(raw, table: Table) -> RuleInstance:
@@ -764,7 +760,7 @@ def render_tableau(ct: ClosedTableau) -> str:
             lines.append(indent + "-- " + label(node.rule))
 
     lines.append("store: " + ("; ".join(
-        f"{_side_str(c.lhs)} = {_side_str(c.rhs)}" for c in ct.store.constraints
+        f"{print_formula(c.lhs)} = {print_formula(c.rhs)}" for c in ct.store.constraints
     ) or "(empty)"))
     lines.append("unifier: " + (", ".join(
         sorted(f"{n} := {print_term(t)}" for n, t in ct.unifier.items())

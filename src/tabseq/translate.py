@@ -31,6 +31,7 @@ from .formula import (
     Formula,
     Not,
     Term,
+    apply_subst,
     is_ground_term,
     is_subterm,
     outermost_skolem_terms,
@@ -161,9 +162,9 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
         rule = n.rule
         if rule is None or rule.skolem is None:
             continue
-        term = sigma.apply(rule.skolem)
+        term = apply_subst(sigma, rule.skolem)
         assert isinstance(term, App)
-        deps = outermost_skolem_terms(sigma.apply(rule.introduced[0][0]))
+        deps = outermost_skolem_terms(apply_subst(sigma, rule.introduced[0][0]))
         for arg in term.args:
             deps |= outermost_skolem_terms(arg)
         deps.discard(term)
@@ -236,7 +237,7 @@ class _Builder:
     def instance(self, f: Formula) -> Formula:
         out = self._instances.get(f)
         if out is None:
-            out = self._instances[f] = self.sigma.apply(f)
+            out = self._instances[f] = apply_subst(self.sigma, f)
         return out
 
     def additions(self, rule: GsRule, principal: Formula) -> tuple | None:
@@ -571,7 +572,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
 
     elif rule.kind == "delta":
         if S:
-            delta_sigma = builder.sigma.apply(rule.skolem)
+            delta_sigma = apply_subst(builder.sigma, rule.skolem)
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
             bilink, _held = delta_graft(S, delta_sigma, d_delta, principal, builder)
@@ -587,7 +588,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
 
     else:
         principal = builder.instance(rule.principal)
-        witness = builder.sigma.apply(rule.meta) if rule.kind == "gamma" else None
+        witness = apply_subst(builder.sigma, rule.meta) if rule.kind == "gamma" else None
         gs_rule = GsRule(rule_name(principal), witness)
         for s in S:
             if builder.shares(first, s.sequent, s):

@@ -1,35 +1,24 @@
-"""Syntactic unification over metavariables, constraint stores, groundification."""
+"""Syntactic unification over metavariables, constraint stores, groundification.
+
+A unifier is a plain ``dict`` from metavariable names to terms, applied
+with ``formula.apply_subst``; a constraint is a pair of literals.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple
 
-from .formula import (
-    App,
-    Atom,
-    Formula,
-    Meta,
-    Not,
-    Term,
-    Var,
-    apply_subst,
-    free_metas,
-    is_subterm,
-)
-
-Side = Union[Formula, Term]
+from .formula import App, Atom, Formula, Meta, Not, Term, apply_subst, free_metas, is_subterm
 
 
 class Constraint(NamedTuple):
-    """A pair to be made syntactically equal.
+    """Two literals to be made syntactically equal: two atoms or two
+    negated atoms, the complementary pair a closure step stores.  Any other
+    pair, a term pair included, has no unifier."""
 
-    Closure steps add formula constraints between the two literals of a
-    complementary pair; everything below the atom level is a term pair.
-    """
-
-    lhs: Side
-    rhs: Side
+    lhs: Formula
+    rhs: Formula
 
 
 @dataclass(frozen=True)
@@ -37,7 +26,7 @@ class ConstraintStore:
     """Monotone set of pending constraints: rules only ever add.
 
     A store carries ``unifier``, the most general idempotent unifier of
-    its constraints as bindings, or None if they have none.  A store built
+    its constraints as a dict, or None if they have none.  A store built
     whole solves its constraints when ``unifier`` is first read; a store
     that ``add`` builds unifies only the added constraints under its
     base's unifier, so a closure costs its new pair, not the store
@@ -73,65 +62,29 @@ class ConstraintStore:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Idempotent solution of a constraint store."""
-
-    bindings: Mapping[str, Term] = field(default_factory=dict)
-
-    def apply(self, x: Side) -> Side:
-        return apply_subst(self.bindings, x)
-
-    def items(self):
-        return self.bindings.items()
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-
-def _formula_equations(lhs: Formula, rhs: Formula) -> list[tuple[Term, Term]] | None:
-    """The term equations of two atoms or two negated atoms, the only
-    formula pairs ``close`` stores and the ``.tab`` reader admits; None for
-    a clash or any other pair, which has no unifier."""
-    if type(lhs) is Not and type(rhs) is Not:
-        lhs, rhs = lhs.body, rhs.body
-    if (type(lhs) is not Atom or type(rhs) is not Atom or lhs.predicate != rhs.predicate
-            or len(lhs.args) != len(rhs.args)):
-        return None
-    return list(zip(lhs.args, rhs.args))
-
-
-# Terms and atoms hold no quantifier.  A constraint whose two sides are one
-# such node, or one negated atom, holds under every unifier; one whose sides
-# are one quantified formula must still be refused by ``_formula_equations``.
-_FLAT = (Var, Meta, App, Atom)
-
-
 def _unify(bindings: Mapping[str, Term], constraints: Iterable[Constraint]
            ) -> Mapping[str, Term] | None:
     """The most general idempotent unifier that extends the idempotent
     ``bindings`` and unifies ``constraints``, or None.  ``bindings`` is
     left as it is, and is the result itself when every constraint's two
-    sides are one term, atom or negated atom (one interned object), as on
-    a closure of two identical literals: such a constraint is skipped, not
+    sides are one atom or negated atom (one interned object), as on a
+    closure of two identical literals: such a constraint is skipped, not
     decomposed, and nothing is copied.  A store's unifier may thus be its
     base's, so no caller may alter a unifier it is handed.
 
     Robinson-style worklist with the occurs check always on; a None result
-    (symbol clash or occurs-check failure) signals that a candidate closure
-    is impossible.
+    (a pair that is not two atoms or two negated atoms, a symbol clash or
+    an occurs-check failure) signals that a candidate closure is impossible.
     """
     work: list[tuple[Term, Term]] = []
     for lhs, rhs in constraints:
-        if lhs is rhs and (type(lhs) in _FLAT or type(lhs) is Not and type(lhs.body) is Atom):
-            continue
-        if isinstance(lhs, (Var, Meta, App)) and isinstance(rhs, (Var, Meta, App)):
-            work.append((lhs, rhs))
-        else:
-            eqs = _formula_equations(lhs, rhs)
-            if eqs is None:
-                return None
-            work.extend(eqs)
+        if type(lhs) is Not and type(rhs) is Not:
+            lhs, rhs = lhs.body, rhs.body
+        if (type(lhs) is not Atom or type(rhs) is not Atom or lhs.predicate != rhs.predicate
+                or len(lhs.args) != len(rhs.args)):
+            return None
+        if lhs is not rhs:
+            work.extend(zip(lhs.args, rhs.args))
     if not work:
         return bindings
 
@@ -162,11 +115,10 @@ def _unify(bindings: Mapping[str, Term], constraints: Iterable[Constraint]
     return bindings
 
 
-def solve(store: ConstraintStore) -> Substitution | None:
-    """Most general idempotent unifier of all constraints, or None, found
-    from the empty substitution whatever the store carries."""
-    bindings = _unify({}, store.constraints)
-    return None if bindings is None else Substitution(bindings)
+def solve(store: ConstraintStore) -> dict[str, Term] | None:
+    """Most general idempotent unifier of all constraints as a new dict,
+    or None, found from the empty one whatever the store carries."""
+    return _unify({}, store.constraints)
 
 
 def consistent(store: ConstraintStore, extra: Iterable[Constraint]) -> bool:
@@ -176,11 +128,11 @@ def consistent(store: ConstraintStore, extra: Iterable[Constraint]) -> bool:
 
 
 def groundify(
-    sigma: Substitution,
+    sigma: Mapping[str, Term],
     metas: Iterable[Meta] = (),
     avoid: Iterable[str] = (),
-) -> Substitution:
-    """Extend an idempotent unifier to a ground one.
+) -> dict[str, Term]:
+    """Extend an idempotent unifier to a ground one, a new dict.
 
     Every metavariable left in the range of ``sigma``, and every
     metavariable of ``metas`` unbound by ``sigma``, is mapped to a distinct
@@ -200,16 +152,14 @@ def groundify(
                 return App(name, ())
 
     kappa: dict[str, Term] = {}
-    for name in sorted(sigma.bindings):
-        for m in free_metas(sigma.bindings[name]):
+    for name in sorted(sigma):
+        for m in free_metas(sigma[name]):
             if m.name not in kappa:
                 kappa[m.name] = fresh()
     for m in metas:
-        if m.name not in sigma.bindings and m.name not in kappa:
+        if m.name not in sigma and m.name not in kappa:
             kappa[m.name] = fresh()
 
-    out: dict[str, Term] = {}
-    for name, t in sigma.bindings.items():
-        out[name] = apply_subst(kappa, t)
+    out = {name: apply_subst(kappa, t) for name, t in sigma.items()}
     out.update(kappa)
-    return Substitution(out)
+    return out

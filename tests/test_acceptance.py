@@ -39,7 +39,7 @@ def test_acceptance_1_drinker_reproduction():
     (sko,) = constraint.rhs.args
     assert isinstance(sko, App) and sko.is_skolem and not sko.args
 
-    assert dict(ct.unifier.items()) == {meta.name: sko}
+    assert ct.unifier == {meta.name: sko}
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS: drinker tableau is gamma,alpha,delta,closure "
           f"with store {{D({meta.name}) = D({sko.symbol})}} in {elapsed:.3f}s")

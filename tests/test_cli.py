@@ -25,7 +25,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.unify import ConstraintStore, Substitution
+from tabseq.unify import ConstraintStore
 
 from conftest import run_upgrade
 
@@ -127,6 +127,10 @@ class TestProve:
     def test_bad_limits_exit_two(self, drinker_file):
         assert run_cli(["prove", str(drinker_file), "--gamma-limit", "0"]) == 2
 
+    def test_depth_limit_below_one_exits_two(self, drinker_file, capsys):
+        assert run_cli(["prove", str(drinker_file), "--depth-limit", "0"]) == 2
+        assert capsys.readouterr().err == "error: depth limit must be at least 1\n"
+
     def test_mixed_results_use_worst_status(self, tmp_path, drinker_file):
         sat = tmp_path / "sat.p"
         sat.write_text("P & ~Q\n", encoding="utf-8")
@@ -227,7 +231,7 @@ class TestTranslate:
         root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
         tab = tmp_path / "forged.tab"
         tab.write_text(tableau_to_json(ClosedTableau(
-            root, ConstraintStore(), Substitution({}))), encoding="utf-8")
+            root, ConstraintStore(), {})), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "
@@ -247,7 +251,7 @@ class TestTranslate:
             where = "000"
         else:
             ct = ClosedTableau(TableauNode((parse("~(P | ~P)"),), closed=True),
-                               ConstraintStore(), Substitution({}))
+                               ConstraintStore(), {})
             where = "(root)"
         message = f"closed leaf {where} is not the child of a closure rule"
         with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):

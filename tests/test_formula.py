@@ -700,6 +700,17 @@ class TestPrint:
     def test_term_with_args(self):
         assert print_term(App("f", (Meta("X1"), const("a")))) == "f(X1, a)"
 
+    def test_str_of_every_node_class_is_its_printers_text(self):
+        p = Atom("P", (Var("x"),))
+        terms = [Var("x"), Meta("X1"), App("f", (Meta("X1"), const("a")))]
+        formulas = [p, Not(p), And(p, p), Or(p, p), Implies(p, p), Forall("x", p), Exists("x", p)]
+        assert {type(x) for x in terms + formulas} == {
+            Var, Meta, App, Atom, Not, And, Or, Implies, Forall, Exists}
+        for t in terms:
+            assert str(t) == print_term(t)
+        for f in formulas:
+            assert str(f) == print_formula(f)
+
     def test_drinker_round_trip(self):
         f = parse(DRINKER_NEG)
         assert parse(print_formula(f)) == f

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 import sys
 
 import pytest
@@ -10,6 +12,7 @@ from tabseq.formula import (
     Meta,
     Not,
     Var,
+    apply_subst,
     const,
     free_metas,
     parse,
@@ -39,7 +42,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.unify import Constraint, ConstraintStore, Substitution, groundify, solve
+from tabseq.unify import Constraint, ConstraintStore, groundify, solve
 
 from conftest import node_at, rule_kinds
 
@@ -172,17 +175,17 @@ class TestProve:
         c = ct.store.constraints[0]
         assert c.lhs == Atom("D", (Meta("X1"),))
         assert c.rhs == Atom("D", (App("sko1", ()),))
-        assert dict(ct.unifier.items()) == {"X1": App("sko1", ())}
+        assert ct.unifier == {"X1": App("sko1", ())}
 
     def test_propositional_identity(self):
         ct = prove([parse("~(P => P)")])
         assert rule_kinds(ct.root) == ["alpha", "closure"]
-        assert dict(ct.unifier.items()) == {}
+        assert ct.unifier == {}
 
     def test_forall_instantiation(self):
         ct = prove([parse("~((forall x. P(x)) => P(a))")])
         assert rule_kinds(ct.root) == ["alpha", "gamma", "closure"]
-        assert dict(ct.unifier.items()) == {"X1": const("a")}
+        assert ct.unifier == {"X1": const("a")}
 
     def test_satisfiable_input_exhausts(self):
         result = prove([parse("P & ~Q")])
@@ -218,7 +221,7 @@ class TestProve:
         for _, node in _rule_nodes(ct):
             if node.rule.closure_pair is not None:
                 pos, neg = node.rule.closure_pair
-                assert ct.unifier.apply(pos) == ct.unifier.apply(neg.body)
+                assert apply_subst(ct.unifier, pos) == apply_subst(ct.unifier, neg.body)
 
     def test_audit_passes_on_proofs(self):
         for text in (DRINKER_NEG, "~(P => P)", "~((forall x. P(x)) => P(a))"):
@@ -415,7 +418,7 @@ class TestSerialization:
         loaded = tableau_from_json(tableau_to_json(ct))
         assert rule_kinds(loaded.root) == rule_kinds(ct.root)
         assert loaded.root.formulas == ct.root.formulas
-        assert dict(loaded.unifier.items()) == dict(ct.unifier.items())
+        assert loaded.unifier == ct.unifier
         audit_closed_tableau(loaded)
 
     @pytest.mark.parametrize(
@@ -526,7 +529,7 @@ def double_negation_chain(depth: int) -> ClosedTableau:
         node = child
     node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(p, np))
     node.children = (TableauNode(formulas, closed=True),)
-    return ClosedTableau(root, ConstraintStore(), Substitution({}))
+    return ClosedTableau(root, ConstraintStore(), {})
 
 
 class TestAudit:
@@ -595,6 +598,74 @@ class TestAudit:
         node_at(ct.root, closure + (0,)).closed = True
         with pytest.raises(AuditError, match="child multiset is not parent plus introduced"):
             audit_closed_tableau(ct)
+
+
+
+class TestAuditRefusals:
+    """Each refusal of ``audit_closed_tableau`` on the negated drinker
+    goal's tableau (gamma at the root, then alpha, delta and closure down
+    one branch), altered in one place, pinned by its message."""
+
+    @staticmethod
+    def drinker(kind: str):
+        ct = prove([parse(DRINKER_NEG)])
+        node = next(n for _, n in iter_nodes(ct.root) if n.rule is not None and n.rule.kind == kind)
+        return ct, node
+
+    @staticmethod
+    def refused(ct: ClosedTableau, message: str) -> None:
+        with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
+            audit_closed_tableau(ct)
+
+    def test_open_leaf(self):
+        ct, node = self.drinker(CLOSURE)
+        node.rule, node.children = None, ()
+        self.refused(ct, "open leaf at 000")
+
+    def test_closed_node_with_a_rule(self):
+        ct, node = self.drinker("gamma")
+        node.closed = True
+        self.refused(ct, "closed node (root) carries a rule")
+
+    def test_closure_without_pair(self):
+        ct, node = self.drinker(CLOSURE)
+        node.rule = node.rule._replace(closure_pair=None)
+        self.refused(ct, "closure without pair at 000")
+
+    def test_closure_pair_absent(self):
+        ct, node = self.drinker(CLOSURE)
+        node.rule = node.rule._replace(closure_pair=(parse("Q"), parse("~Q")))
+        self.refused(ct, "closure pair absent at 000")
+
+    def test_delta_without_skolem(self):
+        ct, node = self.drinker("delta")
+        node.rule = node.rule._replace(skolem=None)
+        self.refused(ct, "delta without skolem at 00")
+
+    def test_gamma_without_metavariable(self):
+        ct, node = self.drinker("gamma")
+        node.rule = node.rule._replace(meta=None)
+        self.refused(ct, "gamma without metavariable at (root)")
+
+    def test_skolem_before_its_delta_step(self):
+        # Q(sko1) on every node keeps each child its parent plus the
+        # introduced formulas, as multisets.
+        ct, node = self.drinker("delta")
+        q = Atom("Q", (node.rule.skolem,))
+        for _, n in iter_nodes(ct.root):
+            n.formulas += (q,)
+        self.refused(ct, "skolem sko1 occurs before its delta step")
+
+    def test_unifier_range_with_a_metavariable(self):
+        ct, _ = self.drinker("gamma")
+        self.refused(dataclasses.replace(ct, unifier={"X1": Meta("X2")}),
+                     "unifier range for X1 contains a metavariable")
+
+    def test_unifier_that_does_not_equate_a_closure_pair(self):
+        # An empty store, so that no stored constraint is refused first.
+        ct, _ = self.drinker("gamma")
+        self.refused(dataclasses.replace(ct, store=ConstraintStore(), unifier={"X1": const("c")}),
+                     "unifier does not equate closure pair at 000")
 
 
 def test_prove_agrees_with_the_reference_search():

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from tabseq import gs3
-from tabseq.formula import App, Not, const, parse
+from tabseq.formula import App, Not, apply_subst, const, parse
 from tabseq.gs3 import GsProof, GsRule
 from tabseq.problems import corpus, deep_tableau, growth_goal
 from tabseq.tableau import (
@@ -30,7 +30,7 @@ from tabseq.translate import (
     translate_detailed,
 )
 from tabseq.tree import postorder
-from tabseq.unify import ConstraintStore, Substitution
+from tabseq.unify import ConstraintStore
 
 from conftest import PathError, builder_records, node_at, rule_names, spine_rule_names
 
@@ -90,7 +90,7 @@ class TestDrinkerTranslation:
     def test_root_is_the_instantiated_tableau_root(self):
         ct = drinker_tableau()
         proof = translate(ct)
-        assert list(proof.sequent) == [ct.unifier.apply(f) for f in ct.root.formulas]
+        assert list(proof.sequent) == [apply_subst(ct.unifier, f) for f in ct.root.formulas]
 
 
 class TestSimpleCases:
@@ -275,7 +275,7 @@ def graft(theta: GsProof, B, sko: App, delta_formula, principal):
     graft has touched yet, with the state a translation would pass.  Returns
     the bilink as {leaf path: path of the leaf of theta it is linked to},
     and the paths of the held leaves."""
-    empty = ClosedTableau(TableauNode(()), ConstraintStore(), Substitution({}))
+    empty = ClosedTableau(TableauNode(()), ConstraintStore(), {})
     builder = _Builder(empty)
     builder.proof, builder.ranks = theta, {sko: 1}
     builder.nodes, builder.formulas, builder.witnesses = builder_records(theta)
