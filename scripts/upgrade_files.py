@@ -5,11 +5,14 @@ under the same name in ``--out``.
 A version-1 file has no ``version`` field: it is one nested record per
 proof node, with formulas and terms as text.  This script rebuilds the
 proof from that text and writes it with the package's writers; it judges
-nothing.  Run ``tabseq translate`` on each upgraded ``.tab`` and ``tabseq
-check`` on each upgraded ``.gs3``: their audits and the checker decide
-whether the proof holds.  A file that cannot be read, rebuilt, written or
-read back by the current reader is reported with its path, exit status 2,
-and the other files are still upgraded.
+nothing but a ``.tab``'s ``store``, which the current writer derives from
+the tree and which must therefore be the tree's closure pairs in preorder.
+Run ``tabseq translate`` on each upgraded ``.tab`` and ``tabseq check`` on
+each upgraded ``.gs3``: their audits and the checker decide whether the
+proof holds.  A file that cannot be read, rebuilt, written or read back by
+the current reader, or a ``.tab`` whose store contradicts its tree, is
+reported with its path, exit status 2, and the other files are still
+upgraded.
 
 Usage: python scripts/upgrade_files.py FILE... --out DIR
 """
@@ -22,9 +25,10 @@ from pathlib import Path
 
 from tabseq.formula import parse, parse_term
 from tabseq.gs3 import GsProof, GsRule, proof_from_json, proof_to_json
-from tabseq.tableau import ClosedTableau, RuleInstance, TableauNode, tableau_from_json, tableau_to_json
+from tabseq.tableau import (ClosedTableau, RuleInstance, TableauNode, closure_constraints,
+                            tableau_from_json, tableau_to_json)
 from tabseq.tree import MAX_OCCURRENCES
-from tabseq.unify import Constraint, ConstraintStore
+from tabseq.unify import Constraint
 
 formula = functools.cache(lambda text: parse(text, allow_generated=True))
 term = functools.cache(lambda text: parse_term(text, allow_generated=True))
@@ -74,9 +78,13 @@ def tableau(record) -> ClosedTableau:
     for binding in record["unifier"]:
         meta, _, value = binding.partition(" := ")
         bindings[term(meta).name] = term(value)
-    store = ConstraintStore(tuple(Constraint(formula(lhs), formula(rhs))
-                                  for lhs, rhs in record["store"]))
-    return ClosedTableau(build(record["root"]), store, bindings)
+    root = build(record["root"])
+    # The current format derives the store from the tree, so a store that
+    # says otherwise would be lost, not rewritten.
+    store = [Constraint(formula(lhs), formula(rhs)) for lhs, rhs in record["store"]]
+    if store != closure_constraints(root):
+        raise ValueError("the store is not the closure pairs in preorder")
+    return ClosedTableau(root, bindings)
 
 
 def upgrade(path: Path, out: Path) -> None:

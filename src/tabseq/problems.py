@@ -144,6 +144,6 @@ def deep_tableau(steps: int) -> ClosedTableau:
     for _ in range(steps):
         expand(node, forall_p, names)
         (node,) = node.children
-    store = close(node, ConstraintStore(), Atom("P", (Meta("X1"),)), Not(p_a))
+    close(node, ConstraintStore(), Atom("P", (Meta("X1"),)), Not(p_a))
     unifier = {f"X{i}": App("a", ()) for i in range(1, steps + 1)}
-    return ClosedTableau(root, store, unifier)
+    return ClosedTableau(root, unifier)

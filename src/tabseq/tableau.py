@@ -99,12 +99,11 @@ class TableauNode:
 
 @dataclass(frozen=True)
 class ClosedTableau:
-    """A fully closed tableau with its final store of literal-pair
-    constraints and its ground unifier, a dict from metavariable names to
-    terms that ``formula.apply_subst`` applies."""
+    """A fully closed tableau with its ground unifier, a dict from
+    metavariable names to terms that ``formula.apply_subst`` applies, which
+    equates the two sides of every closure pair (see ``ground``)."""
 
     root: TableauNode
-    store: ConstraintStore
     unifier: dict[str, Term]
 
 
@@ -152,6 +151,15 @@ def open_leaves(root: TableauNode) -> list[Path]:
 
 def rule_count(root: TableauNode) -> int:
     return sum(1 for n in preorder(root) if n.rule is not None)
+
+
+def closure_constraints(root: TableauNode) -> list[Constraint]:
+    """The constraint ``pos = neg'`` of each closure pair (pos, ~neg') in
+    preorder, a ``.tab`` file's ``store``; a second side that is no
+    negation, which the audit refuses, stands as it is."""
+    return [Constraint(pos, neg.body if type(neg) is Not else neg)
+            for pos, neg in (n.rule.closure_pair for n in preorder(root)
+                             if n.rule is not None and n.rule.closure_pair is not None)]
 
 
 # ------------------------------------------------------------------- rules
@@ -279,11 +287,11 @@ def _new_closure_pairs(index: _LiteralIndex, start: int, atoms: list[tuple[int, 
 # A branch's buckets: per priority class of ``_PRIORITY``, the formulas of
 # that class on the branch that can still be expanded there, each once, in
 # first-occurrence order; gamma's bucket is split by the number of times a
-# formula was used on the branch, one bucket per count below the limit.
+# formula was used on the branch, one bucket per count reached, below the limit.
 _Buckets = tuple[tuple[Formula, ...], ...]
 
 
-def _choose(buckets: _Buckets, fresh: list[tuple[int, Formula]]
+def _choose(buckets: _Buckets, fresh: list[tuple[int, Formula]], gamma_limit: int
             ) -> tuple[Formula | None, _Buckets]:
     """The principal of a leaf, the expandable formula with the least
     (priority, uses, first position) on its branch, and the buckets its
@@ -291,7 +299,7 @@ def _choose(buckets: _Buckets, fresh: list[tuple[int, Formula]]
     (bucket, formula) pairs of the formulas the leaf's rule introduced that
     occur on the branch for the first time.  The principal is the first
     entry of the first nonempty bucket; a gamma principal moves on to the
-    next bucket unless it reaches the limit."""
+    next bucket, made when first reached, unless it reaches the limit."""
     out = list(buckets)
     for level, f in fresh:
         out[level] += (f,)
@@ -302,17 +310,12 @@ def _choose(buckets: _Buckets, fresh: list[tuple[int, Formula]]
             # Each entry of the next bucket came there as the first entry
             # of the first nonempty bucket, as the principal does, so it
             # occurs on the branch before the principal.
-            if level >= _PRIORITY["gamma"] and level + 1 < len(out):
+            if _PRIORITY["gamma"] <= level < _PRIORITY["gamma"] + gamma_limit - 1:
+                if level + 1 == len(out):
+                    out.append(())
                 out[level + 1] += (principal,)
             return principal, tuple(out)
     return None, tuple(out)
-
-
-def _binds(rule: RuleInstance) -> bool:
-    """True if the instance a gamma or delta rule introduced contains its
-    witness, that is, if the principal's variable occurs in its body."""
-    q = rule.principal
-    return rule.introduced[0][0] != (Not(q.body.body) if type(q) is Not else q.body)
 
 
 def prove(
@@ -330,7 +333,8 @@ def prove(
     than ``depth_limit`` exhausts the search.  Every closure is checked
     against the whole constraint store, so the store stays satisfiable;
     the store carries its unifier, so the check unifies only the new pair
-    under it (incremental closure, Giese 2001).
+    under it (incremental closure, Giese 2001).  The store is search state
+    only: the ground unifier of the closed tree is found by ``ground``.
 
     A leaf tries only the candidates that contain a literal its rule
     introduced, in the order of a scan of all its formulas.  Every other
@@ -357,17 +361,7 @@ def prove(
         raise ValueError("depth_limit must be at least 1")
 
     gamma = tuple(formulas)
-    # What groundification needs.  The root's symbols, plus the Skolem
-    # symbol of each delta step whose instance holds it; the root's
-    # metavariables, plus the metavariable of each gamma step whose
-    # instance holds it, in first-occurrence order, which is the preorder
-    # the leaves are taken in.
-    symbols: set[str] = set()
-    for f in gamma:
-        symbols |= symbols_of(f)
-    metas = dict.fromkeys(m for f in gamma for m in free_metas(f))
-    vacuous: list[Meta] = []
-    names = NameSupply(symbols)
+    names = NameSupply(set().union(*map(symbols_of, gamma)))
 
     root = TableauNode(gamma)
     store = ConstraintStore()
@@ -380,7 +374,7 @@ def prove(
     # Expanding the leftmost leaf puts its children, which precede every
     # other open leaf, in its place.
     pending: list[tuple[TableauNode, int, tuple[Formula, ...], _LiteralIndex, _Buckets]] = [
-        (root, 0, gamma, {}, ((),) * (_PRIORITY["gamma"] + gamma_limit))]
+        (root, 0, gamma, {}, ((),) * (_PRIORITY["gamma"] + 1))]
 
     while pending:
         node, depth, introduced, literals, buckets = pending.pop()
@@ -415,33 +409,49 @@ def prove(
         if depth >= depth_limit:
             return Exhausted("depth limit reached", steps)
 
-        principal, buckets = _choose(buckets, fresh)
+        principal, buckets = _choose(buckets, fresh, gamma_limit)
         if principal is None:
             return Exhausted("no closure and no usable formula on a branch", steps)
 
         expand(node, principal, names)
         steps += 1
-        rule = node.rule
-        if rule.meta is not None:
-            if _binds(rule):
-                metas[rule.meta] = None
-            else:
-                vacuous.append(rule.meta)
-        elif rule.skolem is not None and _binds(rule):
-            symbols.add(rule.skolem.symbol)
-        for child, extra in zip(reversed(node.children), reversed(rule.introduced)):
+        for child, extra in zip(reversed(node.children), reversed(node.rule.introduced)):
             pending.append((child, depth + 1, extra, literals, buckets))
 
-    sigma = solve(store)
-    if sigma is None:  # each closure was checked against the whole store
+    return ground(root)
+
+
+def ground(root: TableauNode) -> ClosedTableau:
+    """A tree that ``expand`` and ``close`` closed, in any order, with its
+    ground unifier: the most general unifier of its closure pairs, made
+    ground by ``groundify``, which avoids the root's symbols (no ``skoN`` is
+    a ``kN``).  Free metavariables get constants in order: the root's, each
+    gamma step's whose instance holds it in preorder, then the vacuous
+    ones, in no formula yet needed as witnesses, so the others keep theirs."""
+    constraints: list[Constraint] = []
+    metas = dict.fromkeys(m for f in root.formulas for m in free_metas(f))
+    vacuous: dict[Meta, None] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        rule = node.rule
+        if rule is None:
+            continue
+        pair = rule.closure_pair
+        if pair is not None:  # a closure, whose only child is its closed leaf
+            constraints.append(Constraint(pair[0], pair[1].body))
+            continue
+        if rule.meta is not None:  # vacuous if its instance is the body itself
+            q = rule.principal
+            body = Not(q.body.body) if type(q) is Not else q.body
+            (vacuous if rule.introduced[0][0] == body else metas)[rule.meta] = None
+        stack += node.children[::-1]
+    sigma = solve(ConstraintStore(tuple(constraints)))
+    if sigma is None:
         raise TableauError("closure constraints are globally unsatisfiable")
-    # A gamma step on a variable its body never uses leaves a metavariable
-    # in no formula, yet the sequent rule still needs it as a ground
-    # witness.  Such metavariables go last, so the others keep their
-    # constants.
-    metas.update(dict.fromkeys(vacuous))
-    ground = groundify(sigma, metas, symbols)
-    return ClosedTableau(root, store, ground)
+    metas.update(vacuous)
+    avoid = set().union(*map(symbols_of, root.formulas))
+    return ClosedTableau(root, groundify(sigma, metas, avoid))
 
 
 # ------------------------------------------------------------------ audits
@@ -455,8 +465,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     to its parent plus the introduced formulas (non-destructivity), the
     introduced formulas the decomposition of the principal by its rule,
     rule labels consistent with the recorded children, Skolem symbols
-    unused before their introduction, and the unifier ground, solving the
-    store, and equating every closure pair.
+    unused before their introduction, and the unifier ground and equating
+    every closure pair.
     """
     def at(node: TableauNode) -> str:
         return path_of(ct.root, node)
@@ -493,7 +503,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         if rule.kind == CLOSURE:
             if rule.closure_pair is None:
                 raise AuditError(f"closure without pair at {at(node)}")
-            pos, neg = rule.closure_pair
             if pos not in node.formulas or neg not in node.formulas:
                 raise AuditError(f"closure pair absent at {at(node)}")
             if len(node.children) != 1 or not node.children[0].closed:
@@ -527,11 +536,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     for name, t in ct.unifier.items():
         if free_metas(t):
             raise AuditError(f"unifier range for {name} contains a metavariable")
-    if solve(ct.store) is None:
-        raise AuditError("final store is unsatisfiable")
-    for c in ct.store.constraints:
-        if apply_subst(ct.unifier, c.lhs) != apply_subst(ct.unifier, c.rhs):
-            raise AuditError("unifier does not equate a stored constraint")
     for n in preorder(ct.root):
         if n.rule is not None and n.rule.closure_pair is not None:
             pos, neg = n.rule.closure_pair
@@ -545,8 +549,9 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 # formulas and terms, see ``formula.encode_table``), ``nodes`` (one entry
 # per tableau node, [formulas, rule, [children], closed], every child
 # before its parent and each used once), ``root``, the constraint
-# ``store`` ([lhs, rhs] pairs), the ground ``unifier`` ([metavariable,
-# term] pairs sorted by name) and ``version``.  A rule is [class,
+# ``store`` (``closure_constraints`` as [lhs, rhs] pairs, which the reader
+# checks), the ground ``unifier`` ([metavariable, term] pairs sorted by
+# name) and ``version``.  A rule is [class,
 # principal, [[introduced], ...], meta, skolem, closure pair], with null
 # for an absent field.  Every formula and term is a table index.  A node's
 # formulas are null when they are its parent's followed by the ones the
@@ -566,7 +571,8 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     """
     order = postorder(ct.root)
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
-    items = [x for c in ct.store.constraints for x in (c.lhs, c.rhs)]
+    store = closure_constraints(ct.root)
+    items = [x for c in store for x in c]
     items += [x for binding in bindings for x in binding]
     items += ct.root.formulas
     # A child whose formulas are its parent's plus the ones its rule
@@ -610,7 +616,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
         "table": table,
         "nodes": nodes,
         "root": len(nodes) - 1,
-        "store": [[entry(c.lhs), entry(c.rhs)] for c in ct.store.constraints],
+        "store": [[entry(lhs), entry(rhs)] for lhs, rhs in store],
         "unifier": [[entry(m), entry(t)] for m, t in bindings],
     }
     return dump_json(record) + "\n"
@@ -625,8 +631,9 @@ def tableau_from_json(text: str) -> ClosedTableau:
     introduced for it.  Any malformed entry, a reference
     to a later or missing entry, a node used twice, a term where a formula
     belongs or the reverse, a formula or term with a free bound variable,
-    or a node without formulas that is no node's child or whose parent's
-    rule introduced none for it is a FormatError.
+    a node without formulas that is no node's child or whose parent's
+    rule introduced none for it, or a ``store`` that is not the closure
+    pairs in preorder is a FormatError.
     """
     record = load_json(text, "tableau")
     return _tableau_from_table(record, file_version(record, (2, 3)))
@@ -697,14 +704,11 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         if not isinstance(meta, Meta):
             raise FormatError(f"unifier binds the non-metavariable {print_term(meta)}")
         bindings[meta.name] = term(t, "unifier entry")
-    constraints = []
-    for pair in store:
-        sides = (formula(pair[0], "constraint"), formula(pair[1], "constraint"))
-        for side in sides:  # ``close`` stores atom pairs; no closure stores more than literals
-            if type(side) is not Atom and (type(side) is not Not or type(side.body) is not Atom):
-                raise FormatError(f"constraint side {print_formula(side)} is not a literal")
-        constraints.append(Constraint(*sides))
-    return ClosedTableau(nodes[root], ConstraintStore(tuple(constraints)), bindings)
+    constraints = [Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
+                   for lhs, rhs in store]
+    if constraints != closure_constraints(nodes[root]):
+        raise FormatError("store is not the closure pairs in preorder")
+    return ClosedTableau(nodes[root], bindings)
 
 
 def _rule_from_table(raw, table: Table) -> RuleInstance:
@@ -760,7 +764,7 @@ def render_tableau(ct: ClosedTableau) -> str:
             lines.append(indent + "-- " + label(node.rule))
 
     lines.append("store: " + ("; ".join(
-        f"{print_formula(c.lhs)} = {print_formula(c.rhs)}" for c in ct.store.constraints
+        f"{print_formula(lhs)} = {print_formula(rhs)}" for lhs, rhs in closure_constraints(ct.root)
     ) or "(empty)"))
     lines.append("unifier: " + (", ".join(
         sorted(f"{n} := {print_term(t)}" for n, t in ct.unifier.items())

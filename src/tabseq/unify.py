@@ -7,6 +7,7 @@ with ``formula.apply_subst``; a constraint is a pair of literals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping, NamedTuple
 
 from .formula import App, Atom, Formula, Meta, Not, Term, apply_subst, free_metas, is_subterm
@@ -139,26 +140,16 @@ def groundify(
     fresh constant ``k1, k2, ...`` (skipping names in ``avoid``).  The
     result subsumes ``sigma``.
     """
-    taken = set(avoid)
-    counter = 0
-
-    def fresh() -> App:
-        nonlocal counter
-        while True:
-            counter += 1
-            name = f"k{counter}"
-            if name not in taken:
-                taken.add(name)
-                return App(name, ())
-
+    avoid = set(avoid)
+    constants = (App(name, ()) for name in map("k{}".format, count(1)) if name not in avoid)
     kappa: dict[str, Term] = {}
     for name in sorted(sigma):
         for m in free_metas(sigma[name]):
             if m.name not in kappa:
-                kappa[m.name] = fresh()
+                kappa[m.name] = next(constants)
     for m in metas:
         if m.name not in sigma and m.name not in kappa:
-            kappa[m.name] = fresh()
+            kappa[m.name] = next(constants)
 
     out = {name: apply_subst(kappa, t) for name, t in sigma.items()}
     out.update(kappa)

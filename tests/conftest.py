@@ -199,9 +199,9 @@ def rule_kinds(root) -> list[str]:
 def tableau_shape(ct) -> tuple:
     """What a closed tableau holds, for comparing two copies, since tableau
     nodes compare by identity: each node's path, formulas, rule and closed
-    flag in preorder, the store and the unifier."""
+    flag in preorder, and the unifier."""
     return ([(p, n.formulas, n.rule, n.closed) for p, n in iter_nodes(ct.root)],
-            ct.store, ct.unifier)
+            ct.unifier)
 
 
 def spine_rule_names(root, *, coalesce_weaken: bool = False) -> list[str]:

@@ -11,6 +11,7 @@ from tabseq.problems import corpus, growth_goal
 from tabseq.tableau import (
     ClosedTableau,
     audit_closed_tableau,
+    closure_constraints,
     iter_nodes,
     prove,
     rule_count,
@@ -31,8 +32,7 @@ def test_acceptance_1_drinker_reproduction():
     alpha_node = node_at(ct.root, (0,))
     assert print_formula(alpha_node.rule.principal).startswith("(~(D(")
 
-    assert len(ct.store) == 1
-    constraint = ct.store.constraints[0]
+    (constraint,) = closure_constraints(ct.root)
     assert isinstance(constraint.lhs, Atom) and constraint.lhs.predicate == "D"
     (meta,) = constraint.lhs.args
     assert isinstance(meta, Meta)

@@ -14,7 +14,7 @@ from tabseq import gs3
 from tabseq.cli import main
 from tabseq.formula import MAX_DEPTH, Not, parse, print_formula
 from tabseq.gs3 import proof_from_json
-from tabseq.problems import growth_goal
+from tabseq.problems import HAND_GOALS, growth_goal
 from tabseq.tableau import (
     CLOSURE,
     AuditError,
@@ -22,10 +22,10 @@ from tabseq.tableau import (
     RuleInstance,
     TableauNode,
     audit_closed_tableau,
+    closure_constraints,
     tableau_from_json,
     tableau_to_json,
 )
-from tabseq.unify import ConstraintStore
 
 from conftest import run_upgrade
 
@@ -55,7 +55,7 @@ class TestProve:
         seq = tmp_path / "drinker.gs3"
         assert tab.exists() and seq.exists()
         ct = tableau_from_json(tab.read_text(encoding="utf-8"))
-        assert len(ct.store) == 1
+        assert len(closure_constraints(ct.root)) == 1
         proof = proof_from_json(seq.read_text(encoding="utf-8"))
         assert gs3.check(proof).accepted
 
@@ -126,6 +126,11 @@ class TestProve:
 
     def test_bad_limits_exit_two(self, drinker_file):
         assert run_cli(["prove", str(drinker_file), "--gamma-limit", "0"]) == 2
+
+    def test_a_gamma_limit_beyond_any_index_proves(self, drinker_file, capsys):
+        limit = "99999999999999999999"
+        assert run_cli(["prove", str(drinker_file), "--negate", "--gamma-limit", limit]) == 0
+        assert "proved with 4 tableau rules" in capsys.readouterr().out
 
     def test_depth_limit_below_one_exits_two(self, drinker_file, capsys):
         assert run_cli(["prove", str(drinker_file), "--depth-limit", "0"]) == 2
@@ -205,8 +210,8 @@ class TestTranslate:
         assert run_cli(["translate", str(tab)]) == 2
 
     def test_a_store_side_that_is_no_literal_exits_two(self, tmp_path, drinker_file, capsys):
-        # The audit's solve would refuse a quantified side only as an error
-        # without the path; the reader refuses every side that is no literal.
+        # The store is the closure pairs in preorder, so the reader refuses
+        # an extra pair, whatever its sides, with the path.
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
         tab = tmp_path / "drinker.tab"
         record = json.loads(tab.read_text(encoding="utf-8"))
@@ -216,9 +221,45 @@ class TestTranslate:
         capsys.readouterr()
         assert run_cli(["translate", str(tab)]) == 2
         assert capsys.readouterr().err == (
-            f"{tab}: malformed tableau proof: constraint side "
-            f"{print_formula(Not(parse(DRINKER)))} is not a literal\n")
+            f"{tab}: malformed tableau proof: store is not the closure pairs in preorder\n")
         assert not (tmp_path / "drinker.gs3").exists()
+
+    @pytest.mark.parametrize("forgery", {
+        "pairs reordered": lambda store: store[::-1],
+        "a pair lacking": lambda store: store[:-1],
+        "an extra pair": lambda store: store + store[:1],
+        "sides swapped": lambda store: [store[0][::-1], *store[1:]],
+    }.items(), ids=lambda item: item[0])
+    def test_a_store_that_is_not_the_closure_pairs_exits_two(self, tmp_path, capsys, forgery):
+        # drinker-under-or closes three branches, each on two distinct sides.
+        goal = tmp_path / "under-or.p"
+        goal.write_text(dict(HAND_GOALS)["drinker-under-or"] + "\n", encoding="utf-8")
+        assert run_cli(["prove", str(goal), "--negate", "--emit", "tableau"]) == 0
+        tab = tmp_path / "under-or.tab"
+        record = json.loads(tab.read_text(encoding="utf-8"))
+        assert len(record["store"]) == 3
+        _, forge = forgery
+        record["store"] = forge(record["store"])
+        tab.write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["translate", str(tab)]) == 2
+        assert capsys.readouterr().err == (
+            f"{tab}: malformed tableau proof: store is not the closure pairs in preorder\n")
+        assert not (tmp_path / "under-or.gs3").exists()
+
+    @pytest.mark.parametrize("pair", ["P(a), P(a)", "P(a), ~~P(a)", "P(a) & P(a), ~P(a)"])
+    def test_a_closure_pair_that_is_no_literal_pair_fails_the_audit(self, tmp_path, capsys,
+                                                                    pair):
+        # The writer derives the store from such a pair too, so the file
+        # reads back and the audit refuses the pair.
+        pos, neg = map(parse, pair.split(", "))
+        root = TableauNode((pos, neg), RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg)))
+        root.children = (TableauNode(root.formulas, closed=True),)
+        tab = tmp_path / "forged.tab"
+        tab.write_text(tableau_to_json(ClosedTableau(root, {})), encoding="utf-8")
+        assert run_cli(["translate", str(tab)]) == 2
+        assert capsys.readouterr().err == (f"{tab}: malformed tableau proof: closure pair is not "
+                                           "an atom and a negated atom at (root)\n")
 
     def test_alpha_rule_with_an_extra_introduced_formula_exits_two(self, tmp_path, capsys):
         # The alpha rule on P & Q introduces P, Q and S, and S is in its
@@ -231,7 +272,7 @@ class TestTranslate:
         root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
         tab = tmp_path / "forged.tab"
         tab.write_text(tableau_to_json(ClosedTableau(
-            root, ConstraintStore(), {})), encoding="utf-8")
+            root, {})), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "
@@ -251,7 +292,7 @@ class TestTranslate:
             where = "000"
         else:
             ct = ClosedTableau(TableauNode((parse("~(P | ~P)"),), closed=True),
-                               ConstraintStore(), {})
+                               {})
             where = "(root)"
         message = f"closed leaf {where} is not the child of a closure rule"
         with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
@@ -587,6 +628,19 @@ class TestMalformedFields:
         err = capsys.readouterr().err
         assert "malformed tableau proof" in err and "Traceback" not in err
         self.assert_upgrade_refuses(tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("store", [[["D(sko1)", "D(X1)"]], [], [["D(X1)", "D(sko1)"]] * 2])
+    def test_a_store_that_contradicts_the_tree_is_not_upgraded(self, tmp_path, capsys, store):
+        # The upgraded file's store is derived from the tree, so this one
+        # would be lost without a word.
+        path = self.mutated(tmp_path, ".tab", set_top("store", store))
+        out = tmp_path / "upgraded"
+        assert run_upgrade([str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"{path}: cannot upgrade: ValueError: the store is "
+                                           "not the closure pairs in preorder\n")
+        assert not out.exists()
+        self.mutated(tmp_path, ".tab", lambda record: None)
+        assert run_upgrade([str(path), "--out", str(out)]) == 0
 
 
 class TestDeepInputs:

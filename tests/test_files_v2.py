@@ -747,7 +747,7 @@ def test_read_back_formulas_print_and_parse_back():
     for name, goal in corpus() + generated_goals(50, 0):
         ct = proved(goal)
         back = tableau_from_json(tableau_to_json(ct))
-        formulas = {side for c in back.store.constraints for side in (c.lhs, c.rhs)}
+        formulas = {side for c in tableau.closure_constraints(back.root) for side in c}
         for _, node in tableau.iter_nodes(back.root):
             formulas.update(node.formulas)
             if node.rule is not None:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tabseq import tableau
+from tabseq import gs3, tableau
 from tabseq.formula import (
     App,
     Atom,
@@ -20,7 +20,7 @@ from tabseq.formula import (
     symbols_of,
 )
 from tabseq.gs3 import RULE_GROUPS, GsProof, GsRule, rule_name
-from tabseq.problems import corpus
+from tabseq.problems import HAND_GOALS, corpus
 from tabseq.tableau import (
     CLOSURE,
     AuditError,
@@ -33,6 +33,7 @@ from tabseq.tableau import (
     TableauNode,
     audit_closed_tableau,
     close,
+    closure_constraints,
     expand,
     iter_nodes,
     open_leaves,
@@ -42,6 +43,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
+from tabseq.translate import translate
 from tabseq.unify import Constraint, ConstraintStore, groundify, solve
 
 from conftest import node_at, rule_kinds
@@ -170,9 +172,8 @@ class TestProve:
         ct = prove([parse(DRINKER_NEG)])
         assert isinstance(ct, ClosedTableau)
         assert rule_kinds(ct.root) == ["gamma", "alpha", "delta", "closure"]
-        # final store is the single constraint D(X) = D(c)
-        assert len(ct.store) == 1
-        c = ct.store.constraints[0]
+        # the single closure pair gives the constraint D(X) = D(c)
+        (c,) = closure_constraints(ct.root)
         assert c.lhs == Atom("D", (Meta("X1"),))
         assert c.rhs == Atom("D", (App("sko1", ()),))
         assert ct.unifier == {"X1": App("sko1", ())}
@@ -198,6 +199,17 @@ class TestProve:
         )
         assert isinstance(prove([goal], gamma_limit=1), Exhausted)
         assert isinstance(prove([goal], gamma_limit=2), ClosedTableau)
+
+    def test_a_gamma_limit_beyond_any_index_changes_no_tableau(self):
+        """Gamma buckets are made as a formula's uses reach them, so a limit
+        no tuple could be that long neither fails nor costs a step: goals
+        that close within two uses get the same tableau, and a branch that
+        never closes stops at the depth limit."""
+        for name, goal in corpus(200, 3):
+            low = prove([Not(goal)])
+            assert tableau_to_json(prove([Not(goal)], gamma_limit=10**20)) == tableau_to_json(low), name
+        endless = parse("~((forall x. (P(x) => P(f(x)))) => (P(a) => P(f(f(a)))))")
+        assert prove([endless], gamma_limit=10**20, depth_limit=30).reason == "depth limit reached"
 
     def test_limits_validated(self):
         with pytest.raises(ValueError):
@@ -334,7 +346,59 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
         for child, extra in zip(reversed(node.children), reversed(node.rule.introduced)):
             pending.append((child, depth + 1, child_uses, extra))
     metas.update(dict.fromkeys(gamma_metas))
-    return ClosedTableau(root, store, groundify(solve(store), metas, symbols))
+    return ClosedTableau(root, groundify(solve(store), metas, symbols))
+
+
+def close_rightmost_first(formulas, gamma_limit=2, max_steps=200):
+    """A tree of ``formulas`` closed with ``expand`` and ``close`` on the
+    rightmost open leaf first, the reverse of ``prove``'s order: a leaf
+    closes on its first candidate pair the store accepts, or else expands
+    its least used formula, alpha before delta before beta before gamma and
+    the oldest first, each gamma formula at most ``gamma_limit`` times on a
+    branch.  Returns the root and the store in the order the leaves closed."""
+    priority = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
+    names = NameSupply(set().union(*map(symbols_of, formulas)))
+    root = TableauNode(tuple(formulas))
+    store = ConstraintStore()
+    pending = [(root, {})]  # each open leaf with its branch's uses, rightmost last
+    for _ in range(max_steps):
+        if not pending:
+            return root, store
+        node, uses = pending.pop()
+        closed = next(filter(None, (close(node, store, pos, neg)
+                                    for pos, neg in old_order_pairs(node.formulas))), None)
+        if closed is not None:
+            store = closed
+            continue
+        candidates = []
+        for index, f in enumerate(node.formulas):
+            kind = RULE_GROUPS.get(rule_name(f))
+            if kind is not None and uses.get(f, 0) < (gamma_limit if kind == "gamma" else 1):
+                candidates.append(((priority[kind], uses.get(f, 0), index), f))
+        principal = min(candidates)[1]
+        expand(node, principal, names)
+        child_uses = {**uses, principal: uses.get(principal, 0) + 1}
+        pending.extend((child, child_uses) for child in node.children)
+    raise AssertionError(f"not closed in {max_steps} steps")
+
+
+@pytest.mark.parametrize("name", ["drinker-under-or", "nested-skolem"])
+def test_a_tableau_closed_rightmost_leaf_first_is_grounded_and_accepted(name):
+    """``ground`` reads the unifier off the tree alone, so a tree closed in
+    another order than ``prove``'s passes the audit, the audited
+    translation and the checker, also after a write and read-back."""
+    goal = Not(parse(dict(HAND_GOALS)[name]))
+    root, store = close_rightmost_first([goal])
+    ct = tableau.ground(root)
+    if name == "drinker-under-or":
+        # Three branches, closed right to left: the store the leaves built
+        # is the reverse of the closure pairs in preorder.
+        assert list(store.constraints) == closure_constraints(root)[::-1]
+        assert tableau_to_json(ct) != tableau_to_json(prove([goal]))
+    audit_closed_tableau(ct)
+    assert gs3.check(translate(ct)).accepted
+    back = tableau_from_json(tableau_to_json(ct))
+    assert gs3.check(translate(back)).accepted
 
 
 def refusal_goal(seed: int) -> list:
@@ -529,7 +593,7 @@ def double_negation_chain(depth: int) -> ClosedTableau:
         node = child
     node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(p, np))
     node.children = (TableauNode(formulas, closed=True),)
-    return ClosedTableau(root, ConstraintStore(), {})
+    return ClosedTableau(root, {})
 
 
 class TestAudit:
@@ -662,9 +726,8 @@ class TestAuditRefusals:
                      "unifier range for X1 contains a metavariable")
 
     def test_unifier_that_does_not_equate_a_closure_pair(self):
-        # An empty store, so that no stored constraint is refused first.
         ct, _ = self.drinker("gamma")
-        self.refused(dataclasses.replace(ct, store=ConstraintStore(), unifier={"X1": const("c")}),
+        self.refused(dataclasses.replace(ct, unifier={"X1": const("c")}),
                      "unifier does not equate closure pair at 000")
 
 

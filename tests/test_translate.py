@@ -30,7 +30,6 @@ from tabseq.translate import (
     translate_detailed,
 )
 from tabseq.tree import postorder
-from tabseq.unify import ConstraintStore
 
 from conftest import PathError, builder_records, node_at, rule_names, spine_rule_names
 
@@ -275,7 +274,7 @@ def graft(theta: GsProof, B, sko: App, delta_formula, principal):
     graft has touched yet, with the state a translation would pass.  Returns
     the bilink as {leaf path: path of the leaf of theta it is linked to},
     and the paths of the held leaves."""
-    empty = ClosedTableau(TableauNode(()), ConstraintStore(), {})
+    empty = ClosedTableau(TableauNode(()), {})
     builder = _Builder(empty)
     builder.proof, builder.ranks = theta, {sko: 1}
     builder.nodes, builder.formulas, builder.witnesses = builder_records(theta)
