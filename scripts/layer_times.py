@@ -14,6 +14,10 @@ The last column gives the ``.gs3`` and ``.tab`` sizes in bytes.  Inputs:
 - wide n=30, n=60 and n=120: ``(P0 & ... & Pn-1) => (P0 & ... & Pn-1)``,
   proved with ``depth_limit=1000``, one long branch of long sequents; the
   three rows show how each stage grows as n doubles;
+- balanced wide n=240, n=480 and n=960: ``bal(0..n) => bal(0..n)``, with
+  ``bal(0..n)`` the balanced ``&``-tree of ``P0 ... Pn-1``, proved with
+  ``depth_limit=2000``: n closures on branches of about n formulas each,
+  so the rows show how ``prove`` grows with many closures;
 - ``problems.deep_tableau(n)`` for n=1,100, 2,200 and 4,400: one branch of
   n gamma steps, given as a tableau, so it has no goal to parse or print
   and no prove time; a layer whose cost is linear in the proof's height
@@ -54,6 +58,16 @@ def inputs():
         goal = parse(f"({conj}) => ({conj})")
         return f"wide n={n}", goal, lambda: prove([Not(goal)], depth_limit=1000)
 
+    def bal(lo: int, hi: int) -> str:
+        if hi - lo == 1:
+            return f"P{lo}"
+        mid = (lo + hi) // 2
+        return f"({bal(lo, mid)} & {bal(mid, hi)})"
+
+    def balanced(n: int):
+        goal = parse(f"{bal(0, n)} => {bal(0, n)}")
+        return f"balanced n={n}", goal, lambda: prove([Not(goal)], depth_limit=2000)
+
     def deep(n: int):
         return f"deep_tableau({n})", None, lambda: deep_tableau(n)
 
@@ -63,6 +77,9 @@ def inputs():
         wide(30),
         wide(60),
         wide(120),
+        balanced(240),
+        balanced(480),
+        balanced(960),
         deep(1100),
         deep(2200),
         deep(4400),

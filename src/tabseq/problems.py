@@ -10,7 +10,6 @@ import random
 
 from .formula import And, App, Atom, Forall, Formula, Meta, Not, Var, parse, print_formula
 from .tableau import ClosedTableau, NameSupply, TableauNode, close, expand
-from .unify import ConstraintStore
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -144,6 +143,6 @@ def deep_tableau(steps: int) -> ClosedTableau:
     for _ in range(steps):
         expand(node, forall_p, names)
         (node,) = node.children
-    close(node, ConstraintStore(), Atom("P", (Meta("X1"),)), Not(p_a))
+    close(node, {}, Atom("P", (Meta("X1"),)), Not(p_a))
     unifier = {f"X{i}": App("a", ()) for i in range(1, steps + 1)}
     return ClosedTableau(root, unifier)

@@ -43,14 +43,15 @@ from .tree import (
     postorder,
     preorder,
 )
-from .unify import Constraint, ConstraintStore, consistent, groundify, solve
+from .unify import Constraint, groundify, solve
 
-# Nothing here calls ``parse``, ``parse_term`` or ``replace_at``.  They stay
-# bound in this module because the benchmark's tracer (``WRAPPED`` in
-# ``perfbench/spans.py``) looks each of them up here by name, and a traced
-# run fails on a missing one.
+# Nothing here calls ``parse``, ``parse_term``, ``replace_at`` or
+# ``consistent``.  They stay bound in this module because the benchmark's
+# tracer (``WRAPPED`` in ``perfbench/spans.py``) looks each of them up here
+# by name, and a traced run fails on a missing one.
 from .formula import parse, parse_term
 from .tree import replace_at
+from .unify import consistent
 
 CLOSURE = "closure"
 
@@ -171,8 +172,8 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     The leaf is extended in place.  Children receive the leaf's multiset
     plus the formulas the sequent rule of the same name adds to each
     premise, its witness being a fresh metavariable (gamma) or a Skolem
-    term over the principal's metavariables (delta); the constraint store
-    is untouched by expansions.
+    term over the principal's metavariables (delta).  No expansion binds
+    a metavariable, so the search's unifier is untouched.
     """
     if node.closed:
         raise TableauError("leaf is closed")
@@ -202,13 +203,15 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     node.children = tuple([TableauNode(formulas + extra) for extra in intro])
 
 
-def close(node: TableauNode, store: ConstraintStore, pos: Formula,
-          neg: Formula) -> ConstraintStore | None:
+def close(node: TableauNode, sigma: dict[str, Term], pos: Formula,
+          neg: Formula) -> dict[str, Term] | None:
     """Close an open leaf on the complementary pair (pos, neg).
 
-    Adds the constraint ``pos = neg'`` (neg being ``~neg'``) and closes the
-    leaf in place, returning the extended store, or returns None (refused,
-    nothing changed) when the constraint is inconsistent with ``store``.
+    Solves the constraint ``pos = neg'`` (neg being ``~neg'``) under the
+    unifier ``sigma`` and closes the leaf in place, returning the extended
+    unifier, or returns None (refused, nothing changed) when the pair has
+    no unifier that extends ``sigma``.  ``sigma`` is never altered; it is
+    the result itself when the pair binds nothing.
     """
     if node.closed or node.rule is not None:
         raise TableauError("node is not an open leaf")
@@ -221,12 +224,12 @@ def close(node: TableauNode, store: ConstraintStore, pos: Formula,
     if pos.predicate != neg.body.predicate or len(pos.args) != len(neg.body.args):
         raise TableauError("closure pair predicates do not match")
 
-    c = Constraint(pos, neg.body)
-    if not consistent(store, [c]):
+    sigma = solve([Constraint(pos, neg.body)], sigma)
+    if sigma is None:
         return None
     node.rule = RuleInstance(CLOSURE, None, ((),), None, None, (pos, neg))
     node.children = (TableauNode(node.formulas, None, (), True),)
-    return store.add(c)
+    return sigma
 
 
 # ------------------------------------------------------------------ search
@@ -330,18 +333,18 @@ def prove(
     preferring alpha > delta > beta > gamma and, within a class, the least
     used and then the oldest occurrence.  Each gamma formula may be
     re-instantiated up to ``gamma_limit`` times per branch; a branch longer
-    than ``depth_limit`` exhausts the search.  Every closure is checked
-    against the whole constraint store, so the store stays satisfiable;
-    the store carries its unifier, so the check unifies only the new pair
-    under it (incremental closure, Giese 2001).  The store is search state
-    only: the ground unifier of the closed tree is found by ``ground``.
+    than ``depth_limit`` exhausts the search.  The search's only closure
+    state is the most general unifier of the closures made so far, a dict:
+    a closure must extend it, and unifies only its new pair under it
+    (incremental closure, Giese 2001).  The ground unifier of the closed
+    tree is found by ``ground``.
 
     A leaf tries only the candidates that contain a literal its rule
     introduced, in the order of a scan of all its formulas.  Every other
     candidate is made of its parent's formulas, so the parent tried it and
-    the store refused it; the store has only grown since, and a
-    constraint inconsistent with a store is inconsistent with every
-    larger one.
+    no unifier extending the parent's unifier equated it; the unifier has
+    only been extended since, and a pair that no extension of a unifier
+    equates is equated by no extension of a larger one.
 
     The principal is read off the branch's buckets, not found by a scan of
     the leaf: per class, and for gamma per number of uses, the branch's
@@ -351,9 +354,9 @@ def prove(
     A formula that a rule introduces on a branch that already holds it
     enters neither the literal index nor the buckets.  A pair a repeated
     literal would make is one its first occurrence makes, and that pair is
-    tried first: at the same leaf, or at an ancestor whose store refused
-    it.  A repeated expandable formula never ranks before its first
-    occurrence, and is used up with it.
+    tried first: at the same leaf, or at an ancestor that refused it.  A
+    repeated expandable formula never ranks before its first occurrence,
+    and is used up with it.
     """
     if gamma_limit < 1:
         raise ValueError("gamma_limit must be at least 1")
@@ -364,7 +367,7 @@ def prove(
     names = NameSupply(set().union(*map(symbols_of, gamma)))
 
     root = TableauNode(gamma)
-    store = ConstraintStore()
+    sigma: dict[str, Term] = {}
     steps = 0
     # Per distinct formula: its priority if it can be expanded, None for a
     # literal.
@@ -398,11 +401,11 @@ def prove(
             literals = _extend_index(literals, atoms, negated)
             closed = None
             for pos, neg in _new_closure_pairs(literals, start, atoms, negated):
-                closed = close(node, store, pos, neg)
+                closed = close(node, sigma, pos, neg)
                 if closed is not None:
                     break
             if closed is not None:
-                store = closed
+                sigma = closed
                 steps += 1
                 continue
 
@@ -446,7 +449,7 @@ def ground(root: TableauNode) -> ClosedTableau:
             body = Not(q.body.body) if type(q) is Not else q.body
             (vacuous if rule.introduced[0][0] == body else metas)[rule.meta] = None
         stack += node.children[::-1]
-    sigma = solve(ConstraintStore(tuple(constraints)))
+    sigma = solve(constraints)
     if sigma is None:
         raise TableauError("closure constraints are globally unsatisfiable")
     metas.update(vacuous)
@@ -464,9 +467,9 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     closed node the only child of a closure rule, each child multiset equal
     to its parent plus the introduced formulas (non-destructivity), the
     introduced formulas the decomposition of the principal by its rule,
-    rule labels consistent with the recorded children, Skolem symbols
-    unused before their introduction, and the unifier ground and equating
-    every closure pair.
+    rule labels consistent with the recorded children, a closure pair on
+    closure rules only, Skolem symbols unused before their introduction,
+    and the unifier ground and equating every closure pair.
     """
     def at(node: TableauNode) -> str:
         return path_of(ct.root, node)
@@ -496,18 +499,19 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         rule = node.rule
         if len(node.children) != len(rule.introduced):
             raise AuditError(f"child count mismatch at {at(node)}")
-        if rule.closure_pair is not None:
-            pos, neg = rule.closure_pair
-            if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
-                raise AuditError(f"closure pair is not an atom and a negated atom at {at(node)}")
         if rule.kind == CLOSURE:
             if rule.closure_pair is None:
                 raise AuditError(f"closure without pair at {at(node)}")
+            pos, neg = rule.closure_pair
+            if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
+                raise AuditError(f"closure pair is not an atom and a negated atom at {at(node)}")
             if pos not in node.formulas or neg not in node.formulas:
                 raise AuditError(f"closure pair absent at {at(node)}")
             if len(node.children) != 1 or not node.children[0].closed:
                 raise AuditError(f"closure child not closed at {at(node)}")
         else:
+            if rule.closure_pair is not None:
+                raise AuditError(f"{rule.kind} rule carries a closure pair at {at(node)}")
             if rule.principal is None or rule.principal not in node.formulas:
                 raise AuditError(f"principal absent at {at(node)}")
             if rule.kind == "delta" and rule.skolem is None:

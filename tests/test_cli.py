@@ -261,6 +261,18 @@ class TestTranslate:
         assert capsys.readouterr().err == (f"{tab}: malformed tableau proof: closure pair is not "
                                            "an atom and a negated atom at (root)\n")
 
+    def test_a_closure_pair_on_a_gamma_rule_exits_two(self, tmp_path, capsys):
+        # The drinker tableau with its closure's pair copied onto the root
+        # gamma rule: the file lists both pairs in its store, so it reads
+        # back, and the audit refuses it.
+        tab = Path(__file__).resolve().parent / "fixtures" / "v3" / "closure-pair-on-gamma.tab"
+        assert len(json.loads(tab.read_text(encoding="utf-8"))["store"]) == 2
+        out = tmp_path / "forged.gs3"
+        assert run_cli(["translate", str(tab), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"{tab}: malformed tableau proof: gamma rule carries a closure pair at (root)\n")
+        assert not out.exists()
+
     def test_alpha_rule_with_an_extra_introduced_formula_exits_two(self, tmp_path, capsys):
         # The alpha rule on P & Q introduces P, Q and S, and S is in its
         # child too, so every child is its parent plus the introduced

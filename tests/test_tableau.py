@@ -44,7 +44,7 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 from tabseq.translate import translate
-from tabseq.unify import Constraint, ConstraintStore, groundify, solve
+from tabseq.unify import Constraint, groundify, solve
 
 from conftest import node_at, rule_kinds
 
@@ -126,43 +126,43 @@ class TestClose:
         pos = Atom("D", (Meta("X"),))
         neg = Not(Atom("D", (const("c"),)))
         root = TableauNode((pos, neg))
-        store = close(root, ConstraintStore(), pos, neg)
-        assert store is not None
+        sigma = close(root, {}, pos, neg)
+        assert sigma == {"X": const("c")}
         assert root.rule.kind == "closure"
         assert root.rule.closure_pair == (pos, neg)
         assert node_at(root, (0,)).closed
-        assert len(store) == 1
+        assert closure_constraints(root) == [Constraint(pos, neg.body)]
 
     def test_ground_identical_literals(self):
         pos, neg = Atom("P", ()), Not(Atom("P", ()))
-        result = close(TableauNode((pos, neg)), ConstraintStore(), pos, neg)
-        assert result is not None
+        sigma = {"X": const("a")}
+        assert close(TableauNode((pos, neg)), sigma, pos, neg) is sigma
 
     def test_constant_clash_refused(self):
         pos = Atom("P", (const("a"),))
         neg = Not(Atom("P", (const("b"),)))
-        result = close(TableauNode((pos, neg)), ConstraintStore(), pos, neg)
+        result = close(TableauNode((pos, neg)), {}, pos, neg)
         assert result is None
 
     def test_refusal_leaves_store_untouched(self):
-        store = ConstraintStore()
-        pos = Atom("P", (const("a"),))
+        sigma = {"X": const("a")}
+        pos = Atom("P", (Meta("X"),))
         neg = Not(Atom("P", (const("b"),)))
-        close(TableauNode((pos, neg)), store, pos, neg)
-        assert len(store) == 0
+        assert close(TableauNode((pos, neg)), sigma, pos, neg) is None
+        assert sigma == {"X": const("a")}
 
     def test_refusal_leaves_the_leaf_open(self):
         pos = Atom("P", (const("a"),))
         neg = Not(Atom("P", (const("b"),)))
         root = TableauNode((pos, neg))
-        assert close(root, ConstraintStore(), pos, neg) is None
+        assert close(root, {}, pos, neg) is None
         assert root.is_open_leaf and root.rule is None
         assert open_leaves(root) == [()]
 
     def test_closes_the_leaf_in_place(self):
         pos, neg = Atom("P", ()), Not(Atom("P", ()))
         root = TableauNode((pos, neg))
-        assert close(root, ConstraintStore(), pos, neg) is not None
+        assert close(root, {}, pos, neg) == {}
         assert root.rule.kind == "closure"
         assert open_leaves(root) == []
 
@@ -242,7 +242,7 @@ class TestProve:
 
     def test_refused_closure_leaves_room_for_a_consistent_one(self):
         # Closing the ~Q(X1) branch binds X1 to a; the ~R(X1) branch must
-        # then refuse R(b), which clashes with the store, and close on R(a).
+        # then refuse R(b), which clashes with that binding, and close on R(a).
         gamma = [
             parse("Q(a)"),
             parse("R(b)"),
@@ -285,9 +285,10 @@ def old_order_pairs(formulas):
 
 def reference_close(node, store, pos, neg):
     """``close`` as it was first written: the leaf closes if a solve of
-    the whole store, with the pair's constraint added, finds a unifier.
-    It reads no unifier that the store carries."""
-    grown = ConstraintStore(store.constraints + (Constraint(pos, neg.body),))
+    the whole list of closure constraints ``store``, with the pair's
+    constraint added, finds a unifier.  It keeps no unifier between
+    closures, and returns the grown list."""
+    grown = store + [Constraint(pos, neg.body)]
     if solve(grown) is None:
         return None
     node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
@@ -308,7 +309,7 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
         symbols |= symbols_of(f)
     names = NameSupply(symbols)
     root = TableauNode(gamma)
-    store = ConstraintStore()
+    store = []
     steps = 0
     metas, gamma_metas = {}, []
     pending = [(root, 0, {}, gamma)]
@@ -352,23 +353,29 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
 def close_rightmost_first(formulas, gamma_limit=2, max_steps=200):
     """A tree of ``formulas`` closed with ``expand`` and ``close`` on the
     rightmost open leaf first, the reverse of ``prove``'s order: a leaf
-    closes on its first candidate pair the store accepts, or else expands
-    its least used formula, alpha before delta before beta before gamma and
-    the oldest first, each gamma formula at most ``gamma_limit`` times on a
-    branch.  Returns the root and the store in the order the leaves closed."""
+    closes on its first candidate pair that ``close`` accepts under the
+    unifier of the closures before it, or else expands its least used
+    formula, alpha before delta before beta before gamma and the oldest
+    first, each gamma formula at most ``gamma_limit`` times on a branch.
+    Returns the root and the closure constraints in the order the leaves
+    closed."""
     priority = {"alpha": 0, "delta": 1, "beta": 2, "gamma": 3}
     names = NameSupply(set().union(*map(symbols_of, formulas)))
     root = TableauNode(tuple(formulas))
-    store = ConstraintStore()
+    sigma, store = {}, []
     pending = [(root, {})]  # each open leaf with its branch's uses, rightmost last
     for _ in range(max_steps):
         if not pending:
             return root, store
         node, uses = pending.pop()
-        closed = next(filter(None, (close(node, store, pos, neg)
-                                    for pos, neg in old_order_pairs(node.formulas))), None)
+        closed = None
+        for pos, neg in old_order_pairs(node.formulas):
+            closed = close(node, sigma, pos, neg)
+            if closed is not None:
+                sigma = closed
+                store.append(Constraint(pos, neg.body))
+                break
         if closed is not None:
-            store = closed
             continue
         candidates = []
         for index, f in enumerate(node.formulas):
@@ -393,7 +400,7 @@ def test_a_tableau_closed_rightmost_leaf_first_is_grounded_and_accepted(name):
     if name == "drinker-under-or":
         # Three branches, closed right to left: the store the leaves built
         # is the reverse of the closure pairs in preorder.
-        assert list(store.constraints) == closure_constraints(root)[::-1]
+        assert store == closure_constraints(root)[::-1]
         assert tableau_to_json(ct) != tableau_to_json(prove([goal]))
     audit_closed_tableau(ct)
     assert gs3.check(translate(ct)).accepted
@@ -417,21 +424,23 @@ def refusal_goal(seed: int) -> list:
 
 
 class TestClosureCandidates:
-    def test_consistent_runs_once_per_closure_on_wide_40(self, monkeypatch):
-        calls = []
-        real = tableau.consistent
-        monkeypatch.setattr(tableau, "consistent",
-                            lambda store, extra: calls.append(1) or real(store, extra))
+    def test_solve_runs_once_per_closure_and_in_ground_on_wide_40(self, monkeypatch):
+        solved, closes = [], []
+        real_solve, real_close = tableau.solve, tableau.close
+        monkeypatch.setattr(tableau, "solve", lambda constraints, sigma=None: (
+            solved.append(1) or real_solve(constraints, sigma)))
+        monkeypatch.setattr(tableau, "close", lambda node, sigma, pos, neg: (
+            closes.append(1) or real_close(node, sigma, pos, neg)))
         ct = prove([wide(40)])
         assert isinstance(ct, ClosedTableau)
-        assert closure_count(ct) == 40
-        assert len(calls) == closure_count(ct)
+        assert closure_count(ct) == 40 and len(closes) == 40
+        assert len(solved) == len(closes) + 1
 
     def test_a_leaf_tries_only_pairs_with_a_literal_its_rule_introduced(self, monkeypatch):
         tried = []
         real = tableau.close
-        monkeypatch.setattr(tableau, "close", lambda node, store, pos, neg: (
-            tried.append((node, pos, neg)) or real(node, store, pos, neg)))
+        monkeypatch.setattr(tableau, "close", lambda node, sigma, pos, neg: (
+            tried.append((node, pos, neg)) or real(node, sigma, pos, neg)))
         inputs = [[Not(goal)] for _, goal in corpus()] + [refusal_goal(s) for s in range(10)]
         for formulas in inputs:
             tried.clear()
@@ -448,8 +457,14 @@ class TestClosureCandidates:
     def test_refused_pairs_left_on_the_branch_change_no_outcome(self, monkeypatch):
         refused_at = []
         real = tableau.close
-        monkeypatch.setattr(tableau, "close", lambda node, store, pos, neg: (
-            real(node, store, pos, neg) or refused_at.append(node)))
+
+        def spy(node, sigma, pos, neg):
+            extended = real(node, sigma, pos, neg)
+            if extended is None:
+                refused_at.append(node)
+            return extended
+
+        monkeypatch.setattr(tableau, "close", spy)
         expanded_after_refusal = 0
         for seed in range(60):
             formulas = refusal_goal(seed)
@@ -729,6 +744,13 @@ class TestAuditRefusals:
         ct, _ = self.drinker("gamma")
         self.refused(dataclasses.replace(ct, unifier={"X1": const("c")}),
                      "unifier does not equate closure pair at 000")
+
+    def test_closure_pair_on_a_rule_that_is_no_closure(self):
+        # The closure's own pair on the root gamma rule: the pair is there
+        # and the unifier equates it, so only the rule class is wrong.
+        ct, closure = self.drinker(CLOSURE)
+        ct.root.rule = ct.root.rule._replace(closure_pair=closure.rule.closure_pair)
+        self.refused(ct, "gamma rule carries a closure pair at (root)")
 
 
 def test_prove_agrees_with_the_reference_search():

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from tabseq.formula import (App, Atom, Meta, Not, apply_subst, const, free_metas, parse,
                             parse_term)
-from tabseq.unify import Constraint, ConstraintStore, consistent, groundify, solve
+from tabseq.tableau import TableauNode, close
+from tabseq.unify import Constraint, consistent, groundify, solve
 
 
 def pair(lhs, rhs) -> Constraint:
@@ -16,100 +17,102 @@ def pair(lhs, rhs) -> Constraint:
     return Constraint(lhs, rhs)
 
 
-def term_store(*pairs):
-    return ConstraintStore(tuple(pair(l, r) for l, r in pairs))
+def pairs_of(*pairs) -> list[Constraint]:
+    return [pair(l, r) for l, r in pairs]
 
 
 class TestSolve:
     def test_atom_pair(self):
-        store = term_store((Atom("D", (Meta("X"),)), Atom("D", (const("c"),))))
-        sigma = solve(store)
+        sigma = solve(pairs_of((Atom("D", (Meta("X"),)), Atom("D", (const("c"),)))))
         assert sigma is not None
         assert sigma == {"X": const("c")}
 
     def test_empty_store_gives_identity(self):
-        sigma = solve(ConstraintStore())
-        assert sigma == {}
+        assert solve([]) == {}
+        sigma = {"X": const("a")}
+        assert solve([], sigma) is sigma
 
     def test_occurs_check(self):
-        store = term_store((Meta("X"), App("f", (Meta("X"),))))
-        assert solve(store) is None
+        assert solve(pairs_of((Meta("X"), App("f", (Meta("X"),))))) is None
 
     def test_symbol_clash(self):
-        assert solve(term_store((const("a"), const("b")))) is None
+        assert solve(pairs_of((const("a"), const("b")))) is None
 
     def test_arity_clash(self):
-        assert solve(term_store((App("f", (const("a"),)), App("f", (const("a"), const("b")))))) is None
+        assert solve(pairs_of((App("f", (const("a"),)), App("f", (const("a"), const("b")))))) is None
 
     def test_predicate_clash_between_atoms(self):
-        assert solve(term_store((Atom("P", ()), Atom("Q", ())))) is None
+        assert solve(pairs_of((Atom("P", ()), Atom("Q", ())))) is None
 
     def test_one_quantified_formula_on_both_sides_is_still_refused(self):
         f = parse("forall x. P(x)")
         for side in (f, Not(f)):
-            assert solve(term_store((side, side))) is None
+            assert solve(pairs_of((side, side))) is None
 
-    def test_only_two_atoms_or_two_negated_atoms_unify(self):
+    def test_only_two_atoms_unify(self):
         p, q = Atom("P", (Meta("X"),)), Atom("P", (const("a"),))
-        assert solve(term_store((Not(p), Not(q)))) is not None
-        for lhs, rhs in [(p, Not(q)), (Not(Not(p)), Not(Not(q))),
+        assert solve(pairs_of((p, q))) == {"X": const("a")}
+        for lhs, rhs in [(Not(p), Not(q)), (p, Not(q)), (Not(Not(p)), Not(Not(q))),
                          (parse("P(a) & Q"), parse("P(a) & Q")), (parse("P | Q"), parse("P | R"))]:
-            assert solve(term_store((lhs, rhs))) is None
+            assert solve(pairs_of((lhs, rhs))) is None
 
     def test_a_term_sided_constraint_is_refused(self):
         a = const("a")
         for lhs, rhs in [(Meta("X"), a), (a, a), (Meta("X"), Atom("P", (a,)))]:
-            assert solve(ConstraintStore((Constraint(lhs, rhs),))) is None
+            assert solve([Constraint(lhs, rhs)]) is None
 
     def test_negated_literal_constraint(self):
-        store = term_store((Not(Atom("P", (Meta("X"),))), Not(Atom("P", (const("a"),)))))
-        sigma = solve(store)
-        assert sigma is not None and apply_subst(sigma, Meta("X")) == const("a")
+        """A closure's constraint is its atom pair, so two negated atoms,
+        even one negated atom on both sides, have no unifier."""
+        neg = Not(Atom("P", (const("a"),)))
+        assert solve(pairs_of((Not(Atom("P", (Meta("X"),))), neg))) is None
+        assert solve([Constraint(neg, neg)]) is None
+        assert solve([Constraint(neg, neg)], {"X": const("a")}) is None
 
     def test_chained_bindings_stay_idempotent(self):
         # X = f(Y), Y = a: the final range must not mention Y
-        store = term_store((Meta("X"), App("f", (Meta("Y"),))), (Meta("Y"), const("a")))
-        sigma = solve(store)
+        sigma = solve(pairs_of((Meta("X"), App("f", (Meta("Y"),))), (Meta("Y"), const("a"))))
         assert sigma is not None
         assert apply_subst(sigma, Meta("X")) == App("f", (const("a"),))
 
     def test_soundness_on_every_constraint(self):
-        store = term_store(
+        constraints = pairs_of(
             (App("f", (Meta("X"), Meta("Y"))), App("f", (Meta("Y"), const("a")))),
             (Atom("P", (Meta("Z"),)), Atom("P", (App("g", (Meta("X"),)),))),
         )
-        sigma = solve(store)
+        sigma = solve(constraints)
         assert sigma is not None
-        for c in store.constraints:
+        for c in constraints:
             assert apply_subst(sigma, c.lhs) == apply_subst(sigma, c.rhs)
 
 
 class TestConsistent:
     def test_closure_candidate_accepted(self):
         extra = [Constraint(Atom("D", (Meta("X"),)), Atom("D", (const("c"),)))]
-        assert consistent(ConstraintStore(), extra)
+        assert consistent({}, extra)
 
     def test_constant_clash_rejected(self):
-        store = term_store((Meta("X"), const("a")))
-        assert not consistent(store, [pair(Meta("X"), const("b"))])
+        sigma = solve(pairs_of((Meta("X"), const("a"))))
+        assert not consistent(sigma, [pair(Meta("X"), const("b"))])
 
     def test_occurs_cycle_through_composition(self):
-        store = term_store((Meta("X"), App("f", (Meta("Y"),))))
+        stored = pairs_of((Meta("X"), App("f", (Meta("Y"),))))
         extra = [pair(Meta("Y"), Meta("X"))]
-        # oracle: solving the combined store directly
-        assert solve(store.add(*extra)) is None
-        assert not consistent(store, extra)
+        # oracle: solving all the constraints at once
+        assert solve(stored + extra) is None
+        assert not consistent(solve(stored), extra)
 
     def test_store_not_modified(self):
-        store = term_store((Meta("X"), const("a")))
-        consistent(store, [pair(Meta("X"), const("b"))])
-        assert len(store) == 1
+        sigma = solve(pairs_of((Meta("X"), const("a"))))
+        consistent(sigma, [pair(Meta("X"), const("b"))])
+        consistent(sigma, [pair(Meta("Y"), const("b"))])
+        assert sigma == {"X": const("a")}
 
 
 def random_constraint(rng: random.Random) -> Constraint:
     """A term pair (as ``pair`` makes it) or an atom pair over few
     metavariables and symbols, so that symbol clashes and occurs-check
-    failures, through the store's bindings too, are common; one in five
+    failures, through a unifier's bindings too, are common; one in five
     has one atom or negated atom (one interned object) on both sides."""
     metas = [Meta(f"X{i}") for i in range(1, 5)]
 
@@ -133,98 +136,82 @@ def random_constraint(rng: random.Random) -> Constraint:
 
 
 class TestIncrementalConsistency:
-    """``consistent`` unifies only the new constraints, under the unifier
-    the store carries; it must agree with a solve of the whole store, and
-    the carried unifier must stay a unifier of every stored constraint."""
-
-    @staticmethod
-    def whole(constraints) -> ConstraintStore:
-        return ConstraintStore(tuple(constraints))
+    """A closure solves only its new constraint, under the unifier of the
+    ones before it; the result must agree with a solve of the whole list,
+    and must stay a unifier of every constraint in it."""
 
     def test_agrees_with_a_whole_store_solve_on_random_sequences(self):
         refused = occurs = same = 0
         for seed in range(400):
             rng = random.Random(seed)
-            store = ConstraintStore()
+            sigma, stored = {}, []
             for _ in range(rng.randrange(1, 12)):
                 c = random_constraint(rng)
-                verdict = consistent(store, [c])
-                assert verdict == (solve(self.whole(store.constraints + (c,))) is not None), seed
+                grown = solve([c], sigma)
+                assert (grown is not None) == (solve(stored + [c]) is not None), seed
+                assert consistent(sigma, [c]) == (grown is not None), seed
                 if c.lhs is c.rhs:
-                    # Nothing to solve: the unifier is handed on, not copied.
+                    # Nothing to solve: the unifier is handed on, not copied;
+                    # a negated atom on both sides has none.
                     same += 1
-                    assert store.add(c).unifier is store.unifier, seed
-                if not verdict:
+                    assert grown is (sigma if type(c.lhs) is Atom else None), seed
+                if grown is None:
                     refused += 1
-                    occurs += _pairs_a_meta_with_a_term_holding_it(store, c)
+                    occurs += _pairs_a_meta_with_a_term_holding_it(sigma, c)
                     continue
-                store = store.add(c)
-                sigma = store.unifier
-                for stored in store.constraints:
-                    assert apply_subst(sigma, stored.lhs) is apply_subst(sigma, stored.rhs), seed
+                sigma = grown
+                stored.append(c)
+                for s in stored:
+                    assert apply_subst(sigma, s.lhs) is apply_subst(sigma, s.rhs), seed
                 for t in sigma.values():
                     assert not any(m.name in sigma for m in free_metas(t)), seed
         assert refused > 100 and occurs > 10 and same > 300
 
-    def test_add_never_alters_a_unifier_a_store_holds(self):
-        """Stores share unifier dicts, so ``add`` must leave every unifier
-        it is handed as it was: each store's unifier, as first read, is
-        compared after every later ``add`` of its sequence."""
-        shared = 0
+    def test_solve_and_close_never_alter_a_given_unifier(self):
+        """Either may hand back the unifier it was given, so neither may
+        alter one: each unifier of a sequence, as first made, is compared
+        after every later call.  A constraint of two atoms of one predicate
+        and arity is also closed on, as the pair (lhs, ~rhs) of a leaf, and
+        ``close`` must give what ``solve`` gives."""
+        shared = closes = 0
         for seed in range(300):
             rng = random.Random(seed)
-            stores = [ConstraintStore()]
-            held = [dict(stores[0].unifier)]
+            unifiers = [{}]
+            held = [{}]
             for _ in range(rng.randrange(1, 12)):
                 c = random_constraint(rng)
-                base = rng.choice(stores)
-                grown = base.add(c)
-                if grown.unifier is None:
+                base = rng.choice(unifiers)
+                grown = solve([c], base)
+                lhs, rhs = c
+                if (type(lhs) is Atom and type(rhs) is Atom and lhs.predicate == rhs.predicate
+                        and len(lhs.args) == len(rhs.args)):
+                    closed = close(TableauNode((lhs, Not(rhs))), base, lhs, Not(rhs))
+                    assert closed == grown and (closed is base) == (grown is base), seed
+                    closes += 1
+                if grown is None:
                     continue
-                shared += grown.unifier is base.unifier
-                stores.append(grown)
-                held.append(dict(grown.unifier))
-                for store, unifier in zip(stores, held):
-                    assert store.unifier == unifier, seed
-        assert shared > 200
+                shared += grown is base
+                unifiers.append(grown)
+                held.append(dict(grown))
+                for unifier, copy in zip(unifiers, held):
+                    assert unifier == copy, seed
+        assert shared > 200 and closes > 1000
 
     def test_occurs_check_through_the_store(self):
-        store = ConstraintStore().add(pair(Meta("X1"), App("f", (Meta("X2"),))))
-        assert not consistent(store, [pair(Meta("X2"), App("g", (Meta("X1"),)))])
-        assert consistent(store, [pair(Meta("X2"), App("g", (Meta("X3"),)))])
+        sigma = solve([pair(Meta("X1"), App("f", (Meta("X2"),)))])
+        assert not consistent(sigma, [pair(Meta("X2"), App("g", (Meta("X1"),)))])
+        assert consistent(sigma, [pair(Meta("X2"), App("g", (Meta("X3"),)))])
 
     def test_symbol_clash_through_the_store(self):
-        store = ConstraintStore().add(
-            Constraint(Atom("P", (Meta("X1"),)), Atom("P", (const("a"),))))
-        assert not consistent(store, [pair(Meta("X1"), const("b"))])
-        assert consistent(store, [pair(Meta("X1"), const("a"))])
-
-    def test_an_unsolvable_store_stays_unsolvable(self):
-        store = term_store((const("a"), const("b")))
-        assert store.unifier is None
-        assert not consistent(store, [pair(Meta("X1"), const("a"))])
-        assert store.add(pair(Meta("X1"), const("a"))).unifier is None
-
-    def test_add_after_consistent_unifies_once(self, monkeypatch):
-        from tabseq import unify
-
-        calls = []
-        real = unify._unify
-        monkeypatch.setattr(unify, "_unify", lambda b, cs: calls.append(cs) or real(b, cs))
-        store = ConstraintStore().add(pair(Meta("X1"), const("a")))
-        c = Constraint(Atom("P", (Meta("X1"), Meta("X2"))), Atom("P", (const("a"), const("b"))))
-        calls.clear()
-        assert consistent(store, [c])
-        grown = store.add(c)
-        assert calls == [(c,)] and grown.unifier == {"X1": const("a"), "X2": const("b")}
-        assert store.add(pair(Meta("X2"), const("a"))) is not grown
+        sigma = solve([Constraint(Atom("P", (Meta("X1"),)), Atom("P", (const("a"),)))])
+        assert not consistent(sigma, [pair(Meta("X1"), const("b"))])
+        assert consistent(sigma, [pair(Meta("X1"), const("a"))])
 
 
-def _pairs_a_meta_with_a_term_holding_it(store: ConstraintStore, c: Constraint) -> bool:
-    """Whether ``c`` under the store's unifier puts, at one position of
+def _pairs_a_meta_with_a_term_holding_it(sigma: dict, c: Constraint) -> bool:
+    """Whether ``c`` under the unifier ``sigma`` puts, at one position of
     both sides and before any clash of shapes, a metavariable against a
     term that strictly contains it: a refusal of the occurs check."""
-    sigma = store.unifier
     lhs, rhs = apply_subst(sigma, c.lhs), apply_subst(sigma, c.rhs)
     pairs = [(lhs, rhs)]
     while pairs:
@@ -242,7 +229,7 @@ def _pairs_a_meta_with_a_term_holding_it(store: ConstraintStore, c: Constraint) 
     return False
 
 
-def random_solvable_store(rng: random.Random) -> ConstraintStore:
+def random_solvable_pairs(rng: random.Random) -> list[Constraint]:
     """Random pairs (t, t-instantiated), solvable by construction."""
     metas = [Meta(f"X{i}") for i in range(1, 5)]
     theta = {}
@@ -262,7 +249,7 @@ def random_solvable_store(rng: random.Random) -> ConstraintStore:
     for _ in range(rng.randrange(1, 5)):
         t = random_open(2)
         pairs.append((t, apply_subst(theta, t)))
-    return term_store(*pairs)
+    return pairs_of(*pairs)
 
 
 def random_ground(rng: random.Random, depth: int):
@@ -276,13 +263,13 @@ class TestIdempotence:
         solved = 0
         for seed in range(1000):
             rng = random.Random(seed)
-            store = random_solvable_store(rng)
-            sigma = solve(store)
+            constraints = random_solvable_pairs(rng)
+            sigma = solve(constraints)
             assert sigma is not None, seed
             solved += 1
             for name, t in sigma.items():
                 assert apply_subst(sigma, t) == t, seed
-            for c in store.constraints:
+            for c in constraints:
                 lhs = apply_subst(sigma, c.lhs)
                 assert lhs == apply_subst(sigma, c.rhs)
                 assert apply_subst(sigma, lhs) == lhs
@@ -324,7 +311,7 @@ class TestGroundify:
 
 @given(st.integers(0, 2**32 - 1))
 def test_solve_is_deterministic(seed):
-    store = random_solvable_store(random.Random(seed))
-    first = solve(store)
-    second = solve(store)
+    constraints = random_solvable_pairs(random.Random(seed))
+    first = solve(constraints)
+    second = solve(constraints)
     assert first is not None and first == second
