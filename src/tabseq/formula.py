@@ -419,56 +419,67 @@ def subst_var(f: Formula, var: str, t: Term) -> Formula:
 
 # ----------------------------------------------------------------- print
 #
-# Both printers keep a stack of the nodes still to print, each with the
-# text that follows it, so they take a constant number of frames.
+# A formula or term at most ``_SHALLOW`` high prints by recursion, cheaper
+# than a stack on the small formulas most inputs hold; a higher one from a
+# stack.  So both printers take a bounded number of frames.
 
 _CONNECTIVES = {And: " & ", Or: " | ", Implies: " => "}
+_SHALLOW = 32
 
 
-def print_term(t: Term) -> str:
+def _shallow(x: Formula | Term) -> str:
+    """The text of a formula or term, by recursion, one frame per level."""
+    if not x.parts:  # a variable, a constant or a propositional atom
+        return x.head[1]
+    cls = type(x)
+    if cls is Atom or cls is App:
+        # Arguments that are variables and constants print without a call each.
+        args = [a.head[1] for a in x.parts] if x.height == 2 else map(_shallow, x.parts)
+        return f"{x.head[1]}({', '.join(args)})"
+    if cls is Not:
+        return f"(~{_shallow(x.body)})"
+    if cls is Forall or cls is Exists:
+        return f"({'forall' if cls is Forall else 'exists'} {x.var}. {_shallow(x.body)})"
+    return f"({_shallow(x.left)}{_CONNECTIVES[cls]}{_shallow(x.right)})"
+
+
+def _deep(x: Formula | Term) -> str:
+    """The text of a formula or term higher than ``_SHALLOW``, from a stack
+    of (node, text after it) pairs."""
     out = []
-    stack = [(t, "")]
+    stack = [(x, "")]
     while stack:
         x, after = stack.pop()
         cls = type(x)
-        if cls is App and x.args:
-            out.append(x.symbol + "(")
-            stack.append((x.args[-1], ")" + after))
-            stack += [(a, ", ") for a in x.args[-2::-1]]
-            continue
-        if cls is App:
-            out.append(x.symbol)
-        elif cls is Var or cls is Meta:
-            out.append(x.name)
-        else:
-            raise TypeError(f"not a term: {x!r}")
-        out.append(after)
-    return "".join(out)
-
-
-def print_formula(f: Formula) -> str:
-    """Canonical fully-parenthesized rendering; inverse of ``parse``."""
-    out = []
-    stack = [(f, "")]
-    while stack:
-        x, after = stack.pop()
-        cls = type(x)
-        if cls is Atom:
-            out.append(f"{x.predicate}({', '.join(map(print_term, x.args))})" if x.args
-                       else x.predicate)
-            out.append(after)
+        if x.height <= _SHALLOW:
+            out += (_shallow(x), after)
+        elif cls is Atom or cls is App:
+            out.append(x.head[1] + "(")
+            stack.append((x.parts[-1], ")" + after))
+            stack += [(a, ", ") for a in x.parts[-2::-1]]
         elif cls is Not:
             out.append("(~")
             stack.append((x.body, ")" + after))
         elif cls is Forall or cls is Exists:
             out.append(f"({'forall' if cls is Forall else 'exists'} {x.var}. ")
             stack.append((x.body, ")" + after))
-        elif cls in _CONNECTIVES:
+        else:
             out.append("(")
             stack += ((x.right, ")" + after), (x.left, _CONNECTIVES[cls]))
-        else:
-            raise TypeError(f"not a formula: {x!r}")
     return "".join(out)
+
+
+def print_term(t: Term) -> str:
+    if type(t) not in (Var, Meta, App):
+        raise TypeError(f"not a term: {t!r}")
+    return _shallow(t) if t.height <= _SHALLOW else _deep(t)
+
+
+def print_formula(f: Formula) -> str:
+    """Canonical fully-parenthesized rendering; inverse of ``parse``."""
+    if type(f) not in (Atom, Not, And, Or, Implies, Forall, Exists):
+        raise TypeError(f"not a formula: {f!r}")
+    return _shallow(f) if f.height <= _SHALLOW else _deep(f)
 
 
 # ----------------------------------------------------------------- parse

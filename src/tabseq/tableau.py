@@ -156,8 +156,8 @@ def rule_count(root: TableauNode) -> int:
 
 def closure_constraints(root: TableauNode) -> list[Constraint]:
     """The constraint ``pos = neg'`` of each closure pair (pos, ~neg') in
-    preorder, a ``.tab`` file's ``store``; a second side that is no
-    negation, which the audit refuses, stands as it is."""
+    preorder, the ``store`` of ``render_tableau`` and of an old ``.tab``; a
+    second side that is no negation, which the audit refuses, stands as it is."""
     return [Constraint(pos, neg.body if type(neg) is Not else neg)
             for pos, neg in (n.rule.closure_pair for n in preorder(root)
                              if n.rule is not None and n.rule.closure_pair is not None)]
@@ -172,8 +172,10 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     The leaf is extended in place.  Children receive the leaf's multiset
     plus the formulas the sequent rule of the same name adds to each
     premise, its witness being a fresh metavariable (gamma) or a Skolem
-    term over the principal's metavariables (delta).  No expansion binds
-    a metavariable, so the search's unifier is untouched.
+    term over the principal's metavariables (delta): the rule is
+    ``_expansion``'s, which the ``.tab`` reader derives again from the
+    principal and witness.  No expansion binds a metavariable, so the
+    search's unifier is untouched.
     """
     if node.closed:
         raise TableauError("leaf is closed")
@@ -182,25 +184,39 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     # Searched from the end: the principal is mostly a recent formula.
     if principal not in reversed(node.formulas):
         raise TableauError(f"principal {print_formula(principal)} not at leaf")
+    kind = RULE_GROUPS.get(rule_name(principal))
+    if kind is None:
+        raise TableauError(f"cannot expand literal {print_formula(principal)}")
+    witness = None
+    if kind == "gamma":
+        witness = names.fresh_meta()
+    elif kind == "delta":
+        witness = App(names.fresh_skolem_symbol(), free_metas(principal))
+    node.rule = _expansion(principal, witness)
+    formulas = node.formulas
+    node.children = tuple([TableauNode(formulas + extra) for extra in node.rule.introduced])
+
+
+_WITNESSES = {"gamma": (Meta, "a metavariable"), "delta": (App, "a Skolem term")}
+
+
+def _expansion(principal: Formula, witness: Term | None) -> RuleInstance:
+    """The rule ``expand`` makes for ``principal`` with ``witness``: its
+    class is the principal's rule group and its introduced formulas are
+    ``gs3.premise_additions``.  FormatError for a literal principal, or a
+    witness of another sort than the rule takes (gamma and delta the ones
+    in ``_WITNESSES``, the others none)."""
     name = rule_name(principal)
     if name is None:
-        raise TableauError(f"cannot expand literal {print_formula(principal)}")
-
+        raise FormatError(f"the literal {print_formula(principal)} is no principal")
     kind = RULE_GROUPS[name]
-    meta = skolem = None
-    if kind == "gamma":
-        meta = names.fresh_meta()
-        rule = GsRule(name, meta)
-    elif kind == "delta":
-        skolem = App(names.fresh_skolem_symbol(), free_metas(principal))
-        rule = GsRule(name, skolem)
-    else:
-        rule = BARE_RULES[name]
-    intro = premise_additions(rule, principal)
+    sort, what = _WITNESSES.get(kind, (type(None), "no witness"))
+    if type(witness) is not sort or sort is App and not witness.is_skolem:
+        raise FormatError(f"{kind} rule takes {what}")
+    meta, skolem = (witness, None) if kind == "gamma" else (None, witness)
+    rule = BARE_RULES[name] if witness is None else GsRule(name, witness)
     # Built without keyword arguments, which cost a named tuple about half again.
-    node.rule = RuleInstance(kind, principal, intro, meta, skolem)
-    formulas = node.formulas
-    node.children = tuple([TableauNode(formulas + extra) for extra in intro])
+    return RuleInstance(kind, principal, premise_additions(rule, principal), meta, skolem)
 
 
 def close(node: TableauNode, sigma: dict[str, Term], pos: Formula,
@@ -463,21 +479,27 @@ def ground(root: TableauNode) -> ClosedTableau:
 def audit_closed_tableau(ct: ClosedTableau) -> None:
     """Check the structural invariants of a finished tableau.
 
-    Raises AuditError on the first violation: every leaf closed, each
-    closed node the only child of a closure rule, each child multiset equal
-    to its parent plus the introduced formulas (non-destructivity), the
-    introduced formulas the decomposition of the principal by its rule,
-    rule labels consistent with the recorded children, a closure pair on
-    closure rules only, Skolem symbols unused before their introduction,
-    and the unifier ground and equating every closure pair.
+    Raises AuditError on the first violation: the unifier ground, then in
+    preorder every leaf closed, each closed node the only child of a
+    closure rule, each child multiset equal to its parent plus the
+    introduced formulas (non-destructivity), the introduced formulas the
+    decomposition of the principal by its rule, rule labels consistent
+    with the recorded children, a closure pair on closure rules only and
+    equated by the unifier, and Skolem symbols unused before their
+    introduction.
     """
     def at(node: TableauNode) -> str:
         return path_of(ct.root, node)
 
-    # Preorder, as a recursive walk would go: a child's multiset is checked
-    # when the child is visited, before its own rule.  Each entry holds a
-    # node, its parent and its place among the parent's children; a path
-    # is formatted only for an error.
+    unifier = ct.unifier
+    for name, t in unifier.items():
+        if t.has_meta:
+            raise AuditError(f"unifier range for {name} contains a metavariable")
+    skolems: set[str] = set()
+    # One preorder walk, as a recursive one would go: a child's multiset is
+    # checked when the child is visited, before its own rule.  Each entry
+    # holds a node, its parent and its place among the parent's children;
+    # a path is formatted only for an error.
     stack: list[tuple[TableauNode, TableauNode | None, int]] = [(ct.root, None, 0)]
     while stack:
         node, parent, bit = stack.pop()
@@ -509,6 +531,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                 raise AuditError(f"closure pair absent at {at(node)}")
             if len(node.children) != 1 or not node.children[0].closed:
                 raise AuditError(f"closure child not closed at {at(node)}")
+            if apply_subst(unifier, pos) != apply_subst(unifier, neg.body):
+                raise AuditError(f"unifier does not equate closure pair at {at(node)}")
         else:
             if rule.closure_pair is not None:
                 raise AuditError(f"{rule.kind} rule carries a closure pair at {at(node)}")
@@ -524,137 +548,119 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
                     != premise_additions(GsRule(name, witness), rule.principal)):
                 raise AuditError(f"introduced formulas are not the {rule.kind} decomposition "
                                  f"of the principal at {at(node)}")
-        stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
-
-    introduced: set[str] = set()
-    for n in preorder(ct.root):
-        if n.rule is not None and n.rule.skolem is not None:
-            sym = n.rule.skolem.symbol
-            if sym in introduced:
+        if rule.skolem is not None:
+            sym = rule.skolem.symbol
+            if sym in skolems:
                 raise AuditError(f"skolem symbol {sym} introduced twice")
-            introduced.add(sym)
-            for f in n.formulas:
+            skolems.add(sym)
+            for f in node.formulas:
                 if sym in symbols_of(f):
                     raise AuditError(f"skolem {sym} occurs before its delta step")
-
-    for name, t in ct.unifier.items():
-        if free_metas(t):
-            raise AuditError(f"unifier range for {name} contains a metavariable")
-    for n in preorder(ct.root):
-        if n.rule is not None and n.rule.closure_pair is not None:
-            pos, neg = n.rule.closure_pair
-            if apply_subst(ct.unifier, pos) != apply_subst(ct.unifier, neg.body):
-                raise AuditError(f"unifier does not equate closure pair at {at(n)}")
+        stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
 
 
 # --------------------------------------------------------------- serialize
 #
-# A version-3 file is one flat JSON object: ``table`` (the distinct
-# formulas and terms, see ``formula.encode_table``), ``nodes`` (one entry
-# per tableau node, [formulas, rule, [children], closed], every child
-# before its parent and each used once), ``root``, the constraint
-# ``store`` (``closure_constraints`` as [lhs, rhs] pairs, which the reader
-# checks), the ground ``unifier`` ([metavariable, term] pairs sorted by
-# name) and ``version``.  A rule is [class,
-# principal, [[introduced], ...], meta, skolem, closure pair], with null
-# for an absent field.  Every formula and term is a table index.  A node's
-# formulas are null when they are its parent's followed by the ones the
-# parent's rule introduced for it, and a list of entries otherwise.  A
-# version-2 file is the same with every node's formulas listed.
-
-# The rule classes a file may name: the rule table's groups and closure.
-RULE_CLASSES = (*dict.fromkeys(RULE_GROUPS.values()), CLOSURE)
-_CLASS_SET = frozenset(RULE_CLASSES)
+# A version-4 file holds what the prover chose; the reader derives the
+# rest as ``expand`` and ``close`` made it.  It is one flat JSON object:
+# ``table`` (the distinct formulas and terms, see ``formula.encode_table``),
+# ``nodes`` ([formulas, rule, [children]] per node but the closed leaves,
+# every child before its parent and each used once), ``root``, the ground
+# ``unifier`` ([metavariable, term] pairs sorted by name) and ``version``.
+# A rule is an expansion, [principal] or [principal, witness] (see
+# ``_expansion``), or ["closure", pos, neg], whose closed leaf the reader
+# makes.  Formulas and terms are table indices; a node's formulas are null
+# when they are its parent's plus the ones the parent's rule introduced for
+# it.  ``scripts/upgrade_files.py`` rewrites version-2 and -3 files, which
+# also list each rule's class and introduced formulas, the closed leaves
+# and the closure pairs as a ``store``.
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
-    """Canonical version-3 serialization, compact with sorted keys.
-
-    The nodes are written children first.  A formula nested deeper than
-    ``MAX_DEPTH`` is a DepthError, since the reader would refuse the file.
+    """Canonical version-4 serialization, compact with sorted keys, the
+    nodes children first.  TableauError if the file cannot hold the tree:
+    an expansion that is not ``_expansion``'s for its principal and witness,
+    a closure that is not a pair and one closed leaf with its formulas, a
+    closed node elsewhere, or a rule-less node with children.  DepthError
+    for a formula nested deeper than ``MAX_DEPTH``, which the reader refuses.
     """
+    def refuse(message: str, node: TableauNode):
+        raise TableauError(f"cannot write: {message} at {path_of(ct.root, node)}")
+
     order = postorder(ct.root)
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
-    store = closure_constraints(ct.root)
-    items = [x for c in store for x in c]
-    items += [x for binding in bindings for x in binding]
+    items = [x for binding in bindings for x in binding]
     items += ct.root.formulas
     # A child whose formulas are its parent's plus the ones its rule
-    # introduced, as every child ``expand`` and ``close`` make, is written
-    # without its formulas; any other child, as in a forged file read back,
-    # lists its own.
+    # introduced, as every child ``expand`` makes, is written without them.
     grown: set[TableauNode] = set()
+    leaves: set[TableauNode] = set()  # the closures' closed leaves
+    rules: dict[TableauNode, list] = {}  # node -> its rule's fields
     for node in order:
         rule = node.rule
-        introduced = ()
-        if rule is not None:
-            introduced = rule.introduced
-            items += [x for x in (rule.principal, rule.meta, rule.skolem) if x is not None]
-            items += [f for child in introduced for f in child]
-            items += rule.closure_pair or ()
-        for i, child in enumerate(node.children):
-            if i < len(introduced) and child.formulas == node.formulas + introduced[i]:
-                grown.add(child)
-            else:
-                items += child.formulas
+        if rule is None:
+            if node.children:
+                refuse("rule-less node has children", node)
+        elif rule.kind == CLOSURE:
+            pair = rule.closure_pair
+            leaf = node.children[0] if len(node.children) == 1 else None
+            if (pair is None or rule != (CLOSURE, None, ((),), None, None, pair) or leaf is None
+                    or (leaf.formulas, leaf.rule, leaf.children, leaf.closed)
+                    != (node.formulas, None, (), True)):
+                refuse("closure is not a pair and one closed leaf with its formulas", node)
+            rules[node] = [CLOSURE, *pair]
+            items += pair
+            leaves.add(leaf)
+        else:
+            witness = rule.meta if rule.meta is not None else rule.skolem
+            try:
+                derived = rule.principal is not None and _expansion(rule.principal, witness)
+            except FormatError:
+                derived = None
+            if rule != derived or len(node.children) != len(rule.introduced):
+                refuse(f"{rule.kind} rule is not the expansion of its principal", node)
+            rules[node] = [rule.principal] if witness is None else [rule.principal, witness]
+            items += rules[node]
+            for child, extra in zip(node.children, rule.introduced):
+                if child.formulas == node.formulas + extra:
+                    grown.add(child)
+                else:
+                    items += child.formulas
     table, entry = encode_table(items)
-
-    def optional(x):
-        return None if x is None else entry(x)
 
     nodes: list[list] = []
     numbers: dict[TableauNode, int] = {}  # node -> node entry
     for node in order:
-        rule = node.rule
+        if node.closed:  # a closure's leaf, which the reader makes
+            if node not in leaves:
+                refuse("closed node is not a closure's leaf", node)
+            continue
+        rule = rules.get(node)
         if rule is not None:
-            pair = rule.closure_pair
-            rule = [rule.kind, optional(rule.principal),
-                    [[entry(f) for f in child] for child in rule.introduced],
-                    optional(rule.meta), optional(rule.skolem),
-                    None if pair is None else [entry(pair[0]), entry(pair[1])]]
+            rule = [rule[0], *map(entry, rule[1:])] if rule[0] == CLOSURE else [*map(entry, rule)]
         numbers[node] = len(nodes)
         nodes.append([None if node in grown else [entry(f) for f in node.formulas], rule,
-                      [numbers[child] for child in node.children], node.closed])
-    record = {
-        "version": 3,
-        "table": table,
-        "nodes": nodes,
-        "root": len(nodes) - 1,
-        "store": [[entry(lhs), entry(rhs)] for lhs, rhs in store],
-        "unifier": [[entry(m), entry(t)] for m, t in bindings],
-    }
+                      [numbers[child] for child in node.children if not child.closed]])
+    record = {"version": 4, "table": table, "nodes": nodes, "root": len(nodes) - 1,
+              "unifier": [[entry(m), entry(t)] for m, t in bindings]}
     return dump_json(record) + "\n"
 
 
 def tableau_from_json(text: str) -> ClosedTableau:
-    """Read a tableau written by ``tableau_to_json``, or a version-2 file.
-
-    The file is read in flat loops, one ``TableauNode`` per node entry;
-    then one pass from the root gives each node written without its
-    formulas its parent's followed by the ones the parent's rule
-    introduced for it.  Any malformed entry, a reference
-    to a later or missing entry, a node used twice, a term where a formula
-    belongs or the reverse, a formula or term with a free bound variable,
-    a node without formulas that is no node's child or whose parent's
-    rule introduced none for it, or a ``store`` that is not the closure
-    pairs in preorder is a FormatError.
+    """Read a tableau written by ``tableau_to_json`` in flat loops: one
+    ``TableauNode`` per node entry and closed leaf, each rule derived by
+    ``_expansion``, then one pass from the root to fill in the formulas
+    left out.  FormatError for a malformed entry, a reference to a later or
+    missing entry, a node used twice, a term where a formula belongs or the
+    reverse, a free bound variable, a rule ``_expansion`` refuses, children
+    that are not the rule's premises, a node without formulas that is no
+    node's child, or a version-2 or -3 file (naming the upgrade script).
     """
     record = load_json(text, "tableau")
-    return _tableau_from_table(record, file_version(record, (2, 3)))
-
-
-def _formulas_at(table: Table, ids: list, what: str) -> tuple[Formula, ...]:
-    """The closed formulas at the indices ``ids``, read from the table's
-    ``closed_formulas`` without a call per index; a bool is never looked
-    up, since ``True`` would find entry 1."""
-    closed = table.closed_formulas
-    for i in ids:
-        if type(i) is not int or i not in closed:
-            table.formula(i, what)  # raises the FormatError for what ``closed`` lacks
-    return tuple(map(closed.__getitem__, ids))
-
-
-def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
+    if type(record) is dict and record.get("version") in (2, 3):
+        raise FormatError(f"version-{record['version']} tableau files are no longer read; "
+                          "upgrade it with scripts/upgrade_files.py")
+    file_version(record, (4,))
     table = Table(record.get("table"))
     formula, term = table.formula, table.term
     raw_nodes = record.get("nodes")
@@ -662,11 +668,10 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         raise FormatError("nodes must be a list")
     nodes: list[TableauNode] = []
     used: list[bool] = []
-    for raw in raw_nodes:
-        if (type(raw) is not list or len(raw) != 4
-                or type(raw[0]) is not list and (raw[0] is not None or version < 3)
-                or type(raw[2]) is not list or type(raw[3]) is not bool):
-            raise FormatError("a node must be [formulas, rule, [children], closed]")
+    for n, raw in enumerate(raw_nodes):
+        if (type(raw) is not list or len(raw) != 3
+                or type(raw[0]) is not list and raw[0] is not None or type(raw[2]) is not list):
+            raise FormatError("a node must be [formulas, rule, [children]]")
         children = []
         for child in raw[2]:
             i = entry_index(child, len(nodes), "child")
@@ -675,8 +680,16 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
             used[i] = True
             children.append(nodes[i])
         rule = None if raw[1] is None else _rule_from_table(raw[1], table)
-        formulas = None if raw[0] is None else _formulas_at(table, raw[0], "formula")
-        nodes.append(TableauNode(formulas, rule, tuple(children), raw[3]))
+        # A closure's premise is its closed leaf, which the file does not list.
+        premises = 0 if rule is None or rule.kind == CLOSURE else len(rule.introduced)
+        if len(children) != premises:
+            raise FormatError(f"node {n} has {len(children)} child entries, not {premises}")
+        if rule is not None and rule.kind == CLOSURE:
+            children.append(TableauNode(None, None, (), True))
+        # Only the root and a child that is not its parent plus what the
+        # parent's rule introduced list their formulas.
+        formulas = None if raw[0] is None else tuple(formula(i, "formula") for i in raw[0])
+        nodes.append(TableauNode(formulas, rule, tuple(children)))
         used.append(False)
     root = entry_index(record.get("root"), len(nodes), "root")
     if used[root]:
@@ -686,19 +699,12 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         node = nodes[n]
         if node.formulas is None:
             raise FormatError(f"node {n} lists no formulas and is no node's child")
-        for i, child in enumerate(node.children):
+        for child, extra in zip(node.children, node.rule.introduced if node.rule else ()):
             if child.formulas is None:
-                introduced = () if node.rule is None else node.rule.introduced
-                if i >= len(introduced):
-                    raise FormatError(f"child {i} of node {n} lists no formulas, and its "
-                                      "parent's rule has no introduced list for it")
-                occurrences += len(node.formulas) + len(introduced[i])
+                occurrences += len(node.formulas) + len(extra)
                 if occurrences > MAX_OCCURRENCES:
                     raise FormatError(f"nodes hold more than {MAX_OCCURRENCES} formulas")
-                child.formulas = node.formulas + introduced[i]
-    store = record.get("store")
-    if type(store) is not list or not all(type(c) is list and len(c) == 2 for c in store):
-        raise FormatError("store must be a list of [lhs, rhs] pairs")
+                child.formulas = node.formulas + extra
     unifier = record.get("unifier")
     if type(unifier) is not list or not all(type(b) is list and len(b) == 2 for b in unifier):
         raise FormatError("unifier must be a list of [metavariable, term] pairs")
@@ -708,39 +714,18 @@ def _tableau_from_table(record: dict, version: int) -> ClosedTableau:
         if not isinstance(meta, Meta):
             raise FormatError(f"unifier binds the non-metavariable {print_term(meta)}")
         bindings[meta.name] = term(t, "unifier entry")
-    constraints = [Constraint(formula(lhs, "constraint"), formula(rhs, "constraint"))
-                   for lhs, rhs in store]
-    if constraints != closure_constraints(nodes[root]):
-        raise FormatError("store is not the closure pairs in preorder")
     return ClosedTableau(nodes[root], bindings)
 
 
 def _rule_from_table(raw, table: Table) -> RuleInstance:
-    formula, term = table.formula, table.term
-    if type(raw) is not list or len(raw) != 6:
-        raise FormatError("a rule must be [class, principal, introduced, meta, skolem, pair]")
-    kind, principal, introduced, meta, skolem, pair = raw
-    if type(kind) is not str or kind not in _CLASS_SET:  # a list, which would not hash, too
-        raise FormatError(f"unknown rule class {kind!r}")
-    # A decoded JSON list is a ``list`` itself, never a subclass.
-    if type(introduced) is not list or not all(map(list.__instancecheck__, introduced)):
-        raise FormatError("introduced must be a list of lists")
-    if meta is not None:
-        meta = term(meta, "meta field")
-        if not isinstance(meta, Meta):
-            raise FormatError("meta field is not a metavariable")
-    if skolem is not None:
-        skolem = term(skolem, "skolem field")
-        if not isinstance(skolem, App) or not skolem.is_skolem:
-            raise FormatError("skolem field is not a Skolem term")
-    if pair is not None:
-        if type(pair) is not list or len(pair) != 2:
-            raise FormatError("closure_pair must be a two-element list")
-        pair = (formula(pair[0], "closure pair"), formula(pair[1], "closure pair"))
-    return RuleInstance(
-        kind, None if principal is None else formula(principal, "principal"),
-        tuple([_formulas_at(table, child, "introduced formula") for child in introduced]),
-        meta, skolem, pair)
+    if type(raw) is not list or not 1 <= len(raw) <= 3 or (raw[0] == CLOSURE) != (len(raw) == 3):
+        raise FormatError('a rule must be [principal], [principal, witness] '
+                          'or ["closure", pos, neg]')
+    if len(raw) == 3:
+        pair = (table.formula(raw[1], "closure pair"), table.formula(raw[2], "closure pair"))
+        return RuleInstance(CLOSURE, None, ((),), None, None, pair)
+    witness = table.term(raw[1], "witness") if len(raw) == 2 else None
+    return _expansion(table.formula(raw[0], "principal"), witness)
 
 
 # ------------------------------------------------------------------ render

@@ -1,12 +1,14 @@
 """Shared test helpers: a seeded random formula builder, a count of the
 function-symbol sets the formula nodes make, the upgrade script run
-in-process, the path lookup and rule listings of proof trees that only
-tests use, and the translator's records of a proof built by hand."""
+in-process and a version-1 ``.tab`` writer to feed it, the path lookup and
+rule listings of proof trees that only tests use, and the translator's
+records of a proof built by hand."""
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -28,7 +30,10 @@ from tabseq.formula import (
     Or,
     Term,
     Var,
+    print_formula,
+    print_term,
 )
+from tabseq.tableau import closure_constraints
 
 PREDICATES = ("P", "Q", "R", "S")
 CONSTANTS = ("a", "b", "c")
@@ -146,7 +151,8 @@ UPGRADE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "upgrade_file
 
 
 @functools.cache
-def _upgrade_module():
+def upgrade_module():
+    """``scripts/upgrade_files.py`` as a module, loaded once."""
     spec = importlib.util.spec_from_file_location("upgrade_files", UPGRADE_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -157,8 +163,39 @@ def run_upgrade(argv: list[str]) -> int:
     """``scripts/upgrade_files.py`` run in-process on ``argv``; its exit
     status.  An exception it does not turn into a message fails the test."""
     with pytest.raises(SystemExit) as exc:
-        _upgrade_module().main(argv)
+        upgrade_module().main(argv)
     return exc.value.code
+
+
+def v1_tableau_text(ct) -> str:
+    """A version-1 ``.tab`` of the closed tableau ``ct``, as the first
+    writers wrote one: a nested record per node, formulas and terms as
+    text, the closure pairs as ``store``.  It hands the upgrade script a
+    small tableau that version 4 cannot hold; it recurses per level."""
+    def record(node) -> dict:
+        out = {"formulas": [print_formula(f) for f in node.formulas], "rule": None,
+               "children": [record(child) for child in node.children], "closed": node.closed}
+        rule = node.rule
+        if rule is not None:
+            out["rule"] = {"class": rule.kind,
+                           "principal": (None if rule.principal is None
+                                         else print_formula(rule.principal)),
+                           "introduced": [[print_formula(f) for f in child]
+                                          for child in rule.introduced]}
+            if rule.meta is not None:
+                out["rule"]["meta"] = print_term(rule.meta)
+            if rule.skolem is not None:
+                out["rule"]["skolem"] = print_term(rule.skolem)
+            if rule.closure_pair is not None:
+                out["rule"]["closure_pair"] = [print_formula(f) for f in rule.closure_pair]
+        return out
+
+    return json.dumps({
+        "root": record(ct.root),
+        "store": [[print_formula(lhs), print_formula(rhs)]
+                  for lhs, rhs in closure_constraints(ct.root)],
+        "unifier": [f"{m} := {print_term(t)}" for m, t in sorted(ct.unifier.items())],
+    })
 
 
 # ------------------------------------------------------------- proof trees

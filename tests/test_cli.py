@@ -14,7 +14,7 @@ from tabseq import gs3
 from tabseq.cli import main
 from tabseq.formula import MAX_DEPTH, Not, parse, print_formula
 from tabseq.gs3 import proof_from_json
-from tabseq.problems import HAND_GOALS, growth_goal
+from tabseq.problems import growth_goal
 from tabseq.tableau import (
     CLOSURE,
     AuditError,
@@ -27,7 +27,9 @@ from tabseq.tableau import (
     tableau_to_json,
 )
 
-from conftest import run_upgrade
+from conftest import run_upgrade, v1_tableau_text
+
+V3_FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v3"
 
 DRINKER = "exists x. (D(x) => forall y. D(y))"
 
@@ -209,20 +211,26 @@ class TestTranslate:
         tab.write_text(json.dumps(record), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
 
-    def test_a_store_side_that_is_no_literal_exits_two(self, tmp_path, drinker_file, capsys):
-        # The store is the closure pairs in preorder, so the reader refuses
-        # an extra pair, whatever its sides, with the path.
-        run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
-        tab = tmp_path / "drinker.tab"
-        record = json.loads(tab.read_text(encoding="utf-8"))
-        goal = record["nodes"][record["root"]][0][0]
-        record["store"].append([goal, goal])
+    @staticmethod
+    def upgrade_refuses(tmp_path, capsys, record, message: str) -> None:
+        """The upgrade script exits 2 on a version-3 ``.tab`` record, with
+        its path and ``message``, and writes nothing."""
+        tab = tmp_path / "old.tab"
         tab.write_text(json.dumps(record), encoding="utf-8")
         capsys.readouterr()
-        assert run_cli(["translate", str(tab)]) == 2
-        assert capsys.readouterr().err == (
-            f"{tab}: malformed tableau proof: store is not the closure pairs in preorder\n")
-        assert not (tmp_path / "drinker.gs3").exists()
+        assert run_upgrade([str(tab), "--out", str(tmp_path / "upgraded")]) == 2
+        assert capsys.readouterr().err == f"{tab}: cannot upgrade: {message}\n"
+        assert not (tmp_path / "upgraded").exists()
+
+    def test_a_store_side_that_is_no_literal_exits_two(self, tmp_path, capsys):
+        # A version-3 store must be the closure pairs in preorder, so the
+        # upgrade script refuses an extra pair, whatever its sides, with
+        # the path; version 4 has no store.
+        record = json.loads((V3_FIXTURES / "drinker.tab").read_text(encoding="utf-8"))
+        goal = record["nodes"][record["root"]][0][0]
+        record["store"].append([goal, goal])
+        self.upgrade_refuses(tmp_path, capsys, record,
+                             "FormatError: store is not the closure pairs in preorder")
 
     @pytest.mark.parametrize("forgery", {
         "pairs reordered": lambda store: store[::-1],
@@ -231,21 +239,14 @@ class TestTranslate:
         "sides swapped": lambda store: [store[0][::-1], *store[1:]],
     }.items(), ids=lambda item: item[0])
     def test_a_store_that_is_not_the_closure_pairs_exits_two(self, tmp_path, capsys, forgery):
-        # drinker-under-or closes three branches, each on two distinct sides.
-        goal = tmp_path / "under-or.p"
-        goal.write_text(dict(HAND_GOALS)["drinker-under-or"] + "\n", encoding="utf-8")
-        assert run_cli(["prove", str(goal), "--negate", "--emit", "tableau"]) == 0
-        tab = tmp_path / "under-or.tab"
-        record = json.loads(tab.read_text(encoding="utf-8"))
+        # drinker-under-or closes three branches, each on two distinct
+        # sides; its version-3 file upgrades only with its own store.
+        record = json.loads((V3_FIXTURES / "drinker-under-or.tab").read_text(encoding="utf-8"))
         assert len(record["store"]) == 3
         _, forge = forgery
         record["store"] = forge(record["store"])
-        tab.write_text(json.dumps(record), encoding="utf-8")
-        capsys.readouterr()
-        assert run_cli(["translate", str(tab)]) == 2
-        assert capsys.readouterr().err == (
-            f"{tab}: malformed tableau proof: store is not the closure pairs in preorder\n")
-        assert not (tmp_path / "under-or.gs3").exists()
+        self.upgrade_refuses(tmp_path, capsys, record,
+                             "FormatError: store is not the closure pairs in preorder")
 
     @pytest.mark.parametrize("pair", ["P(a), P(a)", "P(a), ~~P(a)", "P(a) & P(a), ~P(a)"])
     def test_a_closure_pair_that_is_no_literal_pair_fails_the_audit(self, tmp_path, capsys,
@@ -263,39 +264,46 @@ class TestTranslate:
 
     def test_a_closure_pair_on_a_gamma_rule_exits_two(self, tmp_path, capsys):
         # The drinker tableau with its closure's pair copied onto the root
-        # gamma rule: the file lists both pairs in its store, so it reads
-        # back, and the audit refuses it.
-        tab = Path(__file__).resolve().parent / "fixtures" / "v3" / "closure-pair-on-gamma.tab"
-        assert len(json.loads(tab.read_text(encoding="utf-8"))["store"]) == 2
+        # gamma rule: its version-3 file lists both pairs in its store and
+        # reads back, but version 4 has no place for the pair, so the
+        # upgrade script refuses it.  ``translate`` refuses the old file.
+        tab = V3_FIXTURES / "closure-pair-on-gamma.tab"
+        record = json.loads(tab.read_text(encoding="utf-8"))
+        assert len(record["store"]) == 2
         out = tmp_path / "forged.gs3"
         assert run_cli(["translate", str(tab), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"{tab}: malformed tableau proof: gamma rule carries a closure pair at (root)\n")
+        assert "upgrade it with scripts/upgrade_files.py" in capsys.readouterr().err
         assert not out.exists()
+        self.upgrade_refuses(tmp_path, capsys, record, "TableauError: cannot write: gamma rule "
+                             "is not the expansion of its principal at (root)")
 
     def test_alpha_rule_with_an_extra_introduced_formula_exits_two(self, tmp_path, capsys):
         # The alpha rule on P & Q introduces P, Q and S, and S is in its
         # child too, so every child is its parent plus the introduced
-        # formulas; only the decomposition is wrong.
+        # formulas; only the decomposition is wrong.  The audit refuses the
+        # tree; version 4 derives the introduced formulas, so it cannot
+        # hold it, and the upgrade script refuses its version-1 file.
         pq, not_p, p, q, s = (parse(t) for t in ("P & Q", "~P", "P", "Q", "S"))
         child = TableauNode((pq, not_p, p, q, s),
                             RuleInstance(CLOSURE, None, ((),), closure_pair=(p, not_p)))
         child.children = (TableauNode(child.formulas, closed=True),)
         root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
+        ct = ClosedTableau(root, {})
+        with pytest.raises(AuditError, match="^introduced formulas are not the alpha "
+                                             "decomposition of the principal at [(]root[)]$"):
+            audit_closed_tableau(ct)
         tab = tmp_path / "forged.tab"
-        tab.write_text(tableau_to_json(ClosedTableau(
-            root, {})), encoding="utf-8")
-        assert run_cli(["translate", str(tab)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"{tab}: malformed tableau proof: introduced formulas are not "
-                              "the alpha decomposition of the principal at (root)")
-        assert not (tmp_path / "forged.gs3").exists()
+        tab.write_text(v1_tableau_text(ct), encoding="utf-8")
+        assert run_upgrade([str(tab), "--out", str(tmp_path / "upgraded")]) == 2
+        assert capsys.readouterr().err == (f"{tab}: cannot upgrade: TableauError: cannot write: "
+                                           "alpha rule is not the expansion of its principal "
+                                           "at (root)\n")
+        assert not (tmp_path / "upgraded").exists()
 
     @pytest.mark.parametrize("forgery", ["dropped closure", "closed root"])
     def test_a_closed_leaf_outside_a_closure_rule_exits_two(self, tmp_path, capsys, forgery):
         # A closure rule of (P | Q) => (P | Q) dropped and its node marked
-        # closed, or a bare closed root: each reads back and must fail the
-        # tableau audit, not the translation.
+        # closed, or a bare closed root: each fails the tableau audit.
         if forgery == "dropped closure":
             ct = tabseq.prove([Not(parse("(P | Q) => (P | Q)"))])
             node = ct.root.children[0].children[0].children[0]
@@ -309,11 +317,15 @@ class TestTranslate:
         message = f"closed leaf {where} is not the child of a closure rule"
         with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
             audit_closed_tableau(ct)
+        # Version 4 makes a closed leaf only under a closure, so it cannot
+        # hold either tree, and the upgrade script refuses its version-1 file.
         tab = tmp_path / "forged.tab"
-        tab.write_text(tableau_to_json(ct), encoding="utf-8")
-        assert run_cli(["translate", str(tab)]) == 2
-        assert capsys.readouterr().err == f"{tab}: malformed tableau proof: {message}\n"
-        assert not (tmp_path / "forged.gs3").exists()
+        tab.write_text(v1_tableau_text(ct), encoding="utf-8")
+        assert run_upgrade([str(tab), "--out", str(tmp_path / "upgraded")]) == 2
+        assert capsys.readouterr().err == (
+            f"{tab}: cannot upgrade: TableauError: cannot write: closed node is not a "
+            f"closure's leaf at {where}\n")
+        assert not (tmp_path / "upgraded").exists()
 
     def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])

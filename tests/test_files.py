@@ -21,14 +21,14 @@ from tabseq.translate import translate
 from tabseq.tree import postorder
 
 # sha256 of the concatenated .tab texts and of the concatenated .gs3 texts
-# of each group, in goal order, as the version-3 tableau writer and the
+# of each group, in goal order, as the version-4 tableau writer and the
 # version-2 proof writer write them.
 GOLDEN = {
-    "hand": ("cdb16322e8508901e3dfa867ce2c1fe03a87b04e309c7f1815488b021ee8c1cf",
+    "hand": ("6fdfe314d26ea1217f0b44b588476cd7621feff2aacdd77bcfd6d09f62a235e9",
              "4febd408a695218550e29797ba0d879b9cc7b501ebe9f3ae4df82aa1dea36ba1"),
-    "growth": ("23bc18367cbe35d798b218ab13684ce8d90a8dfe2fde47f7f970ec73164bccd4",
+    "growth": ("2acc770eb6d628e37cd5794b13dd4fbbd0ef927bdd53960f4cad755686711cea",
                "dc977f2b8f1c02047dc44a926bb4daf2cb270d32574972c0e9524255c8c149c8"),
-    "generated": ("7a45a90524ef0f9af998f5346346a48c198a808f8167d9cb3ae9c884a4931fe6",
+    "generated": ("e33eaa3c6d439847eeecc51cd92a84967db758285fcc5967165a82ab9874f7a8",
                   "456a3cbcd20b7beffc25fc3a7f75ccc4f6977431bbbcc341fbb26a350d9ce2c2"),
 }
 
