@@ -7,22 +7,29 @@ A version-1 file has no ``version`` field: it is one nested record per
 proof node, with formulas and terms as text.  This script rebuilds the
 proof from that text.  A version-2 or -3 ``.tab`` is read as the package
 read it before version 4: a flat table and one entry per node, each
-rule listing its class, its introduced formulas, its witness fields and
-its closure pair, each closed leaf listed, with the closure pairs once
-more as a ``store`` (version 2 lists every node's formulas, version 3 only
+rule listing its class, its introduced formulas, its witness in a field
+per class (``meta`` for gamma, ``skolem`` for delta) and its closure
+pair, each node flagged closed or not, with the closure pairs once more
+as a ``store`` (version 2 lists every node's formulas, version 3 only
 those that are not their parent's plus what the parent's rule introduced
-for them).  Version 4 keeps only the prover's choices and derives the
-rest, so the script writes each proof with the package's writers and
-reads the text back with the current reader.
+for them).  Those files give each closure one child, a closed leaf with
+the closure's formulas; in memory a closure is a leaf, with one
+``witness`` field per rule, so both readers move the witness to that
+field and drop each closure's closed leaf.  Version 4 keeps only the
+prover's choices and derives the rest, so the script writes each proof
+with the package's writers and reads the text back with the current
+reader.
 
 It judges nothing but what version 4 leaves out: a ``.tab`` whose store
-is not the tree's closure pairs in preorder, or whose tree version 4
-cannot hold (a rule whose class, witness or introduced formulas are not
-the ones its principal gives, a closure pair on a rule that is no
-closure, a closed node that is not a closure's only child) is not
-upgraded.  Run ``tabseq translate`` on each upgraded ``.tab`` and ``tabseq
-check`` on each upgraded ``.gs3``: their audits and the checker decide
-whether the proof holds.  A file that cannot be read, rebuilt, written or
+is not the tree's closure pairs in preorder, with a witness in the other
+rule class's field, with a closed node that is not a closure's only
+child, with a closure whose only child is not one closed leaf with its
+formulas, or whose tree version 4 cannot hold (a rule whose class,
+witness or introduced formulas are not the ones its principal gives, a
+closure pair on a rule that is no closure) is not upgraded.  Run
+``tabseq translate`` on each upgraded ``.tab`` and ``tabseq check`` on
+each upgraded ``.gs3``: their audits and the checker decide whether the
+proof holds.  A file that cannot be read, rebuilt, written or
 read back is reported with its path, exit status 2, and the other files
 are still upgraded.
 
@@ -38,7 +45,8 @@ from tabseq.formula import App, Meta, Table, parse, parse_term, print_term
 from tabseq.gs3 import RULE_GROUPS, GsProof, GsRule, proof_from_json, proof_to_json
 from tabseq.tableau import (CLOSURE, ClosedTableau, RuleInstance, TableauNode, closure_constraints,
                             tableau_from_json, tableau_to_json)
-from tabseq.tree import MAX_OCCURRENCES, FormatError, entry_index, file_version, load_json
+from tabseq.tree import (MAX_OCCURRENCES, FormatError, entry_index, file_version, load_json,
+                         path_of)
 from tabseq.unify import Constraint
 
 # A version-1 file's formulas and terms, from their text.
@@ -70,9 +78,48 @@ def v1_proof(record) -> GsProof:
     return build(record)
 
 
+# The field of an old rule that holds each class's witness.
+WITNESS_FIELDS = {"gamma": "meta", "delta": "skolem"}
+
+
+def old_witness(kind, meta, skolem):
+    """The witness of an old rule of class ``kind``, from its class's
+    field; FormatError for a witness in the other field."""
+    fields = {"meta": meta, "skolem": skolem}
+    witness = fields.pop(WITNESS_FIELDS.get(kind), None)
+    for name, value in fields.items():
+        if value is not None:
+            raise FormatError(f"{kind} rule has a witness in its {name} field")
+    return witness
+
+
+def drop_closed_leaves(root: TableauNode, closed: set) -> None:
+    """Make each closure of an old tree a leaf: its only child, the closed
+    leaf with its formulas, is dropped, as is the one empty list its rule
+    introduced for it.  ``closed`` holds the nodes the file flags closed.
+    FormatError for a closed node anywhere else, or a closure whose only
+    child is not such a leaf."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in closed:
+            raise FormatError(f"closed node {path_of(root, node)} is not a closure's only child")
+        rule = node.rule
+        if rule is not None and rule.kind == CLOSURE:
+            leaf = node.children[0] if len(node.children) == 1 else None
+            if (rule.introduced != ((),) or leaf not in closed
+                    or (leaf.formulas, leaf.rule, leaf.children) != (node.formulas, None, ())):
+                raise FormatError(f"closure at {path_of(root, node)} has not one closed leaf "
+                                  "with its formulas as its only child")
+            node.rule, node.children = rule._replace(introduced=()), ()
+        stack += node.children
+
+
 def v1_tableau(record) -> ClosedTableau:
     def optional(read, value):
         return None if value is None else read(value)
+
+    closed = set()
 
     def build(node) -> TableauNode:
         rule = node.get("rule")
@@ -81,13 +128,14 @@ def v1_tableau(record) -> ClosedTableau:
             rule = RuleInstance(
                 rule["class"], optional(text_formula, rule.get("principal")),
                 tuple(tuple(map(text_formula, child)) for child in rule["introduced"]),
-                meta=optional(text_term, rule.get("meta")),
-                skolem=optional(text_term, rule.get("skolem")),
-                closure_pair=(None if pair is None
-                              else (text_formula(pair[0]), text_formula(pair[1]))))
-        return TableauNode(tuple(map(text_formula, node["formulas"])), rule,
-                           tuple(build(child) for child in node.get("children", [])),
-                           bool(node.get("closed", False)))
+                old_witness(rule["class"], optional(text_term, rule.get("meta")),
+                            optional(text_term, rule.get("skolem"))),
+                None if pair is None else (text_formula(pair[0]), text_formula(pair[1])))
+        out = TableauNode(tuple(map(text_formula, node["formulas"])), rule,
+                          tuple(build(child) for child in node.get("children", [])))
+        if node.get("closed", False):
+            closed.add(out)
+        return out
 
     bindings = {}
     for binding in record["unifier"]:
@@ -99,6 +147,7 @@ def v1_tableau(record) -> ClosedTableau:
     store = [Constraint(text_formula(lhs), text_formula(rhs)) for lhs, rhs in record["store"]]
     if store != closure_constraints(root):
         raise ValueError("the store is not the closure pairs in preorder")
+    drop_closed_leaves(root, closed)
     return ClosedTableau(root, bindings)
 
 
@@ -111,8 +160,9 @@ def v3_tableau(record) -> ClosedTableau:
     reference to a later or missing entry, a node used twice, a term where
     a formula belongs or the reverse, a formula or term with a free bound
     variable, a node without formulas that is no node's child or whose
-    parent's rule introduced none for it, or a ``store`` that is not the
-    closure pairs in preorder is a FormatError."""
+    parent's rule introduced none for it, a ``store`` that is not the
+    closure pairs in preorder, or a fault ``old_witness`` or
+    ``drop_closed_leaves`` names is a FormatError."""
     version = file_version(record, (2, 3))
     table = Table(record.get("table"))
     formula, term = table.formula, table.term
@@ -121,6 +171,7 @@ def v3_tableau(record) -> ClosedTableau:
         raise FormatError("nodes must be a list")
     nodes: list[TableauNode] = []
     used: list[bool] = []
+    closed = set()
     for raw in raw_nodes:
         if (type(raw) is not list or len(raw) != 4
                 or type(raw[0]) is not list and (raw[0] is not None or version < 3)
@@ -135,7 +186,9 @@ def v3_tableau(record) -> ClosedTableau:
             children.append(nodes[i])
         rule = None if raw[1] is None else v3_rule(raw[1], table)
         formulas = None if raw[0] is None else tuple(formula(i, "formula") for i in raw[0])
-        nodes.append(TableauNode(formulas, rule, tuple(children), raw[3]))
+        nodes.append(TableauNode(formulas, rule, tuple(children)))
+        if raw[3]:
+            closed.add(nodes[-1])
         used.append(False)
     root = entry_index(record.get("root"), len(nodes), "root")
     if used[root]:
@@ -171,6 +224,7 @@ def v3_tableau(record) -> ClosedTableau:
                    for lhs, rhs in store]
     if constraints != closure_constraints(nodes[root]):
         raise FormatError("store is not the closure pairs in preorder")
+    drop_closed_leaves(nodes[root], closed)
     return ClosedTableau(nodes[root], bindings)
 
 
@@ -198,7 +252,7 @@ def v3_rule(raw, table: Table) -> RuleInstance:
     return RuleInstance(
         kind, None if principal is None else formula(principal, "principal"),
         tuple(tuple(formula(i, "introduced formula") for i in child) for child in introduced),
-        meta, skolem, pair)
+        old_witness(kind, meta, skolem), pair)
 
 
 def upgrade(path: Path, out: Path) -> None:

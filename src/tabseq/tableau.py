@@ -1,9 +1,9 @@
 """Tableau trees and a bounded deterministic refutation engine.
 
 A tableau is kept whole as a tree: nodes carry the multiset of formulas
-collected so far (non-destructive rules only ever append), internal nodes
-are labelled by the rule applied at them, and closure is itself recorded as
-a one-child rule whose child is the closed leaf.  Paths address nodes as
+collected so far (non-destructive rules only ever append), and each node
+but an open leaf is labelled by the rule applied at it; a closure is the
+rule of a leaf, as an axiom is in a sequent proof.  Paths address nodes as
 0/1 sequences, the root being the empty sequence.
 """
 
@@ -69,33 +69,28 @@ class RuleInstance(NamedTuple):
     less than half of a frozen dataclass to build.
 
     ``kind`` is one of alpha/beta/gamma/delta/closure; ``introduced`` lists
-    the formulas added per child.  Delta instances carry the Skolem term
-    whose arguments are the metavariables of the principal's body; gamma
-    instances carry the fresh metavariable; closures carry the
-    complementary pair (positive literal, negated literal).
+    the formulas added per child, of which a closure has none.  ``witness``
+    is a gamma rule's fresh metavariable or a delta rule's Skolem term over
+    the metavariables of the principal's body, else None; a closure carries
+    the complementary pair (positive literal, negated literal).
     """
 
     kind: str
     principal: Formula | None
     introduced: tuple[tuple[Formula, ...], ...]
-    meta: Meta | None = None
-    skolem: App | None = None
+    witness: Term | None = None
     closure_pair: tuple[Formula, Formula] | None = None
 
 
 @dataclass(slots=True, eq=False)
 class TableauNode:
     """A tableau node; ``expand`` and ``close`` set the rule and children of
-    an open leaf in place, once.  A node compares and hashes by identity."""
+    an open leaf, a node without a rule, in place, once.  A node compares
+    and hashes by identity."""
 
     formulas: tuple[Formula, ...]
     rule: RuleInstance | None = None
     children: tuple["TableauNode", ...] = ()
-    closed: bool = False
-
-    @property
-    def is_open_leaf(self) -> bool:
-        return not self.children and not self.closed
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ class NameSupply:
 
 
 def open_leaves(root: TableauNode) -> list[Path]:
-    return [p for p, n in iter_nodes(root) if n.is_open_leaf]
+    return [p for p, n in iter_nodes(root) if n.rule is None]
 
 
 def rule_count(root: TableauNode) -> int:
@@ -177,14 +172,13 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
     principal and witness.  No expansion binds a metavariable, so the
     search's unifier is untouched.
     """
-    if node.closed:
-        raise TableauError("leaf is closed")
     if node.rule is not None:
-        raise TableauError("node is not a leaf")
+        raise TableauError("node is not an open leaf")
     # Searched from the end: the principal is mostly a recent formula.
     if principal not in reversed(node.formulas):
         raise TableauError(f"principal {print_formula(principal)} not at leaf")
-    kind = RULE_GROUPS.get(rule_name(principal))
+    name = rule_name(principal)
+    kind = RULE_GROUPS.get(name)
     if kind is None:
         raise TableauError(f"cannot expand literal {print_formula(principal)}")
     witness = None
@@ -192,9 +186,9 @@ def expand(node: TableauNode, principal: Formula, names: NameSupply) -> None:
         witness = names.fresh_meta()
     elif kind == "delta":
         witness = App(names.fresh_skolem_symbol(), free_metas(principal))
-    node.rule = _expansion(principal, witness)
+    node.rule = rule = _instance(name, kind, principal, witness)
     formulas = node.formulas
-    node.children = tuple([TableauNode(formulas + extra) for extra in node.rule.introduced])
+    node.children = tuple([TableauNode(formulas + extra) for extra in rule.introduced])
 
 
 _WITNESSES = {"gamma": (Meta, "a metavariable"), "delta": (App, "a Skolem term")}
@@ -213,10 +207,35 @@ def _expansion(principal: Formula, witness: Term | None) -> RuleInstance:
     sort, what = _WITNESSES.get(kind, (type(None), "no witness"))
     if type(witness) is not sort or sort is App and not witness.is_skolem:
         raise FormatError(f"{kind} rule takes {what}")
-    meta, skolem = (witness, None) if kind == "gamma" else (None, witness)
+    return _instance(name, kind, principal, witness)
+
+
+def _instance(name: str, kind: str, principal: Formula, witness: Term | None) -> RuleInstance:
+    """``_expansion``'s rule for a principal of rule ``name`` and class ``kind``."""
     rule = BARE_RULES[name] if witness is None else GsRule(name, witness)
     # Built without keyword arguments, which cost a named tuple about half again.
-    return RuleInstance(kind, principal, premise_additions(rule, principal), meta, skolem)
+    return RuleInstance(kind, principal, premise_additions(rule, principal), witness, None)
+
+
+def _rule_fault(node: TableauNode) -> str | None:
+    """What keeps ``node``'s rule from being one that ``expand`` or
+    ``close`` makes, or None: an expansion must be ``_expansion``'s for its
+    principal and witness, with one child per premise; a closure must be a
+    pair of formulas, with no children; a node without a rule has none."""
+    rule = node.rule
+    if rule is None:
+        return "rule-less node has children" if node.children else None
+    if rule.kind == CLOSURE:
+        pair = rule.closure_pair
+        made = type(pair) is tuple and len(pair) == 2 and (CLOSURE, None, (), None, pair)
+        fault = "closure is not a pair with no children"
+    else:
+        try:
+            made = rule.principal is not None and _expansion(rule.principal, rule.witness)
+        except FormatError:
+            made = None
+        fault = f"{rule.kind} rule is not the expansion of its principal"
+    return fault if rule != made or len(node.children) != len(rule.introduced) else None
 
 
 def close(node: TableauNode, sigma: dict[str, Term], pos: Formula,
@@ -229,7 +248,7 @@ def close(node: TableauNode, sigma: dict[str, Term], pos: Formula,
     no unifier that extends ``sigma``.  ``sigma`` is never altered; it is
     the result itself when the pair binds nothing.
     """
-    if node.closed or node.rule is not None:
+    if node.rule is not None:
         raise TableauError("node is not an open leaf")
     if not isinstance(pos, Atom) or not isinstance(neg, Not) or not isinstance(neg.body, Atom):
         raise TableauError("closure needs an atom and a negated atom")
@@ -243,8 +262,7 @@ def close(node: TableauNode, sigma: dict[str, Term], pos: Formula,
     sigma = solve([Constraint(pos, neg.body)], sigma)
     if sigma is None:
         return None
-    node.rule = RuleInstance(CLOSURE, None, ((),), None, None, (pos, neg))
-    node.children = (TableauNode(node.formulas, None, (), True),)
+    node.rule = RuleInstance(CLOSURE, None, (), None, (pos, neg))
     return sigma
 
 
@@ -457,13 +475,12 @@ def ground(root: TableauNode) -> ClosedTableau:
         if rule is None:
             continue
         pair = rule.closure_pair
-        if pair is not None:  # a closure, whose only child is its closed leaf
+        if pair is not None:  # a closure, which is a leaf
             constraints.append(Constraint(pair[0], pair[1].body))
-            continue
-        if rule.meta is not None:  # vacuous if its instance is the body itself
+        elif rule.kind == "gamma":  # vacuous if its instance is the body itself
             q = rule.principal
             body = Not(q.body.body) if type(q) is Not else q.body
-            (vacuous if rule.introduced[0][0] == body else metas)[rule.meta] = None
+            (vacuous if rule.introduced[0][0] == body else metas)[rule.witness] = None
         stack += node.children[::-1]
     sigma = solve(constraints)
     if sigma is None:
@@ -480,12 +497,11 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     """Check the structural invariants of a finished tableau.
 
     Raises AuditError on the first violation: the unifier ground, then in
-    preorder every leaf closed, each closed node the only child of a
-    closure rule, each child multiset equal to its parent plus the
-    introduced formulas (non-destructivity), the introduced formulas the
-    decomposition of the principal by its rule, rule labels consistent
-    with the recorded children, a closure pair on closure rules only and
-    equated by the unifier, and Skolem symbols unused before their
+    preorder each child multiset equal to its parent plus the introduced
+    formulas (non-destructivity), every rule one that ``expand`` or
+    ``close`` makes (``_rule_fault``), every leaf closed, each principal
+    and closure pair present, each pair an atom and a negated atom that
+    the unifier equates, and Skolem symbols unused before their
     introduction.
     """
     def at(node: TableauNode) -> str:
@@ -508,48 +524,25 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             if (node.formulas != parent.formulas + extra
                     and Counter(node.formulas) != Counter(parent.formulas) + Counter(extra)):
                 raise AuditError(f"child multiset is not parent plus introduced at {at(parent)}")
-        if node.rule is None:
-            if node.children:
-                raise AuditError(f"rule-less node {at(node)} has children")
-            if not node.closed:
-                raise AuditError(f"open leaf at {at(node)}")
-            if parent is None or parent.rule.kind != CLOSURE:
-                raise AuditError(f"closed leaf {at(node)} is not the child of a closure rule")
-            continue
-        if node.closed:
-            raise AuditError(f"closed node {at(node)} carries a rule")
+        fault = _rule_fault(node)
+        if fault is not None:
+            raise AuditError(f"{fault} at {at(node)}")
         rule = node.rule
-        if len(node.children) != len(rule.introduced):
-            raise AuditError(f"child count mismatch at {at(node)}")
+        if rule is None:
+            raise AuditError(f"open leaf at {at(node)}")
         if rule.kind == CLOSURE:
-            if rule.closure_pair is None:
-                raise AuditError(f"closure without pair at {at(node)}")
             pos, neg = rule.closure_pair
             if not (isinstance(pos, Atom) and isinstance(neg, Not) and isinstance(neg.body, Atom)):
                 raise AuditError(f"closure pair is not an atom and a negated atom at {at(node)}")
             if pos not in node.formulas or neg not in node.formulas:
                 raise AuditError(f"closure pair absent at {at(node)}")
-            if len(node.children) != 1 or not node.children[0].closed:
-                raise AuditError(f"closure child not closed at {at(node)}")
             if apply_subst(unifier, pos) != apply_subst(unifier, neg.body):
                 raise AuditError(f"unifier does not equate closure pair at {at(node)}")
-        else:
-            if rule.closure_pair is not None:
-                raise AuditError(f"{rule.kind} rule carries a closure pair at {at(node)}")
-            if rule.principal is None or rule.principal not in node.formulas:
-                raise AuditError(f"principal absent at {at(node)}")
-            if rule.kind == "delta" and rule.skolem is None:
-                raise AuditError(f"delta without skolem at {at(node)}")
-            if rule.kind == "gamma" and rule.meta is None:
-                raise AuditError(f"gamma without metavariable at {at(node)}")
-            name = rule_name(rule.principal)
-            witness = rule.meta if rule.kind == "gamma" else rule.skolem
-            if (RULE_GROUPS.get(name) != rule.kind or rule.introduced
-                    != premise_additions(GsRule(name, witness), rule.principal)):
-                raise AuditError(f"introduced formulas are not the {rule.kind} decomposition "
-                                 f"of the principal at {at(node)}")
-        if rule.skolem is not None:
-            sym = rule.skolem.symbol
+            continue
+        if rule.principal not in node.formulas:
+            raise AuditError(f"principal absent at {at(node)}")
+        if rule.kind == "delta":
+            sym = rule.witness.symbol
             if sym in skolems:
                 raise AuditError(f"skolem symbol {sym} introduced twice")
             skolems.add(sym)
@@ -564,29 +557,26 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
 # A version-4 file holds what the prover chose; the reader derives the
 # rest as ``expand`` and ``close`` made it.  It is one flat JSON object:
 # ``table`` (the distinct formulas and terms, see ``formula.encode_table``),
-# ``nodes`` ([formulas, rule, [children]] per node but the closed leaves,
-# every child before its parent and each used once), ``root``, the ground
-# ``unifier`` ([metavariable, term] pairs sorted by name) and ``version``.
-# A rule is an expansion, [principal] or [principal, witness] (see
-# ``_expansion``), or ["closure", pos, neg], whose closed leaf the reader
-# makes.  Formulas and terms are table indices; a node's formulas are null
-# when they are its parent's plus the ones the parent's rule introduced for
-# it.  ``scripts/upgrade_files.py`` rewrites version-2 and -3 files, which
-# also list each rule's class and introduced formulas, the closed leaves
-# and the closure pairs as a ``store``.
+# ``nodes`` ([formulas, rule, [children]] per node, every child before its
+# parent and each used once), ``root``, the ground ``unifier``
+# ([metavariable, term] pairs sorted by name) and ``version``.  A rule is
+# an expansion, [principal] or [principal, witness] (a ``RuleInstance``'s
+# two choices, see ``_expansion``), or ["closure", pos, neg], a leaf's.
+# Formulas and terms are table indices; a node's formulas are null when
+# they are its parent's plus the ones the parent's rule introduced for it.
+# ``scripts/upgrade_files.py`` rewrites version-2 and -3 files, which also
+# list each rule's class and introduced formulas, its witness in a field
+# per class, a closed leaf below each closure and the closure pairs as a
+# ``store``.
 
 
 def tableau_to_json(ct: ClosedTableau) -> str:
     """Canonical version-4 serialization, compact with sorted keys, the
     nodes children first.  TableauError if the file cannot hold the tree:
-    an expansion that is not ``_expansion``'s for its principal and witness,
-    a closure that is not a pair and one closed leaf with its formulas, a
-    closed node elsewhere, or a rule-less node with children.  DepthError
-    for a formula nested deeper than ``MAX_DEPTH``, which the reader refuses.
+    a rule that ``expand`` or ``close`` does not make (see ``_rule_fault``).
+    DepthError for a formula nested deeper than ``MAX_DEPTH``, which the
+    reader refuses.
     """
-    def refuse(message: str, node: TableauNode):
-        raise TableauError(f"cannot write: {message} at {path_of(ct.root, node)}")
-
     order = postorder(ct.root)
     bindings = [(Meta(name), t) for name, t in sorted(ct.unifier.items())]
     items = [x for binding in bindings for x in binding]
@@ -594,53 +584,36 @@ def tableau_to_json(ct: ClosedTableau) -> str:
     # A child whose formulas are its parent's plus the ones its rule
     # introduced, as every child ``expand`` makes, is written without them.
     grown: set[TableauNode] = set()
-    leaves: set[TableauNode] = set()  # the closures' closed leaves
     rules: dict[TableauNode, list] = {}  # node -> its rule's fields
     for node in order:
+        fault = _rule_fault(node)
+        if fault is not None:
+            raise TableauError(f"cannot write: {fault} at {path_of(ct.root, node)}")
         rule = node.rule
         if rule is None:
-            if node.children:
-                refuse("rule-less node has children", node)
-        elif rule.kind == CLOSURE:
-            pair = rule.closure_pair
-            leaf = node.children[0] if len(node.children) == 1 else None
-            if (pair is None or rule != (CLOSURE, None, ((),), None, None, pair) or leaf is None
-                    or (leaf.formulas, leaf.rule, leaf.children, leaf.closed)
-                    != (node.formulas, None, (), True)):
-                refuse("closure is not a pair and one closed leaf with its formulas", node)
-            rules[node] = [CLOSURE, *pair]
-            items += pair
-            leaves.add(leaf)
-        else:
-            witness = rule.meta if rule.meta is not None else rule.skolem
-            try:
-                derived = rule.principal is not None and _expansion(rule.principal, witness)
-            except FormatError:
-                derived = None
-            if rule != derived or len(node.children) != len(rule.introduced):
-                refuse(f"{rule.kind} rule is not the expansion of its principal", node)
-            rules[node] = [rule.principal] if witness is None else [rule.principal, witness]
-            items += rules[node]
-            for child, extra in zip(node.children, rule.introduced):
-                if child.formulas == node.formulas + extra:
-                    grown.add(child)
-                else:
-                    items += child.formulas
+            continue
+        if rule.kind == CLOSURE:
+            rules[node] = [CLOSURE, *rule.closure_pair]
+            items += rule.closure_pair
+            continue
+        rules[node] = [rule.principal] if rule.witness is None else [rule.principal, rule.witness]
+        items += rules[node]
+        for child, extra in zip(node.children, rule.introduced):
+            if child.formulas == node.formulas + extra:
+                grown.add(child)
+            else:
+                items += child.formulas
     table, entry = encode_table(items)
 
     nodes: list[list] = []
     numbers: dict[TableauNode, int] = {}  # node -> node entry
     for node in order:
-        if node.closed:  # a closure's leaf, which the reader makes
-            if node not in leaves:
-                refuse("closed node is not a closure's leaf", node)
-            continue
         rule = rules.get(node)
         if rule is not None:
             rule = [rule[0], *map(entry, rule[1:])] if rule[0] == CLOSURE else [*map(entry, rule)]
         numbers[node] = len(nodes)
         nodes.append([None if node in grown else [entry(f) for f in node.formulas], rule,
-                      [numbers[child] for child in node.children if not child.closed]])
+                      [numbers[child] for child in node.children]])
     record = {"version": 4, "table": table, "nodes": nodes, "root": len(nodes) - 1,
               "unifier": [[entry(m), entry(t)] for m, t in bindings]}
     return dump_json(record) + "\n"
@@ -648,7 +621,7 @@ def tableau_to_json(ct: ClosedTableau) -> str:
 
 def tableau_from_json(text: str) -> ClosedTableau:
     """Read a tableau written by ``tableau_to_json`` in flat loops: one
-    ``TableauNode`` per node entry and closed leaf, each rule derived by
+    ``TableauNode`` per node entry, each expansion derived by
     ``_expansion``, then one pass from the root to fill in the formulas
     left out.  FormatError for a malformed entry, a reference to a later or
     missing entry, a node used twice, a term where a formula belongs or the
@@ -680,12 +653,9 @@ def tableau_from_json(text: str) -> ClosedTableau:
             used[i] = True
             children.append(nodes[i])
         rule = None if raw[1] is None else _rule_from_table(raw[1], table)
-        # A closure's premise is its closed leaf, which the file does not list.
-        premises = 0 if rule is None or rule.kind == CLOSURE else len(rule.introduced)
+        premises = 0 if rule is None else len(rule.introduced)
         if len(children) != premises:
             raise FormatError(f"node {n} has {len(children)} child entries, not {premises}")
-        if rule is not None and rule.kind == CLOSURE:
-            children.append(TableauNode(None, None, (), True))
         # Only the root and a child that is not its parent plus what the
         # parent's rule introduced list their formulas.
         formulas = None if raw[0] is None else tuple(formula(i, "formula") for i in raw[0])
@@ -723,7 +693,7 @@ def _rule_from_table(raw, table: Table) -> RuleInstance:
                           'or ["closure", pos, neg]')
     if len(raw) == 3:
         pair = (table.formula(raw[1], "closure pair"), table.formula(raw[2], "closure pair"))
-        return RuleInstance(CLOSURE, None, ((),), None, None, pair)
+        return RuleInstance(CLOSURE, None, (), None, pair)
     witness = table.term(raw[1], "witness") if len(raw) == 2 else None
     return _expansion(table.formula(raw[0], "principal"), witness)
 
@@ -739,18 +709,17 @@ def render_tableau(ct: ClosedTableau) -> str:
         if rule.kind == CLOSURE:
             pos, neg = rule.closure_pair
             return f"closure on {print_formula(pos)} / {print_formula(neg)}"
-        extra = ""
-        if rule.meta is not None:
-            extra = f" [{rule.meta.name}]"
-        if rule.skolem is not None:
-            extra = f" [{print_term(rule.skolem)}]"
+        extra = "" if rule.witness is None else f" [{print_term(rule.witness)}]"
         return f"{rule.kind} on {print_formula(rule.principal)}{extra}"
 
+    # A closure's leaf is its node, shown a second time below the closure, marked.
     for indent, node, _ in indented(ct.root):
-        marker = "x " if node.closed else ""
-        lines.append(indent + marker + ", ".join(print_formula(f) for f in node.formulas))
+        formulas = ", ".join(print_formula(f) for f in node.formulas)
+        lines.append(indent + formulas)
         if node.rule is not None:
             lines.append(indent + "-- " + label(node.rule))
+            if node.rule.kind == CLOSURE:
+                lines.append(indent + "x " + formulas)
 
     lines.append("store: " + ("; ".join(
         f"{print_formula(lhs)} = {print_formula(rhs)}" for lhs, rhs in closure_constraints(ct.root)

@@ -160,9 +160,9 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     edges: dict[App, set[App]] = {}
     for n in preorder(ct.root):
         rule = n.rule
-        if rule is None or rule.skolem is None:
+        if rule is None or rule.kind != "delta":
             continue
-        term = apply_subst(sigma, rule.skolem)
+        term = apply_subst(sigma, rule.witness)
         assert isinstance(term, App)
         deps = outermost_skolem_terms(apply_subst(sigma, rule.introduced[0][0]))
         for arg in term.args:
@@ -572,7 +572,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
 
     elif rule.kind == "delta":
         if S:
-            delta_sigma = apply_subst(builder.sigma, rule.skolem)
+            delta_sigma = apply_subst(builder.sigma, rule.witness)
             d_delta = builder.instance(rule.introduced[0][0])
             principal = builder.instance(rule.principal)
             bilink, _held = delta_graft(S, delta_sigma, d_delta, principal, builder)
@@ -588,7 +588,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
 
     else:
         principal = builder.instance(rule.principal)
-        witness = apply_subst(builder.sigma, rule.meta) if rule.kind == "gamma" else None
+        witness = None if rule.witness is None else apply_subst(builder.sigma, rule.witness)
         gs_rule = GsRule(rule_name(principal), witness)
         for s in S:
             if builder.shares(first, s.sequent, s):

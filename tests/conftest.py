@@ -33,7 +33,7 @@ from tabseq.formula import (
     print_formula,
     print_term,
 )
-from tabseq.tableau import closure_constraints
+from tabseq.tableau import CLOSURE, TableauNode, closure_constraints
 
 PREDICATES = ("P", "Q", "R", "S")
 CONSTANTS = ("a", "b", "c")
@@ -170,22 +170,27 @@ def run_upgrade(argv: list[str]) -> int:
 def v1_tableau_text(ct) -> str:
     """A version-1 ``.tab`` of the closed tableau ``ct``, as the first
     writers wrote one: a nested record per node, formulas and terms as
-    text, the closure pairs as ``store``.  It hands the upgrade script a
-    small tableau that version 4 cannot hold; it recurses per level."""
-    def record(node) -> dict:
+    text, each closure with the one empty list it introduced and one child,
+    a closed leaf with its formulas, the witness in the ``meta`` field for
+    gamma and ``skolem`` for the others, and the closure pairs as
+    ``store``.  It hands the upgrade script a small tableau that version 4
+    cannot hold; it recurses per level."""
+    def record(node, closed=False) -> dict:
         out = {"formulas": [print_formula(f) for f in node.formulas], "rule": None,
-               "children": [record(child) for child in node.children], "closed": node.closed}
+               "children": [record(child) for child in node.children], "closed": closed}
         rule = node.rule
         if rule is not None:
+            introduced = rule.introduced
+            if rule.kind == CLOSURE:
+                introduced, out["children"] = ((),), [record(TableauNode(node.formulas), True)]
             out["rule"] = {"class": rule.kind,
                            "principal": (None if rule.principal is None
                                          else print_formula(rule.principal)),
                            "introduced": [[print_formula(f) for f in child]
-                                          for child in rule.introduced]}
-            if rule.meta is not None:
-                out["rule"]["meta"] = print_term(rule.meta)
-            if rule.skolem is not None:
-                out["rule"]["skolem"] = print_term(rule.skolem)
+                                          for child in introduced]}
+            if rule.witness is not None:
+                field = "meta" if rule.kind == "gamma" else "skolem"
+                out["rule"][field] = print_term(rule.witness)
             if rule.closure_pair is not None:
                 out["rule"]["closure_pair"] = [print_formula(f) for f in rule.closure_pair]
         return out
@@ -235,10 +240,9 @@ def rule_kinds(root) -> list[str]:
 
 def tableau_shape(ct) -> tuple:
     """What a closed tableau holds, for comparing two copies, since tableau
-    nodes compare by identity: each node's path, formulas, rule and closed
-    flag in preorder, and the unifier."""
-    return ([(p, n.formulas, n.rule, n.closed) for p, n in iter_nodes(ct.root)],
-            ct.unifier)
+    nodes compare by identity: each node's path, formulas and rule in
+    preorder, and the unifier."""
+    return [(p, n.formulas, n.rule) for p, n in iter_nodes(ct.root)], ct.unifier
 
 
 def spine_rule_names(root, *, coalesce_weaken: bool = False) -> list[str]:

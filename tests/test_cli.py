@@ -1,7 +1,6 @@
 import importlib
 import json
 import os
-import re
 import stat
 import subprocess
 import sys
@@ -26,6 +25,7 @@ from tabseq.tableau import (
     tableau_from_json,
     tableau_to_json,
 )
+from tabseq.tree import format_path
 
 from conftest import run_upgrade, v1_tableau_text
 
@@ -254,8 +254,7 @@ class TestTranslate:
         # The writer derives the store from such a pair too, so the file
         # reads back and the audit refuses the pair.
         pos, neg = map(parse, pair.split(", "))
-        root = TableauNode((pos, neg), RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg)))
-        root.children = (TableauNode(root.formulas, closed=True),)
+        root = TableauNode((pos, neg), RuleInstance(CLOSURE, None, (), closure_pair=(pos, neg)))
         tab = tmp_path / "forged.tab"
         tab.write_text(tableau_to_json(ClosedTableau(root, {})), encoding="utf-8")
         assert run_cli(["translate", str(tab)]) == 2
@@ -285,12 +284,11 @@ class TestTranslate:
         # hold it, and the upgrade script refuses its version-1 file.
         pq, not_p, p, q, s = (parse(t) for t in ("P & Q", "~P", "P", "Q", "S"))
         child = TableauNode((pq, not_p, p, q, s),
-                            RuleInstance(CLOSURE, None, ((),), closure_pair=(p, not_p)))
-        child.children = (TableauNode(child.formulas, closed=True),)
+                            RuleInstance(CLOSURE, None, (), closure_pair=(p, not_p)))
         root = TableauNode((pq, not_p), RuleInstance("alpha", pq, ((p, q, s),)), (child,))
         ct = ClosedTableau(root, {})
-        with pytest.raises(AuditError, match="^introduced formulas are not the alpha "
-                                             "decomposition of the principal at [(]root[)]$"):
+        with pytest.raises(AuditError, match="^alpha rule is not the expansion of its principal "
+                                             "at [(]root[)]$"):
             audit_closed_tableau(ct)
         tab = tmp_path / "forged.tab"
         tab.write_text(v1_tableau_text(ct), encoding="utf-8")
@@ -302,30 +300,59 @@ class TestTranslate:
 
     @pytest.mark.parametrize("forgery", ["dropped closure", "closed root"])
     def test_a_closed_leaf_outside_a_closure_rule_exits_two(self, tmp_path, capsys, forgery):
-        # A closure rule of (P | Q) => (P | Q) dropped and its node marked
-        # closed, or a bare closed root: each fails the tableau audit.
+        # A version-1 file with a closure rule of (P | Q) => (P | Q)
+        # dropped and its node marked closed, or a bare closed root.  A
+        # closure is a leaf with a rule now, so neither tree has a place in
+        # memory, and the upgrade script refuses both.
         if forgery == "dropped closure":
             ct = tabseq.prove([Not(parse("(P | Q) => (P | Q)"))])
             node = ct.root.children[0].children[0].children[0]
             assert node.rule.kind == CLOSURE
-            node.rule, node.children, node.closed = None, (), True
-            where = "000"
+            node.rule = None
+            where = (0, 0, 0)
         else:
-            ct = ClosedTableau(TableauNode((parse("~(P | ~P)"),), closed=True),
-                               {})
-            where = "(root)"
-        message = f"closed leaf {where} is not the child of a closure rule"
-        with pytest.raises(AuditError, match=f"^{re.escape(message)}$"):
-            audit_closed_tableau(ct)
-        # Version 4 makes a closed leaf only under a closure, so it cannot
-        # hold either tree, and the upgrade script refuses its version-1 file.
+            ct = ClosedTableau(TableauNode((parse("~(P | ~P)"),)), {})
+            where = ()
+        record = json.loads(v1_tableau_text(ct))
+        node = record["root"]
+        for bit in where:
+            node = node["children"][bit]
+        node["closed"] = True
         tab = tmp_path / "forged.tab"
-        tab.write_text(v1_tableau_text(ct), encoding="utf-8")
+        tab.write_text(json.dumps(record), encoding="utf-8")
         assert run_upgrade([str(tab), "--out", str(tmp_path / "upgraded")]) == 2
         assert capsys.readouterr().err == (
-            f"{tab}: cannot upgrade: TableauError: cannot write: closed node is not a "
-            f"closure's leaf at {where}\n")
+            f"{tab}: cannot upgrade: FormatError: closed node {format_path(where)} is not a "
+            "closure's only child\n")
         assert not (tmp_path / "upgraded").exists()
+
+    # In the version-3 drinker file: node 4 is the root's gamma step, 3 the
+    # alpha step, 2 the delta step, 1 the closure and 0 its closed leaf.
+    @pytest.mark.parametrize("forgery", {
+        "closed node with a rule": ((2, 3, True), "closed node 00 is not a closure's only child"),
+        "closed root": ((4, 3, True), "closed node (root) is not a closure's only child"),
+        "open leaf below a closure": ((0, 3, False), "closure at 000 has not one closed leaf "
+                                                     "with its formulas as its only child"),
+        "leaf with other formulas": ((0, 0, [15]), "closure at 000 has not one closed leaf "
+                                                   "with its formulas as its only child"),
+        "closure that introduces a formula": ((1, 1, 2, [[5]]), "closure at 000 has not one "
+                                              "closed leaf with its formulas as its only child"),
+        "delta witness in the meta field": ((2, 1, 3, 1),
+                                            "delta rule has a witness in its meta field"),
+        "gamma witness in the skolem field": ((4, 1, 4, 0),
+                                              "gamma rule has a witness in its skolem field"),
+    }.items(), ids=lambda item: item[0])
+    def test_old_rule_shapes_are_refused(self, tmp_path, capsys, forgery):
+        # The upgrade script drops each closure's closed leaf and reads each
+        # witness from its class's field; it refuses a file where either
+        # would lose what the file says.
+        record = json.loads((V3_FIXTURES / "drinker.tab").read_text(encoding="utf-8"))
+        _, ((*where, last, value), message) = forgery
+        entry = record["nodes"]
+        for key in where:
+            entry = entry[key]
+        entry[last] = value
+        self.upgrade_refuses(tmp_path, capsys, record, f"FormatError: {message}")
 
     def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])

@@ -5,6 +5,7 @@ upgraded by `scripts/upgrade_files.py`, version-2 and -3 `.tab` files by
 the reader that moved there; deep proofs read back; the checker on shared
 read-back proofs; hostile and mutated files."""
 
+import hashlib
 import json
 import os
 import random
@@ -128,6 +129,42 @@ def test_v2_fixture_reads_back_translates_and_checks(tmp_path, capsys, name):
     proof = translate(back)
     assert proof_to_json(proof) == v2_gs3_text
     assert check(proof).accepted and check(proof_from_json(v2_gs3_text)).accepted
+
+
+# sha256 of each committed old fixture as the upgrade script rewrites it,
+# or None for a forged one it refuses with exit status 2.
+UPGRADED = {
+    "v1/drinker.gs3": "f5c48e7d194d1c97044d005b7ca82cc60955e40758c631689286e726e362ec15",
+    "v1/drinker.tab": "d624f8669c8ceb2c7c0323ea0c9d4c2659fd13ee41ba07151cb2ccd57d350879",
+    "v1/gen001.gs3": "4a04dd0e4cea5a239a15c3365d50fc420704e93ff4051c6fe53058288384083e",
+    "v1/gen001.tab": "2c56d2c700e897fe8b265b72c73b9b724bdf9b975d1be5e8bf73c47c86826fdb",
+    "v1/growth-2.gs3": "4fddf2c5e559207b35542ed23fb9f2c918d55d83c58a7702670c10c68ba02aed",
+    "v1/growth-2.tab": "ce47140474bec35fdd9247e3a49f286d8912b984a13ae98dc39c450da0637650",
+    "v2/drinker.gs3": "f5c48e7d194d1c97044d005b7ca82cc60955e40758c631689286e726e362ec15",
+    "v2/drinker.tab": "d624f8669c8ceb2c7c0323ea0c9d4c2659fd13ee41ba07151cb2ccd57d350879",
+    "v2/gen001.gs3": "4a04dd0e4cea5a239a15c3365d50fc420704e93ff4051c6fe53058288384083e",
+    "v2/gen001.tab": "2c56d2c700e897fe8b265b72c73b9b724bdf9b975d1be5e8bf73c47c86826fdb",
+    "v2/growth-2.gs3": "4fddf2c5e559207b35542ed23fb9f2c918d55d83c58a7702670c10c68ba02aed",
+    "v2/growth-2.tab": "ce47140474bec35fdd9247e3a49f286d8912b984a13ae98dc39c450da0637650",
+    "v3/closed-leaf-outside-closure.tab": None,
+    "v3/closure-pair-on-gamma.tab": None,
+    "v3/drinker-under-or.tab": "6277825e1ec76d41109a8cae6887f878f73b4776a86f4bd4e3a9cbd84af48742",
+    "v3/drinker.tab": "d624f8669c8ceb2c7c0323ea0c9d4c2659fd13ee41ba07151cb2ccd57d350879",
+}
+
+
+def test_upgraded_fixtures_are_pinned(tmp_path, capsys):
+    """Every committed v1, v2 and v3 fixture upgrades to its pinned bytes,
+    or is refused with exit status 2 and nothing written."""
+    fixtures = V1_FIXTURES.parent
+    assert sorted(UPGRADED) == sorted(f"{v}/{path.name}" for v in ("v1", "v2", "v3")
+                                      for path in (fixtures / v).iterdir())
+    for name, digest in UPGRADED.items():
+        out = tmp_path / name
+        code = run_upgrade([str(fixtures / name), "--out", str(out.parent)])
+        capsys.readouterr()
+        assert code == (0 if digest else 2), name
+        assert (hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None) == digest
 
 
 def test_v1_sequent_counts_are_bounded(tmp_path):

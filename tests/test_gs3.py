@@ -801,11 +801,10 @@ class TestSharedTreeHelpers:
 
     def test_replace_at_copies_either_tree_along_the_path(self):
         ct = prove([GOAL])
-        leaf_path = next(p for p, n in tableau.iter_nodes(ct.root) if n.closed)
-        new = tableau.TableauNode(ct.root.formulas, closed=True)
+        leaf_path = next(p for p, n in tableau.iter_nodes(ct.root) if not n.children)
+        new = tableau.TableauNode(ct.root.formulas)
         copy = tableau.replace_at(ct.root, leaf_path, new)
         assert copy is not ct.root and type(copy) is tableau.TableauNode
         assert node_at(copy, leaf_path) is new
-        assert [(p, n.rule, n.closed) for p, n in tableau.iter_nodes(copy)
-                if p != leaf_path] == [
-            (p, n.rule, n.closed) for p, n in tableau.iter_nodes(ct.root) if p != leaf_path]
+        assert [(p, n.rule) for p, n in tableau.iter_nodes(copy) if p != leaf_path] == [
+            (p, n.rule) for p, n in tableau.iter_nodes(ct.root) if p != leaf_path]

@@ -2,8 +2,9 @@
 expansion's principal and witness, each closure's pair and the ground
 unifier.  They round-trip, the reader derives each rule as ``expand`` and
 ``close`` made it and refuses what it cannot derive, the writer refuses a
-tree it cannot write faithfully, older versions are refused with the
-upgrade hint, and mutants never crash ``translate``."""
+tree it cannot write faithfully and the audit refuses each such rule for
+the same reason, older versions are refused with the upgrade hint, and
+mutants never crash ``translate``."""
 
 import contextlib
 import functools
@@ -21,17 +22,19 @@ from tabseq.formula import App, Meta, Not, parse
 from tabseq.problems import HAND_GOALS, deep_tableau, growth_goal
 from tabseq.tableau import (
     CLOSURE,
+    AuditError,
     ClosedTableau,
     RuleInstance,
     TableauError,
     TableauNode,
+    audit_closed_tableau,
     prove,
     render_tableau,
     tableau_from_json,
     tableau_to_json,
 )
 from tabseq.translate import translate
-from tabseq.tree import MAX_OCCURRENCES, preorder
+from tabseq.tree import MAX_OCCURRENCES, format_path, preorder
 
 from conftest import node_at
 from test_output_digest import inputs
@@ -47,6 +50,10 @@ def proved(text: str) -> ClosedTableau:
 
 def drinker() -> ClosedTableau:
     return proved(dict(HAND_GOALS)["drinker"])
+
+
+# The closure pair of the drinker's tableau.
+DRINKER_PAIR = (parse("D(X1)", allow_generated=True), parse("~D(sko1)", allow_generated=True))
 
 
 def translate_exit(text: str, tmp_path: Path) -> tuple[int, str]:
@@ -77,15 +84,18 @@ def test_files_round_trip_and_translate_as_the_tree_they_hold():
                 == gs3.proof_to_json(translate(ct, audit=False))), name
 
 
-def test_a_closure_leaf_is_made_not_written():
-    """The drinker's file lists four nodes, its closure with no child; the
-    reader makes the closed leaf with the closure node's formulas."""
-    record = json.loads(tableau_to_json(drinker()))
+def test_a_closure_is_a_leaf_in_the_file_and_in_memory():
+    """The drinker's file lists four nodes, its closure with no child, and
+    the reader's closure, as the prover's, is a leaf that introduces
+    nothing."""
+    ct = drinker()
+    record = json.loads(tableau_to_json(ct))
     assert sorted(record) == ["nodes", "root", "table", "unifier", "version"]
     assert record["nodes"][0] == [None, [CLOSURE, 5, 9], []]
-    closure = node_at(tableau_from_json(json.dumps(record)).root, (0, 0, 0))
-    (leaf,) = closure.children
-    assert leaf.closed and leaf.rule is None and leaf.formulas == closure.formulas
+    for root in (ct.root, tableau_from_json(json.dumps(record)).root):
+        closure = node_at(root, (0, 0, 0))
+        assert closure.rule == RuleInstance(CLOSURE, None, (), None, DRINKER_PAIR)
+        assert closure.children == ()
 
 
 # ------------------------------------------------------- old versions
@@ -274,14 +284,8 @@ class TestWriterRefusals:
         sko = App("sko9", ())
         principal = node.rule.principal
         introduced = gs3.premise_additions(gs3.GsRule("not_exists", sko), principal)
-        node.rule = node.rule._replace(meta=sko, introduced=introduced)
+        node.rule = node.rule._replace(witness=sko, introduced=introduced)
         refused(ct, "gamma rule is not the expansion of its principal at (root)")
-
-    def test_witness_in_the_other_field(self):
-        ct = drinker()
-        node = rule_node(ct, "delta")
-        node.rule = node.rule._replace(meta=Meta("X1"))
-        refused(ct, "delta rule is not the expansion of its principal at 00")
 
     def test_closure_pair_on_a_non_closure(self):
         ct = drinker()
@@ -296,36 +300,6 @@ class TestWriterRefusals:
         node.children = node.children * 2
         refused(ct, "alpha rule is not the expansion of its principal at 0")
 
-    def test_closed_root(self):
-        refused(ClosedTableau(TableauNode((parse("~(P | ~P)"),), closed=True), {}),
-                "closed node is not a closure's leaf at (root)")
-
-    def test_closed_node_below_an_expansion(self):
-        ct = drinker()
-        closure = rule_node(ct, CLOSURE)
-        closure.rule, closure.children, closure.closed = None, (), True
-        refused(ct, "closed node is not a closure's leaf at 000")
-
-    def test_closed_node_with_a_rule(self):
-        ct = drinker()
-        rule_node(ct, "delta").closed = True
-        refused(ct, "closed node is not a closure's leaf at 00")
-
-    @pytest.mark.parametrize("change", ["open leaf", "two leaves", "other formulas", "no pair"])
-    def test_closure_that_is_not_a_pair_and_one_closed_leaf(self, change):
-        ct = drinker()
-        node = rule_node(ct, CLOSURE)
-        (leaf,) = node.children
-        if change == "open leaf":
-            leaf.closed = False
-        elif change == "two leaves":
-            node.children = (leaf, TableauNode(node.formulas, closed=True))
-        elif change == "other formulas":
-            leaf.formulas = leaf.formulas[::-1]
-        else:
-            node.rule = node.rule._replace(closure_pair=None)
-        refused(ct, "closure is not a pair and one closed leaf with its formulas at 000")
-
     def test_rule_less_node_with_children(self):
         ct = drinker()
         node = rule_node(ct, "alpha")
@@ -336,7 +310,73 @@ class TestWriterRefusals:
         """A pair that is no literal pair can be written; the audit, not
         the writer, refuses it."""
         pos, neg = parse("P(a) & P(a)"), parse("~P(a)")
-        root = TableauNode((pos, neg), RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg)))
-        root.children = (TableauNode(root.formulas, closed=True),)
+        root = TableauNode((pos, neg), RuleInstance(CLOSURE, None, (), closure_pair=(pos, neg)))
         ct = ClosedTableau(root, {})
         assert render_tableau(tableau_from_json(tableau_to_json(ct))) == render_tableau(ct)
+
+
+# ------------------------------------------------- audit and writer agree
+
+
+def _with_witness(rule: RuleInstance, witness) -> RuleInstance:
+    """``rule`` with ``witness`` and the formulas that witness gives."""
+    name = gs3.rule_name(rule.principal)
+    return rule._replace(witness=witness, introduced=gs3.premise_additions(
+        gs3.GsRule(name, witness), rule.principal))
+
+
+def new_rule(change):
+    """A change to a node that replaces its rule with ``change(rule)``."""
+    return lambda node: setattr(node, "rule", change(node.rule))
+
+
+# Per malformed rule: the path of the node it changes in the drinker's
+# tableau (gamma at the root, then alpha, delta and closure down one
+# branch), the change, and the reason both refusals give.
+EXPANSION = "rule is not the expansion of its principal"
+NOT_A_CLOSURE = "closure is not a pair with no children"
+MALFORMED_RULES = {
+    "wrong class": ((0,), new_rule(lambda r: r._replace(kind="beta")), f"beta {EXPANSION}"),
+    "an extra introduced formula": ((0,), new_rule(lambda r: r._replace(
+        introduced=(r.introduced[0] + (parse("S"),),))), f"alpha {EXPANSION}"),
+    "a gamma without a witness": ((), new_rule(lambda r: r._replace(witness=None)),
+                                  f"gamma {EXPANSION}"),
+    "a delta without a witness": ((0, 0), new_rule(lambda r: r._replace(witness=None)),
+                                  f"delta {EXPANSION}"),
+    "a gamma witness of the wrong sort": (
+        (), new_rule(lambda r: _with_witness(r, App("sko9", ()))), f"gamma {EXPANSION}"),
+    "a delta witness of the wrong sort": (
+        (0, 0), new_rule(lambda r: r._replace(witness=Meta("X1"))), f"delta {EXPANSION}"),
+    "an alpha with a witness": ((0,), new_rule(lambda r: r._replace(witness=Meta("X1"))),
+                                f"alpha {EXPANSION}"),
+    "a closure pair on an expansion": (
+        (), new_rule(lambda r: r._replace(closure_pair=DRINKER_PAIR)), f"gamma {EXPANSION}"),
+    "children that are not the premises": (
+        (0,), lambda node: setattr(node, "children", node.children * 2), f"alpha {EXPANSION}"),
+    "a closure without a pair": ((0, 0, 0), new_rule(lambda r: r._replace(closure_pair=None)),
+                                 NOT_A_CLOSURE),
+    "a closure pair of one formula": (
+        (0, 0, 0), new_rule(lambda r: r._replace(closure_pair=r.closure_pair[:1])),
+        NOT_A_CLOSURE),
+    "a closure that introduces an empty list": (
+        (0, 0, 0), new_rule(lambda r: r._replace(introduced=((),))), NOT_A_CLOSURE),
+    "a closure with a child": (
+        (0, 0, 0), lambda node: setattr(node, "children", (TableauNode(node.formulas),)),
+        NOT_A_CLOSURE),
+    "a rule-less node with children": ((0,), new_rule(lambda r: None),
+                                       "rule-less node has children"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_RULES)
+def test_the_audit_and_the_writer_agree(name):
+    """Both ask ``tableau._rule_fault`` whether a rule is one that
+    ``expand`` or ``close`` makes, so they refuse each rule that is not
+    with the same reason and path."""
+    path, change, reason = MALFORMED_RULES[name]
+    ct = drinker()
+    change(node_at(ct.root, path))
+    expected = f"{reason} at {format_path(path)}"
+    with pytest.raises(AuditError, match=f"^{re.escape(expected)}$"):
+        audit_closed_tableau(ct)
+    refused(ct, expected)

@@ -59,7 +59,7 @@ class TestExpand:
         expand(root, root.formulas[0], NameSupply())
         (child,) = root.children
         assert child.formulas[-1] == Not(Atom("D", (App("sko1", ()),)))
-        assert root.rule.skolem == App("sko1", ())
+        assert root.rule.witness == App("sko1", ())
 
     def test_delta_collects_occurring_metas(self):
         from tabseq.formula import Forall
@@ -67,7 +67,7 @@ class TestExpand:
         f = Not(Forall("y", Atom("Q", (Meta("X"), Var("y")))))
         root = TableauNode((f,))
         expand(root, f, NameSupply())
-        assert root.rule.skolem == App("sko1", (Meta("X"),))
+        assert root.rule.witness == App("sko1", (Meta("X"),))
         (child,) = root.children
         assert child.formulas[-1] == Not(Atom("Q", (Meta("X"), App("sko1", (Meta("X"),)))))
 
@@ -78,7 +78,7 @@ class TestExpand:
         (child,) = root.children
         intro = child.formulas[-1]
         assert intro == parse("~(D(X1) => forall y. D(y))", allow_generated=True)
-        assert root.rule.meta == Meta("X1")
+        assert root.rule.witness == Meta("X1")
 
     def test_beta_splits_into_two_children(self):
         f = parse("A | B")
@@ -103,7 +103,7 @@ class TestExpand:
         with pytest.raises(TableauError, match="literal"):
             expand(TableauNode((Atom("P", ()),)), Atom("P", ()), NameSupply())
         expand(root, f, NameSupply())
-        with pytest.raises(TableauError, match="not a leaf"):
+        with pytest.raises(TableauError, match="not an open leaf"):
             expand(root, f, NameSupply())
 
     def test_extends_the_leaf_in_place(self):
@@ -130,7 +130,7 @@ class TestClose:
         assert sigma == {"X": const("c")}
         assert root.rule.kind == "closure"
         assert root.rule.closure_pair == (pos, neg)
-        assert node_at(root, (0,)).closed
+        assert root.children == () and root.rule.introduced == ()
         assert closure_constraints(root) == [Constraint(pos, neg.body)]
 
     def test_ground_identical_literals(self):
@@ -156,7 +156,7 @@ class TestClose:
         neg = Not(Atom("P", (const("b"),)))
         root = TableauNode((pos, neg))
         assert close(root, {}, pos, neg) is None
-        assert root.is_open_leaf and root.rule is None
+        assert root.rule is None and root.children == ()
         assert open_leaves(root) == [()]
 
     def test_closes_the_leaf_in_place(self):
@@ -291,8 +291,7 @@ def reference_close(node, store, pos, neg):
     grown = store + [Constraint(pos, neg.body)]
     if solve(grown) is None:
         return None
-    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(pos, neg))
-    node.children = (TableauNode(node.formulas, closed=True),)
+    node.rule = RuleInstance(CLOSURE, None, (), closure_pair=(pos, neg))
     return grown
 
 
@@ -341,8 +340,8 @@ def reference_prove(formulas, gamma_limit=2, depth_limit=200):
         principal = min(candidates)[1]
         expand(node, principal, names)
         steps += 1
-        if node.rule.meta is not None:
-            gamma_metas.append(node.rule.meta)
+        if node.rule.kind == "gamma":
+            gamma_metas.append(node.rule.witness)
         child_uses = {**uses, principal: uses.get(principal, 0) + 1}
         for child, extra in zip(reversed(node.children), reversed(node.rule.introduced)):
             pending.append((child, depth + 1, child_uses, extra))
@@ -545,8 +544,8 @@ class TestInPlaceGrowth:
             "~P(a)", "~Q(a)", "~R(a)", "~S(a)",
         )]
         ct = prove(gamma)
-        metas = [n.rule.meta.name for _, n in iter_nodes(ct.root)
-                 if n.rule is not None and n.rule.meta is not None]
+        metas = [n.rule.witness.name for _, n in iter_nodes(ct.root)
+                 if n.rule is not None and n.rule.kind == "gamma"]
         assert metas == ["X1", "X2", "X3", "X4"]
 
 
@@ -562,7 +561,7 @@ class TestRecords:
         for record, field in ((rule, "kind"), (rule, "introduced"), (constraint, "lhs")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
-        assert rule == RuleInstance("alpha", f, ((f.left, f.right),), None, None, None)
+        assert rule == RuleInstance("alpha", f, ((f.left, f.right),), None, None)
         assert constraint == Constraint(Meta("X1"), const("a"))
 
     def test_nodes_refuse_new_attributes(self):
@@ -572,9 +571,9 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 record.note = "set"
             assert not hasattr(record, "__dict__")
-        node.closed = True
+        node.rule = RuleInstance(CLOSURE, None, (), None, (parse("P"), parse("~P")))
         proof.rule = GsRule("axiom")
-        assert node.closed and proof.rule == GsRule("axiom")
+        assert node.rule.kind == CLOSURE and proof.rule == GsRule("axiom")
 
 
 class TestNonDestructivity:
@@ -606,8 +605,7 @@ def double_negation_chain(depth: int) -> ClosedTableau:
         child = TableauNode(formulas)
         node.rule, node.children = alpha, (child,)
         node = child
-    node.rule = RuleInstance(CLOSURE, None, ((),), closure_pair=(p, np))
-    node.children = (TableauNode(formulas, closed=True),)
+    node.rule = RuleInstance(CLOSURE, None, (), closure_pair=(p, np))
     return ClosedTableau(root, {})
 
 
@@ -647,8 +645,8 @@ class TestAudit:
             introduced = (rule.introduced[0] + (parse("S"),),)
             for _, below in iter_nodes(node.children[0]):
                 below.formulas += (parse("S"),)
-        node.rule = RuleInstance(rule.kind, rule.principal, introduced, rule.meta, rule.skolem)
-        with pytest.raises(AuditError, match=f"not the {kind} decomposition of the principal "
+        node.rule = RuleInstance(rule.kind, rule.principal, introduced, rule.witness)
+        with pytest.raises(AuditError, match=f"^{kind} rule is not the expansion of its principal "
                                              f"at {''.join(map(str, path)) or '[(]root[)]'}$"):
             audit_closed_tableau(ct)
 
@@ -657,7 +655,7 @@ class TestAudit:
         alpha = next(n for _, n in iter_nodes(ct.root) if n.rule is not None
                      and n.rule.kind == "alpha" and n.rule.principal == parse("P & Q"))
         alpha.rule = RuleInstance("beta", alpha.rule.principal, alpha.rule.introduced)
-        with pytest.raises(AuditError, match="not the beta decomposition"):
+        with pytest.raises(AuditError, match="^beta rule is not the expansion of its principal"):
             audit_closed_tableau(ct)
 
     def test_first_violation_is_the_first_in_preorder(self):
@@ -670,11 +668,13 @@ class TestAudit:
         closure = next(p for p, n in iter_nodes(node_at(ct.root, beta + (0,)))
                        if n.rule is not None and n.rule.kind == CLOSURE)
         closure = beta + (0,) + closure
-        node_at(ct.root, closure + (0,)).closed = False
+        node = node_at(ct.root, closure)
+        rule = node.rule
+        node.rule = rule._replace(closure_pair=None)
         node_at(ct.root, beta + (1,)).formulas += (parse("R"),)
-        with pytest.raises(AuditError, match="closure child not closed"):
+        with pytest.raises(AuditError, match="closure is not a pair with no children"):
             audit_closed_tableau(ct)
-        node_at(ct.root, closure + (0,)).closed = True
+        node.rule = rule
         with pytest.raises(AuditError, match="child multiset is not parent plus introduced"):
             audit_closed_tableau(ct)
 
@@ -701,15 +701,10 @@ class TestAuditRefusals:
         node.rule, node.children = None, ()
         self.refused(ct, "open leaf at 000")
 
-    def test_closed_node_with_a_rule(self):
-        ct, node = self.drinker("gamma")
-        node.closed = True
-        self.refused(ct, "closed node (root) carries a rule")
-
     def test_closure_without_pair(self):
         ct, node = self.drinker(CLOSURE)
         node.rule = node.rule._replace(closure_pair=None)
-        self.refused(ct, "closure without pair at 000")
+        self.refused(ct, "closure is not a pair with no children at 000")
 
     def test_closure_pair_absent(self):
         ct, node = self.drinker(CLOSURE)
@@ -718,19 +713,19 @@ class TestAuditRefusals:
 
     def test_delta_without_skolem(self):
         ct, node = self.drinker("delta")
-        node.rule = node.rule._replace(skolem=None)
-        self.refused(ct, "delta without skolem at 00")
+        node.rule = node.rule._replace(witness=None)
+        self.refused(ct, "delta rule is not the expansion of its principal at 00")
 
     def test_gamma_without_metavariable(self):
         ct, node = self.drinker("gamma")
-        node.rule = node.rule._replace(meta=None)
-        self.refused(ct, "gamma without metavariable at (root)")
+        node.rule = node.rule._replace(witness=None)
+        self.refused(ct, "gamma rule is not the expansion of its principal at (root)")
 
     def test_skolem_before_its_delta_step(self):
         # Q(sko1) on every node keeps each child its parent plus the
         # introduced formulas, as multisets.
         ct, node = self.drinker("delta")
-        q = Atom("Q", (node.rule.skolem,))
+        q = Atom("Q", (node.rule.witness,))
         for _, n in iter_nodes(ct.root):
             n.formulas += (q,)
         self.refused(ct, "skolem sko1 occurs before its delta step")
@@ -750,7 +745,7 @@ class TestAuditRefusals:
         # and the unifier equates it, so only the rule class is wrong.
         ct, closure = self.drinker(CLOSURE)
         ct.root.rule = ct.root.rule._replace(closure_pair=closure.rule.closure_pair)
-        self.refused(ct, "gamma rule carries a closure pair at (root)")
+        self.refused(ct, "gamma rule is not the expansion of its principal at (root)")
 
 
 def test_prove_agrees_with_the_reference_search():

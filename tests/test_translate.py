@@ -168,11 +168,17 @@ class TestInitialPart:
         replay = Replay(drinker_tableau())
         for leaf in [(), (0,), (0, 0), (0, 0, 0)]:
             replay.extend(leaf)
-        # Only the closed leaf is left on the fringe, with no sequent leaf.
-        assert list(replay.link) == [node_at(replay.ct.root, (0, 0, 0, 0))]
-        assert replay.link_paths() == {}
+        # The closure is a leaf: the fringe is empty, with no sequent leaf.
+        assert replay.link == {} and replay.link_paths() == {}
+        with pytest.raises(TranslateError, match="not a fringe leaf"):
+            replay.extend((0, 0, 0))
+        # An open leaf reaches the fringe, but has no rule to replay.
+        replay = Replay(drinker_tableau())
+        node_at(replay.ct.root, (0, 0, 0)).rule = None
+        for leaf in [(), (0,), (0, 0)]:
+            replay.extend(leaf)
         with pytest.raises(TranslateError, match="no rule to replay"):
-            replay.extend((0, 0, 0, 0))
+            replay.extend((0, 0, 0))
 
     def test_errors(self):
         replay = Replay(drinker_tableau())
