@@ -1,32 +1,41 @@
 """Rewrite proof files that ``tabseq`` no longer reads in the current
-formats: each ``.tab`` as version 4 and each ``.gs3`` as version 2, under
+formats: each ``.tab`` as version 4 and each ``.gs3`` as version 3, under
 the same name in ``--out``.  A current file is written again as the
 writers write it.
 
 A version-1 file has no ``version`` field: it is one nested record per
 proof node, with formulas and terms as text.  This script rebuilds the
-proof from that text.  A version-2 or -3 ``.tab`` is read as the package
-read it before version 4: a flat table and one entry per node, each
-rule listing its class, its introduced formulas, its witness in a field
-per class (``meta`` for gamma, ``skolem`` for delta) and its closure
-pair, each node flagged closed or not, with the closure pairs once more
-as a ``store`` (version 2 lists every node's formulas, version 3 only
-those that are not their parent's plus what the parent's rule introduced
-for them).  Those files give each closure one child, a closed leaf with
-the closure's formulas; in memory a closure is a leaf, with one
+proof from that text.  A version-2 ``.gs3`` is a flat table, every
+distinct sequent as a change to an earlier one, and one entry per node
+with its sequent, rule name, principal, witness and children; version 3
+lists only the end-sequent and the sequents its rules do not derive, and
+names a rule only for an axiom or a weakening, so the script reads a
+version-2 file with the reader that moved here (``v2_proof``) and writes
+the proof with the package's writer.  A version-2 or -3 ``.tab`` is read
+as the package read it before version 4: a flat table and one entry per
+node, each rule listing its class, its introduced formulas, its witness
+in a field per class (``meta`` for gamma, ``skolem`` for delta) and its
+closure pair, each node flagged closed or not, with the closure pairs
+once more as a ``store`` (version 2 lists every node's formulas, version
+3 only those that are not their parent's plus what the parent's rule
+introduced for them).  Those files give each closure one child, a closed
+leaf with the closure's formulas; in memory a closure is a leaf, with one
 ``witness`` field per rule, so both readers move the witness to that
 field and drop each closure's closed leaf.  Version 4 keeps only the
 prover's choices and derives the rest, so the script writes each proof
 with the package's writers and reads the text back with the current
 reader.
 
-It judges nothing but what version 4 leaves out: a ``.tab`` whose store
-is not the tree's closure pairs in preorder, with a witness in the other
-rule class's field, with a closed node that is not a closure's only
-child, with a closure whose only child is not one closed leaf with its
-formulas, or whose tree version 4 cannot hold (a rule whose class,
-witness or introduced formulas are not the ones its principal gives, a
-closure pair on a rule that is no closure) is not upgraded.  Run
+It judges nothing but what the current versions leave out: a ``.tab``
+whose store is not the tree's closure pairs in preorder, with a witness
+in the other rule class's field, with a closed node that is not a
+closure's only child, with a closure whose only child is not one closed
+leaf with its formulas, or whose tree version 4 cannot hold (a rule whose
+class, witness or introduced formulas are not the ones its principal
+gives, a closure pair on a rule that is no closure) is not upgraded, nor
+is a ``.gs3`` whose proof version 3 cannot hold (a rule name that is not
+its principal's rule, a witness on a rule that takes none or none on one
+that takes one, or other than the rule's number of premises).  Run
 ``tabseq translate`` on each upgraded ``.tab`` and ``tabseq check`` on
 each upgraded ``.gs3``: their audits and the checker decide whether the
 proof holds.  A file that cannot be read, rebuilt, written or
@@ -76,6 +85,65 @@ def v1_proof(record) -> GsProof:
                        children)
 
     return build(record)
+
+
+def v2_proof(record: dict) -> GsProof:
+    """The proof of a version-2 ``.gs3`` file.  It lists each distinct
+    sequent as [base, [[formula, count], ...]], the earlier sequent
+    ``base`` (the empty one for null) with the count of each listed formula
+    set to the given one, 0 removing it, and each node as [sequent, rule
+    name, principal, witness, [children]], every child before its parent.
+    The occurrences of all sequents are summed, and refused over
+    ``MAX_OCCURRENCES``, before any sequent's tuple is built."""
+    file_version(record, (2,))
+    table = Table(record.get("table"))
+    raw_sequents = record.get("sequents")
+    if type(raw_sequents) is not list:
+        raise FormatError("sequents must be a list")
+    counts: list[dict[int, int]] = []  # per sequent: table entry -> count
+    occurrences = 0
+    for raw in raw_sequents:
+        if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
+            raise FormatError("a sequent must be [base, [[formula, count], ...]]")
+        base, pairs = raw
+        count = {} if base is None else dict(counts[entry_index(base, len(counts), "base")])
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
+                raise FormatError("sequent entries must be [formula, count] pairs")
+            f, n = pair
+            table.formula(f, "sequent formula")
+            if n:
+                count[f] = n
+            else:
+                count.pop(f, None)
+        occurrences += sum(count.values())
+        if occurrences > MAX_OCCURRENCES:
+            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
+        counts.append(count)
+    formula = table.closed_formulas.__getitem__
+    sequents = [tuple([formula(f) for f, n in count.items() for _ in range(n)])
+                for count in counts]
+    raw_nodes = record.get("nodes")
+    if type(raw_nodes) is not list:
+        raise FormatError("nodes must be a list")
+    nodes: list[GsProof] = []
+    for raw in raw_nodes:
+        if type(raw) is not list or len(raw) != 5 or type(raw[4]) is not list:
+            raise FormatError("a node must be [sequent, rule, principal, witness, [children]]")
+        seq, name, principal, witness, children = raw
+        sequent = sequents[entry_index(seq, len(sequents), "sequent")]
+        rule = None
+        if name is not None:
+            if type(name) is not str:
+                raise FormatError("rule name must be a string")
+            rule = GsRule(name, None if witness is None else table.term(witness, "witness"))
+            if principal is not None:
+                principal = table.formula(principal, "principal")
+        elif principal is not None or witness is not None:
+            raise FormatError("a node without a rule has a principal or witness")
+        nodes.append(GsProof(sequent, rule, principal, tuple(
+            [nodes[entry_index(child, len(nodes), "child")] for child in children])))
+    return nodes[entry_index(record.get("root"), len(nodes), "root")]
 
 
 # The field of an old rule that holds each class's witness.
@@ -263,7 +331,13 @@ def upgrade(path: Path, out: Path) -> None:
     # The writers copy fields they do not judge, such as a rule name that is
     # no string; the current reader, run on their text, refuses those.
     if path.suffix == ".gs3":
-        text = proof_to_json(proof_from_json(text) if "version" in record else v1_proof(record))
+        if "version" not in record:
+            proof = v1_proof(record)
+        elif record["version"] == 2:
+            proof = v2_proof(record)
+        else:
+            proof = proof_from_json(text)
+        text = proof_to_json(proof)
         proof_from_json(text)
     elif path.suffix == ".tab":
         if "version" not in record:

@@ -96,8 +96,8 @@ def render_proof(proof: gs3.GsProof) -> str:
     rendering of a shared proof grows with its distinct subproofs, not with
     the tree it unfolds to.
     """
-    _, keys, numbers = gs3.subproofs(proof)
-    parents = Counter(child for key in keys for child in key[3])
+    _, children, numbers, _ = gs3.subproofs(proof)
+    parents = Counter(child for below in children for child in below)
     labels: dict[int, str] = {}  # key number -> "[n]"
     lines: list[str] = []
 

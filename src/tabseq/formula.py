@@ -684,8 +684,8 @@ def parse_term(text: str, *, allow_generated: bool = False) -> Term:
 
 # ----------------------------------------------------------- file tables
 #
-# A version-2 `.gs3` or a version-2 or -3 `.tab` file holds each distinct
-# formula and term once, as one entry of its table.  An entry is a JSON
+# A `.gs3` or `.tab` file, from version 2 on, holds each distinct formula
+# and term once, as one entry of its table.  An entry is a JSON
 # list whose first item is a tag, and it refers to earlier entries by their
 # index:
 #
@@ -725,7 +725,7 @@ def _make(cls: type, name: str | None, parts) -> Formula | Term:
 
 
 def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
-    """The table of a proof file (version 2 or 3) that holds ``items``, with the
+    """The table of a proof file (version 2 or later) that holds ``items``, with the
     function that gives the entry of each item or part of one.
 
     Equal formulas and terms are one interned object and share one entry.
@@ -762,7 +762,7 @@ def encode_table(items) -> tuple[list[tuple], Callable[[Formula | Term], int]]:
 
 
 class Table:
-    """The decoded table of a proof file (version 2 or 3), read in one flat loop.
+    """The decoded table of a proof file (version 2 or later), read in one flat loop.
 
     Every entry must be well formed: a known tag, a name the grammar
     accepts (with the generated ``skoN``/``XN`` families), the right number

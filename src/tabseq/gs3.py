@@ -13,18 +13,21 @@ The rule table (``rule_name``, ``RULE_GROUPS``, ``premise_additions``) is
 written once, in ``_RULES``: each tableau expansion is the sequent rule of
 the same name, as the prover and the translator take it from here.  The
 translator's step builder and the ``--pretty`` renderer live with their
-callers, ``translate`` and ``cli``.
+callers, ``translate`` and ``cli``.  A ``.gs3`` file holds the end-sequent
+and each rule's choices, from which the reader derives every other sequent
+(see the format comment above ``_derivation``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .formula import (
+    MAX_DEPTH,
     And,
     App,
+    DepthError,
     Exists,
     Forall,
     Formula,
@@ -48,6 +51,7 @@ from .tree import (
     file_version,
     format_path,
     load_json,
+    path_of,
     postorder,
 )
 
@@ -331,173 +335,178 @@ def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
 
 # --------------------------------------------------------------- serialize
 #
-# A version-2 file is one flat JSON object with ``version`` 2 and:
+# A version-3 file holds the end-sequent and each rule's choices; the
+# reader derives every other sequent as the rule made it.  It is one flat
+# JSON object with ``version`` 3 and:
 # - ``table``: the distinct formulas and terms (see ``formula.encode_table``);
-# - ``sequents``: each [base, [[table entry, count], ...]], the pairs sorted
-#   by entry.  The sequent is the earlier sequent ``base`` (or, for null,
-#   the empty one) with the count of each listed formula set to the given
-#   one; 0 removes it.  A premise differs from its conclusion by a formula
-#   or two, so each sequent is written as a change to its first parent's;
-# - ``nodes``: each [sequent, rule name, principal, witness, [children]],
-#   every child before its parent, and equal subproofs one entry;
+# - ``nodes``: each [sequent, rule, [children]], every child before its
+#   parent, and equal subproofs one entry.  A rule is [principal] or
+#   [principal, witness] for the decomposition ``rule_name(principal)``
+#   names, ["axiom", p] or ["weaken", p], or null for an open leaf;
 # - ``root``: the index of the root node.
+# Formulas and terms are table indices.  A sequent is its formulas' entries,
+# one per occurrence, sorted; it is null when it is, as a multiset, the
+# premise its deriving parent's rule gives: that parent's sequent followed
+# by what ``premise_additions`` adds there, or, below a weakening, that
+# sequent less the principal's first occurrence.  A node's deriving parent
+# is the last node entry that lists it as a child, at its first place
+# there; ``check`` compares the premise any other parent derives.  The root
+# lists its sequent.  ``scripts/upgrade_files.py`` rewrites version-1 and
+# -2 files, which list every distinct sequent and each rule's name.
 
-def subproofs(proof: GsProof) -> tuple[dict[Sequent, int], dict[tuple, int], dict[GsProof, int]]:
-    """The distinct sequents and subproofs of ``proof``, numbered in one
-    walk, children first: each distinct sequent tuple, each distinct key
-    (sequent number, rule, principal, children's key numbers), and the key
-    number of each node object.  A node object met again is not
-    walked again, and equal subproofs built as separate objects get one
-    key.  The writer and the ``--pretty`` renderer in ``cli`` number by it."""
-    sequents: dict[Sequent, int] = {}
-    keys: dict[tuple, int] = {}
-    numbers: dict[GsProof, int] = {}
-    for node in postorder(proof):
-        key = (sequents.setdefault(node.sequent, len(sequents)), node.rule, node.principal,
-               tuple([numbers[child] for child in node.children]))
-        numbers[node] = keys.setdefault(key, len(keys))
-    return sequents, keys, numbers
+_NAMED = ("axiom", "weaken")  # the rules a file names; the others are their principal's
 
 
-def _multisets(sequents: list[Sequent], keys: list[tuple]
-               ) -> tuple[list[int], list[dict[Formula, int]], dict[tuple[int, int], Sequent],
-                          set[Formula]]:
-    """Number the multisets of the distinct sequent tuples ``sequents``,
-    equal multisets alike, and count each multiset once.  ``keys`` are the
-    distinct subproofs that ``subproofs`` numbers, children first.
+def _derivation(rule: GsRule, principal: Formula) -> tuple[tuple[Formula, ...] | None, ...] | str:
+    """What the file derives each premise of ``rule`` on ``principal`` by,
+    as the formulas it adds, or None for a weakening's, which drops the
+    principal's first occurrence; or why no file holds the rule.
+    DepthError for a quantifier's instance nested deeper than
+    ``MAX_DEPTH``, which no table entry may be."""
+    if rule.name in _NAMED:
+        if rule.witness is not None:
+            return f"{rule.name} rule takes no witness"
+        return () if rule.name == "axiom" else (None,)
+    name = rule_name(principal)
+    if name is None:
+        return f"the literal {print_formula(principal)} is no principal"
+    if name != rule.name:
+        return f"{rule.name} is not the rule of {print_formula(principal)}"
+    quantifier = RULE_GROUPS[name] in ("delta", "gamma")
+    if (rule.witness is not None) != quantifier:
+        return f"{name} rule takes {'a' if quantifier else 'no'} witness"
+    additions = premise_additions(rule, principal)
+    if quantifier and additions[0][0].height > MAX_DEPTH:
+        raise DepthError(f"premise formula nested deeper than {MAX_DEPTH} levels")
+    return additions
 
-    The keys are read parents first.  A sequent whose tuple is a parent's
-    followed by a tail, as the translator and the reader make them, or a
+
+def _premise(seq: Sequent, principal: Formula, extra: tuple[Formula, ...] | None
+             ) -> Sequent | None:
+    """The premise a rule derives from its conclusion ``seq`` with ``extra``
+    (see ``_derivation``); None below a weakening of what ``seq`` lacks."""
+    if extra is not None:
+        return seq + extra
+    if principal not in seq:
+        return None
+    i = seq.index(principal)
+    return seq[:i] + seq[i + 1:]
+
+
+def _same(a: Sequent | None, b: Sequent | None) -> bool:
+    """Whether ``a`` and ``b`` are both None or hold one multiset."""
+    if a is None or b is None:
+        return a is b
+    return a == b or len(a) == len(b) and _multiset(a) == _multiset(b)
+
+
+def subproofs(proof: GsProof) -> tuple[list[GsProof], list[tuple[int, ...]], dict[GsProof, int],
+                                        dict[GsProof, tuple[GsProof, int, Sequent | None]]]:
+    """The distinct subproofs of ``proof``, numbered children first: a node
+    object of each, its children's numbers, each node object's number, and
+    how node objects grew from a parent.  Subproofs are one when their
+    sequents are equal multisets and their rules, principals and children's
+    numbers are equal; only sequents of one size and one sum of formula
+    hashes are compared.  A node object met again is not walked again.
+    The writer and the ``--pretty`` renderer in ``cli`` number by it.
+
+    A premise whose tuple is its conclusion's followed by a tail, or a
     weakening's conclusion's less the principal's first occurrence, as the
-    translator makes it, is counted from the parent's count, and the tail
-    or the principal is kept as its change.  Any other sequent, the root's
-    and a reordered one, is counted whole.  Two counts are compared only
-    if their formulas' hashes have one sum, which equal multisets have.
-
-    Returns each sequent's multiset number, each multiset's count, the
-    change of each (multiset, parent multiset) pair met as such an
-    extension or weakening, and every formula of the sequents."""
-    numbers: list[int] = [-1] * len(sequents)  # sequent -> multiset number, -1 if unknown
-    sums: list[int] = [0] * len(sequents)  # sequent -> sum of its formulas' hashes
-    counts: list[dict[Formula, int]] = []  # multiset number -> formula -> count
-    by_sum: dict[int, list[int]] = {}  # hash sum -> the multiset numbers with it
-    changes: dict[tuple[int, int], Sequent] = {}
-    formulas: set[Formula] = set()
-    tested: set[tuple[int, int]] = set()  # (sequent, parent sequent) pairs
-
-    def enter(seq: int, count: dict[Formula, int], total: int) -> None:
-        for number in by_sum.setdefault(total, []):
-            if counts[number] == count:
-                break
-        else:
-            number = len(counts)
-            counts.append(count)
-            by_sum[total].append(number)
-        numbers[seq], sums[seq] = number, total
-
-    for seq, rule, principal, children in reversed(keys):
-        here = sequents[seq]
-        if numbers[seq] < 0:
-            formulas.update(here)
-            enter(seq, dict(Counter(here)), sum(map(hash, here)))
-        size = len(here)
-        dropped = None  # a weakening's conclusion less the principal's first occurrence
-        if rule is not None and rule.name == "weaken" and principal in here:
-            i = here.index(principal)
-            dropped = here[:i] + here[i + 1:]
-        for child in children:
-            below = keys[child][0]
-            if below == seq or (below, seq) in tested:
+    translator and the reader make them, gets its sum from the first such
+    parent met, and is kept with that parent, its place there and the tail,
+    or None for the weakening's."""
+    order = postorder(proof)
+    sums: dict[GsProof, int] = {}  # node -> the sum of its formulas' hashes
+    grown: dict[GsProof, tuple[GsProof, int, Sequent | None]] = {}
+    for node in reversed(order):  # every parent before its children
+        here = node.sequent
+        if node not in sums:
+            sums[node] = sum(map(hash, here))
+        total, size = sums[node], len(here)
+        for bit, child in enumerate(node.children):
+            seq = child.sequent
+            if child in sums:
                 continue
-            tested.add((below, seq))
-            there = sequents[below]
-            if len(there) > size and there[:size] == here:
-                change, step = there[size:], 1
-            elif there == dropped:
-                change, step = (principal,), -1
-            else:
-                continue
-            if numbers[below] < 0:
-                count = counts[numbers[seq]].copy()
-                for f in change:
-                    count[f] = count.get(f, 0) + step
-                if not count[change[0]]:  # a weakening's principal, no longer in the sequent
-                    del count[change[0]]
-                formulas.update(change)
-                enter(below, count, sums[seq] + step * sum(map(hash, change)))
-            changes.setdefault((numbers[below], numbers[seq]), change)
-    return numbers, counts, changes, formulas
+            if seq[:size] == here:
+                grown[child] = (node, bit, seq[size:])
+                sums[child] = total + sum(map(hash, seq[size:]))
+            elif len(seq) == size - 1 and seq == _premise(here, node.principal, None):
+                grown[child] = (node, bit, None)
+                sums[child] = total - hash(node.principal)
+    nodes: list[GsProof] = []
+    children: list[tuple[int, ...]] = []
+    numbers: dict[GsProof, int] = {}
+    keys: dict[tuple, list[int]] = {}  # (size, hash sum, rule, principal, children) -> numbers
+    for node in order:
+        below = tuple([numbers[child] for child in node.children])
+        key = (len(node.sequent), sums[node], node.rule, node.principal, below)
+        same = keys.setdefault(key, [])
+        number = next((n for n in same if _same(nodes[n].sequent, node.sequent)), len(nodes))
+        if number == len(nodes):
+            nodes.append(node)
+            children.append(below)
+            same.append(number)
+        numbers[node] = number
+    return nodes, children, numbers, grown
 
 
 def proof_to_json(proof: GsProof) -> str:
-    """Canonical version-2 serialization, compact with sorted keys.
+    """Canonical version-3 serialization, compact with sorted keys.
 
-    One walk, children first, numbers each distinct (sequent, rule,
-    principal, children) once; a node object met again, as in a read-back
-    proof, is not walked again.  Numbers that stand for equal subproofs
-    whose sequents list their formulas in another order then meet in one
-    node entry.  The table lists the formulas in an order fixed by their
-    structure, so the text does not depend on the order of formulas within
-    a sequent.  A formula nested deeper than ``MAX_DEPTH`` is a DepthError,
-    since the reader would refuse the file.
-
-    A sequent whose tuple extends its parent's, or drops a weakening's
-    principal from it, is counted from the parent's count and its change
-    read off that (see ``_multisets``), so writing a proof grown by the
-    translator costs what each rule changed; any other sequent is counted
-    whole and its change found by comparing counts.
+    One walk, children first, numbers each distinct subproof once (see
+    ``subproofs``).  The table lists the formulas in an order fixed by their
+    structure, and a listed sequent its entries sorted, so the text does
+    not depend on the order of formulas within a sequent.  A premise whose
+    tuple grew from its deriving parent's is judged by what it added.
+    ValueError, naming the node's path, for a rule that no file holds (see
+    ``_derivation``) or with other than its number of premises; DepthError
+    for a formula nested deeper than ``MAX_DEPTH``, which the reader refuses.
     """
-    sequents, keys, numbers = subproofs(proof)
-    key_list = list(keys)
-    multiset_of, counts, changes, items = _multisets(list(sequents), key_list)
-    for _, rule, principal, _ in key_list:
-        if principal is not None:
-            items.add(principal)
-        if rule is not None and rule.witness is not None:
-            items.add(rule.witness)
-    table, entry = encode_table(items)
-
-    node_entries: dict[tuple, int] = {}
-    entries: list[int] = []  # key number -> node entry
-    for seq, rule, principal, children in key_list:
-        node = (multiset_of[seq],
-                None if rule is None else rule.name,
-                None if rule is None or principal is None else entry(principal),
-                None if rule is None or rule.witness is None else entry(rule.witness),
-                tuple([entries[c] for c in children]))
-        entries.append(node_entries.setdefault(node, len(node_entries)))
-    nodes = list(node_entries)
-    root = entries[numbers[proof]]
-
-    # The sequents in the order a preorder walk from the root first meets
-    # them, each as a change to the sequent of the node's first parent.
-    seq_entries: dict[int, int] = {}  # multiset number -> sequent entry
-    seq_records: list[list] = []
-    met: set[int] = set()
-    walk: list[tuple[int, int | None]] = [(root, None)]
-    while walk:
-        n, base = walk.pop()
-        if n in met:
-            continue
-        met.add(n)
-        multiset = nodes[n][0]
-        if multiset not in seq_entries:
-            seq_entries[multiset] = len(seq_records)
-            now = counts[multiset]
-            if base is None:
-                change = [(entry(f), c) for f, c in now.items()]
-            elif (multiset, base) in changes:  # only these formulas' counts changed
-                change = [(entry(f), now.get(f, 0))
-                          for f in dict.fromkeys(changes[multiset, base])]
+    nodes, children, numbers, grown = subproofs(proof)
+    root = numbers[proof]
+    deriving: dict[int, tuple[int, int]] = {}  # subproof -> (deriving parent, place)
+    for n in reversed(range(len(nodes))):
+        for bit, child in enumerate(children[n]):
+            deriving.setdefault(child, (n, bit))
+    derivations: list[tuple] = []
+    rules: list[list | None] = []  # per subproof: its rule's fields, as objects
+    for node in nodes:
+        rule, principal, fields = node.rule, node.principal, None
+        if rule is None:
+            derivation = "rule-less node with children" if node.children else ()
+        elif principal is None:
+            derivation = f"{rule.name} rule without principal"
+        else:
+            derivation = _derivation(rule, principal)
+            fields = ([rule.name, principal] if rule.name in _NAMED
+                      else [principal] if rule.witness is None else [principal, rule.witness])
+        if type(derivation) is tuple and len(derivation) != len(node.children):
+            derivation = f"{rule.name} rule with {len(node.children)} premises"
+        if type(derivation) is str:
+            raise ValueError(f"cannot write: {derivation} at {path_of(proof, node)}")
+        derivations.append(derivation)
+        rules.append(fields)
+    items = [x for fields in rules if fields for x in fields if type(x) is not str]
+    listed: list[bool] = []
+    for n, node in enumerate(nodes):
+        derived = False
+        if n != root:
+            parent, bit = deriving[n]
+            extra = derivations[parent][bit]
+            growth = grown.get(node)
+            if growth is not None and (numbers[growth[0]], growth[1]) == (parent, bit):
+                derived = _same(growth[2], extra)
             else:
-                before = counts[base]
-                change = [(entry(f), c) for f, c in now.items() - before.items()]
-                change += [(entry(f), 0) for f in before.keys() - now.keys()]
-            seq_records.append([None if base is None else seq_entries[base], sorted(change)])
-        walk.extend((child, multiset) for child in reversed(nodes[n][4]))
-    record = {"version": 2, "table": table, "sequents": seq_records,
-              "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
-    return dump_json(record) + "\n"
+                above = nodes[parent]
+                derived = _same(node.sequent, _premise(above.sequent, above.principal, extra))
+        listed.append(not derived)
+        if not derived:
+            items += node.sequent
+    table, entry = encode_table(items)
+    out = [[sorted(map(entry, node.sequent)) if lists else None,
+            fields and [x if type(x) is str else entry(x) for x in fields], list(below)]
+           for node, lists, fields, below in zip(nodes, listed, rules, children)]
+    return dump_json({"version": 3, "table": table, "nodes": out, "root": root}) + "\n"
 
 
 def proof_from_json(text: str) -> GsProof:
@@ -505,100 +514,90 @@ def proof_from_json(text: str) -> GsProof:
 
     The file is read in flat loops: each node entry becomes one
     ``GsProof``, shared by every parent that refers to it, so a read-back
-    proof is a DAG.  Any malformed entry, a reference to a later or
-    missing entry, a term where a formula belongs or the reverse, or a
-    sequent formula, principal or witness with a free bound variable is a
-    FormatError.
+    proof is a DAG.  Then one pass from the root counts the occurrences of
+    the sequents left out, refusing more than ``MAX_OCCURRENCES`` before
+    any is built, and one more builds them.  FormatError for a malformed
+    entry, a reference to a later or missing entry, a term where a formula
+    belongs or the reverse, a sequent formula, principal or witness with a
+    free bound variable, a rule ``_derivation`` refuses, children that are
+    not the rule's premises, a node without a sequent that is no node's
+    child, the root without one, a weakening of a formula its derived
+    sequent lacks, or a version-1 or -2 file (naming the upgrade script).
     """
     record = load_json(text, "proof")
-    file_version(record, (2,))
-    return _proof_from_v2(record)
-
-
-def _proof_from_v2(record: dict) -> GsProof:
-    """The sequents are read in one loop.  Each sequent's count is its
-    base's with the change applied, and a base's count is handed on, not
-    copied, to the last sequent that names it, so a proof without branches
-    copies none.  A change whose every pair raises a count gives the base's
-    tuple followed by the added occurrences in pair order; any other gives
-    the formulas in the order their counts were first set.  Each
-    sequent's number of occurrences is kept, and the sum is tested against
-    ``MAX_OCCURRENCES`` before the sequent's tuple is built."""
+    if type(record) is dict and record.get("version") == 2:
+        raise FormatError("version-2 proof files are no longer read; "
+                          "upgrade it with scripts/upgrade_files.py")
+    file_version(record, (3,))
     table = Table(record.get("table"))
-    closed = table.closed_formulas
-    raw_sequents = record.get("sequents")
-    if type(raw_sequents) is not list:
-        raise FormatError("sequents must be a list")
-    # How many sequents name each sequent as their base; a malformed entry
-    # is counted as naming none, and refused in the loop below.
-    uses = [0] * len(raw_sequents)
-    for pos, raw in enumerate(raw_sequents):
-        if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and 0 <= raw[0] < pos:
-            uses[raw[0]] += 1
-    counts: list[dict[int, int] | None] = []  # per sequent: table entry -> count, while needed
-    totals: list[int] = []  # per sequent: its number of occurrences
-    sequents: list[Sequent] = []
-    occurrences = 0
-    for raw in raw_sequents:
-        if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
-            raise FormatError("a sequent must be [base, [[formula, count], ...]]")
-        base, pairs = raw
-        if base is None:
-            count, before, total = {}, (), 0
-        else:
-            base = entry_index(base, len(counts), "base")
-            uses[base] -= 1
-            count, before, total = counts[base], sequents[base], totals[base]
-            if uses[base]:
-                count = dict(count)
-            else:
-                counts[base] = None
-        added: list[tuple[Formula, int]] | None = []  # occurrences added, while each pair raises
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
-                raise FormatError("sequent entries must be [formula, count] pairs")
-            f, n = pair
-            formula = closed.get(f) if type(f) is int else None  # ``True`` would find 1
-            if formula is None:  # ``formula`` raises for what ``closed`` lacks
-                formula = table.formula(f, "sequent formula")
-            old = count.get(f, 0)
-            total += n - old
-            if added is not None and n > old:
-                added.append((formula, n - old))
-            else:
-                added = None
-            if n:
-                count[f] = n
-            else:
-                count.pop(f, None)
-        occurrences += total
-        if occurrences > MAX_OCCURRENCES:
-            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
-        counts.append(count if uses[len(counts)] else None)
-        totals.append(total)
-        if added is not None:
-            sequents.append(before + tuple([f for f, n in added for _ in range(n)]))
-        else:
-            sequents.append(tuple([closed[f] for f, n in count.items() for _ in range(n)]))
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")
     nodes: list[GsProof] = []
-    for raw in raw_nodes:
-        if type(raw) is not list or len(raw) != 5 or type(raw[4]) is not list:
-            raise FormatError("a node must be [sequent, rule, principal, witness, [children]]")
-        seq, name, principal, witness, children = raw
-        sequent = sequents[entry_index(seq, len(sequents), "sequent")]
-        rule = None
-        if name is not None:
-            if type(name) is not str:
-                raise FormatError("rule name must be a string")
-            rule = (BARE_RULES.get(name) or GsRule(name) if witness is None
-                    else GsRule(name, table.term(witness, "witness")))
-            if principal is not None:
-                principal = table.formula(principal, "principal")
-        elif principal is not None or witness is not None:
-            raise FormatError("a node without a rule has a principal or witness")
-        nodes.append(GsProof(sequent, rule, principal, tuple(
-            [nodes[entry_index(child, len(nodes), "child")] for child in children])))
-    return nodes[entry_index(record.get("root"), len(nodes), "root")]
+    derivations: list[tuple] = []
+    links: list[list[int]] = []  # per node: its children's entries
+    for n, raw in enumerate(raw_nodes):
+        if (type(raw) is not list or len(raw) != 3
+                or type(raw[0]) is not list and raw[0] is not None or type(raw[2]) is not list):
+            raise FormatError("a node must be [sequent, rule, [children]]")
+        listed, fields, below = raw
+        rule, principal, derivation = (None, None, ()) if fields is None else _rule_fields(
+            fields, table)
+        below = [entry_index(child, n, "child") for child in below]
+        if len(below) != len(derivation):
+            raise FormatError(f"node {n} has {len(below)} child entries, not {len(derivation)}")
+        sequent = None if listed is None else tuple(
+            [table.formula(i, "sequent formula") for i in listed])
+        nodes.append(GsProof(sequent, rule, principal, tuple([nodes[c] for c in below])))
+        derivations.append(derivation)
+        links.append(below)
+    root = entry_index(record.get("root"), len(nodes), "root")
+    if nodes[root].sequent is None:
+        raise FormatError(f"root {root} lists no sequent")
+    # Each sequent left out, from its deriving parent, whose sequent comes first.
+    deriving: list[tuple[int, tuple | None] | None] = [None] * len(nodes)
+    sizes = [0] * len(nodes)
+    occurrences = 0
+    for n in reversed(range(len(nodes))):
+        if nodes[n].sequent is not None:
+            sizes[n] = len(nodes[n].sequent)
+        elif deriving[n] is None:
+            raise FormatError(f"node {n} lists no sequent and is no node's child")
+        occurrences += sizes[n]
+        if occurrences > MAX_OCCURRENCES:
+            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
+        for child, extra in zip(links[n], derivations[n]):
+            if nodes[child].sequent is None and deriving[child] is None:
+                deriving[child] = (n, extra)
+                sizes[child] = sizes[n] + (-1 if extra is None else len(extra))
+    for n in reversed(range(len(nodes))):
+        if deriving[n] is not None:
+            parent, extra = deriving[n]
+            seq = _premise(nodes[parent].sequent, nodes[parent].principal, extra)
+            if seq is None:
+                raise FormatError(f"node {parent} weakens a formula its sequent lacks")
+            nodes[n].sequent = seq
+    return nodes[root]
+
+
+def _rule_fields(raw, table: Table) -> tuple[GsRule, Formula, tuple]:
+    """The rule, principal and derivation (see ``_derivation``) of a node's
+    rule field."""
+    if (type(raw) is not list or not 1 <= len(raw) <= 2
+            or type(raw[0]) is str and (raw[0] not in _NAMED or len(raw) != 2)):
+        raise FormatError('a rule must be [principal], [principal, witness], '
+                          '["axiom", principal] or ["weaken", principal]')
+    if type(raw[0]) is str:
+        rule, principal = BARE_RULES[raw[0]], table.formula(raw[1], "principal")
+    else:
+        principal = table.formula(raw[0], "principal")
+        name = rule_name(principal)
+        rule = (GsRule(name, table.term(raw[1], "witness")) if len(raw) == 2
+                else BARE_RULES.get(name) or GsRule(name))
+    try:
+        derivation = _derivation(rule, principal)
+    except DepthError as e:
+        raise FormatError(str(e)) from None
+    if type(derivation) is str:
+        raise FormatError(derivation)
+    return rule, principal, derivation

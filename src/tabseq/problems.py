@@ -42,6 +42,17 @@ HAND_GOALS: list[tuple[str, str]] = [
     ("drinker-under-or", "~((~ exists x. (D(x) => forall y. D(y))) & (P | (C | E)))"),
 ]
 
+# Goals whose translations run the two case-v branches of
+# ``translate.delta_graft`` that no hand goal or corpus goal reaches: a
+# grafted leaf linked to a waiting premise (``elif s in linked_to``) and an
+# old clone (``elif s in old_clones``).  They stay out of ``HAND_GOALS``
+# and ``corpus()``, whose files the digests and the benchmark pin.
+SKOLEM_GOALS: list[tuple[str, str]] = [
+    ("nested-skolem-under-or", f"~((~ {NESTED_SKOLEM}) & (P | (C | E)))"),
+    ("parametric-drinker-under-or",
+     "~((~ forall u. exists x. (D(u, x) => forall y. D(u, y))) & (P | Q))"),
+]
+
 
 def growth_goal(k: int) -> Formula:
     """Conjunction of k independently named drinker instances.

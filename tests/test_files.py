@@ -22,14 +22,14 @@ from tabseq.tree import postorder
 
 # sha256 of the concatenated .tab texts and of the concatenated .gs3 texts
 # of each group, in goal order, as the version-4 tableau writer and the
-# version-2 proof writer write them.
+# version-3 proof writer write them.
 GOLDEN = {
     "hand": ("6fdfe314d26ea1217f0b44b588476cd7621feff2aacdd77bcfd6d09f62a235e9",
-             "4febd408a695218550e29797ba0d879b9cc7b501ebe9f3ae4df82aa1dea36ba1"),
+             "3300a48dd53259eb04b045a96d15ecc594bc5ba3572e180caed8ddef69d85ddd"),
     "growth": ("2acc770eb6d628e37cd5794b13dd4fbbd0ef927bdd53960f4cad755686711cea",
-               "dc977f2b8f1c02047dc44a926bb4daf2cb270d32574972c0e9524255c8c149c8"),
+               "f828d6ac9ca589da136a69f28e9a220c92d88b44f6adbd6f68fa0d893fc1e091"),
     "generated": ("e33eaa3c6d439847eeecc51cd92a84967db758285fcc5967165a82ab9874f7a8",
-                  "456a3cbcd20b7beffc25fc3a7f75ccc4f6977431bbbcc341fbb26a350d9ce2c2"),
+                  "5ea69cfe818e54d92c75160b8daef5e804b6153c1076bdf2e5a2997ad5bcb057"),
 }
 
 

@@ -1,9 +1,10 @@
-"""Proof files over a structured formula table: version-2 `.gs3` files, one
-shared node DAG, and version-4 `.tab` files, each grown node written as its
-parent plus what its rule introduced.  Older files are refused and
-upgraded by `scripts/upgrade_files.py`, version-2 and -3 `.tab` files by
-the reader that moved there; deep proofs read back; the checker on shared
-read-back proofs; hostile and mutated files."""
+"""Proof files over a structured formula table: version-3 `.gs3` files, one
+shared node DAG, each derived sequent written as its parent's rule, and
+version-4 `.tab` files, each grown node written as its parent plus what its
+rule introduced.  Older files are refused and upgraded by
+`scripts/upgrade_files.py`, version-2 `.gs3` and version-2 and -3 `.tab`
+files by the readers that moved there; deep proofs read back; the checker
+on shared read-back proofs; hostile and mutated files."""
 
 import hashlib
 import json
@@ -20,7 +21,8 @@ import pytest
 import tabseq
 from tabseq import gs3, tableau
 from tabseq.cli import main
-from tabseq.formula import MAX_DEPTH, App, Atom, Forall, Not, Or, Var, parse, print_formula
+from tabseq.formula import (MAX_DEPTH, And, App, Atom, Forall, Implies, Not, Or, Var, parse,
+                            print_formula)
 from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
 from tabseq.problems import HAND_GOALS, corpus, deep_tableau, generated_goals, growth_goal
 from tabseq.tableau import (
@@ -85,7 +87,7 @@ def test_v1_fixture_writes_the_fresh_text(tmp_path, capsys, name):
     assert capsys.readouterr().err == ""
     assert (tmp_path / f"{name}.tab").read_text(encoding="utf-8") == fresh_tab
     assert (tmp_path / f"{name}.gs3").read_text(encoding="utf-8") == fresh_gs3
-    assert json.loads(fresh_tab)["version"] == 4 and json.loads(fresh_gs3)["version"] == 2
+    assert json.loads(fresh_tab)["version"] == 4 and json.loads(fresh_gs3)["version"] == 3
     assert check(proof_from_json(fresh_gs3)).accepted
 
 
@@ -111,8 +113,8 @@ def test_v1_file_is_refused_with_the_upgrade_hint(tmp_path, capsys, path):
 @pytest.mark.parametrize("name", sorted(FIXTURE_GOALS))
 def test_v2_fixture_reads_back_translates_and_checks(tmp_path, capsys, name):
     """The upgrade script writes each version-2 fixture as the current
-    writers write the fixture's goal, the current ``.gs3`` unchanged, and
-    the upgraded tableau translates to the committed ``.gs3`` bytes."""
+    writers write the fixture's goal, and the upgraded tableau translates
+    to the upgraded ``.gs3`` bytes."""
     ct = proved(FIXTURE_GOALS[name])
     fresh_tab, fresh_gs3 = tableau_to_json(ct), proof_to_json(translate(ct))
     v2_tab, v2_gs3 = V2_FIXTURES / f"{name}.tab", V2_FIXTURES / f"{name}.gs3"
@@ -123,28 +125,29 @@ def test_v2_fixture_reads_back_translates_and_checks(tmp_path, capsys, name):
     assert capsys.readouterr().err == ""
     upgraded = (tmp_path / f"{name}.tab").read_text(encoding="utf-8")
     assert upgraded == fresh_tab and json.loads(fresh_tab)["version"] == 4
-    assert (tmp_path / f"{name}.gs3").read_text(encoding="utf-8") == v2_gs3_text == fresh_gs3
+    upgraded_gs3 = (tmp_path / f"{name}.gs3").read_text(encoding="utf-8")
+    assert upgraded_gs3 == fresh_gs3 and json.loads(fresh_gs3)["version"] == 3
     back = tableau_from_json(upgraded)
     assert tableau_shape(back) == tableau_shape(tableau_from_json(fresh_tab))
     proof = translate(back)
-    assert proof_to_json(proof) == v2_gs3_text
-    assert check(proof).accepted and check(proof_from_json(v2_gs3_text)).accepted
+    assert proof_to_json(proof) == upgraded_gs3
+    assert check(proof).accepted and check(proof_from_json(upgraded_gs3)).accepted
 
 
 # sha256 of each committed old fixture as the upgrade script rewrites it,
 # or None for a forged one it refuses with exit status 2.
 UPGRADED = {
-    "v1/drinker.gs3": "f5c48e7d194d1c97044d005b7ca82cc60955e40758c631689286e726e362ec15",
+    "v1/drinker.gs3": "e6ca4cadd86214e134fe1f12fedf20c3b8fa254c7bd7992a10586ec3214a3cc7",
     "v1/drinker.tab": "d624f8669c8ceb2c7c0323ea0c9d4c2659fd13ee41ba07151cb2ccd57d350879",
-    "v1/gen001.gs3": "4a04dd0e4cea5a239a15c3365d50fc420704e93ff4051c6fe53058288384083e",
+    "v1/gen001.gs3": "eb7092bbc616db00d50e6a3589115c3b8cda3525502c2450d8c260b77cdbf08d",
     "v1/gen001.tab": "2c56d2c700e897fe8b265b72c73b9b724bdf9b975d1be5e8bf73c47c86826fdb",
-    "v1/growth-2.gs3": "4fddf2c5e559207b35542ed23fb9f2c918d55d83c58a7702670c10c68ba02aed",
+    "v1/growth-2.gs3": "3bf52f78672f738ca2387d92ee9af8ee1bc692a7c5c0b0320a3d2ccccf46e50e",
     "v1/growth-2.tab": "ce47140474bec35fdd9247e3a49f286d8912b984a13ae98dc39c450da0637650",
-    "v2/drinker.gs3": "f5c48e7d194d1c97044d005b7ca82cc60955e40758c631689286e726e362ec15",
+    "v2/drinker.gs3": "e6ca4cadd86214e134fe1f12fedf20c3b8fa254c7bd7992a10586ec3214a3cc7",
     "v2/drinker.tab": "d624f8669c8ceb2c7c0323ea0c9d4c2659fd13ee41ba07151cb2ccd57d350879",
-    "v2/gen001.gs3": "4a04dd0e4cea5a239a15c3365d50fc420704e93ff4051c6fe53058288384083e",
+    "v2/gen001.gs3": "eb7092bbc616db00d50e6a3589115c3b8cda3525502c2450d8c260b77cdbf08d",
     "v2/gen001.tab": "2c56d2c700e897fe8b265b72c73b9b724bdf9b975d1be5e8bf73c47c86826fdb",
-    "v2/growth-2.gs3": "4fddf2c5e559207b35542ed23fb9f2c918d55d83c58a7702670c10c68ba02aed",
+    "v2/growth-2.gs3": "3bf52f78672f738ca2387d92ee9af8ee1bc692a7c5c0b0320a3d2ccccf46e50e",
     "v2/growth-2.tab": "ce47140474bec35fdd9247e3a49f286d8912b984a13ae98dc39c450da0637650",
     "v3/closed-leaf-outside-closure.tab": None,
     "v3/closure-pair-on-gamma.tab": None,
@@ -385,76 +388,60 @@ def test_inference_count_unfolds_a_shared_proof_in_one_pass():
     assert CountedProof.reads <= 10 * 34
 
 
-def entry_paths(record, target: int) -> list[tuple[int, ...]]:
-    """The paths, in preorder, at which node entry ``target`` occurs."""
-    found, stack = [], [((), record["root"])]
+def object_paths(root: GsProof) -> dict[GsProof, list[tuple[int, ...]]]:
+    """The paths, in preorder, at which each node object occurs."""
+    found: dict[GsProof, list[tuple[int, ...]]] = {}
+    stack = [((), root)]
     while stack:
-        path, index = stack.pop()
-        if index == target:
-            found.append(path)
-        children = record["nodes"][index][4]
-        stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(children))))
+        path, node = stack.pop()
+        found.setdefault(node, []).append(path)
+        stack.extend((path + (bit,), c) for bit, c in reversed(list(enumerate(node.children))))
     return found
 
 
-def rename_rule(record, index):
-    record["nodes"][index][1] = "bogus"
+def rename_rule(root, node):
+    # The weakening named an axiom, which has no premise.
+    node.rule, node.children = GsRule("axiom"), ()
 
 
-def sequent_counts(record, index) -> dict[int, int]:
-    """The multiset of sequent entry ``index``: table entry -> count."""
-    changes = []
-    while index is not None:
-        base, pairs = record["sequents"][index]
-        changes.append(pairs)
-        index = base
-    counts: dict[int, int] = {}
-    for pairs in reversed(changes):
-        counts.update(pairs)
-    return {f: n for f, n in counts.items() if n}
+def move_principal(root, node):
+    # A compound formula of the proof that is not in the node's sequent.
+    node.principal = next(f for n in postorder(root) for f in n.sequent
+                          if type(f) in (And, Or, Implies, Not) and f not in node.sequent)
 
 
-def move_principal(record, index):
-    node = record["nodes"][index]
-    sequent = sequent_counts(record, node[0])
-    node[2] = next(i for i, e in enumerate(record["table"])
-                   if e[0] in ("&", "|", "=>", "~") and i not in sequent)
-
-
-def drop_premise_formula(record, index):
-    # A sequent entry of its own for this node, one formula short.
-    node = record["nodes"][index]
-    first, count = min(sequent_counts(record, node[0]).items())
-    record["sequents"].append([node[0], [[first, count - 1]]])
-    node[0] = len(record["sequents"]) - 1
+def drop_premise_formula(root, node):
+    node.sequent = node.sequent[1:]
 
 
 @pytest.mark.parametrize("fault", [rename_rule, move_principal, drop_premise_formula])
 def test_a_fault_in_a_shared_node_is_reported_at_its_first_occurrence(fault):
+    """A fault in a node entry that the read-back proof shares, written and
+    read back, is rejected as the same fault at every copy of the subproof
+    in the translator's tree."""
     proof = translate(proved(growth_goal(3)))
-    text = proof_to_json(proof)
-    record = json.loads(text)
-    shared = [i for i in range(len(record["nodes"]))
-              if record["nodes"][i][1] == "weaken" and len(entry_paths(record, i)) > 1]
+    back = proof_from_json(proof_to_json(proof))
+    paths = object_paths(back)
+    shared = [node for node, found in paths.items()
+              if node.rule == GsRule("weaken") and len(found) > 1]
     target = shared[len(shared) // 2]
-    paths = entry_paths(record, target)
-    fault(record, target)
-    from_file = check(proof_from_json(json.dumps(record)))
-    # The same fault at every copy of the subproof in the in-memory tree,
-    # read from the tampered file one node at a time.
-    tampered = proof_from_json(json.dumps(record))
+    fault(back, target)
+    from_file = check(proof_from_json(proof_to_json(back)))
     tree = proof
-    for path in paths:
-        tree = gs3.replace_at(tree, path, unshared(node_at(tampered, path), path, tree))
+    for path in paths[target]:
+        tree = gs3.replace_at(tree, path, unshared(target, path, tree))
     in_memory = check(tree)
     assert not from_file.accepted and from_file == in_memory
     # At the first copy, or at its parent when the fault is in a premise.
-    assert paths[0][:len(from_file.path)] == from_file.path >= paths[0][:-1]
+    first = paths[target][0]
+    assert first[:len(from_file.path)] == from_file.path >= first[:-1]
 
 
 def unshared(node: GsProof, path, tree) -> GsProof:
-    """``node`` with the subproof below it taken from ``tree`` at ``path``."""
-    return GsProof(node.sequent, node.rule, node.principal, node_at(tree, path).children)
+    """``node`` with the subproof below it, if it has one, taken from
+    ``tree`` at ``path``."""
+    return GsProof(node.sequent, node.rule, node.principal,
+                   node_at(tree, path).children if node.children else ())
 
 
 # ------------------------------------------------------------ hostile files
@@ -462,20 +449,27 @@ def unshared(node: GsProof, path, tree) -> GsProof:
 
 def drinker_files(tab_version: int = 4) -> dict[str, dict]:
     """The drinker's fresh files, with, for ``tab_version`` 2 or 3, its
-    committed version-2 or -3 ``.tab`` in place of the fresh one."""
+    committed version-2 or -3 ``.tab`` in place of the fresh one, and for
+    version 2 its committed version-2 ``.gs3`` too."""
     ct = proved(FIXTURE_GOALS["drinker"])
     files = {".tab": json.loads(tableau_to_json(ct)),
              ".gs3": json.loads(proof_to_json(translate(ct)))}
     if tab_version < 4:
         fixtures = V2_FIXTURES if tab_version == 2 else V3_FIXTURES
         files[".tab"] = json.loads((fixtures / "drinker.tab").read_text(encoding="utf-8"))
+    if tab_version == 2:
+        files[".gs3"] = json.loads((V2_FIXTURES / "drinker.gs3").read_text(encoding="utf-8"))
     assert files[".tab"]["version"] == tab_version
     # The entries that HOSTILE below names by index.
     gs3_file, tab_file = files[".gs3"], files[".tab"]
     assert gs3_file["table"][:6] == [["f", "c1"], ["v", "x"], ["v", "y"], ["P", "D", 0],
                                      ["P", "D", 1], ["P", "D", 2]]
-    assert gs3_file["sequents"][0] == [None, [[13, 1]]]
-    assert gs3_file["nodes"][0][:3] == [8, "axiom", 3] and gs3_file["nodes"][2][3] == 0
+    if tab_version == 2:
+        assert gs3_file["sequents"][0] == [None, [[13, 1]]]
+        assert gs3_file["nodes"][0][:3] == [8, "axiom", 3] and gs3_file["nodes"][2][3] == 0
+    else:
+        assert gs3_file["nodes"][0] == [None, ["axiom", 3], []]
+        assert gs3_file["nodes"][2][1] == [12, 0] and gs3_file["nodes"][8][0] == [12]
     assert tab_file["table"][:2] == [["f", "sko1"], ["m", "X1"]]
     assert tab_file["table"][6] == ["P", "D", 2]
     if tab_version < 4:
@@ -514,8 +508,8 @@ def deep_entry(record):
 # 4 D(sko1), 5 D(X1), 6 D(x) with x free, 9 ~D(sko1), 15 the root
 # formula; node 4 is the root's gamma step, 2 a delta step, 1 the closure
 # and 0 the closed leaf.  These cases run against the version-2 fixtures,
-# where every node lists its formulas: ``check`` on a ``.gs3``, and on a
-# ``.tab`` the upgrade script, which holds the version-2 and -3 reader.
+# where every node lists its formulas, through the upgrade script, which
+# holds the version-2 readers of both file kinds.
 HOSTILE = {
     ".gs3": {
         "forward reference": put(("table", 7, ["~", 9])),
@@ -544,6 +538,7 @@ HOSTILE = {
         "root out of range": put(("root", 9)),
         "root that is no index": put(("root", "8")),
         "principal without a rule": put(("nodes", 0, 1, None)),
+        "rule that is not its principal's": put(("nodes", 1, 1, "and")),
         "node of the wrong length": put(("nodes", 0, [8, "axiom", 3, None])),
         "negative count": put(("sequents", 0, [None, [[13, -1]]])),
         "count too large to hold": put(("sequents", 0, [None, [[13, 10**12]]])),
@@ -579,7 +574,8 @@ HOSTILE = {
 # In the committed version-3 drinker .tab only the root, node 4, lists its
 # formulas; nodes 3 to 0 are each their parent's plus what its rule
 # introduced.  Each case with the message it exits with: a ``.tab`` from
-# the upgrade script, a fresh ``.gs3`` from ``check``.
+# the upgrade script, a fresh ``.gs3`` from ``check``.  The ``.gs3`` case
+# marks the committed version-2 entries as version 3.
 NO_INTRODUCED_LIST = "child 0 of node 4 lists no formulas, and its parent's rule has no " \
     "introduced list for it"
 HOSTILE_V3 = {
@@ -599,7 +595,9 @@ HOSTILE_V3 = {
         "unknown version": (put(("version", 5)), "unknown version 5"),
     },
     ".gs3": {
-        "version 3": (put(("version", 3)), "unknown version 3"),
+        "version 3": (lambda record: record.update({**json.loads(
+            (V2_FIXTURES / "drinker.gs3").read_text(encoding="utf-8")), "version": 3}),
+                      "a node must be [sequent, rule, [children]]"),
     },
 }
 
@@ -614,9 +612,9 @@ def exit_code_and_error(tmp_path, capsys, suffix, record) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-def upgrade_code_and_error(tmp_path, capsys, record) -> tuple[int, str]:
-    """The upgrade script on a ``.tab`` record."""
-    path = tmp_path / "hostile.tab"
+def upgrade_code_and_error(tmp_path, capsys, record, suffix=".tab") -> tuple[int, str]:
+    """The upgrade script on a ``.tab`` record, or on a ``.gs3`` one."""
+    path = tmp_path / f"hostile{suffix}"
     path.write_text(json.dumps(record), encoding="utf-8")
     code = run_upgrade([str(path), "--out", str(tmp_path / "upgraded")])
     return code, capsys.readouterr().err
@@ -627,13 +625,9 @@ def upgrade_code_and_error(tmp_path, capsys, record) -> tuple[int, str]:
 def test_hostile_v2_file_exits_two(tmp_path, capsys, suffix, case):
     record = drinker_files(2)[suffix]
     HOSTILE[suffix][case](record)
-    if suffix == ".gs3":
-        code, err = exit_code_and_error(tmp_path, capsys, suffix, record)
-        assert code == 2 and "malformed sequent proof: " in err and "Traceback" not in err
-    else:
-        code, err = upgrade_code_and_error(tmp_path, capsys, record)
-        assert code == 2 and "cannot upgrade: " in err and "Traceback" not in err
-        assert not (tmp_path / "upgraded").exists()
+    code, err = upgrade_code_and_error(tmp_path, capsys, record, suffix)
+    assert code == 2 and "cannot upgrade: " in err and "Traceback" not in err
+    assert not (tmp_path / "upgraded").exists()
 
 
 @pytest.mark.parametrize("suffix,case", [(suffix, case) for suffix in HOSTILE_V3
@@ -686,17 +680,18 @@ def test_v3_node_formulas_are_bounded(tmp_path, capsys):
 
 def test_the_unaltered_drinker_files_pass(tmp_path, capsys):
     """The fresh files translate and check, and so do the version-2 and -3
-    fixtures once upgraded."""
+    fixtures once upgraded, with the ``.gs3`` beside them."""
     for tab_version in (2, 3, 4):
         for suffix, record in drinker_files(tab_version).items():
             path = tmp_path / f"drinker{suffix}"
             path.write_text(json.dumps(record), encoding="utf-8")
-        tab = tmp_path / "drinker.tab"
+        tab, gs3_path = tmp_path / "drinker.tab", tmp_path / "drinker.gs3"
         if tab_version < 4:
-            assert run_upgrade([str(tab), "--out", str(tmp_path / "upgraded")]) == 0
-            tab = tmp_path / "upgraded" / "drinker.tab"
+            upgraded = tmp_path / "upgraded"
+            assert run_upgrade([str(tab), str(gs3_path), "--out", str(upgraded)]) == 0
+            tab, gs3_path = upgraded / "drinker.tab", upgraded / "drinker.gs3"
         assert run_cli(["translate", str(tab), "--out", str(tmp_path / "again.gs3")]) == 0
-        assert run_cli(["check", str(tmp_path / "drinker.gs3")]) == 0
+        assert run_cli(["check", str(gs3_path)]) == 0
     capsys.readouterr()
 
 

@@ -104,23 +104,29 @@ def test_swapped_witnesses_agree(proofs):
 
 
 def test_mutated_proof_files_that_read_agree(proofs):
-    """Records changed by the file mutation test's ``mutate`` that still
-    read; one that unfolds to too large a tree is skipped."""
+    """Records changed by the file mutation test's ``mutate``, and the
+    well-formed mutants of ``test_gs3_v3.mutant``, that still read; one
+    that unfolds to too large a tree is skipped."""
+    from test_gs3_v3 import seeded_mutants
+
     rng = random.Random(20)
     texts = [proof_to_json(proof) for name, proof in proofs if not name.endswith("read back")]
-    compared, reasons = 0, Counter()
+    mutants = []
     for _ in range(3_000):
         record = json.loads(rng.choice(texts))
         for _ in range(rng.randint(1, 3)):
             mutate(record, rng)
+        mutants.append(json.dumps(record))
+    compared, reasons = 0, Counter()
+    for text in mutants + seeded_mutants(400, 20):
         try:
-            proof = proof_from_json(json.dumps(record))
+            proof = proof_from_json(text)
         except FormatError:
             continue
         if unfolded_size(proof) > MAX_UNFOLDED:
             continue
         ours, reference = verdicts(proof)
-        assert ours == reference, record
+        assert ours == reference, text
         compared += 1
         reasons[ours[2]] += 1
     assert compared > 200 and len(reasons) >= 3, (compared, reasons)

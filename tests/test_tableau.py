@@ -683,7 +683,10 @@ class TestAudit:
 class TestAuditRefusals:
     """Each refusal of ``audit_closed_tableau`` on the negated drinker
     goal's tableau (gamma at the root, then alpha, delta and closure down
-    one branch), altered in one place, pinned by its message."""
+    one branch), altered in one place, pinned by its message.  A rule that
+    ``expand`` or ``close`` does not make is refused by the audit and the
+    ``.tab`` writer alike: ``test_tab_v4.test_the_audit_and_the_writer_agree``
+    pins those cases."""
 
     @staticmethod
     def drinker(kind: str):
@@ -701,25 +704,10 @@ class TestAuditRefusals:
         node.rule, node.children = None, ()
         self.refused(ct, "open leaf at 000")
 
-    def test_closure_without_pair(self):
-        ct, node = self.drinker(CLOSURE)
-        node.rule = node.rule._replace(closure_pair=None)
-        self.refused(ct, "closure is not a pair with no children at 000")
-
     def test_closure_pair_absent(self):
         ct, node = self.drinker(CLOSURE)
         node.rule = node.rule._replace(closure_pair=(parse("Q"), parse("~Q")))
         self.refused(ct, "closure pair absent at 000")
-
-    def test_delta_without_skolem(self):
-        ct, node = self.drinker("delta")
-        node.rule = node.rule._replace(witness=None)
-        self.refused(ct, "delta rule is not the expansion of its principal at 00")
-
-    def test_gamma_without_metavariable(self):
-        ct, node = self.drinker("gamma")
-        node.rule = node.rule._replace(witness=None)
-        self.refused(ct, "gamma rule is not the expansion of its principal at (root)")
 
     def test_skolem_before_its_delta_step(self):
         # Q(sko1) on every node keeps each child its parent plus the
@@ -739,13 +727,6 @@ class TestAuditRefusals:
         ct, _ = self.drinker("gamma")
         self.refused(dataclasses.replace(ct, unifier={"X1": const("c")}),
                      "unifier does not equate closure pair at 000")
-
-    def test_closure_pair_on_a_rule_that_is_no_closure(self):
-        # The closure's own pair on the root gamma rule: the pair is there
-        # and the unifier equates it, so only the rule class is wrong.
-        ct, closure = self.drinker(CLOSURE)
-        ct.root.rule = ct.root.rule._replace(closure_pair=closure.rule.closure_pair)
-        self.refused(ct, "gamma rule is not the expansion of its principal at (root)")
 
 
 def test_prove_agrees_with_the_reference_search():

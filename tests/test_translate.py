@@ -1,3 +1,4 @@
+import inspect
 import json
 import sys
 from collections import Counter
@@ -5,9 +6,10 @@ from collections import Counter
 import pytest
 
 from tabseq import gs3
+from tabseq.cli import main as cli_main
 from tabseq.formula import App, Not, apply_subst, const, parse
 from tabseq.gs3 import GsProof, GsRule
-from tabseq.problems import corpus, deep_tableau, growth_goal
+from tabseq.problems import SKOLEM_GOALS, corpus, deep_tableau, growth_goal
 from tabseq.tableau import (
     ClosedTableau,
     TableauNode,
@@ -623,3 +625,58 @@ def test_audits_catch_a_cut_premise_at_every_step(monkeypatch):
             "~(forall y. (exists z. (E(y, z) => (forall w. E(z, w)))))")): 7,
         ("StepError", missing.format("~(forall y. D(y))")): 2,
     })
+
+
+# ------------------------------------------------------ case-v branches
+
+
+def lines_run(function, run) -> set[int]:
+    """The line numbers of ``function``'s source that ran while ``run()``
+    did, from a ``sys.settrace`` tracer that follows only that function."""
+    code, ran = function.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
+@pytest.mark.parametrize("name,text", SKOLEM_GOALS, ids=[name for name, _ in SKOLEM_GOALS])
+def test_skolem_goals_run_both_case_v_branches(tmp_path, capsys, name, text):
+    """Each goal proves with ``--negate``, translates with the audits on
+    from its ``.tab``, round-trips through its ``.gs3`` text and checks;
+    and the body of each case-v branch of ``delta_graft``, under ``elif s
+    in linked_to`` and ``elif s in old_clones``, runs."""
+    source, first = inspect.getsourcelines(delta_graft)
+    bodies = [first + i + 1 for i, line in enumerate(source)
+              if line.strip() in ("elif s in linked_to:", "elif s in old_clones:")]
+    assert len(bodies) == 2
+    goal = tmp_path / f"{name}.p"
+    goal.write_text(text + "\n", encoding="utf-8")
+    assert run_cli(["prove", "--negate", str(goal)]) == 0
+    ct = tableau_from_json((tmp_path / f"{name}.tab").read_text(encoding="utf-8"))
+    proofs = []
+    ran = lines_run(delta_graft, lambda: proofs.append(translate(ct, audit=True)))
+    assert set(bodies) <= ran
+    written = (tmp_path / f"{name}.gs3").read_text(encoding="utf-8")
+    assert gs3.proof_to_json(proofs[0]) == written
+    assert gs3.proof_to_json(gs3.proof_from_json(written)) == written
+    assert run_cli(["check", str(tmp_path / f"{name}.gs3")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
+
+
+def run_cli(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    return exc.value.code

@@ -1,150 +1,324 @@
-"""The ``.gs3`` writer and reader against reference copies of their
-counting versions, kept here as ``ref_*``: the writer counted every
-sequent whole and found each change by comparing counts, and the reader
-copied its base's count for every sequent.  The text written must be the
-same; the proofs read back must have equal node shapes and verdicts, and
-sequents that are equal multisets, equal as tuples wherever the reference
-extended its base's tuple all the way from a sequent without a base."""
+"""The ``.gs3`` writer and reader against a reference pair kept here as
+``ref_*``, written with ``json`` and plain Python only: formulas are plain
+nested tuples, sequents are counted with ``Counter``, and the rule table,
+substitution and formula table are written out again.  The text written
+must be the same; a file either both readers refuse or both read, and
+then every node of the proofs they read has the same sequent as a
+multiset, rule, principal, witness and children, and the same tuple
+wherever the reference derived it from its parent."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tabseq import gs3
-from tabseq.formula import Not, Table, const, encode_table, parse
+from tabseq.formula import And, App, Atom, Exists, Forall, Implies, Meta, Not, Or, Var, const, parse
 from tabseq.gs3 import GsProof, GsRule, check, proof_from_json, proof_to_json
 from tabseq.problems import corpus, deep_tableau, growth_goal
 from tabseq.tableau import ClosedTableau, prove
 from tabseq.translate import translate
-from tabseq.tree import MAX_OCCURRENCES, FormatError, dump_json, entry_index, postorder
+from tabseq.tree import dump_json
 
 # --------------------------------------------------------------- reference
 
+MAX_DEPTH = 200
+MAX_OCCURRENCES = 10_000_000
+# Per class, its tag; a plain formula or term is its tag, its name if it
+# has one, and its parts: ("~", body), ("forall", "x", body), ("f", "g", a, b).
+TAGS = {Var: "v", Meta: "m", App: "f", Atom: "P", Not: "~", And: "&", Or: "|", Implies: "=>",
+        Forall: "forall", Exists: "exists"}
+NAMED = {"v", "m", "f", "P", "forall", "exists"}
+# Per tag: whether it is a formula, whether its parts are, and how many (None: any).
+SPECS = {"v": (False, False, 0), "m": (False, False, 0), "f": (False, False, None),
+         "P": (True, False, None), "~": (True, True, 1), "&": (True, True, 2),
+         "|": (True, True, 2), "=>": (True, True, 2), "forall": (True, True, 1),
+         "exists": (True, True, 1)}
+QUANTIFIER_RULES = {"exists", "not_forall", "forall", "not_exists"}
+
+
+class Refused(Exception):
+    """The reference reader refuses a file."""
+
+
+@functools.cache
+def plain(x) -> tuple:
+    """A package formula or term as a plain nested tuple."""
+    tag = TAGS[type(x)]
+    if tag in ("v", "m"):
+        return (tag, x.name)
+    if tag in ("f", "P"):
+        return (tag, x.symbol if tag == "f" else x.predicate, *map(plain, x.args))
+    if tag in ("forall", "exists"):
+        return (tag, x.var, plain(x.body))
+    if tag == "~":
+        return (tag, plain(x.body))
+    return (tag, plain(x.left), plain(x.right))
+
+
+def parts(x: tuple) -> tuple:
+    return x[2:] if x[0] in NAMED else x[1:]
+
+
+@functools.cache
+def height(x: tuple) -> int:
+    return 1 + max(map(height, parts(x)), default=0)
+
+
+def substitute(x: tuple, var: str, w: tuple) -> tuple:
+    if x[0] == "v":
+        return w if x[1] == var else x
+    if x[0] in ("forall", "exists") and x[1] == var:
+        return x
+    return x[:len(x) - len(parts(x))] + tuple(substitute(p, var, w) for p in parts(x))
+
+
+def ref_rule_name(p: tuple) -> str | None:
+    if p[0] == "~":
+        return {"~": "not_not", "=>": "not_implies", "|": "not_or", "&": "not_and",
+                "forall": "not_forall", "exists": "not_exists"}.get(p[1][0])
+    return {"&": "and", "=>": "implies", "|": "or", "exists": "exists",
+            "forall": "forall"}.get(p[0])
+
+
+def ref_additions(p: tuple, w: tuple | None) -> list[list[tuple]]:
+    """What each premise of the decomposition of ``p`` with ``w`` adds."""
+    b = p[1] if p[0] == "~" else None
+    return {
+        "not_not": lambda: [[b[1]]],
+        "not_implies": lambda: [[b[1], ("~", b[2])]],
+        "and": lambda: [[p[1], p[2]]],
+        "not_or": lambda: [[("~", b[1]), ("~", b[2])]],
+        "implies": lambda: [[("~", p[1])], [p[2]]],
+        "not_and": lambda: [[("~", b[1])], [("~", b[2])]],
+        "or": lambda: [[p[1]], [p[2]]],
+        "exists": lambda: [[substitute(p[2], p[1], w)]],
+        "not_forall": lambda: [[("~", substitute(b[2], b[1], w))]],
+        "forall": lambda: [[substitute(p[2], p[1], w)]],
+        "not_exists": lambda: [[("~", substitute(b[2], b[1], w))]],
+    }[ref_rule_name(p)]()
+
+
+def ref_premises(name: str | None, p: tuple, w: tuple | None) -> list | None:
+    """Per premise, the formulas it adds, or None for a weakening's; None
+    for a rule no file holds."""
+    if name in ("axiom", "weaken"):
+        return None if w is not None else [] if name == "axiom" else [None]
+    if name is None or ref_rule_name(p) != name or (w is not None) != (name in QUANTIFIER_RULES):
+        return None
+    return ref_additions(p, w)
+
+
+def ref_premise(seq: tuple, name: str, p: tuple, extra) -> tuple | None:
+    if extra is not None:
+        return seq + tuple(extra)
+    if p not in seq:
+        return None
+    i = seq.index(p)
+    return seq[:i] + seq[i + 1:]
+
 
 def ref_proof_to_json(proof: GsProof) -> str:
-    sequents, keys, numbers = gs3.subproofs(proof)
-    counts = [Counter(seq) for seq in sequents]  # formula -> count, per sequent number
-    items = set().union(*counts)
-    for _, rule, principal, _ in keys:
-        if principal is not None:
-            items.add(principal)
-        if rule is not None and rule.witness is not None:
-            items.add(rule.witness)
-    table, entry = encode_table(items)
-    multisets = [frozenset(count) if len(count) == len(seq) else frozenset(count.items())
-                 for count, seq in zip(counts, sequents)]
-    tally = dict(zip(multisets, counts))
-
-    node_entries: dict[tuple, int] = {}
-    entries: list[int] = []
-    for seq, rule, principal, children in keys:
-        node = (multisets[seq],
-                None if rule is None else rule.name,
-                None if rule is None or principal is None else entry(principal),
-                None if rule is None or rule.witness is None else entry(rule.witness),
-                tuple([entries[c] for c in children]))
-        entries.append(node_entries.setdefault(node, len(node_entries)))
-    nodes = list(node_entries)
-    root = entries[numbers[proof]]
-
-    seq_entries: dict[frozenset, int] = {}
-    seq_records: list[list] = []
-    met: set[int] = set()
-    walk: list[tuple[int, frozenset | None]] = [(root, None)]
-    while walk:
-        n, base = walk.pop()
-        if n in met:
+    # The distinct subproofs, children first, and each node object's number.
+    numbers: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+    nodes: list[tuple] = []  # (sequent, name, principal, witness, children)
+    stack = [(proof, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in numbers:
             continue
-        met.add(n)
-        multiset = nodes[n][0]
-        if multiset not in seq_entries:
-            seq_entries[multiset] = len(seq_records)
-            now = tally[multiset]
-            if base is None:
-                seq_records.append([None, sorted([(entry(f), c) for f, c in now.items()])])
-            else:
-                before = tally[base]
-                change = [(entry(f), c) for f, c in now.items() - before.items()]
-                change += [(entry(f), 0) for f in before.keys() - now.keys()]
-                seq_records.append([seq_entries[base], sorted(change)])
-        walk.extend((child, multiset) for child in reversed(nodes[n][4]))
-    record = {"version": 2, "table": table, "sequents": seq_records,
-              "nodes": [(seq_entries[node[0]], *node[1:]) for node in nodes], "root": root}
+        if not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+            continue
+        seq = tuple(map(plain, node.sequent))
+        rule = node.rule
+        entry = (seq, rule and rule.name, node.principal and plain(node.principal),
+                 rule and rule.witness and plain(rule.witness),
+                 tuple(numbers[id(child)] for child in node.children))
+        key = (frozenset(Counter(seq).items()), *entry[1:])
+        if key not in keys:
+            keys[key] = len(nodes)
+            nodes.append(entry)
+        numbers[id(node)] = keys[key]
+    root = numbers[id(proof)]
+
+    premises = []
+    for seq, name, p, w, children in nodes:
+        found = ([] if not children else None) if name is None else \
+            None if p is None else ref_premises(name, p, w)
+        if found is None or len(found) != len(children):
+            raise ValueError("cannot write")
+        if any(height(f) > MAX_DEPTH for extra in found if extra for f in extra):
+            raise ValueError("nested too deeply")
+        premises.append(found)
+    deriving = {}
+    for n in reversed(range(len(nodes))):
+        for bit, child in enumerate(nodes[n][4]):
+            deriving.setdefault(child, (n, bit))
+    listed = []
+    for n, (seq, *_) in enumerate(nodes):
+        derived = None
+        if n != root:
+            parent, bit = deriving[n]
+            conclusion, name, p = nodes[parent][:3]
+            derived = ref_premise(conclusion, name, p, premises[parent][bit])
+        listed.append(derived is None or Counter(derived) != Counter(seq))
+
+    items = set()
+    for (seq, name, p, w, _), lists in zip(nodes, listed):
+        items.update(x for x in (p, w) if x is not None)
+        if lists:
+            items.update(seq)
+    every, stack = set(), list(items)
+    while stack:
+        x = stack.pop()
+        if x not in every:
+            every.add(x)
+            stack.extend(parts(x))
+    index: dict[tuple, int] = {}
+    table = []
+    for level in range(1, max(map(height, every), default=0) + 1):
+        contents = []
+        for x in every:
+            if height(x) == level:
+                head = x[:len(x) - len(parts(x))]
+                contents.append((head + tuple(index[p] for p in parts(x)), x))
+        for content, x in sorted(contents):
+            index[x] = len(table)
+            table.append(list(content))
+    out = []
+    for (seq, name, p, w, children), lists in zip(nodes, listed):
+        fields = None if name is None else [name, index[p]] if name in ("axiom", "weaken") \
+            else [index[p]] + ([index[w]] if w is not None else [])
+        out.append([sorted(index[f] for f in seq) if lists else None, fields, list(children)])
+    record = {"version": 3, "table": table, "nodes": out, "root": root}
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def ref_proof_from_v2(record: dict) -> tuple[GsProof, set[int]]:
-    """The reference reader's proof, and the ids of the sequent tuples it
-    built by extending its base's tuple, where it built the base's that way
-    too, back to a sequent without a base."""
-    table = Table(record.get("table"))
-    raw_sequents = record.get("sequents")
-    if type(raw_sequents) is not list:
-        raise FormatError("sequents must be a list")
-    counts: list[dict[int, int]] = []
-    sequents: list[tuple] = []
-    extended: set[int] = set()
-    chain: set[int] = set()  # the sequents extended back to one without a base
-    formulas: dict = {}
-    occurrences = 0
-    for raw in raw_sequents:
-        if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
-            raise FormatError("a sequent must be [base, [[formula, count], ...]]")
-        base, pairs = raw
-        if base is None:
-            count, before = {}, ()
+IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+META = re.compile(r"X[0-9]+\Z")
+
+
+def ref_table(raw) -> list[tuple[tuple, bool, frozenset]]:
+    """Each table entry as (plain formula or term, is a formula, its free
+    variables)."""
+    if type(raw) is not list:
+        raise Refused
+    entries = []
+    for pos, e in enumerate(raw):
+        if type(e) is not list or not e or type(e[0]) is not str or e[0] not in SPECS:
+            raise Refused
+        tag = e[0]
+        formula, part_formula, count = SPECS[tag]
+        if tag in NAMED:
+            name = e[1] if len(e) > 1 else None
+            if type(name) is not str or not (META.match(name) if tag == "m" else
+                                               IDENT.match(name) and name not in
+                                               ("forall", "exists")):
+                raise Refused
+            refs = e[2:]
         else:
-            base = entry_index(base, len(counts), "base")
-            count, before = dict(counts[base]), sequents[base]
-        grown = True
-        for pair in pairs:
-            if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
-                raise FormatError("sequent entries must be [formula, count] pairs")
-            f, n = pair
-            formulas[f] = table.formula(f, "sequent formula")
-            if f in count or not n:
-                grown = False
-            if n:
-                count[f] = n
-            else:
-                count.pop(f, None)
-        occurrences += sum(count.values())
-        if occurrences > MAX_OCCURRENCES:
-            raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
-        counts.append(count)
-        if grown:
-            sequents.append(before + tuple([formulas[f] for f, n in pairs for _ in range(n)]))
-            if base is None or base in chain:
-                chain.add(len(sequents) - 1)
-                extended.add(id(sequents[-1]))
-        else:
-            sequents.append(tuple([formulas[f] for f, n in count.items() for _ in range(n)]))
+            refs = e[1:]
+        if count is not None and len(refs) != count:
+            raise Refused
+        if any(type(r) is not int or not 0 <= r < pos or entries[r][1] is not part_formula
+               for r in refs):
+            raise Refused
+        obj = tuple(e[:len(e) - len(refs)]) + tuple(entries[r][0] for r in refs)
+        free = frozenset().union(*(entries[r][2] for r in refs))
+        if tag == "v":
+            free = frozenset([name])
+        elif tag in ("forall", "exists"):
+            free -= {name}
+        if height(obj) > MAX_DEPTH:
+            raise Refused
+        entries.append((obj, formula, free))
+    return entries
+
+
+def ref_proof_from_v3(record) -> tuple[list[list], int, set[int]]:
+    """The reference reader's nodes, each [sequent, rule name, principal,
+    witness, children] with plain formulas, its root, and the nodes whose
+    sequent it derived from a parent."""
+    if type(record) is not dict or type(record.get("version")) is not int or \
+            record["version"] != 3:
+        raise Refused
+    entries = ref_table(record.get("table"))
+
+    def closed(raw, formula: bool) -> tuple:
+        if type(raw) is not int or not 0 <= raw < len(entries):
+            raise Refused
+        obj, is_formula, free = entries[raw]
+        if is_formula is not formula or free:
+            raise Refused
+        return obj
+
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
-        raise FormatError("nodes must be a list")
-    nodes: list[GsProof] = []
-    for raw in raw_nodes:
-        if type(raw) is not list or len(raw) != 5 or type(raw[4]) is not list:
-            raise FormatError("a node must be [sequent, rule, principal, witness, [children]]")
-        seq, name, principal, witness, children = raw
-        sequent = sequents[entry_index(seq, len(sequents), "sequent")]
-        rule = None
-        if name is not None:
-            if type(name) is not str:
-                raise FormatError("rule name must be a string")
-            rule = GsRule(name, None if witness is None else table.term(witness, "witness"))
-            if principal is not None:
-                principal = table.formula(principal, "principal")
-        elif principal is not None or witness is not None:
-            raise FormatError("a node without a rule has a principal or witness")
-        nodes.append(GsProof(sequent, rule, principal, tuple(
-            [nodes[entry_index(child, len(nodes), "child")] for child in children])))
-    return nodes[entry_index(record.get("root"), len(nodes), "root")], extended
+        raise Refused
+    nodes, premises = [], []
+    for n, raw in enumerate(raw_nodes):
+        if type(raw) is not list or len(raw) != 3 or not (raw[0] is None or type(raw[0]) is list) \
+                or type(raw[2]) is not list:
+            raise Refused
+        listed, fields, children = raw
+        name = p = w = None
+        found = []
+        if fields is not None:
+            if type(fields) is not list or len(fields) not in (1, 2):
+                raise Refused
+            if type(fields[0]) is str:
+                if fields[0] not in ("axiom", "weaken") or len(fields) != 2:
+                    raise Refused
+                name, p = fields[0], closed(fields[1], True)
+            else:
+                p = closed(fields[0], True)
+                w = closed(fields[1], False) if len(fields) == 2 else None
+                name = ref_rule_name(p)
+            found = ref_premises(name, p, w)
+            if found is None or any(height(f) > MAX_DEPTH for e in found if e for f in e):
+                raise Refused
+        if any(type(c) is not int or not 0 <= c < n for c in children) or \
+                len(children) != len(found):
+            raise Refused
+        seq = None if listed is None else tuple(closed(i, True) for i in listed)
+        nodes.append([seq, name, p, w, list(children)])
+        premises.append(found)
+    root = record.get("root")
+    if type(root) is not int or not 0 <= root < len(nodes) or nodes[root][0] is None:
+        raise Refused
+    deriving = {}
+    for n in reversed(range(len(nodes))):
+        for bit, child in enumerate(nodes[n][4]):
+            if nodes[child][0] is None:
+                deriving.setdefault(child, (n, bit))
+    if any(nodes[n][0] is None and n not in deriving for n in range(len(nodes))):
+        raise Refused
+    sizes = {}
+    for n in reversed(range(len(nodes))):
+        if n in deriving:
+            parent, bit = deriving[n]
+            extra = premises[parent][bit]
+            sizes[n] = sizes[parent] + (-1 if extra is None else len(extra))
+        else:
+            sizes[n] = len(nodes[n][0])
+    if sum(sizes.values()) > MAX_OCCURRENCES:
+        raise Refused
+    for n in reversed(range(len(nodes))):
+        if n in deriving:
+            parent, bit = deriving[n]
+            seq, name, p = nodes[parent][:3]
+            nodes[n][0] = ref_premise(seq, name, p, premises[parent][bit])
+            if nodes[n][0] is None:
+                raise Refused
+    return nodes, root, set(deriving)
 
 
 # ------------------------------------------------------------------ inputs
@@ -164,63 +338,86 @@ def translated_proofs() -> list[tuple[str, GsProof]]:
 
 
 def hand_built_proof(rng: random.Random) -> GsProof:
-    """A proof DAG whose premises extend, reorder or weaken their
-    conclusions, under arbitrary rules: the writer numbers any proof, and
-    the checker rejects most of these."""
+    """A proof DAG under rules a file holds, whose premises extend, reorder
+    or weaken their conclusions, or are those the rule derives: the writer
+    numbers any such proof, and the checker rejects most of these."""
     pool = [parse(t) for t in ("P", "~P", "Q", "R", "P | Q", "~(Q & R)", "forall x. S(x)")]
     root = GsProof(tuple(rng.choices(pool, k=rng.randrange(1, 4))))
     made = [root]
     for _ in range(rng.randrange(1, 12)):
         node = rng.choice([n for n in made if n.rule is None])
+        compound = [f for f in node.sequent if ref_rule_name(plain(f))]
+        if compound and rng.random() < 0.7:
+            principal = rng.choice(compound)
+            name = ref_rule_name(plain(principal))
+            rule = GsRule(name, const("a") if name in QUANTIFIER_RULES else None)
+            additions = ref_additions(plain(principal), rule.witness and plain(rule.witness))
+        else:
+            principal, rule, additions = rng.choice(pool), GsRule("weaken"), [[]]
         children = []
-        for _ in range(rng.randrange(1, 3)):
+        for extra in additions:
             seq = list(node.sequent)
-            move = rng.randrange(5)
-            if move <= 1:  # extend
+            move = rng.randrange(6)
+            if move <= 1 and rule.name != "weaken":  # derived
+                seq += [f for f in pool + list(node.sequent) if plain(f) in extra][:len(extra)]
+            elif move == 2:  # extend
                 seq += rng.choices(pool, k=rng.randrange(1, 3))
-            elif move == 2:  # reorder, maybe extended too
+            elif move == 3:  # reorder, maybe extended too
                 seq += rng.choices(pool, k=rng.randrange(0, 2))
                 rng.shuffle(seq)
-            elif move == 3 and seq:  # weaken one occurrence
+            elif move == 4 and seq:  # weaken one occurrence
                 del seq[rng.randrange(len(seq))]
             shared = [n for n in made if n.sequent == tuple(seq) and n is not node
-                      and node not in postorder(n)]
+                      and all(n is not m for m in postorder_of(node))
+                      and node not in postorder_of(n)]
             if shared and rng.random() < 0.5:
                 children.append(rng.choice(shared))
             else:
                 children.append(GsProof(tuple(seq)))
                 made.append(children[-1])
-        name = rng.choice(["or", "weaken", "and", "forall"])
-        node.rule = GsRule(name, const("a") if name == "forall" else None)
-        node.principal = rng.choice(node.sequent) if node.sequent else None
-        node.children = tuple(children)
+        node.rule, node.principal, node.children = rule, principal, tuple(children)
     for n in made:
         if n.rule is None and n.sequent:
             n.rule, n.principal = GsRule("axiom"), n.sequent[0]
     return root
 
 
-def verdict(proof: GsProof) -> tuple:
-    result = check(proof)
-    return result.accepted, result.path, result.reason
+def postorder_of(root: GsProof) -> list[GsProof]:
+    out, stack, met = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in met:
+            met.add(id(node))
+            out.append(node)
+            stack.extend(node.children)
+    return out
 
 
-def assert_same_reading(text: str) -> GsProof:
-    """Read ``text`` with both readers; return the new reader's proof."""
+def assert_same_reading(text: str) -> GsProof | None:
+    """Read ``text`` with both readers: both refuse it, and then None is
+    returned, or both read it, and then the new reader's proof."""
+    try:
+        nodes, root, derived = ref_proof_from_v3(json.loads(text))
+    except Refused:
+        with pytest.raises(ValueError):
+            proof_from_json(text)
+        return None
     new = proof_from_json(text)
-    ref, extended = ref_proof_from_v2(json.loads(text))
-    pairs, met = [(new, ref)], set()
+    pairs, met = [(new, root)], set()
     while pairs:
-        a, b = pairs.pop()
-        if id(a) in met:
+        a, n = pairs.pop()
+        if (id(a), n) in met:
             continue
-        met.add(id(a))
-        assert Counter(a.sequent) == Counter(b.sequent)
-        if id(b.sequent) in extended:
-            assert a.sequent == b.sequent
-        assert (a.rule, a.principal, len(a.children)) == (b.rule, b.principal, len(b.children))
-        pairs += zip(a.children, b.children)
-    assert verdict(new) == verdict(ref)
+        met.add((id(a), n))
+        seq, name, p, w, children = nodes[n]
+        mine = tuple(map(plain, a.sequent))
+        assert Counter(mine) == Counter(seq)
+        if n in derived:
+            assert mine == seq
+        assert (a.rule and a.rule.name, a.principal and plain(a.principal),
+                a.rule and a.rule.witness and plain(a.rule.witness), len(a.children)) == (
+            name, p, w, len(children))
+        pairs += zip(a.children, children)
     return new
 
 
@@ -241,58 +438,78 @@ def test_translated_proofs_and_their_read_backs_write_and_read_alike(proofs):
 
 
 def test_hand_built_proofs_that_reorder_and_weaken_write_and_read_alike():
+    listed = Counter()
     for seed in range(400):
         proof = hand_built_proof(random.Random(seed))
         text = proof_to_json(proof)
         assert text == ref_proof_to_json(proof), seed
         back = assert_same_reading(text)
         assert proof_to_json(back) == text, seed
+        nodes = json.loads(text)["nodes"]
+        listed.update(node[0] is None for node in nodes[:-1])
+    # Both a premise that is derived and one that is listed are common.
+    assert listed[True] > 300 and listed[False] > 300, listed
+
+
+def test_proofs_no_file_holds_are_refused_by_both_writers():
+    p, q = parse("P"), parse("Q")
+    for proof in (GsProof((p,), GsRule("or"), p), GsProof((p,), GsRule("weaken"), p),
+                  GsProof((p,), GsRule("axiom", const("a")), p),
+                  GsProof((p,), None, None, (GsProof((q,)),))):
+        with pytest.raises(ValueError):
+            proof_to_json(proof)
+        with pytest.raises(ValueError):
+            ref_proof_to_json(proof)
 
 
 def mutate_sequents(record: dict, rng: random.Random) -> None:
-    """Change one sequent record: its base, or one pair's count, or drop,
-    repeat or add a pair."""
-    sequents = record["sequents"]
-    pos = rng.randrange(len(sequents))
-    base, pairs = sequents[pos]
-    move = rng.randrange(5)
+    """Change one node entry's sequent or rule: list it with a formula
+    added, dropped or replaced, leave it out, swap its principal or witness
+    for another table entry, or turn an axiom into a weakening or the
+    reverse."""
+    nodes, table = record["nodes"], record["table"]
+    node = rng.choice(nodes)
+    seq, rule, _ = node
+    move = rng.randrange(6)
     if move == 0:
-        sequents[pos][0] = rng.choice([None, -1, pos, pos + 1, rng.randrange(pos + 1)])
-    elif move == 1 and pairs:
-        rng.choice(pairs)[1] = rng.choice([0, 1, 2, 3, -1])
-    elif move == 2 and pairs:
-        del pairs[rng.randrange(len(pairs))]
-    elif move == 3 and pairs:
-        pairs.append(list(rng.choice(pairs)))
-    else:
-        pairs.append([rng.randrange(len(record["table"])), rng.randrange(0, 3)])
+        node[0] = sorted((seq or []) + [rng.randrange(len(table))])
+    elif move == 1 and seq:
+        del seq[rng.randrange(len(seq))]
+    elif move == 2 and seq:
+        seq[rng.randrange(len(seq))] = rng.randrange(-1, len(table) + 1)
+    elif move == 3:
+        node[0] = None
+    elif move == 4 and rule:
+        rule[rng.randrange(len(rule))] = rng.randrange(len(table))
+    elif rule and type(rule[0]) is str:
+        rule[0] = "weaken" if rule[0] == "axiom" else "axiom"
 
 
 def test_mutated_sequent_records_read_alike(proofs):
+    """Mutants of ``mutate_sequents`` and of ``test_gs3_v3.mutant``: both
+    readers refuse each or read it alike, and many read."""
+    from test_gs3_v3 import seeded_mutants
+
     rng = random.Random(7)
     texts = [proof_to_json(p) for name, p in proofs if not name.startswith("gen")]
     texts += [proof_to_json(p) for name, p in proofs[:40]]
+    read = 0
     for _ in range(600):
         record = json.loads(rng.choice(texts))
         for _ in range(rng.randrange(1, 4)):
             mutate_sequents(record, rng)
-        text = json.dumps(record)
-        try:
-            ref_proof_from_v2(json.loads(text))
-        except FormatError as e:
-            with pytest.raises(FormatError) as err:
-                proof_from_json(text)
-            assert str(err.value) == str(e)
-            continue
-        assert_same_reading(text)
+        read += assert_same_reading(json.dumps(record)) is not None
+    for text in seeded_mutants(300, 11):
+        read += assert_same_reading(text) is not None
+    assert read > 300, read
 
 
 def reordered_weakening_premises(proof: GsProof) -> tuple[GsProof, bool]:
     """A copy of the proof tree ``proof`` whose weakenings' premises list
     their formulas rotated, by the fewest places that make the tuple other
     than the copied conclusion's less the principal's first occurrence,
-    and whether every premise has such a rotation: then the writer counts
-    and diffs each premise whole."""
+    and whether every premise has such a rotation: then the writer compares
+    each such premise with what the weakening derives as multisets."""
     every = True
 
     def copy(node: GsProof, sequent: tuple) -> GsProof:
@@ -314,48 +531,24 @@ def reordered_weakening_premises(proof: GsProof) -> tuple[GsProof, bool]:
     return copy(proof, proof.sequent), every
 
 
-def counted_sequents(record: dict) -> list[dict[int, int]]:
-    """Each sequent record's count, by table entry, its base's with its
-    pairs applied."""
-    counts: list[dict[int, int]] = []
-    for base, pairs in record["sequents"]:
-        count = {} if base is None else dict(counts[base])
-        count.update(pairs)
-        counts.append({f: n for f, n in count.items() if n})
-    return counts
-
-
 @settings(max_examples=300)
 @given(st.integers(0, 10**6))
 def test_a_weakening_is_written_as_its_one_changed_count(seed):
-    """A weakening's premise, as ``build_step`` makes it, is written as one
-    pair, the principal's count lowered by one, when its base is the
-    weakening's conclusion; with the premises' tuples reordered, which
-    turns that path off, the bytes are the same."""
+    """A weakening's premise, which is its conclusion with the principal's
+    count lowered by one, is written as no sequent: the file's ["weaken",
+    p] is that one changed count.  With the premises' tuples reordered,
+    which the writer then compares as multisets, the bytes are the same."""
     from test_gs3 import random_built_proof
 
     proof = random_built_proof(random.Random(seed))
     text = proof_to_json(proof)
-    reordered, every = reordered_weakening_premises(proof)
+    reordered, _ = reordered_weakening_premises(proof)
     assert check(reordered).accepted
     assert proof_to_json(reordered) == text
-    sequents, keys, _ = gs3.subproofs(reordered)
-    keys = list(keys)
-    numbers, _, changes, _ = gs3._multisets(list(sequents), keys)
-    weakenings = [(numbers[keys[children[0]][0]], numbers[seq])
-                  for seq, rule, _, children in keys if rule == GsRule("weaken")]
-    assert not every or changes.keys().isdisjoint(weakenings)
-
-    record = json.loads(text)
-    nodes, counts = record["nodes"], counted_sequents(record)
-    for seq, rule, principal, _, children in nodes:
-        if rule == "weaken":
-            below = nodes[children[0]][0]
-            lowered = counts[seq][principal] - 1
-            assert counts[below] == {f: n for f, n in {**counts[seq], principal: lowered}.items()
-                                     if n}
-            if record["sequents"][below][0] == seq:
-                assert record["sequents"][below][1] == [[principal, lowered]]
+    nodes = json.loads(text)["nodes"]
+    for _, rule, children in nodes:
+        if rule and rule[0] == "weaken":
+            assert nodes[children[0]][0] is None
 
 
 RECORDS = st.recursive(
