@@ -93,36 +93,70 @@ def v2_proof(record: dict) -> GsProof:
     ``base`` (the empty one for null) with the count of each listed formula
     set to the given one, 0 removing it, and each node as [sequent, rule
     name, principal, witness, [children]], every child before its parent.
-    The occurrences of all sequents are summed, and refused over
-    ``MAX_OCCURRENCES``, before any sequent's tuple is built."""
+
+    Each sequent's count is its base's with the change applied, and a
+    base's count is handed on, not copied, to the last sequent that names
+    it.  A change whose every pair raises a count gives the base's tuple
+    followed by the added occurrences, so a proof without branches costs
+    what its rules add; any other gives the formulas in the order their
+    counts were first set.  The occurrences of the sequents read so far
+    are summed, and refused over ``MAX_OCCURRENCES``, before a sequent's
+    tuple is built."""
     file_version(record, (2,))
     table = Table(record.get("table"))
+    closed = table.closed_formulas
     raw_sequents = record.get("sequents")
     if type(raw_sequents) is not list:
         raise FormatError("sequents must be a list")
-    counts: list[dict[int, int]] = []  # per sequent: table entry -> count
+    # How many sequents name each sequent as their base; a malformed entry
+    # is counted as naming none, and refused in the loop below.
+    uses = [0] * len(raw_sequents)
+    for pos, raw in enumerate(raw_sequents):
+        if type(raw) is list and len(raw) == 2 and type(raw[0]) is int and 0 <= raw[0] < pos:
+            uses[raw[0]] += 1
+    counts: list[dict[int, int] | None] = []  # per sequent: table entry -> count, while needed
+    totals: list[int] = []  # per sequent: its number of occurrences
+    sequents: list[tuple] = []
     occurrences = 0
     for raw in raw_sequents:
         if type(raw) is not list or len(raw) != 2 or type(raw[1]) is not list:
             raise FormatError("a sequent must be [base, [[formula, count], ...]]")
         base, pairs = raw
-        count = {} if base is None else dict(counts[entry_index(base, len(counts), "base")])
+        if base is None:
+            count, before, total = {}, (), 0
+        else:
+            base = entry_index(base, len(counts), "base")
+            uses[base] -= 1
+            count, before, total = counts[base], sequents[base], totals[base]
+            if uses[base]:
+                count = dict(count)
+            else:
+                counts[base] = None
+        added: list[tuple[int, int]] | None = []  # occurrences added, while each pair raises
         for pair in pairs:
             if type(pair) is not list or len(pair) != 2 or type(pair[1]) is not int or pair[1] < 0:
                 raise FormatError("sequent entries must be [formula, count] pairs")
             f, n = pair
             table.formula(f, "sequent formula")
+            old = count.get(f, 0)
+            total += n - old
+            if added is not None and n > old:
+                added.append((f, n - old))
+            else:
+                added = None
             if n:
                 count[f] = n
             else:
                 count.pop(f, None)
-        occurrences += sum(count.values())
+        occurrences += total
         if occurrences > MAX_OCCURRENCES:
             raise FormatError(f"sequents hold more than {MAX_OCCURRENCES} formulas")
-        counts.append(count)
-    formula = table.closed_formulas.__getitem__
-    sequents = [tuple([formula(f) for f, n in count.items() for _ in range(n)])
-                for count in counts]
+        counts.append(count if uses[len(counts)] else None)
+        totals.append(total)
+        if added is None:
+            sequents.append(tuple([closed[f] for f, n in count.items() for _ in range(n)]))
+        else:
+            sequents.append(before + tuple([closed[f] for f, n in added for _ in range(n)]))
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:
         raise FormatError("nodes must be a list")

@@ -57,12 +57,12 @@ SKOLEM_NAME = re.compile(r"sko[0-9]+\Z")
 META_NAME = re.compile(r"X[0-9]+\Z")
 
 # Deepest formula or term that ``parse`` accepts and the proof writers emit,
-# counting formula and term nodes along a path.  ``parse`` and the printers
-# keep explicit stacks and take at most 7 frames on any input.  ``rebuild``
-# recurses, 2 frames per level, and is the deepest: measured on CPython 3.11
-# with a 200-deep formula, proving, translating with audits and checking
-# take about 400 frames through it.  That leaves about 600 of the default
-# 1,000 frames to the caller.
+# counting formula and term nodes along a path.  ``parse`` keeps a stack; the
+# printers recurse, a frame per level, up to ``_SHALLOW`` (32) levels and keep
+# a stack above.  ``rebuild`` recurses, 2 frames per level, and is the
+# deepest: measured on CPython 3.11 with a 200-deep formula, proving,
+# translating with audits and checking take about 400 frames through it.
+# That leaves about 600 of the default 1,000 frames to the caller.
 MAX_DEPTH = 200
 
 _has_meta = attrgetter("has_meta")

@@ -525,10 +525,7 @@ def proof_from_json(text: str) -> GsProof:
     sequent lacks, or a version-1 or -2 file (naming the upgrade script).
     """
     record = load_json(text, "proof")
-    if type(record) is dict and record.get("version") == 2:
-        raise FormatError("version-2 proof files are no longer read; "
-                          "upgrade it with scripts/upgrade_files.py")
-    file_version(record, (3,))
+    file_version(record, (3,), "proof")
     table = Table(record.get("table"))
     raw_nodes = record.get("nodes")
     if type(raw_nodes) is not list:

@@ -630,10 +630,7 @@ def tableau_from_json(text: str) -> ClosedTableau:
     node's child, or a version-2 or -3 file (naming the upgrade script).
     """
     record = load_json(text, "tableau")
-    if type(record) is dict and record.get("version") in (2, 3):
-        raise FormatError(f"version-{record['version']} tableau files are no longer read; "
-                          "upgrade it with scripts/upgrade_files.py")
-    file_version(record, (4,))
+    file_version(record, (4,), "tableau")
     table = Table(record.get("table"))
     formula, term = table.formula, table.term
     raw_nodes = record.get("nodes")

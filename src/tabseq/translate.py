@@ -60,15 +60,15 @@ class StepError(ValueError):
 
 @dataclass
 class TranslateStats:
-    """What a translation did; a step or template node that several leaves
-    share counts once, and leaf counts are of open leaf objects."""
+    """What a translation did: rules replayed, grafts, the template nodes of
+    each graft case (a node several leaves share counts once), audits run,
+    and per graft the rank of its Skolem term and the size of its template."""
 
     steps: int = 0
     grafts: int = 0
     graft_case_iii: int = 0
     graft_case_iv: int = 0
     graft_case_v: int = 0
-    graft_leaf_growth: list[tuple[int, int]] = field(default_factory=list)
     link_audits: int = 0
     bilink_audits: int = 0
     measures: list[tuple[int, int]] = field(default_factory=list)
@@ -264,8 +264,6 @@ class _Builder:
 
     def step(self, leaf: GsProof, rule: GsRule, principal: Formula) -> tuple[GsProof, ...]:
         """``build_step`` at an open leaf; records and returns its premises."""
-        if not leaf.is_open:
-            raise TranslateError(f"{path_of(self.proof, leaf)} is not an open leaf")
         additions = None
         if rule.name not in ("axiom", "weaken"):
             additions = self.additions(rule, principal)
@@ -274,15 +272,13 @@ class _Builder:
         self.open += len(leaf.children) - 1
         return leaf.children
 
-    def shares(self, first: dict | None, key, leaf: GsProof) -> bool:
+    def shares(self, first: dict, key, leaf: GsProof) -> bool:
         """Whether ``leaf`` takes the step an earlier leaf of its waiting
         list took: the first leaf with its key (the sequent, in a graft with
-        the held status), as ``first`` records; None for a one-leaf list.
-        A leaf's future depends only on those and its target, so the leaf
-        gets that leaf's rule, principal and premise objects, and the proof
-        is a DAG that unfolds to the tree the steps would have made."""
-        if first is None:
-            return False
+        the held status), as ``first``, the list's dict, records.  A leaf's
+        future depends only on those and its target, so the leaf gets that
+        leaf's rule, principal and premise objects, and the proof is a DAG
+        that unfolds to the tree the steps would have made."""
         like = first.setdefault(key, leaf)
         if like is leaf:
             return False
@@ -333,12 +329,10 @@ def delta_graft(
     for n in reversed(template):
         if not over_B.isdisjoint(n.children):
             over_B.add(n)
-    root_gamma = Counter(theta.sequent)
 
     stats = builder.stats
     stats.grafts += 1
     stats.measures.append((builder.ranks[delta_term], len(template)))
-    leaves_before = builder.open
 
     # ``waiting`` lists, for each node of theta, the leaves linked to it;
     # each template rule pops its own.  ``clones`` are the leaves that copy
@@ -356,16 +350,17 @@ def delta_graft(
     # it was an extra copy.  Only open leaves grow, so theta's rules stay
     # readable as the template that is regrown below.
     delta_rule = GsRule(rule_name(principal), delta_term)
-    first = {} if len(B) > 1 else None
+    target = Counter(theta.sequent)
+    extra_principal = principal not in target
+    if extra_principal:
+        target[principal] = 1
+    first: dict = {}
     for s in B:
         if builder.shares(first, s.sequent, s):
             continue
-        target = root_gamma.copy()
-        extra_principal = target[principal] == 0
-        if extra_principal:
-            target[principal] = 1
-        drops = Counter(s.sequent) - target
-        if Counter(s.sequent) - drops != target:
+        here = Counter(s.sequent)
+        drops = here - target
+        if here - drops != target:
             raise TranslateError("graft leaf does not contain the root sequent")
         for f in sorted(drops.elements(), key=builder.text):
             (s,) = builder.step(s, GsRule("weaken"), f)
@@ -387,14 +382,7 @@ def delta_graft(
         group = RULE_GROUPS.get(rule.name)
         S = waiting.pop(b, [])
         prefix = b in over_B
-        first = {} if len(S) > 1 else None
-
-        if rule.name == "axiom":
-            for s in S:
-                if not builder.shares(first, (s.sequent, s in held), s):
-                    builder.step(s, rule, rule_principal)
-                held.discard(s)
-            continue
+        first = {}
 
         if rule.name == "weaken" and prefix and rule_principal == delta_formula:
             for s in S:
@@ -477,7 +465,6 @@ def delta_graft(
 
     if builder.audit:
         _audit_graft(waiting, theta_open, in_B, delta_formula, held, clones, builder)
-    stats.graft_leaf_growth.append((leaves_before, builder.open))
     return waiting, held
 
 
@@ -557,25 +544,22 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
     for child in node.children:
         link[child] = []
     kept = builder.open - len(S)
-    first = {} if len(S) > 1 else None
     # (target, leaf, the leaf it was made on by one step or None) per new leaf
     made: list[tuple[TableauNode, GsProof, GsProof | None]] = []
     stats = builder.stats
     stats.steps += 1
 
-    if rule.kind == CLOSURE:
-        pos, _neg = rule.closure_pair
-        principal = builder.instance(pos)
-        for s in S:
-            if not builder.shares(first, s.sequent, s):
-                builder.step(s, GsRule("axiom"), principal)
+    if rule.kind == CLOSURE:  # the axiom on the instance of its positive literal
+        principal, gs_rule = builder.instance(rule.closure_pair[0]), GsRule("axiom")
+    else:
+        principal = builder.instance(rule.principal)
+        witness = None if rule.witness is None else apply_subst(builder.sigma, rule.witness)
+        gs_rule = GsRule(rule_name(principal), witness)
 
-    elif rule.kind == "delta":
+    if rule.kind == "delta":
         if S:
-            delta_sigma = apply_subst(builder.sigma, rule.witness)
             d_delta = builder.instance(rule.introduced[0][0])
-            principal = builder.instance(rule.principal)
-            bilink, _held = delta_graft(S, delta_sigma, d_delta, principal, builder)
+            bilink, _held = delta_graft(S, witness, d_delta, principal, builder)
             for target, leaves in link.items():
                 grown = []
                 for q in leaves:  # each lists itself and its copies
@@ -587,9 +571,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
             made.extend((child, s, None) for s in grafted)
 
     else:
-        principal = builder.instance(rule.principal)
-        witness = None if rule.witness is None else apply_subst(builder.sigma, rule.witness)
-        gs_rule = GsRule(rule_name(principal), witness)
+        first: dict = {}
         for s in S:
             if builder.shares(first, s.sequent, s):
                 continue

@@ -147,18 +147,21 @@ def load_json(text: str, what: str):
         raise FormatError(f"{what} nested too deeply") from None
 
 
-def file_version(record, versions: tuple[int, ...]) -> int:
+def file_version(record, versions: tuple[int, ...], kind: str = "") -> int:
     """The ``version`` of a proof file's top-level object, one of the
-    ``versions`` its reader accepts.  A top level that is no object, an
-    object without a version (an old, version-1 file, which
-    ``scripts/upgrade_files.py`` rewrites in the current format) and any
-    other version are FormatErrors."""
+    ``versions`` its reader accepts.  A top level that is no object, an old
+    ``kind`` file (no version, or an int one from 2 below ``versions``),
+    whose error names ``scripts/upgrade_files.py``, which rewrites it, and
+    any other version are FormatErrors."""
     if not isinstance(record, dict):
         raise FormatError("top level must be a JSON object")
     if "version" not in record:
         raise FormatError("no version field: version-1 files are no longer read; "
                           "upgrade it with scripts/upgrade_files.py")
     version = record["version"]
+    if type(version) is int and 2 <= version < min(versions):
+        raise FormatError(f"version-{version} {kind} files are no longer read; "
+                          "upgrade it with scripts/upgrade_files.py")
     if type(version) is not int or version not in versions:
         raise FormatError(f"unknown version {version!r}")
     return version

@@ -1,8 +1,8 @@
-"""Shared test helpers: a seeded random formula builder, a count of the
-function-symbol sets the formula nodes make, the upgrade script run
-in-process and a version-1 ``.tab`` writer to feed it, the path lookup and
-rule listings of proof trees that only tests use, and the translator's
-records of a proof built by hand."""
+"""Shared test helpers: a seeded random formula builder, a seeded random
+tableau builder, a count of the function-symbol sets the formula nodes
+make, the upgrade script run in-process and a version-1 ``.tab`` writer to
+feed it, the path lookup and rule listings of proof trees that only tests
+use, and the translator's records of a proof built by hand."""
 
 from __future__ import annotations
 
@@ -32,8 +32,11 @@ from tabseq.formula import (
     Var,
     print_formula,
     print_term,
+    symbols_of,
 )
-from tabseq.tableau import CLOSURE, TableauNode, closure_constraints
+from tabseq.gs3 import RULE_GROUPS, rule_name
+from tabseq.tableau import (CLOSURE, ClosedTableau, NameSupply, TableauNode, close,
+                            closure_constraints, expand, ground)
 
 PREDICATES = ("P", "Q", "R", "S")
 CONSTANTS = ("a", "b", "c")
@@ -103,6 +106,47 @@ def random_formula_with_metas(rng: random.Random, metas: tuple[str, ...], depth:
         return Exists(g.var, sprinkle(g.body))
 
     return sprinkle(f)
+
+
+def random_tableau(formulas, seed: int, *, gamma_limit: int,
+                   max_steps: int) -> ClosedTableau | None:
+    """A tableau refuting ``formulas`` built by ``expand`` and ``close`` in a
+    seeded random rule order, closed by ``tableau.ground``; None if it is
+    still open after ``max_steps`` rules or a branch has nothing left to
+    expand.  Each step takes a random open leaf.  It closes the leaf on the
+    first pair of its complementary literals, in shuffled order, that
+    unifies under the closures made so far; else it expands a random
+    formula that the branch has not used up: a gamma formula at most
+    ``gamma_limit`` times, any other once."""
+    rng = random.Random(seed)
+    root = TableauNode(tuple(formulas))
+    names = NameSupply(set().union(*map(symbols_of, root.formulas)))
+    sigma: dict = {}
+    pending = [(root, Counter())]  # open leaves, each with its branch's uses per formula
+    for _ in range(max_steps):
+        if not pending:
+            return ground(root)
+        leaf, used = pending.pop(rng.randrange(len(pending)))
+        literals = dict.fromkeys(f for f in leaf.formulas if rule_name(f) is None)
+        pairs = [(pos, neg) for pos in literals if isinstance(pos, Atom)
+                 for neg in literals if isinstance(neg, Not) and neg.body.predicate == pos.predicate
+                 and len(neg.body.args) == len(pos.args)]
+        rng.shuffle(pairs)
+        for pos, neg in pairs:
+            closed = close(leaf, sigma, pos, neg)
+            if closed is not None:
+                sigma = closed
+                break
+        else:
+            choices = [f for f in dict.fromkeys(leaf.formulas) if f not in literals
+                       and used[f] < (gamma_limit if RULE_GROUPS[rule_name(f)] == "gamma" else 1)]
+            if not choices:
+                return None
+            principal = rng.choice(choices)
+            expand(leaf, principal, names)
+            used = used + Counter([principal])
+            pending += [(child, used) for child in leaf.children]
+    return ground(root) if not pending else None
 
 
 def subnodes(items) -> set:

@@ -172,7 +172,7 @@ def test_hostile_v3_file_exits_two(tmp_path, case):
     assert err.endswith(f"malformed sequent proof: {HOSTILE[case][1]}\n"), err
 
 
-@pytest.mark.parametrize("version", [1, 4, "3", None])
+@pytest.mark.parametrize("version", [1, 4, "3", None, 2.0, 3.0, True])
 def test_unknown_version_exits_two(tmp_path, version):
     record = {**drinker_record(), "version": version}
     code, _, err = check_exit(json.dumps(record), tmp_path)

@@ -8,6 +8,7 @@ change that means to keep a file format must keep its digest; a change of
 one format leaves the other's digest as it is, and a change of the
 ``.gs3`` format that keeps the proofs keeps the proof digest."""
 
+import functools
 import hashlib
 
 from tabseq import gs3
@@ -42,14 +43,16 @@ def proof_digest(root: gs3.GsProof) -> str:
     """The sha256 of the tree ``root`` unfolds to, in preorder: per node,
     its sequent as its printed formulas sorted, its rule name, its printed
     principal and witness, then its children's digests.  Each node object
-    is digested once, so a shared proof costs its objects, not its tree."""
+    is digested once, and each distinct formula printed once, so a shared
+    proof costs its objects, not its tree."""
+    text = functools.cache(print_formula)
     digests: dict[gs3.GsProof, str] = {}
     for node in postorder(root):
         rule = node.rule
         line = "\n".join([
-            " , ".join(sorted(map(print_formula, node.sequent))),
+            " , ".join(sorted(map(text, node.sequent))),
             "-" if rule is None else rule.name,
-            "-" if node.principal is None else print_formula(node.principal),
+            "-" if node.principal is None else text(node.principal),
             "-" if rule is None or rule.witness is None else print_term(rule.witness),
             *[digests[child] for child in node.children]])
         digests[node] = sha(line)

@@ -161,7 +161,7 @@ def test_hostile_v4_file_exits_two(tmp_path, case):
     assert code == 2 and err.endswith(f"malformed tableau proof: {HOSTILE_V4[case][1]}\n"), err
 
 
-@pytest.mark.parametrize("version", [1, 5, "4", None])
+@pytest.mark.parametrize("version", [1, 5, "4", None, 2.0, 3.0, True])
 def test_unknown_version_exits_two(tmp_path, version):
     record = {**json.loads(tableau_to_json(drinker())), "version": version}
     code, err = translate_exit(json.dumps(record), tmp_path)

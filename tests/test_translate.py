@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import sys
@@ -9,7 +10,7 @@ from tabseq import gs3
 from tabseq.cli import main as cli_main
 from tabseq.formula import App, Not, apply_subst, const, parse
 from tabseq.gs3 import GsProof, GsRule
-from tabseq.problems import SKOLEM_GOALS, corpus, deep_tableau, growth_goal
+from tabseq.problems import HAND_GOALS, SKOLEM_GOALS, corpus, deep_tableau, growth_goal
 from tabseq.tableau import (
     ClosedTableau,
     TableauNode,
@@ -33,7 +34,11 @@ from tabseq.translate import (
 )
 from tabseq.tree import postorder
 
-from conftest import PathError, builder_records, node_at, rule_names, spine_rule_names
+from conftest import (PathError, builder_records, node_at, random_tableau, rule_names,
+                      spine_rule_names)
+from reference_check import reference_check
+from test_output_digest import proof_digest
+from test_reference_check import MAX_UNFOLDED, unfolded_size
 
 DRINKER_NEG = "~(exists x. (D(x) => forall y. D(y)))"
 NESTED_NEG = "~(exists x. (D(x) => forall y. exists z. (E(y, z) => forall w. E(z, w))))"
@@ -263,7 +268,7 @@ class TestSharing:
         seq, other = (parse("P & Q"),), (parse("P & R"),)
         a, b, c, d = GsProof(seq), GsProof(seq), GsProof(seq), GsProof(other)
         first, open_before = {}, builder.open
-        assert not builder.shares(None, seq, a) and not builder.shares(first, seq, a)
+        assert not builder.shares(first, seq, a)
         with pytest.raises(TranslateError, match="cannot share a step"):
             builder.shares(first, seq, b)  # the first leaf has not stepped yet
         builder.step(a, GsRule("and"), seq[0])
@@ -341,8 +346,13 @@ class TestDeltaGraft:
     def test_graft_duplicates_pending_branches(self):
         gamma = [parse(DRINKER_NEG), parse("P | (C | E)")]
         ct = prove(gamma)
-        _, stats = translate_detailed(ct)
-        assert any(after > before for before, after in stats.graft_leaf_growth)
+        proof = translate(ct)
+        # The graft on the P branch regrows the split of the pending (C | E)
+        # branch as well, so the proof unfolds to more axioms than the
+        # tableau has closures.
+        closures = sum(1 for _, n in iter_nodes(ct.root) if n.rule.kind == "closure")
+        axioms = sum(1 for _, n in gs3.iter_nodes(proof) if n.rule.name == "axiom")
+        assert axioms > closures == 3
 
 
 def grown_before_skolem_replacement(ct: ClosedTableau, monkeypatch) -> tuple[list, set, set]:
@@ -674,6 +684,41 @@ def test_skolem_goals_run_both_case_v_branches(tmp_path, capsys, name, text):
     assert gs3.proof_to_json(gs3.proof_from_json(written)) == written
     assert run_cli(["check", str(tmp_path / f"{name}.gs3")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
+
+
+# ------------------------------------------------------ random rule orders
+
+# sha256 over one line per closed tableau of the test below: its goal,
+# gamma limit, seed and the ``proof_digest`` of its translation.
+RANDOM_ORDER_DIGEST = "e380c9c23cff9072fb887d437f08a5bbc55f2eb2f304bf226b8c10771cc8a4ae"
+
+
+def test_random_rule_orders_translate_and_check():
+    """Each negated hand goal and Skolem goal, refuted in 10 seeded random
+    rule orders per gamma limit 2 and 3: every closed tableau reads back
+    from its ``.tab`` text, translates with the audits on and checks, and
+    the reference checker agrees on each proof that unfolds to at most
+    ``MAX_UNFOLDED`` nodes.  At least 100 translations reuse an equal
+    existential step (case iv) and at least 100 graft recursively (case v)."""
+    lines, reuse, recurse = [], 0, 0
+    for name, text in HAND_GOALS + SKOLEM_GOALS:
+        for gamma_limit in (2, 3):
+            for seed in range(10):
+                ct = random_tableau([Not(parse(text))], seed, gamma_limit=gamma_limit,
+                                    max_steps=200)
+                if ct is None:
+                    continue
+                proof, stats = translate_detailed(tableau_from_json(tableau_to_json(ct)),
+                                                  audit=True)
+                assert gs3.check(proof).accepted, (name, gamma_limit, seed)
+                if unfolded_size(proof) <= MAX_UNFOLDED:
+                    assert reference_check(proof) == (True, (), ""), (name, gamma_limit, seed)
+                reuse += stats.graft_case_iv > 0
+                recurse += stats.graft_case_v > 0
+                lines.append(f"{name} {gamma_limit} {seed} {proof_digest(proof)}")
+    assert len(lines) == 437
+    assert reuse >= 100 and recurse >= 100
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_ORDER_DIGEST
 
 
 def run_cli(argv) -> int:

@@ -1,6 +1,7 @@
-"""Pin what the translator makes: for a fixed set of goals, the ``.gs3``
-text of each translated proof and the number of inferences of the tree it
-unfolds to, whatever objects the translator builds that tree from."""
+"""Pin what the translator makes: for a fixed set of goals, the number of
+inferences of the tree each translated proof unfolds to and
+``test_output_digest.proof_digest`` of that tree, whatever objects the
+translator builds it from and whatever file format holds it."""
 
 import hashlib
 
@@ -10,8 +11,10 @@ from tabseq.problems import corpus, generated_goals, growth_goal
 from tabseq.tableau import ClosedTableau, prove
 from tabseq.translate import translate
 
+from test_output_digest import proof_digest
+
 # sha256 over one line per goal, in input order.
-DIGEST = "87464e476fe9d88027d9cb449db0b095d701d1336c545b24fcead046bc606498"
+DIGEST = "c40415fbd06baca162fedab42cfdb6e54080c539e004ec9694b001041c5043e0"
 
 
 def inputs():
@@ -28,8 +31,7 @@ def proof_lines():
         ct = prove([Not(goal)])
         assert isinstance(ct, ClosedTableau), name
         proof = translate(ct, audit=audit)
-        text = gs3.proof_to_json(proof)
-        yield f"{name} {gs3.inference_count(proof)} {hashlib.sha256(text.encode()).hexdigest()}"
+        yield f"{name} {gs3.inference_count(proof)} {proof_digest(proof)}"
 
 
 def test_translated_proofs_are_pinned():
