@@ -1,13 +1,14 @@
 """Command-line front end: prove, translate, check.
 
-``COMMANDS`` is the one table of commands and their options; the help is
-built from it, and ``read_argv`` reads a command line with it in one pass.
-It reads what argparse read for this table: ``--opt value``,
-``--opt=value``, a unique prefix of an option's name, ``--`` to end the
-options, and a value that starts with "-" only if it looks like a negative
-number.  ``prove``'s inputs may also follow its options.  A usage error
-prints the usage and the error on stderr and exits 2; ``-h`` prints the
-help on stdout and exits 0.
+``COMMANDS`` is the one table of commands and their options.  ``read_argv``
+reads the plain lines that scripts run, a command with its options in
+full, each value in the next token, and inputs that do not start with "-",
+in one pass over the table, without argparse.  Any other line, help
+included, goes to an argparse parser built from the same table, which
+reads ``--opt=value``, unique prefixes, negative-number values and "--"
+as argparse does.  ``prove``'s inputs may also follow its options.  A
+usage error prints the usage and the error on stderr and exits 2; ``-h``
+prints the help on stdout and exits 0.
 
 Exit status: 0 on success (proof found / Accepted), 1 when the search is
 exhausted or a proof is rejected, 2 on I/O, parse, or malformed-file
@@ -17,7 +18,6 @@ errors.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -231,35 +231,32 @@ def _run_check(args: SimpleNamespace) -> int:
 class Option:
     """One option of a command.  ``read`` turns its value's text into the
     value; a flag has none, takes no value and sets ``True``.  ``choices``,
-    if given, are the only values it takes.  In ``help``, ``{default}``
-    stands for the default.  The value goes to the attribute ``dest``."""
+    if given, are the only values it takes.  ``{default}`` in the help
+    text given stands for the default.  The value goes to the attribute
+    ``dest``."""
 
-    __slots__ = ("name", "default", "help", "read", "choices", "dest", "usage")
+    __slots__ = ("name", "default", "help", "read", "choices", "dest", "metavar", "usage")
 
-    def __init__(self, name, default, help, read=None, metavar="", choices=()):
-        self.name, self.default, self.help = name, default, help
-        self.read, self.choices = read, choices
+    def __init__(self, name, default, help, read=None, metavar=None, choices=None):
+        self.name, self.default, self.help = name, default, help.format(default=default)
+        self.read, self.metavar, self.choices = read, metavar, choices
         self.dest = name[2:].replace("-", "_")
-        metavar = metavar or "{" + ",".join(choices) + "}"
-        self.usage = name if read is None else f"{name} {metavar}"
-
-
-HELP = Option("--help", None, "Show this help and exit.")
-TOP_OPTIONS = {"-h": HELP, "--help": HELP}
+        shown = metavar or "{" + ",".join(choices or ()) + "}"
+        self.usage = name if read is None else f"{name} {shown}"
 
 
 class Command:
     """One subcommand: its handler, what it does, what its inputs are,
     whether it takes one or more inputs or exactly one, and its options;
-    ``names`` holds them by name, ``-h`` and ``--help`` included, and
-    ``defaults`` their defaults by attribute."""
+    ``names`` holds them by name and ``defaults`` their defaults by
+    attribute."""
 
     __slots__ = ("name", "run", "help", "inputs", "many", "options", "names", "defaults", "usage")
 
     def __init__(self, name, run, help, inputs, many, *options: Option):
         self.name, self.run, self.help, self.inputs, self.many = name, run, help, inputs, many
         self.options = options
-        self.names = {**TOP_OPTIONS, **{option.name: option for option in options}}
+        self.names = {option.name: option for option in options}
         self.defaults = {option.dest: option.default for option in options}
         self.usage = " ".join(["tabseq", name, "[-h]", *(f"[{o.usage}]" for o in options),
                                "INPUT [INPUT ...]" if many else "INPUT"])
@@ -291,148 +288,90 @@ COMMANDS = {command.name: command for command in (
         Option("--negate", False, "With --goal: the end-sequent must be the goal's negation."),
     ),
 )}
-TOP_USAGE = "tabseq [-h] {" + ",".join(COMMANDS) + "} ..."
 DESCRIPTION = """Refute formulas with free-variable tableaux and compile the proofs into
 independently checkable sequent proofs."""
 
-# argparse's test for an argument that starts with "-" but is no option.
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$").match
+Handler = Callable[[SimpleNamespace], int]
 
 
-class UsageError(Exception):
-    """A command line that ``read_argv`` refuses."""
+def _plain(argv: list[str]) -> tuple[Handler, SimpleNamespace] | None:
+    """The handler and arguments of a plain command line, read in one pass,
+    or None for any other.
 
-
-def _option(names: dict[str, Option], token: str) -> tuple[str, Option | None, str | None] | None:
-    """How ``token`` reads among the options ``names``, as argparse reads
-    it: None for a positional argument, else the option's name, the option
-    (None for an unknown one) and the value given after ``=`` (None without
-    one).
-
-    A name that is not in ``names`` may be a unique prefix of one
-    (``--neg``).  A token that starts with "-" is still a positional if it
-    is "-" alone, looks like a negative number or holds a space.
+    A plain line is a command, then its options written in full, each with
+    its value in the next token, and its inputs, none of which starts with
+    "-"; ``prove``'s inputs may sit between its options, and its first
+    "--" ends them.  A value that starts with "-", does not convert or is
+    not one of the option's choices makes the line not plain, and so does
+    any other token or a missing input.
     """
-    option = names.get(token)
-    if option is not None:
-        return token, option, None
-    if token[:1] != "-" or len(token) == 1:
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return name, names[name], value
-    if token[1] == "-":
-        matches = [known for known in names if known.startswith(name)]
-        value = value if eq else None
-    else:
-        matches = [token[:2]] if token[:2] in names else []
-        value = token[2:]
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], names[matches[0]], value
-    if _NEGATIVE_NUMBER(token) or " " in token:
-        return None
-    return token, None, None
-
-
-def read_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
-    """The handler that ``argv`` names and its arguments, read in one pass
-    over ``argv`` with the command's row of ``COMMANDS``.
-
-    The arguments hold ``command``, ``inputs`` (a list of ``Path``) and one
-    attribute per option.  ``-h`` prints help on stdout and exits 0; a
-    usage error prints the usage and the error on stderr and exits 2.
-    """
-    command = None
-    names = TOP_OPTIONS
-    values: dict[str, object] = {}
+    values = command.defaults.copy()
     inputs: list[Path] = []
-    unknown: list[str] = []
-    options_end = False
-    i, count = 0, len(argv)
-    after_input = -1
-    try:
-        while i < count:
-            token = argv[i]
-            i += 1
-            if options_end:
-                found = None
-            elif token == "--":
-                options_end = True
-                # As argparse: a one-input command takes "--" only before
-                # its input or right after it.
-                if inputs and not command.many and i - 1 != after_input:
-                    unknown.append(token)
-                continue
-            else:
-                found = _option(names, token)
-            if found is None:
-                if command is None:
-                    command = COMMANDS.get(token)
-                    if command is None:
-                        raise UsageError(f"invalid command: {token!r}")
-                    names = command.names
-                    values = command.defaults.copy()
-                elif command.many or not inputs:
-                    inputs.append(Path(token))
-                    after_input = i
-                else:
-                    unknown.append(token)
-                continue
-            name, option, value = found
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if inputs and not command.many:
+                return None
+            inputs.append(Path(token))
+        elif token == "--" and command.many:
+            inputs += map(Path, tokens)
+        else:
+            option = command.names.get(token)
             if option is None:
-                unknown.append(token)
-            elif option.read is None:
-                if value is not None:
-                    raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
-                if option is HELP:
-                    print(_help(command))
-                    sys.exit(EXIT_OK)
+                return None
+            if option.read is None:
                 values[option.dest] = True
-            else:
-                if value is None:
-                    if i == count or argv[i] == "--" or _option(names, argv[i]) is not None:
-                        raise UsageError(f"argument {name}: expected one argument")
-                    value = argv[i]
-                    i += 1
-                if option.choices and value not in option.choices:
-                    raise UsageError(f"argument {name}: invalid choice: {value!r} "
-                                     f"(choose from {', '.join(option.choices)})")
-                try:
-                    values[option.dest] = option.read(value)
-                except ValueError:
-                    raise UsageError(f"argument {name}: invalid value: {value!r}") from None
-        if command is None:
-            raise UsageError("a command is required")
-        if not inputs:
-            raise UsageError("an INPUT is required")
-        if unknown:
-            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    except UsageError as e:
-        usage = TOP_USAGE if command is None else command.usage
-        prog = usage[:usage.index(" [")]  # "tabseq" or "tabseq CMD"
-        print(f"usage: {usage}\n{prog}: error: {e}", file=sys.stderr)
-        sys.exit(EXIT_BAD_INPUT)
+                continue
+            value = next(tokens, "-")
+            if value[:1] == "-" or option.choices and value not in option.choices:
+                return None
+            try:
+                values[option.dest] = option.read(value)
+            except ValueError:
+                return None
+    if not inputs:
+        return None
     return command.run, SimpleNamespace(command=command.name, inputs=inputs, **values)
 
 
-def _help(command: Command | None) -> str:
-    """The help for ``command``, or for the whole command line if None."""
-    if command is None:
-        lines = [f"usage: {TOP_USAGE}", "", DESCRIPTION, "", f"  -h, --help  {HELP.help}", "",
-                 "commands:"]
-        for known in COMMANDS.values():
-            lines += [f"  {known.usage}", f"      {known.help}"]
-        lines += ["", "Run 'tabseq COMMAND -h' for what a command's options do."]
-        return "\n".join(lines)
-    rows = [("INPUT ..." if command.many else "INPUT", command.inputs), ("-h, --help", HELP.help)]
-    rows += [(option.usage, option.help.format(default=option.default))
-             for option in command.options]
-    width = max(len(left) for left, _ in rows) + 2
-    lines = [f"usage: {command.usage}", "", command.help, "", "arguments:"]
-    lines += [f"  {left.ljust(width)}{right}" for left, right in rows]
-    return "\n".join(lines)
+def read_argv(argv: list[str]) -> tuple[Handler, SimpleNamespace]:
+    """The handler that ``argv`` names and its arguments: ``command``,
+    ``inputs`` (a list of ``Path``) and one attribute per option.
+
+    A plain line (``_plain``) is read without argparse; any other is read
+    by an argparse parser built from ``COMMANDS``, with ``prove``'s inputs
+    allowed after its options unless the line holds "--".  ``-h`` prints
+    help on stdout and exits 0; a usage error prints the usage and the
+    error on stderr and exits 2.
+    """
+    plain = _plain(argv)
+    if plain is not None:
+        return plain
+    import argparse
+
+    epilog = "\n".join(["command lines:", *(f"  {c.usage}" for c in COMMANDS.values()), "",
+                        "Run 'tabseq COMMAND -h' for what a command's options do."])
+    parser = argparse.ArgumentParser(prog="tabseq", description=DESCRIPTION, epilog=epilog,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        sub = subparsers.add_parser(command.name, usage=command.usage, help=command.help,
+                                    description=command.help)
+        sub.add_argument("inputs", nargs="+" if command.many else 1, type=Path,
+                         metavar="INPUT", help=command.inputs)
+        for option in command.options:
+            kind = ({"action": "store_true"} if option.read is None else
+                    {"type": option.read, "metavar": option.metavar, "choices": option.choices})
+            sub.add_argument(option.name, default=option.default, help=option.help, **kind)
+    if argv[:1] == ["prove"] and "--" not in argv:
+        args = subparsers.choices["prove"].parse_intermixed_args(
+            argv[1:], argparse.Namespace(command="prove"))
+    else:
+        args = parser.parse_args(argv)
+    return COMMANDS[args.command].run, SimpleNamespace(**vars(args))
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -1,12 +1,14 @@
-"""The argparse command-line parser that ``cli.read_argv`` replaced, kept as
-the oracle that the package's option table must agree with.
+"""The argparse command-line parser of the package before its option
+table, kept as the oracle that ``cli.read_argv`` must agree with.
 
 ``build_parser`` is the old parser as it was, except that it is built anew
 on each call (it was cached) and that ``check`` declares ``--goal FILE``
-and ``--negate``, which were added with the table, as argparse would.  The
-package's parser differs from it in one announced way: ``prove``'s inputs
-may follow options (``prove a.p --negate b.p``), which argparse refuses as
-unrecognized arguments.
+and ``--negate``, which were added with the table, as argparse would.
+``read_argv`` reads plain lines itself and hands every other line to an
+argparse parser built from the table.  It differs from this one in one
+announced way: ``prove``'s inputs may follow options (``prove a.p
+--negate b.p``), which this parser refuses as unrecognized arguments,
+unless the line holds "--" and is not plain.
 """
 
 from __future__ import annotations

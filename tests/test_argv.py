@@ -1,17 +1,22 @@
-"""The command line's option table (``cli.read_argv``) against the argparse
-parser it replaced (``tests/reference_cli.py``).
+"""The command line (``cli.read_argv``: a one-pass reader for plain lines,
+argparse built from the option table for the rest) against the argparse
+parser that came before the table (``tests/reference_cli.py``).
 
 For every command line, either both accept it and give the same command,
 handler, inputs and option values, or both exit 2 (or, for help, both
 exit 0).  The one announced difference: ``prove``'s inputs may follow its
-options, where argparse leaves them over as unrecognized arguments.
+options, where the old parser leaves them over as unrecognized arguments,
+unless the line holds "--" and is not plain.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,9 +169,62 @@ def test_table_reads_like_argparse(seed):
     [],
     ["frobnicate"],
     ["prove"],
+    # Interleaved inputs with "--" and an abbreviated option, an "=" option
+    # or "-" as an input: argparse refuses them, as the reader now does.
+    ["prove", "c.gs3", "--pretty", "--prett", "--"],
+    ["prove", "c.gs3", "--o=-1", "c.gs3", "--"],
+    ["prove", "-", "--negate", "--gamma=3", "--"],
+    # Interleaved inputs without "--", read by argparse's intermixed parse.
+    ["prove", "a.p", "--neg", "b.p"],
 ])
 def test_command_line_reads_like_argparse(argv):
     assert_agree(argv)
+
+
+# One command line per reason for which the plain reader leaves a line to
+# argparse.
+DECLINED = [
+    ["--negate", "prove", "a.p"],  # no command first
+    ["translate", "a.tab", "b.tab"],  # a second input to a one-input command
+    ["check", "--", "a.gs3"],  # "--" outside prove
+    ["prove", "a.p", "--neg"],  # an option not written in full
+    ["prove", "a.p", "--emit=gs3"],  # a value after "="
+    ["prove", "a.p", "--gamma-limit", "-1"],  # a value that starts with "-"
+    ["prove", "a.p", "--out"],  # no value
+    ["prove", "a.p", "--depth-limit", "x"],  # a value that does not convert
+    ["prove", "a.p", "--emit", "bad"],  # a value outside the choices
+    ["prove", "-1"],  # an input that starts with "-"
+    ["check", "a.gs3", "-h"],  # help
+    ["prove", "--negate"],  # no input
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED)
+def test_lines_the_plain_reader_declines_read_like_argparse(argv):
+    assert cli._plain(argv) is None
+    assert_agree(argv)
+
+
+# The benchmark corpus's two command lines and the check with a goal that
+# CI runs: all plain.
+PLAIN = [
+    ["prove", "--negate", "--emit", "both", "--out", "out", "in/g.p"],
+    ["check", "out/g.gs3"],
+    ["check", "rerun/drinker.gs3", "--goal", "drinker.p", "--negate"],
+]
+
+
+def test_plain_lines_do_not_load_argparse():
+    """In a fresh interpreter, importing the command line and reading the
+    plain lines above leaves ``argparse`` unloaded."""
+    code = ("import sys; loaded = 'argparse' in sys.modules; from tabseq import cli; "
+            f"plain = [cli._plain(argv) is not None for argv in {PLAIN!r}]; "
+            f"[cli.read_argv(argv) for argv in {PLAIN!r}]; "
+            "print(loaded, all(plain), 'argparse' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "False"]
 
 
 def test_prove_inputs_may_follow_options():

@@ -14,11 +14,14 @@ from tabseq.tableau import tableau_from_json, tableau_to_json
 from tabseq.tree import FormatError
 
 from test_files_v2 import mutant_sources, seeded_mutants
+import test_gs3_v3
 
 # sha256 over one line per mutant of each file kind, in the order the
 # mutants are made.
 DIGEST_TAB = "58686ab2fc12589e6be77bb8e69f14495159cb88686f22d25c25ab8116bd3278"
 DIGEST_GS3 = "3cb180e86a5c52a0d11e3ff7de34be4c2f76dce8ee0313f4a9c3e0339c649b1d"
+# The same over ``test_gs3_v3.seeded_mutants(400, 1)``, of which 212 read.
+DIGEST_GS3_WELL_FORMED = "21c833fdff54e84df7ee1ba1fab03a04aab5ebac5d3a081361f79aae284c708d"
 
 
 def reading(suffix: str, text: str) -> str:
@@ -46,3 +49,10 @@ def test_reader_outcomes_on_mutated_files_are_pinned(tmp_path, capsys):
     assert digest(gs3_lines) == DIGEST_GS3
     assert sum(line.startswith("read ") for line in tab_lines) == 18
     assert digest(tab_lines) == DIGEST_TAB
+
+
+def test_reader_outcomes_on_well_formed_gs3_mutants_are_pinned():
+    lines = [reading(".gs3", text) for text in test_gs3_v3.seeded_mutants(400, 1)]
+    read = sum(line.startswith("read ") for line in lines)
+    assert read >= len(lines) // 2, read
+    assert digest(lines) == DIGEST_GS3_WELL_FORMED

@@ -686,6 +686,35 @@ def test_skolem_goals_run_both_case_v_branches(tmp_path, capsys, name, text):
     assert capsys.readouterr().out.splitlines()[-1] == "Accepted"
 
 
+# A random rule order in which a gamma instance that sigma makes equal to a
+# later delta step's Skolem formula is weakened by an earlier graft's base
+# graft, so that the regrown weakening of the graft's own Skolem formula
+# meets a held leaf.  The prover's own order never does this.
+HELD_WEAKENING = ("exists y. (P(y) & ~R(y))", "forall x. ((P(x) & ~R(x)) | R(x))",
+                  "forall w. ~P(w)", "exists z. Q(z)", "forall u. ~Q(u)")
+
+
+def test_a_held_leaf_meets_the_weakening_of_the_graft_skolem_formula():
+    """The tableau above reads back from its ``.tab`` text, translates with
+    the audits on, round-trips through its ``.gs3`` text and checks; and
+    the body of ``if s in held:`` under the weakening of the graft's own
+    Skolem formula in ``delta_graft`` runs."""
+    source, first = inspect.getsourcelines(delta_graft)
+    arms = [first + i + 1 for i, line in enumerate(source) if line.strip() == "if s in held:"]
+    assert len(arms) == 1
+    ct = random_tableau([parse(f) for f in HELD_WEAKENING], 40, gamma_limit=2, max_steps=60)
+    ct = tableau_from_json(tableau_to_json(ct))
+    assert rule_count(ct.root) == 10
+    proofs = []
+    ran = lines_run(delta_graft, lambda: proofs.append(translate(ct, audit=True)))
+    assert arms[0] in ran
+    text = gs3.proof_to_json(proofs[0])
+    proof = gs3.proof_from_json(text)
+    assert gs3.proof_to_json(proof) == text
+    assert gs3.inference_count(proof) == 71
+    assert gs3.check(proof).accepted
+
+
 # ------------------------------------------------------ random rule orders
 
 # sha256 over one line per closed tableau of the test below: its goal,
