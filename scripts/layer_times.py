@@ -2,7 +2,9 @@
 long, and print one table row per input.
 
 Stages: parse of the goal's text and its print (rows with a goal), prove,
-translate with the translator's audits off and on, check on the
+translate with the translator's audits off, the same with the cyclic
+garbage collector disabled (``no gc``, so that the collector's share is
+the difference), translate with the audits on, check on the
 translator's proof and on the one read back from its ``.gs3`` text (the
 shared DAG that ``tabseq check`` checks), ``.gs3`` write and read, ``.tab``
 write and read; each time is the best of ``--repeats`` runs, in
@@ -32,6 +34,7 @@ Usage: python scripts/layer_times.py [--repeats N]
 """
 
 import argparse
+import gc
 import time
 
 from tabseq import gs3
@@ -49,6 +52,20 @@ def best(repeats: int, run):
         result = run()
         times.append(time.perf_counter() - start)
     return result, 1000 * min(times)
+
+
+def without_gc(run):
+    """``run`` with the cyclic garbage collector disabled while it runs,
+    and left enabled or disabled after as it was before."""
+    def uncollected():
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return run()
+        finally:
+            if enabled:
+                gc.enable()
+    return uncollected
 
 
 def inputs():
@@ -93,9 +110,9 @@ def main() -> None:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    print(f"{'input':<20} {'parse':>7} {'print':>7} {'prove':>7} {'tr off':>7} {'tr on':>7} "
-          f"{'check':>7} {'check r':>7} {'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} {'tab r':>7}  "
-          "gs3 / tab bytes")
+    print(f"{'input':<20} {'parse':>7} {'print':>7} {'prove':>7} {'tr off':>7} {'no gc':>7} "
+          f"{'tr on':>7} {'check':>7} {'check r':>7} {'gs3 w':>7} {'gs3 r':>7} {'tab w':>7} "
+          f"{'tab r':>7}  gs3 / tab bytes")
     failures = 0
     for name, goal, make in inputs():
         ct, prove_ms = best(args.repeats, make)
@@ -105,6 +122,7 @@ def main() -> None:
             back_goal, parse_ms = best(args.repeats, lambda: parse(text))
             front = f"{parse_ms:7.2f} {print_ms:7.2f} {prove_ms:7.1f}"
         _, off = best(args.repeats, lambda: translate(ct, audit=False))
+        _, off_no_gc = best(args.repeats, without_gc(lambda: translate(ct, audit=False)))
         proof, on = best(args.repeats, lambda: translate(ct, audit=True))
         verdict, check_ms = best(args.repeats, lambda: gs3.check(proof))
         gs3_text, gs3_w = best(args.repeats, lambda: gs3.proof_to_json(proof))
@@ -116,8 +134,8 @@ def main() -> None:
                 or gs3.proof_to_json(back) != gs3_text or tableau_to_json(tab_back) != tab_text):
             failures += 1
             name += " FAILED"
-        print(f"{name:<20} {front} {off:7.1f} {on:7.1f} {check_ms:7.1f} {check_r:7.1f} "
-              f"{gs3_w:7.1f} {gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
+        print(f"{name:<20} {front} {off:7.1f} {off_no_gc:7.1f} {on:7.1f} {check_ms:7.1f} "
+              f"{check_r:7.1f} {gs3_w:7.1f} {gs3_r:7.1f} {tab_w:7.1f} {tab_r:7.1f}  "
               f"{len(gs3_text.encode()):,} / {len(tab_text.encode()):,}")
     raise SystemExit(1 if failures else 0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple
 
 from .formula import (
@@ -119,23 +120,15 @@ class NameSupply:
     """
 
     def __init__(self, avoid: Iterable[str] = ()):
-        self._avoid = set(avoid)
-        self._meta = 0
-        self._skolem = 0
+        avoid = set(avoid)
+        self._metas = (Meta(name) for name in map("X{}".format, count(1)) if name not in avoid)
+        self._skolems = (name for name in map("sko{}".format, count(1)) if name not in avoid)
 
     def fresh_meta(self) -> Meta:
-        while True:
-            self._meta += 1
-            name = f"X{self._meta}"
-            if name not in self._avoid:
-                return Meta(name)
+        return next(self._metas)
 
     def fresh_skolem_symbol(self) -> str:
-        while True:
-            self._skolem += 1
-            name = f"sko{self._skolem}"
-            if name not in self._avoid:
-                return name
+        return next(self._skolems)
 
 
 # ------------------------------------------------------------- tree helpers
@@ -501,8 +494,10 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     formulas (non-destructivity), every rule one that ``expand`` or
     ``close`` makes (``_rule_fault``), every leaf closed, each principal
     and closure pair present, each pair an atom and a negated atom that
-    the unifier equates, and Skolem symbols unused before their
-    introduction.
+    the unifier equates, each Skolem symbol unused before its introduction
+    and its term over its principal's metavariables, as ``expand`` makes
+    it; last, every metavariable of the root and every gamma witness bound
+    by the unifier, as ``ground`` binds them.
     """
     def at(node: TableauNode) -> str:
         return path_of(ct.root, node)
@@ -512,6 +507,7 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
         if t.has_meta:
             raise AuditError(f"unifier range for {name} contains a metavariable")
     skolems: set[str] = set()
+    metas = dict.fromkeys(m for f in ct.root.formulas for m in free_metas(f))
     # One preorder walk, as a recursive one would go: a child's multiset is
     # checked when the child is visited, before its own rule.  Each entry
     # holds a node, its parent and its place among the parent's children;
@@ -541,7 +537,9 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             continue
         if rule.principal not in node.formulas:
             raise AuditError(f"principal absent at {at(node)}")
-        if rule.kind == "delta":
+        if rule.kind == "gamma":
+            metas[rule.witness] = None
+        elif rule.kind == "delta":
             sym = rule.witness.symbol
             if sym in skolems:
                 raise AuditError(f"skolem symbol {sym} introduced twice")
@@ -549,7 +547,13 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             for f in node.formulas:
                 if sym in symbols_of(f):
                     raise AuditError(f"skolem {sym} occurs before its delta step")
+            if rule.witness.args != free_metas(rule.principal):
+                raise AuditError(f"skolem term {print_term(rule.witness)} is not over its "
+                                 f"principal's metavariables at {at(node)}")
         stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
+    for m in metas:
+        if m.name not in unifier:
+            raise AuditError(f"metavariable {m.name} is not bound by the unifier")
 
 
 # --------------------------------------------------------------- serialize

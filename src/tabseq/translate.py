@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Mapping
 
 from . import gs3
@@ -661,16 +662,8 @@ def replace_skolem_terms(nodes: list[GsProof], formulas: set[Formula],
                 met.add(part)
                 stack.append(part)
 
-    constants: dict[str, App] = {}
-    counter = 0
-    for symbol in sorted(vectors, key=lambda s: int(s[3:])):
-        while True:
-            counter += 1
-            candidate = f"c{counter}"
-            if candidate not in taken:
-                taken.add(candidate)
-                constants[symbol] = App(candidate, ())
-                break
+    fresh = (App(name, ()) for name in map("c{}".format, count(1)) if name not in taken)
+    constants = {symbol: next(fresh) for symbol in sorted(vectors, key=lambda s: int(s[3:]))}
 
     def by(x: Formula | Term) -> Formula | Term | None:
         """A node with no Skolem term below kept whole, a Skolem term's

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import stat
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tabseq
+import tabseq.translate as translate_module
 from tabseq import gs3
 from tabseq.cli import main
 from tabseq.formula import MAX_DEPTH, Not, parse, print_formula
@@ -22,6 +22,7 @@ from tabseq.tableau import (
     TableauNode,
     audit_closed_tableau,
     closure_constraints,
+    prove,
     tableau_from_json,
     tableau_to_json,
 )
@@ -305,7 +306,7 @@ class TestTranslate:
         # closure is a leaf with a rule now, so neither tree has a place in
         # memory, and the upgrade script refuses both.
         if forgery == "dropped closure":
-            ct = tabseq.prove([Not(parse("(P | Q) => (P | Q)"))])
+            ct = prove([Not(parse("(P | Q) => (P | Q)"))])
             node = ct.root.children[0].children[0].children[0]
             assert node.rule.kind == CLOSURE
             node.rule = None
@@ -357,7 +358,6 @@ class TestTranslate:
     def test_tableau_is_audited_once(self, tmp_path, drinker_file, monkeypatch, capsys):
         run_cli(["prove", str(drinker_file), "--negate", "--emit", "tableau"])
         tab = tmp_path / "drinker.tab"
-        translate_module = importlib.import_module("tabseq.translate")
         audit = translate_module.audit_closed_tableau
         calls = []
         monkeypatch.setattr(translate_module, "audit_closed_tableau",

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tabseq
+import tabseq.translate as translate_module
 from tabseq import gs3, tableau
 from tabseq.formula import Not, parse
 from tabseq.gs3 import check, proof_from_json, proof_to_json
@@ -167,7 +168,6 @@ def test_check_computes_premise_additions_once_per_rule_and_principal(monkeypatc
 
 
 def test_translate_finds_outermost_skolem_terms_once_per_formula(monkeypatch):
-    translate_module = sys.modules["tabseq.translate"]
     ct = proved(growth_goal(3))
     calls = counting(monkeypatch, translate_module, "outermost_skolem_terms")
     translate_module.skolem_ranks(ct)

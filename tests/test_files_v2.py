@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import tabseq
+import tabseq.translate as translate_module
 from tabseq import gs3, tableau
 from tabseq.cli import main
 from tabseq.formula import (MAX_DEPTH, And, App, Atom, Forall, Implies, Not, Or, Var, parse,
@@ -292,7 +293,6 @@ def test_a_translation_with_audits_on_walks_no_proof_with_the_tree_helpers(monke
             return walk(root)
         return watching
 
-    translate_module = sys.modules["tabseq.translate"]
     for ct in (deep_tableau(600), proved(growth_goal(3))):
         with monkeypatch.context() as patch:
             for module in (tabseq.tree, gs3, tableau, translate_module):

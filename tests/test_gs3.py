@@ -1,7 +1,10 @@
 import ast
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -701,6 +704,22 @@ class TestCheckerIndependence:
 
     def test_tree_module_imports_nothing_from_the_package(self):
         assert package_imports(SRC / "tree.py") == set()
+
+    @pytest.mark.parametrize("module,loaded", [
+        ("tabseq.gs3", ["tabseq", "tabseq.formula", "tabseq.gs3", "tabseq.tree"]),
+        ("tabseq.tableau", ["tabseq", "tabseq.formula", "tabseq.gs3", "tabseq.tableau",
+                            "tabseq.tree", "tabseq.unify"]),
+    ])
+    def test_importing_a_module_loads_only_what_it_imports(self, module, loaded):
+        """In a fresh interpreter, importing the checker runs the trusted
+        base and nothing else, and importing the prover runs no translator
+        or command line: the package itself imports none of its modules."""
+        code = (f"import sys, {module}; "
+                "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tabseq'))")
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == loaded
 
     def test_allowlist_sees_every_import_form(self, tmp_path):
         path = tmp_path / "sample.py"

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tabseq import gs3
+from tabseq import gs3, tableau
 from tabseq.cli import main
 from tabseq.formula import App, Meta, Not, parse
 from tabseq.problems import HAND_GOALS, deep_tableau, growth_goal
@@ -159,6 +159,51 @@ def test_hostile_v4_file_exits_two(tmp_path, case):
     target[keys[-1]] = value
     code, err = translate_exit(json.dumps(record), tmp_path)
     assert code == 2 and err.endswith(f"malformed tableau proof: {HOSTILE_V4[case][1]}\n"), err
+
+
+def skolem_term_without_arguments(monkeypatch) -> dict:
+    """The invalid ``(forall x. exists y. R(x, y)) => exists y. forall x.
+    R(x, y)`` closes when a delta step's Skolem term leaves out its
+    principal's metavariables; the translator would find a cyclic Skolem
+    dependency."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tableau, "free_metas", lambda f: ())
+        ct = proved("(forall x. exists y. R(x, y)) => exists y. forall x. R(x, y)")
+    return json.loads(tableau_to_json(ct))
+
+
+def gamma_witness_unbound(monkeypatch) -> dict:
+    """A unifier cut to its first binding leaves the second gamma step's
+    witness free; the translator's step builder would refuse it as a
+    witness that is not ground."""
+    record = json.loads(tableau_to_json(proved("(forall x. forall y. P(x)) => P(a)")))
+    record["unifier"] = record["unifier"][:1]
+    return record
+
+
+def root_metavariable_unbound(monkeypatch) -> dict:
+    """The drinker's root with a second formula ``Q(X9)``, whose X9 no
+    rule binds."""
+    record = json.loads(tableau_to_json(drinker()))
+    record["table"] += [["m", "X9"], ["P", "Q", 16]]
+    record["nodes"][record["root"]][0] = [15, 17]
+    return record
+
+
+# Trees whose every rule is one ``expand`` or ``close`` makes but which the
+# audit refuses, each before it reaches the translator.
+AUDIT_REFUSES = {
+    skolem_term_without_arguments:
+        "skolem term sko1 is not over its principal's metavariables at 00",
+    gamma_witness_unbound: "metavariable X2 is not bound by the unifier",
+    root_metavariable_unbound: "metavariable X9 is not bound by the unifier",
+}
+
+
+@pytest.mark.parametrize("build", list(AUDIT_REFUSES), ids=lambda build: build.__name__)
+def test_tree_the_audit_refuses_exits_two(tmp_path, monkeypatch, build):
+    code, err = translate_exit(json.dumps(build(monkeypatch)), tmp_path)
+    assert code == 2 and err.endswith(f"malformed tableau proof: {AUDIT_REFUSES[build]}\n"), err
 
 
 @pytest.mark.parametrize("version", [1, 5, "4", None, 2.0, 3.0, True])

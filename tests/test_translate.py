@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import tabseq.translate as translate_module
 from tabseq import gs3
 from tabseq.cli import main as cli_main
 from tabseq.formula import App, Not, apply_subst, const, parse
@@ -367,7 +368,7 @@ def grown_before_skolem_replacement(ct: ClosedTableau, monkeypatch) -> tuple[lis
         return nodes[0]
 
     with monkeypatch.context() as patch:
-        patch.setattr(sys.modules["tabseq.translate"], "replace_skolem_terms", keep)
+        patch.setattr(translate_module, "replace_skolem_terms", keep)
         translate_detailed(ct, audit=False)
     return tuple(records)
 
@@ -577,11 +578,11 @@ def outcomes_with_one_premise_cut(ct: ClosedTableau, monkeypatch) -> Counter:
     """For each k, the error of an audited translation whose k-th
     ``build_step`` drops the last formula of its first premise, or "ok";
     the count of each (exception class, message)."""
-    module = sys.modules["tabseq.translate"]
-    real = module.build_step
+    real = translate_module.build_step
     calls = []
     with monkeypatch.context() as patch:
-        patch.setattr(module, "build_step", lambda *a, **kw: (calls.append(1), real(*a, **kw))[1])
+        patch.setattr(translate_module, "build_step",
+                      lambda *a, **kw: (calls.append(1), real(*a, **kw))[1])
         translate_detailed(ct, audit=True)
     out: Counter = Counter()
     for k in range(1, len(calls) + 1):
@@ -595,7 +596,7 @@ def outcomes_with_one_premise_cut(ct: ClosedTableau, monkeypatch) -> Counter:
                 first.sequent = first.sequent[:-1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(module, "build_step", cut)
+            patch.setattr(translate_module, "build_step", cut)
             try:
                 translate_detailed(ct, audit=True)
             except (TranslateError, StepError) as e:
