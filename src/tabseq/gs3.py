@@ -21,7 +21,8 @@ and each rule's choices, from which the reader derives every other sequent
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cache
+from typing import Callable, NamedTuple
 
 from .formula import (
     MAX_DEPTH,
@@ -217,7 +218,7 @@ def check(proof: GsProof) -> CheckResult:
     below itself.  So the first rejection and its path are those of a
     check of every node of the tree the proof unfolds to.
     """
-    schemas: dict[tuple, tuple | None] = {}  # (rule, principal) -> premise_additions
+    additions = cache(premise_additions)
     met: set[GsProof] = set()  # the node objects walked so far
     # Preorder walk; each premise's multiset and added formulas, found
     # while checking its parent, are the child's conclusion and new formulas.
@@ -229,7 +230,7 @@ def check(proof: GsProof) -> CheckResult:
         if node in met:
             continue
         met.add(node)
-        premises = _check_node(node, conclusion, added, schemas)
+        premises = _check_node(node, conclusion, added, additions)
         if type(premises) is tuple:
             path: list[int] = []
             while link is not None:
@@ -251,14 +252,14 @@ def _multiset(formulas) -> dict[Formula, int]:
 
 
 def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
-                schemas: dict[tuple, tuple | None]
+                additions_of: Callable[[GsRule, Formula], tuple | None]
                 ) -> tuple[str, str] | list[tuple[dict[Formula, int], Sequent]]:
     """The rejection at this node, as its reason and detail, or the
     multiset and added formulas of each of its premises; the last premise
     is handed ``conclusion`` itself.  ``added`` holds, in the order of the
     node's sequent, every formula of it that its ancestors' sequents lack,
-    and may hold some they have.  ``schemas`` keeps the additions of each
-    (rule, principal) pair met."""
+    and may hold some they have.  ``additions_of`` gives a (rule,
+    principal) pair's ``premise_additions``, as ``check``'s cache of it does."""
     for f in added:
         if f.has_meta:
             return SCHEMA_MISMATCH, f"metavariable in sequent formula {print_formula(f)}"
@@ -294,10 +295,7 @@ def _check_node(node: GsProof, conclusion: dict[Formula, int], added: Sequent,
             return SCHEMA_MISMATCH, "premise is not conclusion minus the dropped occurrence"
         return [(expected, ())]
 
-    key = (rule, principal)
-    if key not in schemas:
-        schemas[key] = premise_additions(rule, principal)
-    additions = schemas[key]
+    additions = additions_of(rule, principal)
     if additions is None:
         return SCHEMA_MISMATCH, f"{rule.name} does not apply to {print_formula(principal)}"
     if len(node.children) != len(additions):

@@ -190,9 +190,10 @@ _WITNESSES = {"gamma": (Meta, "a metavariable"), "delta": (App, "a Skolem term")
 def _expansion(principal: Formula, witness: Term | None) -> RuleInstance:
     """The rule ``expand`` makes for ``principal`` with ``witness``: its
     class is the principal's rule group and its introduced formulas are
-    ``gs3.premise_additions``.  FormatError for a literal principal, or a
+    ``gs3.premise_additions``.  FormatError for a literal principal, a
     witness of another sort than the rule takes (gamma and delta the ones
-    in ``_WITNESSES``, the others none)."""
+    in ``_WITNESSES``, the others none), or a Skolem term that is not over
+    the principal's metavariables, as ``expand`` makes it."""
     name = rule_name(principal)
     if name is None:
         raise FormatError(f"the literal {print_formula(principal)} is no principal")
@@ -200,6 +201,9 @@ def _expansion(principal: Formula, witness: Term | None) -> RuleInstance:
     sort, what = _WITNESSES.get(kind, (type(None), "no witness"))
     if type(witness) is not sort or sort is App and not witness.is_skolem:
         raise FormatError(f"{kind} rule takes {what}")
+    if sort is App and witness.args != free_metas(principal):
+        raise FormatError(f"skolem term {print_term(witness)} is not over its "
+                          "principal's metavariables")
     return _instance(name, kind, principal, witness)
 
 
@@ -494,9 +498,8 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
     formulas (non-destructivity), every rule one that ``expand`` or
     ``close`` makes (``_rule_fault``), every leaf closed, each principal
     and closure pair present, each pair an atom and a negated atom that
-    the unifier equates, each Skolem symbol unused before its introduction
-    and its term over its principal's metavariables, as ``expand`` makes
-    it; last, every metavariable of the root and every gamma witness bound
+    the unifier equates, each Skolem symbol unused before its introduction;
+    last, every metavariable of the root and every gamma witness bound
     by the unifier, as ``ground`` binds them.
     """
     def at(node: TableauNode) -> str:
@@ -547,9 +550,6 @@ def audit_closed_tableau(ct: ClosedTableau) -> None:
             for f in node.formulas:
                 if sym in symbols_of(f):
                     raise AuditError(f"skolem {sym} occurs before its delta step")
-            if rule.witness.args != free_metas(rule.principal):
-                raise AuditError(f"skolem term {print_term(rule.witness)} is not over its "
-                                 f"principal's metavariables at {at(node)}")
         stack.extend((child, node, bit) for bit, child in reversed(list(enumerate(node.children))))
     for m in metas:
         if m.name not in unifier:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cache, partial
+from graphlib import CycleError, TopologicalSorter
 from itertools import count
 from typing import Callable, Mapping
 
@@ -84,7 +86,7 @@ def build_step(
     principal: Formula,
     *,
     additions: tuple[tuple[Formula, ...], ...] | None = None,
-    outermost_skolems: Callable[[Formula], set[App]] | None = None,
+    outermost_skolems: Callable[[Formula], set[App]] = outermost_skolem_terms,
 ) -> None:
     """Extend an open leaf by one inference, validating the schema eagerly.
 
@@ -130,8 +132,6 @@ def build_step(
                 raise StepError(SCHEMA_MISMATCH, "witness must be a ground term")
             if group == "delta":
                 if isinstance(w, App) and w.is_skolem:
-                    if outermost_skolems is None:
-                        outermost_skolems = outermost_skolem_terms
                     if any(w in outermost_skolems(f) for f in node.sequent):
                         raise StepError(FRESHNESS,
                                         f"witness {print_term(w)} occurs in the conclusion")
@@ -155,7 +155,7 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
     it depends on (a copy of that term's rule would put its witness into
     the conclusion), so the rank of the grafted term strictly decreases
     across graft recursions.  The occurs check keeps this relation acyclic
-    for any unifier of a closed tableau.
+    for any unifier of a closed tableau; a cycle is a TranslateError.
     """
     sigma = ct.unifier
     edges: dict[App, set[App]] = {}
@@ -171,22 +171,14 @@ def skolem_ranks(ct: ClosedTableau) -> dict[App, int]:
         deps.discard(term)
         edges.setdefault(term, set()).update(deps)
 
+    graph = {t: [d for d in deps if d in edges] for t, deps in edges.items()}
     ranks: dict[App, int] = {}
-    visiting: set[App] = set()
-
-    def rank(t: App) -> int:
-        if t in ranks:
-            return ranks[t]
-        if t in visiting:
-            raise TranslateError(f"cyclic Skolem dependency through {print_term(t)}")
-        visiting.add(t)
-        r = 1 + max((rank(d) for d in edges.get(t, ()) if d in edges), default=0)
-        visiting.discard(t)
-        ranks[t] = r
-        return r
-
-    for t in edges:
-        rank(t)
+    try:
+        for t in TopologicalSorter(graph).static_order():
+            ranks[t] = 1 + max((ranks[d] for d in graph[t]), default=0)
+    except CycleError as e:
+        raise TranslateError(
+            f"cyclic Skolem dependency through {print_term(e.args[1][0])}") from None
     return ranks
 
 
@@ -194,11 +186,13 @@ class _Builder:
     """What the steps of one translation share.
 
     The proof being grown and its count of open leaves, the statistics,
-    the audit switch and the Skolem ranks.  The sigma-instance of each
-    tableau formula, the premise additions of each (rule, principal) pair,
-    the outermost Skolem terms of each formula, which the existential
-    freshness tests read, and the text of each formula a graft weakens
-    are computed once.
+    the audit switch and the Skolem ranks.  Four ``functools.cache``s
+    compute each result once: ``instance``, the sigma-instance of a
+    tableau formula or witness; ``additions``, a (rule, principal) pair's
+    premise additions; ``skolems``, a formula's outermost Skolem terms,
+    which the existential freshness tests read; ``text``, the text of a
+    formula a graft weakens.  No cache holds a bound method, which would
+    keep the builder and its proof alive until the cyclic collector runs.
 
     ``link`` lists, for each tableau node on the fringe of the rules
     replayed so far, the open sequent leaves linked to it; a node leaves it
@@ -216,52 +210,34 @@ class _Builder:
     """
 
     def __init__(self, ct: ClosedTableau, audit: bool = True) -> None:
-        self.sigma = ct.unifier
         self.tableau = ct.root
         self.audit = audit
         self.stats = TranslateStats()
         self.ranks = skolem_ranks(ct)
-        self._instances: dict[Formula, Formula] = {}
-        self._additions: dict[tuple[GsRule, Formula], tuple | None] = {}
-        self._skolems: dict[Formula, set[App]] = {}
-        self._texts: dict[Formula, str] = {}
-        self.proof = GsProof(tuple(self.instance(f) for f in ct.root.formulas))
+        self.instance = cache(partial(apply_subst, ct.unifier))
+        self.skolems = cache(outermost_skolem_terms)
+        self.text = cache(print_formula)
+        self.proof = GsProof(tuple(map(self.instance, ct.root.formulas)))
         self.nodes: list[GsProof] = [self.proof]
         self.formulas: set[Formula] = set(self.proof.sequent)
         self.witnesses: set[Term] = set()
+        formulas, witnesses = self.formulas, self.witnesses
+
+        @cache
+        def additions(rule: GsRule, principal: Formula) -> tuple | None:
+            out = gs3.premise_additions(rule, principal)
+            for extra in out or ():
+                formulas.update(extra)
+            if rule.witness is not None:
+                witnesses.add(rule.witness)
+            return out
+
+        self.additions = additions
         self.open = 1  # the proof's open leaves, kept up to date by ``step``
         self.link: dict[TableauNode, list[GsProof]] = {ct.root: [self.proof]}
         self.targets: dict[TableauNode, Counter] = {}
         if audit:
             self.targets[ct.root] = Counter(self.proof.sequent)
-
-    def instance(self, f: Formula) -> Formula:
-        out = self._instances.get(f)
-        if out is None:
-            out = self._instances[f] = apply_subst(self.sigma, f)
-        return out
-
-    def additions(self, rule: GsRule, principal: Formula) -> tuple | None:
-        key = (rule, principal)
-        if key not in self._additions:
-            out = self._additions[key] = gs3.premise_additions(rule, principal)
-            for extra in out or ():
-                self.formulas.update(extra)
-            if rule.witness is not None:
-                self.witnesses.add(rule.witness)
-        return self._additions[key]
-
-    def skolems(self, f: Formula) -> set[App]:
-        out = self._skolems.get(f)
-        if out is None:
-            out = self._skolems[f] = outermost_skolem_terms(f)
-        return out
-
-    def text(self, f: Formula) -> str:
-        out = self._texts.get(f)
-        if out is None:
-            out = self._texts[f] = print_formula(f)
-        return out
 
     def step(self, leaf: GsProof, rule: GsRule, principal: Formula) -> tuple[GsProof, ...]:
         """``build_step`` at an open leaf; records and returns its premises."""
@@ -554,7 +530,7 @@ def parallel_extend(node: TableauNode, builder: _Builder) -> None:
         principal, gs_rule = builder.instance(rule.closure_pair[0]), GsRule("axiom")
     else:
         principal = builder.instance(rule.principal)
-        witness = None if rule.witness is None else apply_subst(builder.sigma, rule.witness)
+        witness = None if rule.witness is None else builder.instance(rule.witness)
         gs_rule = GsRule(rule_name(principal), witness)
 
     if rule.kind == "delta":

@@ -658,6 +658,18 @@ class TestSerialization:
                 "    -- axiom on P\n"
                 "    [1] as above\n")
 
+    def test_render_marks_an_open_leaf(self):
+        p_or_q = parse("P | Q")
+        proof = GsProof((p_or_q,), GsRule("or"), p_or_q,
+                        (GsProof((p_or_q, parse("P"))), GsProof((p_or_q, parse("Q")))))
+        assert render_proof(proof) == (
+            "(P | Q) |-\n"
+            "-- or on (P | Q)\n"
+            "    (P | Q), P |-\n"
+            "    -- (open)\n"
+            "    (P | Q), Q |-\n"
+            "    -- (open)\n")
+
     def test_render_of_growth_five_lists_each_distinct_subproof_once(self):
         # In memory the translated proof holds 678 node objects for the 373
         # distinct subproofs its .gs3 file lists.

@@ -165,11 +165,11 @@ def skolem_term_without_arguments(monkeypatch) -> dict:
     """The invalid ``(forall x. exists y. R(x, y)) => exists y. forall x.
     R(x, y)`` closes when a delta step's Skolem term leaves out its
     principal's metavariables; the translator would find a cyclic Skolem
-    dependency."""
+    dependency.  The writer takes it only under the same stub."""
     with monkeypatch.context() as patch:
         patch.setattr(tableau, "free_metas", lambda f: ())
         ct = proved("(forall x. exists y. R(x, y)) => exists y. forall x. R(x, y)")
-    return json.loads(tableau_to_json(ct))
+        return json.loads(tableau_to_json(ct))
 
 
 def gamma_witness_unbound(monkeypatch) -> dict:
@@ -190,11 +190,10 @@ def root_metavariable_unbound(monkeypatch) -> dict:
     return record
 
 
-# Trees whose every rule is one ``expand`` or ``close`` makes but which the
-# audit refuses, each before it reaches the translator.
+# Trees that are written but that the reader or the audit refuses, each
+# before it reaches the translator.
 AUDIT_REFUSES = {
-    skolem_term_without_arguments:
-        "skolem term sko1 is not over its principal's metavariables at 00",
+    skolem_term_without_arguments: "skolem term sko2 is not over its principal's metavariables",
     gamma_witness_unbound: "metavariable X2 is not bound by the unifier",
     root_metavariable_unbound: "metavariable X9 is not bound by the unifier",
 }
@@ -350,6 +349,9 @@ MALFORMED_RULES = {
         (), new_rule(lambda r: _with_witness(r, App("sko9", ()))), f"gamma {EXPANSION}"),
     "a delta witness of the wrong sort": (
         (0, 0), new_rule(lambda r: r._replace(witness=Meta("X1"))), f"delta {EXPANSION}"),
+    "a Skolem term not over the principal's metavariables": (
+        (0, 0), new_rule(lambda r: _with_witness(r, App("sko1", (Meta("X1"),)))),
+        f"delta {EXPANSION}"),
     "an alpha with a witness": ((0,), new_rule(lambda r: r._replace(witness=Meta("X1"))),
                                 f"alpha {EXPANSION}"),
     "a closure pair on an expansion": (

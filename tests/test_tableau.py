@@ -166,6 +166,39 @@ class TestClose:
         assert root.rule.kind == "closure"
         assert open_leaves(root) == []
 
+    def test_errors(self):
+        pos, neg = Atom("P", ()), Not(Atom("P", ()))
+        q, not_p_a = Atom("Q", ()), Not(Atom("P", (const("a"),)))
+        leaf = TableauNode((pos, neg, q, not_p_a))
+        for pair, message in [
+            ((neg, pos), "closure needs an atom and a negated atom"),
+            ((pos, Not(neg)), "closure needs an atom and a negated atom"),
+            ((Atom("R", ()), Not(Atom("R", ()))), "closure pair not present at leaf"),
+            ((q, neg), "closure pair predicates do not match"),
+            ((pos, not_p_a), "closure pair predicates do not match"),  # the arities
+        ]:
+            with pytest.raises(TableauError, match=f"^{message}$"):
+                close(leaf, {}, *pair)
+        assert leaf.rule is None
+        close(leaf, {}, pos, neg)
+        with pytest.raises(TableauError, match="^node is not an open leaf$"):
+            close(leaf, {}, pos, neg)
+
+
+def test_ground_refuses_closures_no_one_unifier_makes():
+    """Each branch closed under a unifier of its own, as ``prove`` never
+    does: X1 := a on the left, X1 := b on the right."""
+    root = TableauNode((parse("forall x. ~P(x)"), parse("P(a) | P(b)")))
+    names = NameSupply()
+    expand(root, root.formulas[0], names)
+    (leaf,) = root.children
+    expand(leaf, root.formulas[1], names)
+    not_p = Not(Atom("P", (Meta("X1"),)))
+    for branch, c in zip(leaf.children, "ab"):
+        assert close(branch, {}, Atom("P", (const(c),)), not_p) == {"X1": const(c)}
+    with pytest.raises(TableauError, match="^closure constraints are globally unsatisfiable$"):
+        tableau.ground(root)
+
 
 class TestProve:
     def test_drinker_reproduces_four_rule_derivation(self):

@@ -1,13 +1,15 @@
+import gc
 import hashlib
 import inspect
 import json
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 import tabseq.translate as translate_module
-from tabseq import gs3
+from tabseq import gs3, tableau
 from tabseq.cli import main as cli_main
 from tabseq.formula import App, Not, apply_subst, const, parse
 from tabseq.gs3 import GsProof, GsRule
@@ -33,7 +35,7 @@ from tabseq.translate import (
     translate,
     translate_detailed,
 )
-from tabseq.tree import postorder
+from tabseq.tree import postorder, preorder
 
 from conftest import (PathError, builder_records, node_at, random_tableau, rule_names,
                       spine_rule_names)
@@ -344,6 +346,18 @@ class TestDeltaGraft:
         # strictly smaller rank than its parent
         assert stats.measures[1][0] > stats.measures[2][0]
 
+    def test_a_cyclic_skolem_dependency_is_refused(self, monkeypatch):
+        """With ``free_metas`` stubbed out, ``expand`` makes Skolem terms
+        without their principal's metavariables, and the invalid quantifier
+        swap closes; its two Skolem terms then depend on each other."""
+        with monkeypatch.context() as patch:
+            patch.setattr(tableau, "free_metas", lambda f: ())
+            ct = prove([Not(parse(
+                "(forall x. exists y. R(x, y)) => exists y. forall x. R(x, y)"))])
+        assert isinstance(ct, ClosedTableau)
+        with pytest.raises(TranslateError, match="^cyclic Skolem dependency through sko1$"):
+            skolem_ranks(ct)
+
     def test_graft_duplicates_pending_branches(self):
         gamma = [parse(DRINKER_NEG), parse("P | (C | E)")]
         ct = prove(gamma)
@@ -518,6 +532,26 @@ class TestBuilderRecords:
             assert {id(n) for n in nodes} == {id(n) for n in finished}, name
             place = {id(n): i for i, n in enumerate(nodes)}
             assert all(place[id(c)] > place[id(n)] for n in nodes for c in n.children), name
+
+
+def test_a_builder_is_freed_without_the_cyclic_collector():
+    """Nothing a translation's builder holds refers back to it, so its
+    proof and node list go when it does, not at the next collection."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ct = prove([parse(NESTED_NEG)])
+        builder = _Builder(ct)
+        for node in preorder(ct.root):
+            if node.rule is not None:
+                parallel_extend(node, builder)
+        assert builder.stats.graft_case_v == 1
+        ref = weakref.ref(builder)
+        del builder
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestInvariants:
